@@ -10,6 +10,7 @@ greedy approximation is not optimal for non-democratic bases.
 from .errors import (
     CapacityError,
     GreedyLabError,
+    InvariantError,
     OracleUnavailableError,
     ScheduleTooShallowError,
     TermBudgetError,

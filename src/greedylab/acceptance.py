@@ -47,11 +47,15 @@ def criterion_1() -> tuple[bool, str]:
     """Democracy oracle equivalence on the 10-coordinate toy space."""
     toy = SpaceSpec.block_sum([(2, 4), (3, 6)])
     for n in range(0, 11):
-        point = demfun_dp(toy, n, method="dp")
         hl_b, hr_b = demfun_bruteforce(toy, n)
-        if point.hl_power != hl_b or point.hr_power != hr_b:
-            return False, f"mismatch at N={n}: dp=({point.hl_power},{point.hr_power}) brute=({hl_b},{hr_b})"
-    return True, "demfun_dp == demfun_bruteforce for all N in [0,10]"
+        for method in ("dp", "extreme"):
+            point = demfun_dp(toy, n, method=method)
+            if point.hl_power != hl_b or point.hr_power != hr_b:
+                return False, (
+                    f"mismatch at N={n}: {method}=({point.hl_power},{point.hr_power}) "
+                    f"brute=({hl_b},{hr_b})"
+                )
+    return True, "DP oracle and vertex search == demfun_bruteforce for all N in [0,10]"
 
 
 def criterion_2() -> tuple[bool, str]:

@@ -37,7 +37,6 @@ from .vectors import CompressedVector
 
 @dataclass
 class RunConfig:
-    seed: int
     budget_ties: int
     budget_terms: int
     out: Optional[str]
@@ -327,12 +326,6 @@ def _global_flags(suppress: bool) -> argparse.ArgumentParser:
     holder = argparse.ArgumentParser(add_help=False)
     d = argparse.SUPPRESS if suppress else None
     holder.add_argument(
-        "--seed",
-        type=int,
-        default=argparse.SUPPRESS if suppress else 0,
-        help="seed for randomized checks",
-    )
-    holder.add_argument(
         "--budget-ties",
         type=int,
         default=argparse.SUPPRESS if suppress else DEFAULT_TIE_BUDGET,
@@ -431,7 +424,6 @@ def main(argv: Optional[list[str]] = None) -> int:
     if args.budget_ties <= 0 or args.budget_terms <= 0:
         parser.error("budgets must be positive")  # exits 2
     cfg = RunConfig(
-        seed=args.seed,
         budget_ties=args.budget_ties,
         budget_terms=args.budget_terms,
         out=args.out,

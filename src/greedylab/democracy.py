@@ -2,14 +2,18 @@
 
 For an indicator vector the block-sum norm power is sum_k min(m_k, cap_k)
 over the per-block counts m_k, so h_l(N)^p and h_r(N)^p are integer
-programs over allocations of N.  Three exact routes are implemented:
+programs over allocations of N.  The production routes are:
 
-* an allocation DP (the reference; also yields whole tables in one pass),
-* an extreme-point search for h_l: the objective is concave, so the
-  minimum sits at a vertex of the allocation polytope, where every block
-  is empty or full except at most one (this is what scales to the
-  n_s-sized queries the counterexample construction needs),
+* a vertex search for h_l: the objective is concave, so the minimum sits
+  at a vertex of the allocation polytope, where every block is empty or
+  full except at most one.  One enumerator of those vertices answers a
+  single N (up to the n_s-sized queries of the counterexample
+  construction) and sweeps a whole table,
 * the closed form min(N, sum caps) for h_r, with a constructed witness.
+
+The allocation DP (explicit.alloc_dp, quadratic in N) and subset brute
+force (explicit.demfun_bruteforce) are oracles that the tests and the
+acceptance suite check these routes against.
 
 Truncation is never silently extrapolated: queries that a finite window
 onto the infinite block space cannot answer exactly raise TruncationError.
@@ -20,10 +24,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import repeat
 from typing import Callable, Iterable, Optional, Sequence
 
-from .errors import TruncationError
-from .explicit import demfun_bruteforce  # re-exported oracle route
+from .errors import InvariantError, TruncationError
+from .explicit import alloc_dp_point, demfun_bruteforce  # oracles; the latter re-exported
 from .schedule import BlockSchedule
 from .spaces import SpaceSpec
 
@@ -45,8 +50,6 @@ __all__ = [
     "sqrt_of",
     "h_function_from_json",
 ]
-
-_DP_BUDGET = 4_000_000  # rough op count above which "auto" switches methods
 
 
 @dataclass(frozen=True)
@@ -97,157 +100,112 @@ def _check_adequacy(spec: SpaceSpec, n: int, which: str = "both") -> None:
 
 
 def demfun_dp(
-    spec: SpaceSpec, n: int, method: str = "auto", which: str = "both"
+    spec: SpaceSpec, n: int, method: str = "extreme", which: str = "both"
 ) -> DemPoint:
     """Exact h_l(n)^p and h_r(n)^p with achieving allocations.
 
-    method: "dp" (allocation dynamic program), "extreme" (vertex search
-    plus the h_r closed form) or "auto".  Both are exact; they are
-    cross-checked against each other and against subset brute force in
-    the test suite.  ``which`` restricts the query to one side ("hl" or
-    "hr"): a shallow window often answers h_l at cardinalities whose h_r
-    would need deeper caps.
+    method: "extreme" (vertex search plus the h_r closed form; the
+    production route) or "dp" (the allocation-DP oracle, quadratic in n,
+    for cross-checks).  Both are exact; the test suite checks them against
+    each other and against subset brute force.  ``which`` restricts the
+    query to one side ("hl" or "hr"): a shallow window often answers h_l
+    at cardinalities whose h_r would need deeper caps.
     """
     if n < 0:
         raise ValueError("n must be >= 0")
     if which not in ("hl", "hr", "both"):
         raise ValueError("which must be 'hl', 'hr' or 'both'")
+    if method not in ("extreme", "dp"):
+        raise ValueError("method must be 'extreme' or 'dp'")
     if n == 0:
         return DemPoint(0, 0, 0, (), ())
     _check_adequacy(spec, n, which)
     blocks = _finite_blocks(spec)
-    if method == "auto":
-        cost = (n + 1) * sum(min(s, n) + 1 for _, s in blocks)
-        method = "dp" if cost <= _DP_BUDGET else "extreme"
     if method == "dp":
-        table = _alloc_dp(blocks, n)
-        point = _dp_point(table, blocks, n)
-    elif method == "extreme":
-        hl, wit_l = _hl_extreme(blocks, n) if which != "hr" else (None, ())
-        hr, wit_r = _hr_closed(blocks, n) if which != "hl" else (None, ())
-        point = DemPoint(n, hl, hr, wit_l, wit_r)
+        hl, hr, wit_l, wit_r = alloc_dp_point(blocks, n)
     else:
-        raise ValueError("method must be 'auto', 'dp' or 'extreme'")
+        hl, wit_l = _hl_vertex(blocks, n) if which != "hr" else (None, ())
+        hr, wit_r = _hr_closed(blocks, n) if which != "hl" else (None, ())
     if which == "hl":
-        return DemPoint(n, point.hl_power, None, point.witness_l, ())
-    if which == "hr":
-        return DemPoint(n, None, point.hr_power, (), point.witness_r)
-    return point
+        hr, wit_r = None, ()
+    elif which == "hr":
+        hl, wit_l = None, ()
+    return DemPoint(n, hl, hr, wit_l, wit_r)
 
 
 # ---------------------------------------------------------------------------
-# Allocation DP
+# Vertex search for h_l and closed-form h_r
 
 
-_BIG = 1 << 62
+def _lower(states: dict, key, cost: int, chosen: tuple[int, ...]) -> None:
+    if key not in states or cost < states[key][0]:
+        states[key] = (cost, chosen)
 
 
-def _alloc_dp(blocks: Sequence[tuple[int, int]], max_n: int):
-    """DP over blocks; returns (dp_min, dp_max, parent_min, parent_max).
+def _vertices(blocks: Sequence[tuple[int, int]], limit: int):
+    """Vertices of the allocation polytope whose full blocks total <= limit.
 
-    dp_min[j] / dp_max[j] are the extremes of sum min(m_k, cap_k) over
-    allocations of exactly j coordinates; parents store the chosen m per
-    block for witness reconstruction.
+    At a vertex every block is empty or full except at most one, the free
+    block, which takes a remainder.  Returns two dicts of (cap sum, full
+    block indices):
+
+    * ``full[t]``: the cheapest set of full blocks with total size t,
+    * ``free[(t, r)]``: the same, among sets that leave block r free.
+
+    Blocks are added one at a time, and sets with the same key are merged
+    into the cheapest, so the work is bounded by the number of distinct
+    totals times the number of blocks, not by the number of subsets.
     """
-    dp_min = [0] + [_BIG] * max_n
-    dp_max = [0] + [-1] * max_n
-    parent_min: list[list[int]] = []
-    parent_max: list[list[int]] = []
-    for cap, size in blocks:
-        limit = min(size, max_n)
-        ndp_min = [_BIG] * (max_n + 1)
-        ndp_max = [-1] * (max_n + 1)
-        pmin = [-1] * (max_n + 1)
-        pmax = [-1] * (max_n + 1)
-        for j in range(max_n + 1):
-            lo = dp_min[j]
-            hi = dp_max[j]
-            if lo >= _BIG and hi < 0:
-                continue
-            for m in range(0, min(limit, max_n - j) + 1):
-                slot = j + m
-                cost = min(m, cap)
-                if lo < _BIG and lo + cost < ndp_min[slot]:
-                    ndp_min[slot] = lo + cost
-                    pmin[slot] = m
-                if hi >= 0 and hi + cost > ndp_max[slot]:
-                    ndp_max[slot] = hi + cost
-                    pmax[slot] = m
-        dp_min, dp_max = ndp_min, ndp_max
-        parent_min.append(pmin)
-        parent_max.append(pmax)
-    return dp_min, dp_max, parent_min, parent_max
+    full: dict = {0: (0, ())}
+    free: dict = {}
+    for r, (cap, size) in enumerate(blocks):
+        grown_full, grown_free = dict(full), dict(free)
+        for t, (cost, chosen) in full.items():
+            grown_free[(t, r)] = (cost, chosen)
+            if t + size <= limit:
+                _lower(grown_full, t + size, cost + cap, chosen + (r,))
+        for (t, q), (cost, chosen) in free.items():
+            if t + size <= limit:
+                _lower(grown_free, (t + size, q), cost + cap, chosen + (r,))
+        full, free = grown_full, grown_free
+    return full, free
 
 
-def _dp_point(table, blocks, n: int) -> DemPoint:
-    dp_min, dp_max, parent_min, parent_max = table
-    if dp_min[n] >= _BIG or dp_max[n] < 0:
-        raise ValueError(f"no allocation of {n} coordinates fits the space")
-
-    def walk(parents) -> tuple[tuple[int, int], ...]:
-        j = n
-        witness = []
-        for b in range(len(blocks) - 1, -1, -1):
-            m = parents[b][j]
-            if m > 0:
-                witness.append((b, m))
-            j -= m
-        assert j == 0
-        return tuple(reversed(witness))
-
-    return DemPoint(n, dp_min[n], dp_max[n], walk(parent_min), walk(parent_max))
-
-
-# ---------------------------------------------------------------------------
-# Extreme-point h_l and closed-form h_r
-
-
-def _hl_extreme(blocks: Sequence[tuple[int, int]], n: int):
-    """Minimum of the concave allocation cost via polytope vertices.
-
-    At a vertex every block is at 0 or at its full size except at most
-    one, which absorbs the remainder.  Blocks are scanned in ascending
-    size with pruning, so only subsets with total size <= n are touched.
-    """
-    order = sorted(range(len(blocks)), key=lambda i: blocks[i][1])
-    best: Optional[int] = None
-    best_wit: tuple[tuple[int, int], ...] = ()
-
-    def consider(cost: int, witness) -> None:
-        nonlocal best, best_wit
-        if best is None or cost < best:
-            best = cost
-            best_wit = tuple(sorted(witness))
-
-    def close(chosen: list[int], cur_sum: int, cur_cost: int) -> None:
-        rem = n - cur_sum
-        if rem == 0:
-            consider(cur_cost, [(b, blocks[b][1]) for b in chosen])
-            return
-        taken = set(chosen)
-        for r, (cap, size) in enumerate(blocks):
-            if r in taken or size < rem:
-                continue
-            consider(
-                cur_cost + min(rem, cap),
-                [(b, blocks[b][1]) for b in chosen] + [(r, rem)],
-            )
-
-    def rec(idx: int, chosen: list[int], cur_sum: int, cur_cost: int) -> None:
-        close(chosen, cur_sum, cur_cost)
-        for pos in range(idx, len(order)):
-            b = order[pos]
-            cap, size = blocks[b]
-            if cur_sum + size > n:
-                break  # ascending sizes: nothing further fits
-            chosen.append(b)
-            rec(pos + 1, chosen, cur_sum + size, cur_cost + cap)
-            chosen.pop()
-
-    rec(0, [], 0, 0)
+def _hl_vertex(blocks: Sequence[tuple[int, int]], n: int):
+    """h_l(n)^p as the cheapest vertex with n coordinates, plus its witness."""
+    full, free = _vertices(blocks, n)
+    best = (full[n][0], full[n][1], ()) if n in full else None
+    for (t, r), (cost, chosen) in free.items():
+        cap, size = blocks[r]
+        rem = n - t
+        if 0 < rem <= size and (best is None or cost + min(rem, cap) < best[0]):
+            best = (cost + min(rem, cap), chosen, ((r, rem),))
     if best is None:
         raise ValueError(f"no allocation of {n} coordinates fits the space")
-    return best, best_wit
+    value, chosen, part = best
+    return value, tuple(sorted([(b, blocks[b][1]) for b in chosen] + list(part)))
+
+
+def _hl_sweep(blocks: Sequence[tuple[int, int]], max_n: int) -> list[int]:
+    """h_l(N)^p for every N <= max_n from one vertex enumeration.
+
+    The free block r of a vertex with full part (t, cost) puts rem more
+    coordinates in place for cost + min(rem, cap_r): a ramp of slope one up
+    to cap_r, then flat up to size_r.  Each vertex lowers its slice of the
+    table.  Every N <= max_n must be reachable (the caller checks adequacy).
+    """
+    full, free = _vertices(blocks, max_n)
+    hl = [max_n + 1] * (max_n + 1)  # above any real value: h_l(N)^p <= N
+    for t, (cost, _) in full.items():
+        hl[t] = cost
+    for (t, r), (cost, _) in free.items():
+        cap, size = blocks[r]
+        top = min(size, max_n - t)
+        ramp = min(cap, top)
+        lo, mid, hi = t + 1, t + ramp + 1, t + top + 1
+        hl[lo:mid] = map(min, hl[lo:mid], range(cost + 1, cost + ramp + 1))
+        hl[mid:hi] = map(min, hl[mid:hi], repeat(cost + cap, hi - mid))
+    return hl
 
 
 def _hr_closed(blocks: Sequence[tuple[int, int]], n: int):
@@ -271,9 +229,11 @@ def _hr_closed(blocks: Sequence[tuple[int, int]], n: int):
             extra = min(size - alloc[i], overflow)
             alloc[i] += extra
             overflow -= extra
-    assert overflow == 0 and sum(alloc) == n
+    if overflow != 0 or sum(alloc) != n:
+        raise InvariantError(f"h_r witness for N={n} places {sum(alloc)} coordinates")
     value = sum(min(m, cap) for m, (cap, _) in zip(alloc, blocks))
-    assert value == target
+    if value != target:
+        raise InvariantError(f"h_r witness for N={n} has power {value}, not {target}")
     witness = tuple((i, m) for i, m in enumerate(alloc) if m > 0)
     return target, witness
 
@@ -284,10 +244,11 @@ def _hr_closed(blocks: Sequence[tuple[int, int]], n: int):
 
 @dataclass(frozen=True)
 class DemFunTable:
-    """h_l / h_r powers for every N up to max_n (one DP pass).
+    """h_l / h_r powers for every N up to max_n.
 
-    A side not requested at build time is withheld rather than served
-    wrong: accessing it raises.
+    h_l comes from one vertex sweep, h_r from its closed form.  A side not
+    requested at build time is withheld rather than served wrong:
+    accessing it raises.
     """
 
     spec: SpaceSpec
@@ -315,14 +276,12 @@ class DemFunTable:
 def demfun_table(spec: SpaceSpec, max_n: int, which: str = "both") -> DemFunTable:
     _check_adequacy(spec, max_n, which)
     blocks = _finite_blocks(spec)
-    dp_min, dp_max, _, _ = _alloc_dp(blocks, max_n)
-    if any(v >= _BIG for v in dp_min) or any(v < 0 for v in dp_max):
-        raise ValueError(f"space cannot host {max_n} coordinates")
+    total_caps = sum(c for c, _ in blocks)
     return DemFunTable(
         spec,
         max_n,
-        tuple(dp_min) if which != "hr" else None,
-        tuple(dp_max) if which != "hl" else None,
+        tuple(_hl_sweep(blocks, max_n)) if which != "hr" else None,
+        tuple(min(n, total_caps) for n in range(max_n + 1)) if which != "hl" else None,
     )
 
 
@@ -411,9 +370,11 @@ def prefix_norm_conjecture_check(
     """
     spec = SpaceSpec.from_schedule(schedule)
     blocks = _finite_blocks(spec)
-    rows = []
-    bad = []
-    for n in sorted(set(int(n) for n in n_values)):
+    ns = sorted(set(int(n) for n in n_values))
+    if ns and ns[0] < 0:
+        raise ValueError("N must be >= 0")
+    prefix_powers = []
+    for n in ns:
         remaining = n
         prefix_power = 0
         for cap, size in blocks:
@@ -424,10 +385,10 @@ def prefix_norm_conjecture_check(
                 break
         if remaining > 0:
             raise TruncationError(f"prefix of {n} vectors needs a deeper schedule")
-        hl = demfun_dp(spec, n, which="hl").hl_power
-        rows.append((n, prefix_power, hl))
-        if prefix_power != hl:
-            bad.append(n)
+        prefix_powers.append(prefix_power)
+    table = demfun_table(spec, ns[-1], which="hl") if ns else None
+    rows = [(n, pre, table.hl_power(n)) for n, pre in zip(ns, prefix_powers)]
+    bad = [n for n, pre, hl in rows if pre != hl]
     return PrefixReport(tuple(rows), tuple(bad), not bad)
 
 

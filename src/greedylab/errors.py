@@ -24,6 +24,14 @@ class TruncationError(GreedyLabError):
     """
 
 
+class InvariantError(GreedyLabError):
+    """An internal consistency check failed: a bug, never a property of the input.
+
+    Raised explicitly rather than by ``assert`` so it still fires under
+    ``python -O``.
+    """
+
+
 class TieBudgetError(GreedyLabError):
     """Tie-resolution space exceeds the configured enumeration cap."""
 

@@ -1,9 +1,10 @@
 """Explicit-coordinate oracle backend.
 
 Everything here works on a flat list of (possibly signed) coordinate values
-over a small finite universe and answers by raw enumeration.  It exists to
-cross-check the compressed implementations: same quantities, independent
-route.  Deliberately unoptimized.
+over a small finite universe and answers by raw enumeration, except the
+allocation DP, which tabulates h_l / h_r over per-block counts in
+O(N^2) per block.  It exists to cross-check the compressed implementations:
+same quantities, independent route.  Deliberately unoptimized.
 """
 
 from __future__ import annotations
@@ -12,7 +13,7 @@ import itertools
 from fractions import Fraction
 from typing import Sequence
 
-from .errors import OracleUnavailableError
+from .errors import InvariantError, OracleUnavailableError
 from .exact import as_fraction, pow_rational, simplify
 from .spaces import SpaceSpec
 from .vectors import CompressedVector, canonicalize
@@ -132,6 +133,71 @@ def demfun_bruteforce(spec: SpaceSpec, n: int, max_dim: int = 20):
         lo = power if lo is None or power < lo else lo
         hi = power if hi is None or power > hi else hi
     return lo, hi
+
+
+# ---------------------------------------------------------------------------
+# Allocation DP: the quadratic reference route for h_l / h_r on block sums
+
+
+_BIG = 1 << 62
+
+
+def alloc_dp(blocks: Sequence[tuple[int, int]], max_n: int):
+    """DP over (cap, size) blocks; returns (dp_min, dp_max, parent_min, parent_max).
+
+    dp_min[j] / dp_max[j] are the extremes of sum min(m_k, cap_k) over
+    allocations of exactly j coordinates; parents store the chosen m per
+    block for witness reconstruction.  O(max_n^2) per block.
+    """
+    dp_min = [0] + [_BIG] * max_n
+    dp_max = [0] + [-1] * max_n
+    parent_min: list[list[int]] = []
+    parent_max: list[list[int]] = []
+    for cap, size in blocks:
+        limit = min(size, max_n)
+        ndp_min = [_BIG] * (max_n + 1)
+        ndp_max = [-1] * (max_n + 1)
+        pmin = [-1] * (max_n + 1)
+        pmax = [-1] * (max_n + 1)
+        for j in range(max_n + 1):
+            lo = dp_min[j]
+            hi = dp_max[j]
+            if lo >= _BIG and hi < 0:
+                continue
+            for m in range(0, min(limit, max_n - j) + 1):
+                slot = j + m
+                cost = min(m, cap)
+                if lo < _BIG and lo + cost < ndp_min[slot]:
+                    ndp_min[slot] = lo + cost
+                    pmin[slot] = m
+                if hi >= 0 and hi + cost > ndp_max[slot]:
+                    ndp_max[slot] = hi + cost
+                    pmax[slot] = m
+        dp_min, dp_max = ndp_min, ndp_max
+        parent_min.append(pmin)
+        parent_max.append(pmax)
+    return dp_min, dp_max, parent_min, parent_max
+
+
+def alloc_dp_point(blocks: Sequence[tuple[int, int]], n: int):
+    """(h_l^p, h_r^p, witness_l, witness_r) at n, each witness as (block, count)."""
+    dp_min, dp_max, parent_min, parent_max = alloc_dp(blocks, n)
+    if dp_min[n] >= _BIG or dp_max[n] < 0:
+        raise ValueError(f"no allocation of {n} coordinates fits the space")
+
+    def walk(parents) -> tuple[tuple[int, int], ...]:
+        j = n
+        witness = []
+        for b in range(len(blocks) - 1, -1, -1):
+            m = parents[b][j]
+            if m > 0:
+                witness.append((b, m))
+            j -= m
+        if j != 0:
+            raise InvariantError(f"DP witness for N={n} leaves {j} coordinates unplaced")
+        return tuple(reversed(witness))
+
+    return dp_min[n], dp_max[n], walk(parent_min), walk(parent_max)
 
 
 def gamma_raw(values: Sequence, n: int, spec: SpaceSpec):

@@ -156,6 +156,24 @@ def _normalize_p(p: int | float) -> int | float:
 # Norm values
 
 
+def _float_root(power: Rational, p: int | float) -> float:
+    """power^(1/p) as a float; inf when the root itself exceeds the float range."""
+    try:
+        base = float(power)
+    except OverflowError:
+        # Past ~1.8e308: root 2^shift apart from the rest.  For an integer p
+        # the shift is a multiple of p, so that factor roots exactly.
+        shift = power.numerator.bit_length() - power.denominator.bit_length() - 64
+        if isinstance(p, int):
+            shift -= shift % p
+        rest = float(Fraction(power) / (1 << shift))
+        try:
+            return rest ** (1.0 / p) * 2.0 ** (shift / p)
+        except OverflowError:
+            return math.inf
+    return math.sqrt(base) if p == 2 else base ** (1.0 / p)
+
+
 @dataclass(frozen=True)
 class NormValue:
     """A norm carried as float plus (when available) its exact p-th power."""
@@ -169,11 +187,7 @@ class NormValue:
         power = simplify(power)
         if power < 0:
             raise ValueError("norm power cannot be negative")
-        if p == 2:
-            value = math.sqrt(float(power))
-        else:
-            value = float(power) ** (1.0 / p)
-        return NormValue(value, power, p)
+        return NormValue(_float_root(power, p), power, p)
 
     @staticmethod
     def from_float(value: float, p: int | float) -> "NormValue":

@@ -1,8 +1,13 @@
 """CLI round trips, deterministic artifacts and exit codes."""
 
 import json
+import os
+import subprocess
+import sys
 
 import pytest
+
+import greedylab
 
 from greedylab.cli import main
 
@@ -144,3 +149,17 @@ def test_verify_subset(capsys):
     assert main(["verify", "--only", "1,3"]) == 0
     out = capsys.readouterr().out
     assert "criterion 1" in out and "criterion 3" in out and "criterion 2" not in out
+
+
+def test_verify_passes_with_assertions_stripped():
+    # Invariants raise InvariantError rather than assert, so -O keeps them.
+    src = os.path.dirname(os.path.dirname(os.path.abspath(greedylab.__file__)))
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run(
+        [sys.executable, "-O", "-m", "greedylab.cli", "verify"],
+        capture_output=True, text=True, env=env, timeout=600,
+    )
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    lines = proc.stdout.splitlines()
+    assert len(lines) == 11 and all(line.startswith("[PASS]") for line in lines)
+

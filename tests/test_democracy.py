@@ -4,6 +4,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from greedylab import (
     SpaceSpec,
@@ -18,6 +19,7 @@ from greedylab import (
     prefix_norm_conjecture_check,
     squares_schedule,
 )
+from greedylab import explicit
 from greedylab.democracy import one_plus_log2, sqrt_of
 
 
@@ -231,3 +233,85 @@ def test_condition71_failure_modes():
     # democratic tables: h_r = h_l = sqrt -> inequality fails for large n/k
     report = condition71_check(sqrt_of, sqrt_of, [(2, 4), (2, 2048)], 1.0, 0.5)
     assert not report.rows[1]["inequality_ok"]
+
+
+# -- vertex route vs the oracles ----------------------------------------------
+
+
+@st.composite
+def block_sums(draw, max_blocks=6, max_size=30):
+    blocks = []
+    for _ in range(draw(st.integers(1, max_blocks))):
+        size = draw(st.integers(1, max_size))
+        blocks.append((draw(st.integers(1, size)), size))
+    return blocks
+
+
+def _assert_witness(spec, n, witness, value):
+    assert sum(m for _, m in witness) == n
+    assert all(0 < m <= spec.blocks[b].size for b, m in witness)
+    assert sum(min(m, spec.blocks[b].cap) for b, m in witness) == value
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(block_sums())
+def test_table_equals_dp_oracle_and_point_queries(blocks):
+    spec = SpaceSpec.block_sum(blocks)
+    total = sum(s for _, s in blocks)
+    table = demfun_table(spec, total)
+    dp_min, dp_max, _, _ = explicit.alloc_dp(blocks, total)
+    assert list(table.hl_powers) == dp_min
+    assert list(table.hr_powers) == dp_max
+    for n in range(total + 1):
+        point = demfun_dp(spec, n, method="extreme")
+        assert (point.hl_power, point.hr_power) == (dp_min[n], dp_max[n])
+        _assert_witness(spec, n, point.witness_l, point.hl_power)
+        _assert_witness(spec, n, point.witness_r, point.hr_power)
+
+
+@settings(derandomize=True, max_examples=8, deadline=None)
+@given(block_sums(max_blocks=4, max_size=8).filter(lambda b: sum(s for _, s in b) <= 16))
+def test_table_equals_bruteforce_on_small_universes(blocks):
+    spec = SpaceSpec.block_sum(blocks)
+    total = sum(s for _, s in blocks)
+    table = demfun_table(spec, total)
+    for n in range(total + 1):
+        assert (table.hl_power(n), table.hr_power(n)) == demfun_bruteforce(spec, n)
+
+
+def _oracle_table(spec, max_n):
+    dp_min, dp_max, _, _ = explicit.alloc_dp(
+        [(b.cap, b.size) for b in spec.blocks], max_n
+    )
+    return dp_min, dp_max
+
+
+def test_table_equals_dp_oracle_on_deep_schedule():
+    spec = SpaceSpec.from_schedule(arithmetic_schedule(5))
+    table = demfun_table(spec, 2000)
+    assert (list(table.hl_powers), list(table.hr_powers)) == _oracle_table(spec, 2000)
+
+
+@pytest.mark.parametrize("start,step", [(s, d) for s in (4, 5, 6) for d in (1, 2)])
+def test_table_equals_dp_oracle_on_benchmark_schedules(start, step):
+    spec = SpaceSpec.from_schedule(arithmetic_schedule(5, start, step))
+    table = demfun_table(spec, 1200)
+    assert (list(table.hl_powers), list(table.hr_powers)) == _oracle_table(spec, 1200)
+
+
+def test_prefix_check_matches_per_n_dp_oracle():
+    sched = arithmetic_schedule(4)
+    spec = SpaceSpec.from_schedule(sched)
+    report = prefix_norm_conjecture_check(sched, range(1, 201))
+    oracle = [demfun_dp(spec, n, method="dp", which="hl").hl_power for n in range(1, 201)]
+    assert [hl for _, _, hl in report.rows] == oracle
+    assert [n for n, _, _ in report.rows] == list(range(1, 201))
+    assert list(report.counterexamples) == [
+        n for n, pre, _ in report.rows if pre != oracle[n - 1]
+    ]
+    assert report.counterexamples  # the family does have counterexamples below 200
+
+
+def test_demfun_dp_rejects_unknown_method():
+    with pytest.raises(ValueError):
+        demfun_dp(TOY, 3, method="auto")

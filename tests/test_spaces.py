@@ -161,6 +161,18 @@ def test_norm_value_float_tracks_exact_power():
         assert math.isclose(nv.value**2, float(power), rel_tol=1e-12)
 
 
+def test_norm_value_beyond_float_range_keeps_exact_power():
+    nv = NormValue.from_power(10**400, 2)
+    assert nv.power_exact == 10**400
+    assert math.isclose(nv.value, 1e200, rel_tol=1e-15)
+    assert math.isclose(NormValue.from_power(10**400, 3).value, 10 ** (400 / 3), rel_tol=1e-13)
+    assert math.isclose(NormValue.from_power(Fraction(10**400, 7), 2).value, 1e200 / math.sqrt(7), rel_tol=1e-15)
+    assert math.isclose(NormValue.from_power(10**400, 2.5).value, 1e160, rel_tol=1e-13)
+    # The root itself overflows: inf, with the exact power still carried.
+    huge = NormValue.from_power(10**400, 1)
+    assert huge.value == math.inf and huge.power_exact == 10**400
+
+
 # -- lattice property ---------------------------------------------------------
 
 
