@@ -14,7 +14,6 @@ from .errors import (
     OracleUnavailableError,
     ScheduleTooShallowError,
     TermBudgetError,
-    TieBudgetError,
     TruncationError,
 )
 from .schedule import BlockSchedule, arithmetic_schedule, squares_schedule

@@ -111,7 +111,7 @@ def criterion_4() -> tuple[bool, str]:
 
 
 def criterion_5() -> tuple[bool, str]:
-    """Compressed tie enumeration == raw subset enumeration, 30 instances."""
+    """Compressed tie extremes == raw subset enumeration, 30 instances."""
     rng = random.Random(5)
     done = 0
     while done < 30:
@@ -261,7 +261,7 @@ CRITERIA: list[tuple[int, str, Callable[[], tuple[bool, str]], float]] = [
     (2, "non-doubling h_l reproduction, a=(4,5,6,7)", criterion_2, 1.0),
     (3, "h_r(N)^2 = N identity and capacity check", criterion_3, 1.0),
     (4, "sigma reduction vs grid oracle", criterion_4, 30.0),
-    (5, "tie semantics vs raw enumeration", criterion_5, 10.0),
+    (5, "tie extremes vs raw enumeration", criterion_5, 10.0),
     (6, "greedy basis sanity in l_p", criterion_6, 10.0),
     (7, "CGHM constructor and 7.1 check", criterion_7, 1.0),
     (8, "x_s inequality chain, s in {2,3,4}", criterion_8, 60.0),

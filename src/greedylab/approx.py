@@ -20,7 +20,7 @@ from typing import Optional, Sequence, Union
 from .errors import GreedyLabError, ScheduleTooShallowError, TermBudgetError
 from .errorseq import ErrorSequence, TwoPoolErrorSequence, TwoPoolParams
 from .exact import sqrt_plus_const_ge
-from .greedy import error_sequence, DEFAULT_TIE_BUDGET
+from .greedy import error_sequence
 from .schedule import BlockSchedule
 from .spaces import SpaceSpec, space_norm
 from .vectors import CompressedVector
@@ -185,11 +185,10 @@ def greedy_quasinorm(
     params: ApproxParams,
     errors: Optional[ErrorSequence] = None,
     term_budget: int = DEFAULT_TERM_BUDGET,
-    tie_budget: int = DEFAULT_TIE_BUDGET,
 ) -> float:
     """Greedy-class quasi-norm of x (gamma-based, worst-case ties)."""
     if errors is None:
-        errors = error_sequence(x, spec, "gamma", tie_budget)
+        errors = error_sequence(x, spec, "gamma")
     if errors.kind != "gamma":
         raise ValueError("greedy_quasinorm needs a gamma sequence")
     return quasinorm(float(space_norm(x, spec)), errors, params, term_budget)

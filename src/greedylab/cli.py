@@ -29,7 +29,7 @@ from .democracy import (
     prefix_norm_conjecture_check,
 )
 from .errors import GreedyLabError
-from .greedy import error_sequence, gamma, sigma_exact, DEFAULT_TIE_BUDGET
+from .greedy import error_sequence, gamma, sigma_exact
 from .approx import DEFAULT_TERM_BUDGET
 from .spaces import SpaceSpec, space_from_json, space_norm
 from .vectors import CompressedVector
@@ -37,7 +37,6 @@ from .vectors import CompressedVector
 
 @dataclass
 class RunConfig:
-    budget_ties: int
     budget_terms: int
     out: Optional[str]
 
@@ -143,7 +142,7 @@ def cmd_sigma(args, cfg: RunConfig) -> int:
 def cmd_gamma(args, cfg: RunConfig) -> int:
     spec = _load_space(args.space)
     x = CompressedVector.load(args.vector)
-    out = gamma(x, args.N, spec, tie_budget=cfg.budget_ties)
+    out = gamma(x, args.N, spec)
     emit_report(
         {
             "N": args.N,
@@ -161,8 +160,8 @@ def cmd_gamma(args, cfg: RunConfig) -> int:
 def cmd_errors(args, cfg: RunConfig) -> int:
     spec = _load_space(args.space)
     x = CompressedVector.load(args.vector)
-    sig = error_sequence(x, spec, "sigma", tie_budget=cfg.budget_ties)
-    gam = error_sequence(x, spec, "gamma", tie_budget=cfg.budget_ties)
+    sig = error_sequence(x, spec, "sigma")
+    gam = error_sequence(x, spec, "gamma")
     last = sig.support_size if args.max_k is None else min(args.max_k, sig.support_size)
     rows = []
     for k in range(last + 1):
@@ -326,11 +325,6 @@ def _global_flags(suppress: bool) -> argparse.ArgumentParser:
     holder = argparse.ArgumentParser(add_help=False)
     d = argparse.SUPPRESS if suppress else None
     holder.add_argument(
-        "--budget-ties",
-        type=int,
-        default=argparse.SUPPRESS if suppress else DEFAULT_TIE_BUDGET,
-    )
-    holder.add_argument(
         "--budget-terms",
         type=int,
         default=argparse.SUPPRESS if suppress else DEFAULT_TERM_BUDGET,
@@ -421,13 +415,9 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: Optional[list[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.budget_ties <= 0 or args.budget_terms <= 0:
-        parser.error("budgets must be positive")  # exits 2
-    cfg = RunConfig(
-        budget_ties=args.budget_ties,
-        budget_terms=args.budget_terms,
-        out=args.out,
-    )
+    if args.budget_terms <= 0:
+        parser.error("--budget-terms must be positive")  # exits 2
+    cfg = RunConfig(budget_terms=args.budget_terms, out=args.out)
     try:
         return args.func(args, cfg)
     except (GreedyLabError, ValueError, OSError, KeyError) as exc:

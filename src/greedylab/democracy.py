@@ -9,7 +9,10 @@ programs over allocations of N.  The production routes are:
   full except at most one.  One enumerator of those vertices answers a
   single N (up to the n_s-sized queries of the counterexample
   construction) and sweeps a whole table,
-* the closed form min(N, sum caps) for h_r, with a constructed witness.
+* the closed form min(N, sum caps) for h_r, witnessed by a marginal-gain
+  greedy that fills caps first.
+
+Both kernels live in alloc.py, which gamma's tie extremes share.
 
 The allocation DP (explicit.alloc_dp, quadratic in N) and subset brute
 force (explicit.demfun_bruteforce) are oracles that the tests and the
@@ -27,6 +30,7 @@ from fractions import Fraction
 from itertools import repeat
 from typing import Callable, Iterable, Optional, Sequence
 
+from .alloc import _vertices, cheapest_vertex, greedy_max
 from .errors import InvariantError, TruncationError
 from .explicit import alloc_dp_point, demfun_bruteforce  # oracles; the latter re-exported
 from .schedule import BlockSchedule
@@ -137,53 +141,9 @@ def demfun_dp(
 # Vertex search for h_l and closed-form h_r
 
 
-def _lower(states: dict, key, cost: int, chosen: tuple[int, ...]) -> None:
-    if key not in states or cost < states[key][0]:
-        states[key] = (cost, chosen)
-
-
-def _vertices(blocks: Sequence[tuple[int, int]], limit: int):
-    """Vertices of the allocation polytope whose full blocks total <= limit.
-
-    At a vertex every block is empty or full except at most one, the free
-    block, which takes a remainder.  Returns two dicts of (cap sum, full
-    block indices):
-
-    * ``full[t]``: the cheapest set of full blocks with total size t,
-    * ``free[(t, r)]``: the same, among sets that leave block r free.
-
-    Blocks are added one at a time, and sets with the same key are merged
-    into the cheapest, so the work is bounded by the number of distinct
-    totals times the number of blocks, not by the number of subsets.
-    """
-    full: dict = {0: (0, ())}
-    free: dict = {}
-    for r, (cap, size) in enumerate(blocks):
-        grown_full, grown_free = dict(full), dict(free)
-        for t, (cost, chosen) in full.items():
-            grown_free[(t, r)] = (cost, chosen)
-            if t + size <= limit:
-                _lower(grown_full, t + size, cost + cap, chosen + (r,))
-        for (t, q), (cost, chosen) in free.items():
-            if t + size <= limit:
-                _lower(grown_free, (t + size, q), cost + cap, chosen + (r,))
-        full, free = grown_full, grown_free
-    return full, free
-
-
 def _hl_vertex(blocks: Sequence[tuple[int, int]], n: int):
     """h_l(n)^p as the cheapest vertex with n coordinates, plus its witness."""
-    full, free = _vertices(blocks, n)
-    best = (full[n][0], full[n][1], ()) if n in full else None
-    for (t, r), (cost, chosen) in free.items():
-        cap, size = blocks[r]
-        rem = n - t
-        if 0 < rem <= size and (best is None or cost + min(rem, cap) < best[0]):
-            best = (cost + min(rem, cap), chosen, ((r, rem),))
-    if best is None:
-        raise ValueError(f"no allocation of {n} coordinates fits the space")
-    value, chosen, part = best
-    return value, tuple(sorted([(b, blocks[b][1]) for b in chosen] + list(part)))
+    return cheapest_vertex(blocks, n, lambda r, rem: min(rem, blocks[r][0]))
 
 
 def _hl_sweep(blocks: Sequence[tuple[int, int]], max_n: int) -> list[int]:
@@ -209,27 +169,17 @@ def _hl_sweep(blocks: Sequence[tuple[int, int]], max_n: int) -> list[int]:
 
 
 def _hr_closed(blocks: Sequence[tuple[int, int]], n: int):
-    """h_r(n)^p = min(n, sum caps), witnessed constructively."""
+    """h_r(n)^p = min(n, sum caps), witnessed by filling caps first."""
     total_caps = sum(c for c, _ in blocks)
     total_size = sum(s for _, s in blocks)
     if n > total_size:
         raise ValueError(f"no index set of size {n} in a {total_size}-point space")
     target = min(n, total_caps)
-    alloc = [0] * len(blocks)
-    remaining = target
-    for i, (cap, _size) in enumerate(blocks):
-        take = min(cap, remaining)
-        alloc[i] = take
-        remaining -= take
-    overflow = n - target
-    for i, (cap, size) in enumerate(blocks):
-        if overflow == 0:
-            break
-        if alloc[i] == cap:  # extra mass here is free
-            extra = min(size - alloc[i], overflow)
-            alloc[i] += extra
-            overflow -= extra
-    if overflow != 0 or sum(alloc) != n:
+    segments = [(i, slope, length) for i, (cap, size) in enumerate(blocks)
+                for slope, length in ((1, cap), (0, size - cap))]
+    _gain, counts = greedy_max(segments, n)
+    alloc = [counts.get(i, 0) for i in range(len(blocks))]
+    if sum(alloc) != n:
         raise InvariantError(f"h_r witness for N={n} places {sum(alloc)} coordinates")
     value = sum(min(m, cap) for m, (cap, _) in zip(alloc, blocks))
     if value != target:

@@ -32,10 +32,6 @@ class InvariantError(GreedyLabError):
     """
 
 
-class TieBudgetError(GreedyLabError):
-    """Tie-resolution space exceeds the configured enumeration cap."""
-
-
 class TermBudgetError(GreedyLabError):
     """Quasi-norm series has more terms than the configured budget allows."""
 

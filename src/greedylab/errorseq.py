@@ -17,6 +17,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Union
 
+from .errors import InvariantError
 from .spaces import SpaceSpec
 from .vectors import CompressedVector
 from .exact import pow_rational, simplify
@@ -145,7 +146,8 @@ class TwoPoolErrorSequence(ErrorSequence):
         pieces = (_gamma_pieces(q) if self.kind == "gamma" else _sigma_pieces(q))
         for lo, hi, a0, a1 in pieces:
             for k in (lo, (lo + hi) // 2, hi):
-                assert a0 + a1 * k == self.power(k), (self.kind, lo, hi, k)
+                if a0 + a1 * k != self.power(k):
+                    raise InvariantError(f"{self.kind} piece [{lo}, {hi}] misses power({k})")
         return pieces
 
 

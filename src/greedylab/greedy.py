@@ -1,9 +1,12 @@
 """Greedy operator errors and best N-term errors.
 
 gamma_N is the worst residual over every tie resolution of the greedy
-operator; tie resolutions are enumerated as per-block counts at the
+operator.  A resolution is a per-block count of kept coordinates at the
 threshold magnitude, which is lossless because every norm here is
-symmetric within blocks.  sigma_N uses the suppression-projection
+symmetric within blocks; each block residual is concave in that count,
+so the worst and best resolutions come from the allocation kernels in
+alloc.py (a marginal-gain greedy and a vertex search), exact for tie
+classes of any multiplicity.  sigma_N uses the suppression-projection
 reduction: for a normalized lattice-unconditional basis the optimal
 N-term approximant matches the vector on its support, so sigma_N is a
 minimum over removal sets, and within one block it is always best to
@@ -24,7 +27,8 @@ from fractions import Fraction
 from typing import Optional, Sequence, Union
 
 from . import explicit
-from .errors import TieBudgetError
+from .alloc import cheapest_vertex, greedy_max
+from .errors import InvariantError
 from .errorseq import (
     ErrorSequence,
     TabulatedErrorSequence,
@@ -36,8 +40,6 @@ from .spaces import NormValue, SpaceSpec, space_norm, random_vector
 from .vectors import CompressedVector, TieDescriptor, EMPTY_TIE, top_magnitudes
 
 Rational = Union[int, Fraction]
-
-DEFAULT_TIE_BUDGET = 10**6
 
 
 @dataclass(frozen=True)
@@ -105,50 +107,37 @@ def _residual_power(prefix, removed: int) -> Rational:
 # gamma: worst/best case over tie resolutions
 
 
-def _tie_allocations(available: Sequence[tuple[int, int]], choose: int):
-    """All ways to pick ``choose`` threshold coordinates as per-block counts."""
-    blocks = [b for b, _ in available]
-    supplies = [c for _, c in available]
+def _tie_segments(prefix, kept: int, supply: int, tau_power: Rational, item: int):
+    """(item, gain, length) runs of the residual change per kept tied coordinate.
 
-    def rec(i: int, left: int):
-        if i == len(supplies) - 1:
-            if 0 <= left <= supplies[i]:
-                yield (left,)
-            return
-        lo = max(0, left - sum(supplies[i + 1 :]))
-        hi = min(supplies[i], left)
-        for c in range(lo, hi + 1):
-            for rest in rec(i + 1, left - c):
-                yield (c,) + rest
-
-    for counts in rec(0, choose):
-        yield tuple(zip(blocks, counts))
-
-
-def _count_allocations(available: Sequence[tuple[int, int]], choose: int) -> int:
-    ways = [1] + [0] * choose
-    for _, supply in available:
-        new = [0] * (choose + 1)
-        for total in range(choose + 1):
-            if ways[total] == 0:
-                continue
-            for c in range(0, min(supply, choose - total) + 1):
-                new[total + c] += ways[total]
-        ways = new
-    return ways[choose]
+    Keeping one more coordinate at the threshold removes tau^p from the
+    block residual and lets the coordinate ``cap`` places further down into
+    the cap window (nothing once that runs past the block).  Those
+    coordinates only get smaller, so the gains never increase: the block
+    residual is concave in its number of kept tied coordinates.
+    """
+    counts, _powers, cap, mag_powers = prefix
+    if cap is None:
+        return [(item, -tau_power, supply)]
+    lo, hi = kept + cap, kept + cap + supply
+    runs = []
+    for g, mag_power in enumerate(mag_powers):
+        length = min(hi, counts[g + 1]) - max(lo, counts[g])
+        if length > 0:
+            runs.append((item, mag_power - tau_power, length))
+    if hi > counts[-1]:
+        runs.append((item, -tau_power, hi - max(lo, counts[-1])))
+    return runs
 
 
-def gamma(
-    x: CompressedVector,
-    n: int,
-    spec: SpaceSpec,
-    tie_budget: int = DEFAULT_TIE_BUDGET,
-) -> GreedyOutcome:
+def gamma(x: CompressedVector, n: int, spec: SpaceSpec) -> GreedyOutcome:
     """Residual-norm extremes of the greedy operator at step n.
 
-    Enumerates every tie resolution (as per-block counts at the threshold
-    magnitude) and refuses outright if there are more than ``tie_budget``
-    of them: worst-case semantics must never be sampled.
+    Coordinates above the threshold magnitude are always kept.  When the
+    threshold class spans several blocks, the best resolution is the
+    cheapest vertex of the allocation polytope of its kept coordinates and
+    the worst is a marginal-gain greedy; both are exact because each block
+    residual is concave in its kept count (see ``_tie_segments``).
     """
     x = spec.vector(x.groups)
     p = spec.outer_p
@@ -160,73 +149,48 @@ def gamma(
         nv = space_norm(x, spec)
         return GreedyOutcome(nv, nv, (), (), EMPTY_TIE)
 
-    _kept, tie = top_magnitudes(x, n)
+    kept, tie = top_magnitudes(x, n)
+    threshold = kept[-1][0]
     prefixes = _block_prefixes(x, spec)
-    if tie.empty:
-        # The cut falls on a class boundary: kept counts are unambiguous.
-        forced = _forced_counts(x, n, None)
-        power = sum(_residual_power(prefixes[b], forced.get(b, 0)) for b in x.blocks())
-        nv = NormValue.from_power(power, p)
-        return GreedyOutcome(nv, nv, (), (), EMPTY_TIE)
+    # Kept by every resolution: the coordinates above the threshold, and
+    # the whole threshold class when the cut takes all of it.
+    forced = dict.fromkeys(x.blocks(), 0)
+    for b, m, c in x.groups:
+        if m > threshold or (m == threshold and tie.empty):
+            forced[b] += c
+    if len(tie.available) == 1:
+        # A tie inside one block: every resolution keeps the same counts.
+        forced[tie.available[0][0]] += tie.choose
+    base = sum(_residual_power(prefixes[b], forced[b]) for b in x.blocks())
+    if len(tie.available) < 2:
+        nv = NormValue.from_power(base, p)
+        witness = ((tie.available[0][0], tie.choose),) if tie.available else ()
+        return GreedyOutcome(nv, nv, witness, witness, tie)
 
-    forced = _forced_counts(x, n, tie.threshold)
-    num_allocs = _count_allocations(tie.available, tie.choose)
-    if num_allocs > tie_budget:
-        raise TieBudgetError(
-            f"{num_allocs} tie allocations exceed the budget of {tie_budget}"
-        )
+    tied = [b for b, _ in tie.available]
 
-    base = {
-        b: _residual_power(prefixes[b], forced.get(b, 0)) for b in x.blocks()
-    }
-    base_total = sum(base.values())
-    best_hi = best_lo = None
-    wit_hi = wit_lo = ()
-    for allocation in _tie_allocations(tie.available, tie.choose):
-        total = base_total
-        for b, c in allocation:
-            if c:
-                total = total - base[b] + _residual_power(
-                    prefixes[b], forced.get(b, 0) + c
-                )
-        if best_hi is None or total > best_hi:
-            best_hi, wit_hi = total, allocation
-        if best_lo is None or total < best_lo:
-            best_lo, wit_lo = total, allocation
+    def shift(i: int, k: int) -> Rational:
+        """Residual change of tied block i when it keeps k tied coordinates."""
+        prefix, f = prefixes[tied[i]], forced[tied[i]]
+        return _residual_power(prefix, f + k) - _residual_power(prefix, f)
+
+    blocks = [(shift(i, supply), supply) for i, (_b, supply) in enumerate(tie.available)]
+    lo_gain, lo_witness = cheapest_vertex(blocks, tie.choose, shift)
+    tau_power = pow_rational(tie.threshold, spec.inner_p)
+    segments = [
+        run
+        for i, (b, supply) in enumerate(tie.available)
+        for run in _tie_segments(prefixes[b], forced[b], supply, tau_power, i)
+    ]
+    hi_gain, hi_counts = greedy_max(segments, tie.choose)
+    lo_counts = dict(lo_witness)
     return GreedyOutcome(
-        NormValue.from_power(best_hi, p),
-        NormValue.from_power(best_lo, p),
-        wit_hi,
-        wit_lo,
+        NormValue.from_power(base + hi_gain, p),
+        NormValue.from_power(base + lo_gain, p),
+        tuple((b, hi_counts.get(i, 0)) for i, b in enumerate(tied)),
+        tuple((b, lo_counts.get(i, 0)) for i, b in enumerate(tied)),
         tie,
     )
-
-
-def _forced_counts(
-    x: CompressedVector, n: int, threshold: Optional[Fraction]
-) -> dict[int, int]:
-    """Per-block counts the greedy operator must keep.
-
-    With a tie, these are the coordinates strictly above the threshold.
-    Without one, the top-n multiset cuts cleanly between magnitude classes,
-    except possibly inside one class confined to a single block.
-    """
-    if threshold is not None:
-        return {
-            b: sum(c for m, c in x.block_groups(b) if m > threshold)
-            for b in x.blocks()
-        }
-    counts: dict[int, int] = {b: 0 for b in x.blocks()}
-    remaining = n
-    for mag, total in x.magnitudes():
-        if remaining <= 0:
-            break
-        # Without a tie descriptor every class is kept whole.
-        assert total <= remaining, "ambiguous cut without tie descriptor"
-        for b in x.blocks():
-            counts[b] += sum(c for m, c in x.block_groups(b) if m == mag)
-        remaining -= total
-    return counts
 
 
 # ---------------------------------------------------------------------------
@@ -257,7 +221,8 @@ def sigma_power_table(x: CompressedVector, spec: SpaceSpec) -> tuple[Rational, .
                 if ndp[slot] is None or cand < ndp[slot]:
                     ndp[slot] = cand
         dp = [simplify(v) for v in ndp]  # type: ignore[arg-type]
-    assert len(dp) == support + 1 and dp[support] == 0
+    if len(dp) != support + 1 or dp[support] != 0:
+        raise InvariantError(f"sigma table of length {len(dp)} ends at {dp[-1]}")
     return tuple(dp)
 
 
@@ -337,12 +302,7 @@ def sigma_oracle_grid(
 # Error sequences
 
 
-def error_sequence(
-    x: CompressedVector,
-    spec: SpaceSpec,
-    kind: str,
-    tie_budget: int = DEFAULT_TIE_BUDGET,
-) -> ErrorSequence:
+def error_sequence(x: CompressedVector, spec: SpaceSpec, kind: str) -> ErrorSequence:
     """Full k -> sigma_k or gamma_k sequence for one vector.
 
     Two-pool vectors get the O(1)-per-k closed forms; anything else is
@@ -358,7 +318,7 @@ def error_sequence(
     if kind == "sigma":
         return TabulatedErrorSequence("sigma", sigma_power_table(x, spec), spec.outer_p)
     table = tuple(
-        gamma(x, k, spec, tie_budget).residual_max.power_exact
+        gamma(x, k, spec).residual_max.power_exact
         for k in range(x.support_size + 1)
     )
     return TabulatedErrorSequence("gamma", table, spec.outer_p)
@@ -415,19 +375,11 @@ def greedy_constant(
     return best
 
 
-def democracy_constant(spec: SpaceSpec, n: int, mode: str = "auto") -> float:
+def democracy_constant(spec: SpaceSpec, n: int) -> float:
     """h_r(n) / h_l(n): worst ratio of indicator norms at cardinality n."""
     from . import democracy  # local import: democracy does not import greedy
 
-    if n == 0:
+    if n == 0 or spec.variant == "lp":
         return 1.0
-    if mode not in ("auto", "exact", "bruteforce"):
-        raise ValueError("mode must be auto, exact or bruteforce")
-    if spec.variant == "lp":
-        return 1.0
-    if mode == "bruteforce" or (mode == "auto" and (spec.dimension() or 10**9) <= 16):
-        hl, hr = explicit.demfun_bruteforce(spec, n)
-    else:
-        point = democracy.demfun_dp(spec, n)
-        hl, hr = point.hl_power, point.hr_power
-    return (float(hr) / float(hl)) ** (1.0 / spec.outer_p)
+    point = democracy.demfun_dp(spec, n)
+    return (float(point.hr_power) / float(point.hl_power)) ** (1.0 / spec.outer_p)

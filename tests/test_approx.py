@@ -7,6 +7,7 @@ import pytest
 
 from greedylab import (
     ApproxParams,
+    InvariantError,
     ScheduleTooShallowError,
     SpaceSpec,
     TermBudgetError,
@@ -174,6 +175,17 @@ def test_closed_forms_match_generic_on_shrunken_xs():
     for k in range(xs.support_size + 1):
         assert sig.power(k) == table[k]
         assert gam.power(k) == gamma(xs.x, k, xs.spec).residual_max.power_exact
+
+
+def test_pieces_self_check_raises_invariant_error(monkeypatch):
+    # A broken closed form must raise, also under python -O.
+    from greedylab import errorseq
+
+    sig = build_xs(squares_schedule(2), 2).sigma_sequence()
+    assert isinstance(sig, errorseq.TwoPoolErrorSequence)
+    monkeypatch.setattr(errorseq, "_sigma_power", lambda q, k: k * k)
+    with pytest.raises(InvariantError):
+        sig.pieces()
 
 
 def test_error_sequence_values_on_spec_example():

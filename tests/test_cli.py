@@ -1,5 +1,6 @@
 """CLI round trips, deterministic artifacts and exit codes."""
 
+import ast
 import json
 import os
 import subprocess
@@ -145,6 +146,13 @@ def test_usage_error_exits_2():
     assert err.value.code == 2
 
 
+def test_budget_ties_flag_is_a_usage_error():
+    # Tie extremes are exact at any multiplicity, so there is no tie budget.
+    with pytest.raises(SystemExit) as err:
+        main(["--budget-ties", "5", "verify", "--only", "1"])
+    assert err.value.code == 2
+
+
 def test_verify_subset(capsys):
     assert main(["verify", "--only", "1,3"]) == 0
     out = capsys.readouterr().out
@@ -163,3 +171,15 @@ def test_verify_passes_with_assertions_stripped():
     lines = proc.stdout.splitlines()
     assert len(lines) == 11 and all(line.startswith("[PASS]") for line in lines)
 
+
+def test_package_has_no_assert_statements():
+    # python -O strips assert statements; invariants raise InvariantError.
+    package = os.path.dirname(os.path.abspath(greedylab.__file__))
+    found = []
+    for name in sorted(os.listdir(package)):
+        if name.endswith(".py"):
+            with open(os.path.join(package, name), encoding="utf-8") as fh:
+                tree = ast.parse(fh.read(), filename=name)
+            found += [f"{name}:{node.lineno}" for node in ast.walk(tree)
+                      if isinstance(node, ast.Assert)]
+    assert found == []

@@ -4,10 +4,11 @@ import math
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from greedylab import (
     SpaceSpec,
-    TieBudgetError,
+    TruncationError,
     arithmetic_schedule,
     democracy_constant,
     error_sequence,
@@ -15,6 +16,8 @@ from greedylab import (
     greedy_constant,
     sigma_exact,
     sigma_oracle_grid,
+    space_from_json,
+    space_norm,
 )
 from greedylab import explicit
 from greedylab.greedy import sigma_power_table
@@ -53,11 +56,45 @@ def test_gamma_beyond_support_is_zero():
     assert out.residual_max.power_exact == 0 and out.tie.empty
 
 
-def test_gamma_refuses_over_tie_budget():
+def _residual(x, spec, out, witness):
+    """What a resolution leaves: everything below the threshold, and the
+    threshold coordinates ``witness`` does not keep."""
+    assert [b for b, _ in witness] == [b for b, _ in out.tie.available]
+    assert sum(c for _, c in witness) == out.tie.choose
+    keep = dict(witness)
+    raw = []
+    for b, m, c in x.groups:
+        if m == out.tie.threshold:
+            assert 0 <= keep[b] <= c
+            raw.append((b, m, c - keep[b]))
+        elif m < out.tie.threshold:
+            raw.append((b, m, c))
+    return spec.vector(raw)
+
+
+def test_gamma_exact_on_large_tie_class():
+    # 31 ways to resolve this tie; the worst keeps 28 ones in block 0.
     spec = SpaceSpec.block_sum([(2, 40), (2, 40)])
     x = spec.indicator({0: 30, 1: 30})
-    with pytest.raises(TieBudgetError):
-        gamma(x, 30, spec, tie_budget=5)
+    out = gamma(x, 30, spec)
+    assert (out.residual_max.power_exact, out.residual_min.power_exact) == (4, 2)
+    for witness, value in ((out.witness_max, 4), (out.witness_min, 2)):
+        residual = explicit.to_explicit(_residual(x, spec, out, witness), spec)
+        assert explicit.norm_power(residual, spec) == value
+
+
+def test_gamma_astronomical_tie_class():
+    # 10^20 threes in each of three blocks with caps 2, 5, 7.  The worst
+    # resolution leaves every block's cap full of threes: 9 * (2+5+7).
+    # The best empties block 2 and leaves 9 * (2+5).
+    big = 10**20
+    spec = SpaceSpec.block_sum([(2, big + 5), (5, big + 9), (7, big)])
+    x = spec.vector([(0, 3, big), (1, 3, big), (2, 3, big), (0, 1, 5), (1, 1, 9)])
+    out = gamma(x, big + 17, spec)
+    assert (out.residual_max.power_exact, out.residual_min.power_exact) == (126, 63)
+    assert dict(out.witness_min)[2] == big
+    for witness, value in ((out.witness_max, 126), (out.witness_min, 63)):
+        assert space_norm(_residual(x, spec, out, witness), spec).power_exact == value
 
 
 def test_gamma_compressed_equals_raw_enumeration_random():
@@ -75,6 +112,51 @@ def test_gamma_compressed_equals_raw_enumeration_random():
         assert out.residual_max.power_exact == hi
         assert out.residual_min.power_exact == lo
         assert lo <= hi
+
+
+@st.composite
+def small_tied_instances(draw):
+    """l_p, trunc_block or 1-4 block sums on <= 12 coordinates, magnitudes
+    in {1, 2, 3} so that ties are common."""
+    variant = draw(st.sampled_from(("lp", "trunc_block", "block_sum")))
+    if variant == "lp":
+        spec = SpaceSpec.lp(draw(st.integers(1, 3)), draw(st.integers(1, 12)))
+    elif variant == "trunc_block":
+        size = draw(st.integers(1, 12))
+        spec = SpaceSpec.trunc_block(draw(st.integers(1, size)), size, draw(st.integers(1, 2)))
+    else:
+        blocks, room = [], 12
+        for _ in range(draw(st.integers(1, 4))):
+            if room == 0:
+                break
+            size = draw(st.integers(1, min(room, 6)))
+            blocks.append((draw(st.integers(1, size)), size))
+            room -= size
+        spec = SpaceSpec.block_sum(blocks)
+    raw = [
+        (b, draw(st.integers(0, 3)), 1)
+        for b, block in enumerate(spec.blocks)
+        for _ in range(block.size)
+    ]
+    return spec, spec.vector(raw)
+
+
+@settings(derandomize=True, max_examples=500, deadline=None)
+@given(small_tied_instances())
+def test_gamma_tie_extremes_match_raw_enumeration(instance):
+    spec, x = instance
+    values = explicit.to_explicit(x, spec)
+    for n in range(x.support_size + 1):
+        out = gamma(x, n, spec)
+        hi, lo = out.residual_max.power_exact, out.residual_min.power_exact
+        assert explicit.gamma_raw(values, n, spec) == (hi, lo)
+        assert sigma_exact(x, n, spec).power_exact <= lo
+        if out.tie.empty:
+            assert hi == lo
+            continue
+        for witness, value in ((out.witness_max, hi), (out.witness_min, lo)):
+            residual = explicit.to_explicit(_residual(x, spec, out, witness), spec)
+            assert explicit.norm_power(residual, spec) == value
 
 
 # -- sigma --------------------------------------------------------------------
@@ -218,3 +300,10 @@ def test_democracy_constant_values():
     spec = SpaceSpec.from_schedule(arithmetic_schedule(3))
     assert democracy_constant(spec, 40) == pytest.approx(math.sqrt(2.0), rel=1e-12)
     assert democracy_constant(spec, 1) == 1.0
+
+
+def test_democracy_constant_refuses_shallow_window():
+    # h_r(3)^2 = 3 needs caps beyond the one materialized block (cap 2).
+    spec = space_from_json({"a": [2, 3], "allow_slow_start": True})
+    with pytest.raises(TruncationError):
+        democracy_constant(spec, 3)
