@@ -28,7 +28,7 @@ from .spaces import (
     sup_form_norm_oracle,
     trunc_block_norm,
 )
-from .errorseq import ErrorSequence, TabulatedErrorSequence, TwoPoolErrorSequence
+from .errorseq import ErrorSequence
 from .greedy import (
     GreedyOutcome,
     democracy_constant,

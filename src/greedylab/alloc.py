@@ -9,11 +9,17 @@ costs that are concave in the number of units a block takes:
 * the maximum is a marginal-gain greedy: with non-increasing slopes per
   block, the n best unit gains overall form a prefix of every block
   (``greedy_max``).
+
+sigma needs the minimum for every n at once, over per-block costs that
+are piecewise linear but not concave: ``min_plus`` merges them one block
+at a time on their knots, by the same vertex argument.
 """
 
 from __future__ import annotations
 
 from typing import Callable, Sequence
+
+from .exact import slope
 
 
 def _lower(states: dict, key, cost: int, chosen: tuple[int, ...]) -> None:
@@ -94,3 +100,89 @@ def greedy_max(segments: Sequence[tuple], n: int):
     if left:
         raise ValueError(f"no allocation of {n} coordinates fits the space")
     return gain, counts
+
+
+def drop_collinear(knots: Sequence[tuple]) -> list[tuple]:
+    """The knots without those on the line through their neighbours."""
+    out: list[tuple] = []
+    for k, y in knots:
+        while len(out) >= 2:
+            (k0, y0), (k1, y1) = out[-2], out[-1]
+            if (y1 - y0) * (k - k1) != (y - y1) * (k1 - k0):
+                break
+            out.pop()
+        out.append((k, y))
+    return out
+
+
+def min_plus(f: Sequence[tuple], g: Sequence[tuple]) -> list[tuple]:
+    """Knots of h(n) = min over i + j = n of f(i) + g(j).
+
+    f and g are piecewise linear on 0..T_f and 0..T_g (T > 0), given by
+    knots (k, value) that include both ends.  Some optimal split has i or
+    j at a knot: if neither is, moving units from one to the other keeps
+    both on their linear runs, so the cost is linear in the move and does
+    not rise in one direction until one of them reaches a knot.  So h is
+    the lower envelope of the copies of g shifted onto each knot of f and
+    of f shifted onto each knot of g.
+    """
+    f_runs, g_runs = _runs(f), _runs(g)
+    runs = [(lo + i, hi + i, y + fi, a) for i, fi in f for lo, hi, y, a in g_runs]
+    runs += [(lo + j, hi + j, y + gj, a) for j, gj in g for lo, hi, y, a in f_runs]
+    return _lower_envelope(runs)
+
+
+def _runs(knots: Sequence[tuple]) -> list[tuple]:
+    return [(k0, k1, y0, slope(k0, y0, k1, y1))
+            for (k0, y0), (k1, y1) in zip(knots, knots[1:])]
+
+
+def _lower_envelope(runs: Sequence[tuple]) -> list[tuple]:
+    """Knots of the pointwise minimum of the runs of ``min_plus``.
+
+    A run (lo, hi, y, a) is the line y + a * (n - lo) on lo..hi, lo < hi.
+    The run ends cut the range into elementary intervals; each run is
+    registered on every interval it spans, by its value at the left cut.
+    The intervals agree on the cuts they share: a copy that ends (starts)
+    at a cut inside the range meets there a copy of the other function
+    with the same value that goes on to the right (left).
+    """
+    cuts = sorted({run[0] for run in runs} | {run[1] for run in runs})
+    index = {c: i for i, c in enumerate(cuts)}
+    lines: list[list] = [[] for _ in cuts[1:]]
+    for lo, hi, y, a in runs:
+        for i in range(index[lo], index[hi]):
+            lines[i].append((-a, y + a * (cuts[i] - lo)))
+    knots: dict = {}
+    for i, active in enumerate(lines):
+        knots.update(_envelope_knots(active, cuts[i], cuts[i + 1]))
+    return drop_collinear(sorted(knots.items()))
+
+
+def _envelope_knots(lines: Sequence[tuple], u: int, w: int) -> list[tuple]:
+    """Knots of the minimum of lines (-a, v): v + a * (n - u), on u..w.
+
+    The lower hull, slopes descending, changes line at real crossings;
+    on the integers the knots sit at their floor and ceiling.
+    """
+    width = w - u
+    if width <= 3:  # cheaper than the hull: every point is a knot
+        return [(u + t, min(v - b * t for b, v in lines)) for t in range(width + 1)]
+    hull: list[tuple] = []
+    for b, v in sorted(lines):
+        if hull and hull[-1][0] == b:
+            continue  # same slope, no lower start
+        while len(hull) >= 2:
+            (b1, v1), (b2, v2) = hull[-2], hull[-1]
+            # Keep the last line if it undercuts the first one before the new one does.
+            if (v - v1) * (b2 - b1) > (v2 - v1) * (b - b1):
+                break
+            hull.pop()
+        hull.append((b, v))
+    ts = {0, width}
+    for (b1, v1), (b2, v2) in zip(hull, hull[1:]):
+        rise, run = v2 - v1, b2 - b1
+        for t in (rise // run, -(-rise // run)):  # floor, ceiling of the crossing
+            if 0 < t < width:
+                ts.add(t)
+    return [(u + t, min(v - b * t for b, v in hull)) for t in sorted(ts)]

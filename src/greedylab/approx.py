@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 from typing import Optional, Sequence, Union
 
 from .errors import GreedyLabError, ScheduleTooShallowError, TermBudgetError
-from .errorseq import ErrorSequence, TwoPoolErrorSequence, TwoPoolParams
+from .errorseq import ErrorSequence
 from .exact import sqrt_plus_const_ge
 from .greedy import error_sequence
 from .schedule import BlockSchedule
@@ -61,22 +61,20 @@ def quasinorm(
             "use quasinorm_bounds for a bracketing bound instead"
         )
     alpha, q, p = params.alpha, params.q, seq.p
+    pieces = seq.pieces()
     if math.isinf(q):
         best = 0.0
-        for k in range(1, support + 1):
-            power = seq.power(k)
-            if power == 0:
-                continue
-            best = max(best, k**alpha * float(power) ** (1.0 / p))
+        for lo, hi, y, a1 in pieces:
+            for k in range(max(lo, 1), hi + 1):
+                best = max(best, k**alpha * float(y + a1 * (k - lo)) ** (1.0 / p))
         return norm_x + best
     e1 = q * alpha - 1.0
     e2 = q / p
-    terms = []
-    for k in range(1, support + 1):
-        power = seq.power(k)
-        if power == 0:
-            continue
-        terms.append(k**e1 * float(power) ** e2)
+    terms = [
+        k**e1 * float(y + a1 * (k - lo)) ** e2
+        for lo, hi, y, a1 in pieces
+        for k in range(max(lo, 1), hi + 1)
+    ]
     return norm_x + math.fsum(terms) ** (1.0 / q)
 
 
@@ -88,21 +86,18 @@ def quasinorm_bounds(
 ) -> tuple[float, float]:
     """Bracket the quasi-norm without touching every term.
 
-    Works on sequences with piecewise-linear exact powers (the two-pool
-    closed forms).  Each term profile k -> k^(q alpha - 1) * power(k)^(q/p)
-    is monotone or unimodal on a piece, so per subrange the sum is squeezed
-    between length * min(endpoint values) and length * max(endpoints, peak).
-    Results are bounds and are reported as such, never as values; a 1e-9
-    relative margin absorbs float rounding of the envelope sums themselves.
+    Each term profile k -> k^(q alpha - 1) * power(k)^(q/p) is monotone or
+    unimodal on a piece of the sequence, so per subrange the sum is
+    squeezed between length * min(endpoint values) and length *
+    max(endpoints, peak).  Results are bounds and are reported as such,
+    never as values; a 1e-9 relative margin absorbs float rounding of the
+    envelope sums themselves.
     """
-    if not isinstance(seq, TwoPoolErrorSequence):
-        value = quasinorm(norm_x, seq, params)
-        return value, value
     alpha, q, p = params.alpha, params.q, seq.p
     pieces = seq.pieces()
 
-    def profile(k: int, a0, a1) -> float:
-        power = float(a0 + a1 * k)
+    def profile(k: int, y, a1, k0: int) -> float:
+        power = float(y + a1 * (k - k0))
         if power <= 0:
             return 0.0
         if math.isinf(q):
@@ -111,21 +106,21 @@ def quasinorm_bounds(
 
     if math.isinf(q):
         sup = 0.0
-        for lo, hi, a0, a1 in pieces:
-            lo = max(lo, 1)
+        for k0, hi, y, a1 in pieces:
+            lo = max(k0, 1)
             if lo > hi:
                 continue
-            peak = _ternary_argmax(lambda k: profile(k, a0, a1), lo, hi)
-            sup = max(sup, profile(peak, a0, a1))
+            peak = _ternary_argmax(lambda k: profile(k, y, a1, k0), lo, hi)
+            sup = max(sup, profile(peak, y, a1, k0))
         return norm_x + sup, norm_x + sup
 
     lo_total = 0.0
     hi_total = 0.0
-    for lo, hi, a0, a1 in pieces:
-        lo = max(lo, 1)
+    for k0, hi, y, a1 in pieces:
+        lo = max(k0, 1)
         if lo > hi:
             continue
-        f = lambda k: profile(k, a0, a1)
+        f = lambda k: profile(k, y, a1, k0)
         peak = _ternary_argmax(f, lo, hi)
         cuts = _split_range(lo, hi, subranges_per_piece)
         for u, w in cuts:
@@ -223,15 +218,11 @@ class XsConstruction:
     def support_size(self) -> int:
         return self.n_s + self.v
 
-    def sigma_sequence(self) -> TwoPoolErrorSequence:
-        return TwoPoolErrorSequence("sigma", self._params())
+    def sigma_sequence(self) -> ErrorSequence:
+        return error_sequence(self.x, self.spec, "sigma")
 
-    def gamma_sequence(self) -> TwoPoolErrorSequence:
-        return TwoPoolErrorSequence("gamma", self._params())
-
-    def _params(self) -> TwoPoolParams:
-        return TwoPoolParams(g=4, l=1, count_hi=self.n_s, cap_hi=self.c,
-                             count_lo=self.v, p=2)
+    def gamma_sequence(self) -> ErrorSequence:
+        return error_sequence(self.x, self.spec, "gamma")
 
 
 def build_xs(schedule: BlockSchedule, s: int) -> XsConstruction:
@@ -374,9 +365,9 @@ def optimality_experiment(
 ) -> RatioReport:
     """Quasi-norm ratios of x_s across s and (alpha, q), with bound checks.
 
-    mode="exact" sums every closed-form term and refuses when the count
-    exceeds ``term_budget``; mode="bounds" brackets the quasi-norms via
-    piecewise envelopes and reports bounds, never values.
+    mode="exact" sums every term of the error sequences and refuses when
+    the count exceeds ``term_budget``; mode="bounds" brackets the
+    quasi-norms via piecewise envelopes and reports bounds, never values.
     """
     if mode not in ("exact", "bounds"):
         raise ValueError("mode must be 'exact' or 'bounds'")

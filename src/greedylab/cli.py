@@ -37,7 +37,6 @@ from .vectors import CompressedVector
 
 @dataclass
 class RunConfig:
-    budget_terms: int
     out: Optional[str]
 
 
@@ -294,7 +293,7 @@ def cmd_xs_experiment(args, cfg: RunConfig) -> int:
         spec.schedule,
         _parse_int_list(args.s),
         params,
-        term_budget=cfg.budget_terms,
+        term_budget=args.budget_terms,
         mode=args.mode,
     )
     emit_report(report.to_json(), "json", cfg.out)
@@ -323,14 +322,18 @@ def _global_flags(suppress: bool) -> argparse.ArgumentParser:
     objects unshared.
     """
     holder = argparse.ArgumentParser(add_help=False)
-    d = argparse.SUPPRESS if suppress else None
     holder.add_argument(
-        "--budget-terms",
-        type=int,
-        default=argparse.SUPPRESS if suppress else DEFAULT_TERM_BUDGET,
+        "--out", default=argparse.SUPPRESS if suppress else None,
+        help="output path (default stdout)",
     )
-    holder.add_argument("--out", default=d, help="output path (default stdout)")
     return holder
+
+
+def _positive_int(text: str) -> int:
+    value = int(text)
+    if value <= 0:
+        raise argparse.ArgumentTypeError("must be positive")
+    return value
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -403,6 +406,10 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--alpha", required=True, help="comma list of alphas")
     sp.add_argument("--q", required=True, help="comma list, inf allowed")
     sp.add_argument("--mode", choices=("exact", "bounds"), default="exact")
+    sp.add_argument(
+        "--budget-terms", type=_positive_int, default=DEFAULT_TERM_BUDGET,
+        help="exact mode refuses longer series (default 1e8)",
+    )
     sp.set_defaults(func=cmd_xs_experiment)
 
     sp = sub.add_parser("verify", help="run the acceptance suite", parents=[common])
@@ -415,9 +422,7 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: Optional[list[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.budget_terms <= 0:
-        parser.error("--budget-terms must be positive")  # exits 2
-    cfg = RunConfig(budget_terms=args.budget_terms, out=args.out)
+    cfg = RunConfig(out=args.out)
     try:
         return args.func(args, cfg)
     except (GreedyLabError, ValueError, OSError, KeyError) as exc:

@@ -37,6 +37,14 @@ def pow_rational(base: Rational, exponent: int) -> Rational:
     return simplify(base**exponent)
 
 
+def slope(k0: int, y0: Rational, k1: int, y1: Rational) -> Rational:
+    """Slope of the line through (k0, y0) and (k1, y1); an int when integral."""
+    rise = y1 - y0
+    if isinstance(rise, int) and rise % (k1 - k0) == 0:
+        return rise // (k1 - k0)
+    return simplify(Fraction(rise) / (k1 - k0))
+
+
 def sqrt_plus_const_ge(a: Rational, x: Rational, c: Rational, b: Rational, y: Rational) -> bool:
     """Decide a*sqrt(x) + c >= b*sqrt(y) exactly, for a, b, c, x, y >= 0.
 

@@ -13,6 +13,9 @@ minimum over removal sets, and within one block it is always best to
 remove the largest magnitudes first.  The reduction is not taken on
 faith: a grid-search oracle over free coefficients validates it on small
 instances (see sigma_oracle_grid and the acceptance suite).
+
+Both are built as whole piecewise-linear sequences (error_sequence);
+the removal-count DP sigma_power_table stays as their oracle.
 """
 
 from __future__ import annotations
@@ -27,14 +30,9 @@ from fractions import Fraction
 from typing import Optional, Sequence, Union
 
 from . import explicit
-from .alloc import cheapest_vertex, greedy_max
+from .alloc import cheapest_vertex, drop_collinear, greedy_max, min_plus
 from .errors import InvariantError
-from .errorseq import (
-    ErrorSequence,
-    TabulatedErrorSequence,
-    TwoPoolErrorSequence,
-    two_pool_params,
-)
+from .errorseq import ErrorSequence
 from .exact import pow_rational, simplify
 from .spaces import NormValue, SpaceSpec, space_norm, random_vector
 from .vectors import CompressedVector, TieDescriptor, EMPTY_TIE, top_magnitudes
@@ -194,16 +192,16 @@ def gamma(x: CompressedVector, n: int, spec: SpaceSpec) -> GreedyOutcome:
 
 
 # ---------------------------------------------------------------------------
-# sigma: removal-count DP
+# sigma: removal-count DP (the oracle of the sigma sequence)
 
 
-@functools.lru_cache(maxsize=256)
 def sigma_power_table(x: CompressedVector, spec: SpaceSpec) -> tuple[Rational, ...]:
     """sigma_k^p for k = 0..support, by DP over per-block removal counts.
 
     Within each block removing the largest magnitudes first is optimal
     (block norms are symmetric and monotone), so only the split of the k
-    removals across blocks is searched.
+    removals across blocks is searched.  Quadratic in the support: an
+    oracle for ``error_sequence``.
     """
     x = spec.vector(x.groups)
     prefixes = _block_prefixes(x, spec)
@@ -230,9 +228,7 @@ def sigma_exact(x: CompressedVector, n: int, spec: SpaceSpec) -> NormValue:
     """Best n-term approximation error (exact, suppression projection)."""
     if n < 0:
         raise ValueError("n must be >= 0")
-    table = sigma_power_table(spec.vector(x.groups), spec)
-    power = table[n] if n < len(table) else 0
-    return NormValue.from_power(power, spec.outer_p)
+    return NormValue.from_power(error_sequence(x, spec, "sigma").power(n), spec.outer_p)
 
 
 # ---------------------------------------------------------------------------
@@ -303,25 +299,75 @@ def sigma_oracle_grid(
 
 
 def error_sequence(x: CompressedVector, spec: SpaceSpec, kind: str) -> ErrorSequence:
-    """Full k -> sigma_k or gamma_k sequence for one vector.
+    """Full k -> sigma_k or gamma_k sequence for one vector, as knots.
 
-    Two-pool vectors get the O(1)-per-k closed forms; anything else is
-    tabulated with the generic machinery (gamma uses the worst case over
-    tie resolutions at every k).
+    Built from the groups, so the cost depends on the number of groups,
+    not on the support size.  gamma uses the worst case over tie
+    resolutions at every k.
     """
     if kind not in ("sigma", "gamma"):
         raise ValueError("kind must be 'sigma' or 'gamma'")
     x = spec.vector(x.groups)
-    params = two_pool_params(x, spec)
-    if params is not None:
-        return TwoPoolErrorSequence(kind, params)
+    prefixes = _block_prefixes(x, spec)
     if kind == "sigma":
-        return TabulatedErrorSequence("sigma", sigma_power_table(x, spec), spec.outer_p)
-    table = tuple(
-        gamma(x, k, spec).residual_max.power_exact
-        for k in range(x.support_size + 1)
-    )
-    return TabulatedErrorSequence("gamma", table, spec.outer_p)
+        knots = _sigma_knots(x, prefixes)
+    else:
+        knots = _gamma_knots(x, prefixes, spec.inner_p)
+    start = space_norm(x, spec).power_exact
+    if knots[0] != (0, start) or knots[-1] != (x.support_size, 0):
+        raise InvariantError(
+            f"{kind} sequence runs from {knots[0]} to {knots[-1]}, "
+            f"not from (0, {start}) to ({x.support_size}, 0)"
+        )
+    return ErrorSequence(kind, spec.outer_p, knots)
+
+
+def _gamma_knots(x: CompressedVector, prefixes, p: int) -> list:
+    """Walk the magnitude classes in descending order.
+
+    Before a class the greedy set holds every larger coordinate.  Inside
+    it, the worst resolution for each count is the marginal-gain fill of
+    the class's runs (``_tie_segments``), so gamma follows those runs in
+    order of decreasing gain.
+    """
+    classes: dict = {}
+    for b, m, c in x.groups:
+        classes.setdefault(m, []).append((b, c))
+    kept = dict.fromkeys(x.blocks(), 0)
+    k, y = 0, sum(_residual_power(prefixes[b], 0) for b in x.blocks())
+    knots = [(k, y)]
+    for m in sorted(classes, reverse=True):
+        tau_power = pow_rational(m, p)
+        runs = [
+            run
+            for b, c in classes[m]
+            for run in _tie_segments(prefixes[b], kept[b], c, tau_power, b)
+        ]
+        for _b, gain, length in sorted(runs, key=lambda run: -run[1]):
+            k, y = k + length, simplify(y + gain * length)
+            knots.append((k, y))
+        for b, c in classes[m]:
+            kept[b] += c
+    return drop_collinear(knots)
+
+
+def _sigma_knots(x: CompressedVector, prefixes) -> list:
+    """Min-plus merge of the block residual functions, one block at a time."""
+    blocks = [_residual_knots(prefixes[b]) for b in x.blocks()]
+    return functools.reduce(min_plus, blocks) if blocks else [(0, 0)]
+
+
+def _residual_knots(prefix) -> list:
+    """Knots of j -> block residual power after removing the j largest.
+
+    The residual is the power of positions j .. j+cap-1, so it bends where
+    either end of that window crosses a group boundary.
+    """
+    counts, _powers, cap, _mag_powers = prefix
+    cuts = set(counts)
+    if cap is not None:
+        cuts.update(max(c - cap, 0) for c in counts)
+    return drop_collinear([(j, _residual_power(prefix, j)) for j in sorted(cuts)])
 
 
 # ---------------------------------------------------------------------------
@@ -345,33 +391,27 @@ def greedy_constant(
     best = 0.0
     for _ in range(num_samples):
         x = random_vector(spec, rng)
-        if x.is_zero:
-            continue
-        table = sigma_power_table(x, spec)
-        for n in range(x.support_size):
-            s_pow = table[n]
-            if s_pow == 0:
-                continue
-            g_pow = gamma(x, n, spec).residual_max.power_exact
-            ratio = (float(g_pow) / float(s_pow)) ** (1.0 / spec.outer_p)
-            best = max(best, ratio)
+        if not x.is_zero:
+            best = max(best, _worst_ratio(x, spec, range(x.support_size)))
     if include_adversarial and spec.variant == "block_sum":
         for hi in range(spec.num_blocks - 1):
             block, nxt = spec.blocks[hi], spec.blocks[hi + 1]
             count_lo = min(block.size, nxt.cap)
             x = spec.vector([(hi, 2, block.size), (hi + 1, 1, count_lo)])
-            if two_pool_params(x, spec) is None:
-                continue
-            s_seq = error_sequence(x, spec, "sigma")
-            g_seq = error_sequence(x, spec, "gamma")
-            for k in (block.size, block.size - block.cap):
-                if k <= 0:
-                    continue
-                s_pow, g_pow = s_seq.power(k), g_seq.power(k)
-                if s_pow == 0:
-                    continue
-                ratio = (float(g_pow) / float(s_pow)) ** (1.0 / spec.outer_p)
-                best = max(best, ratio)
+            ks = [k for k in (block.size, block.size - block.cap) if k > 0]
+            best = max(best, _worst_ratio(x, spec, ks))
+    return best
+
+
+def _worst_ratio(x: CompressedVector, spec: SpaceSpec, ks) -> float:
+    """Largest gamma_k / sigma_k over the ks with sigma_k > 0 (0.0 if none)."""
+    sig = error_sequence(x, spec, "sigma")
+    gam = error_sequence(x, spec, "gamma")
+    best = 0.0
+    for k in ks:
+        s_pow = sig.power(k)
+        if s_pow != 0:
+            best = max(best, (float(gam.power(k)) / float(s_pow)) ** (1.0 / spec.outer_p))
     return best
 
 

@@ -1,10 +1,14 @@
 """Quasi-norms, the x_s construction and the optimality experiment."""
 
 import math
+import os
 import random
+import subprocess
+import sys
 
 import pytest
 
+import greedylab
 from greedylab import (
     ApproxParams,
     InvariantError,
@@ -165,27 +169,69 @@ def test_quasinorm_bounds_infinity_is_exact_sup():
     assert lo == pytest.approx(exact) and hi == pytest.approx(exact)
 
 
-def test_closed_forms_match_generic_on_shrunken_xs():
-    # Same content as the acceptance criterion but on the s=2 instance only.
-    from greedylab.greedy import sigma_power_table, gamma
+def _gamma_closed(g, l, h, c, v, k):
+    # Greedy keeps the hi pool first; its ties sit in one block.
+    if k >= h + v:
+        return 0
+    if k <= h:
+        return g * min(h - k, c) + l * v
+    return l * (h + v - k)
+
+
+def _sigma_closed(g, l, h, c, v, k):
+    # Remove j hi and k - j lo coordinates; the cost is concave in j,
+    # so the best split is an end of the feasible window.
+    if k >= h + v:
+        return 0
+    return min(g * min(h - j, c) + l * (v - (k - j)) for j in (max(0, k - v), min(k, h)))
+
+
+@pytest.mark.parametrize("s", [2, 3, 4, 5, 6])
+def test_error_sequences_match_two_pool_closed_forms(s):
+    xs = build_xs(squares_schedule(6), s)
+    shape = (4, 1, xs.n_s, xs.c, xs.v)
+    pairs = ((xs.sigma_sequence(), _sigma_closed), (xs.gamma_sequence(), _gamma_closed))
+    for seq, closed in pairs:
+        assert seq.support_size == xs.support_size
+        ks = set()
+        for k, _ in seq.knots:
+            ks.update((k - 1, k, k + 1))
+        for lo, hi, _y, _a in seq.pieces():
+            ks.add((lo + hi) // 2)
+        for k in sorted(ks - {-1}):
+            assert seq.power(k) == closed(*shape, k), (seq.kind, k)
+
+
+def test_error_sequence_checks_its_ends(monkeypatch):
+    # Knots that miss ||x||^p at k=0 or (support, 0) at the end must
+    # raise InvariantError, also under python -O.
+    from greedylab import greedy
 
     xs = build_xs(squares_schedule(2), 2)
-    sig, gam = xs.sigma_sequence(), xs.gamma_sequence()
-    table = sigma_power_table(xs.x, xs.spec)
-    for k in range(xs.support_size + 1):
-        assert sig.power(k) == table[k]
-        assert gam.power(k) == gamma(xs.x, k, xs.spec).residual_max.power_exact
-
-
-def test_pieces_self_check_raises_invariant_error(monkeypatch):
-    # A broken closed form must raise, also under python -O.
-    from greedylab import errorseq
-
-    sig = build_xs(squares_schedule(2), 2).sigma_sequence()
-    assert isinstance(sig, errorseq.TwoPoolErrorSequence)
-    monkeypatch.setattr(errorseq, "_sigma_power", lambda q, k: k * k)
+    real = greedy._sigma_knots
+    monkeypatch.setattr(greedy, "_sigma_knots", lambda x, prefixes: real(x, prefixes)[1:])
     with pytest.raises(InvariantError):
-        sig.pieces()
+        xs.sigma_sequence()
+    monkeypatch.setattr(greedy, "_gamma_knots", lambda x, prefixes, p: [(0, 52), (72, 1)])
+    with pytest.raises(InvariantError):
+        xs.gamma_sequence()
+
+
+def test_error_sequence_end_check_survives_optimization():
+    script = (
+        "from greedylab import greedy, build_xs, squares_schedule, InvariantError\n"
+        "greedy._gamma_knots = lambda x, prefixes, p: [(0, 52), (72, 1)]\n"
+        "try:\n"
+        "    build_xs(squares_schedule(2), 2).gamma_sequence()\n"
+        "except InvariantError:\n"
+        "    print('raised')\n"
+    )
+    src = os.path.dirname(os.path.dirname(os.path.abspath(greedylab.__file__)))
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", script], capture_output=True, text=True,
+        env=dict(os.environ, PYTHONPATH=src), timeout=120,
+    )
+    assert proc.stdout == "raised\n", proc.stderr
 
 
 def test_error_sequence_values_on_spec_example():

@@ -153,6 +153,25 @@ def test_budget_ties_flag_is_a_usage_error():
     assert err.value.code == 2
 
 
+def test_budget_terms_is_an_xs_experiment_flag(schedule_file, vector_file):
+    # Only xs-experiment sums series, so no other command takes the flag.
+    norm = ["norm", "--space", schedule_file, "--vector", vector_file]
+    for argv in (["--budget-terms", "5"] + norm, norm + ["--budget-terms", "5"]):
+        with pytest.raises(SystemExit) as err:
+            main(argv)
+        assert err.value.code == 2
+
+
+def test_xs_experiment_term_budget_refusal(tmp_path, capsys):
+    sched = write(tmp_path / "squares.json", {"a": [4, 9, 16, 25]})  # squares_schedule(3)
+    code = main([
+        "xs-experiment", "--budget-terms", "100", "--s", "3", "--schedule", sched,
+        "--alpha", "1", "--q", "1",
+    ])
+    assert code == 1
+    assert "TermBudgetError" in json.loads(capsys.readouterr().err)["error"]
+
+
 def test_verify_subset(capsys):
     assert main(["verify", "--only", "1,3"]) == 0
     out = capsys.readouterr().out

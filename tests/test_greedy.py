@@ -247,7 +247,7 @@ def test_lp_gamma_equals_sigma_when_tie_free():
 # -- error sequences ----------------------------------------------------------
 
 
-def test_error_sequence_two_pool_closed_form_selected():
+def test_error_sequence_two_pool_values():
     spec = SpaceSpec.from_schedule(arithmetic_schedule(2))
     x = spec.vector([(0, 2, 20), (1, 1, 20)])
     seq = error_sequence(x, spec, "sigma")
@@ -257,6 +257,61 @@ def test_error_sequence_two_pool_closed_form_selected():
     assert seq.power(20) == 16
     gam = error_sequence(x, spec, "gamma")
     assert gam.power(20) == 20  # residual is the 20 ones under cap 20
+
+
+@st.composite
+def sequence_instances(draw):
+    """l_p (finite or infinite dimension), trunc_block or 1-4 block sums,
+    with magnitudes in {1, 2, 3} (tie-heavy) or pairwise distinct."""
+    variant = draw(st.sampled_from(("lp", "trunc_block", "block_sum")))
+    p = draw(st.integers(1, 3))
+    if variant == "lp":
+        dim = draw(st.one_of(st.none(), st.integers(1, 16)))
+        spec = SpaceSpec.lp(p, dim)
+        sizes = [dim or draw(st.integers(1, 16))]
+    elif variant == "trunc_block":
+        size = draw(st.integers(1, 16))
+        spec = SpaceSpec.trunc_block(draw(st.integers(1, size)), size, p)
+        sizes = [size]
+    else:
+        # Blocks up to 20 wide, so that tied groups leave long linear runs.
+        blocks = []
+        for _ in range(draw(st.integers(1, 4))):
+            size = draw(st.integers(1, 20))
+            blocks.append((draw(st.integers(1, size)), size))
+        spec = SpaceSpec.block_sum(blocks, p, p)
+        sizes = [size for _cap, size in blocks]
+    n = sum(sizes)
+    if draw(st.booleans()):
+        mags = draw(st.lists(st.integers(0, 3), min_size=n, max_size=n))
+    else:
+        mags = draw(st.lists(st.integers(0, 99), min_size=n, max_size=n, unique=True))
+    blocks_of = [b for b, size in enumerate(sizes) for _ in range(size)]
+    return spec, spec.vector([(b, m, 1) for b, m in zip(blocks_of, mags)])
+
+
+@settings(derandomize=True, max_examples=400, deadline=None)
+@given(sequence_instances())
+def test_error_sequences_match_dp_and_pointwise_gamma(instance):
+    spec, x = instance
+    sig = error_sequence(x, spec, "sigma").powers()
+    gam = error_sequence(x, spec, "gamma").powers()
+    assert sig == list(sigma_power_table(x, spec))
+    assert gam == [gamma(x, k, spec).residual_max.power_exact for k in range(x.support_size + 1)]
+    assert all(a >= b for a, b in zip(sig, sig[1:]))
+    assert all(a >= b for a, b in zip(gam, gam[1:]))
+    assert all(s <= g for s, g in zip(sig, gam))
+
+
+def test_sigma_sequence_bends_between_integers():
+    # Removing the four ones first leaves 36 (four threes under cap 4);
+    # removing threes only leaves 4 + 9 (9 - k).  The two cross at
+    # k = 49/9, so the sequence needs knots at both k = 5 and k = 6.
+    spec = SpaceSpec.block_sum([(6, 8), (4, 10), (9, 9)])
+    x = spec.vector([(1, 3, 9), (2, 1, 4)])
+    seq = error_sequence(x, spec, "sigma")
+    assert seq.powers() == list(sigma_power_table(x, spec))
+    assert {5, 6} <= {k for k, _ in seq.knots}
 
 
 def test_error_sequence_tabulated_matches_pointwise_calls():
