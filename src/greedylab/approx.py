@@ -7,8 +7,13 @@ greedy-class quasi-norm; the two-pool vector x_s makes their ratio
 collapse like (s^(-q alpha/2) + s^(-q/2))^(1/q), which is the
 non-optimality phenomenon reproduced by optimality_experiment.
 
-Series are finite (errors vanish at the support size) and summed with
-math.fsum, so accumulation order cannot move the result.
+Series are finite (errors vanish at the support size), and the error
+powers are linear in k between the knots of the sequence, so most of them
+cost O(pieces): integer exponents are summed exactly with Faulhaber power
+sums and q = inf takes the argmax of each piece.  Only series with
+non-integer exponents are summed term by term, with math.fsum, so
+accumulation order cannot move the result.  The bound checks of x_s are
+decided on the knots as well.
 """
 
 from __future__ import annotations
@@ -22,7 +27,7 @@ from .errorseq import ErrorSequence
 from .exact import sqrt_plus_const_ge
 from .greedy import error_sequence
 from .schedule import BlockSchedule
-from .spaces import SpaceSpec, space_norm
+from .spaces import SpaceSpec, _float_root, space_norm
 from .vectors import CompressedVector
 from . import democracy
 
@@ -53,29 +58,33 @@ def quasinorm(
     params: ApproxParams,
     term_budget: int = DEFAULT_TERM_BUDGET,
 ) -> float:
-    """Evaluate the quasi-norm from a precomputed error sequence."""
+    """Evaluate the quasi-norm from a precomputed error sequence.
+
+    Integer exponents and q = inf take the per-piece routes of
+    ``_piecewise_series``, whatever the support size.  Only the remaining
+    series are summed term by term (math.fsum), and those refuse supports
+    beyond ``term_budget``.
+    """
+    series = _piecewise_series(seq, params)
+    if series is not None:
+        return norm_x + series
     support = seq.support_size
     if support > term_budget:
         raise TermBudgetError(
             f"{support} terms exceed the budget of {term_budget}; "
             "use quasinorm_bounds for a bracketing bound instead"
         )
-    alpha, q, p = params.alpha, params.q, seq.p
-    pieces = seq.pieces()
-    if math.isinf(q):
-        best = 0.0
-        for lo, hi, y, a1 in pieces:
-            for k in range(max(lo, 1), hi + 1):
-                best = max(best, k**alpha * float(y + a1 * (k - lo)) ** (1.0 / p))
-        return norm_x + best
-    e1 = q * alpha - 1.0
-    e2 = q / p
-    terms = [
+    q = params.q
+    return norm_x + _term_series(seq.pieces(), q * params.alpha - 1.0, q / seq.p) ** (1.0 / q)
+
+
+def _term_series(pieces, e1: float, e2: float) -> float:
+    """sum over k >= 1 of k^e1 * power(k)^e2, one float term per k."""
+    return math.fsum(
         k**e1 * float(y + a1 * (k - lo)) ** e2
         for lo, hi, y, a1 in pieces
         for k in range(max(lo, 1), hi + 1)
-    ]
-    return norm_x + math.fsum(terms) ** (1.0 / q)
+    )
 
 
 def quasinorm_bounds(
@@ -86,41 +95,27 @@ def quasinorm_bounds(
 ) -> tuple[float, float]:
     """Bracket the quasi-norm without touching every term.
 
-    Each term profile k -> k^(q alpha - 1) * power(k)^(q/p) is monotone or
-    unimodal on a piece of the sequence, so per subrange the sum is
-    squeezed between length * min(endpoint values) and length *
-    max(endpoints, peak).  Results are bounds and are reported as such,
-    never as values; a 1e-9 relative margin absorbs float rounding of the
-    envelope sums themselves.
+    Where ``_piecewise_series`` gives the value (integer exponents or
+    q = inf) both ends of the bracket are that value, bit for bit what
+    ``quasinorm`` returns.  Otherwise the term profile k -> k^(q alpha - 1)
+    * power(k)^(q/p) is monotone or unimodal on a piece of the sequence,
+    so per subrange the sum is squeezed between length * min(endpoint
+    values) and length * max(endpoints, peak).  Those results are bounds
+    and are reported as such, never as values; a 1e-9 relative margin
+    absorbs float rounding of the envelope sums themselves.
     """
+    series = _piecewise_series(seq, params)
+    if series is not None:
+        return norm_x + series, norm_x + series
     alpha, q, p = params.alpha, params.q, seq.p
-    pieces = seq.pieces()
-
-    def profile(k: int, y, a1, k0: int) -> float:
-        power = float(y + a1 * (k - k0))
-        if power <= 0:
-            return 0.0
-        if math.isinf(q):
-            return k**alpha * power ** (1.0 / p)
-        return k ** (q * alpha - 1.0) * power ** (q / p)
-
-    if math.isinf(q):
-        sup = 0.0
-        for k0, hi, y, a1 in pieces:
-            lo = max(k0, 1)
-            if lo > hi:
-                continue
-            peak = _ternary_argmax(lambda k: profile(k, y, a1, k0), lo, hi)
-            sup = max(sup, profile(peak, y, a1, k0))
-        return norm_x + sup, norm_x + sup
 
     lo_total = 0.0
     hi_total = 0.0
-    for k0, hi, y, a1 in pieces:
+    for k0, hi, y, a1 in seq.pieces():
         lo = max(k0, 1)
         if lo > hi:
             continue
-        f = lambda k: profile(k, y, a1, k0)
+        f = lambda k: k ** (q * alpha - 1.0) * float(y + a1 * (k - k0)) ** (q / p)
         peak = _ternary_argmax(f, lo, hi)
         cuts = _split_range(lo, hi, subranges_per_piece)
         for u, w in cuts:
@@ -133,6 +128,60 @@ def quasinorm_bounds(
         norm_x + lo_total ** (1.0 / q) * (1 - 1e-9),
         norm_x + hi_total ** (1.0 / q) * (1 + 1e-9),
     )
+
+
+def _piecewise_series(seq: ErrorSequence, params: ApproxParams) -> Optional[float]:
+    """The series part of the quasi-norm in O(pieces), or None.
+
+    q = inf: the sup of k^alpha * power(k)^(1/p) over k >= 1.  On a piece
+    the profile is log-concave (alpha log k plus the log of a positive
+    linear function, over p), so its ternary-search argmax is the piece's
+    maximum.  Finite q with e1 = q alpha - 1 and e2 = q/p nonnegative
+    integers: the term k^e1 (c0 + a1 k)^e2 is a polynomial in k on a
+    piece, summed exactly with Faulhaber power sums; only the q-th root
+    of the exact total is taken in floats.  Any other finite q: None.
+    """
+    alpha, q, p = params.alpha, params.q, seq.p
+    pieces = seq.pieces()
+    if math.isinf(q):
+        best = 0.0
+        for k0, hi, y, a1 in pieces:
+            lo = max(k0, 1)
+            if lo > hi:
+                continue
+            f = lambda k: k**alpha * _float_root(y + a1 * (k - k0), p)
+            best = max(best, f(_ternary_argmax(f, lo, hi)))
+        return best
+    e1 = q * alpha - 1.0
+    e2 = q / p
+    if not (e1 >= 0 and e2 >= 0 and e1.is_integer() and e2.is_integer()):
+        return None
+    e1, e2 = int(e1), int(e2)
+    total = 0
+    for k0, hi, y, a1 in pieces:
+        lo = max(k0, 1)
+        if lo > hi:
+            continue
+        c0 = y - a1 * k0
+        upper, lower = _power_sums(e1 + e2, hi), _power_sums(e1 + e2, lo - 1)
+        # k^e1 (c0 + a1 k)^e2 = sum_j C(e2, j) c0^(e2-j) a1^j k^(e1+j)
+        for j in range(e2 + 1):
+            coef = math.comb(e2, j) * c0 ** (e2 - j) * a1**j
+            total += coef * (upper[e1 + j] - lower[e1 + j])
+    return _float_root(total, int(q) if float(q).is_integer() else q)
+
+
+def _power_sums(top: int, n: int) -> list[int]:
+    """[S_0(n), ..., S_top(n)] with S_m(n) = 1^m + 2^m + ... + n^m, exact.
+
+    Faulhaber's sums by Pascal's recurrence: summing (k+1)^(m+1) - k^(m+1)
+    over k = 1..n gives (n+1)^(m+1) - 1 = sum_{j<=m} C(m+1, j) S_j(n).
+    """
+    sums: list[int] = []
+    for m in range(top + 1):
+        rest = sum(math.comb(m + 1, j) * s for j, s in enumerate(sums))
+        sums.append(((n + 1) ** (m + 1) - 1 - rest) // (m + 1))
+    return sums
 
 
 def _ternary_argmax(f, lo: int, hi: int) -> int:
@@ -213,16 +262,23 @@ class XsConstruction:
     spec: SpaceSpec
     x: CompressedVector
     checks: dict = field(default_factory=dict)
+    _sequences: dict = field(default_factory=dict, repr=False, compare=False)
 
     @property
     def support_size(self) -> int:
         return self.n_s + self.v
 
     def sigma_sequence(self) -> ErrorSequence:
-        return error_sequence(self.x, self.spec, "sigma")
+        return self._sequence("sigma")
 
     def gamma_sequence(self) -> ErrorSequence:
-        return error_sequence(self.x, self.spec, "gamma")
+        return self._sequence("gamma")
+
+    def _sequence(self, kind: str) -> ErrorSequence:
+        # Built once: the ratios and the bound checks read the same sequences.
+        if kind not in self._sequences:
+            self._sequences[kind] = error_sequence(self.x, self.spec, kind)
+        return self._sequences[kind]
 
 
 def build_xs(schedule: BlockSchedule, s: int) -> XsConstruction:
@@ -339,21 +395,46 @@ class RatioReport:
 
 
 def xs_bound_checks(xs: XsConstruction) -> dict:
-    """Exact per-k verification of the bounds the collapse argument rests on."""
-    sigma = xs.sigma_sequence()
-    gamma = xs.gamma_sequence()
-    n_s, v, r, s = xs.n_s, xs.v, xs.r, xs.s
-    support = xs.support_size
-    gamma_lb = all(gamma.power(k) >= v for k in range(1, n_s + 1))
-    ls2 = all(sigma.power(k) * s * s <= 9 * r * r * v for k in range(v, support + 1))
-    ls3 = all(sigma.power(k) <= 9 * v for k in range(support + 1))
-    dominated = all(sigma.power(k) <= gamma.power(k) for k in range(support + 1))
+    """Exact verification of the bounds the collapse argument rests on."""
+    return sequence_bound_checks(
+        xs.sigma_sequence(), xs.gamma_sequence(), xs.n_s, xs.v, xs.r, xs.s
+    )
+
+
+def sequence_bound_checks(
+    sigma: ErrorSequence, gamma: ErrorSequence, n_s: int, v: int, r: int, s: int
+) -> dict:
+    """The x_s bounds on a sigma/gamma pair, decided on knots.
+
+    Each check compares a linear function of the exact powers on a range
+    of k, so it holds at every integer of the range iff it holds at both
+    ends and at every knot inside (``explicit.sequence_bound_checks_per_k``
+    is the per-k oracle).  sigma <= gamma uses the union of both knot sets.
+    """
+    support = sigma.support_size
+    s_knots = [k for k, _ in sigma.knots]
+    g_knots = [k for k, _ in gamma.knots]
     return {
-        "gamma_ge_vs_up_to_ms": gamma_lb,  # gamma_k >= ||V^s|| for k <= #M_s
-        "ls2_sigma_tail": ls2,  # sigma_k <= 3 r ||V^s|| / s for k >= #V^s
-        "ls3_sigma_all": ls3,  # sigma_k <= 3 ||V^s||
-        "sigma_le_gamma": dominated,
+        # gamma_k >= ||V^s|| for k <= #M_s
+        "gamma_ge_vs_up_to_ms": _holds_on_knots(lambda k: gamma.power(k) >= v, g_knots, 1, n_s),
+        # sigma_k <= 3 r ||V^s|| / s for k >= #V^s
+        "ls2_sigma_tail": _holds_on_knots(
+            lambda k: sigma.power(k) * s * s <= 9 * r * r * v, s_knots, v, support
+        ),
+        # sigma_k <= 3 ||V^s||
+        "ls3_sigma_all": _holds_on_knots(lambda k: sigma.power(k) <= 9 * v, s_knots, 0, support),
+        "sigma_le_gamma": _holds_on_knots(
+            lambda k: sigma.power(k) <= gamma.power(k), s_knots + g_knots, 0, support
+        ),
     }
+
+
+def _holds_on_knots(pred, knots, lo: int, hi: int) -> bool:
+    """pred(k) for every integer k in lo..hi, where pred compares functions
+    that are linear between consecutive knots."""
+    if lo > hi:
+        return True
+    return all(pred(k) for k in {lo, hi}.union(k for k in knots if lo < k < hi))
 
 
 def optimality_experiment(
@@ -365,9 +446,11 @@ def optimality_experiment(
 ) -> RatioReport:
     """Quasi-norm ratios of x_s across s and (alpha, q), with bound checks.
 
-    mode="exact" sums every term of the error sequences and refuses when
-    the count exceeds ``term_budget``; mode="bounds" brackets the
-    quasi-norms via piecewise envelopes and reports bounds, never values.
+    mode="exact" reports values (see ``quasinorm``): per-term series refuse
+    when their length exceeds ``term_budget``; mode="bounds" reports
+    brackets (see ``quasinorm_bounds``), which collapse to the exact value
+    wherever ``quasinorm`` has a per-piece route.  Either way the bound
+    checks run on the knots, so s = 5, 6 cost no more than s = 2.
     """
     if mode not in ("exact", "bounds"):
         raise ValueError("mode must be 'exact' or 'bounds'")

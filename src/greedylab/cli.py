@@ -408,7 +408,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--mode", choices=("exact", "bounds"), default="exact")
     sp.add_argument(
         "--budget-terms", type=_positive_int, default=DEFAULT_TERM_BUDGET,
-        help="exact mode refuses longer series (default 1e8)",
+        help="refuse term-by-term series longer than this (default 1e8)",
     )
     sp.set_defaults(func=cmd_xs_experiment)
 

@@ -33,7 +33,7 @@ class InvariantError(GreedyLabError):
 
 
 class TermBudgetError(GreedyLabError):
-    """Quasi-norm series has more terms than the configured budget allows."""
+    """A term-by-term quasi-norm series has more terms than the budget allows."""
 
 
 class OracleUnavailableError(GreedyLabError):

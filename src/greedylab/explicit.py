@@ -10,6 +10,7 @@ same quantities, independent route.  Deliberately unoptimized.
 from __future__ import annotations
 
 import itertools
+import math
 from fractions import Fraction
 from typing import Sequence
 
@@ -244,3 +245,30 @@ def sigma_removals_bruteforce(values: Sequence, n: int, spec: SpaceSpec):
         power = norm_power(residual, spec)
         best = power if best is None or power < best else best
     return best
+
+
+def sequence_bound_checks_per_k(sigma, gamma, n_s: int, v: int, r: int, s: int) -> dict:
+    """The x_s bounds of ``approx.sequence_bound_checks``, one power(k) per k."""
+    support = sigma.support_size
+    return {
+        "gamma_ge_vs_up_to_ms": all(gamma.power(k) >= v for k in range(1, n_s + 1)),
+        "ls2_sigma_tail": all(
+            sigma.power(k) * s * s <= 9 * r * r * v for k in range(v, support + 1)
+        ),
+        "ls3_sigma_all": all(sigma.power(k) <= 9 * v for k in range(support + 1)),
+        "sigma_le_gamma": all(sigma.power(k) <= gamma.power(k) for k in range(support + 1)),
+    }
+
+
+def quasinorm_per_term(norm_x: float, seq, params) -> float:
+    """The quasi-norm of ``approx.quasinorm``, one power(k) per term.
+
+    Sums k^(q alpha - 1) power(k)^(q/p) with math.fsum (the sup of
+    k^alpha power(k)^(1/p) at q = inf) over k = 1 .. support - 1.
+    """
+    alpha, q, p = params.alpha, params.q, seq.p
+    ks = range(1, seq.support_size)
+    if math.isinf(q):
+        return norm_x + max((k**alpha * float(seq.power(k)) ** (1.0 / p) for k in ks), default=0.0)
+    series = math.fsum(k ** (q * alpha - 1.0) * float(seq.power(k)) ** (q / p) for k in ks)
+    return norm_x + series ** (1.0 / q)

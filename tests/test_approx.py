@@ -7,6 +7,7 @@ import subprocess
 import sys
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import greedylab
 from greedylab import (
@@ -24,8 +25,12 @@ from greedylab import (
     quasinorm_bounds,
     squares_schedule,
 )
-from greedylab.approx import quasinorm, xs_bound_checks
+from greedylab import approx, explicit
+from greedylab.approx import quasinorm, sequence_bound_checks, xs_bound_checks
+from greedylab.errorseq import ErrorSequence
+from greedylab.greedy import error_sequence
 from greedylab.spaces import random_vector, space_norm
+from test_greedy import sequence_instances
 
 
 def test_single_coordinate_vector_has_unit_quasinorm():
@@ -166,7 +171,7 @@ def test_quasinorm_bounds_infinity_is_exact_sup():
     norm_x = float(space_norm(xs.x, xs.spec))
     lo, hi = quasinorm_bounds(norm_x, xs.sigma_sequence(), params)
     exact = quasinorm(norm_x, xs.sigma_sequence(), params)
-    assert lo == pytest.approx(exact) and hi == pytest.approx(exact)
+    assert lo == exact == hi
 
 
 def _gamma_closed(g, l, h, c, v, k):
@@ -240,3 +245,127 @@ def test_error_sequence_values_on_spec_example():
     assert xs.sigma_sequence().power(36) == 16
     assert xs.gamma_sequence().power(10) == 52 >= 36
     assert xs.sigma_sequence().power(xs.support_size) == 0
+
+
+# -- O(pieces) routes against their per-term oracles ----------------------------
+
+PARAMS = [
+    ApproxParams(alpha, q)
+    for alpha in (0.5, 0.7, 1, 1.5, 2)
+    for q in (1, 1.5, 2, 3, 4, math.inf)
+]
+
+
+def test_knot_checks_match_per_k_oracle():
+    # x_s passes every check, so thresholds are drawn around the actual
+    # powers and indices, and sigma/gamma are sometimes swapped: each check
+    # must come out both True and False over the examples.
+    seen = set()
+
+    @settings(derandomize=True, max_examples=300, deadline=None)
+    @given(sequence_instances(), st.data())
+    def check(instance, data):
+        spec, x = instance
+        sigma = error_sequence(x, spec, "sigma")
+        gamma = error_sequence(x, spec, "gamma")
+        if data.draw(st.booleans()):
+            sigma, gamma = gamma, sigma
+        support = sigma.support_size
+        levels = st.sampled_from(sorted(set(sigma.powers()) | set(gamma.powers())))
+        v = data.draw(st.one_of(st.integers(0, support + 1), levels))
+        n_s = data.draw(st.integers(0, support + 2))
+        r, s = data.draw(st.integers(1, 3)), data.draw(st.integers(1, 5))
+        got = sequence_bound_checks(sigma, gamma, n_s, v, r, s)
+        assert got == explicit.sequence_bound_checks_per_k(sigma, gamma, n_s, v, r, s)
+        seen.update(got.items())
+
+    check()
+    names = {"gamma_ge_vs_up_to_ms", "ls2_sigma_tail", "ls3_sigma_all", "sigma_le_gamma"}
+    assert seen == {(name, ok) for name in names for ok in (True, False)}
+
+
+def test_sigma_le_gamma_reads_both_knot_sets():
+    # Each pair agrees at the knots of one sequence and breaks the order
+    # only at a knot of the other.
+    line = ErrorSequence("sigma", 2, [(0, 4), (4, 0)])
+    dip = ErrorSequence("gamma", 2, [(0, 4), (2, 1), (4, 0)])
+    bump = ErrorSequence("sigma", 2, [(0, 4), (2, 3), (4, 0)])
+    for sigma, gamma in ((line, dip), (bump, line)):
+        got = sequence_bound_checks(sigma, gamma, 0, 0, 1, 1)
+        assert got == explicit.sequence_bound_checks_per_k(sigma, gamma, 0, 0, 1, 1)
+        assert got["sigma_le_gamma"] is False
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(sequence_instances(), st.sampled_from(["sigma", "gamma"]), st.sampled_from(PARAMS))
+def test_piecewise_series_match_per_term_oracle(instance, kind, params):
+    spec, x = instance
+    seq = error_sequence(x, spec, kind)
+    norm_x = float(space_norm(x, spec))
+    value = quasinorm(norm_x, seq, params)
+    assert value == pytest.approx(explicit.quasinorm_per_term(norm_x, seq, params), rel=1e-12)
+    lo, hi = quasinorm_bounds(norm_x, seq, params)
+    assert lo <= value <= hi
+    if approx._piecewise_series(seq, params) is not None:
+        assert lo == value == hi
+
+
+@pytest.mark.parametrize("s", [2, 3, 4])
+def test_xs_routes_match_per_term_oracles(s):
+    xs = build_xs(squares_schedule(4), s)
+    sigma, gamma = xs.sigma_sequence(), xs.gamma_sequence()
+    oracle = explicit.sequence_bound_checks_per_k(sigma, gamma, xs.n_s, xs.v, xs.r, xs.s)
+    assert xs_bound_checks(xs) == oracle
+    assert all(oracle.values())
+    norm_x = float(space_norm(xs.x, xs.spec))
+    for seq in (sigma, gamma):
+        for params in (ApproxParams(1, 1), ApproxParams(0.5, 2), ApproxParams(2, 2),
+                       ApproxParams(1, math.inf)):
+            assert quasinorm(norm_x, seq, params) == pytest.approx(
+                explicit.quasinorm_per_term(norm_x, seq, params), rel=1e-12
+            )
+
+
+def test_work_is_bounded_by_knots_not_support(monkeypatch):
+    xs = build_xs(squares_schedule(6), 6)
+    assert xs.support_size == 38_102_400
+    knots = len(xs.sigma_sequence().knots) + len(xs.gamma_sequence().knots)
+    calls = []
+    real_power = ErrorSequence.power
+    monkeypatch.setattr(
+        ErrorSequence, "power", lambda self, k: calls.append(k) or real_power(self, k)
+    )
+    assert all(xs_bound_checks(xs).values())
+    assert 0 < len(calls) <= 4 * knots
+    # Integer exponents never reach the per-term series, and so never its budget.
+    calls.clear()
+    monkeypatch.setattr(approx, "_term_series", None)
+    norm_x = float(space_norm(xs.x, xs.spec))
+    for params in (ApproxParams(0.5, 2), ApproxParams(2, 2), ApproxParams(1, 4)):
+        assert math.isfinite(quasinorm(norm_x, xs.sigma_sequence(), params, term_budget=1))
+    assert calls == []
+
+
+def test_exact_sum_past_float_range_is_finite():
+    # The series is 10^290 * sum_{k<n} k^3 (n - k) for n = 10^10, about
+    # 5e338: past the float range, while its square root is not.
+    n = 10**10
+    seq = ErrorSequence("sigma", 2, [(0, 10**300), (n, 0)])
+    m = n - 1
+    cubes = (m * (m + 1) // 2) ** 2
+    fourths = m * (m + 1) * (2 * m + 1) * (3 * m * m + 3 * m - 1) // 30
+    total = 10**290 * (n * cubes - fourths)
+    value = quasinorm(1.0, seq, ApproxParams(2, 2))
+    assert value == pytest.approx(1.0 + math.isqrt(total), rel=1e-15)
+    assert 2.23e169 < value < 2.24e169
+    assert quasinorm_bounds(1.0, seq, ApproxParams(2, 2)) == (value, value)
+
+
+def test_term_budget_limits_only_per_term_series():
+    sched = squares_schedule(3)
+    runs = optimality_experiment(
+        sched, [3], [ApproxParams(1, 2), ApproxParams(1, math.inf)], term_budget=100
+    ).runs
+    assert all(math.isfinite(run.a_norm) and math.isfinite(run.g_norm) for run in runs)
+    with pytest.raises(TermBudgetError):
+        optimality_experiment(sched, [3], [ApproxParams(1, 1.5)], term_budget=100)

@@ -172,6 +172,22 @@ def test_xs_experiment_term_budget_refusal(tmp_path, capsys):
     assert "TermBudgetError" in json.loads(capsys.readouterr().err)["error"]
 
 
+def test_xs_experiment_bounds_reach_s6(tmp_path):
+    # squares_schedule(6): s = 6 has support 38,102,400.
+    sched = write(tmp_path / "squares.json", {"a": [(j + 2) ** 2 for j in range(7)]})
+    out = tmp_path / "report.json"
+    assert main([
+        "--out", str(out), "xs-experiment", "--schedule", sched, "--s", "2,3,4,5,6",
+        "--alpha", "1,2", "--q", "1,2,inf", "--mode", "bounds",
+    ]) == 0
+    runs = json.loads(out.read_text())["runs"]
+    assert [run["s"] for run in runs] == [s for s in range(2, 7) for _ in range(6)]
+    for run in runs:
+        assert run["checks"] and all(run["checks"].values())
+        lo, hi = run["A_bounds"]
+        assert 0 < lo <= hi and (lo == hi) == (run["q"] != 1)
+
+
 def test_verify_subset(capsys):
     assert main(["verify", "--only", "1,3"]) == 0
     out = capsys.readouterr().out
