@@ -22,10 +22,8 @@ from .spaces import (
     Block,
     NormValue,
     SpaceSpec,
-    lattice_check,
     space_from_json,
     space_norm,
-    sup_form_norm_oracle,
     trunc_block_norm,
 )
 from .errorseq import ErrorSequence
@@ -36,7 +34,6 @@ from .greedy import (
     gamma,
     greedy_constant,
     sigma_exact,
-    sigma_oracle_grid,
 )
 from .democracy import (
     CghmSequences,
@@ -44,7 +41,6 @@ from .democracy import (
     DemPoint,
     cghm_construct,
     condition71_check,
-    demfun_bruteforce,
     demfun_dp,
     demfun_table,
     doubling_scan,

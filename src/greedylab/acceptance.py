@@ -19,7 +19,6 @@ from .approx import ApproxParams, build_xs, optimality_experiment, xs_bound_chec
 from .democracy import (
     cghm_construct,
     condition71_check,
-    demfun_bruteforce,
     demfun_dp,
     demfun_table,
     doubling_scan,
@@ -27,13 +26,7 @@ from .democracy import (
     sqrt_of,
 )
 from .errors import TruncationError
-from .greedy import (
-    error_sequence,
-    gamma,
-    sigma_exact,
-    sigma_oracle_grid,
-    sigma_power_table,
-)
+from .greedy import error_sequence, gamma, sigma_exact
 from .schedule import arithmetic_schedule, squares_schedule
 from .spaces import SpaceSpec
 
@@ -50,26 +43,28 @@ class CheckResult:
 
 def criterion_1() -> tuple[bool, str]:
     """Democracy oracle equivalence on the 10-coordinate toy space."""
-    toy = SpaceSpec.block_sum([(2, 4), (3, 6)])
+    blocks = [(2, 4), (3, 6)]
+    toy = SpaceSpec.block_sum(blocks)
     for n in range(0, 11):
-        hl_b, hr_b = demfun_bruteforce(toy, n)
-        for method in ("dp", "extreme"):
-            point = demfun_dp(toy, n, method=method)
-            if point.hl_power != hl_b or point.hr_power != hr_b:
-                return False, (
-                    f"mismatch at N={n}: {method}=({point.hl_power},{point.hr_power}) "
-                    f"brute=({hl_b},{hr_b})"
-                )
+        hl_b, hr_b = explicit.demfun_bruteforce(toy, n)
+        point = demfun_dp(toy, n)
+        routes = (
+            ("dp", explicit.alloc_dp_point(blocks, n)[:2]),
+            ("extreme", (point.hl_power, point.hr_power)),
+        )
+        for route, (hl, hr) in routes:
+            if hl != hl_b or hr != hr_b:
+                return False, f"mismatch at N={n}: {route}=({hl},{hr}) brute=({hl_b},{hr_b})"
     return True, "DP oracle and vertex search == demfun_bruteforce for all N in [0,10]"
 
 
 def criterion_2() -> tuple[bool, str]:
     """Non-doubling reproduction on a = (4,5,6,7), k = 1, 2."""
     sched = arithmetic_schedule(3)
-    spec = SpaceSpec.from_schedule(sched)
+    blocks = [(b.cap, b.size) for b in SpaceSpec.from_schedule(sched).blocks]
     expected = {20: 4, 40: 20, 120: 20, 240: 120}
     for n, want in expected.items():
-        got = demfun_dp(spec, n, method="dp", which="hl").hl_power
+        got = explicit.alloc_dp_point(blocks, n)[0]
         if got != want:
             return False, f"h_l({n})^2 = {got}, expected {want}"
     report = doubling_scan(sched, [1, 2])
@@ -108,7 +103,7 @@ def criterion_4() -> tuple[bool, str]:
         n = rng.randint(0, 4)
         x = explicit.from_explicit(values, spec)
         exact = float(sigma_exact(x, n, spec))
-        oracle = sigma_oracle_grid(values, n, spec)
+        oracle = explicit.sigma_oracle_grid(values, n, spec)
         worst = max(worst, abs(exact - oracle))
         if abs(exact - oracle) > 1e-6:
             return False, f"instance {i}: |{exact} - {oracle}| > 1e-6 ({spec.variant}, N={n})"
@@ -162,7 +157,7 @@ def criterion_6() -> tuple[bool, str]:
             spec = SpaceSpec.lp(p, dim)
             mags = rng.sample(range(1, 100), dim)
             x = spec.vector([(0, m, 1) for m in mags])
-            table = sigma_power_table(x, spec)
+            table = explicit.sigma_power_table(x, spec)
             for n in range(dim + 1):
                 out = gamma(x, n, spec)
                 s_pow = table[n] if n < len(table) else 0
@@ -262,7 +257,7 @@ def criterion_10() -> tuple[bool, str]:
         x = spec.vector([(0, 2, h), (1, 1, v)])
         sigma = error_sequence(x, spec, "sigma")
         gamma_seq = error_sequence(x, spec, "gamma")
-        dp = sigma_power_table(x, spec)
+        dp = explicit.sigma_power_table(x, spec)
         for k in range(h + v + 1):
             if sigma.power(k) != dp[k]:
                 return False, f"{sched.a}: sigma mismatch at k={k}"

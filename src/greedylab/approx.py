@@ -32,6 +32,7 @@ from .vectors import CompressedVector
 from . import democracy
 
 DEFAULT_TERM_BUDGET = 10**8
+SUBRANGES_PER_PIECE = 2048  # geometric subranges per piece in quasinorm_bounds
 
 
 @dataclass(frozen=True)
@@ -88,10 +89,7 @@ def _term_series(pieces, e1: float, e2: float) -> float:
 
 
 def quasinorm_bounds(
-    norm_x: float,
-    seq: ErrorSequence,
-    params: ApproxParams,
-    subranges_per_piece: int = 2048,
+    norm_x: float, seq: ErrorSequence, params: ApproxParams
 ) -> tuple[float, float]:
     """Bracket the quasi-norm without touching every term.
 
@@ -117,7 +115,7 @@ def quasinorm_bounds(
             continue
         f = lambda k: k ** (q * alpha - 1.0) * float(y + a1 * (k - k0)) ** (q / p)
         peak = _ternary_argmax(f, lo, hi)
-        cuts = _split_range(lo, hi, subranges_per_piece)
+        cuts = _split_range(lo, hi, SUBRANGES_PER_PIECE)
         for u, w in cuts:
             fu, fw = f(u), f(w)
             length = w - u + 1

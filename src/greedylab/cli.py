@@ -15,11 +15,10 @@ import math
 import os
 import sys
 import tempfile
-from dataclasses import dataclass
 from typing import Optional
 
 from . import acceptance
-from .approx import ApproxParams, optimality_experiment
+from .approx import DEFAULT_TERM_BUDGET, ApproxParams, optimality_experiment
 from .democracy import (
     cghm_construct,
     condition71_check,
@@ -30,14 +29,8 @@ from .democracy import (
 )
 from .errors import GreedyLabError
 from .greedy import error_sequence, gamma, sigma_exact
-from .approx import DEFAULT_TERM_BUDGET
 from .spaces import SpaceSpec, space_from_json, space_norm
 from .vectors import CompressedVector
-
-
-@dataclass
-class RunConfig:
-    out: Optional[str]
 
 
 def fmt_float(x: float) -> str:
@@ -123,22 +116,22 @@ def _parse_float_list(text: str) -> list[float]:
 # Subcommands
 
 
-def cmd_norm(args, cfg: RunConfig) -> int:
+def cmd_norm(args) -> int:
     spec = _load_space(args.space)
     x = CompressedVector.load(args.vector)
-    emit_report(_norm_json(space_norm(x, spec)), "json", cfg.out)
+    emit_report(_norm_json(space_norm(x, spec)), "json", args.out)
     return 0
 
 
-def cmd_sigma(args, cfg: RunConfig) -> int:
+def cmd_sigma(args) -> int:
     spec = _load_space(args.space)
     x = CompressedVector.load(args.vector)
     nv = sigma_exact(x, args.N, spec)
-    emit_report({"N": args.N, "sigma": _norm_json(nv)}, "json", cfg.out)
+    emit_report({"N": args.N, "sigma": _norm_json(nv)}, "json", args.out)
     return 0
 
 
-def cmd_gamma(args, cfg: RunConfig) -> int:
+def cmd_gamma(args) -> int:
     spec = _load_space(args.space)
     x = CompressedVector.load(args.vector)
     out = gamma(x, args.N, spec)
@@ -151,12 +144,12 @@ def cmd_gamma(args, cfg: RunConfig) -> int:
             "witness_min": [list(t) for t in out.witness_min],
         },
         "json",
-        cfg.out,
+        args.out,
     )
     return 0
 
 
-def cmd_errors(args, cfg: RunConfig) -> int:
+def cmd_errors(args) -> int:
     spec = _load_space(args.space)
     x = CompressedVector.load(args.vector)
     sig = error_sequence(x, spec, "sigma")
@@ -173,11 +166,11 @@ def cmd_errors(args, cfg: RunConfig) -> int:
                 "gamma_float": fmt_float(gam.value(k)),
             }
         )
-    emit_report(rows, "csv", cfg.out)
+    emit_report(rows, "csv", args.out)
     return 0
 
 
-def cmd_demfun(args, cfg: RunConfig) -> int:
+def cmd_demfun(args) -> int:
     spec = _load_space(args.space)
     table = demfun_table(spec, args.max_N)
     rows = []
@@ -191,11 +184,11 @@ def cmd_demfun(args, cfg: RunConfig) -> int:
                 "hr_float": fmt_float(table.hr(n)),
             }
         )
-    emit_report(rows, "csv", cfg.out)
+    emit_report(rows, "csv", args.out)
     return 0
 
 
-def cmd_doubling_scan(args, cfg: RunConfig) -> int:
+def cmd_doubling_scan(args) -> int:
     spec = _load_schedule_space(args.space)
     report = doubling_scan(spec.schedule, _parse_int_list(args.k))
     rows = []
@@ -216,21 +209,21 @@ def cmd_doubling_scan(args, cfg: RunConfig) -> int:
                 "upper_equality": r.upper_equality,
             }
         )
-    emit_report(rows, "csv", cfg.out)
+    emit_report(rows, "csv", args.out)
     if not all(r.bound_holds and r.upper_holds for r in report.rows):
         _diag("doubling-scan: a guaranteed bound failed", rows=rows)
         return 1
     return 0
 
 
-def cmd_prefix_check(args, cfg: RunConfig) -> int:
+def cmd_prefix_check(args) -> int:
     spec = _load_schedule_space(args.space)
     report = prefix_norm_conjecture_check(spec.schedule, range(1, args.max_N + 1))
     rows = [
         {"N": n, "prefix_sq": pre, "hl_sq": hl, "equal": pre == hl}
         for n, pre, hl in report.rows
     ]
-    emit_report(rows, "csv", cfg.out)
+    emit_report(rows, "csv", args.out)
     if report.counterexamples:
         sys.stderr.write(
             "prefix-check: counterexamples at N = "
@@ -240,7 +233,7 @@ def cmd_prefix_check(args, cfg: RunConfig) -> int:
     return 0
 
 
-def cmd_cghm(args, cfg: RunConfig) -> int:
+def cmd_cghm(args) -> int:
     h_l = h_function_from_json(_load_json(args.hl))
     h_r = h_function_from_json(_load_json(args.hr))
     seqs = cghm_construct(
@@ -259,7 +252,7 @@ def cmd_cghm(args, cfg: RunConfig) -> int:
             "checks": list(seqs.checks),
         },
         "json",
-        cfg.out,
+        args.out,
     )
     if seqs.checks and not seqs.all_checks_pass():
         _diag("cghm: a verification check failed")
@@ -267,7 +260,7 @@ def cmd_cghm(args, cfg: RunConfig) -> int:
     return 0
 
 
-def cmd_check71(args, cfg: RunConfig) -> int:
+def cmd_check71(args) -> int:
     h_l = h_function_from_json(_load_json(args.hl))
     h_r = h_function_from_json(_load_json(args.hr))
     obj = _load_json(args.pairs)
@@ -278,11 +271,11 @@ def cmd_check71(args, cfg: RunConfig) -> int:
     else:
         pairs = [tuple(p) for p in obj]
     report = condition71_check(h_r, h_l, pairs, args.C, args.alpha)
-    emit_report({"rows": list(report.rows), "all_pass": report.all_pass}, "json", cfg.out)
+    emit_report({"rows": list(report.rows), "all_pass": report.all_pass}, "json", args.out)
     return 0 if report.all_pass else 1
 
 
-def cmd_xs_experiment(args, cfg: RunConfig) -> int:
+def cmd_xs_experiment(args) -> int:
     spec = _load_schedule_space(args.schedule)
     params = [
         ApproxParams(alpha, q)
@@ -296,11 +289,11 @@ def cmd_xs_experiment(args, cfg: RunConfig) -> int:
         term_budget=args.budget_terms,
         mode=args.mode,
     )
-    emit_report(report.to_json(), "json", cfg.out)
+    emit_report(report.to_json(), "json", args.out)
     return 0
 
 
-def cmd_verify(args, cfg: RunConfig) -> int:
+def cmd_verify(args) -> int:
     only = _parse_int_list(args.only) if args.only else None
     results = acceptance.run_all(only=only, stream=sys.stdout)
     return 0 if all(r.passed for r in results) else 1
@@ -422,9 +415,8 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: Optional[list[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    cfg = RunConfig(out=args.out)
     try:
-        return args.func(args, cfg)
+        return args.func(args)
     except (GreedyLabError, ValueError, OSError, KeyError) as exc:
         _diag(f"{type(exc).__name__}: {exc}")
         return 1

@@ -14,9 +14,9 @@ programs over allocations of N.  The production routes are:
 
 Both kernels live in alloc.py, which gamma's tie extremes share.
 
-The allocation DP (explicit.alloc_dp, quadratic in N) and subset brute
-force (explicit.demfun_bruteforce) are oracles that the tests and the
-acceptance suite check these routes against.
+Their oracles, the allocation DP (explicit.alloc_dp, quadratic in N) and
+subset brute force (explicit.demfun_bruteforce), live in explicit.py; the
+tests and the acceptance suite check these routes against them.
 
 Truncation is never silently extrapolated: queries that a finite window
 onto the infinite block space cannot answer exactly raise TruncationError.
@@ -32,7 +32,6 @@ from typing import Callable, Iterable, Optional, Sequence
 
 from .alloc import _vertices, cheapest_vertex, greedy_max
 from .errors import InvariantError, TruncationError
-from .explicit import alloc_dp_point, demfun_bruteforce  # oracles; the latter re-exported
 from .schedule import BlockSchedule
 from .spaces import SpaceSpec
 
@@ -41,7 +40,6 @@ __all__ = [
     "DemFunTable",
     "demfun_dp",
     "demfun_table",
-    "demfun_bruteforce",
     "doubling_scan",
     "DoublingRow",
     "prefix_norm_conjecture_check",
@@ -108,32 +106,23 @@ def demfun_dp(
 ) -> DemPoint:
     """Exact h_l(n)^p and h_r(n)^p with achieving allocations.
 
-    method: "extreme" (vertex search plus the h_r closed form; the
-    production route) or "dp" (the allocation-DP oracle, quadratic in n,
-    for cross-checks).  Both are exact; the test suite checks them against
-    each other and against subset brute force.  ``which`` restricts the
-    query to one side ("hl" or "hr"): a shallow window often answers h_l
-    at cardinalities whose h_r would need deeper caps.
+    h_l comes from the vertex search, h_r from its closed form.  The only
+    accepted ``method`` is "extreme", the name of that route.  ``which``
+    restricts the query to one side ("hl" or "hr"): a shallow window often
+    answers h_l at cardinalities whose h_r would need deeper caps.
     """
     if n < 0:
         raise ValueError("n must be >= 0")
     if which not in ("hl", "hr", "both"):
         raise ValueError("which must be 'hl', 'hr' or 'both'")
-    if method not in ("extreme", "dp"):
-        raise ValueError("method must be 'extreme' or 'dp'")
+    if method != "extreme":
+        raise ValueError("method must be 'extreme'")
     if n == 0:
         return DemPoint(0, 0, 0, (), ())
     _check_adequacy(spec, n, which)
     blocks = _finite_blocks(spec)
-    if method == "dp":
-        hl, hr, wit_l, wit_r = alloc_dp_point(blocks, n)
-    else:
-        hl, wit_l = _hl_vertex(blocks, n) if which != "hr" else (None, ())
-        hr, wit_r = _hr_closed(blocks, n) if which != "hl" else (None, ())
-    if which == "hl":
-        hr, wit_r = None, ()
-    elif which == "hr":
-        hl, wit_l = None, ()
+    hl, wit_l = _hl_vertex(blocks, n) if which != "hr" else (None, ())
+    hr, wit_r = _hr_closed(blocks, n) if which != "hl" else (None, ())
     return DemPoint(n, hl, hr, wit_l, wit_r)
 
 

@@ -62,7 +62,3 @@ def sqrt_plus_const_ge(a: Rational, x: Rational, c: Rational, b: Rational, y: Ra
     # Remaining question: 2 a c sqrt(x) >= d with d > 0.
     return 4 * a * a * c * c * x >= d * d
 
-
-def rel_close(a: float, b: float, rel: float = 1e-9) -> bool:
-    scale = max(abs(a), abs(b), 1.0)
-    return abs(a - b) <= rel * scale

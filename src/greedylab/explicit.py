@@ -1,23 +1,33 @@
-"""Explicit-coordinate oracle backend.
+"""Every oracle of the package, independent of the routes it checks.
 
-Everything here works on a flat list of (possibly signed) coordinate values
-over a small finite universe and answers by raw enumeration, except the
-allocation DP, which tabulates h_l / h_r over per-block counts in
-O(N^2) per block.  It exists to cross-check the compressed implementations:
-same quantities, independent route.  Deliberately unoptimized.
+Most of them work on a flat list of (possibly signed) coordinate values over
+a small finite universe and answer by raw enumeration: subset brute force
+for h_l / h_r, gamma and sigma, the sup-form norm, and a grid search over
+free coefficients for sigma.  The rest are quadratic tabulations: the
+allocation DP for h_l / h_r, the removal-count DP for the sigma table, and
+the per-k / per-term versions of the x_s checks and quasi-norms.  None of
+them imports greedy, democracy, approx, alloc or errorseq, so an oracle
+never shares code with the route it checks.  Deliberately unoptimized; the
+size limits below refuse instances that enumeration cannot finish.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+import random
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Sequence
 
 from .errors import InvariantError, OracleUnavailableError
 from .exact import as_fraction, pow_rational, simplify
-from .spaces import SpaceSpec
+from .spaces import NormValue, SpaceSpec, random_vector, space_norm
 from .vectors import CompressedVector, canonicalize
+
+BRUTEFORCE_MAX_DIM = 20  # demfun_bruteforce: universes up to 2^20 subsets
+SUP_FORM_MAX_SUPPORT = 25  # sup_form_norm_oracle: supports it enumerates
+GRID_COEFF_BOUND = 9  # sigma_oracle_grid: integer start grid [-9, 9]^n
 
 
 def block_offsets(spec: SpaceSpec) -> list[int]:
@@ -37,14 +47,6 @@ def dimension(spec: SpaceSpec) -> int:
     if dim is None:
         raise ValueError("explicit backend needs a finite-dimensional space")
     return dim
-
-
-def block_of_index(spec: SpaceSpec, idx: int) -> int:
-    offsets = block_offsets(spec)
-    for b in range(len(offsets) - 1, -1, -1):
-        if idx >= offsets[b]:
-            return b
-    raise IndexError(idx)
 
 
 def to_explicit(
@@ -114,11 +116,98 @@ def norm_float(values: Sequence, spec: SpaceSpec) -> float:
     return total ** (1.0 / outer)
 
 
-def demfun_bruteforce(spec: SpaceSpec, n: int, max_dim: int = 20):
+# ---------------------------------------------------------------------------
+# Norm oracles: sup form and the lattice property
+
+
+def sup_form_norm_oracle(coords: Sequence, cap: int) -> NormValue:
+    """Independent p=2 oracle: sup over index sets of size <= cap.
+
+    For each subset G the inner supremum over weight sequences in the l_2
+    unit ball is attained at the normalized restriction, i.e. it equals the
+    l_2 norm of the restricted vector; so only the subsets are enumerated.
+    Feasible only for small supports, by design.
+    """
+    if len(coords) > 2**20:
+        raise OracleUnavailableError("universe too large for the sup-form oracle")
+    values = [as_fraction(abs(c)) for c in coords]
+    support = [i for i, v in enumerate(values) if v != 0]
+    if len(support) > SUP_FORM_MAX_SUPPORT:
+        raise OracleUnavailableError(
+            f"support {len(support)} exceeds oracle limit {SUP_FORM_MAX_SUPPORT}"
+        )
+    take = min(cap, len(support))
+    best = 0
+    for subset in itertools.combinations(support, take):
+        power = sum(values[i] ** 2 for i in subset)
+        if power > best:
+            best = power
+    return NormValue.from_power(best, 2)
+
+
+@dataclass
+class LatticeReport:
+    passed: bool
+    trials: int
+    failures: list = field(default_factory=list)
+
+
+def lattice_check(spec: SpaceSpec, trials: int = 200, seed: int = 0) -> LatticeReport:
+    """Property-check the lattice inequality and basis normalization.
+
+    For random x and random per-coordinate factors |lambda| <= 1 the norm
+    must not increase; every basis vector must have norm exactly 1.  All
+    comparisons are exact (rational magnitudes, integer exponents).
+    """
+    rng = random.Random(seed)
+    report = LatticeReport(passed=True, trials=trials)
+
+    for b in range(spec.num_blocks):
+        e = spec.indicator({b: 1})
+        nv = space_norm(e, spec)
+        if nv.power_exact != 1:
+            report.passed = False
+            report.failures.append({"kind": "normalization", "block": b, "norm": nv.value})
+
+    for t in range(trials):
+        x = random_vector(spec, rng)
+        if x.is_zero:
+            continue
+        # Split groups so different coordinates get different shrink factors.
+        raw = []
+        for b, mag, count in x.groups:
+            left = count
+            while left > 0:
+                part = rng.randint(1, left)
+                lam = Fraction(rng.randint(0, 16), 16)
+                raw.append((b, mag * lam, part))
+                left -= part
+        y = spec.vector(raw)
+        nx, ny = space_norm(x, spec), space_norm(y, spec)
+        ok = (
+            ny.power_exact <= nx.power_exact
+            if nx.is_exact() and ny.is_exact()
+            else ny.value <= nx.value * (1 + 1e-9)
+        )
+        if not ok:
+            report.passed = False
+            report.failures.append(
+                {"kind": "lattice", "trial": t, "x": x.to_json(), "y": y.to_json()}
+            )
+    return report
+
+
+# ---------------------------------------------------------------------------
+# Democracy functions: subset brute force
+
+
+def demfun_bruteforce(spec: SpaceSpec, n: int):
     """Exact (h_l^p, h_r^p) by enumerating every index set of size n."""
     dim = dimension(spec)
-    if dim > max_dim:
-        raise OracleUnavailableError(f"universe {dim} exceeds brute-force limit {max_dim}")
+    if dim > BRUTEFORCE_MAX_DIM:
+        raise OracleUnavailableError(
+            f"universe {dim} exceeds brute-force limit {BRUTEFORCE_MAX_DIM}"
+        )
     if not 0 <= n <= dim:
         raise ValueError(f"need 0 <= n <= {dim}")
     if n == 0:
@@ -201,6 +290,10 @@ def alloc_dp_point(blocks: Sequence[tuple[int, int]], n: int):
     return dp_min[n], dp_max[n], walk(parent_min), walk(parent_max)
 
 
+# ---------------------------------------------------------------------------
+# gamma and sigma: raw enumeration, removal-count DP and grid search
+
+
 def gamma_raw(values: Sequence, n: int, spec: SpaceSpec):
     """(max, min) residual norm power over every valid greedy keep-set.
 
@@ -245,6 +338,99 @@ def sigma_removals_bruteforce(values: Sequence, n: int, spec: SpaceSpec):
         power = norm_power(residual, spec)
         best = power if best is None or power < best else best
     return best
+
+
+def sigma_power_table(x: CompressedVector, spec: SpaceSpec) -> tuple:
+    """sigma_k^p for k = 0..support, by DP over per-block removal counts.
+
+    Within each block removing the largest magnitudes first is optimal
+    (block norms are symmetric and monotone), so only the split of the k
+    removals across blocks is searched.  Each block's residuals come from
+    its magnitudes laid out one by one in descending order, with prefix
+    sums of their p-th powers.  Quadratic in the support.
+    """
+    p = spec.inner_p
+    if spec.inner_p != spec.outer_p or not isinstance(p, int):
+        raise ValueError("exact sigma table needs integer inner_p == outer_p")
+    x = spec.vector(x.groups)
+    dp = [0]
+    for b in x.blocks():
+        mags = [mag for mag, count in x.block_groups(b) for _ in range(count)]
+        prefix = list(itertools.accumulate((pow_rational(m, p) for m in mags), initial=0))
+        size, cap = len(mags), spec.blocks[b].cap
+        window = size if cap is None else cap
+        residuals = [prefix[min(j + window, size)] - prefix[j] for j in range(size + 1)]
+        ndp = [None] * (len(dp) + size)
+        for j, prev in enumerate(dp):
+            for jb, residual in enumerate(residuals):
+                cand = prev + residual
+                if ndp[j + jb] is None or cand < ndp[j + jb]:
+                    ndp[j + jb] = cand
+        dp = [simplify(v) for v in ndp]
+    if len(dp) != x.support_size + 1 or dp[-1] != 0:
+        raise InvariantError(f"sigma table of length {len(dp)} ends at {dp[-1]}")
+    return tuple(dp)
+
+
+def sigma_oracle_grid(values: Sequence, n: int, spec: SpaceSpec) -> float:
+    """Brute-force sigma_n over supports AND free coefficients.
+
+    Enumerates every support of size n; for each, minimizes the residual
+    norm over coefficients on an integer grid followed by halving-window
+    refinement (the objective is convex in the coefficients, so the local
+    refinement reaches the global minimum).  Exists solely to validate
+    that free coefficients never beat plain suppression.
+    """
+    dim = len(values)
+    if dim > 4:
+        raise ValueError("grid oracle is limited to dimension <= 4")
+    vals = [float(v) for v in values]
+    if any(abs(v) > 8 for v in vals):
+        raise ValueError("grid oracle expects magnitudes <= 8")
+    if n == 0:
+        return norm_float(vals, spec)
+    if n >= dim:
+        return 0.0
+
+    best_overall = math.inf
+    for support in itertools.combinations(range(dim), n):
+        residual = list(vals)
+
+        def objective(coeffs: tuple[float, ...]) -> float:
+            for i, c in zip(support, coeffs):
+                residual[i] = vals[i] - c
+            out = norm_float(residual, spec)
+            for i in support:
+                residual[i] = vals[i]
+            return out
+
+        best_val = math.inf
+        best_pt: tuple[float, ...] = ()
+        grid = range(-GRID_COEFF_BOUND, GRID_COEFF_BOUND + 1)
+        for point in itertools.product(grid, repeat=n):
+            val = objective(tuple(float(c) for c in point))
+            if val < best_val:
+                best_val, best_pt = val, tuple(float(c) for c in point)
+
+        step = 1.0
+        while step > 1e-8:
+            step /= 2.0
+            offsets = (-2 * step, -step, 0.0, step, 2 * step)
+            improved = True
+            while improved:
+                improved = False
+                for delta in itertools.product(offsets, repeat=n):
+                    cand = tuple(b + d for b, d in zip(best_pt, delta))
+                    val = objective(cand)
+                    if val < best_val - 1e-15:
+                        best_val, best_pt = val, cand
+                        improved = True
+        best_overall = min(best_overall, best_val)
+    return best_overall
+
+
+# ---------------------------------------------------------------------------
+# x_s bound checks and quasi-norms, one k at a time
 
 
 def sequence_bound_checks_per_k(sigma, gamma, n_s: int, v: int, r: int, s: int) -> dict:

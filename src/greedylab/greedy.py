@@ -12,28 +12,27 @@ N-term approximant matches the vector on its support, so sigma_N is a
 minimum over removal sets, and within one block it is always best to
 remove the largest magnitudes first.  The reduction is not taken on
 faith: a grid-search oracle over free coefficients validates it on small
-instances (see sigma_oracle_grid and the acceptance suite).
+instances (explicit.sigma_oracle_grid and the acceptance suite).
 
-Both are built as whole piecewise-linear sequences (error_sequence);
-the removal-count DP sigma_power_table stays as their oracle.
+Both are built as whole piecewise-linear sequences (error_sequence); their
+oracles, the removal-count DP sigma_power_table and the raw enumerations,
+live in explicit.py.
 """
 
 from __future__ import annotations
 
 import bisect
 import functools
-import itertools
-import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Sequence, Union
+from typing import Union
 
-from . import explicit
 from .alloc import cheapest_vertex, drop_collinear, greedy_max, min_plus
 from .errors import InvariantError
 from .errorseq import ErrorSequence
 from .exact import pow_rational, simplify
+from .explicit import sigma_power_table  # noqa: F401  (bench/run.py reads it here)
 from .spaces import NormValue, SpaceSpec, space_norm, random_vector
 from .vectors import CompressedVector, TieDescriptor, EMPTY_TIE, top_magnitudes
 
@@ -192,36 +191,7 @@ def gamma(x: CompressedVector, n: int, spec: SpaceSpec) -> GreedyOutcome:
 
 
 # ---------------------------------------------------------------------------
-# sigma: removal-count DP (the oracle of the sigma sequence)
-
-
-def sigma_power_table(x: CompressedVector, spec: SpaceSpec) -> tuple[Rational, ...]:
-    """sigma_k^p for k = 0..support, by DP over per-block removal counts.
-
-    Within each block removing the largest magnitudes first is optimal
-    (block norms are symmetric and monotone), so only the split of the k
-    removals across blocks is searched.  Quadratic in the support: an
-    oracle for ``error_sequence``.
-    """
-    x = spec.vector(x.groups)
-    prefixes = _block_prefixes(x, spec)
-    support = x.support_size
-    dp: list[Rational] = [0]
-    for b in x.blocks():
-        t_b = prefixes[b][0][-1]
-        residuals = [_residual_power(prefixes[b], j) for j in range(t_b + 1)]
-        new_len = len(dp) + t_b
-        ndp: list[Optional[Rational]] = [None] * new_len
-        for j, prev in enumerate(dp):
-            for jb in range(t_b + 1):
-                cand = prev + residuals[jb]
-                slot = j + jb
-                if ndp[slot] is None or cand < ndp[slot]:
-                    ndp[slot] = cand
-        dp = [simplify(v) for v in ndp]  # type: ignore[arg-type]
-    if len(dp) != support + 1 or dp[support] != 0:
-        raise InvariantError(f"sigma table of length {len(dp)} ends at {dp[-1]}")
-    return tuple(dp)
+# sigma
 
 
 def sigma_exact(x: CompressedVector, n: int, spec: SpaceSpec) -> NormValue:
@@ -229,69 +199,6 @@ def sigma_exact(x: CompressedVector, n: int, spec: SpaceSpec) -> NormValue:
     if n < 0:
         raise ValueError("n must be >= 0")
     return NormValue.from_power(error_sequence(x, spec, "sigma").power(n), spec.outer_p)
-
-
-# ---------------------------------------------------------------------------
-# Grid-search oracle over free coefficients
-
-
-def sigma_oracle_grid(
-    values: Sequence, n: int, spec: SpaceSpec, coeff_bound: float = 9.0
-) -> float:
-    """Brute-force sigma_n over supports AND free coefficients.
-
-    Enumerates every support of size n; for each, minimizes the residual
-    norm over coefficients on an integer grid followed by halving-window
-    refinement (the objective is convex in the coefficients, so the local
-    refinement reaches the global minimum).  Exists solely to validate
-    that free coefficients never beat plain suppression.
-    """
-    dim = len(values)
-    if dim > 4:
-        raise ValueError("grid oracle is limited to dimension <= 4")
-    vals = [float(v) for v in values]
-    if any(abs(v) > 8 for v in vals):
-        raise ValueError("grid oracle expects magnitudes <= 8")
-    if n == 0:
-        return explicit.norm_float(vals, spec)
-    if n >= dim:
-        return 0.0
-
-    lo_i, hi_i = -int(coeff_bound), int(coeff_bound)
-    best_overall = math.inf
-    for support in itertools.combinations(range(dim), n):
-        residual = list(vals)
-
-        def objective(coeffs: tuple[float, ...]) -> float:
-            for i, c in zip(support, coeffs):
-                residual[i] = vals[i] - c
-            out = explicit.norm_float(residual, spec)
-            for i in support:
-                residual[i] = vals[i]
-            return out
-
-        best_val = math.inf
-        best_pt: tuple[float, ...] = ()
-        for point in itertools.product(range(lo_i, hi_i + 1), repeat=n):
-            val = objective(tuple(float(c) for c in point))
-            if val < best_val:
-                best_val, best_pt = val, tuple(float(c) for c in point)
-
-        step = 1.0
-        while step > 1e-8:
-            step /= 2.0
-            offsets = (-2 * step, -step, 0.0, step, 2 * step)
-            improved = True
-            while improved:
-                improved = False
-                for delta in itertools.product(offsets, repeat=n):
-                    cand = tuple(b + d for b, d in zip(best_pt, delta))
-                    val = objective(cand)
-                    if val < best_val - 1e-15:
-                        best_val, best_pt = val, cand
-                        improved = True
-        best_overall = min(best_overall, best_val)
-    return best_overall
 
 
 # ---------------------------------------------------------------------------
@@ -374,12 +281,7 @@ def _residual_knots(prefix) -> list:
 # Constant estimators
 
 
-def greedy_constant(
-    spec: SpaceSpec,
-    num_samples: int = 100,
-    seed: int = 0,
-    include_adversarial: bool = True,
-) -> float:
+def greedy_constant(spec: SpaceSpec, num_samples: int = 100, seed: int = 0) -> float:
     """Sample supremum of gamma_N / sigma_N (the greedy constant witness).
 
     For l_p spaces this is exactly 1 (a greedy support is an optimal
@@ -393,7 +295,7 @@ def greedy_constant(
         x = random_vector(spec, rng)
         if not x.is_zero:
             best = max(best, _worst_ratio(x, spec, range(x.support_size)))
-    if include_adversarial and spec.variant == "block_sum":
+    if spec.variant == "block_sum":
         for hi in range(spec.num_blocks - 1):
             block, nxt = spec.blocks[hi], spec.blocks[hi + 1]
             count_lo = min(block.size, nxt.cap)

@@ -7,21 +7,19 @@ Whenever the exponents are integers and the coefficients rational, norms are
 carried as exact p-th powers next to the float; every inequality the test
 suite asserts compares the exact powers.
 
-An independent sup-form oracle (the supremum over small index sets paired
-with unit-ball weight sequences) cross-checks the top-n evaluation for p=2.
+The sup-form oracle and the lattice property check that cross-check these
+evaluators live in explicit.py.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Optional, Sequence, Union
 
-from .errors import OracleUnavailableError
-from .exact import as_fraction, pow_rational, rel_close, simplify
+from .exact import as_fraction, pow_rational, simplify
 from .schedule import BlockSchedule
 from .vectors import CompressedVector, canonicalize, indicator
 
@@ -189,32 +187,11 @@ class NormValue:
             raise ValueError("norm power cannot be negative")
         return NormValue(_float_root(power, p), power, p)
 
-    @staticmethod
-    def from_float(value: float, p: int | float) -> "NormValue":
-        return NormValue(value, None, p)
-
-    @property
-    def squared_exact(self) -> Optional[Rational]:
-        return self.power_exact if self.p == 2 else None
-
     def is_exact(self) -> bool:
         return self.power_exact is not None
 
-    def eq(self, other: "NormValue", rel: float = 1e-9) -> bool:
-        if self.is_exact() and other.is_exact() and self.p == other.p:
-            return self.power_exact == other.power_exact
-        return rel_close(self.value, other.value, rel)
-
-    def le(self, other: "NormValue", rel: float = 1e-9) -> bool:
-        if self.is_exact() and other.is_exact() and self.p == other.p:
-            return self.power_exact <= other.power_exact
-        return self.value <= other.value + rel * max(abs(self.value), abs(other.value), 1.0)
-
     def __float__(self) -> float:
         return self.value
-
-
-ZERO_NORM = NormValue(0.0, 0, 2)
 
 
 # ---------------------------------------------------------------------------
@@ -288,35 +265,8 @@ def space_norm(x: CompressedVector, spec: SpaceSpec) -> NormValue:
     return NormValue(total ** (1.0 / outer), None, outer)
 
 
-def sup_form_norm_oracle(
-    coords: Sequence[Rational], cap: int, max_support: int = 25
-) -> NormValue:
-    """Independent p=2 oracle: sup over index sets of size <= cap.
-
-    For each subset G the inner supremum over weight sequences in the l_2
-    unit ball is attained at the normalized restriction, i.e. it equals the
-    l_2 norm of the restricted vector; so only the subsets are enumerated.
-    Feasible only for small supports, by design.
-    """
-    if len(coords) > 2**20:
-        raise OracleUnavailableError("universe too large for the sup-form oracle")
-    values = [as_fraction(abs(c)) for c in coords]
-    support = [i for i, v in enumerate(values) if v != 0]
-    if len(support) > max_support:
-        raise OracleUnavailableError(
-            f"support {len(support)} exceeds oracle limit {max_support}"
-        )
-    take = min(cap, len(support))
-    best: Rational = 0
-    for subset in itertools.combinations(support, take):
-        power = sum(values[i] ** 2 for i in subset)
-        if power > best:
-            best = power
-    return NormValue.from_power(best, 2)
-
-
 # ---------------------------------------------------------------------------
-# Random instances and the lattice property check
+# Random instances
 
 
 def random_vector(
@@ -338,55 +288,3 @@ def random_vector(
             raw.append((b, mag, count))
             room -= count
     return spec.vector(raw)
-
-
-@dataclass
-class LatticeReport:
-    passed: bool
-    trials: int
-    failures: list = field(default_factory=list)
-
-
-def lattice_check(spec: SpaceSpec, trials: int = 200, seed: int = 0) -> LatticeReport:
-    """Property-check the lattice inequality and basis normalization.
-
-    For random x and random per-coordinate factors |lambda| <= 1 the norm
-    must not increase; every basis vector must have norm exactly 1.  All
-    comparisons are exact (rational magnitudes, integer exponents).
-    """
-    rng = random.Random(seed)
-    report = LatticeReport(passed=True, trials=trials)
-
-    for b in range(spec.num_blocks):
-        e = spec.indicator({b: 1})
-        nv = space_norm(e, spec)
-        if nv.power_exact != 1:
-            report.passed = False
-            report.failures.append({"kind": "normalization", "block": b, "norm": nv.value})
-
-    for t in range(trials):
-        x = random_vector(spec, rng)
-        if x.is_zero:
-            continue
-        # Split groups so different coordinates get different shrink factors.
-        raw = []
-        for b, mag, count in x.groups:
-            left = count
-            while left > 0:
-                part = rng.randint(1, left)
-                lam = Fraction(rng.randint(0, 16), 16)
-                raw.append((b, mag * lam, part))
-                left -= part
-        y = spec.vector(raw)
-        nx, ny = space_norm(x, spec), space_norm(y, spec)
-        ok = (
-            ny.power_exact <= nx.power_exact
-            if nx.is_exact() and ny.is_exact()
-            else ny.value <= nx.value * (1 + 1e-9)
-        )
-        if not ok:
-            report.passed = False
-            report.failures.append(
-                {"kind": "lattice", "trial": t, "x": x.to_json(), "y": y.to_json()}
-            )
-    return report

@@ -207,14 +207,58 @@ def test_verify_passes_with_assertions_stripped():
     assert len(lines) == 11 and all(line.startswith("[PASS]") for line in lines)
 
 
-def test_package_has_no_assert_statements():
-    # python -O strips assert statements; invariants raise InvariantError.
+def _package_trees():
+    """(file name, parsed AST) of every module in the package."""
     package = os.path.dirname(os.path.abspath(greedylab.__file__))
-    found = []
     for name in sorted(os.listdir(package)):
         if name.endswith(".py"):
             with open(os.path.join(package, name), encoding="utf-8") as fh:
-                tree = ast.parse(fh.read(), filename=name)
-            found += [f"{name}:{node.lineno}" for node in ast.walk(tree)
-                      if isinstance(node, ast.Assert)]
+                yield name, ast.parse(fh.read(), filename=name)
+
+
+def _package_imports(tree):
+    """(package module, names bound from it) for each import in a tree.
+
+    A whole-module import (``from . import explicit``) binds no names: ().
+    """
+    out = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            base = node.module or ""
+            if node.level == 0:
+                if base.split(".")[0] != "greedylab":
+                    continue
+                base = base[len("greedylab"):].lstrip(".")
+            if base:
+                out.append((base.split(".")[0], tuple(a.name for a in node.names)))
+            else:
+                out += [(a.name, ()) for a in node.names]
+        elif isinstance(node, ast.Import):
+            out += [(a.name.split(".")[1], ()) for a in node.names
+                    if a.name.startswith("greedylab.")]
+    return out
+
+
+def test_package_has_no_assert_statements():
+    # python -O strips assert statements; invariants raise InvariantError.
+    found = []
+    for name, tree in _package_trees():
+        found += [f"{name}:{node.lineno}" for node in ast.walk(tree)
+                  if isinstance(node, ast.Assert)]
     assert found == []
+
+
+def test_oracles_are_fenced_in_explicit():
+    # An oracle must not share code with the route it checks: only the
+    # acceptance suite reads explicit.py (greedy.py re-binds one name for
+    # the benchmark harness), and explicit.py imports no production route.
+    users, explicit_imports = [], set()
+    for name, tree in _package_trees():
+        imports = _package_imports(tree)
+        if name == "explicit.py":
+            explicit_imports = {module for module, _ in imports}
+        elif name != "acceptance.py":
+            users += [(name, names) for module, names in imports if module == "explicit"]
+    assert users == [("greedy.py", ("sigma_power_table",))]
+    routes = {"greedy", "democracy", "approx", "alloc", "errorseq"}
+    assert explicit_imports and not explicit_imports & routes

@@ -12,7 +12,6 @@ from greedylab import (
     arithmetic_schedule,
     cghm_construct,
     condition71_check,
-    demfun_bruteforce,
     demfun_dp,
     demfun_table,
     doubling_scan,
@@ -21,15 +20,20 @@ from greedylab import (
 )
 from greedylab import explicit
 from greedylab.democracy import one_plus_log2, sqrt_of
+from greedylab.explicit import demfun_bruteforce
 
 
 TOY = SpaceSpec.block_sum([(2, 4), (3, 6)])
 
 
+def _dp_point(spec, n):
+    """(h_l^p, h_r^p) at n from the allocation-DP oracle."""
+    return explicit.alloc_dp_point([(b.cap, b.size) for b in spec.blocks], n)[:2]
+
+
 def test_toy_dp_equals_bruteforce_all_n():
     for n in range(0, 11):
-        point = demfun_dp(TOY, n, method="dp")
-        assert (point.hl_power, point.hr_power) == demfun_bruteforce(TOY, n)
+        assert _dp_point(TOY, n) == demfun_bruteforce(TOY, n)
 
 
 def test_dp_equals_bruteforce_on_shrunken_truncations():
@@ -40,8 +44,7 @@ def test_dp_equals_bruteforce_on_shrunken_truncations():
         spec = SpaceSpec.block_sum(blocks)
         total = sum(s for _, s in blocks)
         for n in range(total + 1):
-            point = demfun_dp(spec, n, method="dp")
-            assert (point.hl_power, point.hr_power) == demfun_bruteforce(spec, n)
+            assert _dp_point(spec, n) == demfun_bruteforce(spec, n)
 
 
 def test_toy_example_values():
@@ -78,9 +81,8 @@ def test_dp_equals_extreme_on_random_block_structures():
         spec = SpaceSpec.block_sum(blocks)
         total = sum(s for _, s in blocks)
         for n in range(total + 1):
-            dp = demfun_dp(spec, n, method="dp")
             ex = demfun_dp(spec, n, method="extreme")
-            assert (dp.hl_power, dp.hr_power) == (ex.hl_power, ex.hr_power)
+            assert _dp_point(spec, n) == (ex.hl_power, ex.hr_power)
 
 
 def test_dp_equals_extreme_on_schedules():
@@ -89,11 +91,10 @@ def test_dp_equals_extreme_on_schedules():
         deepest = max(b.size for b in spec.blocks)
         caps = sum(b.cap for b in spec.blocks)
         for n in range(1, 201):
-            dp_l = demfun_dp(spec, n, method="dp", which="hl").hl_power
+            dp_l, dp_r = _dp_point(spec, n)
             ex_l = demfun_dp(spec, n, method="extreme", which="hl").hl_power
             assert dp_l == ex_l, f"hl mismatch at n={n} on {sched.a}"
             if n <= caps:
-                dp_r = demfun_dp(spec, n, method="dp", which="hr").hr_power
                 ex_r = demfun_dp(spec, n, method="extreme", which="hr").hr_power
                 assert dp_r == ex_r == n
 
@@ -303,7 +304,7 @@ def test_prefix_check_matches_per_n_dp_oracle():
     sched = arithmetic_schedule(4)
     spec = SpaceSpec.from_schedule(sched)
     report = prefix_norm_conjecture_check(sched, range(1, 201))
-    oracle = [demfun_dp(spec, n, method="dp", which="hl").hl_power for n in range(1, 201)]
+    oracle = [_dp_point(spec, n)[0] for n in range(1, 201)]
     assert [hl for _, _, hl in report.rows] == oracle
     assert [n for n, _, _ in report.rows] == list(range(1, 201))
     assert list(report.counterexamples) == [
@@ -315,3 +316,5 @@ def test_prefix_check_matches_per_n_dp_oracle():
 def test_demfun_dp_rejects_unknown_method():
     with pytest.raises(ValueError):
         demfun_dp(TOY, 3, method="auto")
+    with pytest.raises(ValueError):
+        demfun_dp(TOY, 3, method="dp")

@@ -15,12 +15,11 @@ from greedylab import (
     gamma,
     greedy_constant,
     sigma_exact,
-    sigma_oracle_grid,
     space_from_json,
     space_norm,
 )
 from greedylab import explicit
-from greedylab.greedy import sigma_power_table
+from greedylab.explicit import sigma_oracle_grid, sigma_power_table
 from greedylab.spaces import random_vector
 
 

@@ -12,13 +12,12 @@ from greedylab import (
     OracleUnavailableError,
     SpaceSpec,
     arithmetic_schedule,
-    lattice_check,
     space_from_json,
     space_norm,
-    sup_form_norm_oracle,
     trunc_block_norm,
 )
 from greedylab import explicit
+from greedylab.explicit import lattice_check, sup_form_norm_oracle
 
 
 # -- truncated block norm ----------------------------------------------------
