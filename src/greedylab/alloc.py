@@ -10,75 +10,102 @@ costs that are concave in the number of units a block takes:
   block, the n best unit gains overall form a prefix of every block
   (``greedy_max``).
 
+Blocks with the same full cost and size form one type: the vertex search
+adds each type as a bounded knapsack step, so its work grows with types,
+not blocks.
+
 sigma needs the minimum for every n at once, over per-block costs that
-are piecewise linear but not concave: ``min_plus`` merges them one block
-at a time on their knots, by the same vertex argument.
+are piecewise linear but not concave.  ``min_plus`` splits each cost into
+its maximal convex pieces, merges every pair of pieces exactly by merging
+their slopes, and takes the lower envelope of those merges.
 """
 
 from __future__ import annotations
 
+import bisect
+from fractions import Fraction
+from operator import itemgetter
 from typing import Callable, Sequence
 
-from .exact import slope
+from .exact import simplify, slope
 
 
-def _lower(states: dict, key, cost: int, chosen: tuple[int, ...]) -> None:
+def _lower(states: dict, key, cost: int, chosen: tuple) -> None:
     if key not in states or cost < states[key][0]:
         states[key] = (cost, chosen)
 
 
-def _vertices(blocks: Sequence[tuple[int, int]], limit: int):
+def _add_copies(states: dict, r: int, cost, size: int, copies: int, limit: int) -> dict:
+    """The states after adding 0..copies full blocks of type r, totals <= limit.
+
+    A bounded knapsack step: the copies go in chunks of 1, 2, 4, ... and a
+    remainder, whose subset sums are exactly 0..copies.  ``states`` maps
+    (total, free type) to (cost, chosen (type, copies) chunks); it is not
+    changed, but it is returned itself when no chunk fits.
+    """
+    chunk = 1
+    while copies > 0:
+        k = min(chunk, copies)
+        if k * size > limit:
+            break  # no larger count fits either, and the smaller ones are in
+        grown = dict(states)
+        for (t, q), (c, chosen) in states.items():
+            if t + k * size <= limit:
+                _lower(grown, (t + k * size, q), c + k * cost, chosen + ((r, k),))
+        states, copies, chunk = grown, copies - k, 2 * chunk
+    return states
+
+
+def _vertices(types: Sequence[tuple], limit: int) -> dict:
     """Vertices of the allocation polytope whose full blocks total <= limit.
 
-    ``blocks`` lists (cost of the full block, size); for h_l that cost is
-    the cap.  At a vertex every block is empty or full except at most one,
-    the free block, which takes a remainder.  Returns two dicts of (cost
-    sum, full block indices):
+    ``types`` lists (cost of a full block, size, number of such blocks);
+    for h_l that cost is the cap.  At a vertex every block is empty or full
+    except at most one, the free block, which takes a remainder.  Returns a
+    dict of the cheapest full parts, as (cost sum, chosen (type, copies)):
 
-    * ``full[t]``: the cheapest set of full blocks with total size t,
-    * ``free[(t, r)]``: the same, among sets that leave block r free.
+    * at ``(t, None)``: the cheapest full part with total size t,
+    * at ``(t, r)``: the same, among full parts with at most count_r - 1
+      blocks of type r, which leave one block of type r free.
 
-    Blocks are added one at a time, and sets with the same key are merged
-    into the cheapest, so the work is bounded by the number of distinct
-    totals times the number of blocks, not by the number of subsets.
+    Types are added one at a time as bounded knapsack steps, and parts
+    with the same key are merged into the cheapest, so there are at most
+    (types + 1) * (limit + 1) states, however many blocks share a type.
     """
-    full: dict = {0: (0, ())}
-    free: dict = {}
-    for r, (cap, size) in enumerate(blocks):
-        grown_full, grown_free = dict(full), dict(free)
-        for t, (cost, chosen) in full.items():
-            grown_free[(t, r)] = (cost, chosen)
-            if t + size <= limit:
-                _lower(grown_full, t + size, cost + cap, chosen + (r,))
-        for (t, q), (cost, chosen) in free.items():
-            if t + size <= limit:
-                _lower(grown_free, (t + size, q), cost + cap, chosen + (r,))
-        full, free = grown_full, grown_free
-    return full, free
+    states: dict = {(0, None): (0, ())}
+    for r, (cost, size, count) in enumerate(types):
+        full = {(t, r): state for (t, q), state in states.items() if q is None}
+        spare = _add_copies(full, r, cost, size, count - 1, limit)
+        states = _add_copies(states, r, cost, size, count, limit)
+        states.update(spare)
+    return states
 
 
 def cheapest_vertex(
-    blocks: Sequence[tuple], n: int, free_cost: Callable[[int, int], object]
+    types: Sequence[tuple], n: int, free_cost: Callable[[int, int], object]
 ):
     """Cheapest vertex placing exactly n units, as (cost, witness).
 
-    ``blocks`` lists (cost of the full block, size) as for ``_vertices``;
-    an empty block costs 0 and a free block r holding 0 < rem <= size
-    units costs ``free_cost(r, rem)``.  The witness lists (block, units)
-    for every block that takes units, in block order.
+    ``types`` lists (cost of a full block, size, count) as for
+    ``_vertices``; an empty block costs 0 and a free block of type r
+    holding 0 < rem <= size units costs ``free_cost(r, rem)``.  The
+    witness lists (type, units) for every block that takes units, sorted.
     """
-    full, free = _vertices(blocks, n)
-    best = (full[n][0], full[n][1], ()) if n in full else None
-    for (t, r), (cost, chosen) in free.items():
+    best = None
+    for (t, r), (cost, chosen) in _vertices(types, n).items():
         rem = n - t
-        if 0 < rem <= blocks[r][1]:
+        if r is None:
+            if rem == 0 and (best is None or cost < best[0]):
+                best = (cost, chosen, ())
+        elif 0 < rem <= types[r][1]:
             total = cost + free_cost(r, rem)
             if best is None or total < best[0]:
                 best = (total, chosen, ((r, rem),))
     if best is None:
         raise ValueError(f"no allocation of {n} coordinates fits the space")
     value, chosen, part = best
-    return value, tuple(sorted([(b, blocks[b][1]) for b in chosen] + list(part)))
+    witness = [(r, types[r][1]) for r, copies in chosen for _ in range(copies)]
+    return value, tuple(sorted(witness + list(part)))
 
 
 def greedy_max(segments: Sequence[tuple], n: int):
@@ -119,70 +146,112 @@ def min_plus(f: Sequence[tuple], g: Sequence[tuple]) -> list[tuple]:
     """Knots of h(n) = min over i + j = n of f(i) + g(j).
 
     f and g are piecewise linear on 0..T_f and 0..T_g (T > 0), given by
-    knots (k, value) that include both ends.  Some optimal split has i or
-    j at a knot: if neither is, moving units from one to the other keeps
-    both on their linear runs, so the cost is linear in the move and does
-    not rise in one direction until one of them reaches a knot.  So h is
-    the lower envelope of the copies of g shifted onto each knot of f and
-    of f shifted onto each knot of g.
+    knots (k, value) that include both ends.  Each is the minimum of its
+    maximal convex pieces, split at its concave knots, each piece +inf off
+    its own range; min-plus distributes over that minimum.  Two convex
+    pieces merge exactly by merging their runs in order of slope, so h is
+    the lower envelope of one convex merge per pair of pieces.  The work
+    grows with pairs of pieces and their knots, not with T.
     """
-    f_runs, g_runs = _runs(f), _runs(g)
-    runs = [(lo + i, hi + i, y + fi, a) for i, fi in f for lo, hi, y, a in g_runs]
-    runs += [(lo + j, hi + j, y + gj, a) for j, gj in g for lo, hi, y, a in f_runs]
-    return _lower_envelope(runs)
+    pieces_g = _convex_pieces(g)
+    rows = [_envelope([_merge(p, q) for q in pieces_g]) for p in _convex_pieces(f)]
+    return drop_collinear([(k, simplify(y)) for k, y in _envelope(rows)])
 
 
-def _runs(knots: Sequence[tuple]) -> list[tuple]:
-    return [(k0, k1, y0, slope(k0, y0, k1, y1))
-            for (k0, y0), (k1, y1) in zip(knots, knots[1:])]
+def _convex_pieces(knots: Sequence[tuple]) -> list[tuple]:
+    """Maximal convex pieces, as (first knot, runs (slope, length)).
 
-
-def _lower_envelope(runs: Sequence[tuple]) -> list[tuple]:
-    """Knots of the pointwise minimum of the runs of ``min_plus``.
-
-    A run (lo, hi, y, a) is the line y + a * (n - lo) on lo..hi, lo < hi.
-    The run ends cut the range into elementary intervals; each run is
-    registered on every interval it spans, by its value at the left cut.
-    The intervals agree on the cuts they share: a copy that ends (starts)
-    at a cut inside the range meets there a copy of the other function
-    with the same value that goes on to the right (left).
+    Consecutive pieces share the knot between them.
     """
-    cuts = sorted({run[0] for run in runs} | {run[1] for run in runs})
-    index = {c: i for i, c in enumerate(cuts)}
-    lines: list[list] = [[] for _ in cuts[1:]]
-    for lo, hi, y, a in runs:
-        for i in range(index[lo], index[hi]):
-            lines[i].append((-a, y + a * (cuts[i] - lo)))
-    knots: dict = {}
-    for i, active in enumerate(lines):
-        knots.update(_envelope_knots(active, cuts[i], cuts[i + 1]))
-    return drop_collinear(sorted(knots.items()))
+    pieces: list[tuple] = []
+    for (k0, y0), (k1, y1) in zip(knots, knots[1:]):
+        a = slope(k0, y0, k1, y1)
+        if not pieces or a < pieces[-1][1][-1][0]:  # a concave knot at k0
+            pieces.append(((k0, y0), []))
+        pieces[-1][1].append((a, k1 - k0))
+    return pieces
 
 
-def _envelope_knots(lines: Sequence[tuple], u: int, w: int) -> list[tuple]:
-    """Knots of the minimum of lines (-a, v): v + a * (n - u), on u..w.
+def _merge(p: tuple, q: tuple) -> list[tuple]:
+    """Knots of the min-plus convolution of two convex pieces."""
+    (k, y), (kq, yq) = p[0], q[0]
+    k, y = k + kq, y + yq
+    knots = [(k, y)]
+    last = None
+    for a, length in sorted(p[1] + q[1]):
+        k, y = k + length, y + a * length
+        if a == last:  # same slope: extend the run
+            knots[-1] = (k, y)
+        else:
+            knots.append((k, y))
+        last = a
+    return knots
 
-    The lower hull, slopes descending, changes line at real crossings;
-    on the integers the knots sit at their floor and ceiling.
+
+def _envelope(functions: list) -> list[tuple]:
+    """Knots of the minimum of functions given by knots, each +inf off its range.
+
+    Merged pairwise in a balanced tree, so every two adjacent groups of
+    the functions must meet the condition of ``_pair_min``.  The merges of
+    one piece with consecutive pieces do: their ranges overlap, and where
+    one range starts or stops inside another, the merge with the
+    neighbouring piece reaches the same split there, so it is no higher.
+    The same holds for the rows of ``min_plus``, one per piece of f.
     """
-    width = w - u
-    if width <= 3:  # cheaper than the hull: every point is a knot
-        return [(u + t, min(v - b * t for b, v in lines)) for t in range(width + 1)]
-    hull: list[tuple] = []
-    for b, v in sorted(lines):
-        if hull and hull[-1][0] == b:
-            continue  # same slope, no lower start
-        while len(hull) >= 2:
-            (b1, v1), (b2, v2) = hull[-2], hull[-1]
-            # Keep the last line if it undercuts the first one before the new one does.
-            if (v - v1) * (b2 - b1) > (v2 - v1) * (b - b1):
-                break
-            hull.pop()
-        hull.append((b, v))
-    ts = {0, width}
-    for (b1, v1), (b2, v2) in zip(hull, hull[1:]):
-        rise, run = v2 - v1, b2 - b1
-        for t in (rise // run, -(-rise // run)):  # floor, ceiling of the crossing
-            if 0 < t < width:
-                ts.add(t)
-    return [(u + t, min(v - b * t for b, v in hull)) for t in sorted(ts)]
+    while len(functions) > 1:
+        functions = [
+            _pair_min(functions[i], functions[i + 1]) if i + 1 < len(functions) else functions[i]
+            for i in range(0, len(functions), 2)
+        ]
+    return functions[0]
+
+
+def _at(k0: int, y0, k1: int, y1, x: int):
+    """Value at x of the line through (k0, y0) and (k1, y1), exactly."""
+    num, width = (y1 - y0) * (x - k0), k1 - k0
+    q, r = divmod(num, width)
+    return y0 + q if r == 0 else y0 + Fraction(num, width)
+
+
+def _pair_min(f: Sequence[tuple], g: Sequence[tuple]) -> list[tuple]:
+    """Knots of min(f, g), each +inf off its range.
+
+    The ranges must meet, and where one starts or stops inside the other,
+    the other must be no higher there.  Where both are finite, each is
+    linear between consecutive knots of either, so the minimum switches at
+    most once in between, where they cross; on the integers a crossing
+    leaves knots at its floor and ceiling.  A knot where its function is
+    above the other is left out.
+    """
+    if g[0][0] < f[0][0]:
+        f, g = g, f
+    i = bisect.bisect_left(f, g[0][0], key=itemgetter(0))
+    out = f[:i]
+    nf, ng, j = len(f), len(g), 0
+    u = None
+    while i < nf and j < ng:
+        (kf, a), (kg, b) = f[i], g[j]
+        if kf < kg:  # j > 0: f starts first
+            x, b = kf, _at(*g[j - 1], kg, b, kf)
+            keep = a <= b
+            i += 1
+        elif kg < kf:  # i > 0 for the same reason
+            x, a = kg, _at(*f[i - 1], kf, a, kg)
+            keep = b <= a
+            j += 1
+        else:
+            x, keep = kf, True
+            i += 1
+            j += 1
+        if u is not None and (pa < pb and b < a or pb < pa and a < b):
+            # Both integers around the crossing are knots.
+            width, du = x - u, pa - pb
+            num, den = du * width, du - (a - b)
+            for t in (num // den, -(-num // den)):
+                if out[-1][0] < u + t:
+                    fa, gb = _at(u, pa, x, a, u + t), _at(u, pb, x, b, u + t)
+                    out.append((u + t, fa if fa < gb else gb))
+        if keep and (not out or out[-1][0] < x):
+            out.append((x, a if a < b else b))
+        u, pa, pb = x, a, b
+    return out + (f[i:] if i < nf else g[j:])  # past the overlap

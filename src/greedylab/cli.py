@@ -155,17 +155,17 @@ def cmd_errors(args) -> int:
     sig = error_sequence(x, spec, "sigma")
     gam = error_sequence(x, spec, "gamma")
     last = sig.support_size if args.max_k is None else min(args.max_k, sig.support_size)
-    rows = []
-    for k in range(last + 1):
-        rows.append(
-            {
-                "k": k,
-                "sigma_sq": str(sig.power(k)),
-                "gamma_sq": str(gam.power(k)),
-                "sigma_float": fmt_float(sig.value(k)),
-                "gamma_float": fmt_float(gam.value(k)),
-            }
-        )
+    root = 1.0 / sig.p
+    rows = [
+        {
+            "k": k,
+            "sigma_sq": str(s),
+            "gamma_sq": str(g),
+            "sigma_float": fmt_float(float(s) ** root),
+            "gamma_float": fmt_float(float(g) ** root),
+        }
+        for k, (s, g) in enumerate(zip(sig.powers(last), gam.powers(last)))
+    ]
     emit_report(rows, "csv", args.out)
     return 0
 

@@ -8,7 +8,8 @@ programs over allocations of N.  The production routes are:
   at a vertex of the allocation polytope, where every block is empty or
   full except at most one.  One enumerator of those vertices answers a
   single N (up to the n_s-sized queries of the counterexample
-  construction) and sweeps a whole table,
+  construction) and sweeps a whole table; identical (cap, size) blocks
+  form one type, so its work grows with types, not blocks,
 * the closed form min(N, sum caps) for h_r, witnessed by a marginal-gain
   greedy that fills caps first.
 
@@ -130,25 +131,39 @@ def demfun_dp(
 # Vertex search for h_l and closed-form h_r
 
 
+def _block_types(blocks: Sequence[tuple[int, int]]):
+    """Identical (cap, size) blocks as types (cap, size, count), with their blocks."""
+    members: dict = {}
+    for b, block in enumerate(blocks):
+        members.setdefault(block, []).append(b)
+    return [(cap, size, len(bs)) for (cap, size), bs in members.items()], list(members.values())
+
+
 def _hl_vertex(blocks: Sequence[tuple[int, int]], n: int):
     """h_l(n)^p as the cheapest vertex with n coordinates, plus its witness."""
-    return cheapest_vertex(blocks, n, lambda r, rem: min(rem, blocks[r][0]))
+    types, members = _block_types(blocks)
+    value, witness = cheapest_vertex(types, n, lambda r, rem: min(rem, types[r][0]))
+    unused = [iter(bs) for bs in members]
+    return value, tuple(sorted((next(unused[r]), units) for r, units in witness))
 
 
 def _hl_sweep(blocks: Sequence[tuple[int, int]], max_n: int) -> list[int]:
     """h_l(N)^p for every N <= max_n from one vertex enumeration.
 
-    The free block r of a vertex with full part (t, cost) puts rem more
-    coordinates in place for cost + min(rem, cap_r): a ramp of slope one up
-    to cap_r, then flat up to size_r.  Each vertex lowers its slice of the
-    table.  Every N <= max_n must be reachable (the caller checks adequacy).
+    The free block of type r of a vertex with full part (t, cost) puts rem
+    more coordinates in place for cost + min(rem, cap_r): a ramp of slope
+    one up to cap_r, then flat up to size_r.  Each vertex lowers its slice
+    of the table.  Every N <= max_n must be reachable (the caller checks
+    adequacy).
     """
-    full, free = _vertices(blocks, max_n)
+    types, _ = _block_types(blocks)
     hl = [max_n + 1] * (max_n + 1)  # above any real value: h_l(N)^p <= N
-    for t, (cost, _) in full.items():
-        hl[t] = cost
-    for (t, r), (cost, _) in free.items():
-        cap, size = blocks[r]
+    states = _vertices(types, max_n)
+    for (t, r), (cost, _) in states.items():
+        if r is None:
+            hl[t] = min(hl[t], cost)
+            continue
+        cap, size, _ = types[r]
         top = min(size, max_n - t)
         ramp = min(cap, top)
         lo, mid, hi = t + 1, t + ramp + 1, t + top + 1

@@ -51,8 +51,18 @@ class ErrorSequence:
         return float(self.power(k)) ** (1.0 / self.p)
 
     def powers(self, upto: Optional[int] = None) -> list[Rational]:
+        """power(k) for k = 0..upto (default: the support), one run at a time."""
         last = self.support_size if upto is None else upto
-        return [self.power(k) for k in range(last + 1)]
+        out: list[Rational] = []
+        for k0, k1, y0, a in self.pieces():
+            if k0 > last:
+                break
+            count = min(k1, last) - k0 + 1
+            if isinstance(y0, int) and isinstance(a, int):
+                out += [y0] * count if a == 0 else range(y0, y0 + a * count, a)
+            else:
+                out += [simplify(y0 + a * t) for t in range(count)]
+        return out + [0] * (last + 1 - len(out))
 
     def pieces(self) -> list[tuple[int, int, Rational, Rational]]:
         """(k_lo, k_hi, power(k_lo), slope) for each run between knots.

@@ -13,6 +13,7 @@ size limits below refuse instances that enumeration cannot finish.
 
 from __future__ import annotations
 
+import bisect
 import itertools
 import math
 import random
@@ -202,7 +203,13 @@ def lattice_check(spec: SpaceSpec, trials: int = 200, seed: int = 0) -> LatticeR
 
 
 def demfun_bruteforce(spec: SpaceSpec, n: int):
-    """Exact (h_l^p, h_r^p) by enumerating every index set of size n."""
+    """Exact (h_l^p, h_r^p) by enumerating every index set of size n.
+
+    The sets come in revolving-door order, each one index out and one in
+    away from the last.  So a step updates two explicit coordinates and the
+    sorted coordinate powers of their blocks, and re-sums the top cap of
+    those blocks only; the first set's power is ``norm_power``'s.
+    """
     dim = dimension(spec)
     if dim > BRUTEFORCE_MAX_DIM:
         raise OracleUnavailableError(
@@ -212,17 +219,48 @@ def demfun_bruteforce(spec: SpaceSpec, n: int):
         raise ValueError(f"need 0 <= n <= {dim}")
     if n == 0:
         return 0, 0
-    lo = hi = None
-    values = [Fraction(0)] * dim
-    for subset in itertools.combinations(range(dim), n):
-        for i in subset:
-            values[i] = Fraction(1)
-        power = norm_power(values, spec)
-        for i in subset:
-            values[i] = Fraction(0)
-        lo = power if lo is None or power < lo else lo
-        hi = power if hi is None or power > hi else hi
+    zero, one = Fraction(0), Fraction(1)
+    values = [one if i < n else zero for i in range(dim)]
+    total = norm_power(values, spec)
+    power_of = {v: pow_rational(abs(v), spec.inner_p) for v in (zero, one)}
+    block_of = [b for b, block in enumerate(spec.blocks) for _ in range(block.size)]
+    ranked: list[list] = [[] for _ in spec.blocks]  # |coordinate|^p, ascending
+    for i, v in enumerate(values):
+        bisect.insort(ranked[block_of[i]], power_of[v])
+    caps = [len(r) if block.cap is None else min(block.cap, len(r))
+            for r, block in zip(ranked, spec.blocks)]
+    powers = [sum(r[len(r) - cap:]) for r, cap in zip(ranked, caps)]
+    if sum(powers) != total:
+        raise InvariantError(f"block powers sum to {sum(powers)}, not {total}")
+    lo = hi = total
+    prev = set(range(n))
+    for subset in itertools.islice(_revolving_door(dim, n), 1, None):
+        now = set(subset)
+        (out,), (into,) = prev - now, now - prev
+        for i, value in ((out, zero), (into, one)):
+            b, r = block_of[i], ranked[block_of[i]]
+            del r[bisect.bisect_left(r, power_of[values[i]])]
+            bisect.insort(r, power_of[value])
+            values[i] = value
+            total -= powers[b]
+            powers[b] = sum(r[len(r) - caps[b]:])
+            total += powers[b]
+        lo, hi, prev = min(lo, total), max(hi, total), now
     return lo, hi
+
+
+def _revolving_door(dim: int, n: int):
+    """Every n-subset of range(dim) as a sorted tuple, consecutive ones one swap apart.
+
+    The subsets without dim - 1 in this order, then those with it in the
+    reverse order of the (n - 1)-subsets; the seam is one swap too.
+    """
+    if n == 0 or n == dim:
+        yield tuple(range(n))
+        return
+    yield from _revolving_door(dim - 1, n)
+    for subset in reversed(list(_revolving_door(dim - 1, n - 1))):
+        yield subset + (dim - 1,)
 
 
 # ---------------------------------------------------------------------------

@@ -171,8 +171,9 @@ def gamma(x: CompressedVector, n: int, spec: SpaceSpec) -> GreedyOutcome:
         prefix, f = prefixes[tied[i]], forced[tied[i]]
         return _residual_power(prefix, f + k) - _residual_power(prefix, f)
 
-    blocks = [(shift(i, supply), supply) for i, (_b, supply) in enumerate(tie.available)]
-    lo_gain, lo_witness = cheapest_vertex(blocks, tie.choose, shift)
+    # One type per tied block: their free costs differ.
+    types = [(shift(i, supply), supply, 1) for i, (_b, supply) in enumerate(tie.available)]
+    lo_gain, lo_witness = cheapest_vertex(types, tie.choose, shift)
     tau_power = pow_rational(tie.threshold, spec.inner_p)
     segments = [
         run
@@ -259,8 +260,8 @@ def _gamma_knots(x: CompressedVector, prefixes, p: int) -> list:
 
 
 def _sigma_knots(x: CompressedVector, prefixes) -> list:
-    """Min-plus merge of the block residual functions, one block at a time."""
-    blocks = [_residual_knots(prefixes[b]) for b in x.blocks()]
+    """Min-plus merge of the block residual functions, fewest knots first."""
+    blocks = sorted((_residual_knots(prefixes[b]) for b in x.blocks()), key=len)
     return functools.reduce(min_plus, blocks) if blocks else [(0, 0)]
 
 

@@ -18,7 +18,7 @@ from greedylab import (
     prefix_norm_conjecture_check,
     squares_schedule,
 )
-from greedylab import explicit
+from greedylab import alloc, democracy, explicit
 from greedylab.democracy import one_plus_log2, sqrt_of
 from greedylab.explicit import demfun_bruteforce
 
@@ -270,7 +270,7 @@ def test_table_equals_dp_oracle_and_point_queries(blocks):
         _assert_witness(spec, n, point.witness_r, point.hr_power)
 
 
-@settings(derandomize=True, max_examples=8, deadline=None)
+@settings(derandomize=True, max_examples=50, deadline=None)
 @given(block_sums(max_blocks=4, max_size=8).filter(lambda b: sum(s for _, s in b) <= 16))
 def test_table_equals_bruteforce_on_small_universes(blocks):
     spec = SpaceSpec.block_sum(blocks)
@@ -278,6 +278,55 @@ def test_table_equals_bruteforce_on_small_universes(blocks):
     table = demfun_table(spec, total)
     for n in range(total + 1):
         assert (table.hl_power(n), table.hr_power(n)) == demfun_bruteforce(spec, n)
+
+
+@st.composite
+def typed_block_sums(draw):
+    """Up to 60 blocks drawn from 2-4 (cap, size) types."""
+    types = []
+    for _ in range(draw(st.integers(2, 4))):
+        size = draw(st.integers(1, 8))
+        types.append((draw(st.integers(1, size)), size))
+    return draw(st.lists(st.sampled_from(types), min_size=1, max_size=60))
+
+
+@settings(derandomize=True, max_examples=100, deadline=None)
+@given(typed_block_sums())
+def test_table_and_points_equal_dp_oracle_on_typed_block_sums(blocks):
+    spec = SpaceSpec.block_sum(blocks)
+    max_n = min(sum(s for _, s in blocks), 120)
+    table = demfun_table(spec, max_n)
+    dp_min, dp_max, _, _ = explicit.alloc_dp(blocks, max_n)
+    assert list(table.hl_powers) == dp_min
+    assert list(table.hr_powers) == dp_max
+    for n in range(0, max_n + 1, 3):
+        point = demfun_dp(spec, n)
+        assert (point.hl_power, point.hr_power) == (dp_min[n], dp_max[n])
+        _assert_witness(spec, n, point.witness_l, point.hl_power)
+        _assert_witness(spec, n, point.witness_r, point.hr_power)
+
+
+def test_vertex_states_grow_with_types_not_blocks(monkeypatch):
+    blocks = [(2, 4)] * 200 + [(3, 7)] * 60
+    max_n = 1200
+    states, lowered = [], []
+    real_vertices, real_lower = democracy._vertices, alloc._lower
+
+    def vertices(types, limit):
+        found = real_vertices(types, limit)
+        states.append(len(found))
+        return found
+
+    monkeypatch.setattr(democracy, "_vertices", vertices)
+    monkeypatch.setattr(alloc, "_lower", lambda *args: lowered.append(1) or real_lower(*args))
+    table = demfun_table(SpaceSpec.block_sum(blocks), max_n)
+    assert list(table.hl_powers) == explicit.alloc_dp(blocks, max_n)[0]
+    # Two types: at most (types + 1) * (N + 1) states, each lowered once per
+    # bounded-knapsack chunk (8 chunks cover 200 copies) and type.  One state
+    # per (total, free block) would be up to 261 * 1201.
+    types = 2
+    assert len(states) == 1 and states[0] <= (types + 1) * (max_n + 1)
+    assert len(lowered) <= (types + 1) ** 2 * (max_n + 1) * 8
 
 
 def _oracle_table(spec, max_n):

@@ -2,6 +2,7 @@
 
 import math
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -18,7 +19,7 @@ from greedylab import (
     space_from_json,
     space_norm,
 )
-from greedylab import explicit
+from greedylab import alloc, explicit
 from greedylab.explicit import sigma_oracle_grid, sigma_power_table
 from greedylab.spaces import random_vector
 
@@ -300,6 +301,87 @@ def test_error_sequences_match_dp_and_pointwise_gamma(instance):
     assert all(a >= b for a, b in zip(sig, sig[1:]))
     assert all(a >= b for a, b in zip(gam, gam[1:]))
     assert all(s <= g for s, g in zip(sig, gam))
+
+
+@st.composite
+def wide_block_sums(draw):
+    """Sums of 5-10 blocks, each holding more coordinates than its cap, so
+    that every block residual bends both ways; magnitudes in {1, 2, 3}
+    (tie-heavy) or pairwise distinct."""
+    p = draw(st.integers(1, 3))
+    blocks, counts = [], []
+    for _ in range(draw(st.integers(5, 10))):
+        count = draw(st.integers(2, 9))
+        blocks.append((draw(st.integers(1, count - 1)), count + draw(st.integers(0, 3))))
+        counts.append(count)
+    n = sum(counts)
+    if draw(st.booleans()):
+        mags = draw(st.lists(st.integers(1, 3), min_size=n, max_size=n))
+    else:
+        mags = draw(st.lists(st.integers(1, 500), min_size=n, max_size=n, unique=True))
+    blocks_of = [b for b, count in enumerate(counts) for _ in range(count)]
+    spec = SpaceSpec.block_sum(blocks, p, p)
+    return spec, spec.vector([(b, m, 1) for b, m in zip(blocks_of, mags)])
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(wide_block_sums())
+def test_sigma_sequences_match_dp_on_wide_block_sums(instance):
+    spec, x = instance
+    assert error_sequence(x, spec, "sigma").powers() == list(sigma_power_table(x, spec))
+
+
+def test_pair_min_is_the_pointwise_minimum():
+    # Random ranges that meet, where a range that starts or stops inside
+    # the other does so no lower than the other.
+    rng = random.Random(12)
+    for _ in range(5000):
+        fs = []
+        for _ in range(2):
+            lo, width = rng.randint(0, 8), rng.randint(1, 8)
+            fs.append({lo + t: rng.randint(-9, 9) for t in range(width + 1)})
+        if max(min(f) for f in fs) > min(max(f) for f in fs):
+            continue  # the ranges do not meet
+        ends = [(f, k) for f in fs for k in (min(f), max(f))]
+        if any(f[k] < other[k] for f, k in ends for other in fs if k in other):
+            continue
+        got = alloc._pair_min(*(alloc.drop_collinear(sorted(f.items())) for f in fs))
+        want = {k: min(f[k] for f in fs if k in f) for k in set(fs[0]) | set(fs[1])}
+        assert (got[0][0], got[-1]) == (min(want), (max(want), want[max(want)]))
+        for (k0, y0), (k1, y1) in zip(got, got[1:]):
+            assert all(y0 + Fraction(y1 - y0, k1 - k0) * (k - k0) == want[k] for k in range(k0, k1))
+
+
+def _tie_free_error_vector(spec, seed):
+    """34 pairwise distinct magnitudes over blocks 0-3 of arithmetic_schedule(4),
+    400 coordinates: the shape of the largest tie-free error tables."""
+    rng = random.Random(seed)
+    mags = iter(rng.sample(range(1, 400), 34))
+    groups = [(0, next(mags), rng.randint(1, 4)) for _ in range(4)]
+    groups += [(1, next(mags), rng.randint(3, 9)) for _ in range(10)]
+    left = 400 - sum(c for _, _, c in groups)
+    for i in range(20):
+        count = left // (20 - i) + (rng.randint(-2, 2) if i < 19 else 0)
+        groups.append((2 + i % 2, next(mags), count))
+        left -= count
+    return spec.vector(groups)
+
+
+def test_sigma_envelope_work_is_bounded_by_convex_pieces(monkeypatch):
+    spec = SpaceSpec.from_schedule(arithmetic_schedule(4))
+    x = _tie_free_error_vector(spec, 0)
+    runs = []
+    real_envelope = alloc._envelope
+    monkeypatch.setattr(
+        alloc, "_envelope",
+        lambda functions: runs.append(sum(len(f) - 1 for f in functions))
+        or real_envelope(functions),
+    )
+    seq = error_sequence(x, spec, "sigma")
+    assert seq.powers() == list(sigma_power_table(x, spec))
+    # Shifting every run of one input onto every knot of the other handed
+    # 1,652 runs to the envelope on this vector.
+    assert 0 < sum(runs) < 1652 // 2
 
 
 def test_sigma_sequence_bends_between_integers():

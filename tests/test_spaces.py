@@ -5,6 +5,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from greedylab import (
     BlockSchedule,
@@ -128,6 +129,39 @@ def test_norm_blind_to_permutations_and_signs():
         for _ in range(3):
             shuffled = explicit.to_explicit(x, spec, rng)  # random slots and signs
             assert explicit.norm_power(shuffled, spec) == reference
+
+
+@st.composite
+def signed_block_sums(draw):
+    """A 1-4 block sum with explicit signed integer coordinates, the same
+    coordinates permuted and re-signed within each block, and coordinates
+    no larger in absolute value."""
+    p = draw(st.integers(1, 3))
+    blocks = []
+    for _ in range(draw(st.integers(1, 4))):
+        size = draw(st.integers(1, 6))
+        blocks.append((draw(st.integers(1, size)), size))
+    spec = SpaceSpec.block_sum(blocks, p, p)
+    dim = sum(size for _, size in blocks)
+    values = draw(st.lists(st.integers(-9, 9), min_size=dim, max_size=dim))
+    moved, start = [], 0
+    for _, size in blocks:
+        order = draw(st.permutations(range(size)))
+        signs = draw(st.lists(st.sampled_from((1, -1)), min_size=size, max_size=size))
+        moved += [signs[j] * values[start + order[j]] for j in range(size)]
+        start += size
+    smaller = [draw(st.integers(-abs(v), abs(v))) for v in values]
+    return spec, values, moved, smaller
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(signed_block_sums())
+def test_norm_is_a_lattice_norm_on_explicit_coordinates(instance):
+    spec, values, moved, smaller = instance
+    power = explicit.norm_power(values, spec)
+    assert explicit.norm_power(moved, spec) == power
+    assert explicit.norm_power(smaller, spec) <= power
+    assert space_norm(explicit.from_explicit(values, spec), spec).power_exact == power
 
 
 def test_triangle_inequality_sampled():
