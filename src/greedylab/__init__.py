@@ -17,7 +17,7 @@ from .errors import (
     TruncationError,
 )
 from .schedule import BlockSchedule, arithmetic_schedule, squares_schedule
-from .vectors import CompressedVector, TieDescriptor, canonicalize, indicator, top_magnitudes
+from .vectors import CompressedVector, canonicalize, indicator
 from .spaces import (
     Block,
     NormValue,
@@ -29,6 +29,7 @@ from .spaces import (
 from .errorseq import ErrorSequence
 from .greedy import (
     GreedyOutcome,
+    TieDescriptor,
     democracy_constant,
     error_sequence,
     gamma,

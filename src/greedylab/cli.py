@@ -29,7 +29,7 @@ from .democracy import (
 )
 from .errors import GreedyLabError
 from .greedy import error_sequence, gamma, sigma_exact
-from .spaces import SpaceSpec, space_from_json, space_norm
+from .spaces import SpaceSpec, _float_root, space_from_json, space_norm
 from .vectors import CompressedVector
 
 
@@ -155,14 +155,13 @@ def cmd_errors(args) -> int:
     sig = error_sequence(x, spec, "sigma")
     gam = error_sequence(x, spec, "gamma")
     last = sig.support_size if args.max_k is None else min(args.max_k, sig.support_size)
-    root = 1.0 / sig.p
     rows = [
         {
             "k": k,
             "sigma_sq": str(s),
             "gamma_sq": str(g),
-            "sigma_float": fmt_float(float(s) ** root),
-            "gamma_float": fmt_float(float(g) ** root),
+            "sigma_float": fmt_float(_float_root(s, sig.p)),
+            "gamma_float": fmt_float(_float_root(g, sig.p)),
         }
         for k, (s, g) in enumerate(zip(sig.powers(last), gam.powers(last)))
     ]
@@ -203,8 +202,8 @@ def cmd_doubling_scan(args) -> int:
                 "hl_2n_sq": r.hl_2n_power,
                 "ratio_sq": str(r.ratio_sq),
                 "bound_sq": str(r.bound_sq),
-                "ratio_float": fmt_float(math.sqrt(float(r.ratio_sq))),
-                "bound_float": fmt_float(math.sqrt(float(r.bound_sq))),
+                "ratio_float": fmt_float(_float_root(r.ratio_sq, spec.outer_p)),
+                "bound_float": fmt_float(_float_root(r.bound_sq, spec.outer_p)),
                 "bound_holds": r.bound_holds,
                 "upper_equality": r.upper_equality,
             }

@@ -34,7 +34,7 @@ from typing import Callable, Iterable, Optional, Sequence
 from .alloc import _vertices, cheapest_vertex, greedy_max
 from .errors import InvariantError, TruncationError
 from .schedule import BlockSchedule
-from .spaces import SpaceSpec
+from .spaces import SpaceSpec, _float_root
 
 __all__ = [
     "DemPoint",
@@ -71,6 +71,9 @@ class DemPoint:
 
 
 def _finite_blocks(spec: SpaceSpec) -> list[tuple[int, int]]:
+    if spec.inner_p != spec.outer_p:
+        # h^p = sum min(m_k, cap_k) needs one exponent throughout.
+        raise ValueError("democracy functions need inner_p == outer_p")
     blocks = []
     for b in spec.blocks:
         if b.cap is None or b.size is None:
@@ -221,13 +224,15 @@ class DemFunTable:
         return self.hr_powers[n]
 
     def hl(self, n: int) -> float:
-        return float(self.hl_power(n)) ** (1.0 / self.spec.outer_p)
+        return _float_root(self.hl_power(n), self.spec.outer_p)
 
     def hr(self, n: int) -> float:
-        return float(self.hr_power(n)) ** (1.0 / self.spec.outer_p)
+        return _float_root(self.hr_power(n), self.spec.outer_p)
 
 
 def demfun_table(spec: SpaceSpec, max_n: int, which: str = "both") -> DemFunTable:
+    if max_n < 0:
+        raise ValueError("max_n must be >= 0")
     _check_adequacy(spec, max_n, which)
     blocks = _finite_blocks(spec)
     total_caps = sum(c for c, _ in blocks)

@@ -22,7 +22,7 @@ Rational = Union[int, Fraction]
 
 
 class ErrorSequence:
-    """Exact power(k) and float value(k) of a piecewise-linear sequence."""
+    """Exact power(k) of a piecewise-linear sequence, from its knots."""
 
     def __init__(self, kind: str, p: int, knots: Sequence[tuple[int, Rational]]):
         self.kind = kind  # "sigma" | "gamma"
@@ -47,12 +47,11 @@ class ErrorSequence:
         k0, y0 = self.knots[i]
         return simplify(y0 + self._slopes[i] * (k - k0))
 
-    def value(self, k: int) -> float:
-        return float(self.power(k)) ** (1.0 / self.p)
-
     def powers(self, upto: Optional[int] = None) -> list[Rational]:
         """power(k) for k = 0..upto (default: the support), one run at a time."""
         last = self.support_size if upto is None else upto
+        if last < 0:
+            raise ValueError("upto must be >= 0")
         out: list[Rational] = []
         for k0, k1, y0, a in self.pieces():
             if k0 > last:

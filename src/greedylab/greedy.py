@@ -26,17 +26,38 @@ import functools
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Union
+from operator import itemgetter
+from typing import Optional, Union
 
 from .alloc import cheapest_vertex, drop_collinear, greedy_max, min_plus
 from .errors import InvariantError
 from .errorseq import ErrorSequence
 from .exact import pow_rational, simplify
 from .explicit import sigma_power_table  # noqa: F401  (bench/run.py reads it here)
-from .spaces import NormValue, SpaceSpec, space_norm, random_vector
-from .vectors import CompressedVector, TieDescriptor, EMPTY_TIE, top_magnitudes
+from .spaces import NormValue, SpaceSpec, _float_root, _group_power, random_vector
+from .vectors import CompressedVector
 
 Rational = Union[int, Fraction]
+
+
+@dataclass(frozen=True)
+class TieDescriptor:
+    """The freedom the greedy operator leaves open at the threshold magnitude.
+
+    ``available`` lists, per block, how many coordinates sit exactly at the
+    threshold; ``choose`` of them must be kept (in any combination).
+    """
+
+    threshold: Optional[Fraction]
+    available: tuple[tuple[int, int], ...]  # (block, count at threshold)
+    choose: int
+
+    @property
+    def empty(self) -> bool:
+        return self.threshold is None
+
+
+EMPTY_TIE = TieDescriptor(None, (), 0)
 
 
 @dataclass(frozen=True)
@@ -54,8 +75,8 @@ class GreedyOutcome:
 # Shared per-block prefix machinery
 
 
-def _block_prefixes(x: CompressedVector, spec: SpaceSpec):
-    """Per block: cumulative counts and cumulative magnitude powers.
+def _block_prefixes(x: CompressedVector, spec: SpaceSpec, blocks=None):
+    """Per block (default: every block of x): cumulative counts and powers.
 
     With groups sorted descending, the power of the sum of the t largest
     magnitudes in a block is prefix lookup; the residual after dropping
@@ -65,7 +86,7 @@ def _block_prefixes(x: CompressedVector, spec: SpaceSpec):
     if spec.inner_p != spec.outer_p or not isinstance(p, int):
         raise ValueError("exact greedy machinery needs integer inner_p == outer_p")
     out = {}
-    for b in x.blocks():
+    for b in x.blocks() if blocks is None else blocks:
         counts = [0]
         powers: list[Rational] = [0]
         mag_powers: list[Rational] = []
@@ -104,26 +125,51 @@ def _residual_power(prefix, removed: int) -> Rational:
 # gamma: worst/best case over tie resolutions
 
 
-def _tie_segments(prefix, kept: int, supply: int, tau_power: Rational, item: int):
-    """(item, gain, length) runs of the residual change per kept tied coordinate.
+def _classes(x: CompressedVector):
+    """The magnitude classes of x, largest first: (k, size, magnitude, members, kept).
 
-    Keeping one more coordinate at the threshold removes tau^p from the
-    block residual and lets the coordinate ``cap`` places further down into
-    the cap window (nothing once that runs past the block).  Those
-    coordinates only get smaller, so the gains never increase: the block
-    residual is concave in its number of kept tied coordinates.
+    k coordinates lie above the class, kept[b] of them in block b (updated
+    in place when the walk resumes); members lists the class's (block,
+    count) pairs in block order.  A greedy set of n coordinates keeps all
+    above the first class with n - k < size, and n - k of that class.
     """
-    counts, _powers, cap, mag_powers = prefix
-    if cap is None:
-        return [(item, -tau_power, supply)]
-    lo, hi = kept + cap, kept + cap + supply
+    classes: dict = {}
+    for b, m, c in x.groups:
+        # Keyed by the exact pair: a tuple hashes faster than a Fraction.
+        classes.setdefault((m.numerator, m.denominator), (m, []))[1].append((b, c))
+    kept = dict.fromkeys(x.blocks(), 0)
+    k = 0
+    for m, members in sorted(classes.values(), key=itemgetter(0), reverse=True):
+        size = sum(c for _b, c in members)
+        yield k, size, m, members, kept
+        for b, c in members:
+            kept[b] += c
+        k += size
+
+
+def _tie_segments(prefixes, members, kept, tau_power: Rational) -> list:
+    """(i, gain, length) runs of the residual change per kept coordinate of a class.
+
+    members[i] = (block, supply) holds the class's coordinates in a block,
+    kept[block] of which lie above it.  Keeping one more coordinate at the
+    threshold removes tau^p from the block residual and lets the coordinate
+    ``cap`` places further down into the cap window (nothing once that runs
+    past the block).  Those coordinates only get smaller, so the gains
+    never increase: each block residual is concave in its kept count.
+    """
     runs = []
-    for g, mag_power in enumerate(mag_powers):
-        length = min(hi, counts[g + 1]) - max(lo, counts[g])
-        if length > 0:
-            runs.append((item, mag_power - tau_power, length))
-    if hi > counts[-1]:
-        runs.append((item, -tau_power, hi - max(lo, counts[-1])))
+    for i, (b, supply) in enumerate(members):
+        counts, _powers, cap, mag_powers = prefixes[b]
+        if cap is None:
+            runs.append((i, -tau_power, supply))
+            continue
+        lo, hi = kept[b] + cap, kept[b] + cap + supply
+        for g, mag_power in enumerate(mag_powers):
+            length = min(hi, counts[g + 1]) - max(lo, counts[g])
+            if length > 0:
+                runs.append((i, mag_power - tau_power, length))
+        if hi > counts[-1]:
+            runs.append((i, -tau_power, hi - max(lo, counts[-1])))
     return runs
 
 
@@ -136,34 +182,20 @@ def gamma(x: CompressedVector, n: int, spec: SpaceSpec) -> GreedyOutcome:
     the worst is a marginal-gain greedy; both are exact because each block
     residual is concave in its kept count (see ``_tie_segments``).
     """
+    if n < 0:
+        raise ValueError("n must be >= 0")
     x = spec.vector(x.groups)
-    p = spec.outer_p
-    support = x.support_size
-    if n >= support:
-        zero = NormValue.from_power(0, p)
-        return GreedyOutcome(zero, zero, (), (), EMPTY_TIE)
-    if n == 0:
-        nv = space_norm(x, spec)
-        return GreedyOutcome(nv, nv, (), (), EMPTY_TIE)
-
-    kept, tie = top_magnitudes(x, n)
-    threshold = kept[-1][0]
-    prefixes = _block_prefixes(x, spec)
-    # Kept by every resolution: the coordinates above the threshold, and
-    # the whole threshold class when the cut takes all of it.
-    forced = dict.fromkeys(x.blocks(), 0)
-    for b, m, c in x.groups:
-        if m > threshold or (m == threshold and tie.empty):
-            forced[b] += c
-    if len(tie.available) == 1:
-        # A tie inside one block: every resolution keeps the same counts.
-        forced[tie.available[0][0]] += tie.choose
-    base = sum(_residual_power(prefixes[b], forced[b]) for b in x.blocks())
-    if len(tie.available) < 2:
-        nv = NormValue.from_power(base, p)
-        witness = ((tie.available[0][0], tie.choose),) if tie.available else ()
-        return GreedyOutcome(nv, nv, witness, witness, tie)
-
+    counts = x.block_counts()
+    forced, tie = counts, EMPTY_TIE  # n >= support keeps everything
+    for k, size, m, members, kept in _classes(x):
+        if n - k < size:
+            forced = kept
+            if n > k:
+                tie = TieDescriptor(m, tuple(members), n - k)
+            break
+    # Only the blocks with coordinates left over have a residual.
+    prefixes = _block_prefixes(x, spec, [b for b in counts if forced[b] < counts[b]])
+    base = sum(_residual_power(prefix, forced[b]) for b, prefix in prefixes.items())
     tied = [b for b, _ in tie.available]
 
     def shift(i: int, k: int) -> Rational:
@@ -171,15 +203,18 @@ def gamma(x: CompressedVector, n: int, spec: SpaceSpec) -> GreedyOutcome:
         prefix, f = prefixes[tied[i]], forced[tied[i]]
         return _residual_power(prefix, f + k) - _residual_power(prefix, f)
 
+    p = spec.outer_p
+    if len(tied) < 2:
+        # No tie, or one inside a block: every resolution keeps the same counts.
+        nv = NormValue.from_power(base + sum(shift(i, tie.choose) for i in range(len(tied))), p)
+        witness = tuple((b, tie.choose) for b in tied)
+        return GreedyOutcome(nv, nv, witness, witness, tie)
+
     # One type per tied block: their free costs differ.
     types = [(shift(i, supply), supply, 1) for i, (_b, supply) in enumerate(tie.available)]
     lo_gain, lo_witness = cheapest_vertex(types, tie.choose, shift)
     tau_power = pow_rational(tie.threshold, spec.inner_p)
-    segments = [
-        run
-        for i, (b, supply) in enumerate(tie.available)
-        for run in _tie_segments(prefixes[b], forced[b], supply, tau_power, i)
-    ]
+    segments = _tie_segments(prefixes, tie.available, forced, tau_power)
     hi_gain, hi_counts = greedy_max(segments, tie.choose)
     lo_counts = dict(lo_witness)
     return GreedyOutcome(
@@ -221,7 +256,10 @@ def error_sequence(x: CompressedVector, spec: SpaceSpec, kind: str) -> ErrorSequ
         knots = _sigma_knots(x, prefixes)
     else:
         knots = _gamma_knots(x, prefixes, spec.inner_p)
-    start = space_norm(x, spec).power_exact
+    # The norm from the block powers, independent of the prefix tables.
+    start = sum(
+        _group_power(x.block_groups(b), spec.blocks[b].cap, spec.inner_p) for b in x.blocks()
+    )
     if knots[0] != (0, start) or knots[-1] != (x.support_size, 0):
         raise InvariantError(
             f"{kind} sequence runs from {knots[0]} to {knots[-1]}, "
@@ -233,29 +271,17 @@ def error_sequence(x: CompressedVector, spec: SpaceSpec, kind: str) -> ErrorSequ
 def _gamma_knots(x: CompressedVector, prefixes, p: int) -> list:
     """Walk the magnitude classes in descending order.
 
-    Before a class the greedy set holds every larger coordinate.  Inside
-    it, the worst resolution for each count is the marginal-gain fill of
-    the class's runs (``_tie_segments``), so gamma follows those runs in
-    order of decreasing gain.
+    Inside a class, the worst resolution for each count is the
+    marginal-gain fill of the class's runs (``_tie_segments``), so gamma
+    follows those runs in order of decreasing gain.
     """
-    classes: dict = {}
-    for b, m, c in x.groups:
-        classes.setdefault(m, []).append((b, c))
-    kept = dict.fromkeys(x.blocks(), 0)
-    k, y = 0, sum(_residual_power(prefixes[b], 0) for b in x.blocks())
-    knots = [(k, y)]
-    for m in sorted(classes, reverse=True):
-        tau_power = pow_rational(m, p)
-        runs = [
-            run
-            for b, c in classes[m]
-            for run in _tie_segments(prefixes[b], kept[b], c, tau_power, b)
-        ]
-        for _b, gain, length in sorted(runs, key=lambda run: -run[1]):
+    y = sum(_residual_power(prefixes[b], 0) for b in x.blocks())
+    knots = [(0, y)]
+    for k, _size, m, members, kept in _classes(x):
+        runs = _tie_segments(prefixes, members, kept, pow_rational(m, p))
+        for _i, gain, length in sorted(runs, key=lambda run: -run[1]):
             k, y = k + length, simplify(y + gain * length)
             knots.append((k, y))
-        for b, c in classes[m]:
-            kept[b] += c
     return drop_collinear(knots)
 
 
@@ -314,7 +340,7 @@ def _worst_ratio(x: CompressedVector, spec: SpaceSpec, ks) -> float:
     for k in ks:
         s_pow = sig.power(k)
         if s_pow != 0:
-            best = max(best, (float(gam.power(k)) / float(s_pow)) ** (1.0 / spec.outer_p))
+            best = max(best, _float_root(Fraction(gam.power(k), s_pow), spec.outer_p))
     return best
 
 
@@ -325,4 +351,4 @@ def democracy_constant(spec: SpaceSpec, n: int) -> float:
     if n == 0 or spec.variant == "lp":
         return 1.0
     point = democracy.demfun_dp(spec, n)
-    return (float(point.hr_power) / float(point.hl_power)) ** (1.0 / spec.outer_p)
+    return _float_root(Fraction(point.hr_power, point.hl_power), spec.outer_p)

@@ -16,13 +16,14 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import itemgetter
 from typing import Iterable, Mapping, Optional, Sequence
 
 from .errors import CapacityError
 from .exact import as_fraction
 
 # (block id, magnitude, multiplicity); canonical order is by block then
-# descending magnitude, so greedy traversal is a merge.
+# descending magnitude.
 Group = tuple[int, Fraction, int]
 
 
@@ -55,13 +56,6 @@ class CompressedVector:
             out[b] = out.get(b, 0) + c
         return out
 
-    def magnitudes(self) -> list[tuple[Fraction, int]]:
-        """All magnitude groups merged across blocks, descending magnitude."""
-        merged: dict[Fraction, int] = {}
-        for _, m, c in self.groups:
-            merged[m] = merged.get(m, 0) + c
-        return sorted(merged.items(), key=lambda t: t[0], reverse=True)
-
     def scale(self, factor) -> "CompressedVector":
         f = abs(as_fraction(factor))
         return canonicalize((b, m * f, c) for b, m, c in self.groups)
@@ -91,7 +85,7 @@ def canonicalize(
     ``sizes`` is given (block id -> block size, None = unbounded), block
     ids are range-checked and per-block support is capacity-checked.
     """
-    merged: dict[tuple[int, Fraction], int] = {}
+    merged: dict[tuple[int, int, int], list] = {}
     for block, magnitude, multiplicity in raw:
         block = int(block)
         mult = int(multiplicity)
@@ -104,14 +98,12 @@ def canonicalize(
             raise ValueError(f"negative multiplicity {mult} in block {block}")
         if mag == 0 or mult == 0:
             continue
-        key = (block, mag)
-        merged[key] = merged.get(key, 0) + mult
+        # Keyed by exact ints: a tuple of ints hashes faster than a Fraction.
+        merged.setdefault((block, mag.numerator, mag.denominator), [block, mag, 0])[2] += mult
 
-    groups = tuple(
-        (b, m, merged[(b, m)])
-        for b, m in sorted(merged, key=lambda t: (t[0], -t[1]))
-    )
-    vec = CompressedVector(groups)
+    rows = sorted(merged.values(), key=itemgetter(1), reverse=True)
+    rows.sort(key=itemgetter(0))  # stable: descending magnitude within each block
+    vec = CompressedVector(tuple(map(tuple, rows)))
 
     if sizes is not None:
         for block, count in vec.block_counts().items():
@@ -129,65 +121,3 @@ def indicator(
 ) -> CompressedVector:
     """Vector with magnitude 1 on the given number of coordinates per block."""
     return canonicalize(((b, 1, c) for b, c in block_counts.items()), sizes)
-
-
-@dataclass(frozen=True)
-class TieDescriptor:
-    """The freedom the greedy operator leaves open at the threshold magnitude.
-
-    ``available`` lists, per block, how many coordinates sit exactly at the
-    threshold; ``choose`` of them must be kept (in any combination).
-    """
-
-    threshold: Optional[Fraction]
-    available: tuple[tuple[int, int], ...]  # (block, count at threshold)
-    choose: int
-
-    @property
-    def empty(self) -> bool:
-        return self.threshold is None
-
-    @property
-    def total_available(self) -> int:
-        return sum(c for _, c in self.available)
-
-
-EMPTY_TIE = TieDescriptor(None, (), 0)
-
-
-def top_magnitudes(
-    v: CompressedVector, n: int
-) -> tuple[list[tuple[Fraction, int]], TieDescriptor]:
-    """Multiset of the N largest magnitudes plus the tie descriptor.
-
-    The kept multiset is well defined even when the kept *set* is not; the
-    descriptor records the threshold magnitude, the per-block supply of
-    coordinates at that magnitude, and how many of them any valid greedy
-    set must take.  Ambiguity exists only when 0 < choose < supply.
-    """
-    if n < 0:
-        raise ValueError("n must be >= 0")
-    support = v.support_size
-    if n == 0:
-        return [], EMPTY_TIE
-    if n >= support:
-        return v.magnitudes(), EMPTY_TIE
-
-    kept: list[tuple[Fraction, int]] = []
-    remaining = n
-    for mag, count in v.magnitudes():
-        if count < remaining:
-            kept.append((mag, count))
-            remaining -= count
-            continue
-        kept.append((mag, remaining))
-        threshold = mag
-        supply = count
-        if remaining == supply:
-            # The threshold class is consumed entirely: no freedom.
-            return kept, EMPTY_TIE
-        available = tuple(
-            (b, c) for b, m, c in v.groups if m == threshold
-        )
-        return kept, TieDescriptor(threshold, available, remaining)
-    raise AssertionError("unreachable: n < support_size")

@@ -140,6 +140,63 @@ def test_empty_report_emission(tmp_path):
     assert out.read_text() == '{\n  "runs": []\n}\n'
 
 
+# Bad but parseable inputs: (argv with file placeholders, expected exit code).
+PARSEABLE_INPUTS = [
+    (["sigma", "--space", "sched", "--vector", "vec", "--N", "-1"], 1),
+    (["gamma", "--space", "sched", "--vector", "vec", "--N", "-1"], 1),
+    (["errors", "--space", "sched", "--vector", "vec", "--max-k", "-1"], 1),
+    (["demfun", "--space", "sched", "--max-N", "-1"], 1),
+    (["prefix-check", "--space", "sched", "--max-N", "-1"], 0),
+    (["norm", "--space", "l2", "--vector", "huge"], 0),
+    (["sigma", "--space", "l2", "--vector", "huge", "--N", "1"], 0),
+    (["gamma", "--space", "l2", "--vector", "huge", "--N", "1"], 0),
+    (["errors", "--space", "l2", "--vector", "huge"], 0),
+    (["demfun", "--space", "mixed", "--max-N", "4"], 1),
+    (["errors", "--space", "mixed", "--vector", "vec"], 1),
+    (["doubling-scan", "--space", "mixed_sched", "--k", "1"], 1),
+    (["prefix-check", "--space", "mixed_sched", "--max-N", "4"], 1),
+    (["doubling-scan", "--space", "cubic", "--k", "1"], 0),
+]
+
+
+@pytest.fixture
+def input_files(tmp_path):
+    files = {
+        "sched": {"a": [4, 5, 6, 7]},
+        "cubic": {"a": [4, 5, 6, 7], "inner_p": 3, "outer_p": 3},
+        "mixed": {"blocks": [[2, 4], [3, 6]], "inner_p": 1, "outer_p": 2},
+        "mixed_sched": {"a": [4, 5, 6, 7], "inner_p": 1, "outer_p": 2},
+        "l2": {"lp": 2, "dim": 5},
+        "vec": {"groups": [[0, "2", "2"], [1, "1", "3"]]},
+        "huge": {"groups": [[0, "1" + "0" * 200, "3"]]},
+    }
+    return {name: write(tmp_path / f"{name}.json", obj) for name, obj in files.items()}
+
+
+@pytest.mark.parametrize(
+    "argv,code", PARSEABLE_INPUTS, ids=[" ".join(argv) for argv, _ in PARSEABLE_INPUTS]
+)
+def test_parseable_input_exits_without_traceback(argv, code, input_files, capsys):
+    # Exit 0, or exit 1 with a JSON diagnostic; an exception fails the test.
+    assert main([input_files.get(arg, arg) for arg in argv]) == code
+    captured = capsys.readouterr()
+    if code == 1:
+        assert "error" in json.loads(captured.err)
+        assert captured.out == ""
+
+
+def test_float_columns_take_the_pth_root(input_files, capsys):
+    assert main(["doubling-scan", "--space", input_files["cubic"], "--k", "1"]) == 0
+    row = dict(zip(*[line.split(",") for line in capsys.readouterr().out.split()]))
+    assert row["ratio_sq"] == "5" and row["bound_sq"] == "10/3"
+    assert float(row["ratio_float"]) == pytest.approx(5 ** (1 / 3), rel=1e-15)
+    assert float(row["bound_float"]) == pytest.approx((10 / 3) ** (1 / 3), rel=1e-15)
+    assert main(["errors", "--space", input_files["l2"], "--vector", input_files["huge"]]) == 0
+    rows = [line.split(",") for line in capsys.readouterr().out.split()]
+    assert rows[1][1] == "3" + "0" * 400
+    assert float(rows[1][3]) == pytest.approx(3**0.5 * 1e200, rel=1e-15)
+
+
 def test_usage_error_exits_2():
     with pytest.raises(SystemExit) as err:
         main(["frobnicate"])

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from greedylab import (
+    BlockSchedule,
     SpaceSpec,
     TruncationError,
     arithmetic_schedule,
@@ -123,6 +124,22 @@ def test_adequacy_errors():
     ad_hoc = SpaceSpec.block_sum([(2, 4), (3, 6)])
     with pytest.raises(ValueError):
         demfun_dp(ad_hoc, 11)
+    with pytest.raises(ValueError):
+        demfun_table(ad_hoc, -1)
+
+
+def test_mixed_exponents_are_refused():
+    # h^p = sum min(m_k, cap_k) holds only when inner_p == outer_p: here the
+    # 4-point indicator norms run from 2 to sqrt(10), not from sqrt(2) to 2.
+    spec = SpaceSpec.block_sum([(2, 4), (3, 6)], inner_p=1, outer_p=2)
+    for query in (lambda: demfun_dp(spec, 4), lambda: demfun_table(spec, 4)):
+        with pytest.raises(ValueError, match="inner_p == outer_p"):
+            query()
+    sched = BlockSchedule((4, 5, 6, 7), outer_p=2, inner_p=1)
+    with pytest.raises(ValueError, match="inner_p == outer_p"):
+        doubling_scan(sched, [1])
+    with pytest.raises(ValueError, match="inner_p == outer_p"):
+        prefix_norm_conjecture_check(sched, range(1, 5))
 
 
 def test_table_monotone_and_doubling():

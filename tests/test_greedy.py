@@ -395,6 +395,20 @@ def test_sigma_sequence_bends_between_integers():
     assert {5, 6} <= {k for k, _ in seq.knots}
 
 
+def test_error_sequence_canonicalizes_once(monkeypatch):
+    # The first-knot check reads the vector the sequence already canonicalized.
+    from greedylab import spaces
+
+    spec = SpaceSpec.from_schedule(arithmetic_schedule(3))
+    x = spec.vector([(0, 2, 20), (1, 1, 20)])
+    calls = []
+    real = spaces.canonicalize
+    monkeypatch.setattr(spaces, "canonicalize", lambda *a, **k: calls.append(1) or real(*a, **k))
+    for kind in ("sigma", "gamma"):
+        error_sequence(x, spec, kind)
+    assert len(calls) == 2
+
+
 def test_error_sequence_tabulated_matches_pointwise_calls():
     spec = SpaceSpec.block_sum([(2, 4), (2, 4)])
     x = spec.vector([(0, 3, 2), (0, 1, 1), (1, 1, 2)])

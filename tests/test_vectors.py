@@ -1,11 +1,11 @@
-"""Compressed vector canonicalization, indicators and top-magnitude cuts."""
+"""Compressed vector canonicalization, indicators and greedy tie descriptors."""
 
 import random
 from fractions import Fraction
 
 import pytest
 
-from greedylab import CapacityError, CompressedVector, canonicalize, indicator, top_magnitudes
+from greedylab import CapacityError, CompressedVector, canonicalize, gamma, indicator
 from greedylab.spaces import SpaceSpec
 
 
@@ -71,37 +71,35 @@ def test_indicator_respects_capacity():
         indicator({0: 5}, sizes=[4])
 
 
-def test_top_magnitudes_no_tie():
+def test_greedy_tie_no_tie():
     v = canonicalize([(0, 3, 1), (0, 2, 2), (0, 1, 1)])
-    kept, tie = top_magnitudes(v, 2)
-    assert kept == [(Fraction(3), 1), (Fraction(2), 1)]
+    tie = gamma(v, 2, SpaceSpec.lp(2)).tie
     assert tie.threshold == 2 and tie.choose == 1
     assert tie.available == ((0, 2),)
 
 
-def test_top_magnitudes_cross_block_tie():
+def test_greedy_tie_cross_block_tie():
     # Oracle: of the four unit coordinates, any 2 may be kept; the
     # descriptor must expose the (2, 2) split and choose=2.
     v = canonicalize([(0, 1, 2), (1, 1, 2)])
-    kept, tie = top_magnitudes(v, 2)
-    assert kept == [(Fraction(1), 2)]
+    tie = gamma(v, 2, SpaceSpec.block_sum([(2, 2), (2, 2)])).tie
     assert tie.threshold == 1
     assert dict(tie.available) == {0: 2, 1: 2}
     assert tie.choose == 2
 
 
-def test_top_magnitudes_trivial_cases():
+def test_greedy_tie_trivial_cases():
     v = canonicalize([(0, 2, 3)])
-    kept, tie = top_magnitudes(v, 0)
-    assert kept == [] and tie.empty
-    kept, tie = top_magnitudes(v, 5)
-    assert kept == [(Fraction(2), 3)] and tie.empty
+    spec = SpaceSpec.lp(2)
+    assert gamma(v, 0, spec).tie.empty
+    assert gamma(v, 5, spec).tie.empty
 
 
-def test_top_magnitudes_accounting_invariant():
-    # Unambiguous kept coordinates plus required tie choices always cover
-    # min(N, support).
+def test_greedy_tie_accounting_invariant():
+    # Coordinates above the threshold plus the required tie choices cover
+    # N, and a tie leaves a real choice: 0 < choose < supply.
     rng = random.Random(1)
+    spec = SpaceSpec.block_sum([(2, 18), (2, 18), (2, 18)])
     for _ in range(300):
         raw = [
             (rng.randint(0, 2), rng.randint(0, 4), rng.randint(0, 3))
@@ -109,13 +107,12 @@ def test_top_magnitudes_accounting_invariant():
         ]
         v = canonicalize(raw)
         n = rng.randint(0, v.support_size + 2)
-        kept, tie = top_magnitudes(v, n)
-        kept_total = sum(c for _, c in kept)
-        assert kept_total == min(n, v.support_size)
+        tie = gamma(v, n, spec).tie
         if not tie.empty:
-            above = sum(c for m, c in kept if m > tie.threshold)
-            assert above + tie.choose == kept_total
-            assert 0 < tie.choose < tie.total_available
+            above = sum(c for _, m, c in v.groups if m > tie.threshold)
+            assert above + tie.choose == n
+            assert 0 < tie.choose < sum(c for _, c in tie.available)
+            assert tie.available == tuple((b, c) for b, m, c in v.groups if m == tie.threshold)
 
 
 def test_json_round_trip():
