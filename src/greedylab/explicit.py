@@ -7,8 +7,12 @@ free coefficients for sigma.  The rest are quadratic tabulations: the
 allocation DP for h_l / h_r, the removal-count DP for the sigma table, and
 the per-k / per-term versions of the x_s checks and quasi-norms.  None of
 them imports greedy, democracy, approx, alloc or errorseq, so an oracle
-never shares code with the route it checks.  Deliberately unoptimized; the
-size limits below refuse instances that enumeration cannot finish.
+never shares code with the route it checks.  No oracle prunes its search
+space: each visits every candidate its enumeration defines, and where one
+is fast it only evaluates a candidate more cheaply (the brute force updates
+two coordinates per subset, the grid search builds its float norm once per
+space).  The size limits below refuse instances that enumeration cannot
+finish.
 """
 
 from __future__ import annotations
@@ -101,20 +105,38 @@ def norm_power(values: Sequence, spec: SpaceSpec):
 
 
 def norm_float(values: Sequence, spec: SpaceSpec) -> float:
-    """Float space norm for arbitrary exponents (used by the grid oracle)."""
-    inner, outer = spec.inner_p, spec.outer_p
-    offsets = block_offsets(spec)
-    total = 0.0
-    for b, block in enumerate(spec.blocks):
-        mags = sorted(
-            (abs(float(values[offsets[b] + j])) for j in range(block.size)),
-            reverse=True,
-        )
-        bp = 0.0
-        for m in mags[: block.cap]:
-            bp += m**inner
-        total += bp ** (outer / inner) if bp > 0 else 0.0
-    return total ** (1.0 / outer)
+    """Float space norm for arbitrary exponents (the grid oracle's objective)."""
+    return _float_norm(spec)([float(v) for v in values])
+
+
+def _float_norm(spec: SpaceSpec):
+    """``norm_float`` for one space, as a function of the flat float coordinates.
+
+    The block layout and the exponents are worked out once.  Each call
+    takes the ``cap`` largest magnitudes of every block in descending
+    order and adds their powers left to right from 0.0 (a loop, not
+    ``sum``, which compensates rounding from Python 3.12 on), so equal
+    inputs give bit-identical floats on every version.
+    """
+    inner, ratio, root = float(spec.inner_p), spec.outer_p / spec.inner_p, 1.0 / spec.outer_p
+    dim = dimension(spec)
+    layout = [
+        (off, off + block.size, block.cap)
+        for off, block in zip(block_offsets(spec), spec.blocks)
+    ]
+
+    def norm(values: Sequence[float]) -> float:
+        if len(values) != dim:
+            raise ValueError(f"{len(values)} coordinates for a {dim}-dimensional space")
+        total = 0.0
+        for lo, hi, cap in layout:
+            bp = 0.0
+            for m in sorted(map(abs, values[lo:hi]), reverse=True)[:cap]:
+                bp += m**inner
+            total += bp**ratio  # 0.0 ** ratio is 0.0: ratio > 0
+        return total**root
+
+    return norm
 
 
 # ---------------------------------------------------------------------------
@@ -390,7 +412,7 @@ def sigma_power_table(x: CompressedVector, spec: SpaceSpec) -> tuple:
     p = spec.inner_p
     if spec.inner_p != spec.outer_p or not isinstance(p, int):
         raise ValueError("exact sigma table needs integer inner_p == outer_p")
-    x = spec.vector(x.groups)
+    x = spec.conform(x)
     dp = [0]
     for b in x.blocks():
         mags = [mag for mag, count in x.block_groups(b) for _ in range(count)]
@@ -416,8 +438,13 @@ def sigma_oracle_grid(values: Sequence, n: int, spec: SpaceSpec) -> float:
     Enumerates every support of size n; for each, minimizes the residual
     norm over coefficients on an integer grid followed by halving-window
     refinement (the objective is convex in the coefficients, so the local
-    refinement reaches the global minimum).  Exists solely to validate
-    that free coefficients never beat plain suppression.
+    refinement reaches the global minimum).  Per support that is 19^n
+    grid points, then 5^n candidates per refinement pass: one pass for
+    each of the 27 halvings of the window, and one more after every pass
+    that improved.  The norm is built once per call (``_float_norm``) and
+    the grid's residual vectors come straight from ``itertools.product``.
+    Exists solely to validate that free coefficients never beat plain
+    suppression.
     """
     dim = len(values)
     if dim > 4:
@@ -430,25 +457,24 @@ def sigma_oracle_grid(values: Sequence, n: int, spec: SpaceSpec) -> float:
     if n >= dim:
         return 0.0
 
+    norm = _float_norm(spec)
+    grid = [float(c) for c in range(-GRID_COEFF_BOUND, GRID_COEFF_BOUND + 1)]
     best_overall = math.inf
     for support in itertools.combinations(range(dim), n):
+        # The residual vectors in the order of their grid points.
+        residuals = [[v - c for c in grid] if i in support else [v] for i, v in enumerate(vals)]
+        grid_values = list(map(norm, itertools.product(*residuals)))
+        # The first minimum, as a strict-< scan over the grid keeps.
+        best_val = min(grid_values)
+        at = grid_values.index(best_val)
+        best_pt = next(itertools.islice(itertools.product(grid, repeat=n), at, None))
+
         residual = list(vals)
 
         def objective(coeffs: tuple[float, ...]) -> float:
             for i, c in zip(support, coeffs):
                 residual[i] = vals[i] - c
-            out = norm_float(residual, spec)
-            for i in support:
-                residual[i] = vals[i]
-            return out
-
-        best_val = math.inf
-        best_pt: tuple[float, ...] = ()
-        grid = range(-GRID_COEFF_BOUND, GRID_COEFF_BOUND + 1)
-        for point in itertools.product(grid, repeat=n):
-            val = objective(tuple(float(c) for c in point))
-            if val < best_val:
-                best_val, best_pt = val, tuple(float(c) for c in point)
+            return norm(residual)
 
         step = 1.0
         while step > 1e-8:

@@ -184,7 +184,7 @@ def gamma(x: CompressedVector, n: int, spec: SpaceSpec) -> GreedyOutcome:
     """
     if n < 0:
         raise ValueError("n must be >= 0")
-    x = spec.vector(x.groups)
+    x = spec.conform(x)
     counts = x.block_counts()
     forced, tie = counts, EMPTY_TIE  # n >= support keeps everything
     for k, size, m, members, kept in _classes(x):
@@ -250,7 +250,7 @@ def error_sequence(x: CompressedVector, spec: SpaceSpec, kind: str) -> ErrorSequ
     """
     if kind not in ("sigma", "gamma"):
         raise ValueError("kind must be 'sigma' or 'gamma'")
-    x = spec.vector(x.groups)
+    x = spec.conform(x)
     prefixes = _block_prefixes(x, spec)
     if kind == "sigma":
         knots = _sigma_knots(x, prefixes)

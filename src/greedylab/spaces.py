@@ -21,7 +21,7 @@ from typing import Iterable, Optional, Sequence, Union
 
 from .exact import as_fraction, pow_rational, simplify
 from .schedule import BlockSchedule
-from .vectors import CompressedVector, canonicalize, indicator
+from .vectors import CompressedVector, _check_sizes, canonicalize, indicator
 
 Rational = Union[int, Fraction]
 
@@ -104,6 +104,17 @@ class SpaceSpec:
     def vector(self, raw) -> CompressedVector:
         """Canonicalize raw groups with this space's capacity checks."""
         return canonicalize(raw, sizes=self.sizes())
+
+    def conform(self, x: CompressedVector) -> CompressedVector:
+        """x in canonical form, its block ids and per-block support checked.
+
+        A vector that ``canonicalize`` returned is only checked, so a caller
+        querying one vector many times does not re-sort its groups each time.
+        """
+        if not x._canonical:
+            return self.vector(x.groups)
+        _check_sizes(x, self.sizes())
+        return x
 
     def indicator(self, block_counts) -> CompressedVector:
         return indicator(block_counts, sizes=self.sizes())
@@ -244,8 +255,7 @@ def space_norm(x: CompressedVector, spec: SpaceSpec) -> NormValue:
     Block sums combine per-block norms with the outer exponent; the result
     stays exact whenever outer_p == inner_p is an integer.
     """
-    # Re-canonicalizing through the spec applies the capacity checks.
-    x = spec.vector(x.groups)
+    x = spec.conform(x)
     if x.is_zero:
         return NormValue.from_power(0, spec.outer_p)
 

@@ -31,6 +31,10 @@ Group = tuple[int, Fraction, int]
 class CompressedVector:
     groups: tuple[Group, ...]
 
+    # Set only by ``canonicalize`` on what it returns; a hand-built vector
+    # may hold its groups in any order, so ``SpaceSpec.conform`` canonicalizes it.
+    _canonical = False
+
     @property
     def support_size(self) -> int:
         return sum(mult for _, _, mult in self.groups)
@@ -104,15 +108,19 @@ def canonicalize(
     rows = sorted(merged.values(), key=itemgetter(1), reverse=True)
     rows.sort(key=itemgetter(0))  # stable: descending magnitude within each block
     vec = CompressedVector(tuple(map(tuple, rows)))
-
+    object.__setattr__(vec, "_canonical", True)
     if sizes is not None:
-        for block, count in vec.block_counts().items():
-            if block >= len(sizes):
-                raise ValueError(f"block id {block} outside the {len(sizes)}-block space")
-            size = sizes[block]
-            if size is not None and count > size:
-                raise CapacityError(block, count, size)
+        _check_sizes(vec, sizes)
     return vec
+
+
+def _check_sizes(vec: CompressedVector, sizes: Sequence[Optional[int]]) -> None:
+    for block, count in vec.block_counts().items():
+        if block >= len(sizes):
+            raise ValueError(f"block id {block} outside the {len(sizes)}-block space")
+        size = sizes[block]
+        if size is not None and count > size:
+            raise CapacityError(block, count, size)
 
 
 def indicator(

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from greedylab import (
+    CompressedVector,
     SpaceSpec,
     TruncationError,
     arithmetic_schedule,
@@ -207,6 +208,40 @@ def test_sigma_grid_oracle_validates_suppression_on_trunc_block():
         assert abs(exact - sigma_oracle_grid(values, n, spec)) < 1e-6
 
 
+_P3 = SpaceSpec.block_sum([(3, 3), (1, 1)], 3, 3)
+_PINNED_GRID_ORACLE = [
+    ("lp1", [Fraction(-10, 7), -7, Fraction(4, 7), Fraction(44, 7)], 1, SpaceSpec.lp(1, 4),
+     8.285714285714286),
+    ("lp2_n2", [Fraction(11, 3), Fraction(-11, 3), -6, Fraction(3, 7)], 2, SpaceSpec.lp(2, 4),
+     3.691628084440821),
+    ("lp2_n3", [Fraction(20, 3), Fraction(55, 7), -1, Fraction(27, 5)], 3, SpaceSpec.lp(2, 4),
+     1.000000000000001),
+    ("lp3_n1", [-1, -3, Fraction(25, 7), Fraction(-5, 3)], 1, SpaceSpec.lp(3, 4),
+     3.195489401190902),
+    ("lp3_n3", [Fraction(-1, 5), 7, Fraction(16, 7), Fraction(5, 7)], 3, SpaceSpec.lp(3, 4),
+     0.20000000000000007),
+    ("trunc_block", [4, 3.5, -2, 1], 2, SpaceSpec.trunc_block(2, 4, 2), 2.23606797749979),
+    ("block_sum_n1", [Fraction(8, 7), Fraction(-36, 5), Fraction(-18, 7), Fraction(2, 3)], 1, _P3,
+     2.65862494736423),
+    ("block_sum_n2", [5, -2, Fraction(-33, 7), Fraction(-3, 5)], 2, _P3, 2.0178403871082535),
+    ("block_sum_n3", [Fraction(-32, 5), Fraction(-9, 5), 4, Fraction(13, 3)], 3, _P3,
+     1.800000000000001),
+]
+
+
+@pytest.mark.parametrize(
+    "values, n, spec, expected",
+    [case[1:] for case in _PINNED_GRID_ORACLE],
+    ids=[case[0] for case in _PINNED_GRID_ORACLE],
+)
+def test_sigma_grid_oracle_values_are_pinned(values, n, spec, expected):
+    # Floats recorded from the oracle when it called norm_float afresh for
+    # every point, compared with ==.  All but trunc_block and the last two
+    # change in the last bits if a block adds its powers in ascending order,
+    # or with sum() on Python >= 3.12 (which compensates rounding).
+    assert sigma_oracle_grid(values, n, spec) == expected
+
+
 # -- joint properties ---------------------------------------------------------
 
 
@@ -396,16 +431,28 @@ def test_sigma_sequence_bends_between_integers():
 
 
 def test_error_sequence_canonicalizes_once(monkeypatch):
-    # The first-knot check reads the vector the sequence already canonicalized.
-    from greedylab import spaces
+    # A canonical vector is only checked against the space.  A hand-built one
+    # is canonicalized once, and the first-knot check reads that result.
+    # Both bindings are counted: ``spec.vector`` calls the one in ``spaces``.
+    from greedylab import spaces, vectors
 
     spec = SpaceSpec.from_schedule(arithmetic_schedule(3))
     x = spec.vector([(0, 2, 20), (1, 1, 20)])
     calls = []
-    real = spaces.canonicalize
-    monkeypatch.setattr(spaces, "canonicalize", lambda *a, **k: calls.append(1) or real(*a, **k))
+    real = vectors.canonicalize
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(vectors, "canonicalize", counted)
+    monkeypatch.setattr(spaces, "canonicalize", counted)
     for kind in ("sigma", "gamma"):
         error_sequence(x, spec, kind)
+    assert calls == []
+    hand = CompressedVector(x.groups[::-1])
+    for kind in ("sigma", "gamma"):
+        assert error_sequence(hand, spec, kind).knots == error_sequence(x, spec, kind).knots
     assert len(calls) == 2
 
 

@@ -176,6 +176,14 @@ def test_triangle_inequality_sampled():
         assert lhs <= rhs * (1 + 1e-9)
 
 
+def test_float_norm_refuses_a_wrong_coordinate_count():
+    spec = SpaceSpec.block_sum([(2, 4), (3, 6)])
+    assert explicit.norm_float([3, 0, 0, 0, 4, 0, 0, 0, 0, 0], spec) == 5.0
+    for count in (9, 11):
+        with pytest.raises(ValueError, match="10-dimensional"):
+            explicit.norm_float([1] * count, spec)
+
+
 def test_mixed_exponents_fall_back_to_float():
     # outer 1, inner 2: two singleton blocks of magnitudes 3 and 4 give
     # block norms 3 and 4, combined by plain summation.

@@ -5,7 +5,15 @@ from fractions import Fraction
 
 import pytest
 
-from greedylab import CapacityError, CompressedVector, canonicalize, gamma, indicator
+from greedylab import (
+    CapacityError,
+    CompressedVector,
+    canonicalize,
+    error_sequence,
+    gamma,
+    indicator,
+    space_norm,
+)
 from greedylab.spaces import SpaceSpec
 
 
@@ -126,3 +134,39 @@ def test_spec_vector_validates_block_ids():
     spec = SpaceSpec.block_sum([(2, 4), (3, 6)])
     with pytest.raises(ValueError):
         spec.vector([(5, 1, 1)])
+
+
+def test_hand_built_vector_is_canonicalized_by_every_query():
+    # Unsorted, with a duplicate magnitude, a zero group and int magnitudes.
+    spec = SpaceSpec.block_sum([(2, 5), (1, 4)])
+    raw = ((1, 1, 2), (0, 2, 1), (0, Fraction(3, 2), 1), (0, 2, 1), (1, 0, 3), (1, 3, 1))
+    hand = CompressedVector(raw)
+    canon = spec.vector(raw)
+    assert hand != canon
+    assert space_norm(hand, spec) == space_norm(canon, spec)
+    for n in range(canon.support_size + 1):
+        assert gamma(hand, n, spec) == gamma(canon, n, spec)
+    for kind in ("sigma", "gamma"):
+        assert error_sequence(hand, spec, kind).knots == error_sequence(canon, spec, kind).knots
+
+
+@pytest.mark.parametrize(
+    "query",
+    [
+        lambda x, spec: space_norm(x, spec),
+        lambda x, spec: gamma(x, 1, spec),
+        lambda x, spec: error_sequence(x, spec, "sigma"),
+        lambda x, spec: error_sequence(x, spec, "gamma"),
+    ],
+    ids=["space_norm", "gamma", "error_sequence_sigma", "error_sequence_gamma"],
+)
+def test_queries_check_capacity_and_block_range(query):
+    # canonicalize without sizes checks nothing; each query checks against its space.
+    spec = SpaceSpec.block_sum([(2, 4), (3, 6)])
+    for x in (canonicalize([(0, 1, 3), (1, 2, 7)]), CompressedVector(((1, 2, 7), (0, 1, 3)))):
+        with pytest.raises(CapacityError) as err:
+            query(x, spec)
+        assert (err.value.block, err.value.requested) == (1, 7)
+    for x in (canonicalize([(2, 1, 1)]), CompressedVector(((2, 1, 1),))):
+        with pytest.raises(ValueError, match="outside the 2-block space"):
+            query(x, spec)
