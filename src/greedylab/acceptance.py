@@ -50,16 +50,16 @@ def criterion_1() -> tuple[bool, str]:
         point = demfun_dp(toy, n)
         routes = (
             ("dp", explicit.alloc_dp_point(blocks, n)[:2]),
-            ("extreme", (point.hl_power, point.hr_power)),
+            ("recurrence", (point.hl_power, point.hr_power)),
         )
         for route, (hl, hr) in routes:
             if hl != hl_b or hr != hr_b:
                 return False, f"mismatch at N={n}: {route}=({hl},{hr}) brute=({hl_b},{hr_b})"
-    return True, "DP oracle and vertex search == demfun_bruteforce for all N in [0,10]"
+    return True, "DP oracle and h_l recurrence == demfun_bruteforce for all N in [0,10]"
 
 
 def criterion_2() -> tuple[bool, str]:
-    """Non-doubling reproduction on a = (4,5,6,7), k = 1, 2."""
+    """Non-doubling reproduction on a = (4,5,6,7), k = 1, 2, and its bounds to k = 100."""
     sched = arithmetic_schedule(3)
     blocks = [(b.cap, b.size) for b in SpaceSpec.from_schedule(sched).blocks]
     expected = {20: 4, 40: 20, 120: 20, 240: 120}
@@ -73,7 +73,10 @@ def criterion_2() -> tuple[bool, str]:
             return False, f"k={row.k}: ratio_sq {row.ratio_sq} < bound_sq {row.bound_sq}"
         if not row.upper_equality:
             return False, f"k={row.k}: h_l(n_k+1)^2 = {row.hl_n_power} != n_k = {row.n_k}"
-    return True, "h_l values exact; ratios beat sqrt(2/3)sqrt(a_(k+1)); upper witness tight"
+    for row in doubling_scan(arithmetic_schedule(101), range(1, 101)).rows:
+        if not (row.bound_holds and row.upper_holds):
+            return False, f"k={row.k} of 101: bound {row.bound_holds}, upper {row.upper_holds}"
+    return True, "h_l exact; ratios beat sqrt(2/3)sqrt(a_(k+1)) to k=100; upper witness tight"
 
 
 def criterion_3() -> tuple[bool, str]:

@@ -1,18 +1,16 @@
 """Allocation kernels: extremes of concave per-block costs.
 
-An allocation places n units on blocks, at most ``size`` on each.  h_l,
-h_r and the tie extremes of gamma are all extremes of a sum of per-block
-costs that are concave in the number of units a block takes:
+An allocation places n units on blocks, at most ``size`` on each.  The
+tie extremes of gamma are extremes of a sum of per-block costs that are
+concave in the number of units a block takes:
 
 * the minimum sits at a vertex of the allocation polytope, where every
   block is empty or full except at most one (``cheapest_vertex``),
 * the maximum is a marginal-gain greedy: with non-increasing slopes per
   block, the n best unit gains overall form a prefix of every block
-  (``greedy_max``).
+  (``greedy_max``), which also witnesses h_r.
 
-Blocks with the same full cost and size form one type: the vertex search
-adds each type as a bounded knapsack step, so its work grows with types,
-not blocks.
+h_l has a cheaper route of its own: the recurrence in democracy.py.
 
 sigma needs the minimum for every n at once, over per-block costs that
 are piecewise linear but not concave.  ``min_plus`` splits each cost into
@@ -30,81 +28,41 @@ from typing import Callable, Sequence
 from .exact import simplify, slope
 
 
-def _lower(states: dict, key, cost: int, chosen: tuple) -> None:
-    if key not in states or cost < states[key][0]:
-        states[key] = (cost, chosen)
-
-
-def _add_copies(states: dict, r: int, cost, size: int, copies: int, limit: int) -> dict:
-    """The states after adding 0..copies full blocks of type r, totals <= limit.
-
-    A bounded knapsack step: the copies go in chunks of 1, 2, 4, ... and a
-    remainder, whose subset sums are exactly 0..copies.  ``states`` maps
-    (total, free type) to (cost, chosen (type, copies) chunks); it is not
-    changed, but it is returned itself when no chunk fits.
-    """
-    chunk = 1
-    while copies > 0:
-        k = min(chunk, copies)
-        if k * size > limit:
-            break  # no larger count fits either, and the smaller ones are in
-        grown = dict(states)
-        for (t, q), (c, chosen) in states.items():
-            if t + k * size <= limit:
-                _lower(grown, (t + k * size, q), c + k * cost, chosen + ((r, k),))
-        states, copies, chunk = grown, copies - k, 2 * chunk
-    return states
-
-
-def _vertices(types: Sequence[tuple], limit: int) -> dict:
-    """Vertices of the allocation polytope whose full blocks total <= limit.
-
-    ``types`` lists (cost of a full block, size, number of such blocks);
-    for h_l that cost is the cap.  At a vertex every block is empty or full
-    except at most one, the free block, which takes a remainder.  Returns a
-    dict of the cheapest full parts, as (cost sum, chosen (type, copies)):
-
-    * at ``(t, None)``: the cheapest full part with total size t,
-    * at ``(t, r)``: the same, among full parts with at most count_r - 1
-      blocks of type r, which leave one block of type r free.
-
-    Types are added one at a time as bounded knapsack steps, and parts
-    with the same key are merged into the cheapest, so there are at most
-    (types + 1) * (limit + 1) states, however many blocks share a type.
-    """
-    states: dict = {(0, None): (0, ())}
-    for r, (cost, size, count) in enumerate(types):
-        full = {(t, r): state for (t, q), state in states.items() if q is None}
-        spare = _add_copies(full, r, cost, size, count - 1, limit)
-        states = _add_copies(states, r, cost, size, count, limit)
-        states.update(spare)
-    return states
-
-
 def cheapest_vertex(
-    types: Sequence[tuple], n: int, free_cost: Callable[[int, int], object]
+    blocks: Sequence[tuple], n: int, free_cost: Callable[[int, int], object]
 ):
     """Cheapest vertex placing exactly n units, as (cost, witness).
 
-    ``types`` lists (cost of a full block, size, count) as for
-    ``_vertices``; an empty block costs 0 and a free block of type r
-    holding 0 < rem <= size units costs ``free_cost(r, rem)``.  The
-    witness lists (type, units) for every block that takes units, sorted.
+    ``blocks`` lists (cost of the full block, size).  At a vertex every
+    block is empty (cost 0) or full except at most one, the free block r,
+    whose 0 < rem <= size units cost ``free_cost(r, rem)``.  The cheapest
+    full part is kept per total size t and free block r (None if none),
+    so there are at most (blocks + 1) * (n + 1) of them.  The witness
+    lists (block, units) for every block that takes units, sorted.
     """
+    states: dict = {(0, None): (0, ())}  # (t, r) -> (cost sum, full blocks)
+    for r, (cost, size) in enumerate(blocks):
+        free = {(t, r): state for (t, q), state in states.items() if q is None}
+        grown = dict(states)
+        for (t, q), (c, chosen) in states.items():
+            key = (t + size, q)
+            if t + size <= n and (key not in grown or c + cost < grown[key][0]):
+                grown[key] = (c + cost, chosen + (r,))
+        states = grown | free
     best = None
-    for (t, r), (cost, chosen) in _vertices(types, n).items():
+    for (t, r), (cost, chosen) in states.items():
         rem = n - t
         if r is None:
             if rem == 0 and (best is None or cost < best[0]):
                 best = (cost, chosen, ())
-        elif 0 < rem <= types[r][1]:
+        elif 0 < rem <= blocks[r][1]:
             total = cost + free_cost(r, rem)
             if best is None or total < best[0]:
                 best = (total, chosen, ((r, rem),))
     if best is None:
         raise ValueError(f"no allocation of {n} coordinates fits the space")
     value, chosen, part = best
-    witness = [(r, types[r][1]) for r, copies in chosen for _ in range(copies)]
+    witness = [(r, blocks[r][1]) for r in chosen]
     return value, tuple(sorted(witness + list(part)))
 
 

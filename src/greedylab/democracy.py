@@ -4,16 +4,16 @@ For an indicator vector the block-sum norm power is sum_k min(m_k, cap_k)
 over the per-block counts m_k, so h_l(N)^p and h_r(N)^p are integer
 programs over allocations of N.  The production routes are:
 
-* a vertex search for h_l: the objective is concave, so the minimum sits
-  at a vertex of the allocation polytope, where every block is empty or
-  full except at most one.  One enumerator of those vertices answers a
-  single N (up to the n_s-sized queries of the counterexample
-  construction) and sweeps a whole table; identical (cap, size) blocks
-  form one type, so its work grows with types, not blocks,
-* the closed form min(N, sum caps) for h_r, witnessed by a marginal-gain
-  greedy that fills caps first.
-
-Both kernels live in alloc.py, which gamma's tie extremes share.
+* one recurrence for h_l.  A type is c copies of one (cap, size) block.
+  Over the first t types, sorted by size, of total size S_t and cap C_t,
+  H_t(N) = min over M of psi_t(M) + H_{t-1}(N - M), where M runs over
+  max(0, N - S_{t-1})..min(N, c * size) and psi_t(M) = (M // size) * cap
+  + min(M % size, cap) is the cheapest way to put M coordinates on the
+  type (its per-block cost is concave, so all its blocks but one are
+  empty or full).  H_t(0) = 0 and H_t(S_t) = C_t close it.  A point query
+  walks it top-down over types, a table bottom-up one block at a time,
+* the closed form min(N, sum caps) for h_r, witnessed by the
+  marginal-gain greedy of alloc.py, which fills caps first.
 
 Their oracles, the allocation DP (explicit.alloc_dp, quadratic in N) and
 subset brute force (explicit.demfun_bruteforce), live in explicit.py; the
@@ -28,10 +28,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import repeat
+from itertools import accumulate, groupby
 from typing import Callable, Iterable, Optional, Sequence
 
-from .alloc import _vertices, cheapest_vertex, greedy_max
+from .alloc import greedy_max
 from .errors import InvariantError, TruncationError
 from .schedule import BlockSchedule
 from .spaces import SpaceSpec, _float_root
@@ -74,16 +74,13 @@ def _finite_blocks(spec: SpaceSpec) -> list[tuple[int, int]]:
     if spec.inner_p != spec.outer_p:
         # h^p = sum min(m_k, cap_k) needs one exponent throughout.
         raise ValueError("democracy functions need inner_p == outer_p")
-    blocks = []
-    for b in spec.blocks:
-        if b.cap is None or b.size is None:
-            raise ValueError("democracy functions need finite caps and sizes")
-        blocks.append((b.cap, b.size))
-    return blocks
+    if any(b.cap is None or b.size is None for b in spec.blocks):
+        raise ValueError("democracy functions need finite caps and sizes")
+    return [(b.cap, b.size) for b in spec.blocks]
 
 
-def _check_adequacy(spec: SpaceSpec, n: int, which: str = "both") -> None:
-    """Refuse queries the materialized window cannot answer exactly."""
+def _adequate_blocks(spec: SpaceSpec, n: int, which: str) -> list[tuple[int, int]]:
+    """The (cap, size) blocks, refusing queries the window cannot answer exactly."""
     blocks = _finite_blocks(spec)
     total_size = sum(s for _, s in blocks)
     if spec.schedule is not None:
@@ -103,6 +100,7 @@ def _check_adequacy(spec: SpaceSpec, n: int, which: str = "both") -> None:
             )
     elif n > total_size:
         raise ValueError(f"no index set of size {n} in a {total_size}-point space")
+    return blocks
 
 
 def demfun_dp(
@@ -110,10 +108,11 @@ def demfun_dp(
 ) -> DemPoint:
     """Exact h_l(n)^p and h_r(n)^p with achieving allocations.
 
-    h_l comes from the vertex search, h_r from its closed form.  The only
-    accepted ``method`` is "extreme", the name of that route.  ``which``
-    restricts the query to one side ("hl" or "hr"): a shallow window often
-    answers h_l at cardinalities whose h_r would need deeper caps.
+    h_l comes from the recurrence, walked top-down over block types with
+    its argmins traced into the witness; h_r from its closed form.  The
+    only accepted ``method`` is "extreme", a name kept for earlier callers.
+    ``which`` restricts the query to one side ("hl" or "hr"): a shallow
+    window often answers h_l at N whose h_r would need deeper caps.
     """
     if n < 0:
         raise ValueError("n must be >= 0")
@@ -123,65 +122,97 @@ def demfun_dp(
         raise ValueError("method must be 'extreme'")
     if n == 0:
         return DemPoint(0, 0, 0, (), ())
-    _check_adequacy(spec, n, which)
-    blocks = _finite_blocks(spec)
-    hl, wit_l = _hl_vertex(blocks, n) if which != "hr" else (None, ())
+    blocks = _adequate_blocks(spec, n, which)
+    hl, wit_l = _hl_point(blocks, n) if which != "hr" else (None, ())
     hr, wit_r = _hr_closed(blocks, n) if which != "hl" else (None, ())
     return DemPoint(n, hl, hr, wit_l, wit_r)
 
 
 # ---------------------------------------------------------------------------
-# Vertex search for h_l and closed-form h_r
+# The h_l recurrence and the closed-form h_r
 
 
-def _block_types(blocks: Sequence[tuple[int, int]]):
-    """Identical (cap, size) blocks as types (cap, size, count), with their blocks."""
-    members: dict = {}
-    for b, block in enumerate(blocks):
-        members.setdefault(block, []).append(b)
-    return [(cap, size, len(bs)) for (cap, size), bs in members.items()], list(members.values())
+def _candidates(size: int, count: int, s_prev: int, n: int) -> set[int]:
+    """The M worth trying for H_t(n): the ends of its range and the multiples of size.
 
-
-def _hl_vertex(blocks: Sequence[tuple[int, int]], n: int):
-    """h_l(n)^p as the cheapest vertex with n coordinates, plus its witness."""
-    types, members = _block_types(blocks)
-    value, witness = cheapest_vertex(types, n, lambda r, rem: min(rem, types[r][0]))
-    unused = [iter(bs) for bs in members]
-    return value, tuple(sorted((next(unused[r]), units) for r, units in witness))
-
-
-def _hl_sweep(blocks: Sequence[tuple[int, int]], max_n: int) -> list[int]:
-    """h_l(N)^p for every N <= max_n from one vertex enumeration.
-
-    The free block of type r of a vertex with full part (t, cost) puts rem
-    more coordinates in place for cost + min(rem, cap_r): a ramp of slope
-    one up to cap_r, then flat up to size_r.  Each vertex lowers its slice
-    of the table.  Every N <= max_n must be reachable (the caller checks
-    adequacy).
+    On each block psi_t rises with slope one up to the cap, then is flat,
+    and H_{t-1}(n - M) falls by 0 or 1 per unit of M (a coordinate adds at
+    most 1 to the power).  So the sum does not fall on a ramp or rise on a
+    flat, and for one block only the two ends remain.
     """
-    types, _ = _block_types(blocks)
-    hl = [max_n + 1] * (max_n + 1)  # above any real value: h_l(N)^p <= N
-    states = _vertices(types, max_n)
-    for (t, r), (cost, _) in states.items():
-        if r is None:
-            hl[t] = min(hl[t], cost)
-            continue
-        cap, size, _ = types[r]
-        top = min(size, max_n - t)
-        ramp = min(cap, top)
-        lo, mid, hi = t + 1, t + ramp + 1, t + top + 1
-        hl[lo:mid] = map(min, hl[lo:mid], range(cost + 1, cost + ramp + 1))
-        hl[mid:hi] = map(min, hl[mid:hi], repeat(cost + cap, hi - mid))
+    lo, hi = max(0, n - s_prev), min(n, count * size)
+    return {lo, hi, *range(-(-lo // size) * size, hi, size)}
+
+
+def _hl_point(blocks: Sequence[tuple[int, int]], n: int):
+    """h_l(n)^p from the recurrence, plus the witness traced from its argmins.
+
+    The states (t, N) are found from the top type down and evaluated from
+    the bottom up, without recursion, so windows of any depth work.  Where
+    every block is larger than all smaller ones together, as on a schedule,
+    at most one candidate per state is not a closed form: one state per block.
+    """
+    by_size = sorted(range(len(blocks)), key=lambda b: blocks[b][::-1])
+    types = [(cap, size, list(ids)) for (cap, size), ids in groupby(by_size, blocks.__getitem__)]
+    sizes = list(accumulate((len(ids) * size for _, size, ids in types), initial=0))  # S_t
+    caps = list(accumulate((len(ids) * cap for cap, _, ids in types), initial=0))  # C_t
+
+    found: list[dict] = [{} for _ in sizes]  # found[t]: N -> candidates for H_t(N)
+    level, wanted = len(types), {n} - {0, sizes[-1]}
+    while wanted:  # the closed forms at 0 and S_t need no state
+        cap, size, ids = types[level - 1]
+        found[level] = {m: _candidates(size, len(ids), sizes[level - 1], m) for m in wanted}
+        wanted = {m - j for m, ms in found[level].items() for j in ms} - {0, sizes[level - 1]}
+        level -= 1
+
+    best: list[dict] = [{} for _ in sizes]  # best[t]: N -> (H_t(N), argmin M)
+
+    def h(t: int, m: int) -> int:
+        return best[t][m][0] if m in best[t] else caps[t] if m else 0
+
+    for t in range(level + 1, len(sizes)):  # the levels with states, from the bottom up
+        cap, size, _ = types[t - 1]
+        best[t] = {
+            m: min(((j // size) * cap + min(j % size, cap) + h(t - 1, m - j), j) for j in ms)
+            for m, ms in found[t].items()
+        }
+
+    witness, m, t = [], n, len(types)
+    while m in best[t]:  # M = j on type t: its first blocks full, the last one the rest
+        j, (_, size, ids) = best[t][m][1], types[t - 1]
+        witness += [(b, min(size, j - i * size)) for i, b in enumerate(ids[:-(-j // size)])]
+        m, t = m - j, t - 1
+    if m:  # the first t types all full
+        witness += [(b, size) for _, size, ids in types[:t] for b in ids]
+    return h(len(types), n), tuple(sorted(witness))
+
+
+def _hl_table(blocks: Sequence[tuple[int, int]], max_n: int) -> list[int]:
+    """h_l(N)^p for every N <= max_n, from the recurrence one block at a time.
+
+    With one block the two candidates are M = max(0, N - S) (the block
+    takes only what the blocks before it cannot hold) and M = min(N, size).
+    Every N <= max_n must be reachable (the caller checks adequacy).
+    """
+    hl, total, full = [0], 0, 0  # h_l over the blocks so far; their size and cap sums
+
+    def ramp(base: int, cap: int, length: int) -> list[int]:
+        """base + min(d, cap) for d = 0..length."""
+        return list(range(base, base + min(cap, length) + 1)) + [base + cap] * (length - cap)
+
+    for cap, size in blocks:
+        top = min(total + size, max_n)
+        fill = min(size, top)
+        low = hl + ramp(full, cap, max(0, top - total))[1:]
+        high = ramp(0, cap, fill) + [cap + h for h in hl[1:top - fill + 1]]
+        hl = list(map(min, low, high))
+        total, full = total + size, full + cap
     return hl
 
 
 def _hr_closed(blocks: Sequence[tuple[int, int]], n: int):
     """h_r(n)^p = min(n, sum caps), witnessed by filling caps first."""
-    total_caps = sum(c for c, _ in blocks)
-    total_size = sum(s for _, s in blocks)
-    if n > total_size:
-        raise ValueError(f"no index set of size {n} in a {total_size}-point space")
-    target = min(n, total_caps)
+    target = min(n, sum(c for c, _ in blocks))
     segments = [(i, slope, length) for i, (cap, size) in enumerate(blocks)
                 for slope, length in ((1, cap), (0, size - cap))]
     _gain, counts = greedy_max(segments, n)
@@ -203,9 +234,10 @@ def _hr_closed(blocks: Sequence[tuple[int, int]], n: int):
 class DemFunTable:
     """h_l / h_r powers for every N up to max_n.
 
-    h_l comes from one vertex sweep, h_r from its closed form.  A side not
-    requested at build time is withheld rather than served wrong:
-    accessing it raises.
+    h_l comes from the recurrence, one block at a time; h_r from its
+    closed form.  A side not requested at build time is withheld rather
+    than served wrong, and so is any N past max_n: accessing either
+    raises TruncationError.
     """
 
     spec: SpaceSpec
@@ -214,14 +246,19 @@ class DemFunTable:
     hr_powers: Optional[tuple[int, ...]]
 
     def hl_power(self, n: int) -> int:
-        if self.hl_powers is None:
-            raise TruncationError("table was built without the h_l side")
-        return self.hl_powers[n]
+        return self._power(self.hl_powers, "h_l", n)
 
     def hr_power(self, n: int) -> int:
-        if self.hr_powers is None:
-            raise TruncationError("table was built without the h_r side")
-        return self.hr_powers[n]
+        return self._power(self.hr_powers, "h_r", n)
+
+    def _power(self, powers: Optional[tuple[int, ...]], side: str, n: int) -> int:
+        if powers is None:
+            raise TruncationError(f"table was built without the {side} side")
+        if n < 0:
+            raise ValueError("n must be >= 0")
+        if n > self.max_n:
+            raise TruncationError(f"{side}({n}) is past the table's max_n = {self.max_n}")
+        return powers[n]
 
     def hl(self, n: int) -> float:
         return _float_root(self.hl_power(n), self.spec.outer_p)
@@ -233,15 +270,11 @@ class DemFunTable:
 def demfun_table(spec: SpaceSpec, max_n: int, which: str = "both") -> DemFunTable:
     if max_n < 0:
         raise ValueError("max_n must be >= 0")
-    _check_adequacy(spec, max_n, which)
-    blocks = _finite_blocks(spec)
+    blocks = _adequate_blocks(spec, max_n, which)
     total_caps = sum(c for c, _ in blocks)
-    return DemFunTable(
-        spec,
-        max_n,
-        tuple(_hl_sweep(blocks, max_n)) if which != "hr" else None,
-        tuple(min(n, total_caps) for n in range(max_n + 1)) if which != "hl" else None,
-    )
+    hl = tuple(_hl_table(blocks, max_n)) if which != "hr" else None
+    hr = tuple(min(n, total_caps) for n in range(max_n + 1)) if which != "hl" else None
+    return DemFunTable(spec, max_n, hl, hr)
 
 
 # ---------------------------------------------------------------------------

@@ -5,12 +5,12 @@ operator.  A resolution is a per-block count of kept coordinates at the
 threshold magnitude, which is lossless because every norm here is
 symmetric within blocks; each block residual is concave in that count,
 so the worst and best resolutions come from the allocation kernels in
-alloc.py (a marginal-gain greedy and a vertex search), exact for tie
-classes of any multiplicity.  sigma_N uses the suppression-projection
-reduction: for a normalized lattice-unconditional basis the optimal
-N-term approximant matches the vector on its support, so sigma_N is a
-minimum over removal sets, and within one block it is always best to
-remove the largest magnitudes first.  The reduction is not taken on
+alloc.py (a marginal-gain greedy and a vertex search over the tied
+blocks), exact for tie classes of any multiplicity.  sigma_N uses the
+suppression-projection reduction: for a normalized lattice-unconditional
+basis the optimal N-term approximant matches the vector on its support,
+so sigma_N is a minimum over removal sets, and within one block it is
+always best to remove the largest magnitudes first.  The reduction is not taken on
 faith: a grid-search oracle over free coefficients validates it on small
 instances (explicit.sigma_oracle_grid and the acceptance suite).
 
@@ -210,9 +210,8 @@ def gamma(x: CompressedVector, n: int, spec: SpaceSpec) -> GreedyOutcome:
         witness = tuple((b, tie.choose) for b in tied)
         return GreedyOutcome(nv, nv, witness, witness, tie)
 
-    # One type per tied block: their free costs differ.
-    types = [(shift(i, supply), supply, 1) for i, (_b, supply) in enumerate(tie.available)]
-    lo_gain, lo_witness = cheapest_vertex(types, tie.choose, shift)
+    blocks = [(shift(i, supply), supply) for i, (_b, supply) in enumerate(tie.available)]
+    lo_gain, lo_witness = cheapest_vertex(blocks, tie.choose, shift)
     tau_power = pow_rational(tie.threshold, spec.inner_p)
     segments = _tie_segments(prefixes, tie.available, forced, tau_power)
     hi_gain, hi_counts = greedy_max(segments, tie.choose)

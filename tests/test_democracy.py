@@ -1,4 +1,4 @@
-"""Democracy functions: DP vs extreme-point vs brute force, scans, CGHM."""
+"""Democracy functions: DP vs the h_l recurrence vs brute force, scans, CGHM."""
 
 import random
 from fractions import Fraction
@@ -19,7 +19,7 @@ from greedylab import (
     prefix_norm_conjecture_check,
     squares_schedule,
 )
-from greedylab import alloc, democracy, explicit
+from greedylab import democracy, explicit
 from greedylab.democracy import one_plus_log2, sqrt_of
 from greedylab.explicit import demfun_bruteforce
 
@@ -71,8 +71,8 @@ def test_demfun_witnesses_achieve_their_values():
 
 
 def test_dp_equals_extreme_on_random_block_structures():
-    # The extreme-point search rests on a concavity argument; check it
-    # against the DP on arbitrary (cap, size) configurations, all n.
+    # The recurrence's two candidates rest on a concavity argument; check
+    # them against the DP on arbitrary (cap, size) configurations, all n.
     rng = random.Random(99)
     for _ in range(60):
         blocks = []
@@ -253,7 +253,7 @@ def test_condition71_failure_modes():
     assert not report.rows[1]["inequality_ok"]
 
 
-# -- vertex route vs the oracles ----------------------------------------------
+# -- the h_l recurrence vs the oracles ---------------------------------------
 
 
 @st.composite
@@ -323,27 +323,64 @@ def test_table_and_points_equal_dp_oracle_on_typed_block_sums(blocks):
         _assert_witness(spec, n, point.witness_r, point.hr_power)
 
 
-def test_vertex_states_grow_with_types_not_blocks(monkeypatch):
+def _count_states(monkeypatch):
+    """A list that gains one entry per h_l state a point query evaluates."""
+    states, real = [], democracy._candidates
+    monkeypatch.setattr(democracy, "_candidates", lambda *args: states.append(1) or real(*args))
+    return states
+
+
+def test_hl_states_grow_with_types_not_blocks(monkeypatch):
     blocks = [(2, 4)] * 200 + [(3, 7)] * 60
+    spec = SpaceSpec.block_sum(blocks)
     max_n = 1200
-    states, lowered = [], []
-    real_vertices, real_lower = democracy._vertices, alloc._lower
-
-    def vertices(types, limit):
-        found = real_vertices(types, limit)
-        states.append(len(found))
-        return found
-
-    monkeypatch.setattr(democracy, "_vertices", vertices)
-    monkeypatch.setattr(alloc, "_lower", lambda *args: lowered.append(1) or real_lower(*args))
-    table = demfun_table(SpaceSpec.block_sum(blocks), max_n)
+    table = demfun_table(spec, max_n)
     assert list(table.hl_powers) == explicit.alloc_dp(blocks, max_n)[0]
-    # Two types: at most (types + 1) * (N + 1) states, each lowered once per
-    # bounded-knapsack chunk (8 chunks cover 200 copies) and type.  One state
-    # per (total, free block) would be up to 261 * 1201.
+    states = _count_states(monkeypatch)
     types = 2
-    assert len(states) == 1 and states[0] <= (types + 1) * (max_n + 1)
-    assert len(lowered) <= (types + 1) ** 2 * (max_n + 1) * 8
+    for n in (7, 300, 601, 1199, 1200):
+        states.clear()
+        point = demfun_dp(spec, n, which="hl")
+        assert point.hl_power == table.hl_power(n)
+        _assert_witness(spec, n, point.witness_l, point.hl_power)
+        # One state per (type, N); one per (block, N) would be up to 260 * (N + 1).
+        assert len(states) <= types * (n + 1)
+
+
+def test_hl_states_on_a_schedule_stay_below_the_block_count(monkeypatch):
+    sched = arithmetic_schedule(30)
+    spec = SpaceSpec.from_schedule(sched)
+    states = _count_states(monkeypatch)
+    rng = random.Random(30)
+    ns = [sched.n(k) for k in range(1, 31)] + [2 * sched.n(k) for k in range(1, 30)]
+    for n in ns + [rng.randint(1, spec.blocks[-1].size) for _ in range(40)]:
+        states.clear()
+        demfun_dp(spec, n, which="hl")
+        assert len(states) <= sched.num_blocks
+
+
+def test_hl_point_queries_need_no_recursion_on_deep_windows():
+    sched = arithmetic_schedule(1100)
+    deep = demfun_dp(SpaceSpec.from_schedule(sched), sched.n(1000), which="hl")
+    assert deep.hl_power == sched.n(999)
+    # 1,500 pairwise distinct blocks are 1,500 levels, past the default recursion limit.
+    blocks = [(1 + i % 37, 1 + i % 37 + i // 37) for i in range(1500)]
+    spec = SpaceSpec.block_sum(blocks)
+    dp_min = explicit.alloc_dp(blocks, 30)[0]
+    for n in (1, 7, 30):
+        point = demfun_dp(spec, n, which="hl")
+        assert point.hl_power == dp_min[n]
+        _assert_witness(spec, n, point.witness_l, point.hl_power)
+
+
+def test_table_refuses_indices_outside_its_range():
+    table = demfun_table(SpaceSpec.from_schedule(arithmetic_schedule(3)), 50)
+    assert (table.hl_power(50), table.hr_power(50)) == (20, 50)
+    for lookup in (table.hl_power, table.hr_power):
+        with pytest.raises(ValueError):
+            lookup(-1)
+        with pytest.raises(TruncationError):
+            lookup(51)
 
 
 def _oracle_table(spec, max_n):
