@@ -1,8 +1,9 @@
 """The acceptance suite: eleven exact-value and property criteria.
 
-Each criterion is a function returning a CheckResult; run_all executes
-them, prints one pass/fail line per criterion with its runtime, and is
-reused both by ``greedylab verify`` and by tests/test_acceptance.py.
+Each criterion is a function returning (passed, detail); run_all executes
+them, wraps each outcome in a CheckResult with its runtime, prints one
+pass/fail line per criterion, and is reused both by ``greedylab verify``
+and by tests/test_acceptance.py.
 Everything is seeded and exact where the criterion says exact.
 """
 
@@ -38,7 +39,6 @@ class CheckResult:
     passed: bool
     detail: str
     seconds: float = 0.0
-    budget_seconds: float = 0.0
 
 
 def criterion_1() -> tuple[bool, str]:
@@ -308,7 +308,7 @@ CRITERIA: list[tuple[int, str, Callable[[], tuple[bool, str]], float]] = [
 
 def run_all(only: Optional[list[int]] = None, stream=None) -> list[CheckResult]:
     results = []
-    for number, name, func, budget in CRITERIA:
+    for number, name, func, _budget in CRITERIA:
         if only is not None and number not in only:
             continue
         start = time.perf_counter()
@@ -317,7 +317,7 @@ def run_all(only: Optional[list[int]] = None, stream=None) -> list[CheckResult]:
         except Exception as exc:  # a crash is a failure, not an abort
             passed, detail = False, f"raised {type(exc).__name__}: {exc}"
         elapsed = time.perf_counter() - start
-        result = CheckResult(number, name, passed, detail, elapsed, budget)
+        result = CheckResult(number, name, passed, detail, elapsed)
         results.append(result)
         if stream is not None:
             status = "PASS" if result.passed else "FAIL"

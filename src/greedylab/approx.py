@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Optional, Sequence, Union
+from typing import Optional, Sequence
 
 from .errors import GreedyLabError, ScheduleTooShallowError, TermBudgetError
 from .errorseq import ErrorSequence
@@ -47,10 +47,6 @@ class ApproxParams:
             raise ValueError("alpha must be positive")
         if not (self.q > 0 or math.isinf(self.q)):
             raise ValueError("q must be positive or infinity")
-
-    @property
-    def q_label(self) -> Union[float, str]:
-        return "inf" if math.isinf(self.q) else self.q
 
 
 def quasinorm(

@@ -4,7 +4,9 @@ sigma_k^p and gamma_k^p are linear in k between breakpoints set by the
 group boundaries of the vector, so a sequence is stored as its knots:
 exact powers at strictly increasing k, from (0, ||x||^p) to
 (support, 0), linear in between and 0 beyond.  ``greedy.error_sequence``
-builds them directly from the groups, whatever the support size.
+builds them directly from the groups, whatever the support size, out of
+one such sequence per block: the block's residual after its j largest
+coordinates are removed, whose ``runs`` over a window give gamma's slopes.
 
 All values are carried as exact p-th powers (plain ints for the integer
 instances the experiments use).
@@ -62,6 +64,16 @@ class ErrorSequence:
             else:
                 out += [simplify(y0 + a * t) for t in range(count)]
         return out + [0] * (last + 1 - len(out))
+
+    def runs(self, lo: int, hi: int) -> list[tuple[Rational, int]]:
+        """(slope, length) of the runs from k = lo to k = hi, in order (hi <= support)."""
+        i = bisect.bisect_right(self._ks, lo) - 1
+        out = []
+        while lo < hi:
+            end = min(self._ks[i + 1], hi)
+            out.append((self._slopes[i], end - lo))
+            lo, i = end, i + 1
+        return out
 
     def pieces(self) -> list[tuple[int, int, Rational, Rational]]:
         """(k_lo, k_hi, power(k_lo), slope) for each run between knots.

@@ -1,18 +1,24 @@
-"""Greedy operator errors and best N-term errors.
+"""Greedy operator errors and best N-term errors, from block residual functions.
+
+Every norm here is symmetric within blocks, so both errors read one
+function per block: r_b(j), the power of block b after its j largest
+coordinates are removed (``_residuals``, exact knots; b's own sigma).
+
+sigma_N uses the suppression-projection reduction: for a normalized
+lattice-unconditional basis the optimal N-term approximant matches the
+vector on its support, so sigma_N is a minimum over removal sets, and
+within one block it is always best to remove the largest magnitudes first.
+So sigma is the min-plus merge of the r_b.  The reduction is not taken on
+faith: a grid-search oracle over free coefficients validates it on small
+instances (explicit.sigma_oracle_grid and the acceptance suite).
 
 gamma_N is the worst residual over every tie resolution of the greedy
 operator.  A resolution is a per-block count of kept coordinates at the
-threshold magnitude, which is lossless because every norm here is
-symmetric within blocks; each block residual is concave in that count,
-so the worst and best resolutions come from the allocation kernels in
-alloc.py (a marginal-gain greedy and a vertex search over the tied
-blocks), exact for tie classes of any multiplicity.  sigma_N uses the
-suppression-projection reduction: for a normalized lattice-unconditional
-basis the optimal N-term approximant matches the vector on its support,
-so sigma_N is a minimum over removal sets, and within one block it is
-always best to remove the largest magnitudes first.  The reduction is not taken on
-faith: a grid-search oracle over free coefficients validates it on small
-instances (explicit.sigma_oracle_grid and the acceptance suite).
+threshold magnitude.  Over the threshold class's window of each block r_b
+is concave, so the worst and best resolutions come from the allocation
+kernels in alloc.py (a marginal-gain greedy over the runs of the r_b and a
+vertex search over the tied blocks), exact for tie classes of any
+multiplicity.
 
 Both are built as whole piecewise-linear sequences (error_sequence); their
 oracles, the removal-count DP sigma_power_table and the raw enumerations,
@@ -27,7 +33,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from operator import itemgetter
-from typing import Optional, Union
+from typing import Optional, Sequence, Union
 
 from .alloc import cheapest_vertex, drop_collinear, greedy_max, min_plus
 from .errors import InvariantError
@@ -72,53 +78,41 @@ class GreedyOutcome:
 
 
 # ---------------------------------------------------------------------------
-# Shared per-block prefix machinery
+# Block residual functions
 
 
-def _block_prefixes(x: CompressedVector, spec: SpaceSpec, blocks=None):
-    """Per block (default: every block of x): cumulative counts and powers.
+def _residuals(x: CompressedVector, spec: SpaceSpec, blocks) -> dict:
+    """Block -> r_b, its power after its j largest coordinates are removed.
 
-    With groups sorted descending, the power of the sum of the t largest
-    magnitudes in a block is prefix lookup; the residual after dropping
-    the j largest and re-truncating to the cap is two lookups.
+    The rest is re-truncated to the cap, so r_b(j) is the power of
+    positions j .. j+cap-1 and bends where either end of that window
+    crosses a group boundary.  Each r_b is an ErrorSequence of exact knots
+    from (0, block power) to (count, 0): block b's own sigma sequence.
     """
     p = spec.inner_p
     if spec.inner_p != spec.outer_p or not isinstance(p, int):
         raise ValueError("exact greedy machinery needs integer inner_p == outer_p")
     out = {}
-    for b in x.blocks() if blocks is None else blocks:
-        counts = [0]
-        powers: list[Rational] = [0]
-        mag_powers: list[Rational] = []
+    for b in blocks:
+        counts, powers, mags = [0], [0], []  # per group: end, prefix power, mag^p
         for mag, count in x.block_groups(b):
-            mp = pow_rational(mag, p)
-            mag_powers.append(mp)
+            mags.append(pow_rational(mag, p))
             counts.append(counts[-1] + count)
-            powers.append(simplify(powers[-1] + mp * count))
-        out[b] = (counts, powers, spec.blocks[b].cap, mag_powers)
+            powers.append(simplify(powers[-1] + mags[-1] * count))
+
+        def top(t: int) -> Rational:
+            """Power of the t largest magnitudes."""
+            g = bisect.bisect_left(counts, t)  # counts[g-1] < t <= counts[g]
+            if counts[g] == t:
+                return powers[g]
+            return powers[g - 1] + mags[g - 1] * (t - counts[g - 1])
+
+        total, cap = counts[-1], spec.blocks[b].cap
+        width = total if cap is None else cap
+        cuts = sorted({max(c - width, 0) for c in counts}.union(counts))
+        knots = [(j, simplify(top(min(j + width, total)) - top(j))) for j in cuts]
+        out[b] = ErrorSequence("sigma", p, drop_collinear(knots))
     return out
-
-
-def _prefix_power(prefix, t: int) -> Rational:
-    """Power of the t largest magnitudes of one block (grouped prefix sums)."""
-    counts, powers, _cap, mag_powers = prefix
-    if t <= 0:
-        return 0
-    if t >= counts[-1]:
-        return powers[-1]
-    # Locate the group containing position t: counts[g-1] < t <= counts[g].
-    g = bisect.bisect_left(counts, t)
-    return simplify(powers[g - 1] + mag_powers[g - 1] * (t - counts[g - 1]))
-
-
-def _residual_power(prefix, removed: int) -> Rational:
-    """Block residual power after removing the ``removed`` largest coords."""
-    counts, _powers, cap, _mag_powers = prefix
-    total = counts[-1]
-    if removed >= total:
-        return 0
-    end = total if cap is None else min(removed + cap, total)
-    return simplify(_prefix_power(prefix, end) - _prefix_power(prefix, removed))
 
 
 # ---------------------------------------------------------------------------
@@ -147,40 +141,17 @@ def _classes(x: CompressedVector):
         k += size
 
 
-def _tie_segments(prefixes, members, kept, tau_power: Rational) -> list:
-    """(i, gain, length) runs of the residual change per kept coordinate of a class.
-
-    members[i] = (block, supply) holds the class's coordinates in a block,
-    kept[block] of which lie above it.  Keeping one more coordinate at the
-    threshold removes tau^p from the block residual and lets the coordinate
-    ``cap`` places further down into the cap window (nothing once that runs
-    past the block).  Those coordinates only get smaller, so the gains
-    never increase: each block residual is concave in its kept count.
-    """
-    runs = []
-    for i, (b, supply) in enumerate(members):
-        counts, _powers, cap, mag_powers = prefixes[b]
-        if cap is None:
-            runs.append((i, -tau_power, supply))
-            continue
-        lo, hi = kept[b] + cap, kept[b] + cap + supply
-        for g, mag_power in enumerate(mag_powers):
-            length = min(hi, counts[g + 1]) - max(lo, counts[g])
-            if length > 0:
-                runs.append((i, mag_power - tau_power, length))
-        if hi > counts[-1]:
-            runs.append((i, -tau_power, hi - max(lo, counts[-1])))
-    return runs
-
-
 def gamma(x: CompressedVector, n: int, spec: SpaceSpec) -> GreedyOutcome:
     """Residual-norm extremes of the greedy operator at step n.
 
     Coordinates above the threshold magnitude are always kept.  When the
     threshold class spans several blocks, the best resolution is the
     cheapest vertex of the allocation polytope of its kept coordinates and
-    the worst is a marginal-gain greedy; both are exact because each block
-    residual is concave in its kept count (see ``_tie_segments``).
+    the worst is a marginal-gain greedy over the runs of each block
+    residual across its class window [kept_b, kept_b + supply_b].  Both are
+    exact because r_b is concave there: keeping one more tied coordinate
+    removes tau^p and lets in the coordinate ``cap`` places further down,
+    and those only get smaller.
     """
     if n < 0:
         raise ValueError("n must be >= 0")
@@ -194,14 +165,14 @@ def gamma(x: CompressedVector, n: int, spec: SpaceSpec) -> GreedyOutcome:
                 tie = TieDescriptor(m, tuple(members), n - k)
             break
     # Only the blocks with coordinates left over have a residual.
-    prefixes = _block_prefixes(x, spec, [b for b in counts if forced[b] < counts[b]])
-    base = sum(_residual_power(prefix, forced[b]) for b, prefix in prefixes.items())
+    residuals = _residuals(x, spec, [b for b in counts if forced[b] < counts[b]])
+    base = sum(r.power(forced[b]) for b, r in residuals.items())
     tied = [b for b, _ in tie.available]
 
     def shift(i: int, k: int) -> Rational:
         """Residual change of tied block i when it keeps k tied coordinates."""
-        prefix, f = prefixes[tied[i]], forced[tied[i]]
-        return _residual_power(prefix, f + k) - _residual_power(prefix, f)
+        r, f = residuals[tied[i]], forced[tied[i]]
+        return r.power(f + k) - r.power(f)
 
     p = spec.outer_p
     if len(tied) < 2:
@@ -212,8 +183,11 @@ def gamma(x: CompressedVector, n: int, spec: SpaceSpec) -> GreedyOutcome:
 
     blocks = [(shift(i, supply), supply) for i, (_b, supply) in enumerate(tie.available)]
     lo_gain, lo_witness = cheapest_vertex(blocks, tie.choose, shift)
-    tau_power = pow_rational(tie.threshold, spec.inner_p)
-    segments = _tie_segments(prefixes, tie.available, forced, tau_power)
+    segments = [
+        (i, gain, length)
+        for i, (b, supply) in enumerate(tie.available)
+        for gain, length in residuals[b].runs(forced[b], forced[b] + supply)
+    ]
     hi_gain, hi_counts = greedy_max(segments, tie.choose)
     lo_counts = dict(lo_witness)
     return GreedyOutcome(
@@ -243,19 +217,16 @@ def sigma_exact(x: CompressedVector, n: int, spec: SpaceSpec) -> NormValue:
 def error_sequence(x: CompressedVector, spec: SpaceSpec, kind: str) -> ErrorSequence:
     """Full k -> sigma_k or gamma_k sequence for one vector, as knots.
 
-    Built from the groups, so the cost depends on the number of groups,
-    not on the support size.  gamma uses the worst case over tie
-    resolutions at every k.
+    Built from the block residual functions, so the cost depends on the
+    number of groups, not on the support size.  gamma uses the worst case
+    over tie resolutions at every k.
     """
     if kind not in ("sigma", "gamma"):
         raise ValueError("kind must be 'sigma' or 'gamma'")
     x = spec.conform(x)
-    prefixes = _block_prefixes(x, spec)
-    if kind == "sigma":
-        knots = _sigma_knots(x, prefixes)
-    else:
-        knots = _gamma_knots(x, prefixes, spec.inner_p)
-    # The norm from the block powers, independent of the prefix tables.
+    residuals = _residuals(x, spec, x.blocks())
+    knots = _sigma_knots(residuals) if kind == "sigma" else _gamma_knots(x, residuals)
+    # The norm from the block powers, independent of the residual functions.
     start = sum(
         _group_power(x.block_groups(b), spec.blocks[b].cap, spec.inner_p) for b in x.blocks()
     )
@@ -267,40 +238,27 @@ def error_sequence(x: CompressedVector, spec: SpaceSpec, kind: str) -> ErrorSequ
     return ErrorSequence(kind, spec.outer_p, knots)
 
 
-def _gamma_knots(x: CompressedVector, prefixes, p: int) -> list:
+def _gamma_knots(x: CompressedVector, residuals) -> list:
     """Walk the magnitude classes in descending order.
 
     Inside a class, the worst resolution for each count is the
-    marginal-gain fill of the class's runs (``_tie_segments``), so gamma
-    follows those runs in order of decreasing gain.
+    marginal-gain fill of the runs of its blocks' residuals over the
+    class window, so gamma follows those runs in order of decreasing gain.
     """
-    y = sum(_residual_power(prefixes[b], 0) for b in x.blocks())
+    y = sum(r.power(0) for r in residuals.values())
     knots = [(0, y)]
-    for k, _size, m, members, kept in _classes(x):
-        runs = _tie_segments(prefixes, members, kept, pow_rational(m, p))
-        for _i, gain, length in sorted(runs, key=lambda run: -run[1]):
+    for k, _size, _m, members, kept in _classes(x):
+        runs = [run for b, c in members for run in residuals[b].runs(kept[b], kept[b] + c)]
+        for gain, length in sorted(runs, key=lambda run: -run[0]):
             k, y = k + length, simplify(y + gain * length)
             knots.append((k, y))
     return drop_collinear(knots)
 
 
-def _sigma_knots(x: CompressedVector, prefixes) -> list:
+def _sigma_knots(residuals) -> Sequence[tuple]:
     """Min-plus merge of the block residual functions, fewest knots first."""
-    blocks = sorted((_residual_knots(prefixes[b]) for b in x.blocks()), key=len)
+    blocks = sorted((r.knots for r in residuals.values()), key=len)
     return functools.reduce(min_plus, blocks) if blocks else [(0, 0)]
-
-
-def _residual_knots(prefix) -> list:
-    """Knots of j -> block residual power after removing the j largest.
-
-    The residual is the power of positions j .. j+cap-1, so it bends where
-    either end of that window crosses a group boundary.
-    """
-    counts, _powers, cap, _mag_powers = prefix
-    cuts = set(counts)
-    if cap is not None:
-        cuts.update(max(c - cap, 0) for c in counts)
-    return drop_collinear([(j, _residual_power(prefix, j)) for j in sorted(cuts)])
 
 
 # ---------------------------------------------------------------------------

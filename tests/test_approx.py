@@ -214,10 +214,10 @@ def test_error_sequence_checks_its_ends(monkeypatch):
 
     xs = build_xs(squares_schedule(2), 2)
     real = greedy._sigma_knots
-    monkeypatch.setattr(greedy, "_sigma_knots", lambda x, prefixes: real(x, prefixes)[1:])
+    monkeypatch.setattr(greedy, "_sigma_knots", lambda *args: real(*args)[1:])
     with pytest.raises(InvariantError):
         xs.sigma_sequence()
-    monkeypatch.setattr(greedy, "_gamma_knots", lambda x, prefixes, p: [(0, 52), (72, 1)])
+    monkeypatch.setattr(greedy, "_gamma_knots", lambda *args: [(0, 52), (72, 1)])
     with pytest.raises(InvariantError):
         xs.gamma_sequence()
 
@@ -225,7 +225,7 @@ def test_error_sequence_checks_its_ends(monkeypatch):
 def test_error_sequence_end_check_survives_optimization():
     script = (
         "from greedylab import greedy, build_xs, squares_schedule, InvariantError\n"
-        "greedy._gamma_knots = lambda x, prefixes, p: [(0, 52), (72, 1)]\n"
+        "greedy._gamma_knots = lambda *args: [(0, 52), (72, 1)]\n"
         "try:\n"
         "    build_xs(squares_schedule(2), 2).gamma_sequence()\n"
         "except InvariantError:\n"

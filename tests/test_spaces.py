@@ -194,6 +194,35 @@ def test_mixed_exponents_fall_back_to_float():
     assert nv.value == pytest.approx(7.0)
 
 
+def test_non_integer_exponents_match_the_float_oracle():
+    # A non-integer exponent takes the float route of the block and space
+    # norms: no exact power, and the float explicit norm to rounding.
+    rng = random.Random(15)
+    spaces = [
+        SpaceSpec.lp(1.5, 5),
+        SpaceSpec.trunc_block(2, 5, 2.5),
+        SpaceSpec.block_sum([(2, 4), (3, 6)], 1.5, 1.5),
+        SpaceSpec.block_sum([(2, 4), (3, 6)], 1.5, 3),
+    ]
+    trunc = SpaceSpec.trunc_block(2, 5, 1.5)
+
+    def nonzero_values(dim):
+        values = [rng.randint(-9, 9) for _ in range(dim - 1)] + [rng.randint(1, 9)]
+        rng.shuffle(values)
+        return values
+
+    for _ in range(240):
+        for spec in spaces:
+            values = nonzero_values(spec.dimension())
+            nv = space_norm(explicit.from_explicit(values, spec), spec)
+            assert nv.power_exact is None
+            assert nv.value == pytest.approx(explicit.norm_float(values, spec), rel=1e-12)
+        values = nonzero_values(5)
+        nv = trunc_block_norm(values, 2, p=1.5)
+        assert nv.power_exact is None
+        assert nv.value == pytest.approx(explicit.norm_float(values, trunc), rel=1e-12)
+
+
 def test_norm_value_float_tracks_exact_power():
     rng = random.Random(7)
     for _ in range(200):
