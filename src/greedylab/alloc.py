@@ -1,21 +1,22 @@
-"""Allocation kernels: extremes of concave per-block costs.
+"""Allocation kernels: one per direction, over piecewise-linear per-block costs.
 
-An allocation places n units on blocks, at most ``size`` on each.  The
-tie extremes of gamma are extremes of a sum of per-block costs that are
-concave in the number of units a block takes:
+An allocation places n units on blocks, at most ``size`` on each, and
+costs the sum of what each block's units cost.
 
-* the minimum sits at a vertex of the allocation polytope, where every
-  block is empty or full except at most one (``cheapest_vertex``),
-* the maximum is a marginal-gain greedy: with non-increasing slopes per
-  block, the n best unit gains overall form a prefix of every block
-  (``greedy_max``), which also witnesses h_r.
+* Minima come from ``min_plus``, the min-plus convolution of two costs,
+  folded over the blocks.  It splits each cost into its maximal convex
+  pieces, merges every pair of pieces exactly by merging their slopes,
+  and takes the lower envelope of those merges, so it needs no
+  concavity.  sigma folds the block residuals and reads every n; gamma's
+  best tie resolution folds the tied blocks' shifts and reads one n, and
+  ``split`` walks back through the folds to a witness.
+* Maxima of costs that are concave per block come from ``greedy_max``:
+  with non-increasing slopes per block, the n best unit gains overall
+  form a prefix of every block.  It gives gamma's worst tie resolution
+  and the h_r witness.
 
-h_l has a cheaper route of its own: the recurrence in democracy.py.
-
-sigma needs the minimum for every n at once, over per-block costs that
-are piecewise linear but not concave.  ``min_plus`` splits each cost into
-its maximal convex pieces, merges every pair of pieces exactly by merging
-their slopes, and takes the lower envelope of those merges.
+h_l is a minimum too, but on a schedule its min-plus fold has
+2^(K+1) - 1 knots, so democracy.py keeps a recurrence for it.
 """
 
 from __future__ import annotations
@@ -23,47 +24,9 @@ from __future__ import annotations
 import bisect
 from fractions import Fraction
 from operator import itemgetter
-from typing import Callable, Sequence
+from typing import Sequence
 
 from .exact import simplify, slope
-
-
-def cheapest_vertex(
-    blocks: Sequence[tuple], n: int, free_cost: Callable[[int, int], object]
-):
-    """Cheapest vertex placing exactly n units, as (cost, witness).
-
-    ``blocks`` lists (cost of the full block, size).  At a vertex every
-    block is empty (cost 0) or full except at most one, the free block r,
-    whose 0 < rem <= size units cost ``free_cost(r, rem)``.  The cheapest
-    full part is kept per total size t and free block r (None if none),
-    so there are at most (blocks + 1) * (n + 1) of them.  The witness
-    lists (block, units) for every block that takes units, sorted.
-    """
-    states: dict = {(0, None): (0, ())}  # (t, r) -> (cost sum, full blocks)
-    for r, (cost, size) in enumerate(blocks):
-        free = {(t, r): state for (t, q), state in states.items() if q is None}
-        grown = dict(states)
-        for (t, q), (c, chosen) in states.items():
-            key = (t + size, q)
-            if t + size <= n and (key not in grown or c + cost < grown[key][0]):
-                grown[key] = (c + cost, chosen + (r,))
-        states = grown | free
-    best = None
-    for (t, r), (cost, chosen) in states.items():
-        rem = n - t
-        if r is None:
-            if rem == 0 and (best is None or cost < best[0]):
-                best = (cost, chosen, ())
-        elif 0 < rem <= blocks[r][1]:
-            total = cost + free_cost(r, rem)
-            if best is None or total < best[0]:
-                best = (total, chosen, ((r, rem),))
-    if best is None:
-        raise ValueError(f"no allocation of {n} coordinates fits the space")
-    value, chosen, part = best
-    witness = [(r, blocks[r][1]) for r in chosen]
-    return value, tuple(sorted(witness + list(part)))
 
 
 def greedy_max(segments: Sequence[tuple], n: int):
@@ -114,6 +77,28 @@ def min_plus(f: Sequence[tuple], g: Sequence[tuple]) -> list[tuple]:
     pieces_g = _convex_pieces(g)
     rows = [_envelope([_merge(p, q) for q in pieces_g]) for p in _convex_pieces(f)]
     return drop_collinear([(k, simplify(y)) for k, y in _envelope(rows)])
+
+
+def split(f: Sequence[tuple], g: Sequence[tuple], n: int) -> tuple[int, int]:
+    """A split i + j = n reaching the minimum of f(i) + g(j), as (i, j).
+
+    f and g are given by knots that include both ends.  Over its range,
+    f(i) + g(n - i) is linear between the knots of f and the points n - k
+    for the knots k of g, and the range ends on such points, so one of
+    them is a minimum; among equal ones the largest i is taken.
+    """
+    lo, hi = max(0, n - g[-1][0]), min(f[-1][0], n)
+    splits = {k for k, _ in f if lo <= k <= hi} | {n - k for k, _ in g if lo <= n - k <= hi}
+    i = min(sorted(splits, reverse=True), key=lambda i: value_at(f, i) + value_at(g, n - i))
+    return i, n - i
+
+
+def value_at(knots: Sequence[tuple], x: int):
+    """Value at x, inside the knots' range, of the function they interpolate."""
+    i = bisect.bisect_left(knots, x, key=itemgetter(0))
+    if knots[i][0] == x:
+        return knots[i][1]
+    return _at(*knots[i - 1], *knots[i], x)
 
 
 def _convex_pieces(knots: Sequence[tuple]) -> list[tuple]:

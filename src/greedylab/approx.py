@@ -202,34 +202,14 @@ def _split_range(lo: int, hi: int, parts: int) -> list[tuple[int, int]]:
     return out
 
 
-def approx_quasinorm(
-    x: CompressedVector,
-    spec: SpaceSpec,
-    params: ApproxParams,
-    errors: Optional[ErrorSequence] = None,
-    term_budget: int = DEFAULT_TERM_BUDGET,
-) -> float:
+def approx_quasinorm(x: CompressedVector, spec: SpaceSpec, params: ApproxParams) -> float:
     """Approximation-space quasi-norm of x (sigma-based)."""
-    if errors is None:
-        errors = error_sequence(x, spec, "sigma")
-    if errors.kind != "sigma":
-        raise ValueError("approx_quasinorm needs a sigma sequence")
-    return quasinorm(float(space_norm(x, spec)), errors, params, term_budget)
+    return quasinorm(float(space_norm(x, spec)), error_sequence(x, spec, "sigma"), params)
 
 
-def greedy_quasinorm(
-    x: CompressedVector,
-    spec: SpaceSpec,
-    params: ApproxParams,
-    errors: Optional[ErrorSequence] = None,
-    term_budget: int = DEFAULT_TERM_BUDGET,
-) -> float:
+def greedy_quasinorm(x: CompressedVector, spec: SpaceSpec, params: ApproxParams) -> float:
     """Greedy-class quasi-norm of x (gamma-based, worst-case ties)."""
-    if errors is None:
-        errors = error_sequence(x, spec, "gamma")
-    if errors.kind != "gamma":
-        raise ValueError("greedy_quasinorm needs a gamma sequence")
-    return quasinorm(float(space_norm(x, spec)), errors, params, term_budget)
+    return quasinorm(float(space_norm(x, spec)), error_sequence(x, spec, "gamma"), params)
 
 
 # ---------------------------------------------------------------------------

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import os
 import sys
 import tempfile
@@ -58,13 +57,12 @@ def emit_report(report: dict | list, fmt: str, path: Optional[str]) -> None:
     if fmt == "json":
         write_text(path, json.dumps(report, sort_keys=True, indent=2) + "\n")
     elif fmt == "csv":
-        rows = report if isinstance(report, list) else report["rows"]
-        if not rows:
+        if not report:
             write_text(path, "")
             return
-        header = list(rows[0].keys())
+        header = list(report[0].keys())
         lines = [",".join(header)]
-        for row in rows:
+        for row in report:
             lines.append(",".join(str(row[h]) for h in header))
         write_text(path, "\n".join(lines) + "\n")
     else:
@@ -109,7 +107,7 @@ def _parse_int_list(text: str) -> list[int]:
 
 
 def _parse_float_list(text: str) -> list[float]:
-    return [math.inf if p.strip() in ("inf", "Inf") else float(p) for p in text.split(",")]
+    return [float(p) for p in text.split(",")]
 
 
 # ---------------------------------------------------------------------------
@@ -416,7 +414,7 @@ def main(argv: Optional[list[str]] = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (GreedyLabError, ValueError, OSError, KeyError) as exc:
+    except (GreedyLabError, ValueError, ArithmeticError, OSError, KeyError) as exc:
         _diag(f"{type(exc).__name__}: {exc}")
         return 1
 

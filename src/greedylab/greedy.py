@@ -14,11 +14,11 @@ instances (explicit.sigma_oracle_grid and the acceptance suite).
 
 gamma_N is the worst residual over every tie resolution of the greedy
 operator.  A resolution is a per-block count of kept coordinates at the
-threshold magnitude.  Over the threshold class's window of each block r_b
-is concave, so the worst and best resolutions come from the allocation
-kernels in alloc.py (a marginal-gain greedy over the runs of the r_b and a
-vertex search over the tied blocks), exact for tie classes of any
-multiplicity.
+threshold magnitude.  Both extremes read the runs of each tied block's
+r_b over the threshold class's window, with the allocation kernels in
+alloc.py: the best is their min-plus fold, the worst a marginal-gain
+greedy, exact because r_b is concave there.  Neither enumerates
+resolutions, so both are exact for tie classes of any multiplicity.
 
 Both are built as whole piecewise-linear sequences (error_sequence); their
 oracles, the removal-count DP sigma_power_table and the raw enumerations,
@@ -32,10 +32,11 @@ import functools
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate
 from operator import itemgetter
 from typing import Optional, Sequence, Union
 
-from .alloc import cheapest_vertex, drop_collinear, greedy_max, min_plus
+from .alloc import drop_collinear, greedy_max, min_plus, split, value_at
 from .errors import InvariantError
 from .errorseq import ErrorSequence
 from .exact import pow_rational, simplify
@@ -144,14 +145,15 @@ def _classes(x: CompressedVector):
 def gamma(x: CompressedVector, n: int, spec: SpaceSpec) -> GreedyOutcome:
     """Residual-norm extremes of the greedy operator at step n.
 
-    Coordinates above the threshold magnitude are always kept.  When the
-    threshold class spans several blocks, the best resolution is the
-    cheapest vertex of the allocation polytope of its kept coordinates and
-    the worst is a marginal-gain greedy over the runs of each block
-    residual across its class window [kept_b, kept_b + supply_b].  Both are
-    exact because r_b is concave there: keeping one more tied coordinate
-    removes tau^p and lets in the coordinate ``cap`` places further down,
-    and those only get smaller.
+    Coordinates above the threshold magnitude are always kept.  Tied block
+    b keeps k of its supply_b threshold coordinates, which changes its
+    residual by s_b(k) = r_b(kept_b + k) - r_b(kept_b), read off the runs
+    of r_b over the class window.  The best resolution is the min-plus
+    fold of the s_b at ``choose``, its witness walked back through the
+    folds; the worst is a marginal-gain greedy over the same runs, exact
+    because r_b is concave there: keeping one more tied coordinate removes
+    tau^p and lets in the coordinate ``cap`` places further down, and those
+    only get smaller.  No tie is an empty fold, read at 0.
     """
     if n < 0:
         raise ValueError("n must be >= 0")
@@ -167,34 +169,28 @@ def gamma(x: CompressedVector, n: int, spec: SpaceSpec) -> GreedyOutcome:
     # Only the blocks with coordinates left over have a residual.
     residuals = _residuals(x, spec, [b for b in counts if forced[b] < counts[b]])
     base = sum(r.power(forced[b]) for b, r in residuals.items())
-    tied = [b for b, _ in tie.available]
-
-    def shift(i: int, k: int) -> Rational:
-        """Residual change of tied block i when it keeps k tied coordinates."""
-        r, f = residuals[tied[i]], forced[tied[i]]
-        return r.power(f + k) - r.power(f)
-
-    p = spec.outer_p
-    if len(tied) < 2:
-        # No tie, or one inside a block: every resolution keeps the same counts.
-        nv = NormValue.from_power(base + sum(shift(i, tie.choose) for i in range(len(tied))), p)
-        witness = tuple((b, tie.choose) for b in tied)
-        return GreedyOutcome(nv, nv, witness, witness, tie)
-
-    blocks = [(shift(i, supply), supply) for i, (_b, supply) in enumerate(tie.available)]
-    lo_gain, lo_witness = cheapest_vertex(blocks, tie.choose, shift)
-    segments = [
-        (i, gain, length)
-        for i, (b, supply) in enumerate(tie.available)
-        for gain, length in residuals[b].runs(forced[b], forced[b] + supply)
-    ]
+    segments, shifts = [], []
+    for b, supply in tie.available:
+        runs = residuals[b].runs(forced[b], forced[b] + supply)
+        segments += [(b, gain, length) for gain, length in runs]
+        shifts.append([(0, 0)])
+        for gain, length in runs:
+            j, y = shifts[-1][-1]
+            shifts[-1].append((j + length, y + gain * length))
     hi_gain, hi_counts = greedy_max(segments, tie.choose)
-    lo_counts = dict(lo_witness)
+    folds = [[(0, 0)], *accumulate(shifts, min_plus)]  # folds[i]: the first i blocks
+    lo_counts, left = {}, tie.choose
+    for (b, _supply), f, s in zip(reversed(tie.available), folds[-2::-1], reversed(shifts)):
+        left, lo_counts[b] = split(f, s, left)
+    lo_gain = value_at(folds[-1], tie.choose)
+    if sum(value_at(s, lo_counts[b]) for (b, _), s in zip(tie.available, shifts)) != lo_gain:
+        raise InvariantError(f"best resolution {lo_counts} misses the min-plus value {lo_gain}")
+    p = spec.outer_p
     return GreedyOutcome(
         NormValue.from_power(base + hi_gain, p),
         NormValue.from_power(base + lo_gain, p),
-        tuple((b, hi_counts.get(i, 0)) for i, b in enumerate(tied)),
-        tuple((b, lo_counts.get(i, 0)) for i, b in enumerate(tied)),
+        tuple((b, hi_counts.get(b, 0)) for b, _ in tie.available),
+        tuple((b, lo_counts[b]) for b, _ in tie.available),
         tie,
     )
 

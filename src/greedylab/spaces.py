@@ -260,19 +260,30 @@ def space_norm(x: CompressedVector, spec: SpaceSpec) -> NormValue:
         return NormValue.from_power(0, spec.outer_p)
 
     inner, outer = spec.inner_p, spec.outer_p
-    block_powers = []
-    for b in x.blocks():
-        block = spec.blocks[b]
-        block_powers.append(_group_power(x.block_groups(b), block.cap, inner))
+    if inner == outer and isinstance(inner, int):
+        return NormValue.from_power(
+            sum(_group_power(x.block_groups(b), spec.blocks[b].cap, inner) for b in x.blocks()),
+            outer,
+        )
+    try:
+        value = _float_norm(x, spec)
+    except OverflowError:
+        value = math.inf
+    if value == math.inf:
+        # A power or a sum left the float range: factor the largest magnitude out.
+        top = max(m for _b, m, _c in x.groups)
+        scaled = spec.vector([(b, m / top, c) for b, m, c in x.groups])
+        value = _float_root(top, 1) * _float_norm(scaled, spec)
+    return NormValue(value, None, outer)
 
-    if inner == outer and all(not isinstance(bp, float) for bp in block_powers):
-        return NormValue.from_power(sum(block_powers), outer)
 
+def _float_norm(x: CompressedVector, spec: SpaceSpec) -> float:
+    """The norm of x in floats: block roots combined with the outer exponent."""
     total = 0.0
-    for bp in block_powers:
-        bv = float(bp) ** (1.0 / inner)
-        total += bv**outer
-    return NormValue(total ** (1.0 / outer), None, outer)
+    for b in x.blocks():
+        bp = _group_power(x.block_groups(b), spec.blocks[b].cap, spec.inner_p)
+        total += (float(bp) ** (1.0 / spec.inner_p)) ** spec.outer_p
+    return total ** (1.0 / spec.outer_p)
 
 
 # ---------------------------------------------------------------------------

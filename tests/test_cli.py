@@ -156,6 +156,9 @@ PARSEABLE_INPUTS = [
     (["doubling-scan", "--space", "mixed_sched", "--k", "1"], 1),
     (["prefix-check", "--space", "mixed_sched", "--max-N", "4"], 1),
     (["doubling-scan", "--space", "cubic", "--k", "1"], 0),
+    (["norm", "--space", "mixed", "--vector", "huge"], 0),
+    (["check71", "--hl", "sqrt", "--hr", "power400", "--pairs", "pairs", "--alpha", "1"], 1),
+    (["check71", "--hl", "zero_table", "--hr", "sqrt", "--pairs", "pairs", "--alpha", "1"], 1),
 ]
 
 
@@ -169,6 +172,10 @@ def input_files(tmp_path):
         "l2": {"lp": 2, "dim": 5},
         "vec": {"groups": [[0, "2", "2"], [1, "1", "3"]]},
         "huge": {"groups": [[0, "1" + "0" * 200, "3"]]},
+        "sqrt": {"kind": "sqrt"},
+        "power400": {"kind": "power", "exponent": 400},  # 8^400 overflows a float
+        "zero_table": {"kind": "table", "values": {"16": 0}},
+        "pairs": {"pairs": [[8, 16]]},
     }
     return {name: write(tmp_path / f"{name}.json", obj) for name, obj in files.items()}
 

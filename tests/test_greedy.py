@@ -160,6 +160,36 @@ def test_gamma_tie_extremes_match_raw_enumeration(instance):
             assert explicit.norm_power(residual, spec) == value
 
 
+def test_gamma_ties_across_many_blocks_match_the_allocation_dp():
+    # An indicator is one tie class.  Keeping N of its coordinates leaves
+    # support - N of them, count_b - kept_b in block b, with residual power
+    # sum min(left_b, cap_b): the allocation DP over (cap_b, count_b) gives
+    # both extremes, for ties over more blocks than gamma_raw can enumerate.
+    rng = random.Random(14)
+    queries = 0
+    for _ in range(16):
+        counts, blocks = [], []
+        for _ in range(rng.randint(5, 16)):
+            count = rng.randint(0, 40)
+            size = count + rng.randint(1, 10)
+            counts.append(count)
+            blocks.append((rng.randint(1, size), size))
+        spec = SpaceSpec.block_sum(blocks)
+        x = spec.indicator(dict(enumerate(counts)))
+        support = x.support_size
+        dp_min, dp_max, _, _ = explicit.alloc_dp(
+            [(cap, count) for (cap, _size), count in zip(blocks, counts)], support
+        )
+        for n in range(0, support + 1, 3):
+            out = gamma(x, n, spec)
+            lo = out.residual_min.power_exact
+            assert (out.residual_max.power_exact, lo) == (dp_max[support - n], dp_min[support - n])
+            if not out.tie.empty:
+                assert space_norm(_residual(x, spec, out, out.witness_min), spec).power_exact == lo
+            queries += 1
+    assert queries > 900
+
+
 # -- sigma --------------------------------------------------------------------
 
 

@@ -243,6 +243,18 @@ def test_norm_value_beyond_float_range_keeps_exact_power():
     assert huge.value == math.inf and huge.power_exact == 10**400
 
 
+def test_float_norm_past_the_float_range_of_its_powers():
+    # The block powers or their outer powers leave the float range; the
+    # norms do not, so they come out finite.  Only a norm past it is inf.
+    mixed = SpaceSpec.block_sum([(2, 4), (3, 6)], inner_p=1, outer_p=2)
+    assert space_norm(mixed.vector([(0, 10**200, 3)]), mixed).value == pytest.approx(2e200, rel=1e-12)
+    lp = SpaceSpec.lp(1.5, 4)
+    assert space_norm(lp.vector([(0, 10**300, 2)]), lp).value == pytest.approx(
+        2 ** (2 / 3) * 1e300, rel=1e-12
+    )
+    assert space_norm(mixed.vector([(0, 10**400, 3)]), mixed).value == math.inf
+
+
 # -- lattice property ---------------------------------------------------------
 
 
