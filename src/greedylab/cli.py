@@ -10,6 +10,7 @@ stderr), 2 usage error.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -53,18 +54,17 @@ def write_text(path: Optional[str], text: str) -> None:
         raise
 
 
-def emit_report(report: dict | list, fmt: str, path: Optional[str]) -> None:
+def emit_report(
+    report: dict | list | tuple[str, list[str]], fmt: str, path: Optional[str]
+) -> None:
+    """Write a report: a dict or list as strict JSON (no NaN or Infinity),
+    a (header, lines) pair of pre-joined CSV text as CSV.  A table without
+    lines writes an empty file."""
     if fmt == "json":
-        write_text(path, json.dumps(report, sort_keys=True, indent=2) + "\n")
+        write_text(path, json.dumps(report, sort_keys=True, indent=2, allow_nan=False) + "\n")
     elif fmt == "csv":
-        if not report:
-            write_text(path, "")
-            return
-        header = list(report[0].keys())
-        lines = [",".join(header)]
-        for row in report:
-            lines.append(",".join(str(row[h]) for h in header))
-        write_text(path, "\n".join(lines) + "\n")
+        header, lines = report
+        write_text(path, "\n".join([header, *lines, ""]) if lines else "")
     else:
         raise ValueError(f"unknown format {fmt!r}")
 
@@ -153,62 +153,47 @@ def cmd_errors(args) -> int:
     sig = error_sequence(x, spec, "sigma")
     gam = error_sequence(x, spec, "gamma")
     last = sig.support_size if args.max_k is None else min(args.max_k, sig.support_size)
-    rows = [
-        {
-            "k": k,
-            "sigma_sq": str(s),
-            "gamma_sq": str(g),
-            "sigma_float": fmt_float(_float_root(s, sig.p)),
-            "gamma_float": fmt_float(_float_root(g, sig.p)),
-        }
+    p = sig.p
+    lines = [
+        f"{k},{s},{g},{fmt_float(_float_root(s, p))},{fmt_float(_float_root(g, p))}"
         for k, (s, g) in enumerate(zip(sig.powers(last), gam.powers(last)))
     ]
-    emit_report(rows, "csv", args.out)
+    emit_report(("k,sigma_sq,gamma_sq,sigma_float,gamma_float", lines), "csv", args.out)
     return 0
 
 
 def cmd_demfun(args) -> int:
     spec = _load_space(args.space)
     table = demfun_table(spec, args.max_N)
-    rows = []
-    for n in range(args.max_N + 1):
-        rows.append(
-            {
-                "N": n,
-                "hl_sq": table.hl_power(n),
-                "hr_sq": table.hr_power(n),
-                "hl_float": fmt_float(table.hl(n)),
-                "hr_float": fmt_float(table.hr(n)),
-            }
-        )
-    emit_report(rows, "csv", args.out)
+    # h_l repeats each value over long runs of N: root each distinct power once.
+    p = spec.outer_p
+    root = {v: fmt_float(_float_root(v, p)) for v in {*table.hl_powers, *table.hr_powers}}
+    lines = [
+        f"{n},{hl},{hr},{root[hl]},{root[hr]}"
+        for n, (hl, hr) in enumerate(zip(table.hl_powers, table.hr_powers))
+    ]
+    emit_report(("N,hl_sq,hr_sq,hl_float,hr_float", lines), "csv", args.out)
     return 0
+
+
+SCAN_FIELDS = ("k", "n_k", "n_k1", "a_k1", "hl_n_sq", "hl_2n_sq", "ratio_sq", "bound_sq",
+               "ratio_float", "bound_float", "bound_holds", "upper_equality")
 
 
 def cmd_doubling_scan(args) -> int:
     spec = _load_schedule_space(args.space)
     report = doubling_scan(spec.schedule, _parse_int_list(args.k))
-    rows = []
-    for r in report.rows:
-        rows.append(
-            {
-                "k": r.k,
-                "n_k": r.n_k,
-                "n_k1": r.n_k1,
-                "a_k1": r.a_k1,
-                "hl_n_sq": r.hl_n_power,
-                "hl_2n_sq": r.hl_2n_power,
-                "ratio_sq": str(r.ratio_sq),
-                "bound_sq": str(r.bound_sq),
-                "ratio_float": fmt_float(_float_root(r.ratio_sq, spec.outer_p)),
-                "bound_float": fmt_float(_float_root(r.bound_sq, spec.outer_p)),
-                "bound_holds": r.bound_holds,
-                "upper_equality": r.upper_equality,
-            }
-        )
-    emit_report(rows, "csv", args.out)
+    rows = [
+        (r.k, r.n_k, r.n_k1, r.a_k1, r.hl_n_power, r.hl_2n_power, str(r.ratio_sq),
+         str(r.bound_sq), fmt_float(_float_root(r.ratio_sq, spec.outer_p)),
+         fmt_float(_float_root(r.bound_sq, spec.outer_p)), r.bound_holds, r.upper_equality)
+        for r in report.rows
+    ]
+    lines = [",".join(map(str, row)) for row in rows]
+    emit_report((",".join(SCAN_FIELDS), lines), "csv", args.out)
     if not all(r.bound_holds and r.upper_holds for r in report.rows):
-        _diag("doubling-scan: a guaranteed bound failed", rows=rows)
+        _diag("doubling-scan: a guaranteed bound failed",
+              rows=[dict(zip(SCAN_FIELDS, row)) for row in rows])
         return 1
     return 0
 
@@ -216,11 +201,8 @@ def cmd_doubling_scan(args) -> int:
 def cmd_prefix_check(args) -> int:
     spec = _load_schedule_space(args.space)
     report = prefix_norm_conjecture_check(spec.schedule, range(1, args.max_N + 1))
-    rows = [
-        {"N": n, "prefix_sq": pre, "hl_sq": hl, "equal": pre == hl}
-        for n, pre, hl in report.rows
-    ]
-    emit_report(rows, "csv", args.out)
+    lines = [f"{n},{pre},{hl},{pre == hl}" for n, pre, hl in report.rows]
+    emit_report(("N,prefix_sq,hl_sq,equal", lines), "csv", args.out)
     if report.counterexamples:
         sys.stderr.write(
             "prefix-check: counterexamples at N = "
@@ -308,8 +290,8 @@ def _global_flags(suppress: bool) -> argparse.ArgumentParser:
 
     The subcommand copies use SUPPRESS defaults so they never clobber a
     value parsed at the top level (argparse applies subparser defaults to
-    a fresh namespace); fresh parser instances per call keep the action
-    objects unshared.
+    a fresh namespace); the top level and the subcommands get separate
+    holder instances, so they share no action objects.
     """
     holder = argparse.ArgumentParser(add_help=False)
     holder.add_argument(
@@ -326,7 +308,10 @@ def _positive_int(text: str) -> int:
     return value
 
 
+@functools.lru_cache(maxsize=None)
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built on the first call and shared after it:
+    ``parse_args`` keeps no state between calls."""
     common = _global_flags(suppress=True)
     parser = argparse.ArgumentParser(
         prog="greedylab",

@@ -1,7 +1,8 @@
 """Compressed coefficient vectors over a block-structured index set.
 
 A finitely supported vector is stored as groups (block, magnitude,
-multiplicity).  Magnitudes are exact rationals and multiplicities
+multiplicity).  Magnitudes are exact rationals (ints when integral, which
+keeps sorting and powering them off the Fraction paths) and multiplicities
 arbitrary-precision ints, because the counterexample experiments need
 blocks whose sizes dwarf machine words.  Signs are never stored: every
 norm in this package is a lattice norm, so only magnitudes matter
@@ -20,11 +21,11 @@ from operator import itemgetter
 from typing import Iterable, Mapping, Optional, Sequence
 
 from .errors import CapacityError
-from .exact import as_fraction
+from .exact import Rational, as_fraction, simplify
 
 # (block id, magnitude, multiplicity); canonical order is by block then
 # descending magnitude.
-Group = tuple[int, Fraction, int]
+Group = tuple[int, Rational, int]
 
 
 @dataclass(frozen=True)
@@ -50,7 +51,7 @@ class CompressedVector:
                 seen.append(b)
         return seen
 
-    def block_groups(self, block: int) -> list[tuple[Fraction, int]]:
+    def block_groups(self, block: int) -> list[tuple[Rational, int]]:
         """Magnitude groups of one block, descending magnitude."""
         return [(m, c) for b, m, c in self.groups if b == block]
 
@@ -84,10 +85,11 @@ def canonicalize(
     """Merge, sort and validate raw groups into canonical form.
 
     Zero magnitudes and zero multiplicities are dropped; identical
-    (block, magnitude) pairs merge; groups come out sorted by
-    (block, descending magnitude).  Idempotent by construction.  When
-    ``sizes`` is given (block id -> block size, None = unbounded), block
-    ids are range-checked and per-block support is capacity-checked.
+    (block, magnitude) pairs merge; integral magnitudes become ints; groups
+    come out sorted by (block, descending magnitude).  Idempotent by
+    construction.  When ``sizes`` is given (block id -> block size, None =
+    unbounded), block ids are range-checked and per-block support is
+    capacity-checked.
     """
     merged: dict[tuple[int, int, int], list] = {}
     for block, magnitude, multiplicity in raw:
@@ -103,7 +105,8 @@ def canonicalize(
         if mag == 0 or mult == 0:
             continue
         # Keyed by exact ints: a tuple of ints hashes faster than a Fraction.
-        merged.setdefault((block, mag.numerator, mag.denominator), [block, mag, 0])[2] += mult
+        key = (block, mag.numerator, mag.denominator)
+        merged.setdefault(key, [block, simplify(mag), 0])[2] += mult
 
     rows = sorted(merged.values(), key=itemgetter(1), reverse=True)
     rows.sort(key=itemgetter(0))  # stable: descending magnitude within each block

@@ -1,6 +1,8 @@
 """CLI round trips, deterministic artifacts and exit codes."""
 
 import ast
+import dataclasses
+import hashlib
 import json
 import os
 import subprocess
@@ -81,6 +83,30 @@ def test_doubling_scan_csv(tmp_path, schedule_file):
     assert lines[1].split(",")[0] == "1" and "True" in lines[1]
 
 
+def test_doubling_scan_failure_diagnostic_lists_the_rows(schedule_file, capsys, monkeypatch):
+    # A failed bound (forced here) reports every row, as a JSON object per
+    # CSV line, on stderr.
+    from greedylab import cli
+
+    real = cli.doubling_scan
+
+    def failing(schedule, ks):
+        report = real(schedule, ks)
+        rows = tuple(dataclasses.replace(r, bound_holds=False) for r in report.rows)
+        return dataclasses.replace(report, rows=rows)
+
+    monkeypatch.setattr(cli, "doubling_scan", failing)
+    assert main(["doubling-scan", "--space", schedule_file, "--k", "1..2"]) == 1
+    captured = capsys.readouterr()
+    header, *lines = captured.out.split()
+    diag = json.loads(captured.err)
+    assert diag["error"] == "doubling-scan: a guaranteed bound failed"
+    fields = header.split(",")
+    assert all(list(row) == sorted(fields) for row in diag["rows"])
+    assert [",".join(str(row[f]) for f in fields) for row in diag["rows"]] == lines
+    assert diag["rows"][0]["hl_n_sq"] == 4 and diag["rows"][0]["ratio_sq"] == "5"
+
+
 def test_prefix_check_reports_counterexample(tmp_path, schedule_file, capsys):
     out = tmp_path / "prefix.csv"
     assert main(["--out", str(out), "prefix-check", "--space", schedule_file, "--max-N", "45"]) == 0
@@ -123,6 +149,21 @@ def test_xs_experiment_json_schema(tmp_path):
     assert blob["runs"][1]["q"] == "inf"
 
 
+@pytest.mark.parametrize("mode", ["exact", "bounds"])
+def test_xs_experiment_refuses_non_finite_json(tmp_path, capsys, mode):
+    # squares_schedule(72) at s = 71: the float quasi-norms overflow, and a
+    # report holding NaN or Infinity is refused instead of written.
+    sched = write(tmp_path / "squares.json", {"a": [(j + 2) ** 2 for j in range(73)]})
+    argv = ["xs-experiment", "--schedule", sched, "--s", "71", "--alpha", "1", "--q", "inf",
+            "--mode", mode]
+    for extra in ([], ["--out", str(tmp_path / "report.json")]):
+        assert main(argv + extra) == 1
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.count("\n") == 1
+        assert "not JSON compliant" in json.loads(captured.err)["error"]
+    assert os.listdir(tmp_path) == ["squares.json"]  # no report, no temp file
+
+
 def test_xs_experiment_shallow_schedule_diagnostic(tmp_path, capsys):
     sched = write(tmp_path / "squares.json", {"a": [4, 9, 16, 25]})
     code = main(["xs-experiment", "--schedule", sched, "--s", "99", "--alpha", "1", "--q", "1"])
@@ -138,6 +179,57 @@ def test_empty_report_emission(tmp_path):
     assert json.loads(out.read_text()) == {"runs": []}
     emit_report({"runs": []}, "json", str(out))
     assert out.read_text() == '{\n  "runs": []\n}\n'
+    table = tmp_path / "empty.csv"
+    emit_report(("N,prefix_sq,hl_sq,equal", []), "csv", str(table))
+    assert table.read_text() == ""  # a table without rows has no header either
+
+
+# Byte-exact artifacts: sha256 digests taken with the per-row CSV writer the
+# column writer replaced, on inputs that name every column type (exact ints,
+# exact Fractions, 17-digit floats, booleans).
+ARITH4 = {"a": [4, 5, 6, 7, 8]}  # arithmetic_schedule(4)
+WINDOW6 = {"a": [4, 5, 6, 7, 8, 9]}
+TIED = [[1, "5", "10"], [2, "5", "12"], [3, "5", "8"], [1, "3", "6"], [2, "3", "9"],
+        [0, "2", "3"], [3, "1", "30"]]
+TIED_Q = [[1, "5/3", "10"], [2, "5/3", "12"], [3, "5/3", "8"], [1, "3/2", "6"],
+          [2, "3/2", "9"], [0, "2/7", "3"], [3, "1/5", "30"]]
+TIE_FREE = [[0, "9", "2"], [0, "4", "1"], [1, "8", "5"], [1, "6", "7"], [2, "7", "20"],
+            [2, "3", "15"], [3, "5", "25"], [3, "2", "12"]]
+TIE_FREE_Q = [[0, "9/2", "2"], [0, "4/3", "1"], [1, "8/5", "5"], [1, "6/7", "7"],
+              [2, "7/4", "20"], [2, "3/11", "15"], [3, "5/6", "25"], [3, "2/9", "12"]]
+GOLDEN = [
+    ("demfun", {"space": WINDOW6}, ["demfun", "--space", "space", "--max-N", "1200"],
+     "dc63266c37a71af59886f35e7e9fa716f526c08dea455a25d690cbf96834e608"),
+    ("errors-tied", {"space": ARITH4, "vector": {"groups": TIED}},
+     ["errors", "--space", "space", "--vector", "vector"],
+     "8630e1bfb2c0a9abfae2266eaf17198fda41fd06b0472640255875553dae3efe"),
+    ("errors-tied-rational", {"space": ARITH4, "vector": {"groups": TIED_Q}},
+     ["errors", "--space", "space", "--vector", "vector"],
+     "ad63b0b79d26e94af09c9d1523feff07f078f43eac2943546db21c1b5d1691ff"),
+    ("errors-tie-free", {"space": ARITH4, "vector": {"groups": TIE_FREE}},
+     ["errors", "--space", "space", "--vector", "vector"],
+     "33a7ec1c7c2700cb9850efe2e12b558fc65599da94f0678a0533eec5f78d043f"),
+    ("errors-tie-free-rational", {"space": ARITH4, "vector": {"groups": TIE_FREE_Q}},
+     ["errors", "--space", "space", "--vector", "vector"],
+     "c77208e70a41f3bef791a6ffe0ef72d86038acd122faeb2b2eeda11c4cceb456"),
+    ("doubling-scan", {"space": WINDOW6}, ["doubling-scan", "--space", "space", "--k", "1..3"],
+     "8262686d8662915dc6262eeb88e8ddeb1e465a6df21e00e71b2aa1b1460c2437"),
+    ("prefix-check", {"space": WINDOW6}, ["prefix-check", "--space", "space", "--max-N", "200"],
+     "c6fb1f08bde9beb86e00ecf3340553d6927fb666444122dd30aca5bb349aeefe"),
+]
+
+
+def _golden_artifact(tmp_path, files, argv) -> bytes:
+    paths = {name: write(tmp_path / f"{name}.json", obj) for name, obj in files.items()}
+    out = tmp_path / "artifact"
+    assert main(["--out", str(out)] + [paths.get(arg, arg) for arg in argv]) == 0
+    return out.read_bytes()
+
+
+@pytest.mark.parametrize("files,argv,digest", [case[1:] for case in GOLDEN],
+                         ids=[case[0] for case in GOLDEN])
+def test_csv_artifacts_are_byte_identical(tmp_path, files, argv, digest):
+    assert hashlib.sha256(_golden_artifact(tmp_path, files, argv)).hexdigest() == digest
 
 
 # Bad but parseable inputs: (argv with file placeholders, expected exit code).
@@ -208,6 +300,45 @@ def test_usage_error_exits_2():
     with pytest.raises(SystemExit) as err:
         main(["frobnicate"])
     assert err.value.code == 2
+
+
+def _fresh_cli(argv):
+    """Run the CLI on argv in a new interpreter."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(greedylab.__file__)))
+    env = dict(os.environ, PYTHONPATH=src)
+    return subprocess.run([sys.executable, "-m", "greedylab.cli", *argv],
+                          capture_output=True, text=True, env=env, timeout=120)
+
+
+def test_shared_parser_keeps_no_state_between_calls(tmp_path, schedule_file, vector_file,
+                                                    capsys):
+    # main() reuses one parser per process; in one process each call's exit
+    # code, stdout, stderr and artifact equal the same call's from a fresh
+    # interpreter, so no flag value leaks from one call into the next.
+    from greedylab.cli import build_parser
+
+    errors = ["errors", "--space", schedule_file, "--vector", vector_file]
+    calls = [
+        ["errors", "--space", schedule_file, "--bogus"],  # usage error
+        ["--out", "OUT"] + errors,
+        errors + ["--out", "OUT"],
+        errors,
+    ]
+    codes = []
+    for i, argv in enumerate(calls):
+        here, fresh = tmp_path / f"here{i}.csv", tmp_path / f"fresh{i}.csv"
+        try:
+            code = main([str(here) if a == "OUT" else a for a in argv])
+        except SystemExit as exc:
+            code = exc.code
+        captured = capsys.readouterr()
+        proc = _fresh_cli([str(fresh) if a == "OUT" else a for a in argv])
+        assert (code, captured.out, captured.err) == (proc.returncode, proc.stdout, proc.stderr)
+        assert here.exists() == fresh.exists() == ("OUT" in argv)
+        assert not here.exists() or here.read_bytes() == fresh.read_bytes()
+        codes.append(code)
+    assert codes == [2, 0, 0, 0]
+    assert build_parser() is build_parser()
 
 
 def test_budget_ties_flag_is_a_usage_error():

@@ -26,6 +26,15 @@ def test_canonicalize_merges_identical_magnitudes():
     assert groups(v) == [(0, Fraction(1), 5)]
 
 
+
+def test_integral_magnitudes_are_stored_as_ints():
+    # "6/3", 2 and Fraction(2) are one magnitude, stored as the int 2;
+    # a non-integral magnitude stays a Fraction.
+    v = canonicalize([(0, "6/3", 1), (0, 2, 2), (0, Fraction(2), 3), (1, "3/2", 1)])
+    assert [(b, type(m), m, c) for b, m, c in v.groups] == [
+        (0, int, 2, 6), (1, Fraction, Fraction(3, 2), 1)]
+    assert type(CompressedVector.from_json(v.to_json()).groups[0][1]) is int
+
 def test_canonicalize_drops_zero_magnitudes_and_multiplicities():
     v = canonicalize([(0, 2, 1), (0, 0, 7), (1, 3, 0)])
     assert groups(v) == [(0, Fraction(2), 1)]
