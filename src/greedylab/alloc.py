@@ -1,27 +1,21 @@
-"""Allocation kernels: one per direction, over piecewise-linear per-block costs.
+"""Allocation kernels: n units placed on blocks, at most ``size`` on each,
+at the sum of what each block's units cost, given by knots.
 
-An allocation places n units on blocks, at most ``size`` on each, and
-costs the sum of what each block's units cost.
-
-* Minima come from ``min_plus``, the min-plus convolution of two costs,
-  folded over the blocks.  It splits each cost into its maximal convex
-  pieces, merges every pair of pieces exactly by merging their slopes,
-  and takes the lower envelope of those merges, so it needs no
-  concavity.  sigma folds the block residuals and reads every n; gamma's
-  best tie resolution folds the tied blocks' shifts and reads one n, and
-  ``split`` walks back through the folds to a witness.
-* Maxima of costs that are concave per block come from ``greedy_max``:
-  with non-increasing slopes per block, the n best unit gains overall
-  form a prefix of every block.  It gives gamma's worst tie resolution
-  and the h_r witness.
-
-h_l is a minimum too, but on a schedule its min-plus fold has
-2^(K+1) - 1 knots, so democracy.py keeps a recurrence for it.
+* ``concave_min``: minima of costs concave per block, by a recurrence
+  over the blocks sorted by size; h_l (psi) and gamma's best tie
+  resolution (the tied blocks' shifts).
+* ``min_plus``: the min-plus convolution of any two costs, merged by
+  convex pieces; sigma folds the block residuals with it.
+* ``greedy_max``: maxima of costs concave per block, whose n best unit
+  gains form a prefix of every block; gamma's worst tie resolution and
+  the h_r witness.
 """
 
 from __future__ import annotations
 
 import bisect
+import functools
+import math
 from fractions import Fraction
 from operator import itemgetter
 from typing import Sequence
@@ -48,6 +42,112 @@ def greedy_max(segments: Sequence[tuple], n: int):
     if left:
         raise ValueError(f"no allocation of {n} coordinates fits the space")
     return gain, counts
+
+
+def concave_min(costs: Sequence[Sequence[tuple]], ns: Sequence[int]) -> list[tuple]:
+    """Least total cost of n units for each n in ns, as (value, counts per block).
+
+    costs[b] gives block b's cost by knots from (0, 0) to (size_b, full_b),
+    concave in between, so some minimizer has at most one block strictly
+    inside its range.  Blocks with identical knots form one type; over the
+    first t types, sorted by size, H_t(n) = min over M of Psi_t(M) +
+    H_{t-1}(n - M), with Psi_t(M) = (M // size) * full + cost(M % size).
+    Its states (t, n), one ``_candidates`` call each, are found top-down
+    and evaluated bottom-up, so all n share the lower levels.
+    """
+    levels, sizes, fulls = _levels(tuple(map(tuple, costs)))
+    if ns and not 0 <= min(ns) <= max(ns) <= sizes[-1]:
+        raise ValueError(f"not every n in {min(ns)}..{max(ns)} fits in {sizes[-1]} units")
+    found, best = [{} for _ in sizes], [{} for _ in sizes]  # n -> candidates, (H_t(n), argmin)
+    t, wanted = len(levels), set(ns) - {0, sizes[-1]}  # H_t(0) = 0, H_t(S_t) = F_t
+    while wanted:
+        found[t] = {n: _candidates(levels[t - 1], n) for n in wanted}
+        wanted = {n - j for n, js in found[t].items() for j in js} - {0, sizes[t - 1]}
+        t -= 1
+
+    def h(t: int, n: int):
+        return best[t][n][0] if n in best[t] else fulls[t] if n else 0
+
+    for t in range(t + 1, len(sizes)):
+        size, full, runs = levels[t - 1][1:4]
+
+        def psi(j: int):  # Psi_t(j), read off the run holding j % size
+            q, r = divmod(j, size)
+            for k0, k1, a, y0 in runs:
+                if r <= k1:
+                    return q * full + y0 + a * (r - k0)
+
+        best[t] = {n: min((psi(j) + h(t - 1, n - j), j) for j in js) for n, js in found[t].items()}
+    out = []
+    for n in ns:
+        counts, m, t = [0] * len(costs), n, len(levels)
+        while m:  # M = j on type t: its first blocks full, the next one the rest
+            ids, size = levels[t - 1][:2]
+            j = best[t][m][1] if m in best[t] else len(ids) * size  # m = S_t: all full
+            for i, b in enumerate(ids[:-(-j // size)]):
+                counts[b] = min(size, j - i * size)
+            m, t = m - j, t - 1
+        out.append((simplify(h(len(levels), n)), counts))
+    return out
+
+
+@functools.lru_cache(maxsize=8)
+def _levels(costs: tuple) -> tuple:
+    """Per type: (ids, size, full, runs (k0, k1, slope, y0), S_{t-1}, the
+    least and largest slope before it, their subset sums), then S_t and
+    F_t; cached, so that point queries on one space pay for it once."""
+    by_knots: dict = {}
+    for b, knots in enumerate(costs):
+        by_knots.setdefault(knots, []).append(b)
+    sizes, fulls, levels, sums = [0], [0], [], [[0]]
+    least, largest = math.inf, -math.inf
+
+    def subset_sums(t: int) -> list:  # of the first t types' block sizes, sorted
+        while len(sums) <= t:
+            ids, size, *_ = levels[len(sums) - 1]
+            sums.append(sorted({s + q * size for s in sums[-1] for q in range(len(ids) + 1)}))
+        return sums[t]
+
+    for knots, ids in sorted(by_knots.items(), key=lambda item: (item[0][-1][0], item[0])):
+        (size, full), t = knots[-1], len(levels)
+        runs = [(k0, k1, slope(k0, y0, k1, y1), y0) for (k0, y0), (k1, y1) in zip(knots, knots[1:])]
+        levels.append((ids, size, full, runs, sizes[-1], least, largest,
+                       functools.partial(subset_sums, t)))
+        sizes.append(sizes[-1] + len(ids) * size)
+        fulls.append(fulls[-1] + len(ids) * full)
+        least, largest = min(least, runs[-1][2]), max(largest, runs[0][2])  # slopes fall
+    return tuple(levels), tuple(sizes), tuple(fulls)
+
+
+def _candidates(level: tuple, n: int) -> set[int]:
+    """The M worth trying for H_t(n): one call per state of ``concave_min``.
+
+    Psi_t is linear on each run of the knots, copied at each multiple of
+    size, and each step of H_{t-1} lies between the least and the largest
+    slope of the earlier types.  So a run whose slope is >= that largest
+    has a minimum at its left end, one whose slope is <= that least at its
+    right end.  On a run in between, a minimum is at an end or has every
+    earlier block empty or full (moving units between two partial blocks
+    is concave until one is at a bound), so n - M is a subset sum of their
+    sizes.  psi (slopes 1, 0) and indicator ties (0, -1) never meet such a
+    run; the subset sums are built only for the levels that do.
+    """
+    ids, size, _full, runs, below, least, largest, subset_sums = level
+    lo, hi = max(0, n - below), min(n, len(ids) * size)
+    out = {lo, hi}
+    for k0, k1, a, _y0 in runs if lo < hi else ():
+        if a >= largest:  # left ends q * size + k0 in [lo, hi)
+            out.update(range(lo + (k0 - lo) % size, hi, size))
+        elif a <= least:  # right ends q * size + k1 in (lo, hi]
+            out.update(range(hi - (hi - k1) % size, lo, -size))
+        else:
+            sums = subset_sums()
+            for base in range(lo - lo % size, hi, size):  # the copies meeting [lo, hi)
+                u, v = max(lo, base + k0), min(hi, base + k1)
+                if u < v:
+                    inside = sums[bisect.bisect_right(sums, n - v):bisect.bisect_left(sums, n - u)]
+                    out.update((u, v), (n - s for s in inside))
+    return out
 
 
 def drop_collinear(knots: Sequence[tuple]) -> list[tuple]:
@@ -77,28 +177,6 @@ def min_plus(f: Sequence[tuple], g: Sequence[tuple]) -> list[tuple]:
     pieces_g = _convex_pieces(g)
     rows = [_envelope([_merge(p, q) for q in pieces_g]) for p in _convex_pieces(f)]
     return drop_collinear([(k, simplify(y)) for k, y in _envelope(rows)])
-
-
-def split(f: Sequence[tuple], g: Sequence[tuple], n: int) -> tuple[int, int]:
-    """A split i + j = n reaching the minimum of f(i) + g(j), as (i, j).
-
-    f and g are given by knots that include both ends.  Over its range,
-    f(i) + g(n - i) is linear between the knots of f and the points n - k
-    for the knots k of g, and the range ends on such points, so one of
-    them is a minimum; among equal ones the largest i is taken.
-    """
-    lo, hi = max(0, n - g[-1][0]), min(f[-1][0], n)
-    splits = {k for k, _ in f if lo <= k <= hi} | {n - k for k, _ in g if lo <= n - k <= hi}
-    i = min(sorted(splits, reverse=True), key=lambda i: value_at(f, i) + value_at(g, n - i))
-    return i, n - i
-
-
-def value_at(knots: Sequence[tuple], x: int):
-    """Value at x, inside the knots' range, of the function they interpolate."""
-    i = bisect.bisect_left(knots, x, key=itemgetter(0))
-    if knots[i][0] == x:
-        return knots[i][1]
-    return _at(*knots[i - 1], *knots[i], x)
 
 
 def _convex_pieces(knots: Sequence[tuple]) -> list[tuple]:

@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import math
 import os
 import sys
 import tempfile
@@ -268,8 +269,18 @@ def cmd_xs_experiment(args) -> int:
         term_budget=args.budget_terms,
         mode=args.mode,
     )
-    emit_report(report.to_json(), "json", args.out)
+    blob = report.to_json()
+    bad = [{k: run[k] for k in ("s", "alpha", "q")} for run in blob["runs"]
+           if any(isinstance(v, float) and not math.isfinite(v) for v in _flat(run.values()))]
+    if bad:
+        _diag("xs-experiment: a non-finite A, G, ratio or bracket is not JSON compliant", runs=bad)
+        return 1
+    emit_report(blob, "json", args.out)
     return 0
+
+
+def _flat(values) -> list:
+    return [v for value in values for v in (value if isinstance(value, list) else [value])]
 
 
 def cmd_verify(args) -> int:

@@ -4,14 +4,13 @@ For an indicator vector the block-sum norm power is sum_k min(m_k, cap_k)
 over the per-block counts m_k, so h_l(N)^p and h_r(N)^p are integer
 programs over allocations of N.  The production routes are:
 
-* one recurrence for h_l.  A type is c copies of one (cap, size) block.
-  Over the first t types, sorted by size, of total size S_t and cap C_t,
-  H_t(N) = min over M of psi_t(M) + H_{t-1}(N - M), where M runs over
-  max(0, N - S_{t-1})..min(N, c * size) and psi_t(M) = (M // size) * cap
-  + min(M % size, cap) is the cheapest way to put M coordinates on the
-  type (its per-block cost is concave, so all its blocks but one are
-  empty or full).  H_t(0) = 0 and H_t(S_t) = C_t close it.  A point query
-  walks it top-down over types, a table bottom-up one block at a time,
+* one recurrence for h_l: a block's cost psi(m) = min(m, cap) is
+  concave, so h_l(N)^p = min of sum_b psi_b(m_b) over allocations of N
+  is alloc.concave_min on psi's knots.  A point query walks it top-down
+  over types of identical blocks (doubling_scan's rows two N at a time).
+  A table runs it bottom-up one block at a time: with one block
+  added, the block takes either what the blocks before it cannot hold or
+  as much as it can,
 * the closed form min(N, sum caps) for h_r, witnessed by the
   marginal-gain greedy of alloc.py, which fills caps first.
 
@@ -28,10 +27,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import accumulate, groupby
 from typing import Callable, Iterable, Optional, Sequence
 
-from .alloc import greedy_max
+from .alloc import concave_min, greedy_max
 from .errors import InvariantError, TruncationError
 from .schedule import BlockSchedule
 from .spaces import SpaceSpec, _float_root
@@ -108,9 +106,9 @@ def demfun_dp(
 ) -> DemPoint:
     """Exact h_l(n)^p and h_r(n)^p with achieving allocations.
 
-    h_l comes from the recurrence, walked top-down over block types with
-    its argmins traced into the witness; h_r from its closed form.  The
-    only accepted ``method`` is "extreme", a name kept for earlier callers.
+    h_l comes from alloc.concave_min over psi's knots, with the witness
+    it traces; h_r from its closed form.  The only accepted ``method`` is
+    "extreme", a name kept for earlier callers.
     ``which`` restricts the query to one side ("hl" or "hr"): a shallow
     window often answers h_l at N whose h_r would need deeper caps.
     """
@@ -123,7 +121,7 @@ def demfun_dp(
     if n == 0:
         return DemPoint(0, 0, 0, (), ())
     blocks = _adequate_blocks(spec, n, which)
-    hl, wit_l = _hl_point(blocks, n) if which != "hr" else (None, ())
+    hl, wit_l = _hl_points(blocks, [n])[0] if which != "hr" else (None, ())
     hr, wit_r = _hr_closed(blocks, n) if which != "hl" else (None, ())
     return DemPoint(n, hl, hr, wit_l, wit_r)
 
@@ -132,59 +130,12 @@ def demfun_dp(
 # The h_l recurrence and the closed-form h_r
 
 
-def _candidates(size: int, count: int, s_prev: int, n: int) -> set[int]:
-    """The M worth trying for H_t(n): the ends of its range and the multiples of size.
-
-    On each block psi_t rises with slope one up to the cap, then is flat,
-    and H_{t-1}(n - M) falls by 0 or 1 per unit of M (a coordinate adds at
-    most 1 to the power).  So the sum does not fall on a ramp or rise on a
-    flat, and for one block only the two ends remain.
-    """
-    lo, hi = max(0, n - s_prev), min(n, count * size)
-    return {lo, hi, *range(-(-lo // size) * size, hi, size)}
-
-
-def _hl_point(blocks: Sequence[tuple[int, int]], n: int):
-    """h_l(n)^p from the recurrence, plus the witness traced from its argmins.
-
-    The states (t, N) are found from the top type down and evaluated from
-    the bottom up, without recursion, so windows of any depth work.  Where
-    every block is larger than all smaller ones together, as on a schedule,
-    at most one candidate per state is not a closed form: one state per block.
-    """
-    by_size = sorted(range(len(blocks)), key=lambda b: blocks[b][::-1])
-    types = [(cap, size, list(ids)) for (cap, size), ids in groupby(by_size, blocks.__getitem__)]
-    sizes = list(accumulate((len(ids) * size for _, size, ids in types), initial=0))  # S_t
-    caps = list(accumulate((len(ids) * cap for cap, _, ids in types), initial=0))  # C_t
-
-    found: list[dict] = [{} for _ in sizes]  # found[t]: N -> candidates for H_t(N)
-    level, wanted = len(types), {n} - {0, sizes[-1]}
-    while wanted:  # the closed forms at 0 and S_t need no state
-        cap, size, ids = types[level - 1]
-        found[level] = {m: _candidates(size, len(ids), sizes[level - 1], m) for m in wanted}
-        wanted = {m - j for m, ms in found[level].items() for j in ms} - {0, sizes[level - 1]}
-        level -= 1
-
-    best: list[dict] = [{} for _ in sizes]  # best[t]: N -> (H_t(N), argmin M)
-
-    def h(t: int, m: int) -> int:
-        return best[t][m][0] if m in best[t] else caps[t] if m else 0
-
-    for t in range(level + 1, len(sizes)):  # the levels with states, from the bottom up
-        cap, size, _ = types[t - 1]
-        best[t] = {
-            m: min(((j // size) * cap + min(j % size, cap) + h(t - 1, m - j), j) for j in ms)
-            for m, ms in found[t].items()
-        }
-
-    witness, m, t = [], n, len(types)
-    while m in best[t]:  # M = j on type t: its first blocks full, the last one the rest
-        j, (_, size, ids) = best[t][m][1], types[t - 1]
-        witness += [(b, min(size, j - i * size)) for i, b in enumerate(ids[:-(-j // size)])]
-        m, t = m - j, t - 1
-    if m:  # the first t types all full
-        witness += [(b, size) for _, size, ids in types[:t] for b in ids]
-    return h(len(types), n), tuple(sorted(witness))
+def _hl_points(blocks: Sequence[tuple[int, int]], ns: Sequence[int]) -> list[tuple]:
+    """h_l(n)^p and a witness (block, count) for each n, in one walk of the recurrence."""
+    costs = [((0, 0), (cap, cap), (size, cap)) if cap < size else ((0, 0), (size, size))
+             for cap, size in blocks]
+    return [(value, tuple((b, m) for b, m in enumerate(counts) if m))
+            for value, counts in concave_min(costs, ns)]
 
 
 def _hl_table(blocks: Sequence[tuple[int, int]], max_n: int) -> list[int]:
@@ -308,7 +259,8 @@ def doubling_scan(schedule: BlockSchedule, ks: Iterable[int]) -> DoublingReport:
 
     Each ratio is at least sqrt(2/3) * sqrt(a_{k+1}) and h_l(n_{k+1}) is
     at most sqrt(n_k); the growing multipliers make the ratio sequence
-    unbounded, which is the non-doubling phenomenon.
+    unbounded, which is the non-doubling phenomenon.  Both h_l of a row
+    come from one walk of the recurrence, whose set-up the rows share.
     """
     spec = SpaceSpec.from_schedule(schedule)
     rows = []
@@ -320,8 +272,8 @@ def doubling_scan(schedule: BlockSchedule, ks: Iterable[int]) -> DoublingReport:
         n_k = schedule.n(k)
         n_k1 = schedule.n(k + 1)
         # Raises TruncationError if the window is too shallow for these N.
-        hl_n = demfun_dp(spec, n_k1, which="hl").hl_power
-        hl_2n = demfun_dp(spec, 2 * n_k1, which="hl").hl_power
+        blocks = _adequate_blocks(spec, 2 * n_k1, "hl")
+        (hl_n, _), (hl_2n, _) = _hl_points(blocks, [n_k1, 2 * n_k1])
         ratio_sq = Fraction(hl_2n, hl_n)
         bound_sq = Fraction(2, 3) * schedule.a[k]
         rows.append(

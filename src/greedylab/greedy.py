@@ -15,10 +15,11 @@ instances (explicit.sigma_oracle_grid and the acceptance suite).
 gamma_N is the worst residual over every tie resolution of the greedy
 operator.  A resolution is a per-block count of kept coordinates at the
 threshold magnitude.  Both extremes read the runs of each tied block's
-r_b over the threshold class's window, with the allocation kernels in
-alloc.py: the best is their min-plus fold, the worst a marginal-gain
-greedy, exact because r_b is concave there.  Neither enumerates
-resolutions, so both are exact for tie classes of any multiplicity.
+r_b over the threshold class's window, which is concave there, with the
+allocation kernels in alloc.py: the best is the recurrence for minima of
+concave costs (the one h_l uses), the worst a marginal-gain greedy.
+Neither enumerates resolutions, so both are exact for tie classes of any
+multiplicity.
 
 Both are built as whole piecewise-linear sequences (error_sequence); their
 oracles, the removal-count DP sigma_power_table and the raw enumerations,
@@ -32,11 +33,10 @@ import functools
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import accumulate
 from operator import itemgetter
 from typing import Optional, Sequence, Union
 
-from .alloc import drop_collinear, greedy_max, min_plus, split, value_at
+from .alloc import concave_min, drop_collinear, greedy_max, min_plus
 from .errors import InvariantError
 from .errorseq import ErrorSequence
 from .exact import pow_rational, simplify
@@ -148,12 +148,12 @@ def gamma(x: CompressedVector, n: int, spec: SpaceSpec) -> GreedyOutcome:
     Coordinates above the threshold magnitude are always kept.  Tied block
     b keeps k of its supply_b threshold coordinates, which changes its
     residual by s_b(k) = r_b(kept_b + k) - r_b(kept_b), read off the runs
-    of r_b over the class window.  The best resolution is the min-plus
-    fold of the s_b at ``choose``, its witness walked back through the
-    folds; the worst is a marginal-gain greedy over the same runs, exact
-    because r_b is concave there: keeping one more tied coordinate removes
-    tau^p and lets in the coordinate ``cap`` places further down, and those
-    only get smaller.  No tie is an empty fold, read at 0.
+    of r_b over the class window.  r_b is concave there: keeping one more
+    tied coordinate removes tau^p and lets in the coordinate ``cap``
+    places further down, and those only get smaller.  So the best
+    resolution is alloc.concave_min over the s_b at ``choose``, with its
+    witness; the worst is a marginal-gain greedy over the same runs.  No
+    tie is an empty allocation, of value 0.
     """
     if n < 0:
         raise ValueError("n must be >= 0")
@@ -178,19 +178,18 @@ def gamma(x: CompressedVector, n: int, spec: SpaceSpec) -> GreedyOutcome:
             j, y = shifts[-1][-1]
             shifts[-1].append((j + length, y + gain * length))
     hi_gain, hi_counts = greedy_max(segments, tie.choose)
-    folds = [[(0, 0)], *accumulate(shifts, min_plus)]  # folds[i]: the first i blocks
-    lo_counts, left = {}, tie.choose
-    for (b, _supply), f, s in zip(reversed(tie.available), folds[-2::-1], reversed(shifts)):
-        left, lo_counts[b] = split(f, s, left)
-    lo_gain = value_at(folds[-1], tie.choose)
-    if sum(value_at(s, lo_counts[b]) for (b, _), s in zip(tie.available, shifts)) != lo_gain:
-        raise InvariantError(f"best resolution {lo_counts} misses the min-plus value {lo_gain}")
+    [(lo_gain, lo_counts)] = concave_min(shifts, [tie.choose])
+    lo = dict(zip((b for b, _ in tie.available), lo_counts))
+    shift = sum(residuals[b].power(forced[b] + c) - residuals[b].power(forced[b])
+                for b, c in lo.items())
+    if sum(lo_counts) != tie.choose or shift != lo_gain:
+        raise InvariantError(f"best resolution {lo} shifts by {shift}, not the kernel's {lo_gain}")
     p = spec.outer_p
     return GreedyOutcome(
         NormValue.from_power(base + hi_gain, p),
         NormValue.from_power(base + lo_gain, p),
         tuple((b, hi_counts.get(b, 0)) for b, _ in tie.available),
-        tuple((b, lo_counts[b]) for b, _ in tie.available),
+        tuple(lo.items()),
         tie,
     )
 

@@ -164,6 +164,21 @@ def test_xs_experiment_refuses_non_finite_json(tmp_path, capsys, mode):
     assert os.listdir(tmp_path) == ["squares.json"]  # no report, no temp file
 
 
+def test_xs_experiment_refusal_names_the_non_finite_runs(tmp_path, capsys):
+    # s = 2 is finite at both pairs, s = 71 only at (0.5, inf); the report
+    # is refused as a whole, and the diagnostic lists the other run.
+    sched = write(tmp_path / "squares.json", {"a": [(j + 2) ** 2 for j in range(73)]})
+    out = tmp_path / "report.json"
+    argv = ["--out", str(out), "xs-experiment", "--schedule", sched, "--s", "2,71",
+            "--alpha", "1,0.5", "--q", "inf", "--mode", "bounds"]
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    diag = json.loads(captured.err)
+    assert captured.out == "" and "not JSON compliant" in diag["error"]
+    assert diag["runs"] == [{"s": 71, "alpha": 1.0, "q": "inf"}]
+    assert os.listdir(tmp_path) == ["squares.json"]  # no report, no temp file
+
+
 def test_xs_experiment_shallow_schedule_diagnostic(tmp_path, capsys):
     sched = write(tmp_path / "squares.json", {"a": [4, 9, 16, 25]})
     code = main(["xs-experiment", "--schedule", sched, "--s", "99", "--alpha", "1", "--q", "1"])

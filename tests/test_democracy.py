@@ -16,10 +16,11 @@ from greedylab import (
     demfun_dp,
     demfun_table,
     doubling_scan,
+    gamma,
     prefix_norm_conjecture_check,
     squares_schedule,
 )
-from greedylab import democracy, explicit
+from greedylab import alloc, explicit
 from greedylab.democracy import one_plus_log2, sqrt_of
 from greedylab.explicit import demfun_bruteforce
 
@@ -324,9 +325,9 @@ def test_table_and_points_equal_dp_oracle_on_typed_block_sums(blocks):
 
 
 def _count_states(monkeypatch):
-    """A list that gains one entry per h_l state a point query evaluates."""
-    states, real = [], democracy._candidates
-    monkeypatch.setattr(democracy, "_candidates", lambda *args: states.append(1) or real(*args))
+    """A list that gains one entry per state the concave_min kernel evaluates."""
+    states, real = [], alloc._candidates
+    monkeypatch.setattr(alloc, "_candidates", lambda *args: states.append(1) or real(*args))
     return states
 
 
@@ -344,7 +345,7 @@ def test_hl_states_grow_with_types_not_blocks(monkeypatch):
         assert point.hl_power == table.hl_power(n)
         _assert_witness(spec, n, point.witness_l, point.hl_power)
         # One state per (type, N); one per (block, N) would be up to 260 * (N + 1).
-        assert len(states) <= types * (n + 1)
+        assert 1 <= len(states) <= types * (n + 1)
 
 
 def test_hl_states_on_a_schedule_stay_below_the_block_count(monkeypatch):
@@ -356,7 +357,36 @@ def test_hl_states_on_a_schedule_stay_below_the_block_count(monkeypatch):
     for n in ns + [rng.randint(1, spec.blocks[-1].size) for _ in range(40)]:
         states.clear()
         demfun_dp(spec, n, which="hl")
-        assert len(states) <= sched.num_blocks
+        assert 1 <= len(states) <= sched.num_blocks
+
+
+@settings(derandomize=True, max_examples=100, deadline=None)
+@given(block_sums(max_blocks=5, max_size=12))
+def test_gamma_of_the_all_ones_vector_is_the_democracy_function(blocks):
+    # The residual of the all-ones vector after N greedy steps is the
+    # indicator of the T - N coordinates left, and every set of that size is
+    # one tie resolution.  The table's bottom-up h_l shares no code with the
+    # kernel gamma's best case runs on.
+    spec = SpaceSpec.block_sum(blocks)
+    total = sum(s for _, s in blocks)
+    x = spec.indicator({b: size for b, (_, size) in enumerate(blocks)})
+    table = demfun_table(spec, total)
+    for n in range(total + 1):
+        out = gamma(x, n, spec)
+        assert out.residual_max.power_exact == table.hr_power(total - n)
+        assert out.residual_min.power_exact == table.hl_power(total - n)
+
+
+def test_gamma_of_the_all_ones_window_needs_at_most_a_state_per_block(monkeypatch):
+    sched = arithmetic_schedule(40)
+    blocks = [(sched.cap(b), sched.size(b)) for b in range(40)]
+    spec = SpaceSpec.block_sum(blocks)
+    total = sum(s for _, s in blocks)
+    x = spec.indicator({b: size for b, (_, size) in enumerate(blocks)})
+    states = _count_states(monkeypatch)
+    out = gamma(x, total // 2, spec)
+    assert 1 <= len(states) <= 40
+    assert out.residual_min.power_exact == demfun_dp(spec, total - total // 2, which="hl").hl_power
 
 
 def test_hl_point_queries_need_no_recursion_on_deep_windows():

@@ -160,6 +160,35 @@ def test_gamma_tie_extremes_match_raw_enumeration(instance):
             assert explicit.norm_power(residual, spec) == value
 
 
+def test_gamma_best_case_takes_interior_points_of_intermediate_runs():
+    # Each kept nine lowers the residual by 1 to 9 here.  Block 2's shift
+    # is one run of slope -6, strictly between the earlier blocks' least and
+    # largest slopes (-9 and -1), and the best resolution keeps 2 of its 7
+    # nines, a count strictly inside that run: the run ends alone give 111.
+    spec = SpaceSpec.block_sum([(3, 4), (6, 11), (7, 14)], inner_p=1, outer_p=1)
+    x = spec.vector([(0, 9, 3), (0, 1, 1), (1, 9, 6), (1, 8, 1), (1, 3, 4), (2, 9, 7), (2, 3, 7)])
+    out = gamma(x, 5, spec)
+    assert (out.residual_max.power_exact, out.residual_min.power_exact) == (119, 106)
+    assert explicit.gamma_raw(explicit.to_explicit(x, spec), 5, spec) == (119, 106)
+    residual = explicit.to_explicit(_residual(x, spec, out, out.witness_min), spec)
+    assert explicit.norm_power(residual, spec) == 106
+
+
+def test_gamma_checks_the_best_witness(monkeypatch):
+    # A witness whose residual misses the kernel's value, or whose counts do
+    # not add up to choose, raises InvariantError (not assert: -O keeps it).
+    from greedylab import InvariantError, greedy
+
+    spec = SpaceSpec.block_sum([(1, 4), (3, 6)])
+    x = spec.indicator({0: 2, 1: 2})
+    real = greedy.concave_min
+    for wrong in (lambda v, c: (v - 1, c), lambda v, c: (v, [0] * len(c))):
+        monkeypatch.setattr(greedy, "concave_min",
+                            lambda costs, ns: [wrong(v, c) for v, c in real(costs, ns)])
+        with pytest.raises(InvariantError):
+            gamma(x, 2, spec)
+
+
 def test_gamma_ties_across_many_blocks_match_the_allocation_dp():
     # An indicator is one tie class.  Keeping N of its coordinates leaves
     # support - N of them, count_b - kept_b in block b, with residual power
