@@ -1,5 +1,7 @@
 """Allocation kernels: n units placed on blocks, at most ``size`` on each,
-at the sum of what each block's units cost, given by knots.
+at the sum of what each block's units cost, given by knots: integers,
+with integer slopes between them (greedy scales a vector to integers),
+so every value is an int and an inexact division raises InvariantError.
 
 * ``concave_min``: minima of costs concave per block, by a recurrence
   over the blocks sorted by size; h_l (psi) and gamma's best tie
@@ -16,11 +18,11 @@ from __future__ import annotations
 import bisect
 import functools
 import math
-from fractions import Fraction
 from operator import itemgetter
 from typing import Sequence
 
-from .exact import simplify, slope
+from .errors import InvariantError
+from .exact import slope
 
 
 def greedy_max(segments: Sequence[tuple], n: int):
@@ -87,7 +89,7 @@ def concave_min(costs: Sequence[Sequence[tuple]], ns: Sequence[int]) -> list[tup
             for i, b in enumerate(ids[:-(-j // size)]):
                 counts[b] = min(size, j - i * size)
             m, t = m - j, t - 1
-        out.append((simplify(h(len(levels), n)), counts))
+        out.append((h(len(levels), n), counts))
     return out
 
 
@@ -176,7 +178,7 @@ def min_plus(f: Sequence[tuple], g: Sequence[tuple]) -> list[tuple]:
     """
     pieces_g = _convex_pieces(g)
     rows = [_envelope([_merge(p, q) for q in pieces_g]) for p in _convex_pieces(f)]
-    return drop_collinear([(k, simplify(y)) for k, y in _envelope(rows)])
+    return drop_collinear(_envelope(rows))
 
 
 def _convex_pieces(knots: Sequence[tuple]) -> list[tuple]:
@@ -227,11 +229,12 @@ def _envelope(functions: list) -> list[tuple]:
     return functions[0]
 
 
-def _at(k0: int, y0, k1: int, y1, x: int):
-    """Value at x of the line through (k0, y0) and (k1, y1), exactly."""
-    num, width = (y1 - y0) * (x - k0), k1 - k0
-    q, r = divmod(num, width)
-    return y0 + q if r == 0 else y0 + Fraction(num, width)
+def _at(k0: int, y0: int, k1: int, y1: int, x: int) -> int:
+    """Value at x of the line through (k0, y0) and (k1, y1), an int."""
+    q, r = divmod((y1 - y0) * (x - k0), k1 - k0)
+    if r:
+        raise InvariantError(f"line ({k0}, {y0})-({k1}, {y1}) is not integral at {x}")
+    return y0 + q
 
 
 def _pair_min(f: Sequence[tuple], g: Sequence[tuple]) -> list[tuple]:

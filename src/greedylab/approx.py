@@ -25,7 +25,7 @@ from typing import Optional, Sequence
 from .errors import GreedyLabError, ScheduleTooShallowError, TermBudgetError
 from .errorseq import ErrorSequence
 from .exact import sqrt_plus_const_ge
-from .greedy import error_sequence
+from .greedy import GreedyProfile, error_sequence
 from .schedule import BlockSchedule
 from .spaces import SpaceSpec, _float_root, space_norm
 from .vectors import CompressedVector
@@ -223,7 +223,8 @@ class XsConstruction:
     Magnitude 2 fills block ``hi_block`` entirely (n_s coordinates, the
     near-minimal-democracy set); magnitude 1 sits on v = ceil(n_s / r)
     coordinates of the next block, r = floor(sqrt(s)).  All defining
-    inequalities are verified exactly at build time.
+    inequalities are verified exactly at build time.  One GreedyProfile of
+    x serves the sigma and gamma sequences, each built on first use.
     """
 
     s: int
@@ -235,24 +236,18 @@ class XsConstruction:
     schedule: BlockSchedule
     spec: SpaceSpec
     x: CompressedVector
+    profile: GreedyProfile = field(repr=False, compare=False)  # serves both sequences
     checks: dict = field(default_factory=dict)
-    _sequences: dict = field(default_factory=dict, repr=False, compare=False)
 
     @property
     def support_size(self) -> int:
         return self.n_s + self.v
 
     def sigma_sequence(self) -> ErrorSequence:
-        return self._sequence("sigma")
+        return self.profile.sequence("sigma")
 
     def gamma_sequence(self) -> ErrorSequence:
-        return self._sequence("gamma")
-
-    def _sequence(self, kind: str) -> ErrorSequence:
-        # Built once: the ratios and the bound checks read the same sequences.
-        if kind not in self._sequences:
-            self._sequences[kind] = error_sequence(self.x, self.spec, kind)
-        return self._sequences[kind]
+        return self.profile.sequence("gamma")
 
 
 def build_xs(schedule: BlockSchedule, s: int) -> XsConstruction:
@@ -308,7 +303,7 @@ def build_xs(schedule: BlockSchedule, s: int) -> XsConstruction:
         raise GreedyLabError(f"x_s invariants failed at build time: {failed}")
     return XsConstruction(
         s=s, hi_block=hi_block, n_s=n_s, c=c, r=r, v=v,
-        schedule=schedule, spec=spec, x=x, checks=checks,
+        schedule=schedule, spec=spec, x=x, profile=GreedyProfile(x, spec), checks=checks,
     )
 
 

@@ -29,7 +29,7 @@ from .democracy import (
     prefix_norm_conjecture_check,
 )
 from .errors import GreedyLabError
-from .greedy import error_sequence, gamma, sigma_exact
+from .greedy import GreedyProfile, gamma, sigma_exact
 from .spaces import SpaceSpec, _float_root, space_from_json, space_norm
 from .vectors import CompressedVector
 
@@ -151,8 +151,8 @@ def cmd_gamma(args) -> int:
 def cmd_errors(args) -> int:
     spec = _load_space(args.space)
     x = CompressedVector.load(args.vector)
-    sig = error_sequence(x, spec, "sigma")
-    gam = error_sequence(x, spec, "gamma")
+    profile = GreedyProfile(x, spec)
+    sig, gam = profile.sequence("sigma"), profile.sequence("gamma")
     last = sig.support_size if args.max_k is None else min(args.max_k, sig.support_size)
     p = sig.p
     lines = [

@@ -3,24 +3,21 @@
 sigma_k^p and gamma_k^p are linear in k between breakpoints set by the
 group boundaries of the vector, so a sequence is stored as its knots:
 exact powers at strictly increasing k, from (0, ||x||^p) to
-(support, 0), linear in between and 0 beyond.  ``greedy.error_sequence``
+(support, 0), linear in between and 0 beyond.  ``greedy.GreedyProfile``
 builds them directly from the groups, whatever the support size, out of
 one such sequence per block: the block's residual after its j largest
 coordinates are removed, whose ``runs`` over a window give gamma's slopes.
 
-All values are carried as exact p-th powers (plain ints for the integer
-instances the experiments use).
+All values are exact p-th powers.  The profile computes on the vector
+scaled to integers and divides each sequence it hands out back once.
 """
 
 from __future__ import annotations
 
 import bisect
-from fractions import Fraction
-from typing import Optional, Sequence, Union
+from typing import Optional, Sequence
 
-from .exact import simplify, slope
-
-Rational = Union[int, Fraction]
+from .exact import Rational, simplify, slope
 
 
 class ErrorSequence:

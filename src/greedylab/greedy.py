@@ -2,7 +2,8 @@
 
 Every norm here is symmetric within blocks, so both errors read one
 function per block: r_b(j), the power of block b after its j largest
-coordinates are removed (``_residuals``, exact knots; b's own sigma).
+coordinates are removed (exact knots; b's own sigma).  A GreedyProfile
+lays one vector out once, in ints, for every query below.
 
 sigma_N uses the suppression-projection reduction: for a normalized
 lattice-unconditional basis the optimal N-term approximant matches the
@@ -21,30 +22,29 @@ concave costs (the one h_l uses), the worst a marginal-gain greedy.
 Neither enumerates resolutions, so both are exact for tie classes of any
 multiplicity.
 
-Both are built as whole piecewise-linear sequences (error_sequence); their
-oracles, the removal-count DP sigma_power_table and the raw enumerations,
-live in explicit.py.
+Both are also built as whole piecewise-linear sequences; their oracles,
+the removal-count DP sigma_power_table and the raw enumerations, live in
+explicit.py.
 """
 
 from __future__ import annotations
 
 import bisect
 import functools
+import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from operator import itemgetter
-from typing import Optional, Sequence, Union
+from operator import neg
+from typing import Optional, Sequence
 
 from .alloc import concave_min, drop_collinear, greedy_max, min_plus
 from .errors import InvariantError
 from .errorseq import ErrorSequence
-from .exact import pow_rational, simplify
+from .exact import Rational
 from .explicit import sigma_power_table  # noqa: F401  (bench/run.py reads it here)
-from .spaces import NormValue, SpaceSpec, _float_root, _group_power, random_vector
+from .spaces import NormValue, SpaceSpec, _float_root, random_vector, space_norm
 from .vectors import CompressedVector
-
-Rational = Union[int, Fraction]
 
 
 @dataclass(frozen=True)
@@ -79,181 +79,186 @@ class GreedyOutcome:
 
 
 # ---------------------------------------------------------------------------
-# Block residual functions
+# The per-vector profile
 
 
-def _residuals(x: CompressedVector, spec: SpaceSpec, blocks) -> dict:
-    """Block -> r_b, its power after its j largest coordinates are removed.
+class GreedyProfile:
+    """One vector laid out for the greedy layer, built once, in ints.
+
+    Magnitudes are scaled by D, the lcm of their denominators, and powers
+    divided by D^p where they leave, in a NormValue or an ErrorSequence;
+    tie thresholds and witnesses keep the vector's own units.  Classes
+    (k, scaled magnitude, magnitude, members) come largest first, k
+    coordinates above each.  Each r_b and sequence is built on first use.
+    """
+
+    def __init__(self, x: CompressedVector, spec: SpaceSpec):
+        self.x, self.spec, self.p = spec.conform(x), spec, spec.inner_p
+        if spec.inner_p != spec.outer_p or not isinstance(self.p, int):
+            raise ValueError("exact greedy machinery needs integer inner_p == outer_p")
+        scale = math.lcm(*(m.denominator for _b, m, _c in self.x.groups))
+        self._dp, self._blocks, by_mag = scale**self.p, {}, {}
+        for b, m, c in self.x.groups:  # _blocks[b]: scaled magnitudes, [0, count ends]
+            mag = m if scale == 1 else m.numerator * (scale // m.denominator)
+            mags, ends = self._blocks.setdefault(b, ([], [0]))
+            mags.append(mag)
+            ends.append(ends[-1] + c)
+            by_mag.setdefault(mag, (m, []))[1].append((b, c))
+        self._classes, self._ends = [], [0]  # _ends[i + 1]: coordinates down to class i
+        for mag in sorted(by_mag, reverse=True):
+            m, members = by_mag[mag]
+            self._classes.append((self._ends[-1], mag, m, tuple(members)))
+            self._ends.append(self._ends[-1] + sum(c for _b, c in members))
+        self._residuals, self._sequences = {}, {}
+
+    def above(self, b: int, mag: int) -> int:
+        """How many of block b's coordinates exceed the scaled magnitude."""
+        mags, ends = self._blocks[b]
+        return ends[bisect.bisect_left(mags, -mag, key=neg)]
+
+    def residual(self, b: int) -> ErrorSequence:
+        """r_b in scaled units."""
+        if b not in self._residuals:
+            self._residuals[b] = _residual(*self._blocks[b], self.spec.blocks[b].cap, self.p)
+        return self._residuals[b]
+
+    def unscale(self, y: int) -> Rational:
+        """y / D^p exactly: a scaled power in the vector's own units."""
+        return Fraction(y, self._dp) if y % self._dp else y // self._dp
+
+    def gamma(self, n: int) -> GreedyOutcome:
+        """Residual-norm extremes of the greedy operator at step n.
+
+        Coordinates above the threshold magnitude are always kept.  Tied
+        block b keeps k of its supply_b threshold coordinates, which
+        changes its residual by s_b(k) = r_b(kept_b + k) - r_b(kept_b),
+        read off the runs of r_b over the class window.  r_b is concave
+        there: keeping one more tied coordinate removes tau^p and lets in
+        the coordinate ``cap`` places further down, and those only get
+        smaller.  So the best resolution is alloc.concave_min over the s_b
+        at ``choose``, with its witness; the worst is a marginal-gain
+        greedy over the same runs.
+        """
+        if n < 0:
+            raise ValueError("n must be >= 0")
+        i = bisect.bisect_right(self._ends, n) - 1  # n >= support: below every class
+        k, mag, m, members = self._classes[i] if i < len(self._classes) else (n, 0, None, ())
+        forced = {b: self.above(b, mag) for b in self._blocks}
+        tie = TieDescriptor(m, members, n - k) if n > k else EMPTY_TIE
+        # Only the blocks with coordinates left over have a residual.
+        base = sum(self.residual(b).power(kept) for b, kept in forced.items()
+                   if kept < self._blocks[b][1][-1])
+        segments, shifts = [], []
+        for b, supply in tie.available:
+            runs = self.residual(b).runs(forced[b], forced[b] + supply)
+            segments += [(b, gain, length) for gain, length in runs]
+            shifts.append([(0, 0)])
+            for gain, length in runs:
+                j, y = shifts[-1][-1]
+                shifts[-1].append((j + length, y + gain * length))
+        hi_gain, hi_counts = lo_gain, lo = greedy_max(segments, tie.choose)
+        if len(shifts) > 1:  # else there is one resolution at most
+            [(lo_gain, lo_counts)] = concave_min(shifts, [tie.choose])
+            lo = dict(zip((b for b, _ in tie.available), lo_counts))
+            shift = sum(self.residual(b).power(forced[b] + c) - self.residual(b).power(forced[b])
+                        for b, c in lo.items())
+            if sum(lo_counts) != tie.choose or shift != lo_gain:
+                raise InvariantError(
+                    f"best resolution {lo} shifts by {shift}, not the kernel's {lo_gain}")
+        return GreedyOutcome(
+            NormValue.from_power(self.unscale(base + hi_gain), self.p),
+            NormValue.from_power(self.unscale(base + lo_gain), self.p),
+            tuple((b, hi_counts.get(b, 0)) for b, _ in tie.available),
+            tuple((b, lo.get(b, 0)) for b, _ in tie.available),
+            tie,
+        )
+
+    def sigma(self, n: int) -> NormValue:
+        """Best n-term approximation error (exact, suppression projection)."""
+        if n < 0:
+            raise ValueError("n must be >= 0")
+        return NormValue.from_power(self.sequence("sigma").power(n), self.p)
+
+    def sequence(self, kind: str) -> ErrorSequence:
+        """Full k -> sigma_k or gamma_k sequence, as knots.
+
+        Built from the block residual functions, so the cost depends on
+        the number of groups, not on the support size.  gamma uses the
+        worst case over tie resolutions at every k.
+        """
+        if kind not in ("sigma", "gamma"):
+            raise ValueError("kind must be 'sigma' or 'gamma'")
+        if kind not in self._sequences:
+            residuals = [self.residual(b) for b in self._blocks]
+            knots = _sigma_knots(residuals) if kind == "sigma" else _gamma_knots(self, residuals)
+            knots = [(k, self.unscale(y)) for k, y in knots]
+            # The norm from the block powers, independent of the residual functions.
+            want = [(0, space_norm(self.x, self.spec).power_exact), (self.x.support_size, 0)]
+            if [knots[0], knots[-1]] != want:
+                raise InvariantError(f"{kind} knots run {knots[0]}..{knots[-1]}, not {want}")
+            self._sequences[kind] = ErrorSequence(kind, self.p, knots)
+        return self._sequences[kind]
+
+
+def _residual(mags: Sequence[int], ends: Sequence[int], cap: Optional[int], p: int):
+    """r_b from the block's magnitudes, largest first, and their count ends.
 
     The rest is re-truncated to the cap, so r_b(j) is the power of
     positions j .. j+cap-1 and bends where either end of that window
-    crosses a group boundary.  Each r_b is an ErrorSequence of exact knots
-    from (0, block power) to (count, 0): block b's own sigma sequence.
+    crosses a group boundary: an ErrorSequence of knots from (0, block
+    power) to (count, 0), block b's own sigma sequence.
     """
-    p = spec.inner_p
-    if spec.inner_p != spec.outer_p or not isinstance(p, int):
-        raise ValueError("exact greedy machinery needs integer inner_p == outer_p")
-    out = {}
-    for b in blocks:
-        counts, powers, mags = [0], [0], []  # per group: end, prefix power, mag^p
-        for mag, count in x.block_groups(b):
-            mags.append(pow_rational(mag, p))
-            counts.append(counts[-1] + count)
-            powers.append(simplify(powers[-1] + mags[-1] * count))
+    powers, prefix = [m**p for m in mags], [0]  # prefix[g]: power down to group g - 1
+    for power, lo, hi in zip(powers, ends, ends[1:]):
+        prefix.append(prefix[-1] + power * (hi - lo))
 
-        def top(t: int) -> Rational:
-            """Power of the t largest magnitudes."""
-            g = bisect.bisect_left(counts, t)  # counts[g-1] < t <= counts[g]
-            if counts[g] == t:
-                return powers[g]
-            return powers[g - 1] + mags[g - 1] * (t - counts[g - 1])
+    def top(t: int) -> int:  # the power of the t largest magnitudes
+        g = bisect.bisect_left(ends, t)  # ends[g-1] < t <= ends[g]
+        return prefix[g] if ends[g] == t else prefix[g - 1] + powers[g - 1] * (t - ends[g - 1])
 
-        total, cap = counts[-1], spec.blocks[b].cap
-        width = total if cap is None else cap
-        cuts = sorted({max(c - width, 0) for c in counts}.union(counts))
-        knots = [(j, simplify(top(min(j + width, total)) - top(j))) for j in cuts]
-        out[b] = ErrorSequence("sigma", p, drop_collinear(knots))
-    return out
+    width = ends[-1] if cap is None else cap
+    cuts = sorted({max(c - width, 0) for c in ends}.union(ends))
+    knots = [(j, top(min(j + width, ends[-1])) - top(j)) for j in cuts]
+    return ErrorSequence("sigma", p, drop_collinear(knots))
 
 
-# ---------------------------------------------------------------------------
-# gamma: worst/best case over tie resolutions
-
-
-def _classes(x: CompressedVector):
-    """The magnitude classes of x, largest first: (k, size, magnitude, members, kept).
-
-    k coordinates lie above the class, kept[b] of them in block b (updated
-    in place when the walk resumes); members lists the class's (block,
-    count) pairs in block order.  A greedy set of n coordinates keeps all
-    above the first class with n - k < size, and n - k of that class.
-    """
-    classes: dict = {}
-    for b, m, c in x.groups:
-        # Keyed by the exact pair: a tuple hashes faster than a Fraction.
-        classes.setdefault((m.numerator, m.denominator), (m, []))[1].append((b, c))
-    kept = dict.fromkeys(x.blocks(), 0)
-    k = 0
-    for m, members in sorted(classes.values(), key=itemgetter(0), reverse=True):
-        size = sum(c for _b, c in members)
-        yield k, size, m, members, kept
-        for b, c in members:
-            kept[b] += c
-        k += size
-
-
-def gamma(x: CompressedVector, n: int, spec: SpaceSpec) -> GreedyOutcome:
-    """Residual-norm extremes of the greedy operator at step n.
-
-    Coordinates above the threshold magnitude are always kept.  Tied block
-    b keeps k of its supply_b threshold coordinates, which changes its
-    residual by s_b(k) = r_b(kept_b + k) - r_b(kept_b), read off the runs
-    of r_b over the class window.  r_b is concave there: keeping one more
-    tied coordinate removes tau^p and lets in the coordinate ``cap``
-    places further down, and those only get smaller.  So the best
-    resolution is alloc.concave_min over the s_b at ``choose``, with its
-    witness; the worst is a marginal-gain greedy over the same runs.  No
-    tie is an empty allocation, of value 0.
-    """
-    if n < 0:
-        raise ValueError("n must be >= 0")
-    x = spec.conform(x)
-    counts = x.block_counts()
-    forced, tie = counts, EMPTY_TIE  # n >= support keeps everything
-    for k, size, m, members, kept in _classes(x):
-        if n - k < size:
-            forced = kept
-            if n > k:
-                tie = TieDescriptor(m, tuple(members), n - k)
-            break
-    # Only the blocks with coordinates left over have a residual.
-    residuals = _residuals(x, spec, [b for b in counts if forced[b] < counts[b]])
-    base = sum(r.power(forced[b]) for b, r in residuals.items())
-    segments, shifts = [], []
-    for b, supply in tie.available:
-        runs = residuals[b].runs(forced[b], forced[b] + supply)
-        segments += [(b, gain, length) for gain, length in runs]
-        shifts.append([(0, 0)])
-        for gain, length in runs:
-            j, y = shifts[-1][-1]
-            shifts[-1].append((j + length, y + gain * length))
-    hi_gain, hi_counts = greedy_max(segments, tie.choose)
-    [(lo_gain, lo_counts)] = concave_min(shifts, [tie.choose])
-    lo = dict(zip((b for b, _ in tie.available), lo_counts))
-    shift = sum(residuals[b].power(forced[b] + c) - residuals[b].power(forced[b])
-                for b, c in lo.items())
-    if sum(lo_counts) != tie.choose or shift != lo_gain:
-        raise InvariantError(f"best resolution {lo} shifts by {shift}, not the kernel's {lo_gain}")
-    p = spec.outer_p
-    return GreedyOutcome(
-        NormValue.from_power(base + hi_gain, p),
-        NormValue.from_power(base + lo_gain, p),
-        tuple((b, hi_counts.get(b, 0)) for b, _ in tie.available),
-        tuple(lo.items()),
-        tie,
-    )
-
-
-# ---------------------------------------------------------------------------
-# sigma
-
-
-def sigma_exact(x: CompressedVector, n: int, spec: SpaceSpec) -> NormValue:
-    """Best n-term approximation error (exact, suppression projection)."""
-    if n < 0:
-        raise ValueError("n must be >= 0")
-    return NormValue.from_power(error_sequence(x, spec, "sigma").power(n), spec.outer_p)
-
-
-# ---------------------------------------------------------------------------
-# Error sequences
-
-
-def error_sequence(x: CompressedVector, spec: SpaceSpec, kind: str) -> ErrorSequence:
-    """Full k -> sigma_k or gamma_k sequence for one vector, as knots.
-
-    Built from the block residual functions, so the cost depends on the
-    number of groups, not on the support size.  gamma uses the worst case
-    over tie resolutions at every k.
-    """
-    if kind not in ("sigma", "gamma"):
-        raise ValueError("kind must be 'sigma' or 'gamma'")
-    x = spec.conform(x)
-    residuals = _residuals(x, spec, x.blocks())
-    knots = _sigma_knots(residuals) if kind == "sigma" else _gamma_knots(x, residuals)
-    # The norm from the block powers, independent of the residual functions.
-    start = sum(
-        _group_power(x.block_groups(b), spec.blocks[b].cap, spec.inner_p) for b in x.blocks()
-    )
-    if knots[0] != (0, start) or knots[-1] != (x.support_size, 0):
-        raise InvariantError(
-            f"{kind} sequence runs from {knots[0]} to {knots[-1]}, "
-            f"not from (0, {start}) to ({x.support_size}, 0)"
-        )
-    return ErrorSequence(kind, spec.outer_p, knots)
-
-
-def _gamma_knots(x: CompressedVector, residuals) -> list:
+def _gamma_knots(profile: GreedyProfile, residuals) -> list:
     """Walk the magnitude classes in descending order.
 
     Inside a class, the worst resolution for each count is the
     marginal-gain fill of the runs of its blocks' residuals over the
     class window, so gamma follows those runs in order of decreasing gain.
     """
-    y = sum(r.power(0) for r in residuals.values())
+    y = sum(r.power(0) for r in residuals)
     knots = [(0, y)]
-    for k, _size, _m, members, kept in _classes(x):
-        runs = [run for b, c in members for run in residuals[b].runs(kept[b], kept[b] + c)]
+    for k, mag, _m, members in profile._classes:
+        above = [(b, profile.above(b, mag), c) for b, c in members]
+        runs = [run for b, j, c in above for run in profile.residual(b).runs(j, j + c)]
         for gain, length in sorted(runs, key=lambda run: -run[0]):
-            k, y = k + length, simplify(y + gain * length)
+            k, y = k + length, y + gain * length
             knots.append((k, y))
     return drop_collinear(knots)
 
 
 def _sigma_knots(residuals) -> Sequence[tuple]:
     """Min-plus merge of the block residual functions, fewest knots first."""
-    blocks = sorted((r.knots for r in residuals.values()), key=len)
+    blocks = sorted((r.knots for r in residuals), key=len)
     return functools.reduce(min_plus, blocks) if blocks else [(0, 0)]
+
+
+def gamma(x: CompressedVector, n: int, spec: SpaceSpec) -> GreedyOutcome:
+    """Residual-norm extremes of the greedy operator at step n (GreedyProfile.gamma)."""
+    return GreedyProfile(x, spec).gamma(n)
+
+
+def sigma_exact(x: CompressedVector, n: int, spec: SpaceSpec) -> NormValue:
+    """Best n-term approximation error (exact, suppression projection)."""
+    return GreedyProfile(x, spec).sigma(n)
+
+
+def error_sequence(x: CompressedVector, spec: SpaceSpec, kind: str) -> ErrorSequence:
+    """Full k -> sigma_k or gamma_k sequence for one vector (GreedyProfile.sequence)."""
+    return GreedyProfile(x, spec).sequence(kind)
 
 
 # ---------------------------------------------------------------------------
@@ -286,8 +291,8 @@ def greedy_constant(spec: SpaceSpec, num_samples: int = 100, seed: int = 0) -> f
 
 def _worst_ratio(x: CompressedVector, spec: SpaceSpec, ks) -> float:
     """Largest gamma_k / sigma_k over the ks with sigma_k > 0 (0.0 if none)."""
-    sig = error_sequence(x, spec, "sigma")
-    gam = error_sequence(x, spec, "gamma")
+    profile = GreedyProfile(x, spec)
+    sig, gam = profile.sequence("sigma"), profile.sequence("gamma")
     best = 0.0
     for k in ks:
         s_pow = sig.power(k)

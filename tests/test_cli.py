@@ -58,6 +58,19 @@ def test_errors_csv(tmp_path, schedule_file, vector_file):
     assert k20[0] == "20" and k20[1] == "16" and k20[2] == "20"
 
 
+def test_errors_builds_one_greedy_profile(tmp_path, schedule_file, vector_file, monkeypatch):
+    # Both sequences come from one profile of the vector.
+    from greedylab import greedy
+
+    built = []
+    real = greedy.GreedyProfile.__init__
+    monkeypatch.setattr(greedy.GreedyProfile, "__init__",
+                        lambda self, *args: built.append(args) or real(self, *args))
+    out = str(tmp_path / "errors.csv")
+    assert main(["--out", out, "errors", "--space", schedule_file, "--vector", vector_file]) == 0
+    assert len(built) == 1
+
+
 def test_demfun_csv_matches_spec_example(tmp_path, capsys):
     mini = write(tmp_path / "mini.json", {"a": [4, 5, 6, 7]})
     out = tmp_path / "demfun.csv"

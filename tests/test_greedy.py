@@ -525,6 +525,78 @@ def test_error_sequence_tabulated_matches_pointwise_calls():
         assert gam.power(n) == gamma(x, n, spec).residual_max.power_exact
 
 
+_D = 3 * 7 * 11 * 13
+
+
+@st.composite
+def rational_block_sums(draw):
+    """Sums of 1-5 blocks on <= 12 coordinates, p in {1, 2, 3}, with
+    magnitudes over the coprime denominators 3, 7, 11 and 13, drawn from a
+    pool of at most four so that ties across blocks are common."""
+    p = draw(st.integers(1, 3))
+    blocks, room = [], 12
+    for _ in range(draw(st.integers(1, 5))):
+        if room == 0:
+            break
+        size = draw(st.integers(1, min(room, 5)))
+        blocks.append((draw(st.integers(1, size)), size))
+        room -= size
+    spec = SpaceSpec.block_sum(blocks, p, p)
+    mags = st.builds(Fraction, st.integers(1, 9), st.sampled_from((3, 7, 11, 13)))
+    pool = draw(st.lists(mags, min_size=1, max_size=4))
+    raw = [(b, draw(st.sampled_from(pool)), 1)
+           for b, (_cap, size) in enumerate(blocks) for _ in range(draw(st.integers(0, size)))]
+    return spec, spec.vector(raw)
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(rational_block_sums())
+def test_rational_vectors_match_the_oracles_and_scale_exactly(instance):
+    # The greedy layer scales x by the lcm of its denominators and divides
+    # back once.  Scaling x by D outside must scale every power by D^p
+    # exactly, move the tie threshold by D and leave every witness alone.
+    spec, x = instance
+    p, scaled = spec.outer_p, x.scale(_D)
+    sig, gam = (error_sequence(x, spec, kind).powers() for kind in ("sigma", "gamma"))
+    assert sig == list(sigma_power_table(x, spec))
+    for kind, seq in (("sigma", sig), ("gamma", gam)):
+        assert error_sequence(scaled, spec, kind).powers() == [_D**p * y for y in seq]
+    values = explicit.to_explicit(x, spec)
+    for n in range(x.support_size + 1):
+        out, big = gamma(x, n, spec), gamma(scaled, n, spec)
+        hi, lo = out.residual_max.power_exact, out.residual_min.power_exact
+        assert explicit.gamma_raw(values, n, spec) == (hi, lo) and gam[n] == hi
+        assert big.residual_max.power_exact == _D**p * hi
+        assert big.residual_min.power_exact == _D**p * lo
+        assert (big.witness_max, big.witness_min) == (out.witness_max, out.witness_min)
+        assert big.tie.available == out.tie.available
+        if not out.tie.empty:
+            assert out.tie.threshold in {m for _b, m, _c in x.groups}
+            assert big.tie.threshold == _D * out.tie.threshold
+
+
+def test_one_profile_builds_each_block_residual_once(monkeypatch):
+    # Both sequences and every gamma(n) and sigma(n) of one profile share
+    # its block residuals and sequences, and agree with the public calls.
+    from greedylab import greedy
+
+    spec = SpaceSpec.block_sum([(2, 6), (3, 8), (1, 5)], 2, 2)
+    x = spec.vector([(0, Fraction(5, 3), 2), (0, Fraction(2, 7), 3), (1, Fraction(5, 3), 4),
+                     (1, 1, 2), (2, Fraction(2, 7), 5)])
+    ns = range(x.support_size + 1)
+    want = ([gamma(x, n, spec) for n in ns], [sigma_exact(x, n, spec) for n in ns],
+            [error_sequence(x, spec, kind).knots for kind in ("sigma", "gamma")])
+    built = []
+    real = greedy._residual
+    monkeypatch.setattr(greedy, "_residual", lambda *args: built.append(args) or real(*args))
+    profile = greedy.GreedyProfile(x, spec)
+    seqs = [profile.sequence(kind) for kind in ("sigma", "gamma")]
+    got = ([profile.gamma(n) for n in ns], [profile.sigma(n) for n in ns], [s.knots for s in seqs])
+    assert got == want
+    assert all(profile.sequence(seq.kind) is seq for seq in seqs)
+    assert len(built) == len(x.blocks()) == 3
+
+
 # -- constants ----------------------------------------------------------------
 
 
