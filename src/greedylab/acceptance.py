@@ -95,15 +95,19 @@ def criterion_3() -> tuple[bool, str]:
     return True, "h_r identity exact on N <= 1000; shallow window refuses"
 
 
-def criterion_4() -> tuple[bool, str]:
-    """sigma_exact vs the free-coefficient grid oracle, 50 instances."""
+def criterion_4_instances():
+    """Criterion 4's 50 (spec, values, n) instances, seeded."""
     rng = random.Random(4)
     spaces = [SpaceSpec.lp(1, 4), SpaceSpec.lp(2, 4), SpaceSpec.trunc_block(2, 4, 2)]
-    worst = 0.0
     for i in range(50):
-        spec = spaces[i % 3]
         values = [rng.randint(0, 8) * rng.choice((-1, 1)) for _ in range(4)]
-        n = rng.randint(0, 4)
+        yield spaces[i % 3], values, rng.randint(0, 4)
+
+
+def criterion_4() -> tuple[bool, str]:
+    """sigma_exact vs the free-coefficient grid oracle, 50 instances."""
+    worst = 0.0
+    for i, (spec, values, n) in enumerate(criterion_4_instances()):
         x = explicit.from_explicit(values, spec)
         exact = float(sigma_exact(x, n, spec))
         oracle = explicit.sigma_oracle_grid(values, n, spec)

@@ -10,9 +10,10 @@ them imports greedy, democracy, approx, alloc or errorseq, so an oracle
 never shares code with the route it checks.  No oracle prunes its search
 space: each visits every candidate its enumeration defines, and where one
 is fast it only evaluates a candidate more cheaply (the brute force updates
-two coordinates per subset, the grid search builds its float norm once per
-space).  The size limits below refuse instances that enumeration cannot
-finish.
+two coordinates per subset; the grid search tabulates each coordinate's
+power once per column of candidate coefficients and assembles every
+candidate's norm from those powers).  The size limits below refuse
+instances that enumeration cannot finish.
 """
 
 from __future__ import annotations
@@ -106,33 +107,41 @@ def norm_power(values: Sequence, spec: SpaceSpec):
 
 def norm_float(values: Sequence, spec: SpaceSpec) -> float:
     """Float space norm for arbitrary exponents (the grid oracle's objective)."""
-    return _float_norm(spec)([float(v) for v in values])
+    _check_count(values, spec)
+    inner = float(spec.inner_p)
+    return _float_norm(spec)([abs(float(v)) ** inner for v in values])
+
+
+def _check_count(values: Sequence, spec: SpaceSpec) -> None:
+    dim = dimension(spec)
+    if len(values) != dim:
+        raise ValueError(f"{len(values)} coordinates for a {dim}-dimensional space")
 
 
 def _float_norm(spec: SpaceSpec):
-    """``norm_float`` for one space, as a function of the flat float coordinates.
+    """The float space norm, as a function of the flat coordinates' powers.
 
-    The block layout and the exponents are worked out once.  Each call
-    takes the ``cap`` largest magnitudes of every block in descending
-    order and adds their powers left to right from 0.0 (a loop, not
-    ``sum``, which compensates rounding from Python 3.12 on), so equal
-    inputs give bit-identical floats on every version.
+    Each argument entry is ``|v_i| ** inner_p`` for one coordinate, in the
+    flat layout; the caller checks their count.  The block layout and the
+    exponents are worked out once.  Each call takes the ``cap`` largest
+    powers of every block in descending order (the order of their
+    magnitudes: ``x ** p`` is monotone for p > 0) and adds them left to
+    right from 0.0 (a loop, not ``sum``, which compensates rounding from
+    Python 3.12 on), so equal inputs give bit-identical floats on every
+    version.
     """
-    inner, ratio, root = float(spec.inner_p), spec.outer_p / spec.inner_p, 1.0 / spec.outer_p
-    dim = dimension(spec)
+    ratio, root = spec.outer_p / spec.inner_p, 1.0 / spec.outer_p
     layout = [
         (off, off + block.size, block.cap)
         for off, block in zip(block_offsets(spec), spec.blocks)
     ]
 
-    def norm(values: Sequence[float]) -> float:
-        if len(values) != dim:
-            raise ValueError(f"{len(values)} coordinates for a {dim}-dimensional space")
+    def norm(powers: Sequence[float]) -> float:
         total = 0.0
         for lo, hi, cap in layout:
             bp = 0.0
-            for m in sorted(map(abs, values[lo:hi]), reverse=True)[:cap]:
-                bp += m**inner
+            for w in sorted(powers[lo:hi], reverse=True)[:cap]:
+                bp += w
             total += bp**ratio  # 0.0 ** ratio is 0.0: ratio > 0
         return total**root
 
@@ -441,11 +450,17 @@ def sigma_oracle_grid(values: Sequence, n: int, spec: SpaceSpec) -> float:
     refinement reaches the global minimum).  Per support that is 19^n
     grid points, then 5^n candidates per refinement pass: one pass for
     each of the 27 halvings of the window, and one more after every pass
-    that improved.  The norm is built once per call (``_float_norm``) and
-    the grid's residual vectors come straight from ``itertools.product``.
+    that improved.  A candidate's norm is assembled (``_float_norm``) from
+    one column of powers ``|v_i - c| ** inner_p`` per coordinate: the 19
+    grid coefficients of a free coordinate, or its 5 offsets from the
+    current best point in a pass, and 1 for a fixed one; the candidates
+    are the product of the columns, in ``itertools.product`` order.  When
+    a candidate improves mid-pass, the best point moves and the pass goes
+    on from the next candidate with columns rebuilt around the new point.
     Exists solely to validate that free coefficients never beat plain
     suppression.
     """
+    _check_count(values, spec)
     dim = len(values)
     if dim > 4:
         raise ValueError("grid oracle is limited to dimension <= 4")
@@ -458,23 +473,24 @@ def sigma_oracle_grid(values: Sequence, n: int, spec: SpaceSpec) -> float:
         return 0.0
 
     norm = _float_norm(spec)
+    inner = float(spec.inner_p)
     grid = [float(c) for c in range(-GRID_COEFF_BOUND, GRID_COEFF_BOUND + 1)]
     best_overall = math.inf
+
+    def columns(support, coeffs) -> list[list[float]]:
+        """Per coordinate, its residual powers in candidate order."""
+        free = dict(zip(support, coeffs))
+        return [
+            [abs(v - c) ** inner for c in free[i]] if i in free else [abs(v) ** inner]
+            for i, v in enumerate(vals)
+        ]
+
     for support in itertools.combinations(range(dim), n):
-        # The residual vectors in the order of their grid points.
-        residuals = [[v - c for c in grid] if i in support else [v] for i, v in enumerate(vals)]
-        grid_values = list(map(norm, itertools.product(*residuals)))
+        grid_values = list(map(norm, itertools.product(*columns(support, [grid] * n))))
         # The first minimum, as a strict-< scan over the grid keeps.
         best_val = min(grid_values)
         at = grid_values.index(best_val)
         best_pt = next(itertools.islice(itertools.product(grid, repeat=n), at, None))
-
-        residual = list(vals)
-
-        def objective(coeffs: tuple[float, ...]) -> float:
-            for i, c in zip(support, coeffs):
-                residual[i] = vals[i] - c
-            return norm(residual)
 
         step = 1.0
         while step > 1e-8:
@@ -483,12 +499,18 @@ def sigma_oracle_grid(values: Sequence, n: int, spec: SpaceSpec) -> float:
             improved = True
             while improved:
                 improved = False
-                for delta in itertools.product(offsets, repeat=n):
-                    cand = tuple(b + d for b, d in zip(best_pt, delta))
-                    val = objective(cand)
-                    if val < best_val - 1e-15:
-                        best_val, best_pt = val, cand
-                        improved = True
+                at = 0  # candidates of this pass evaluated so far
+                while at < len(offsets) ** n:
+                    around = [[b + d for d in offsets] for b in best_pt]
+                    candidates = itertools.product(*columns(support, around))
+                    for val in map(norm, itertools.islice(candidates, at, None)):
+                        at += 1
+                        if val < best_val - 1e-15:
+                            best_val = val
+                            points = itertools.product(*around)
+                            best_pt = next(itertools.islice(points, at - 1, None))
+                            improved = True
+                            break
         best_overall = min(best_overall, best_val)
     return best_overall
 

@@ -21,6 +21,7 @@ from greedylab import (
     space_norm,
 )
 from greedylab import alloc, explicit
+from greedylab.acceptance import criterion_4_instances
 from greedylab.explicit import sigma_oracle_grid, sigma_power_table
 from greedylab.spaces import random_vector
 
@@ -268,6 +269,8 @@ def test_sigma_grid_oracle_validates_suppression_on_trunc_block():
 
 
 _P3 = SpaceSpec.block_sum([(3, 3), (1, 1)], 3, 3)
+_LP15 = SpaceSpec.lp(1.5, 4)  # a non-integer inner exponent
+_MIXED = SpaceSpec.block_sum([(1, 2), (2, 2)], 2, 1)  # two blocks, outer / inner = 1/2
 _PINNED_GRID_ORACLE = [
     ("lp1", [Fraction(-10, 7), -7, Fraction(4, 7), Fraction(44, 7)], 1, SpaceSpec.lp(1, 4),
      8.285714285714286),
@@ -285,6 +288,15 @@ _PINNED_GRID_ORACLE = [
     ("block_sum_n2", [5, -2, Fraction(-33, 7), Fraction(-3, 5)], 2, _P3, 2.0178403871082535),
     ("block_sum_n3", [Fraction(-32, 5), Fraction(-9, 5), 4, Fraction(13, 3)], 3, _P3,
      1.800000000000001),
+    ("lp1_5_n1", [8, 8, Fraction(1, 3), Fraction(27, 5)], 1, _LP15, 10.774812670671583),
+    ("lp1_5_n2", [Fraction(34, 5), Fraction(14, 3), Fraction(-27, 5), Fraction(12, 5)], 2,
+     _LP15, 5.7531135551507235),
+    ("lp1_5_n3", [Fraction(-6, 5), 2, Fraction(-38, 5), Fraction(-20, 3)], 3, _LP15,
+     1.20000000000011),
+    ("mixed_n1", [Fraction(-17, 3), -1, -5, Fraction(-54, 7)], 1, _MIXED, 10.192943167540667),
+    ("mixed_n2", [5, 0, Fraction(33, 5), Fraction(16, 3)], 2, _MIXED, 5.0000000028962654),
+    ("mixed_n3", [Fraction(-27, 7), -2, Fraction(-32, 7), Fraction(-16, 3)], 3, _MIXED,
+     2.0000000040452237),
 ]
 
 
@@ -294,11 +306,29 @@ _PINNED_GRID_ORACLE = [
     ids=[case[0] for case in _PINNED_GRID_ORACLE],
 )
 def test_sigma_grid_oracle_values_are_pinned(values, n, spec, expected):
-    # Floats recorded from the oracle when it called norm_float afresh for
-    # every point, compared with ==.  All but trunc_block and the last two
-    # change in the last bits if a block adds its powers in ascending order,
-    # or with sum() on Python >= 3.12 (which compensates rounding).
+    # Floats compared with ==, recorded from earlier forms of the oracle:
+    # norm_float afresh for every point (up to block_sum_n3), then one norm
+    # mapped over whole residual vectors (lp1_5, mixed).  Assembling each
+    # candidate's norm from per-coordinate power columns must not move a
+    # bit.  Of the first nine, all but trunc_block and block_sum_n2/n3
+    # change in the last bits if a block adds its powers in ascending
+    # order, or with sum() on Python >= 3.12 (which compensates rounding).
     assert sigma_oracle_grid(values, n, spec) == expected
+
+
+@pytest.mark.parametrize("n", [0, 1, 3, 4])
+def test_sigma_grid_oracle_refuses_a_wrong_coordinate_count(n):
+    with pytest.raises(ValueError, match="3 coordinates for a 4-dimensional space"):
+        sigma_oracle_grid([1, 2, 3], n, SpaceSpec.lp(2, 4))
+
+
+def test_sigma_grid_oracle_equals_sigma_exact_on_criterion_4_inputs():
+    # Criterion 4 allows 1e-6; on its own 50 inputs the floats are equal.
+    instances = list(criterion_4_instances())
+    assert len(instances) == 50
+    for spec, values, n in instances:
+        x = explicit.from_explicit(values, spec)
+        assert sigma_oracle_grid(values, n, spec) == float(sigma_exact(x, n, spec))
 
 
 # -- joint properties ---------------------------------------------------------
