@@ -299,7 +299,7 @@ CRITERIA: list[tuple[int, str, Callable[[], tuple[bool, str]], float]] = [
     (1, "democracy oracle equivalence (toy space)", criterion_1, 1.0),
     (2, "non-doubling h_l reproduction, a=(4,5,6,7)", criterion_2, 1.0),
     (3, "h_r(N)^2 = N identity and capacity check", criterion_3, 1.0),
-    (4, "sigma reduction vs grid oracle", criterion_4, 30.0),
+    (4, "sigma reduction vs grid oracle", criterion_4, 10.0),
     (5, "tie extremes vs raw enumeration", criterion_5, 10.0),
     (6, "greedy basis sanity in l_p", criterion_6, 10.0),
     (7, "CGHM constructor and 7.1 check", criterion_7, 1.0),

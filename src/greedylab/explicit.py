@@ -8,11 +8,12 @@ allocation DP for h_l / h_r, the removal-count DP for the sigma table, and
 the per-k / per-term versions of the x_s checks and quasi-norms.  None of
 them imports greedy, democracy, approx, alloc or errorseq, so an oracle
 never shares code with the route it checks.  No oracle prunes its search
-space: each visits every candidate its enumeration defines, and where one
-is fast it only evaluates a candidate more cheaply (the brute force updates
-two coordinates per subset; the grid search tabulates each coordinate's
-power once per column of candidate coefficients and assembles every
-candidate's norm from those powers).  The size limits below refuse
+space on theory: every candidate its enumeration defines is accounted for,
+and where one is fast it only evaluates candidates more cheaply (the brute
+force updates two coordinates per subset; the grid search tabulates each
+coordinate's power once per column of candidate coefficients and computes
+a norm once per distinct tuple of those powers in a scan, since candidates
+with equal powers have equal norms).  The size limits below refuse
 instances that enumeration cannot finish.
 """
 
@@ -93,6 +94,7 @@ def norm_power(values: Sequence, spec: SpaceSpec):
     """Exact p-th power of the space norm (needs integer inner_p == outer_p)."""
     if spec.inner_p != spec.outer_p or not isinstance(spec.inner_p, int):
         raise ValueError("exact explicit norm needs integer inner_p == outer_p")
+    _check_count(values, spec)
     p = spec.inner_p
     offsets = block_offsets(spec)
     total = 0
@@ -116,6 +118,12 @@ def _check_count(values: Sequence, spec: SpaceSpec) -> None:
     dim = dimension(spec)
     if len(values) != dim:
         raise ValueError(f"{len(values)} coordinates for a {dim}-dimensional space")
+
+
+def _check_query(values: Sequence, n: int, spec: SpaceSpec) -> None:
+    _check_count(values, spec)
+    if n < 0:
+        raise ValueError(f"need 0 <= n, got {n}")
 
 
 def _float_norm(spec: SpaceSpec):
@@ -369,6 +377,7 @@ def gamma_raw(values: Sequence, n: int, spec: SpaceSpec):
     A keep-set is valid iff it contains all coordinates strictly above the
     threshold magnitude and fills up with any coordinates at the threshold.
     """
+    _check_query(values, n, spec)
     vals = [as_fraction(v) for v in values]
     dim = len(vals)
     if n >= dim:
@@ -393,6 +402,7 @@ def gamma_raw(values: Sequence, n: int, spec: SpaceSpec):
 
 def sigma_removals_bruteforce(values: Sequence, n: int, spec: SpaceSpec):
     """Best n-term error power, minimizing over all removal sets exactly."""
+    _check_query(values, n, spec)
     vals = [as_fraction(v) for v in values]
     support = [i for i, v in enumerate(vals) if v != 0]
     if n >= len(support):
@@ -450,17 +460,19 @@ def sigma_oracle_grid(values: Sequence, n: int, spec: SpaceSpec) -> float:
     refinement reaches the global minimum).  Per support that is 19^n
     grid points, then 5^n candidates per refinement pass: one pass for
     each of the 27 halvings of the window, and one more after every pass
-    that improved.  A candidate's norm is assembled (``_float_norm``) from
-    one column of powers ``|v_i - c| ** inner_p`` per coordinate: the 19
-    grid coefficients of a free coordinate, or its 5 offsets from the
-    current best point in a pass, and 1 for a fixed one; the candidates
-    are the product of the columns, in ``itertools.product`` order.  When
-    a candidate improves mid-pass, the best point moves and the pass goes
-    on from the next candidate with columns rebuilt around the new point.
-    Exists solely to validate that free coefficients never beat plain
-    suppression.
+    that improved.  A candidate is a tuple of column indices, one column
+    of powers ``|v_i - c| ** inner_p`` per coordinate: the 19 grid
+    coefficients of a free coordinate, or its 5 offsets from the current
+    best point in a pass, and 1 for a fixed one; the candidates come in
+    ``itertools.product`` order.  The grid phase keeps the first minimum;
+    a pass moves the best point to the first candidate below the best
+    value by more than 1e-15, then goes on after it with columns rebuilt
+    around the new point.  Each scan (``_first_below``) computes the norm
+    (``_float_norm``) once per distinct tuple of powers and names the
+    same candidate as visiting them all.  Exists solely to validate that
+    free coefficients never beat plain suppression.
     """
-    _check_count(values, spec)
+    _check_query(values, n, spec)
     dim = len(values)
     if dim > 4:
         raise ValueError("grid oracle is limited to dimension <= 4")
@@ -486,11 +498,11 @@ def sigma_oracle_grid(values: Sequence, n: int, spec: SpaceSpec) -> float:
         ]
 
     for support in itertools.combinations(range(dim), n):
-        grid_values = list(map(norm, itertools.product(*columns(support, [grid] * n))))
-        # The first minimum, as a strict-< scan over the grid keeps.
-        best_val = min(grid_values)
-        at = grid_values.index(best_val)
-        best_pt = next(itertools.islice(itertools.product(grid, repeat=n), at, None))
+        kept = [_distinct(col, range(len(col))) for col in columns(support, [grid] * n)]
+        grid_values = list(map(norm, itertools.product(*kept)))
+        best_val = min(grid_values)  # the first minimum, as a strict-< scan keeps
+        at = _index_at(grid_values.index(best_val), kept)
+        best_pt = [grid[at[i]] for i in support]
 
         step = 1.0
         while step > 1e-8:
@@ -498,21 +510,64 @@ def sigma_oracle_grid(values: Sequence, n: int, spec: SpaceSpec) -> float:
             offsets = (-2 * step, -step, 0.0, step, 2 * step)
             improved = True
             while improved:
-                improved = False
-                at = 0  # candidates of this pass evaluated so far
-                while at < len(offsets) ** n:
+                improved, at = False, None
+                while True:
                     around = [[b + d for d in offsets] for b in best_pt]
-                    candidates = itertools.product(*columns(support, around))
-                    for val in map(norm, itertools.islice(candidates, at, None)):
-                        at += 1
-                        if val < best_val - 1e-15:
-                            best_val = val
-                            points = itertools.product(*around)
-                            best_pt = next(itertools.islice(points, at - 1, None))
-                            improved = True
-                            break
+                    hit = _first_below(norm, columns(support, around), best_val - 1e-15, at)
+                    if hit is None:
+                        break
+                    best_val, at = hit
+                    best_pt = [col[at[i]] for col, i in zip(around, support)]
+                    improved = True
         best_overall = min(best_overall, best_val)
     return best_overall
+
+
+def _first_below(norm, columns, threshold: float, after=None):
+    """(value, column indices) of the first candidate below threshold, or None.
+
+    The candidates are the index tuples of ``itertools.product`` over the
+    columns: all of them, or those after the tuple ``after``, scanned as
+    one product per position k from the last to the first (``after``
+    before k, past it at k, anything later).  Each product keeps every
+    distinct power of a column once, at its first index (``_distinct``),
+    so it evaluates each distinct tuple of powers once.  A candidate's
+    value depends only on its powers, and moving any coordinate to the
+    first index of its power gives an earlier candidate of the same
+    product: so the first that passes is one of those kept.
+    """
+    if after is None:
+        pieces = [[range(len(col)) for col in columns]]
+    else:
+        pieces = (
+            [[i] for i in after[:k]]
+            + [range(after[k] + 1, len(columns[k]))]
+            + [range(len(col)) for col in columns[k + 1:]]
+            for k in reversed(range(len(columns)))
+        )
+    for piece in pieces:
+        kept = [_distinct(col, indices) for col, indices in zip(columns, piece)]
+        for rank, val in enumerate(map(norm, itertools.product(*kept))):
+            if val < threshold:
+                return val, _index_at(rank, kept)
+    return None
+
+
+def _distinct(column: Sequence[float], indices) -> dict[float, int]:
+    """{power: first index} over the column's entries at indices, in index order."""
+    first: dict[float, int] = {}
+    for i in indices:
+        first.setdefault(column[i], i)
+    return first
+
+
+def _index_at(rank: int, kept: Sequence[dict]) -> list[int]:
+    """The column indices of the rank-th candidate of ``product(*kept)``."""
+    at = []
+    for first in reversed(kept):
+        rank, r = divmod(rank, len(first))
+        at.append(list(first.values())[r])
+    return at[::-1]
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,6 @@
 """Greedy errors, best N-term errors and the oracle cross-checks."""
 
+import itertools
 import math
 import random
 from fractions import Fraction
@@ -309,8 +310,9 @@ def test_sigma_grid_oracle_values_are_pinned(values, n, spec, expected):
     # Floats compared with ==, recorded from earlier forms of the oracle:
     # norm_float afresh for every point (up to block_sum_n3), then one norm
     # mapped over whole residual vectors (lp1_5, mixed).  Assembling each
-    # candidate's norm from per-coordinate power columns must not move a
-    # bit.  Of the first nine, all but trunc_block and block_sum_n2/n3
+    # candidate's norm from per-coordinate power columns, and computing it
+    # once per distinct tuple of powers in a scan, must not move a bit.
+    # Of the first nine, all but trunc_block and block_sum_n2/n3
     # change in the last bits if a block adds its powers in ascending
     # order, or with sum() on Python >= 3.12 (which compensates rounding).
     assert sigma_oracle_grid(values, n, spec) == expected
@@ -320,6 +322,125 @@ def test_sigma_grid_oracle_values_are_pinned(values, n, spec, expected):
 def test_sigma_grid_oracle_refuses_a_wrong_coordinate_count(n):
     with pytest.raises(ValueError, match="3 coordinates for a 4-dimensional space"):
         sigma_oracle_grid([1, 2, 3], n, SpaceSpec.lp(2, 4))
+
+
+@pytest.mark.parametrize("n", [-1, -3])
+@pytest.mark.parametrize(
+    "oracle", [sigma_oracle_grid, explicit.gamma_raw, explicit.sigma_removals_bruteforce]
+)
+def test_oracles_refuse_a_negative_n(oracle, n):
+    with pytest.raises(ValueError, match="need 0 <= n"):
+        oracle([1, 2, 3, 4], n, SpaceSpec.lp(2, 4))
+
+
+@pytest.mark.parametrize("values", [[1, 2, 3], [1, 2, 3, 4, 100]], ids=["3", "5"])
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda values, spec: explicit.norm_power(values, spec),
+        lambda values, spec: explicit.gamma_raw(values, 1, spec),
+        lambda values, spec: explicit.gamma_raw(values, 5, spec),
+        lambda values, spec: explicit.sigma_removals_bruteforce(values, 1, spec),
+        lambda values, spec: explicit.sigma_removals_bruteforce(values, 5, spec),
+    ],
+    ids=["norm_power", "gamma_raw", "gamma_raw_n5", "sigma_bruteforce", "sigma_bruteforce_n5"],
+)
+def test_exact_oracles_refuse_a_wrong_coordinate_count(call, values):
+    with pytest.raises(ValueError, match=f"{len(values)} coordinates for a 4-dimensional space"):
+        call(values, SpaceSpec.lp(2, 4))
+
+
+def _full_scan_grid_oracle(values, n, spec):
+    """sigma_oracle_grid visiting every candidate: (value, mid-pass moves).
+
+    The reference for the scans that evaluate each distinct tuple of powers
+    once.  A mid-pass move is one after which its pass goes on, so the next
+    candidates are offsets from the new best point.
+    """
+    vals = [float(v) for v in values]
+    norm, inner = explicit._float_norm(spec), float(spec.inner_p)
+    grid = [float(c) for c in range(-explicit.GRID_COEFF_BOUND, explicit.GRID_COEFF_BOUND + 1)]
+
+    def columns(support, coeffs):
+        free = dict(zip(support, coeffs))
+        return [
+            [abs(v - c) ** inner for c in free[i]] if i in free else [abs(v) ** inner]
+            for i, v in enumerate(vals)
+        ]
+
+    best_overall, moves = math.inf, 0
+    for support in itertools.combinations(range(len(vals)), n):
+        grid_values = list(map(norm, itertools.product(*columns(support, [grid] * n))))
+        best_val = min(grid_values)
+        at = grid_values.index(best_val)
+        best_pt = next(itertools.islice(itertools.product(grid, repeat=n), at, None))
+        step = 1.0
+        while step > 1e-8:
+            step /= 2.0
+            offsets = (-2 * step, -step, 0.0, step, 2 * step)
+            improved = True
+            while improved:
+                improved, at = False, 0
+                while at < len(offsets) ** n:
+                    around = [[b + d for d in offsets] for b in best_pt]
+                    candidates = itertools.product(*columns(support, around))
+                    for val in map(norm, itertools.islice(candidates, at, None)):
+                        at += 1
+                        if val < best_val - 1e-15:
+                            best_val = val
+                            points = itertools.product(*around)
+                            best_pt = next(itertools.islice(points, at - 1, None))
+                            improved = True
+                            moves += at < len(offsets) ** n
+                            break
+        best_overall = min(best_overall, best_val)
+    return best_overall, moves
+
+
+def test_sigma_grid_oracle_equals_the_full_scan_on_rational_inputs():
+    rng = random.Random(20)
+    spaces = list(dict.fromkeys(case[3] for case in _PINNED_GRID_ORACLE))
+    total_moves = 0
+    for spec in spaces:
+        for n in (1, 1, 2, 2, 2, 3):
+            values = []
+            for _ in range(4):
+                den = rng.choice((3, 5, 7))
+                values.append(Fraction(rng.randint(-8 * den, 8 * den), den))
+            expected, moves = _full_scan_grid_oracle(values, n, spec)
+            assert sigma_oracle_grid(values, n, spec) == expected, (values, n, spec)
+            total_moves += moves
+    assert total_moves > 0  # the scans after a mid-pass move were taken
+
+
+def test_first_below_after_a_tuple_equals_the_product_scan():
+    # Columns with repeated powers and a random pass/fail value per tuple of
+    # powers: the pieces after a tuple must find the first passing candidate
+    # after it in product order, and with no tuple the first overall.
+    rng = random.Random(21)
+    for _ in range(300):
+        columns = [
+            [float(rng.randint(0, 3)) for _ in range(rng.randint(1, 5))]
+            for _ in range(rng.randint(1, 4))
+        ]
+        value = {}
+
+        def norm(powers):
+            return value.setdefault(tuple(powers), float(rng.random() < 0.2))
+
+        ranges = [range(len(col)) for col in columns]
+        start = [rng.randrange(len(col)) for col in columns]
+        for after in (None, start):
+            expected = next(
+                (
+                    (norm([col[i] for col, i in zip(columns, at)]), list(at))
+                    for at in itertools.product(*ranges)
+                    if (after is None or list(at) > after)
+                    and norm([col[i] for col, i in zip(columns, at)]) < 0.5
+                ),
+                None,
+            )
+            assert explicit._first_below(norm, columns, 0.5, after) == expected
 
 
 def test_sigma_grid_oracle_equals_sigma_exact_on_criterion_4_inputs():
