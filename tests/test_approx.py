@@ -5,6 +5,7 @@ import os
 import random
 import subprocess
 import sys
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -303,11 +304,15 @@ def test_piecewise_series_match_per_term_oracle(instance, kind, params):
     seq = error_sequence(x, spec, kind)
     norm_x = float(space_norm(x, spec))
     value = quasinorm(norm_x, seq, params)
-    assert value == pytest.approx(explicit.quasinorm_per_term(norm_x, seq, params), rel=1e-12)
+    oracle = explicit.quasinorm_per_term(norm_x, seq, params)
     lo, hi = quasinorm_bounds(norm_x, seq, params)
     assert lo <= value <= hi
     if approx._piecewise_series(seq, params) is not None:
+        assert value == pytest.approx(oracle, rel=1e-12)
         assert lo == value == hi
+    else:
+        # Per-term series: the same float terms, so the same fsum, bit for bit.
+        assert value == oracle
 
 
 @pytest.mark.parametrize("s", [2, 3, 4])
@@ -321,9 +326,12 @@ def test_xs_routes_match_per_term_oracles(s):
     for seq in (sigma, gamma):
         for params in (ApproxParams(1, 1), ApproxParams(0.5, 2), ApproxParams(2, 2),
                        ApproxParams(1, math.inf)):
-            assert quasinorm(norm_x, seq, params) == pytest.approx(
-                explicit.quasinorm_per_term(norm_x, seq, params), rel=1e-12
-            )
+            value = quasinorm(norm_x, seq, params)
+            oracle = explicit.quasinorm_per_term(norm_x, seq, params)
+            if approx._piecewise_series(seq, params) is None:
+                assert value == oracle
+            else:
+                assert value == pytest.approx(oracle, rel=1e-12)
 
 
 def test_work_is_bounded_by_knots_not_support(monkeypatch):
@@ -344,6 +352,116 @@ def test_work_is_bounded_by_knots_not_support(monkeypatch):
     for params in (ApproxParams(0.5, 2), ApproxParams(2, 2), ApproxParams(1, 4)):
         assert math.isfinite(quasinorm(norm_x, xs.sigma_sequence(), params, term_budget=1))
     assert calls == []
+
+
+def test_bounds_are_tight_and_cheap_on_xs_up_to_s6(monkeypatch):
+    # Before the second-order brackets, 2,048 uniform subranges per piece
+    # cost 12,000+ term evaluations per sequence from s = 4 on, and the
+    # bracket at s = 6, (alpha, q) = (0.5, 1) was 1.07 wide (relative).
+    calls, counts = [], []
+    real_term, real_bounds = approx._term, approx.quasinorm_bounds
+    monkeypatch.setattr(approx, "_term", lambda *args: calls.append(args[0]) or real_term(*args))
+
+    def counted(*args):
+        calls.clear()
+        out = real_bounds(*args)
+        counts.append(len(calls))
+        return out
+
+    monkeypatch.setattr(approx, "quasinorm_bounds", counted)
+    sched = squares_schedule(6)
+    params = [ApproxParams(0.5, 1), ApproxParams(1, 1), ApproxParams(2, 1), ApproxParams(1, 1.5)]
+    bounded = optimality_experiment(sched, range(2, 7), params, mode="bounds").runs
+    assert len(counts) == 2 * len(bounded) == 40
+    assert 0 < max(counts) <= 3000
+    for run in bounded:
+        for lo, hi in (run.a_bounds, run.g_bounds):
+            assert 0 < hi - lo <= 1e-3 * lo, (run.s, run.alpha, run.q)
+    exact = optimality_experiment(sched, [2, 3, 4], params).runs
+    for e, b in zip(exact, bounded):
+        assert (e.s, e.alpha, e.q) == (b.s, b.alpha, b.q)
+        assert b.a_bounds[0] <= e.a_norm <= b.a_bounds[1]
+        assert b.g_bounds[0] <= e.g_norm <= b.g_bounds[1]
+
+
+@st.composite
+def knot_sequences(draw):
+    """Sequences from random knots: int and Fraction powers that fall, stay
+    flat (a1 = 0), rise or touch 0 (a zero of g at a piece end)."""
+    n = draw(st.integers(1, 3))
+    gaps = draw(st.lists(st.integers(1, 1200), min_size=n, max_size=n))
+    powers = [0] * (n + 1)
+    for i in reversed(range(n)):
+        powers[i] = draw(st.one_of(
+            st.just(0) if i else st.integers(1, 1000),
+            st.just(powers[i + 1]) if powers[i + 1] else st.integers(1, 1000),
+            st.integers(1, 1000),
+            st.fractions(Fraction(1, 7), 1000, max_denominator=12),
+        ))
+    ks = [sum(gaps[:i]) for i in range(n + 1)]
+    return ErrorSequence("sigma", draw(st.sampled_from([1, 2])), list(zip(ks, powers)))
+
+
+def test_curvature_brackets_hold_on_knot_sequences(monkeypatch):
+    # Every bracket contains the per-term quasi-norm, and on every part whose
+    # curvature is certified the sampled second differences keep one sign.
+    parts, seen = [], set()
+    real = approx._one_sign
+
+    def spy(*args):
+        ok = real(*args)
+        parts.append((args[3], args[4], ok))
+        return ok
+
+    monkeypatch.setattr(approx, "_one_sign", spy)
+
+    @settings(derandomize=True, max_examples=150, deadline=None)
+    @given(knot_sequences(), st.floats(-0.99, 2.99), st.floats(0.1, 3.0))
+    def check(seq, e1, e2):
+        q = e2 * seq.p
+        params = ApproxParams((e1 + 1) / q, q)
+        e1, e2 = params.q * params.alpha - 1.0, params.q / seq.p  # as quasinorm_bounds has them
+        parts.clear()
+        lo, hi = quasinorm_bounds(1.0, seq, params)
+        assert lo <= explicit.quasinorm_per_term(1.0, seq, params) <= hi
+        f = lambda k: k**e1 * float(seq.power(k)) ** e2
+        for u, w, ok in parts:
+            if not ok:
+                continue
+            diffs = [
+                (f(k - 1) - 2 * f(k) + f(k + 1), 1e-12 * (f(k - 1) + 2 * f(k) + f(k + 1)))
+                for k in range(u + 1, w, max(1, (w - u) // 40))
+            ]
+            convex = all(d >= -tol for d, tol in diffs)
+            concave = all(d <= tol for d, tol in diffs)
+            assert convex or concave, (u, w)
+            seen.add("convex" if not concave else "concave" if not convex else "flat")
+
+    check()
+    assert {"convex", "concave"} <= seen
+
+
+def test_one_sign_reads_the_ends_and_an_inner_vertex():
+    # (k - 3)(k - 5): positive at 1, 2 and 7, -1 at the vertex k = 4.
+    assert approx._one_sign(1, -8, 15, 1, 2) and approx._one_sign(1, -8, 15, 3, 5)
+    assert not approx._one_sign(1, -8, 15, 1, 7)
+    assert not approx._one_sign(1, -8, 15, 1, 4)
+    assert approx._one_sign(-1, 8, -16, 0, 9)  # -(k - 4)^2, 0 at its vertex only
+    assert approx._one_sign(0, 2, -4, 2, 9) and not approx._one_sign(0, 2, -4, 1, 9)
+
+
+def test_uncertified_parts_are_summed_term_by_term(monkeypatch):
+    xs = build_xs(squares_schedule(4), 3)
+    norm_x = float(space_norm(xs.x, xs.spec))
+    calls = []
+    real = approx._term
+    monkeypatch.setattr(approx, "_one_sign", lambda *args: False)
+    monkeypatch.setattr(approx, "_term", lambda *args: calls.append(args[0]) or real(*args))
+    for seq in (xs.sigma_sequence(), xs.gamma_sequence()):
+        calls.clear()
+        lo, hi = quasinorm_bounds(norm_x, seq, ApproxParams(1, 1))
+        assert sorted(calls) == list(range(1, seq.support_size))
+        assert lo <= quasinorm(norm_x, seq, ApproxParams(1, 1)) <= hi <= lo * (1 + 3e-9)
 
 
 def test_exact_sum_past_float_range_is_finite():
