@@ -27,7 +27,7 @@ from .democracy import (
     sqrt_of,
 )
 from .errors import TruncationError
-from .greedy import error_sequence, gamma, sigma_exact
+from .greedy import GreedyProfile, error_sequence, gamma, sigma_exact
 from .schedule import arithmetic_schedule, squares_schedule
 from .spaces import SpaceSpec
 
@@ -165,8 +165,9 @@ def criterion_6() -> tuple[bool, str]:
             mags = rng.sample(range(1, 100), dim)
             x = spec.vector([(0, m, 1) for m in mags])
             table = explicit.sigma_power_table(x, spec)
+            profile = GreedyProfile(x, spec)
             for n in range(dim + 1):
-                out = gamma(x, n, spec)
+                out = profile.gamma(n)
                 s_pow = table[n] if n < len(table) else 0
                 if out.residual_max.power_exact != s_pow:
                     return False, f"p={p}, N={n}: gamma {out.residual_max.power_exact} != sigma {s_pow}"

@@ -56,21 +56,31 @@ def concave_min(costs: Sequence[Sequence[tuple]], ns: Sequence[int]) -> list[tup
     H_{t-1}(n - M), with Psi_t(M) = (M // size) * full + cost(M % size).
     Its states (t, n), one ``_candidates`` call each, are found top-down
     and evaluated bottom-up, so all n share the lower levels.
+
+    Skip rule: if type t's first run, (0, 0) to k1, has slope a >= largest,
+    the largest earlier slope, then H_t(n) = H_{t-1}(n) at M = 0 for n <=
+    min(S_{t-1}, k1), t's reach: each step of H_{t-1} is <= largest, so
+    Psi_t(M) + H_{t-1}(n - M) >= a M + H_{t-1}(n) - largest M >= H_{t-1}(n).
+    So n enters the walk at the highest type whose reach it exceeds; the
+    min over (value, M) would pick the same M = 0 above it.
     """
-    levels, sizes, fulls = _levels(tuple(map(tuple, costs)))
+    levels, sizes, fulls, reach = _levels(tuple(map(tuple, costs)))
     if ns and not 0 <= min(ns) <= max(ns) <= sizes[-1]:
         raise ValueError(f"not every n in {min(ns)}..{max(ns)} fits in {sizes[-1]} units")
     found, best = [{} for _ in sizes], [{} for _ in sizes]  # n -> candidates, (H_t(n), argmin)
-    t, wanted = len(levels), set(ns) - {0, sizes[-1]}  # H_t(0) = 0, H_t(S_t) = F_t
-    while wanted:
+    entry, starts = [bisect.bisect_left(reach, n) for n in ns], [set() for _ in sizes]
+    for n, e in zip(ns, entry):  # n skips the types after its entry e
+        starts[e].add(n)
+    wanted = set()
+    for t in range(len(levels), 0, -1):
+        wanted = (wanted | starts[t]) - {0, sizes[t]}
         found[t] = {n: _candidates(levels[t - 1], n) for n in wanted}
-        wanted = {n - j for n, js in found[t].items() for j in js} - {0, sizes[t - 1]}
-        t -= 1
+        wanted = {n - j for n, js in found[t].items() for j in js}
 
     def h(t: int, n: int):
         return best[t][n][0] if n in best[t] else fulls[t] if n else 0
 
-    for t in range(t + 1, len(sizes)):
+    for t in range(1, len(sizes)):
         size, full, runs = levels[t - 1][1:4]
 
         def psi(j: int):  # Psi_t(j), read off the run holding j % size
@@ -81,27 +91,27 @@ def concave_min(costs: Sequence[Sequence[tuple]], ns: Sequence[int]) -> list[tup
 
         best[t] = {n: min((psi(j) + h(t - 1, n - j), j) for j in js) for n, js in found[t].items()}
     out = []
-    for n in ns:
-        counts, m, t = [0] * len(costs), n, len(levels)
+    for n, e in zip(ns, entry):
+        counts, m, t = [0] * len(costs), n, e
         while m:  # M = j on type t: its first blocks full, the next one the rest
             ids, size = levels[t - 1][:2]
             j = best[t][m][1] if m in best[t] else len(ids) * size  # m = S_t: all full
             for i, b in enumerate(ids[:-(-j // size)]):
                 counts[b] = min(size, j - i * size)
             m, t = m - j, t - 1
-        out.append((h(len(levels), n), counts))
+        out.append((h(e, n), counts))
     return out
 
 
 @functools.lru_cache(maxsize=8)
 def _levels(costs: tuple) -> tuple:
     """Per type: (ids, size, full, runs (k0, k1, slope, y0), S_{t-1}, the
-    least and largest slope before it, their subset sums), then S_t and
-    F_t; cached, so that point queries on one space pay for it once."""
+    least and largest slope before it, their subset sums), then S_t, F_t and
+    suffix minima of the reaches; cached, so point queries pay for it once."""
     by_knots: dict = {}
     for b, knots in enumerate(costs):
         by_knots.setdefault(knots, []).append(b)
-    sizes, fulls, levels, sums = [0], [0], [], [[0]]
+    sizes, fulls, levels, sums, reach = [0], [0], [], [[0]], []
     least, largest = math.inf, -math.inf
 
     def subset_sums(t: int) -> list:  # of the first t types' block sizes, sorted
@@ -115,10 +125,13 @@ def _levels(costs: tuple) -> tuple:
         runs = [(k0, k1, slope(k0, y0, k1, y1), y0) for (k0, y0), (k1, y1) in zip(knots, knots[1:])]
         levels.append((ids, size, full, runs, sizes[-1], least, largest,
                        functools.partial(subset_sums, t)))
+        reach.append(min(sizes[-1], runs[0][1]) if runs[0][2] >= largest else 0)
         sizes.append(sizes[-1] + len(ids) * size)
         fulls.append(fulls[-1] + len(ids) * full)
         least, largest = min(least, runs[-1][2]), max(largest, runs[0][2])  # slopes fall
-    return tuple(levels), tuple(sizes), tuple(fulls)
+    for t in range(len(reach) - 1, 0, -1):
+        reach[t - 1] = min(reach[t - 1], reach[t])
+    return tuple(levels), tuple(sizes), tuple(fulls), tuple(reach)
 
 
 def _candidates(level: tuple, n: int) -> set[int]:

@@ -7,7 +7,8 @@ programs over allocations of N.  The production routes are:
 * one recurrence for h_l: a block's cost psi(m) = min(m, cap) is
   concave, so h_l(N)^p = min of sum_b psi_b(m_b) over allocations of N
   is alloc.concave_min on psi's knots.  A point query walks it top-down
-  over types of identical blocks (doubling_scan's rows two N at a time).
+  over types of identical blocks, from the highest type that can take
+  units (doubling_scan's rows, all in one walk).
   A table runs it bottom-up one block at a time: with one block
   added, the block takes either what the blocks before it cannot hold or
   as much as it can,
@@ -259,21 +260,24 @@ def doubling_scan(schedule: BlockSchedule, ks: Iterable[int]) -> DoublingReport:
 
     Each ratio is at least sqrt(2/3) * sqrt(a_{k+1}) and h_l(n_{k+1}) is
     at most sqrt(n_k); the growing multipliers make the ratio sequence
-    unbounded, which is the non-doubling phenomenon.  Both h_l of a row
-    come from one walk of the recurrence, whose set-up the rows share.
+    unbounded, which is the non-doubling phenomenon.  Once every row has
+    passed the window's checks, one walk of the recurrence answers all N.
     """
     spec = SpaceSpec.from_schedule(schedule)
-    rows = []
-    for k in sorted(set(int(k) for k in ks)):
+    sizes = spec.sizes()  # block k - 1 has cap n_k and size n_{k+1}
+    ks = sorted(set(int(k) for k in ks))
+    for k in ks:
         if k < 1:
             raise ValueError("block index k starts at 1")
         if k + 1 > len(schedule.a):
             raise TruncationError(f"scan at k={k} needs multiplier a_{k + 1}")
-        n_k = schedule.n(k)
-        n_k1 = schedule.n(k + 1)
-        # Raises TruncationError if the window is too shallow for these N.
-        blocks = _adequate_blocks(spec, 2 * n_k1, "hl")
-        (hl_n, _), (hl_2n, _) = _hl_points(blocks, [n_k1, 2 * n_k1])
+        if 2 * sizes[k - 1] > sizes[-1]:
+            _adequate_blocks(spec, 2 * sizes[k - 1], "hl")  # raises its TruncationError
+    blocks, ns = _finite_blocks(spec), [sizes[k - 1] for k in ks]
+    hl = [value for value, _ in _hl_points(blocks, ns + [2 * n for n in ns])]
+    rows = []
+    for k, n_k1, hl_n, hl_2n in zip(ks, ns, hl, hl[len(ns):]):
+        n_k = blocks[k - 1][0]
         ratio_sq = Fraction(hl_2n, hl_n)
         bound_sq = Fraction(2, 3) * schedule.a[k]
         rows.append(

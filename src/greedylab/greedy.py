@@ -109,17 +109,24 @@ class GreedyProfile:
             m, members = by_mag[mag]
             self._classes.append((self._ends[-1], mag, m, tuple(members)))
             self._ends.append(self._ends[-1] + sum(c for _b, c in members))
-        self._residuals, self._sequences = {}, {}
+        self._tops, self._residuals, self._sequences = {}, {}, {}
 
     def above(self, b: int, mag: int) -> int:
         """How many of block b's coordinates exceed the scaled magnitude."""
         mags, ends = self._blocks[b]
         return ends[bisect.bisect_left(mags, -mag, key=neg)]
 
+    def rest(self, b: int, j: int) -> int:
+        """r_b(j) in scaled units, from block b's prefix powers alone."""
+        if b not in self._tops:
+            self._tops[b] = _top(*self._blocks[b], self.p)
+        top, count = self._tops[b], self._blocks[b][1][-1]
+        return top(min(j + (self.spec.blocks[b].cap or count), count)) - top(j)
+
     def residual(self, b: int) -> ErrorSequence:
         """r_b in scaled units."""
         if b not in self._residuals:
-            self._residuals[b] = _residual(*self._blocks[b], self.spec.blocks[b].cap, self.p)
+            self._residuals[b] = _residual(self, b)
         return self._residuals[b]
 
     def unscale(self, y: int) -> Rational:
@@ -145,9 +152,7 @@ class GreedyProfile:
         k, mag, m, members = self._classes[i] if i < len(self._classes) else (n, 0, None, ())
         forced = {b: self.above(b, mag) for b in self._blocks}
         tie = TieDescriptor(m, members, n - k) if n > k else EMPTY_TIE
-        # Only the blocks with coordinates left over have a residual.
-        base = sum(self.residual(b).power(kept) for b, kept in forced.items()
-                   if kept < self._blocks[b][1][-1])
+        base = sum(self.rest(b, kept) for b, kept in forced.items())  # r_b is built only if tied
         segments, shifts = [], []
         for b, supply in tie.available:
             runs = self.residual(b).runs(forced[b], forced[b] + supply)
@@ -160,7 +165,7 @@ class GreedyProfile:
         if len(shifts) > 1:  # else there is one resolution at most
             [(lo_gain, lo_counts)] = concave_min(shifts, [tie.choose])
             lo = dict(zip((b for b, _ in tie.available), lo_counts))
-            shift = sum(self.residual(b).power(forced[b] + c) - self.residual(b).power(forced[b])
+            shift = sum(self.rest(b, forced[b] + c) - self.rest(b, forced[b])
                         for b, c in lo.items())
             if sum(lo_counts) != tie.choose or shift != lo_gain:
                 raise InvariantError(
@@ -200,26 +205,27 @@ class GreedyProfile:
         return self._sequences[kind]
 
 
-def _residual(mags: Sequence[int], ends: Sequence[int], cap: Optional[int], p: int):
-    """r_b from the block's magnitudes, largest first, and their count ends.
-
-    The rest is re-truncated to the cap, so r_b(j) is the power of
-    positions j .. j+cap-1 and bends where either end of that window
-    crosses a group boundary: an ErrorSequence of knots from (0, block
-    power) to (count, 0), block b's own sigma sequence.
-    """
+def _top(mags: Sequence[int], ends: Sequence[int], p: int):
+    """top(t): the power of a block's t largest magnitudes (mags largest first)."""
     powers, prefix = [m**p for m in mags], [0]  # prefix[g]: power down to group g - 1
     for power, lo, hi in zip(powers, ends, ends[1:]):
         prefix.append(prefix[-1] + power * (hi - lo))
 
-    def top(t: int) -> int:  # the power of the t largest magnitudes
+    def top(t: int) -> int:
         g = bisect.bisect_left(ends, t)  # ends[g-1] < t <= ends[g]
         return prefix[g] if ends[g] == t else prefix[g - 1] + powers[g - 1] * (t - ends[g - 1])
 
-    width = ends[-1] if cap is None else cap
+    return top
+
+
+def _residual(profile: GreedyProfile, b: int) -> ErrorSequence:
+    """r_b as knots from (0, block power) to (count, 0), b's own sigma; the power
+    of positions j .. j+cap-1 bends where an end of that window meets a group end."""
+    ends = profile._blocks[b][1]
+    width = profile.spec.blocks[b].cap or ends[-1]
     cuts = sorted({max(c - width, 0) for c in ends}.union(ends))
-    knots = [(j, top(min(j + width, ends[-1])) - top(j)) for j in cuts]
-    return ErrorSequence("sigma", p, drop_collinear(knots))
+    knots = [(j, profile.rest(b, j)) for j in cuts]
+    return ErrorSequence("sigma", profile.p, drop_collinear(knots))
 
 
 def _gamma_knots(profile: GreedyProfile, residuals) -> list:

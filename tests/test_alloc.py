@@ -8,12 +8,14 @@ from greedylab import InvariantError, alloc
 
 @st.composite
 def concave_values(draw):
-    """1-5 blocks of size <= 9, as their costs at 0..size: from 0, falling by
-    0..9 per unit, concave, drawn from a pool so that identical costs recur."""
+    """1-5 blocks of size <= 9, as their costs at 0..size: from 0, moving by
+    -9..9 per unit, concave, drawn from a pool so that identical costs recur.
+    Rising costs let psi shapes (slopes 1 then 0), blocks whose cap is
+    their size and types that ``concave_min`` skips all occur."""
     pool = []
     for _ in range(draw(st.integers(1, 5))):
         values = [0]
-        for a in sorted((draw(st.integers(-9, 0)) for _ in range(draw(st.integers(1, 9)))),
+        for a in sorted((draw(st.integers(-9, 9)) for _ in range(draw(st.integers(1, 9)))),
                         reverse=True):
             values.append(values[-1] + a)
         pool.append(values)

@@ -190,6 +190,35 @@ def test_doubling_scan_refuses_shallow_schedule():
         doubling_scan(arithmetic_schedule(1), [1])
     with pytest.raises(TruncationError):
         doubling_scan(arithmetic_schedule(3), [3])
+    # Every row is checked before any is answered, and the smallest k that
+    # fails names the refusal: k = 3 needs a deeper block, k = 4 a multiplier.
+    with pytest.raises(TruncationError, match="materialized block"):
+        doubling_scan(arithmetic_schedule(3), [1, 4, 3])
+    with pytest.raises(TruncationError, match="a_5"):
+        doubling_scan(arithmetic_schedule(3), [4, 1])
+
+
+def test_doubling_scan_is_one_walk_of_two_states_per_row(monkeypatch):
+    sched = arithmetic_schedule(201)
+    spec = SpaceSpec.from_schedule(sched)
+    states = _count_states(monkeypatch)
+    report = doubling_scan(sched, range(1, 201))
+    # Each row's two N skip every block type above the one that takes their
+    # units, so the scan costs two states per row, not one per type and row.
+    assert len(states) <= 2 * 201
+    for row in report.rows:
+        assert row.hl_n_power == demfun_dp(spec, row.n_k1, which="hl").hl_power
+        assert row.hl_2n_power == demfun_dp(spec, 2 * row.n_k1, which="hl").hl_power
+
+
+@pytest.mark.parametrize("sched", [arithmetic_schedule(401), squares_schedule(60)])
+def test_doubling_ratio_is_the_next_multiplier_on_every_row(sched):
+    # h_l(n_{k+1})^2 = n_k and h_l(2 n_{k+1})^2 = n_{k+1} on every row scanned,
+    # so the squared ratio is exactly a_{k+1}, above the guaranteed (2/3) a_{k+1}.
+    report = doubling_scan(sched, range(1, sched.num_blocks))
+    assert len(report.rows) == sched.num_blocks - 1
+    for row in report.rows:
+        assert row.ratio_sq == row.a_k1 and row.upper_equality
 
 
 # -- prefix-norm comparison ------------------------------------------------------
@@ -357,7 +386,9 @@ def test_hl_states_on_a_schedule_stay_below_the_block_count(monkeypatch):
     for n in ns + [rng.randint(1, spec.blocks[-1].size) for _ in range(40)]:
         states.clear()
         demfun_dp(spec, n, which="hl")
-        assert 1 <= len(states) <= sched.num_blocks
+        # n enters at the highest block type that can take units: a full
+        # prefix size n_k needs no state, any other n at most two.
+        assert len(states) <= 2
 
 
 @settings(derandomize=True, max_examples=100, deadline=None)

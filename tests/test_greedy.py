@@ -748,6 +748,28 @@ def test_one_profile_builds_each_block_residual_once(monkeypatch):
     assert len(built) == len(x.blocks()) == 3
 
 
+def test_gamma_builds_residuals_only_for_the_tied_blocks(monkeypatch):
+    # A block outside the threshold class contributes one value of r_b,
+    # read off its prefix powers; only the tied blocks need r_b's runs.
+    from greedylab import greedy
+
+    spec = SpaceSpec.block_sum([(2, 6), (3, 8), (1, 5), (2, 4)], 2, 2)
+    x = spec.vector([(0, 5, 2), (0, 3, 3), (1, 5, 4), (1, 2, 2), (2, 3, 5), (3, 1, 4)])
+    built = []
+    real = greedy._residual
+    monkeypatch.setattr(greedy, "_residual", lambda *args: built.append(args) or real(*args))
+    values = explicit.to_explicit(x, spec)
+    for n in range(x.support_size + 1):
+        built.clear()
+        out = gamma(x, n, spec)
+        assert len(built) == len(out.tie.available)
+        hi, lo = out.residual_max.power_exact, out.residual_min.power_exact
+        assert explicit.gamma_raw(values, n, spec) == (hi, lo)
+    built.clear()
+    # At n = 7 the tie at magnitude 3 spans blocks 0 and 2 of the four.
+    assert len(gamma(x, 7, spec).tie.available) == 2 and len(built) == 2
+
+
 # -- constants ----------------------------------------------------------------
 
 
