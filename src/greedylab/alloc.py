@@ -47,7 +47,8 @@ def greedy_max(segments: Sequence[tuple], n: int):
 
 
 def concave_min(costs: Sequence[Sequence[tuple]], ns: Sequence[int]) -> list[tuple]:
-    """Least total cost of n units for each n in ns, as (value, counts per block).
+    """Least total cost of n units for each n in ns, as (value, {block: units})
+    over the blocks that take units.
 
     costs[b] gives block b's cost by knots from (0, 0) to (size_b, full_b),
     concave in between, so some minimizer has at most one block strictly
@@ -92,7 +93,7 @@ def concave_min(costs: Sequence[Sequence[tuple]], ns: Sequence[int]) -> list[tup
         best[t] = {n: min((psi(j) + h(t - 1, n - j), j) for j in js) for n, js in found[t].items()}
     out = []
     for n, e in zip(ns, entry):
-        counts, m, t = [0] * len(costs), n, e
+        counts, m, t = {}, n, e
         while m:  # M = j on type t: its first blocks full, the next one the rest
             ids, size = levels[t - 1][:2]
             j = best[t][m][1] if m in best[t] else len(ids) * size  # m = S_t: all full

@@ -25,7 +25,7 @@ from itertools import chain, repeat
 from operator import mul
 from typing import Optional, Sequence
 
-from .errors import GreedyLabError, ScheduleTooShallowError, TermBudgetError
+from .errors import DEFAULT_TERM_BUDGET, GreedyLabError, ScheduleTooShallowError, TermBudgetError
 from .errorseq import ErrorSequence
 from .exact import sqrt_plus_const_ge
 from .greedy import GreedyProfile, error_sequence
@@ -34,7 +34,6 @@ from .spaces import SpaceSpec, _float_root, space_norm
 from .vectors import CompressedVector
 from . import democracy
 
-DEFAULT_TERM_BUDGET = 10**8
 RHO = 1 / 32  # quasinorm_bounds: cut length over the distance to the nearer singular point
 
 

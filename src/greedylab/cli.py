@@ -5,6 +5,9 @@ writes deterministic CSV/JSON artifacts (fixed key order, floats at 17
 significant digits, atomic replace).  Exit codes: 0 success, 1 failed
 mathematical assertion or infeasible request (with a JSON diagnostic on
 stderr), 2 usage error.
+
+A command imports the modules it runs when it runs: building the parser
+loads neither democracy, approx nor the acceptance suite.
 """
 
 from __future__ import annotations
@@ -18,17 +21,7 @@ import sys
 import tempfile
 from typing import Optional
 
-from . import acceptance
-from .approx import DEFAULT_TERM_BUDGET, ApproxParams, optimality_experiment
-from .democracy import (
-    cghm_construct,
-    condition71_check,
-    demfun_table,
-    doubling_scan,
-    h_function_from_json,
-    prefix_norm_conjecture_check,
-)
-from .errors import GreedyLabError
+from .errors import DEFAULT_TERM_BUDGET, GreedyLabError
 from .greedy import GreedyProfile, gamma, sigma_exact
 from .spaces import SpaceSpec, _float_root, space_from_json, space_norm
 from .vectors import CompressedVector
@@ -164,6 +157,8 @@ def cmd_errors(args) -> int:
 
 
 def cmd_demfun(args) -> int:
+    from .democracy import demfun_table
+
     spec = _load_space(args.space)
     table = demfun_table(spec, args.max_N)
     # h_l repeats each value over long runs of N: root each distinct power once.
@@ -182,6 +177,8 @@ SCAN_FIELDS = ("k", "n_k", "n_k1", "a_k1", "hl_n_sq", "hl_2n_sq", "ratio_sq", "b
 
 
 def cmd_doubling_scan(args) -> int:
+    from .democracy import doubling_scan
+
     spec = _load_schedule_space(args.space)
     report = doubling_scan(spec.schedule, _parse_int_list(args.k))
     rows = [
@@ -200,6 +197,8 @@ def cmd_doubling_scan(args) -> int:
 
 
 def cmd_prefix_check(args) -> int:
+    from .democracy import prefix_norm_conjecture_check
+
     spec = _load_schedule_space(args.space)
     report = prefix_norm_conjecture_check(spec.schedule, range(1, args.max_N + 1))
     lines = [f"{n},{pre},{hl},{pre == hl}" for n, pre, hl in report.rows]
@@ -214,6 +213,8 @@ def cmd_prefix_check(args) -> int:
 
 
 def cmd_cghm(args) -> int:
+    from .democracy import cghm_construct, h_function_from_json
+
     h_l = h_function_from_json(_load_json(args.hl))
     h_r = h_function_from_json(_load_json(args.hr))
     seqs = cghm_construct(
@@ -241,6 +242,8 @@ def cmd_cghm(args) -> int:
 
 
 def cmd_check71(args) -> int:
+    from .democracy import condition71_check, h_function_from_json
+
     h_l = h_function_from_json(_load_json(args.hl))
     h_r = h_function_from_json(_load_json(args.hr))
     obj = _load_json(args.pairs)
@@ -256,6 +259,8 @@ def cmd_check71(args) -> int:
 
 
 def cmd_xs_experiment(args) -> int:
+    from .approx import ApproxParams, optimality_experiment
+
     spec = _load_schedule_space(args.schedule)
     params = [
         ApproxParams(alpha, q)
@@ -284,7 +289,14 @@ def _flat(values) -> list:
 
 
 def cmd_verify(args) -> int:
+    from . import acceptance
+
     only = _parse_int_list(args.only) if args.only else None
+    known = [number for number, *_ in acceptance.CRITERIA]
+    unknown = sorted(set(only or ()).difference(known))
+    if unknown:  # a subset that names no criterion would pass having checked nothing
+        build_parser().error(f"verify --only: no criterion {', '.join(map(str, unknown))} "
+                             f"(the criteria are {', '.join(map(str, known))})")
     results = acceptance.run_all(only=only, stream=sys.stdout)
     return 0 if all(r.passed for r in results) else 1
 

@@ -135,8 +135,7 @@ def _hl_points(blocks: Sequence[tuple[int, int]], ns: Sequence[int]) -> list[tup
     """h_l(n)^p and a witness (block, count) for each n, in one walk of the recurrence."""
     costs = [((0, 0), (cap, cap), (size, cap)) if cap < size else ((0, 0), (size, size))
              for cap, size in blocks]
-    return [(value, tuple((b, m) for b, m in enumerate(counts) if m))
-            for value, counts in concave_min(costs, ns)]
+    return [(value, tuple(sorted(counts.items()))) for value, counts in concave_min(costs, ns)]
 
 
 def _hl_table(blocks: Sequence[tuple[int, int]], max_n: int) -> list[int]:

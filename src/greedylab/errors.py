@@ -36,6 +36,9 @@ class TermBudgetError(GreedyLabError):
     """A term-by-term quasi-norm series has more terms than the budget allows."""
 
 
+DEFAULT_TERM_BUDGET = 10**8  # the budget TermBudgetError enforces unless a caller sets one
+
+
 class OracleUnavailableError(GreedyLabError):
     """A brute-force oracle was asked for an instance beyond its feasible size."""
 

@@ -42,7 +42,6 @@ from .alloc import concave_min, drop_collinear, greedy_max, min_plus
 from .errors import InvariantError
 from .errorseq import ErrorSequence
 from .exact import Rational
-from .explicit import sigma_power_table  # noqa: F401  (bench/run.py reads it here)
 from .spaces import NormValue, SpaceSpec, _float_root, random_vector, space_norm
 from .vectors import CompressedVector
 
@@ -164,10 +163,10 @@ class GreedyProfile:
         hi_gain, hi_counts = lo_gain, lo = greedy_max(segments, tie.choose)
         if len(shifts) > 1:  # else there is one resolution at most
             [(lo_gain, lo_counts)] = concave_min(shifts, [tie.choose])
-            lo = dict(zip((b for b, _ in tie.available), lo_counts))
+            lo = {tie.available[i][0]: lo_counts[i] for i in lo_counts}
             shift = sum(self.rest(b, forced[b] + c) - self.rest(b, forced[b])
                         for b, c in lo.items())
-            if sum(lo_counts) != tie.choose or shift != lo_gain:
+            if sum(lo.values()) != tie.choose or shift != lo_gain:
                 raise InvariantError(
                     f"best resolution {lo} shifts by {shift}, not the kernel's {lo_gain}")
         return GreedyOutcome(
@@ -315,3 +314,12 @@ def democracy_constant(spec: SpaceSpec, n: int) -> float:
         return 1.0
     point = democracy.demfun_dp(spec, n)
     return _float_root(Fraction(point.hr_power, point.hl_power), spec.outer_p)
+
+
+def __getattr__(name: str):
+    """``greedy.sigma_power_table``, read by bench/run.py: loads the oracle on that read only."""
+    if name == "sigma_power_table":
+        from .explicit import sigma_power_table
+
+        return sigma_power_table
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

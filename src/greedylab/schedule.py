@@ -12,6 +12,8 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from itertools import accumulate
+from operator import mul
 
 
 @dataclass(frozen=True)
@@ -57,10 +59,16 @@ class BlockSchedule:
         return self.n(i + 2)
 
     def caps(self) -> list[int]:
-        return [self.cap(i) for i in range(self.num_blocks)]
+        """Every block's cap, n_1 .. n_{m-1}, from one running product."""
+        return self._prefix_products()[1:-1]
 
     def sizes(self) -> list[int]:
-        return [self.size(i) for i in range(self.num_blocks)]
+        """Every block's size, n_2 .. n_m, from one running product."""
+        return self._prefix_products()[2:]
+
+    def _prefix_products(self) -> list[int]:
+        """n_0 .. n_m, each one multiplication from the last."""
+        return list(accumulate(self.a, mul, initial=1))
 
     def _check_block(self, i: int) -> None:
         if not 0 <= i < self.num_blocks:

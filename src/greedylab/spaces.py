@@ -72,9 +72,7 @@ class SpaceSpec:
 
     @staticmethod
     def from_schedule(schedule: BlockSchedule) -> "SpaceSpec":
-        blocks = tuple(
-            Block(schedule.cap(i), schedule.size(i)) for i in range(schedule.num_blocks)
-        )
+        blocks = tuple(map(Block, schedule.caps(), schedule.sizes()))
         return SpaceSpec(
             "block_sum",
             blocks,

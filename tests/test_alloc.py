@@ -40,9 +40,9 @@ def test_concave_min_equals_the_exhaustive_minimum(blocks):
     costs = [alloc.drop_collinear(list(enumerate(values))) for values in blocks]
     for n, (value, counts) in enumerate(alloc.concave_min(costs, range(len(want)))):
         assert value == want[n]
-        assert sum(counts) == n
-        assert all(0 <= m < len(values) for m, values in zip(counts, blocks))
-        assert sum(values[m] for m, values in zip(counts, blocks)) == value
+        assert sum(counts.values()) == n
+        assert all(0 < m < len(blocks[b]) for b, m in counts.items())
+        assert sum(blocks[b][m] for b, m in counts.items()) == value
 
 
 def test_concave_min_refuses_targets_past_the_blocks():

@@ -99,16 +99,16 @@ def test_doubling_scan_csv(tmp_path, schedule_file):
 def test_doubling_scan_failure_diagnostic_lists_the_rows(schedule_file, capsys, monkeypatch):
     # A failed bound (forced here) reports every row, as a JSON object per
     # CSV line, on stderr.
-    from greedylab import cli
+    from greedylab import democracy
 
-    real = cli.doubling_scan
+    real = democracy.doubling_scan
 
     def failing(schedule, ks):
         report = real(schedule, ks)
         rows = tuple(dataclasses.replace(r, bound_holds=False) for r in report.rows)
         return dataclasses.replace(report, rows=rows)
 
-    monkeypatch.setattr(cli, "doubling_scan", failing)
+    monkeypatch.setattr(democracy, "doubling_scan", failing)
     assert main(["doubling-scan", "--space", schedule_file, "--k", "1..2"]) == 1
     captured = capsys.readouterr()
     header, *lines = captured.out.split()
@@ -415,6 +415,22 @@ def test_verify_subset(capsys):
     assert main(["verify", "--only", "1,3"]) == 0
     out = capsys.readouterr().out
     assert "criterion 1" in out and "criterion 3" in out and "criterion 2" not in out
+
+
+@pytest.mark.parametrize("only,unknown", [("99", "99"), ("1,12", "12"), ("0,12", "0, 12")])
+def test_verify_refuses_criteria_it_does_not_have(only, unknown, capsys):
+    # A subset naming no criterion would pass having checked nothing.
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "--only", only])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and f"no criterion {unknown} " in captured.err
+
+
+def test_verify_runs_a_repeated_criterion_once(capsys):
+    assert main(["verify", "--only", "7,7"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("[PASS] criterion 7:")
 
 
 def test_verify_passes_with_assertions_stripped():
