@@ -12,8 +12,9 @@ powers are linear in k between the knots of the sequence, so most of them
 cost O(pieces): integer exponents are summed exactly with Faulhaber power
 sums and q = inf takes the argmax of each piece.  Only series with
 non-integer exponents are summed term by term, with math.fsum, so
-accumulation order cannot move the result; ``quasinorm_bounds`` brackets
-them from O(log(support)) terms per piece, with f'' certified exactly.
+accumulation order cannot move the result (k^0 and k^1 cost no pow);
+``quasinorm_bounds`` brackets them from O(log(support)) terms per piece,
+with f'' certified exactly.
 The bound checks of x_s are decided on the knots as well.
 """
 
@@ -79,19 +80,22 @@ def quasinorm(
 
 def _term_series(pieces, e1: float, e2: float) -> float:
     """sum over k >= 1 of k^e1 * power(k)^e2 by C-level maps: a piece's powers are an int
-    range over their common denominator (rounding like float(Fraction)); fsum ignores order."""
+    range over their common denominator (rounding like float(Fraction)); k^e1 is skipped
+    at e1 = 0 and is k at e1 = 1, the same floats; fsum ignores order."""
     runs = []
     for k0, hi, y, a1 in pieces:
-        lo = max(k0, 1)
-        y += a1 * (lo - k0)
+        ks = range(max(k0, 1), hi + 1)
+        y += a1 * (ks.start - k0)
         den = math.lcm(y.denominator, a1.denominator)
         start, step = int(y * den), int(a1 * den)
         if step:
-            powers = map(den.__rtruediv__, range(start, start + step * (hi + 1 - lo), step))
-            factors = map(pow, powers, repeat(e2))
+            powers = range(start, start + step * len(ks), step)
+            factors = map(math.pow, map(den.__rtruediv__, powers) if den > 1 else powers, repeat(e2))
         else:
-            factors = repeat((start / den) ** e2, hi + 1 - lo)
-        runs.append(map(mul, map(pow, range(lo, hi + 1), repeat(e1)), factors))
+            factors = repeat((start / den) ** e2, len(ks))
+        if e1:
+            factors = map(mul, ks if e1 == 1 else map(math.pow, ks, repeat(e1)), factors)
+        runs.append(factors)
     return math.fsum(chain.from_iterable(runs))
 
 
@@ -113,9 +117,11 @@ def quasinorm_bounds(
     root of Q (found in floats); a part with a cut longer than one term has
     the sign of Q certified exactly, at its ends and at an inner vertex, or
     is summed term by term.  Cuts hold max(1, floor(RHO d)) terms, d the
-    distance to the nearer of k = 0 and the zero of g; a certified cut of L
-    terms on [a, b] sums to between L f((a+b)/2) (Jensen) and L (f(a) + f(b))/2
-    (the chord), a one-term cut to its term.  On x_s over squares_schedule(6),
+    distance to the zero of g, or to the nearer of it and k = 0 if e1 != 0
+    (at e1 = 0, f''/f = e2 (e2 - 1) a1^2 / g^2); where Q is zero, f is linear
+    and a part is one cut.  A certified cut of L terms on [a, b] sums to
+    between L f((a+b)/2) (Jensen) and L (f(a) + f(b))/2 (the chord), a
+    one-term cut to its term.  On x_s over squares_schedule(6),
     s = 2..6, alpha in {0.5, 1, 2}, q in {1, 1.5, 3}, brackets are at most 7e-4
     wide (relative); a 1e-9 relative margin absorbs float rounding of sums.
     """
@@ -142,7 +148,8 @@ def quasinorm_bounds(
         for u, w in zip([e + 1 for e in ends], ends[1:]):
             certified, a = None, u  # certified at the part's first cut longer than one term
             while a <= w:
-                b = min(w, a - 1 + max(1, int(RHO * min(a, abs(a - z)))))
+                d = min(a, abs(a - z)) if n1 else abs(a - z)  # k = 0 is singular only if e1 != 0
+                b = min(w, a - 1 + max(1, int(RHO * d))) if any(quad) else w  # else f is linear
                 if b > a and certified is None:
                     certified = _one_sign(*quad, u, w)
                 if not certified:

@@ -149,7 +149,7 @@ def _hl_table(blocks: Sequence[tuple[int, int]], max_n: int) -> list[int]:
 
     def ramp(base: int, cap: int, length: int) -> list[int]:
         """base + min(d, cap) for d = 0..length."""
-        return list(range(base, base + min(cap, length) + 1)) + [base + cap] * (length - cap)
+        return list(range(base, base + min(cap, length) + 1)) + [base + cap] * max(0, length - cap)
 
     for cap, size in blocks:
         top = min(total + size, max_n)

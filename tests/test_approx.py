@@ -324,14 +324,34 @@ def test_xs_routes_match_per_term_oracles(s):
     assert all(oracle.values())
     norm_x = float(space_norm(xs.x, xs.spec))
     for seq in (sigma, gamma):
-        for params in (ApproxParams(1, 1), ApproxParams(0.5, 2), ApproxParams(2, 2),
-                       ApproxParams(1, math.inf)):
+        for params in (ApproxParams(1, 1), ApproxParams(0.5, 1), ApproxParams(2, 1),
+                       ApproxParams(0.5, 2), ApproxParams(2, 2), ApproxParams(1, math.inf)):
             value = quasinorm(norm_x, seq, params)
             oracle = explicit.quasinorm_per_term(norm_x, seq, params)
             if approx._piecewise_series(seq, params) is None:
                 assert value == oracle
             else:
                 assert value == pytest.approx(oracle, rel=1e-12)
+
+
+def test_per_term_series_match_the_oracle_on_fraction_powers():
+    # k^e1 is no column at e1 = 0, k itself at e1 = 1 and a pow column
+    # otherwise; every term is the oracle's float, so fsum agrees bit for bit.
+    rng = random.Random(24)
+    for _ in range(40):
+        n = rng.randint(1, 4)
+        ks = [0] + sorted(rng.sample(range(1, 1500), n))
+        powers = sorted((Fraction(rng.randint(1, 5000), rng.choice((3, 7, 12))) for _ in range(n)),
+                        reverse=True) + [0]
+        if n > 1 and rng.random() < 0.5:
+            powers[1] = powers[0]  # a constant-power piece
+        seq = ErrorSequence("sigma", rng.choice((1, 2)), list(zip(ks, powers)))
+        for e1 in (0.0, 1.0, -0.5):
+            for e2 in (0.5, 0.75):
+                params = ApproxParams((e1 + 1) / (e2 * seq.p), e2 * seq.p)
+                assert params.q * params.alpha - 1.0 == e1
+                assert approx._piecewise_series(seq, params) is None
+                assert quasinorm(1.0, seq, params) == explicit.quasinorm_per_term(1.0, seq, params)
 
 
 def test_work_is_bounded_by_knots_not_support(monkeypatch):
@@ -374,6 +394,9 @@ def test_bounds_are_tight_and_cheap_on_xs_up_to_s6(monkeypatch):
     bounded = optimality_experiment(sched, range(2, 7), params, mode="bounds").runs
     assert len(counts) == 2 * len(bounded) == 40
     assert 0 < max(counts) <= 3000
+    # At e1 = 0 cuts reach to the zero of the power alone: (1, 1) takes at most 1,300 terms.
+    pairs = zip(bounded, zip(counts[::2], counts[1::2]))
+    assert max(max(pair) for run, pair in pairs if (run.alpha, run.q) == (1, 1)) <= 1300
     for run in bounded:
         for lo, hi in (run.a_bounds, run.g_bounds):
             assert 0 < hi - lo <= 1e-3 * lo, (run.s, run.alpha, run.q)
@@ -382,6 +405,23 @@ def test_bounds_are_tight_and_cheap_on_xs_up_to_s6(monkeypatch):
         assert (e.s, e.alpha, e.q) == (b.s, b.alpha, b.q)
         assert b.a_bounds[0] <= e.a_norm <= b.a_bounds[1]
         assert b.g_bounds[0] <= e.g_norm <= b.g_bounds[1]
+
+
+def test_linear_terms_cost_one_cut_per_part(monkeypatch):
+    # A constant power at e1 in {0, 1} makes the term linear in k, so Jensen's
+    # bound, the chord and the sum agree: one cut, however long the piece.
+    calls = []
+    real = approx._term
+    monkeypatch.setattr(approx, "_term", lambda *args: calls.append(args[0]) or real(*args))
+    for params in (ApproxParams(1, 1), ApproxParams(2, 1)):
+        counts = []
+        for n in (10**3, 10**6):
+            seq = ErrorSequence("sigma", 2, [(0, 10), (n, 10), (n + 3, 0)])
+            calls.clear()
+            lo, hi = quasinorm_bounds(1.0, seq, params)
+            counts.append(len([k for k in calls if k < n]))
+        assert counts == [3, 3], params
+        assert lo <= explicit.quasinorm_per_term(1.0, seq, params) <= hi <= lo * (1 + 3e-9)
 
 
 @st.composite

@@ -444,6 +444,15 @@ def test_table_refuses_indices_outside_its_range():
             lookup(51)
 
 
+def test_table_takes_blocks_past_the_index_range():
+    # The 40-block arithmetic window has caps past 2^63: padding a short ramp
+    # with such a cap must not ask for a negative repeat count that large.
+    spec = SpaceSpec.from_schedule(arithmetic_schedule(40))
+    assert spec.blocks[-1].cap > 2**63
+    table = demfun_table(spec, 10, which="hl")
+    assert list(table.hl_powers) == [demfun_dp(spec, n, which="hl").hl_power for n in range(11)]
+
+
 def _oracle_table(spec, max_n):
     dp_min, dp_max, _, _ = explicit.alloc_dp(
         [(b.cap, b.size) for b in spec.blocks], max_n
