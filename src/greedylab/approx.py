@@ -8,13 +8,14 @@ collapse like (s^(-q alpha/2) + s^(-q/2))^(1/q), which is the
 non-optimality phenomenon reproduced by optimality_experiment.
 
 Series are finite (errors vanish at the support size), and the error
-powers are linear in k between the knots of the sequence, so most of them
-cost O(pieces): integer exponents are summed exactly with Faulhaber power
-sums and q = inf takes the argmax of each piece.  Only series with
-non-integer exponents are summed term by term, with math.fsum, so
-accumulation order cannot move the result (k^0 and k^1 cost no pow);
-``quasinorm_bounds`` brackets them from O(log(support)) terms per piece,
-with f'' certified exactly.
+powers are linear in k between the knots of the sequence (``_lines``), so
+most of them cost O(pieces): integer exponents are summed exactly with
+Faulhaber power sums and q = inf reads each piece's maximizer off a closed
+form.  Only series with non-integer exponents are summed term by term, with
+math.fsum, so accumulation order cannot move the result (k^0 and k^1 cost
+no pow), and they refuse more than TERM_BUDGET terms; ``quasinorm_bounds``
+brackets them from O(log(support)) terms per piece, with f'' certified
+exactly.
 The bound checks of x_s are decided on the knots as well.
 """
 
@@ -22,13 +23,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from fractions import Fraction
 from itertools import chain, repeat
 from operator import mul
 from typing import Optional, Sequence
 
-from .errors import DEFAULT_TERM_BUDGET, GreedyLabError, ScheduleTooShallowError, TermBudgetError
+from .errors import GreedyLabError, ScheduleTooShallowError, TermBudgetError
 from .errorseq import ErrorSequence
-from .exact import sqrt_plus_const_ge
+from .exact import Rational, sqrt_plus_const_ge
 from .greedy import GreedyProfile, error_sequence
 from .schedule import BlockSchedule
 from .spaces import SpaceSpec, _float_root, space_norm
@@ -36,56 +38,57 @@ from .vectors import CompressedVector
 from . import democracy
 
 RHO = 1 / 32  # quasinorm_bounds: cut length over the distance to the nearer singular point
+TERM_BUDGET = 10**8  # quasinorm refuses term-by-term series longer than this
 
 
 @dataclass(frozen=True)
 class ApproxParams:
-    """Rate weight alpha > 0 and Lorentz-type exponent q (math.inf allowed)."""
+    """Finite rate weight alpha > 0 and Lorentz-type exponent q (math.inf allowed)."""
 
     alpha: float
     q: float
 
     def __post_init__(self):
-        if not self.alpha > 0:
-            raise ValueError("alpha must be positive")
+        if not 0 < self.alpha < math.inf:
+            raise ValueError("alpha must be positive and finite")
         if not (self.q > 0 or math.isinf(self.q)):
             raise ValueError("q must be positive or infinity")
 
 
-def quasinorm(
-    norm_x: float,
-    seq: ErrorSequence,
-    params: ApproxParams,
-    term_budget: int = DEFAULT_TERM_BUDGET,
-) -> float:
+def quasinorm(norm_x: float, seq: ErrorSequence, params: ApproxParams) -> float:
     """Evaluate the quasi-norm from a precomputed error sequence.
 
     Integer exponents and q = inf take the per-piece routes of
     ``_piecewise_series``, whatever the support size.  Only the remaining
     series are summed term by term (math.fsum), and those refuse supports
-    beyond ``term_budget``.
+    beyond ``TERM_BUDGET``.
     """
     series = _piecewise_series(seq, params)
     if series is not None:
         return norm_x + series
     support = seq.support_size
-    if support > term_budget:
+    if support > TERM_BUDGET:
         raise TermBudgetError(
-            f"{support} terms exceed the budget of {term_budget}; "
+            f"{support} terms exceed the budget of {TERM_BUDGET}; "
             "use quasinorm_bounds for a bracketing bound instead"
         )
     q = params.q
-    return norm_x + _term_series(seq.pieces(), q * params.alpha - 1.0, q / seq.p) ** (1.0 / q)
+    return norm_x + _term_series(_lines(seq), q * params.alpha - 1.0, q / seq.p) ** (1.0 / q)
 
 
-def _term_series(pieces, e1: float, e2: float) -> float:
+def _lines(seq: ErrorSequence) -> list[tuple[int, int, Rational, Rational]]:
+    """(lo, hi, c0, a1) for each piece that meets k >= 1: power(k) = c0 + a1 k on lo..hi."""
+    return [(max(k0, 1), hi, y - a1 * k0, a1) for k0, hi, y, a1 in seq.pieces() if hi >= 1]
+
+
+def _term_series(lines, e1: float, e2: float) -> float:
     """sum over k >= 1 of k^e1 * power(k)^e2 by C-level maps: a piece's powers are an int
     range over their common denominator (rounding like float(Fraction)); k^e1 is skipped
     at e1 = 0 and is k at e1 = 1, the same floats; fsum ignores order."""
     runs = []
-    for k0, hi, y, a1 in pieces:
-        ks = range(max(k0, 1), hi + 1)
-        y += a1 * (ks.start - k0)
+    for lo, hi, c0, a1 in lines:
+        ks = range(lo, hi + 1)
+        y = c0 + a1 * lo
         den = math.lcm(y.denominator, a1.denominator)
         start, step = int(y * den), int(a1 * den)
         if step:
@@ -139,12 +142,11 @@ def quasinorm_bounds(
     den = max(e1.as_integer_ratio()[1], e2.as_integer_ratio()[1])  # both powers of two
     n1, nn = int(e1 * den), int(e1 * den) + int(e2 * den)  # e1 = n1/den, e1 + e2 = nn/den
     lo_total = hi_total = 0.0
-    for k0, hi, y, a1 in seq.pieces():
-        c0 = y - a1 * k0
+    for lo, hi, c0, a1 in _lines(seq):
         z = float(-c0 / a1) if a1 else math.inf
         # den^2 Q(k) = A k^2 + B k + C, in ints where c0 and a1 are ints
         quad = (a1 * a1 * nn * (nn - den), 2 * n1 * (nn - den) * a1 * c0, n1 * (n1 - den) * c0 * c0)
-        ends = sorted({max(k0, 1) - 1, hi}.union(math.floor(z * t) for t in ts if k0 <= z * t < hi))
+        ends = sorted({lo - 1, hi}.union(math.floor(z * t) for t in ts if lo <= z * t < hi))
         for u, w in zip([e + 1 for e in ends], ends[1:]):
             certified, a = None, u  # certified at the part's first cut longer than one term
             while a <= w:
@@ -179,24 +181,25 @@ def _one_sign(a, b, c, u: int, w: int) -> bool:
 def _piecewise_series(seq: ErrorSequence, params: ApproxParams) -> Optional[float]:
     """The series part of the quasi-norm in O(pieces), or None.
 
-    q = inf: the sup of k^alpha * power(k)^(1/p) over k >= 1.  On a piece
-    the profile is log-concave (alpha log k plus the log of a positive
-    linear function, over p), so its ternary-search argmax is the piece's
-    maximum.  Finite q with e1 = q alpha - 1 and e2 = q/p nonnegative
-    integers: the term k^e1 (c0 + a1 k)^e2 is a polynomial in k on a
-    piece, summed exactly with Faulhaber power sums; only the q-th root
-    of the exact total is taken in floats.  Any other finite q: None.
+    q = inf: the sup of k^alpha * power(k)^(1/p) over k >= 1.  On a piece,
+    alpha log k + log(c0 + a1 k) / p is concave; for a1 < 0 it is
+    stationary at k* = alpha p c0 / (-a1 (1 + alpha p)), computed exactly,
+    so the piece's maximum is at floor(k*) or ceil(k*), clamped to the
+    piece, and for a1 >= 0 it is at the piece's last k.  Finite q with
+    e1 = q alpha - 1 and e2 = q/p nonnegative integers: the term
+    k^e1 (c0 + a1 k)^e2 is a polynomial in k on a piece, summed exactly
+    with Faulhaber power sums; only the q-th root of the exact total is
+    taken in floats.  Any other finite q: None.
     """
     alpha, q, p = params.alpha, params.q, seq.p
-    pieces = seq.pieces()
+    lines = _lines(seq)
     if math.isinf(q):
         best = 0.0
-        for k0, hi, y, a1 in pieces:
-            lo = max(k0, 1)
-            if lo > hi:
-                continue
-            f = lambda k: k**alpha * _float_root(y + a1 * (k - k0), p)
-            best = max(best, f(_ternary_argmax(f, lo, hi)))
+        ap = Fraction(alpha) * p
+        for lo, hi, c0, a1 in lines:
+            k_star = ap * c0 / (-a1 * (1 + ap)) if a1 < 0 else hi
+            for k in {min(max(j, lo), hi) for j in (math.floor(k_star), math.ceil(k_star))}:
+                best = max(best, k**alpha * _float_root(c0 + a1 * k, p))
         return best
     e1 = q * alpha - 1.0
     e2 = q / p
@@ -204,11 +207,7 @@ def _piecewise_series(seq: ErrorSequence, params: ApproxParams) -> Optional[floa
         return None
     e1, e2 = int(e1), int(e2)
     total = 0
-    for k0, hi, y, a1 in pieces:
-        lo = max(k0, 1)
-        if lo > hi:
-            continue
-        c0 = y - a1 * k0
+    for lo, hi, c0, a1 in lines:
         upper, lower = _power_sums(e1 + e2, hi), _power_sums(e1 + e2, lo - 1)
         # k^e1 (c0 + a1 k)^e2 = sum_j C(e2, j) c0^(e2-j) a1^j k^(e1+j)
         for j in range(e2 + 1):
@@ -228,17 +227,6 @@ def _power_sums(top: int, n: int) -> list[int]:
         rest = sum(math.comb(m + 1, j) * s for j, s in enumerate(sums))
         sums.append(((n + 1) ** (m + 1) - 1 - rest) // (m + 1))
     return sums
-
-
-def _ternary_argmax(f, lo: int, hi: int) -> int:
-    while hi - lo > 2:
-        m1 = lo + (hi - lo) // 3
-        m2 = hi - (hi - lo) // 3
-        if f(m1) < f(m2):
-            lo = m1 + 1
-        else:
-            hi = m2
-    return max(range(lo, hi + 1), key=f)
 
 
 def approx_quasinorm(x: CompressedVector, spec: SpaceSpec, params: ApproxParams) -> float:
@@ -449,13 +437,12 @@ def optimality_experiment(
     schedule: BlockSchedule,
     s_values: Sequence[int],
     params_list: Sequence[ApproxParams],
-    term_budget: int = DEFAULT_TERM_BUDGET,
     mode: str = "exact",
 ) -> RatioReport:
     """Quasi-norm ratios of x_s across s and (alpha, q), with bound checks.
 
     mode="exact" reports values (see ``quasinorm``): per-term series refuse
-    when their length exceeds ``term_budget``; mode="bounds" reports
+    when their length exceeds ``TERM_BUDGET``; mode="bounds" reports
     brackets (see ``quasinorm_bounds``), which collapse to the exact value
     wherever ``quasinorm`` has a per-piece route.  Either way the bound
     checks run on the knots, so s = 5, 6 cost no more than s = 2.
@@ -473,8 +460,8 @@ def optimality_experiment(
         for params in params_list:
             env = envelope(params, s)
             if mode == "exact":
-                a_norm = quasinorm(norm_x, sigma, params, term_budget)
-                g_norm = quasinorm(norm_x, gamma, params, term_budget)
+                a_norm = quasinorm(norm_x, sigma, params)
+                g_norm = quasinorm(norm_x, gamma, params)
                 ratio = a_norm / g_norm
                 runs.append(
                     RatioRun(

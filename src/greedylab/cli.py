@@ -21,7 +21,7 @@ import sys
 import tempfile
 from typing import Optional
 
-from .errors import DEFAULT_TERM_BUDGET, GreedyLabError
+from .errors import GreedyLabError
 from .greedy import GreedyProfile, gamma, sigma_exact
 from .spaces import SpaceSpec, _float_root, space_from_json, space_norm
 from .vectors import CompressedVector
@@ -267,13 +267,7 @@ def cmd_xs_experiment(args) -> int:
         for alpha in _parse_float_list(args.alpha)
         for q in _parse_float_list(args.q)
     ]
-    report = optimality_experiment(
-        spec.schedule,
-        _parse_int_list(args.s),
-        params,
-        term_budget=args.budget_terms,
-        mode=args.mode,
-    )
+    report = optimality_experiment(spec.schedule, _parse_int_list(args.s), params, mode=args.mode)
     blob = report.to_json()
     bad = [{k: run[k] for k in ("s", "alpha", "q")} for run in blob["runs"]
            if any(isinstance(v, float) and not math.isfinite(v) for v in _flat(run.values()))]
@@ -322,13 +316,6 @@ def _global_flags(suppress: bool) -> argparse.ArgumentParser:
         help="output path (default stdout)",
     )
     return holder
-
-
-def _positive_int(text: str) -> int:
-    value = int(text)
-    if value <= 0:
-        raise argparse.ArgumentTypeError("must be positive")
-    return value
 
 
 @functools.lru_cache(maxsize=None)
@@ -404,10 +391,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--alpha", required=True, help="comma list of alphas")
     sp.add_argument("--q", required=True, help="comma list, inf allowed")
     sp.add_argument("--mode", choices=("exact", "bounds"), default="exact")
-    sp.add_argument(
-        "--budget-terms", type=_positive_int, default=DEFAULT_TERM_BUDGET,
-        help="refuse term-by-term series longer than this (default 1e8)",
-    )
     sp.set_defaults(func=cmd_xs_experiment)
 
     sp = sub.add_parser("verify", help="run the acceptance suite", parents=[common])

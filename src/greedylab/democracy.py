@@ -33,7 +33,7 @@ from typing import Callable, Iterable, Optional, Sequence
 from .alloc import concave_min, greedy_max
 from .errors import InvariantError, TruncationError
 from .schedule import BlockSchedule
-from .spaces import SpaceSpec, _float_root
+from .spaces import SpaceSpec
 
 __all__ = [
     "DemPoint",
@@ -210,12 +210,6 @@ class DemFunTable:
         if n > self.max_n:
             raise TruncationError(f"{side}({n}) is past the table's max_n = {self.max_n}")
         return powers[n]
-
-    def hl(self, n: int) -> float:
-        return _float_root(self.hl_power(n), self.spec.outer_p)
-
-    def hr(self, n: int) -> float:
-        return _float_root(self.hr_power(n), self.spec.outer_p)
 
 
 def demfun_table(spec: SpaceSpec, max_n: int, which: str = "both") -> DemFunTable:
@@ -430,19 +424,25 @@ def cghm_construct(
     powers of two, k_mu is the first later N whose ratio beats
     C^r(mu) * w_mu^alpha, and n_mu = w_mu * k_mu.  Every produced term
     re-verifies the doubling step, the threshold step and the final 7.1
-    inequality numerically; running out of probe range yields a partial
-    result with an explicit marker instead of an error.
+    inequality numerically; running out of probe range, or of the range a
+    table h-function answers, yields a partial result with an explicit
+    marker instead of an error.
     """
     if count < 1:
         raise ValueError("count must be >= 1")
 
-    # Pre-condition: h_l doubling with the claimed constant on the probed range.
+    # Pre-condition: h_l doubling with the claimed constant on the probed
+    # range, which ends at the first N a table cannot answer.
     probe = 1
     while probe <= probe_limit // 2:
-        if h_l(2 * probe) > c_doubling * h_l(probe) * (1 + 1e-12):
+        try:
+            h_n, h_2n = h_l(probe), h_l(2 * probe)
+        except LookupError:
+            break
+        if h_2n > c_doubling * h_n * (1 + 1e-12):
             raise ValueError(
                 f"h_l is not {c_doubling}-doubling at N={probe}: "
-                f"{h_l(2 * probe)} > {c_doubling} * {h_l(probe)}"
+                f"{h_2n} > {c_doubling} * {h_n}"
             )
         probe *= 4
 
@@ -473,11 +473,16 @@ def cghm_construct(
             )
             break
         n = w * k
+        try:
+            h_n = h_l(n)
+        except LookupError:
+            exhausted, reason = True, f"h_l is not known at N = w * k = {n}, which the checks read"
+            break
         checks.append(
             {
-                "cghm2": h_l(n) <= (c_doubling**r) * h_l(k) * (1 + 1e-12),
+                "cghm2": h_n <= (c_doubling**r) * h_l(k) * (1 + 1e-12),
                 "cghm3": ratio(k) >= threshold * (1 - 1e-12),
-                "chain": h_r(k) / h_l(n) >= (n / k) ** alpha * (1 - 1e-12),
+                "chain": h_r(k) / h_n >= (n / k) ** alpha * (1 - 1e-12),
             }
         )
         ws.append(w)

@@ -33,10 +33,7 @@ class InvariantError(GreedyLabError):
 
 
 class TermBudgetError(GreedyLabError):
-    """A term-by-term quasi-norm series has more terms than the budget allows."""
-
-
-DEFAULT_TERM_BUDGET = 10**8  # the budget TermBudgetError enforces unless a caller sets one
+    """A term-by-term quasi-norm series has more terms than approx.TERM_BUDGET."""
 
 
 class OracleUnavailableError(GreedyLabError):

@@ -30,7 +30,7 @@ from greedylab import approx, explicit
 from greedylab.approx import quasinorm, sequence_bound_checks, xs_bound_checks
 from greedylab.errorseq import ErrorSequence
 from greedylab.greedy import error_sequence
-from greedylab.spaces import random_vector, space_norm
+from greedylab.spaces import _float_root, random_vector, space_norm
 from test_greedy import sequence_instances
 
 
@@ -149,12 +149,13 @@ def test_optimality_experiment_report_shape():
     assert all(run["checks"].values())
 
 
-def test_term_budget_refusal_and_bound_mode():
+def test_term_budget_refusal_and_bound_mode(monkeypatch):
     sched = squares_schedule(3)
     params = ApproxParams(1, 1)
-    with pytest.raises(TermBudgetError):
-        optimality_experiment(sched, [3], [params], term_budget=100)
     exact = optimality_experiment(sched, [3], [params]).runs[0]
+    monkeypatch.setattr(approx, "TERM_BUDGET", 100)
+    with pytest.raises(TermBudgetError):
+        optimality_experiment(sched, [3], [params])
     bounds = optimality_experiment(sched, [3], [params], mode="bounds").runs[0]
     assert bounds.bounded and bounds.a_norm is None
     a_lo, a_hi = bounds.a_bounds
@@ -354,6 +355,47 @@ def test_per_term_series_match_the_oracle_on_fraction_powers():
                 assert quasinorm(1.0, seq, params) == explicit.quasinorm_per_term(1.0, seq, params)
 
 
+def test_sup_is_the_max_over_every_k():
+    # The closed-form maximizer of each piece picks the largest float term
+    # over the whole support.  Pieces fall, rise or stay flat, in int or
+    # Fraction powers.
+    rng = random.Random(25)
+    for _ in range(100):
+        n = rng.randint(1, 6)
+        support = rng.randint(n + 1, 2999)
+        ks = [0] + sorted(rng.sample(range(1, support), n)) + [support]
+        powers = [rng.choice((rng.randint(0, 10**6), Fraction(rng.randint(1, 10**6), 7)))
+                  for _ in range(n + 1)] + [0]
+        if rng.random() < 0.5:
+            powers[:-1] = sorted(powers[:-1], reverse=True)
+        if rng.random() < 0.3:
+            powers[1] = powers[0]
+        seq = ErrorSequence("sigma", rng.choice((1, 2, 3)), list(zip(ks, powers)))
+        roots = [_float_root(power, seq.p) for power in seq.powers()]
+        for alpha in (0.25, 0.5, 1, 1.3, 2):
+            brute = max(k**alpha * roots[k] for k in range(1, support))
+            assert approx._piecewise_series(seq, ApproxParams(alpha, math.inf)) == brute
+
+
+def test_sup_costs_two_terms_per_piece(monkeypatch):
+    xs = build_xs(squares_schedule(6), 6)
+    calls = []
+    real_root = approx._float_root
+    monkeypatch.setattr(approx, "_float_root", lambda *a: calls.append(a) or real_root(*a))
+    for seq in (xs.sigma_sequence(), xs.gamma_sequence()):
+        for alpha in (0.5, 1, 2):
+            calls.clear()
+            assert math.isfinite(quasinorm(1.0, seq, ApproxParams(alpha, math.inf)))
+            assert 0 < len(calls) <= 2 * len(seq.pieces())
+
+
+def test_alpha_must_be_positive_and_finite():
+    # At alpha = inf every term past k = 1 is infinite, and k* has no exact value.
+    for alpha in (0, -1, math.inf, math.nan):
+        with pytest.raises(ValueError):
+            ApproxParams(alpha, math.inf)
+
+
 def test_work_is_bounded_by_knots_not_support(monkeypatch):
     xs = build_xs(squares_schedule(6), 6)
     assert xs.support_size == 38_102_400
@@ -368,9 +410,10 @@ def test_work_is_bounded_by_knots_not_support(monkeypatch):
     # Integer exponents never reach the per-term series, and so never its budget.
     calls.clear()
     monkeypatch.setattr(approx, "_term_series", None)
+    monkeypatch.setattr(approx, "TERM_BUDGET", 1)
     norm_x = float(space_norm(xs.x, xs.spec))
     for params in (ApproxParams(0.5, 2), ApproxParams(2, 2), ApproxParams(1, 4)):
-        assert math.isfinite(quasinorm(norm_x, xs.sigma_sequence(), params, term_budget=1))
+        assert math.isfinite(quasinorm(norm_x, xs.sigma_sequence(), params))
     assert calls == []
 
 
@@ -519,11 +562,10 @@ def test_exact_sum_past_float_range_is_finite():
     assert quasinorm_bounds(1.0, seq, ApproxParams(2, 2)) == (value, value)
 
 
-def test_term_budget_limits_only_per_term_series():
+def test_term_budget_limits_only_per_term_series(monkeypatch):
     sched = squares_schedule(3)
-    runs = optimality_experiment(
-        sched, [3], [ApproxParams(1, 2), ApproxParams(1, math.inf)], term_budget=100
-    ).runs
+    monkeypatch.setattr(approx, "TERM_BUDGET", 100)
+    runs = optimality_experiment(sched, [3], [ApproxParams(1, 2), ApproxParams(1, math.inf)]).runs
     assert all(math.isfinite(run.a_norm) and math.isfinite(run.g_norm) for run in runs)
     with pytest.raises(TermBudgetError):
-        optimality_experiment(sched, [3], [ApproxParams(1, 1.5)], term_budget=100)
+        optimality_experiment(sched, [3], [ApproxParams(1, 1.5)])

@@ -4,6 +4,7 @@ import ast
 import dataclasses
 import hashlib
 import json
+import math
 import os
 import subprocess
 import sys
@@ -139,6 +140,42 @@ def test_cghm_and_check71_round_trip(tmp_path):
     assert main([
         "check71", "--hl", hl, "--hr", hr, "--pairs", str(out), "--C", "1", "--alpha", "0.25",
     ]) == 0
+
+
+def _table(path, h, top):
+    return write(path, {"kind": "table", "values": {str(n): h(n) for n in range(1, top + 1)}})
+
+
+def test_cghm_doubling_check_stops_where_the_tables_end(tmp_path):
+    # The pre-check probes h_l(N), h_l(2N) for N = 1, 4, 16, ... up to the
+    # probe limit (2^63); tables on N < 5000 used to raise KeyError: 8192.
+    hl = _table(tmp_path / "hl.json", lambda n: 1 + math.log2(n), 4999)
+    hr = _table(tmp_path / "hr.json", math.sqrt, 4999)
+    out = tmp_path / "cghm.json"
+    assert main(["--out", str(out), "cghm", "--hl", hl, "--hr", hr, "--alpha", "0.25"]) == 0
+    blob = json.loads(out.read_text())
+    assert (blob["w"], blob["k"], blob["n"]) == ([1], [361], [361]) and blob["exhausted"]
+    assert blob["checks"] == [{"cghm2": True, "cghm3": True, "chain": True}]
+    # The same first term as the closed forms the tables sample.
+    hl = write(tmp_path / "log.json", {"kind": "one_plus_log2"})
+    hr = write(tmp_path / "sqrt.json", {"kind": "sqrt"})
+    assert main(["--out", str(out), "cghm", "--hl", hl, "--hr", hr, "--alpha", "0.25"]) == 0
+    assert json.loads(out.read_text())["k"][0] == 361
+
+
+def test_cghm_check_past_the_table_is_exhaustion(tmp_path):
+    # The checks read h_l at n = w * k: here 16 * 16 = 256, past a table on 1..100.
+    hl = _table(tmp_path / "hl.json", lambda n: 1.0, 100)
+    hr = _table(tmp_path / "hr.json", math.sqrt, 100)
+    out = tmp_path / "cghm.json"
+    assert main([
+        "--out", str(out), "cghm", "--hl", hl, "--hr", hr, "--alpha", "0.5",
+        "--c-doubling", "1", "--probe-limit", "64",
+    ]) == 0
+    blob = json.loads(out.read_text())
+    assert (blob["w"], blob["k"], blob["n"]) == ([1, 4, 9], [1, 4, 9], [1, 16, 81])
+    assert blob["exhausted"] and "256" in blob["exhausted_reason"]
+    assert len(blob["checks"]) == 3 and all(all(c.values()) for c in blob["checks"])
 
 
 def test_check71_failing_pairs_exit_1(tmp_path, capsys):
@@ -376,21 +413,22 @@ def test_budget_ties_flag_is_a_usage_error():
     assert err.value.code == 2
 
 
-def test_budget_terms_is_an_xs_experiment_flag(schedule_file, vector_file):
-    # Only xs-experiment sums series, so no other command takes the flag.
+def test_budget_terms_flag_is_a_usage_error(schedule_file, vector_file):
+    # Term-by-term series refuse past the fixed approx.TERM_BUDGET, so no
+    # command takes a budget, before or after its name.
+    xs = ["xs-experiment", "--schedule", schedule_file, "--s", "2", "--alpha", "1", "--q", "1"]
     norm = ["norm", "--space", schedule_file, "--vector", vector_file]
-    for argv in (["--budget-terms", "5"] + norm, norm + ["--budget-terms", "5"]):
-        with pytest.raises(SystemExit) as err:
-            main(argv)
-        assert err.value.code == 2
+    for command in (xs, norm):
+        for argv in (["--budget-terms", "5"] + command, command + ["--budget-terms", "5"]):
+            with pytest.raises(SystemExit) as err:
+                main(argv)
+            assert err.value.code == 2
 
 
 def test_xs_experiment_term_budget_refusal(tmp_path, capsys):
-    sched = write(tmp_path / "squares.json", {"a": [4, 9, 16, 25]})  # squares_schedule(3)
-    code = main([
-        "xs-experiment", "--budget-terms", "100", "--s", "3", "--schedule", sched,
-        "--alpha", "1", "--q", "1",
-    ])
+    # s = 7 on squares_schedule(8): 2,438,553,600 terms, past the budget of 10^8.
+    sched = write(tmp_path / "squares.json", {"a": [(j + 2) ** 2 for j in range(9)]})
+    code = main(["xs-experiment", "--s", "7", "--schedule", sched, "--alpha", "1", "--q", "1"])
     assert code == 1
     assert "TermBudgetError" in json.loads(capsys.readouterr().err)["error"]
 
