@@ -14,8 +14,7 @@ Faulhaber power sums and q = inf reads each piece's maximizer off a closed
 form.  Only series with non-integer exponents are summed term by term, with
 math.fsum, so accumulation order cannot move the result (k^0 and k^1 cost
 no pow), and they refuse more than TERM_BUDGET terms; ``quasinorm_bounds``
-brackets them from O(log(support)) terms per piece, with f'' certified
-exactly.
+brackets them from O(log(support)) terms per piece, deciding on exact ints.
 The bound checks of x_s are decided on the knots as well.
 """
 
@@ -28,7 +27,7 @@ from itertools import chain, repeat
 from operator import mul
 from typing import Optional, Sequence
 
-from .errors import GreedyLabError, ScheduleTooShallowError, TermBudgetError
+from .errors import GreedyLabError, InvariantError, ScheduleTooShallowError, TermBudgetError
 from .errorseq import ErrorSequence
 from .exact import Rational, sqrt_plus_const_ge
 from .greedy import GreedyProfile, error_sequence
@@ -37,7 +36,7 @@ from .spaces import SpaceSpec, _float_root, space_norm
 from .vectors import CompressedVector
 from . import democracy
 
-RHO = 1 / 32  # quasinorm_bounds: cut length over the distance to the nearer singular point
+RHO = 32  # quasinorm_bounds: distance to the nearer singular point over the cut length
 TERM_BUDGET = 10**8  # quasinorm refuses term-by-term series longer than this
 
 
@@ -70,7 +69,7 @@ def quasinorm(norm_x: float, seq: ErrorSequence, params: ApproxParams) -> float:
     if support > TERM_BUDGET:
         raise TermBudgetError(
             f"{support} terms exceed the budget of {TERM_BUDGET}; "
-            "use quasinorm_bounds for a bracketing bound instead"
+            "use quasinorm_bounds (CLI: xs-experiment --mode bounds) for a bracketing bound instead"
         )
     q = params.q
     return norm_x + _term_series(_lines(seq), q * params.alpha - 1.0, q / seq.p) ** (1.0 / q)
@@ -116,46 +115,36 @@ def quasinorm_bounds(
     bit what ``quasinorm`` returns.  Otherwise a piece's term is
     f(k) = k^e1 g(k)^e2, with g(k) = c0 + a1 k the exact power, e1 = q alpha - 1
     and e2 = q/p, and Q(k) = k^2 g^2 f''/f = (e1 g + e2 a1 k)^2 - e1 g^2 - e2 a1^2 k^2
-    has exact coefficients.  The piece is split after the floor of each real
-    root of Q (found in floats); a part with a cut longer than one term has
-    the sign of Q certified exactly, at its ends and at an inner vertex, or
-    is summed term by term.  Cuts hold max(1, floor(RHO d)) terms, d the
-    distance to the zero of g, or to the nearer of it and k = 0 if e1 != 0
-    (at e1 = 0, f''/f = e2 (e2 - 1) a1^2 / g^2); where Q is zero, f is linear
-    and a part is one cut.  A certified cut of L terms on [a, b] sums to
-    between L f((a+b)/2) (Jensen) and L (f(a) + f(b))/2 (the chord), a
-    one-term cut to its term.  On x_s over squares_schedule(6),
-    s = 2..6, alpha in {0.5, 1, 2}, q in {1, 1.5, 3}, brackets are at most 7e-4
-    wide (relative); a 1e-9 relative margin absorbs float rounding of sums.
+    is an int quadratic once g is scaled to ints.  The piece is split after the
+    exact floor of each real root of Q, so f'' keeps one sign on each part
+    (``_one_sign`` certifies it; a failure is an InvariantError).  Cuts hold
+    max(1, d // RHO) terms, d the floored distance to the zero of g, or to the
+    nearer of it and k = 0 if e1 != 0; where Q is zero, f is linear and a part
+    is one cut.  A cut of L terms on [a, b] sums to between L f((a+b)/2)
+    (Jensen) and L (f(a) + f(b))/2 (the chord).  On x_s over squares_schedule(42),
+    s = 2..40, (alpha, q) in {(0.5, 1), (1, 1), (2, 1), (1, 1.5)}, brackets are
+    at most 2e-4 wide (relative); a 1e-9 relative margin absorbs float rounding.
     """
     series = _piecewise_series(seq, params)
     if series is not None:
         return norm_x + series, norm_x + series
     q = params.q
     e1, e2 = q * params.alpha - 1.0, q / seq.p
-    # f'' may change sign at k = z t, z the zero of g and t a real root of
-    # Q(z t) / c0^2 = lead t^2 - 2 half_b t + e1 (e1 - 1), found stably:
-    big = e1 + e2
-    lead, half_b, disc = big * (big - 1), e1 * (big - 1), e1 * e2 * (big - 1)
-    s = half_b + math.copysign(math.sqrt(disc), half_b) if disc >= 0 else 0.0
-    ts = ([s / lead] if lead else []) + [e1 * (e1 - 1) / s] if s else []
     den = max(e1.as_integer_ratio()[1], e2.as_integer_ratio()[1])  # both powers of two
     n1, nn = int(e1 * den), int(e1 * den) + int(e2 * den)  # e1 = n1/den, e1 + e2 = nn/den
     lo_total = hi_total = 0.0
     for lo, hi, c0, a1 in _lines(seq):
-        z = float(-c0 / a1) if a1 else math.inf
-        # den^2 Q(k) = A k^2 + B k + C, in ints where c0 and a1 are ints
-        quad = (a1 * a1 * nn * (nn - den), 2 * n1 * (nn - den) * a1 * c0, n1 * (n1 - den) * c0 * c0)
-        ends = sorted({lo - 1, hi}.union(math.floor(z * t) for t in ts if lo <= z * t < hi))
+        scale = math.lcm(c0.denominator, a1.denominator)
+        g0, g1 = int(c0 * scale), int(a1 * scale)  # scale g(k) = g0 + g1 k; (den scale)^2 Q = quad
+        quad = (g1 * g1 * nn * (nn - den), 2 * n1 * (nn - den) * g1 * g0, n1 * (n1 - den) * g0 * g0)
+        ends = sorted({lo - 1, hi}.union(r for r in _root_floors(*quad) if lo <= r < hi))
         for u, w in zip([e + 1 for e in ends], ends[1:]):
-            certified, a = None, u  # certified at the part's first cut longer than one term
-            while a <= w:
-                d = min(a, abs(a - z)) if n1 else abs(a - z)  # k = 0 is singular only if e1 != 0
-                b = min(w, a - 1 + max(1, int(RHO * d))) if any(quad) else w  # else f is linear
-                if b > a and certified is None:
-                    certified = _one_sign(*quad, u, w)
-                if not certified:
-                    b = a
+            if not _one_sign(*quad, u, w):
+                raise InvariantError(f"f'' changes sign on {u}..{w}, between exact root floors")
+            a = u
+            while a <= w:  # singular points: the zero of g, and k = 0 if e1 != 0
+                dists = ([abs(g0 + g1 * a) // abs(g1)] if g1 else []) + ([a] if n1 else [])
+                b = min(w, a - 1 + max(1, min(dists) // RHO)) if any(quad) else w  # else linear
                 ga, gb = c0 + a1 * a, c0 + a1 * b
                 jensen = chord = fa = _term(a, ga, e1, e2)  # a one-term cut
                 if b > a:
@@ -164,10 +153,18 @@ def quasinorm_bounds(
                 lo_total += min(jensen, chord)
                 hi_total += max(jensen, chord)
                 a = b + 1
-    return (
-        norm_x + lo_total ** (1.0 / q) * (1 - 1e-9),
-        norm_x + hi_total ** (1.0 / q) * (1 + 1e-9),
-    )
+    return norm_x + lo_total ** (1.0 / q) * (1 - 1e-9), norm_x + hi_total ** (1.0 / q) * (1 + 1e-9)
+
+
+def _root_floors(a: int, b: int, c: int) -> list[int]:
+    """Floors of the real roots of a k^2 + b k + c, exact (none where it is constant)."""
+    if a < 0 or (a == 0 and b < 0):
+        a, b, c = -a, -b, -c
+    if a == 0:
+        return [-c // b] if b else []
+    disc = b * b - 4 * a * c
+    r = math.isqrt(max(disc, 0))
+    return [(-b - r - (r * r < disc)) // (2 * a), (-b + r) // (2 * a)] if disc >= 0 else []
 
 
 def _one_sign(a, b, c, u: int, w: int) -> bool:
@@ -196,13 +193,14 @@ def _piecewise_series(seq: ErrorSequence, params: ApproxParams) -> Optional[floa
     if math.isinf(q):
         best = 0.0
         ap = Fraction(alpha) * p
+        # integral alpha: k**alpha in ints, rounded once (from 1024 on, k >= 2 overflows anyway)
+        alpha = int(alpha) if float(alpha).is_integer() and alpha <= 1024 else alpha
         for lo, hi, c0, a1 in lines:
             k_star = ap * c0 / (-a1 * (1 + ap)) if a1 < 0 else hi
             for k in {min(max(j, lo), hi) for j in (math.floor(k_star), math.ceil(k_star))}:
                 best = max(best, k**alpha * _float_root(c0 + a1 * k, p))
         return best
-    e1 = q * alpha - 1.0
-    e2 = q / p
+    e1, e2 = q * alpha - 1.0, q / p
     if not (e1 >= 0 and e2 >= 0 and e1.is_integer() and e2.is_integer()):
         return None
     e1, e2 = int(e1), int(e2)

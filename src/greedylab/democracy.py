@@ -381,32 +381,36 @@ class CghmSequences:
         return all(all(c.values()) for c in self.checks)
 
 
-def _first_crossing(ratio, threshold: float, lo: int, probe_limit: int) -> Optional[int]:
-    """Smallest N >= lo with ratio(N) >= threshold, within the probe range.
+def _first_crossing(
+    ratio, threshold: float, lo: int, probe_limit: int, target: str
+) -> tuple[int, Optional[str]]:
+    """(N, None) for the smallest N >= lo with ratio(N) >= threshold.
 
     Doubles until the threshold is crossed, then binary-searches the
-    bracketing interval.  Returns None when the probe range is exhausted.
+    bracketing interval.  Otherwise (N, reason), where the search stopped:
+    the first doubling past probe_limit, or the first N ratio cannot answer.
     """
+    n = lo
     try:
         if ratio(lo) >= threshold:
-            return lo
+            return lo, None
         hi = lo
         while True:
-            hi *= 2
+            n = hi = hi * 2
             if hi > probe_limit:
-                return None
+                return hi, f"no N <= {probe_limit} with h_r/h_l >= {target}"
             if ratio(hi) >= threshold:
                 break
         lo_fail = max(lo, hi // 2)
         while hi - lo_fail > 1:
-            mid = (hi + lo_fail) // 2
+            n = mid = (hi + lo_fail) // 2
             if ratio(mid) >= threshold:
                 hi = mid
             else:
                 lo_fail = mid
-        return hi
+        return hi, None
     except (LookupError, OverflowError):
-        return None
+        return n, f"h_r/h_l is not known at N = {n}, before any N with h_r/h_l >= {target}"
 
 
 def cghm_construct(
@@ -460,17 +464,16 @@ def cghm_construct(
     w_prev = 0
     k_prev = 0
     for mu in range(1, count + 1):
-        w = _first_crossing(ratio, float(mu), w_prev + 1, probe_limit)
-        if w is None:
-            exhausted, reason = True, f"no N <= {probe_limit} with h_r/h_l >= {mu}"
+        w, reason = _first_crossing(ratio, float(mu), w_prev + 1, probe_limit, str(mu))
+        if reason:
+            exhausted = True
             break
         r = w.bit_length()  # 2^(r-1) <= w < 2^r
         threshold = (c_doubling**r) * (w**alpha)
-        k = _first_crossing(ratio, threshold, max(k_prev + 1, w), probe_limit)
-        if k is None:
-            exhausted, reason = True, (
-                f"no N <= {probe_limit} with h_r/h_l >= C^{r} * {w}^{alpha}"
-            )
+        target = f"C^{r} * {w}^{alpha}"
+        k, reason = _first_crossing(ratio, threshold, max(k_prev + 1, w), probe_limit, target)
+        if reason:
+            exhausted = True
             break
         n = w * k
         try:

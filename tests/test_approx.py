@@ -389,6 +389,15 @@ def test_sup_costs_two_terms_per_piece(monkeypatch):
             assert 0 < len(calls) <= 2 * len(seq.pieces())
 
 
+def test_sup_is_the_same_for_int_and_float_alpha():
+    # At s = 18 the support passes 2^53: float(k) ** 2.0 rounded k before squaring, moving G.
+    xs = build_xs(squares_schedule(48), 18)
+    for seq in (xs.sigma_sequence(), xs.gamma_sequence()):
+        for alpha in (1, 2, 3):
+            as_int = quasinorm(1.0, seq, ApproxParams(alpha, math.inf))
+            assert quasinorm(1.0, seq, ApproxParams(float(alpha), math.inf)) == as_int
+
+
 def test_alpha_must_be_positive_and_finite():
     # At alpha = inf every term past k = 1 is infinite, and k* has no exact value.
     for alpha in (0, -1, math.inf, math.nan):
@@ -533,18 +542,92 @@ def test_one_sign_reads_the_ends_and_an_inner_vertex():
     assert approx._one_sign(0, 2, -4, 2, 9) and not approx._one_sign(0, 2, -4, 1, 9)
 
 
-def test_uncertified_parts_are_summed_term_by_term(monkeypatch):
+def test_a_failed_certificate_raises(monkeypatch):
+    # Parts lie between exact root floors of Q, so a failed certificate is a bug.
     xs = build_xs(squares_schedule(4), 3)
-    norm_x = float(space_norm(xs.x, xs.spec))
-    calls = []
-    real = approx._term
     monkeypatch.setattr(approx, "_one_sign", lambda *args: False)
-    monkeypatch.setattr(approx, "_term", lambda *args: calls.append(args[0]) or real(*args))
+    with pytest.raises(InvariantError):
+        quasinorm_bounds(float(space_norm(xs.x, xs.spec)), xs.sigma_sequence(), ApproxParams(1, 1))
+
+
+def _first(pred):
+    """Smallest m >= 0 with pred(m), for pred false below some m and true from there on."""
+    if pred(0):
+        return 0
+    lo, hi = 0, 1
+    while not pred(hi):
+        lo, hi = hi, 2 * hi
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        lo, hi = (lo, mid) if pred(mid) else (mid, hi)
+    return hi
+
+
+def _root_floors_by_sign(a, b, c):
+    """Root floors of a k^2 + b k + c from its sign alone: with a > 0 it falls
+    left of the vertex and rises right of it."""
+    if a < 0 or (a == 0 and b < 0):
+        a, b, c = -a, -b, -c
+    if a == 0:
+        return [math.floor(Fraction(-c, b))] if b else []
+    quad = lambda k: (a * k + b) * k + c
+    vertex = Fraction(-b, 2 * a)
+    if quad(vertex) > 0:
+        return []
+    v = math.floor(vertex)
+    return [v - _first(lambda m: quad(v - m) >= 0), v + _first(lambda m: quad(v + m + 1) > 0)]
+
+
+def test_root_floors_match_a_sign_bisection():
+    rng = random.Random(26)
+    triples = [(0, 0, 0), (0, 0, 5), (0, 3, -7), (0, -3, 7), (1, 0, 0), (-1, 8, -16), (2, 0, 1)]
+    for _ in range(3000):
+        size = 10 ** rng.choice((1, 3, 30))
+        pick = lambda: rng.randint(-size, size)
+        if rng.random() < 0.4:  # (m k - n)(m' k - n'), times a sign: a square discriminant
+            m1, m2 = rng.randint(1, size), rng.randint(1, size)
+            n1, n2, sign = pick(), pick(), rng.choice((-1, 1))
+            triples.append((sign * m1 * m2, -sign * (m1 * n2 + m2 * n1), sign * n1 * n2))
+        else:
+            triples.append((rng.choice((0, pick())), pick(), pick()))
+    assert any(a == 0 for a, _, _ in triples) and any(a < 0 for a, _, _ in triples)
+    for a, b, c in triples:
+        assert approx._root_floors(a, b, c) == _root_floors_by_sign(a, b, c), (a, b, c)
+
+
+def test_bounds_term_count_is_bounded_at_depth(monkeypatch):
+    # Float root and cut estimates once made s = 14 sum ~1e23 terms one by one.
+    calls, real = [], approx._term
+
+    def counted(*args):
+        calls.append(args[0])
+        if len(calls) > 40_000:
+            raise RuntimeError("more than 40,000 term evaluations")
+        return real(*args)
+
+    monkeypatch.setattr(approx, "_term", counted)
+    xs = build_xs(squares_schedule(22), 20)
+    norm_x = float(space_norm(xs.x, xs.spec))
     for seq in (xs.sigma_sequence(), xs.gamma_sequence()):
-        calls.clear()
-        lo, hi = quasinorm_bounds(norm_x, seq, ApproxParams(1, 1))
-        assert sorted(calls) == list(range(1, seq.support_size))
-        assert lo <= quasinorm(norm_x, seq, ApproxParams(1, 1)) <= hi <= lo * (1 + 3e-9)
+        lo, hi = quasinorm_bounds(norm_x, seq, ApproxParams(0.5, 1))
+        assert 0 < lo <= hi <= lo * (1 + 1e-3)
+    assert len(calls) > 0
+
+
+@pytest.mark.parametrize("s", [14, 20])
+def test_bounds_contain_the_exact_value_at_depth(monkeypatch, s):
+    # Integer exponents have an exact Faulhaber value; the brackets must hold it.
+    xs = build_xs(squares_schedule(s + 2), s)
+    norm_x = float(space_norm(xs.x, xs.spec))
+    cases = [
+        (seq, params, quasinorm(norm_x, seq, params))
+        for seq in (xs.sigma_sequence(), xs.gamma_sequence())
+        for params in (ApproxParams(1, 2), ApproxParams(1.5, 2), ApproxParams(2, 2))
+    ]
+    monkeypatch.setattr(approx, "_piecewise_series", lambda *args: None)
+    for seq, params, exact in cases:
+        lo, hi = quasinorm_bounds(norm_x, seq, params)
+        assert lo <= exact <= hi, (seq.kind, params)
 
 
 def test_exact_sum_past_float_range_is_finite():

@@ -430,7 +430,8 @@ def test_xs_experiment_term_budget_refusal(tmp_path, capsys):
     sched = write(tmp_path / "squares.json", {"a": [(j + 2) ** 2 for j in range(9)]})
     code = main(["xs-experiment", "--s", "7", "--schedule", sched, "--alpha", "1", "--q", "1"])
     assert code == 1
-    assert "TermBudgetError" in json.loads(capsys.readouterr().err)["error"]
+    error = json.loads(capsys.readouterr().err)["error"]
+    assert "TermBudgetError" in error and "xs-experiment --mode bounds" in error
 
 
 def test_xs_experiment_bounds_reach_s6(tmp_path):

@@ -264,6 +264,22 @@ def test_cghm_bounded_ratio_exhausts():
     assert len(seqs.w) < 3
 
 
+def test_cghm_names_the_first_n_a_table_cannot_answer():
+    # Tables on N < 5000: the k search from 362 doubles to 5792 and stops there,
+    # long before the probe limit.
+    table = lambda h: {n: h(n) for n in range(1, 5000)}.__getitem__
+    seqs = cghm_construct(table(sqrt_of), table(one_plus_log2), 2.0, 0.25, 5)
+    assert (seqs.w, seqs.k) == ((1,), (361,)) and seqs.exhausted
+    assert seqs.exhausted_reason.startswith("h_r/h_l is not known at N = 5792,")
+    assert str(2**63) not in seqs.exhausted_reason
+
+
+def test_cghm_names_the_probe_limit_when_it_is_reached():
+    seqs = cghm_construct(sqrt_of, one_plus_log2, 2.0, 0.25, 5, probe_limit=1000)
+    assert (seqs.w, seqs.k) == ((1,), (361,)) and seqs.exhausted
+    assert seqs.exhausted_reason.startswith("no N <= 1000 with h_r/h_l >= C^9 * 361^0.25")
+
+
 def test_cghm_alpha_zero_still_constructs():
     seqs = cghm_construct(sqrt_of, one_plus_log2, 2.0, 0.0, 5)
     assert len(seqs.w) == 5 and seqs.all_checks_pass()
