@@ -38,10 +38,8 @@ _EXPORTS = {  # submodule -> the public names it provides
     "greedy": (
         "GreedyOutcome",
         "TieDescriptor",
-        "democracy_constant",
         "error_sequence",
         "gamma",
-        "greedy_constant",
         "sigma_exact",
     ),
     "democracy": (

@@ -8,9 +8,6 @@ so every value is an int and an inexact division raises InvariantError.
   resolution (the tied blocks' shifts).
 * ``min_plus``: the min-plus convolution of any two costs, merged by
   convex pieces; sigma folds the block residuals with it.
-* ``greedy_max``: maxima of costs concave per block, whose n best unit
-  gains form a prefix of every block; gamma's worst tie resolution and
-  the h_r witness.
 """
 
 from __future__ import annotations
@@ -23,27 +20,6 @@ from typing import Sequence
 
 from .errors import InvariantError
 from .exact import slope
-
-
-def greedy_max(segments: Sequence[tuple], n: int):
-    """Largest total gain of n units drawn from (block, slope, length) segments.
-
-    Each unit of a segment gains ``slope``.  A block's segments must come
-    in order of non-increasing slope, so the n best units overall take a
-    prefix of every block.  Equal slopes are taken in segment order (the
-    sort is stable).  Returns (gain, counts), counts mapping block -> units.
-    """
-    gain, counts, left = 0, {}, n
-    for block, slope, length in sorted(segments, key=lambda s: -s[1]):
-        if left == 0:
-            break
-        take = min(length, left)
-        gain += slope * take
-        counts[block] = counts.get(block, 0) + take
-        left -= take
-    if left:
-        raise ValueError(f"no allocation of {n} coordinates fits the space")
-    return gain, counts
 
 
 def concave_min(costs: Sequence[Sequence[tuple]], ns: Sequence[int]) -> list[tuple]:

@@ -401,6 +401,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[list[str]] = None) -> int:
+    if hasattr(sys, "set_int_max_str_digits"):  # exact powers print in full (3.10.7+)
+        sys.set_int_max_str_digits(0)
     parser = build_parser()
     args = parser.parse_args(argv)
     try:

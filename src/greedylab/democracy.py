@@ -12,8 +12,8 @@ programs over allocations of N.  The production routes are:
   A table runs it bottom-up one block at a time: with one block
   added, the block takes either what the blocks before it cannot hold or
   as much as it can,
-* the closed form min(N, sum caps) for h_r, witnessed by the
-  marginal-gain greedy of alloc.py, which fills caps first.
+* the closed form min(N, sum caps) for h_r, witnessed by filling the
+  caps first, then the rest of each block, in block order.
 
 Their oracles, the allocation DP (explicit.alloc_dp, quadratic in N) and
 subset brute force (explicit.demfun_bruteforce), live in explicit.py; the
@@ -30,7 +30,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterable, Optional, Sequence
 
-from .alloc import concave_min, greedy_max
+from .alloc import concave_min
 from .errors import InvariantError, TruncationError
 from .schedule import BlockSchedule
 from .spaces import SpaceSpec
@@ -162,12 +162,14 @@ def _hl_table(blocks: Sequence[tuple[int, int]], max_n: int) -> list[int]:
 
 
 def _hr_closed(blocks: Sequence[tuple[int, int]], n: int):
-    """h_r(n)^p = min(n, sum caps), witnessed by filling caps first."""
+    """h_r(n)^p = min(n, sum caps), witnessed by filling the caps first,
+    then the rest of each block, in block order."""
     target = min(n, sum(c for c, _ in blocks))
-    segments = [(i, slope, length) for i, (cap, size) in enumerate(blocks)
-                for slope, length in ((1, cap), (0, size - cap))]
-    _gain, counts = greedy_max(segments, n)
-    alloc = [counts.get(i, 0) for i in range(len(blocks))]
+    alloc, left = [0] * len(blocks), n
+    for room in ([cap for cap, _ in blocks], [size - cap for cap, size in blocks]):
+        for i, length in enumerate(room):
+            take = min(length, left)
+            alloc[i], left = alloc[i] + take, left - take
     if sum(alloc) != n:
         raise InvariantError(f"h_r witness for N={n} places {sum(alloc)} coordinates")
     value = sum(min(m, cap) for m, (cap, _) in zip(alloc, blocks))

@@ -18,7 +18,8 @@ operator.  A resolution is a per-block count of kept coordinates at the
 threshold magnitude.  Both extremes read the runs of each tied block's
 r_b over the threshold class's window, which is concave there, with the
 allocation kernels in alloc.py: the best is the recurrence for minima of
-concave costs (the one h_l uses), the worst a marginal-gain greedy.
+concave costs (the one h_l uses).  The worst is a prefix of the class's
+fill, those runs by decreasing gain, which the gamma sequence walks too.
 Neither enumerates resolutions, so both are exact for tie classes of any
 multiplicity.
 
@@ -32,17 +33,16 @@ from __future__ import annotations
 import bisect
 import functools
 import math
-import random
 from dataclasses import dataclass
 from fractions import Fraction
 from operator import neg
 from typing import Optional, Sequence
 
-from .alloc import concave_min, drop_collinear, greedy_max, min_plus
+from .alloc import concave_min, drop_collinear, min_plus
 from .errors import InvariantError
 from .errorseq import ErrorSequence
 from .exact import Rational
-from .spaces import NormValue, SpaceSpec, _float_root, random_vector, space_norm
+from .spaces import NormValue, SpaceSpec, space_norm
 from .vectors import CompressedVector
 
 
@@ -142,8 +142,8 @@ class GreedyProfile:
         there: keeping one more tied coordinate removes tau^p and lets in
         the coordinate ``cap`` places further down, and those only get
         smaller.  So the best resolution is alloc.concave_min over the s_b
-        at ``choose``, with its witness; the worst is a marginal-gain
-        greedy over the same runs.
+        at ``choose``, with its witness; the worst takes the first
+        ``choose`` units of the class's fill, as the gamma sequence does.
         """
         if n < 0:
             raise ValueError("n must be >= 0")
@@ -152,17 +152,20 @@ class GreedyProfile:
         forced = {b: self.above(b, mag) for b in self._blocks}
         tie = TieDescriptor(m, members, n - k) if n > k else EMPTY_TIE
         base = sum(self.rest(b, kept) for b, kept in forced.items())  # r_b is built only if tied
-        segments, shifts = [], []
-        for b, supply in tie.available:
-            runs = self.residual(b).runs(forced[b], forced[b] + supply)
-            segments += [(b, gain, length) for gain, length in runs]
-            shifts.append([(0, 0)])
-            for gain, length in runs:
-                j, y = shifts[-1][-1]
-                shifts[-1].append((j + length, y + gain * length))
-        hi_gain, hi_counts = lo_gain, lo = greedy_max(segments, tie.choose)
-        if len(shifts) > 1:  # else there is one resolution at most
-            [(lo_gain, lo_counts)] = concave_min(shifts, [tie.choose])
+        fill = self._fill(i) if tie.choose else []
+        hi_gain, hi, left = 0, {}, tie.choose
+        for b, gain, length in fill:
+            if not left:
+                break
+            take = min(length, left)
+            hi_gain, hi[b], left = hi_gain + gain * take, hi.get(b, 0) + take, left - take
+        lo_gain, lo = hi_gain, hi
+        if len(tie.available) > 1:  # else there is one resolution at most
+            shifts = {b: [(0, 0)] for b, _ in tie.available}
+            for b, gain, length in fill:  # each block's runs keep their order
+                j, y = shifts[b][-1]
+                shifts[b].append((j + length, y + gain * length))
+            [(lo_gain, lo_counts)] = concave_min(list(shifts.values()), [tie.choose])
             lo = {tie.available[i][0]: lo_counts[i] for i in lo_counts}
             shift = sum(self.rest(b, forced[b] + c) - self.rest(b, forced[b])
                         for b, c in lo.items())
@@ -172,10 +175,23 @@ class GreedyProfile:
         return GreedyOutcome(
             NormValue.from_power(self.unscale(base + hi_gain), self.p),
             NormValue.from_power(self.unscale(base + lo_gain), self.p),
-            tuple((b, hi_counts.get(b, 0)) for b, _ in tie.available),
+            tuple((b, hi.get(b, 0)) for b, _ in tie.available),
             tuple((b, lo.get(b, 0)) for b, _ in tie.available),
             tie,
         )
+
+    def _fill(self, i: int) -> list[tuple]:
+        """Class i's worst-case fill: the (block, gain, length) runs of each
+        member's r_b over the class window, by decreasing gain.
+
+        Each r_b is concave there, so its runs already fall in gain; the
+        sort is stable (members, then runs, in order at equal gains), so
+        the first u units of the fill are the worst resolution keeping u.
+        """
+        _k, mag, _m, members = self._classes[i]
+        runs = [(b, gain, length) for b, c in members for j in [self.above(b, mag)]
+                for gain, length in self.residual(b).runs(j, j + c)]
+        return sorted(runs, key=lambda run: -run[1])
 
     def sigma(self, n: int) -> NormValue:
         """Best n-term approximation error (exact, suppression projection)."""
@@ -230,16 +246,13 @@ def _residual(profile: GreedyProfile, b: int) -> ErrorSequence:
 def _gamma_knots(profile: GreedyProfile, residuals) -> list:
     """Walk the magnitude classes in descending order.
 
-    Inside a class, the worst resolution for each count is the
-    marginal-gain fill of the runs of its blocks' residuals over the
-    class window, so gamma follows those runs in order of decreasing gain.
+    Inside a class, the worst resolution for each count is a prefix of
+    the class's fill, so gamma follows its runs in order.
     """
     y = sum(r.power(0) for r in residuals)
     knots = [(0, y)]
-    for k, mag, _m, members in profile._classes:
-        above = [(b, profile.above(b, mag), c) for b, c in members]
-        runs = [run for b, j, c in above for run in profile.residual(b).runs(j, j + c)]
-        for gain, length in sorted(runs, key=lambda run: -run[0]):
+    for i, k in enumerate(profile._ends[:-1]):  # class i starts after k coordinates
+        for _b, gain, length in profile._fill(i):
             k, y = k + length, y + gain * length
             knots.append((k, y))
     return drop_collinear(knots)
@@ -264,56 +277,6 @@ def sigma_exact(x: CompressedVector, n: int, spec: SpaceSpec) -> NormValue:
 def error_sequence(x: CompressedVector, spec: SpaceSpec, kind: str) -> ErrorSequence:
     """Full k -> sigma_k or gamma_k sequence for one vector (GreedyProfile.sequence)."""
     return GreedyProfile(x, spec).sequence(kind)
-
-
-# ---------------------------------------------------------------------------
-# Constant estimators
-
-
-def greedy_constant(spec: SpaceSpec, num_samples: int = 100, seed: int = 0) -> float:
-    """Sample supremum of gamma_N / sigma_N (the greedy constant witness).
-
-    For l_p spaces this is exactly 1 (a greedy support is an optimal
-    support).  On block sums, two-pool vectors at depth k witness ratios
-    around sqrt(a_{k+1})/2, so the estimate grows with the materialized
-    depth.  A sample supremum, not a certified constant.
-    """
-    rng = random.Random(seed)
-    best = 0.0
-    for _ in range(num_samples):
-        x = random_vector(spec, rng)
-        if not x.is_zero:
-            best = max(best, _worst_ratio(x, spec, range(x.support_size)))
-    if spec.variant == "block_sum":
-        for hi in range(spec.num_blocks - 1):
-            block, nxt = spec.blocks[hi], spec.blocks[hi + 1]
-            count_lo = min(block.size, nxt.cap)
-            x = spec.vector([(hi, 2, block.size), (hi + 1, 1, count_lo)])
-            ks = [k for k in (block.size, block.size - block.cap) if k > 0]
-            best = max(best, _worst_ratio(x, spec, ks))
-    return best
-
-
-def _worst_ratio(x: CompressedVector, spec: SpaceSpec, ks) -> float:
-    """Largest gamma_k / sigma_k over the ks with sigma_k > 0 (0.0 if none)."""
-    profile = GreedyProfile(x, spec)
-    sig, gam = profile.sequence("sigma"), profile.sequence("gamma")
-    best = 0.0
-    for k in ks:
-        s_pow = sig.power(k)
-        if s_pow != 0:
-            best = max(best, _float_root(Fraction(gam.power(k), s_pow), spec.outer_p))
-    return best
-
-
-def democracy_constant(spec: SpaceSpec, n: int) -> float:
-    """h_r(n) / h_l(n): worst ratio of indicator norms at cardinality n."""
-    from . import democracy  # local import: democracy does not import greedy
-
-    if n == 0 or spec.variant == "lp":
-        return 1.0
-    point = democracy.demfun_dp(spec, n)
-    return _float_root(Fraction(point.hr_power, point.hl_power), spec.outer_p)
 
 
 def __getattr__(name: str):

@@ -10,7 +10,6 @@ for each query instead of ever extrapolating.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from itertools import accumulate
 from operator import mul
@@ -81,14 +80,6 @@ class BlockSchedule:
             self.a[: num_blocks + 1], self.outer_p, self.inner_p, self.allow_slow_start
         )
 
-    def to_json(self) -> dict:
-        return {
-            "a": list(self.a),
-            "K": self.num_blocks,
-            "outer_p": self.outer_p,
-            "inner_p": self.inner_p,
-        }
-
     @staticmethod
     def from_json(obj: dict) -> "BlockSchedule":
         a = tuple(int(x) for x in obj["a"])
@@ -101,11 +92,6 @@ class BlockSchedule:
             obj.get("inner_p", 2),
             bool(obj.get("allow_slow_start", False)),
         )
-
-    @staticmethod
-    def load(path: str) -> "BlockSchedule":
-        with open(path, "r", encoding="utf-8") as fh:
-            return BlockSchedule.from_json(json.load(fh))
 
 
 def arithmetic_schedule(num_blocks: int, start: int = 4, step: int = 1) -> BlockSchedule:

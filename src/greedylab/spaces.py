@@ -117,20 +117,6 @@ class SpaceSpec:
     def indicator(self, block_counts) -> CompressedVector:
         return indicator(block_counts, sizes=self.sizes())
 
-    def to_json(self) -> dict:
-        if self.schedule is not None:
-            return self.schedule.to_json()
-        if self.variant == "lp":
-            return {"lp": self.inner_p, "dim": self.blocks[0].size}
-        if self.variant == "trunc_block":
-            b = self.blocks[0]
-            return {"cap": b.cap, "size": b.size, "p": self.inner_p}
-        return {
-            "blocks": [[b.cap, b.size] for b in self.blocks],
-            "inner_p": self.inner_p,
-            "outer_p": self.outer_p,
-        }
-
 
 def space_from_json(obj: dict) -> SpaceSpec:
     """Accept any of the documented space/schedule JSON shapes."""

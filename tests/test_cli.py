@@ -361,6 +361,25 @@ def test_float_columns_take_the_pth_root(input_files, capsys):
     assert float(rows[1][3]) == pytest.approx(3**0.5 * 1e200, rel=1e-15)
 
 
+@pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"), reason="no int-string limit")
+def test_errors_prints_powers_past_the_int_string_limit(tmp_path):
+    # A 2,501-digit magnitude squares to a 5,001-digit power, past the
+    # interpreter's default limit of 4,300 digits for int -> str.
+    space = write(tmp_path / "space.json", {"blocks": [[1, 2]]})
+    vector = write(tmp_path / "vec.json", {"groups": [[0, "1" + "0" * 2500, "1"], [0, "1", "1"]]})
+    out = tmp_path / "errors.csv"
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4300)
+    try:
+        assert main(["--out", str(out), "errors", "--space", space, "--vector", vector]) == 0
+    finally:
+        sys.set_int_max_str_digits(limit)
+    top = "1" + "0" * 5000
+    assert out.read_text().split("\n") == [
+        "k,sigma_sq,gamma_sq,sigma_float,gamma_float", f"0,{top},{top},inf,inf",
+        "1,1,1,1,1", "2,0,0,0,0", ""]
+
+
 def test_usage_error_exits_2():
     with pytest.raises(SystemExit) as err:
         main(["frobnicate"])

@@ -69,6 +69,8 @@ def test_demfun_witnesses_achieve_their_values():
             assert sum(m for _, m in witness) == n
             cost = sum(min(m, spec.blocks[b].cap) for b, m in witness)
             assert cost == value
+    # h_r fills the caps first, then the rest of each block, in block order.
+    assert demfun_dp(TOY, 7).witness_r == ((0, 4), (1, 3))
 
 
 def test_dp_equals_extreme_on_random_block_structures():

@@ -11,17 +11,13 @@ from hypothesis import given, settings, strategies as st
 from greedylab import (
     CompressedVector,
     SpaceSpec,
-    TruncationError,
     arithmetic_schedule,
-    democracy_constant,
     error_sequence,
     gamma,
-    greedy_constant,
     sigma_exact,
-    space_from_json,
     space_norm,
 )
-from greedylab import alloc, explicit
+from greedylab import alloc, explicit, greedy
 from greedylab.acceptance import criterion_4_instances
 from greedylab.explicit import sigma_oracle_grid, sigma_power_table
 from greedylab.spaces import random_vector
@@ -149,10 +145,12 @@ def small_tied_instances(draw):
 def test_gamma_tie_extremes_match_raw_enumeration(instance):
     spec, x = instance
     values = explicit.to_explicit(x, spec)
+    profile = greedy.GreedyProfile(x, spec)
     for n in range(x.support_size + 1):
-        out = gamma(x, n, spec)
+        out = profile.gamma(n)
         hi, lo = out.residual_max.power_exact, out.residual_min.power_exact
         assert explicit.gamma_raw(values, n, spec) == (hi, lo)
+        assert hi == profile.sequence("gamma").power(n)  # the point query and the sequence
         assert sigma_exact(x, n, spec).power_exact <= lo
         if out.tie.empty:
             assert hi == lo
@@ -179,7 +177,7 @@ def test_gamma_best_case_takes_interior_points_of_intermediate_runs():
 def test_gamma_checks_the_best_witness(monkeypatch):
     # A witness whose residual misses the kernel's value, or whose counts do
     # not add up to choose, raises InvariantError (not assert: -O keeps it).
-    from greedylab import InvariantError, greedy
+    from greedylab import InvariantError
 
     spec = SpaceSpec.block_sum([(1, 4), (3, 6)])
     x = spec.indicator({0: 2, 1: 2})
@@ -729,8 +727,6 @@ def test_rational_vectors_match_the_oracles_and_scale_exactly(instance):
 def test_one_profile_builds_each_block_residual_once(monkeypatch):
     # Both sequences and every gamma(n) and sigma(n) of one profile share
     # its block residuals and sequences, and agree with the public calls.
-    from greedylab import greedy
-
     spec = SpaceSpec.block_sum([(2, 6), (3, 8), (1, 5)], 2, 2)
     x = spec.vector([(0, Fraction(5, 3), 2), (0, Fraction(2, 7), 3), (1, Fraction(5, 3), 4),
                      (1, 1, 2), (2, Fraction(2, 7), 5)])
@@ -751,8 +747,6 @@ def test_one_profile_builds_each_block_residual_once(monkeypatch):
 def test_gamma_builds_residuals_only_for_the_tied_blocks(monkeypatch):
     # A block outside the threshold class contributes one value of r_b,
     # read off its prefix powers; only the tied blocks need r_b's runs.
-    from greedylab import greedy
-
     spec = SpaceSpec.block_sum([(2, 6), (3, 8), (1, 5), (2, 4)], 2, 2)
     x = spec.vector([(0, 5, 2), (0, 3, 3), (1, 5, 4), (1, 2, 2), (2, 3, 5), (3, 1, 4)])
     built = []
@@ -768,43 +762,3 @@ def test_gamma_builds_residuals_only_for_the_tied_blocks(monkeypatch):
     built.clear()
     # At n = 7 the tie at magnitude 3 spans blocks 0 and 2 of the four.
     assert len(gamma(x, 7, spec).tie.available) == 2 and len(built) == 2
-
-
-# -- constants ----------------------------------------------------------------
-
-
-def test_greedy_constant_is_one_on_lp():
-    for p in (1, 2):
-        spec = SpaceSpec.lp(p, 8)
-        c = greedy_constant(spec, num_samples=40, seed=15)
-        assert c == pytest.approx(1.0, abs=1e-12)
-
-
-def test_greedy_constant_exceeds_two_on_deep_block_sum():
-    # Two-pool witness at depth k has ratio sqrt(a_{k+1})/2, so depth 14
-    # of the 4,5,6,... family crosses 2.
-    spec = SpaceSpec.from_schedule(arithmetic_schedule(14))
-    c = greedy_constant(spec, num_samples=0, seed=0)
-    assert c > 2.0
-    assert c == pytest.approx(math.sqrt(17.0 / 4.0), rel=1e-9)
-
-
-def test_greedy_constant_skips_single_coordinate_ratios():
-    spec = SpaceSpec.lp(2, 2)
-    # a single-coordinate vector has sigma_1 = 0; the estimator must skip it
-    c = greedy_constant(spec, num_samples=20, seed=16)
-    assert c <= 1.0 + 1e-12
-
-
-def test_democracy_constant_values():
-    assert democracy_constant(SpaceSpec.lp(1, 6), 3) == 1.0
-    spec = SpaceSpec.from_schedule(arithmetic_schedule(3))
-    assert democracy_constant(spec, 40) == pytest.approx(math.sqrt(2.0), rel=1e-12)
-    assert democracy_constant(spec, 1) == 1.0
-
-
-def test_democracy_constant_refuses_shallow_window():
-    # h_r(3)^2 = 3 needs caps beyond the one materialized block (cap 2).
-    spec = space_from_json({"a": [2, 3], "allow_slow_start": True})
-    with pytest.raises(TruncationError):
-        democracy_constant(spec, 3)
