@@ -55,7 +55,6 @@ _EXPORTS = {  # submodule -> the public names it provides
     ),
     "approx": (
         "ApproxParams",
-        "RatioReport",
         "XsConstruction",
         "approx_quasinorm",
         "build_xs",

@@ -80,11 +80,10 @@ def concave_min(costs: Sequence[Sequence[tuple]], ns: Sequence[int]) -> list[tup
     return out
 
 
-@functools.lru_cache(maxsize=8)
 def _levels(costs: tuple) -> tuple:
     """Per type: (ids, size, full, runs (k0, k1, slope, y0), S_{t-1}, the
     least and largest slope before it, their subset sums), then S_t, F_t and
-    suffix minima of the reaches; cached, so point queries pay for it once."""
+    suffix minima of the reaches; one build per ``concave_min`` call."""
     by_knots: dict = {}
     for b, knots in enumerate(costs):
         by_knots.setdefault(knots, []).append(b)

@@ -4,8 +4,8 @@ The quasi-norm of order (alpha, q) built from an error sequence e_N is
 ||x|| + [sum_N (N^alpha e_N)^q / N]^(1/q), with the sup form at q = inf.
 Using sigma_N gives the approximation-space quasi-norm, gamma_N the
 greedy-class quasi-norm; the two-pool vector x_s makes their ratio
-collapse like (s^(-q alpha/2) + s^(-q/2))^(1/q), which is the
-non-optimality phenomenon reproduced by optimality_experiment.
+collapse like (s^(-q alpha/2) + s^(-q/2))^(1/q), the non-optimality
+reproduced by optimality_experiment, whose runs hold A and G as brackets.
 
 Series are finite (errors vanish at the support size), and the error
 powers are linear in k between the knots of the sequence (``_lines``), so
@@ -346,30 +346,32 @@ def envelope(params: ApproxParams, s: int) -> float:
 
 @dataclass(frozen=True)
 class RatioRun:
+    """A and G of one x_s run as brackets; an exact value v is (v, v)."""
+
     s: int
     alpha: float
     q: float
-    a_norm: Optional[float]
-    g_norm: Optional[float]
-    ratio: Optional[float]
+    a_bounds: tuple[float, float]
+    g_bounds: tuple[float, float]
     envelope: float
-    normalized: Optional[float]
     checks: dict
-    bounded: bool = False
-    a_bounds: Optional[tuple[float, float]] = None
-    g_bounds: Optional[tuple[float, float]] = None
-    ratio_bounds: Optional[tuple[float, float]] = None
+    bounded: bool
+
+    @property
+    def ratio_bounds(self) -> tuple[float, float]:
+        return self.a_bounds[0] / self.g_bounds[1], self.a_bounds[1] / self.g_bounds[0]
 
     def to_json(self) -> dict:
+        ratio = self.ratio_bounds[0]
         out = {
             "s": self.s,
             "alpha": self.alpha,
             "q": "inf" if math.isinf(self.q) else self.q,
-            "A": self.a_norm,
-            "G": self.g_norm,
-            "ratio": self.ratio,
+            "A": None if self.bounded else self.a_bounds[0],
+            "G": None if self.bounded else self.g_bounds[0],
+            "ratio": None if self.bounded else ratio,
             "envelope": self.envelope,
-            "normalized": self.normalized,
+            "normalized": None if self.bounded else ratio / self.envelope,
             "checks": dict(sorted(self.checks.items())),
         }
         if self.bounded:
@@ -378,14 +380,6 @@ class RatioRun:
             out["G_bounds"] = list(self.g_bounds)
             out["ratio_bounds"] = list(self.ratio_bounds)
         return out
-
-
-@dataclass(frozen=True)
-class RatioReport:
-    runs: tuple[RatioRun, ...]
-
-    def to_json(self) -> dict:
-        return {"runs": [r.to_json() for r in self.runs]}
 
 
 def xs_bound_checks(xs: XsConstruction) -> dict:
@@ -436,17 +430,20 @@ def optimality_experiment(
     s_values: Sequence[int],
     params_list: Sequence[ApproxParams],
     mode: str = "exact",
-) -> RatioReport:
+) -> tuple[RatioRun, ...]:
     """Quasi-norm ratios of x_s across s and (alpha, q), with bound checks.
 
-    mode="exact" reports values (see ``quasinorm``): per-term series refuse
-    when their length exceeds ``TERM_BUDGET``; mode="bounds" reports
-    brackets (see ``quasinorm_bounds``), which collapse to the exact value
-    wherever ``quasinorm`` has a per-piece route.  Either way the bound
-    checks run on the knots, so s = 5, 6 cost no more than s = 2.
+    Every run holds A and G as brackets: mode="bounds" takes them from
+    ``quasinorm_bounds``, which collapse to the exact value wherever
+    ``quasinorm`` has a per-piece route; mode="exact" takes ``quasinorm``'s
+    value twice, a bracket of width 0 (per-term series refuse past
+    ``TERM_BUDGET`` terms).  Either way the bound checks run on the knots,
+    so s = 5, 6 cost no more than s = 2.
     """
     if mode not in ("exact", "bounds"):
         raise ValueError("mode must be 'exact' or 'bounds'")
+    bounded = mode == "bounds"
+    bracket = quasinorm_bounds if bounded else lambda *args: (quasinorm(*args),) * 2
     runs = []
     for s in s_values:
         xs = build_xs(schedule, s)
@@ -455,30 +452,12 @@ def optimality_experiment(
         norm_x = float(space_norm(xs.x, xs.spec))
         checks = dict(xs.checks)
         checks.update(xs_bound_checks(xs))
-        for params in params_list:
-            env = envelope(params, s)
-            if mode == "exact":
-                a_norm = quasinorm(norm_x, sigma, params)
-                g_norm = quasinorm(norm_x, gamma, params)
-                ratio = a_norm / g_norm
-                runs.append(
-                    RatioRun(
-                        s=s, alpha=params.alpha, q=params.q,
-                        a_norm=a_norm, g_norm=g_norm, ratio=ratio,
-                        envelope=env, normalized=ratio / env, checks=checks,
-                    )
-                )
-            else:
-                a_lo, a_hi = quasinorm_bounds(norm_x, sigma, params)
-                g_lo, g_hi = quasinorm_bounds(norm_x, gamma, params)
-                runs.append(
-                    RatioRun(
-                        s=s, alpha=params.alpha, q=params.q,
-                        a_norm=None, g_norm=None, ratio=None,
-                        envelope=env, normalized=None, checks=checks,
-                        bounded=True,
-                        a_bounds=(a_lo, a_hi), g_bounds=(g_lo, g_hi),
-                        ratio_bounds=(a_lo / g_hi, a_hi / g_lo),
-                    )
-                )
-    return RatioReport(tuple(runs))
+        runs.extend(
+            RatioRun(
+                s=s, alpha=params.alpha, q=params.q,
+                a_bounds=bracket(norm_x, sigma, params), g_bounds=bracket(norm_x, gamma, params),
+                envelope=envelope(params, s), checks=checks, bounded=bounded,
+            )
+            for params in params_list
+        )
+    return tuple(runs)

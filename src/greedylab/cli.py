@@ -80,8 +80,9 @@ def _load_schedule_space(path: str) -> SpaceSpec:
 
 
 def _norm_json(nv) -> dict:
+    """A norm as JSON: ``float`` is null past the float range, ``power_exact`` exact."""
     return {
-        "float": float(nv),
+        "float": float(nv) if math.isfinite(nv) else None,
         "power_exact": None if nv.power_exact is None else str(nv.power_exact),
         "p": nv.p,
     }
@@ -267,19 +268,21 @@ def cmd_xs_experiment(args) -> int:
         for alpha in _parse_float_list(args.alpha)
         for q in _parse_float_list(args.q)
     ]
-    report = optimality_experiment(spec.schedule, _parse_int_list(args.s), params, mode=args.mode)
-    blob = report.to_json()
-    bad = [{k: run[k] for k in ("s", "alpha", "q")} for run in blob["runs"]
-           if any(isinstance(v, float) and not math.isfinite(v) for v in _flat(run.values()))]
+    runs = optimality_experiment(spec.schedule, _parse_int_list(args.s), params, mode=args.mode)
+    blob = {"runs": [run.to_json() for run in runs]}
+    keys = [{k: out[k] for k in ("s", "alpha", "q")} for out in blob["runs"]]
+    bad = [key for key, run in zip(keys, runs)
+           if not all(map(math.isfinite, run.a_bounds + run.g_bounds + run.ratio_bounds))]
     if bad:
         _diag("xs-experiment: a non-finite A, G, ratio or bracket is not JSON compliant", runs=bad)
         return 1
     emit_report(blob, "json", args.out)
+    failed = [{**key, "failed": sorted(k for k, ok in run.checks.items() if not ok)}
+              for key, run in zip(keys, runs) if not all(run.checks.values())]
+    if failed:
+        _diag("xs-experiment: a check failed", runs=failed)
+        return 1
     return 0
-
-
-def _flat(values) -> list:
-    return [v for value in values for v in (value if isinstance(value, list) else [value])]
 
 
 def cmd_verify(args) -> int:

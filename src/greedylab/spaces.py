@@ -88,9 +88,6 @@ class SpaceSpec:
     def sizes(self) -> list[Optional[int]]:
         return [b.size for b in self.blocks]
 
-    def caps(self) -> list[Optional[int]]:
-        return [b.cap for b in self.blocks]
-
     def dimension(self) -> Optional[int]:
         total = 0
         for b in self.blocks:

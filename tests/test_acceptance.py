@@ -24,3 +24,13 @@ def test_criterion(number, name, func, budget):
     print(f"[{status}] criterion {number}: {name} ({elapsed:.2f}s) - {detail}")
     assert passed, f"criterion {number} ({name}): {detail}"
     assert elapsed < budget, f"criterion {number} took {elapsed:.2f}s (budget {budget}s)"
+
+
+def test_criterion_9_decides_the_values(monkeypatch):
+    # Constant quasi-norms make every value ratio 1: the exact half's ratios
+    # no longer fall, and criterion 9 must say so before reaching its brackets.
+    from greedylab import approx
+
+    monkeypatch.setattr(approx, "quasinorm", lambda *args: 1.0)
+    passed, detail = acceptance.criterion_9()
+    assert not passed, detail

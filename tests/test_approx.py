@@ -139,30 +139,43 @@ def test_envelope_values():
 
 
 def test_optimality_experiment_report_shape():
-    report = optimality_experiment(squares_schedule(3), [2], [ApproxParams(1, 1)])
-    blob = report.to_json()
-    assert set(blob) == {"runs"}
-    run = blob["runs"][0]
+    runs = optimality_experiment(squares_schedule(3), [2], [ApproxParams(1, 1)])
+    assert isinstance(runs, tuple) and len(runs) == 1
+    run = runs[0].to_json()
     assert run["s"] == 2 and run["alpha"] == 1 and run["q"] == 1
     assert run["ratio"] == pytest.approx(run["A"] / run["G"])
     assert run["normalized"] == pytest.approx(run["ratio"] / run["envelope"])
     assert all(run["checks"].values())
 
 
+def test_exact_runs_are_brackets_of_width_zero():
+    params = [ApproxParams(1, 1), ApproxParams(0.5, 2), ApproxParams(1, math.inf)]
+    for run in optimality_experiment(squares_schedule(4), [2, 3, 4], params):
+        assert not run.bounded
+        (a_lo, a_hi), (g_lo, g_hi) = run.a_bounds, run.g_bounds
+        assert a_lo == a_hi and g_lo == g_hi
+        assert run.ratio_bounds == (a_lo / g_lo, a_lo / g_lo)
+        blob = run.to_json()
+        assert (blob["A"], blob["G"]) == (a_lo, g_lo) and "ratio_bounds" not in blob
+        assert blob["ratio"] == blob["A"] / blob["G"]  # bit for bit, not approx
+        assert blob["normalized"] == blob["ratio"] / blob["envelope"]
+
+
 def test_term_budget_refusal_and_bound_mode(monkeypatch):
     sched = squares_schedule(3)
     params = ApproxParams(1, 1)
-    exact = optimality_experiment(sched, [3], [params]).runs[0]
+    (exact,) = optimality_experiment(sched, [3], [params])
     monkeypatch.setattr(approx, "TERM_BUDGET", 100)
     with pytest.raises(TermBudgetError):
         optimality_experiment(sched, [3], [params])
-    bounds = optimality_experiment(sched, [3], [params], mode="bounds").runs[0]
-    assert bounds.bounded and bounds.a_norm is None
+    (bounds,) = optimality_experiment(sched, [3], [params], mode="bounds")
+    assert bounds.bounded and bounds.to_json()["A"] is None
     a_lo, a_hi = bounds.a_bounds
     g_lo, g_hi = bounds.g_bounds
-    assert a_lo <= exact.a_norm <= a_hi
-    assert g_lo <= exact.g_norm <= g_hi
-    assert bounds.ratio_bounds[0] <= exact.ratio <= bounds.ratio_bounds[1]
+    a_value, g_value, ratio = exact.a_bounds[0], exact.g_bounds[0], exact.ratio_bounds[0]
+    assert a_lo <= a_value <= a_hi
+    assert g_lo <= g_value <= g_hi
+    assert bounds.ratio_bounds[0] <= ratio <= bounds.ratio_bounds[1]
     # The brackets should be informative, not vacuous.
     assert a_hi / a_lo < 1.2 and g_hi / g_lo < 1.2
 
@@ -443,7 +456,7 @@ def test_bounds_are_tight_and_cheap_on_xs_up_to_s6(monkeypatch):
     monkeypatch.setattr(approx, "quasinorm_bounds", counted)
     sched = squares_schedule(6)
     params = [ApproxParams(0.5, 1), ApproxParams(1, 1), ApproxParams(2, 1), ApproxParams(1, 1.5)]
-    bounded = optimality_experiment(sched, range(2, 7), params, mode="bounds").runs
+    bounded = optimality_experiment(sched, range(2, 7), params, mode="bounds")
     assert len(counts) == 2 * len(bounded) == 40
     assert 0 < max(counts) <= 3000
     # At e1 = 0 cuts reach to the zero of the power alone: (1, 1) takes at most 1,300 terms.
@@ -452,11 +465,11 @@ def test_bounds_are_tight_and_cheap_on_xs_up_to_s6(monkeypatch):
     for run in bounded:
         for lo, hi in (run.a_bounds, run.g_bounds):
             assert 0 < hi - lo <= 1e-3 * lo, (run.s, run.alpha, run.q)
-    exact = optimality_experiment(sched, [2, 3, 4], params).runs
+    exact = optimality_experiment(sched, [2, 3, 4], params)
     for e, b in zip(exact, bounded):
         assert (e.s, e.alpha, e.q) == (b.s, b.alpha, b.q)
-        assert b.a_bounds[0] <= e.a_norm <= b.a_bounds[1]
-        assert b.g_bounds[0] <= e.g_norm <= b.g_bounds[1]
+        assert b.a_bounds[0] <= e.a_bounds[0] <= b.a_bounds[1]
+        assert b.g_bounds[0] <= e.g_bounds[0] <= b.g_bounds[1]
 
 
 def test_linear_terms_cost_one_cut_per_part(monkeypatch):
@@ -648,7 +661,7 @@ def test_exact_sum_past_float_range_is_finite():
 def test_term_budget_limits_only_per_term_series(monkeypatch):
     sched = squares_schedule(3)
     monkeypatch.setattr(approx, "TERM_BUDGET", 100)
-    runs = optimality_experiment(sched, [3], [ApproxParams(1, 2), ApproxParams(1, math.inf)]).runs
-    assert all(math.isfinite(run.a_norm) and math.isfinite(run.g_norm) for run in runs)
+    runs = optimality_experiment(sched, [3], [ApproxParams(1, 2), ApproxParams(1, math.inf)])
+    assert all(math.isfinite(run.a_bounds[0]) and math.isfinite(run.g_bounds[0]) for run in runs)
     with pytest.raises(TermBudgetError):
         optimality_experiment(sched, [3], [ApproxParams(1, 1.5)])

@@ -229,6 +229,26 @@ def test_xs_experiment_refusal_names_the_non_finite_runs(tmp_path, capsys):
     assert os.listdir(tmp_path) == ["squares.json"]  # no report, no temp file
 
 
+def test_xs_experiment_exits_1_when_a_check_fails(tmp_path, capsys, monkeypatch):
+    # The report is still written, and the diagnostic names each run's failed checks.
+    from greedylab import approx
+
+    real = approx.sequence_bound_checks
+    monkeypatch.setattr(approx, "sequence_bound_checks",
+                        lambda *args: {**real(*args), "ls3_sigma_all": False})
+    sched = write(tmp_path / "squares.json", {"a": [4, 9, 16, 25]})
+    out = tmp_path / "report.json"
+    argv = ["--out", str(out), "xs-experiment", "--schedule", sched, "--s", "2",
+            "--alpha", "1", "--q", "2,inf"]
+    assert main(argv) == 1
+    diag = json.loads(capsys.readouterr().err)
+    assert diag["error"] == "xs-experiment: a check failed"
+    assert diag["runs"] == [{"s": 2, "alpha": 1.0, "q": q, "failed": ["ls3_sigma_all"]}
+                            for q in (2.0, "inf")]
+    runs = json.loads(out.read_text())["runs"]
+    assert [run["checks"]["ls3_sigma_all"] for run in runs] == [False, False]
+
+
 def test_xs_experiment_shallow_schedule_diagnostic(tmp_path, capsys):
     sched = write(tmp_path / "squares.json", {"a": [4, 9, 16, 25]})
     code = main(["xs-experiment", "--schedule", sched, "--s", "99", "--alpha", "1", "--q", "1"])
@@ -378,6 +398,16 @@ def test_errors_prints_powers_past_the_int_string_limit(tmp_path):
     assert out.read_text().split("\n") == [
         "k,sigma_sq,gamma_sq,sigma_float,gamma_float", f"0,{top},{top},inf,inf",
         "1,1,1,1,1", "2,0,0,0,0", ""]
+
+
+def test_norm_past_the_float_range_is_null(tmp_path, capsys):
+    # The root of a 5,001-digit power is past the float range: JSON gets
+    # null there, and the exact power in full.
+    space = write(tmp_path / "space.json", {"blocks": [[1, 2]]})
+    vector = write(tmp_path / "vec.json", {"groups": [[0, "1" + "0" * 2500, "1"], [0, "1", "1"]]})
+    assert main(["norm", "--space", space, "--vector", vector]) == 0
+    blob = json.loads(capsys.readouterr().out)
+    assert blob["float"] is None and blob["power_exact"] == "1" + "0" * 5000 and blob["p"] == 2
 
 
 def test_usage_error_exits_2():
