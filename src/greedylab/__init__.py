@@ -21,7 +21,6 @@ _EXPORTS = {  # submodule -> the public names it provides
         "InvariantError",
         "OracleUnavailableError",
         "ScheduleTooShallowError",
-        "TermBudgetError",
         "TruncationError",
     ),
     "schedule": ("BlockSchedule", "arithmetic_schedule", "squares_schedule"),

@@ -9,13 +9,14 @@ reproduced by optimality_experiment, whose runs hold A and G as brackets.
 
 Series are finite (errors vanish at the support size), and the error
 powers are linear in k between the knots of the sequence (``_lines``), so
-most of them cost O(pieces): integer exponents are summed exactly with
-Faulhaber power sums and q = inf reads each piece's maximizer off a closed
-form.  Only series with non-integer exponents are summed term by term, with
-math.fsum, so accumulation order cannot move the result (k^0 and k^1 cost
-no pow), and they refuse more than TERM_BUDGET terms; ``quasinorm_bounds``
-brackets them from O(log(support)) terms per piece, deciding on exact ints.
-The bound checks of x_s are decided on the knots as well.
+no series costs O(support): integer exponents are summed exactly with
+Faulhaber power sums (short pieces term by term, in ints), q = inf reads
+each piece's maximizer off a closed form, and any other series is one
+math.fsum over its short pieces term by term and Euler-Maclaurin sums of
+its long ones, O(log(support)) evaluations per piece (``_series_parts``).
+``quasinorm_bounds`` brackets the same series with certified second-order
+bounds, deciding on exact ints.  The bound checks of x_s are decided on the
+knots as well.
 """
 
 from __future__ import annotations
@@ -23,11 +24,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import chain, repeat
+from itertools import repeat
 from operator import mul
 from typing import Optional, Sequence
 
-from .errors import GreedyLabError, InvariantError, ScheduleTooShallowError, TermBudgetError
+from .errors import GreedyLabError, InvariantError, ScheduleTooShallowError
 from .errorseq import ErrorSequence
 from .exact import Rational, sqrt_plus_const_ge
 from .greedy import GreedyProfile, error_sequence
@@ -37,7 +38,8 @@ from .vectors import CompressedVector
 from . import democracy
 
 RHO = 32  # quasinorm_bounds: distance to the nearer singular point over the cut length
-TERM_BUDGET = 10**8  # quasinorm refuses term-by-term series longer than this
+DIRECT = 2048  # quasinorm sums a piece of at most this many terms term by term ...
+NEAR = 64  # ... and, on longer pieces, the terms at most this far from a singular point
 
 
 @dataclass(frozen=True)
@@ -57,22 +59,17 @@ class ApproxParams:
 def quasinorm(norm_x: float, seq: ErrorSequence, params: ApproxParams) -> float:
     """Evaluate the quasi-norm from a precomputed error sequence.
 
-    Integer exponents and q = inf take the per-piece routes of
-    ``_piecewise_series``, whatever the support size.  Only the remaining
-    series are summed term by term (math.fsum), and those refuse supports
-    beyond ``TERM_BUDGET``.
+    Integer exponents and q = inf take the exact per-piece routes of
+    ``_piecewise_series``.  Every other series is the math.fsum of
+    ``_series_parts``: term by term on short pieces, Euler-Maclaurin on long
+    ones, so its cost grows with log(support), not with the support.
     """
     series = _piecewise_series(seq, params)
     if series is not None:
         return norm_x + series
-    support = seq.support_size
-    if support > TERM_BUDGET:
-        raise TermBudgetError(
-            f"{support} terms exceed the budget of {TERM_BUDGET}; "
-            "use quasinorm_bounds (CLI: xs-experiment --mode bounds) for a bracketing bound instead"
-        )
     q = params.q
-    return norm_x + _term_series(_lines(seq), q * params.alpha - 1.0, q / seq.p) ** (1.0 / q)
+    parts = _series_parts(_lines(seq), q * params.alpha - 1.0, q / seq.p)
+    return norm_x + math.fsum(parts) ** (1.0 / q)
 
 
 def _lines(seq: ErrorSequence) -> list[tuple[int, int, Rational, Rational]]:
@@ -80,29 +77,101 @@ def _lines(seq: ErrorSequence) -> list[tuple[int, int, Rational, Rational]]:
     return [(max(k0, 1), hi, y - a1 * k0, a1) for k0, hi, y, a1 in seq.pieces() if hi >= 1]
 
 
-def _term_series(lines, e1: float, e2: float) -> float:
-    """sum over k >= 1 of k^e1 * power(k)^e2 by C-level maps: a piece's powers are an int
-    range over their common denominator (rounding like float(Fraction)); k^e1 is skipped
-    at e1 = 0 and is k at e1 = 1, the same floats; fsum ignores order."""
-    runs = []
+# 20-point Gauss-Legendre rule on [0, 1]: (node, weight) for the nodes below 1/2,
+# to 17 digits (the rule is symmetric about 1/2)
+_HALF_RULE = (
+    (0.0034357004074525377, 0.008807003569576059),
+    (0.018014036361043106, 0.02030071490019347),
+    (0.04388278587433705, 0.031336024167054534),
+    (0.0804415140888906, 0.04163837078835238),
+    (0.1268340467699246, 0.05096505990862022),
+    (0.1819731596367425, 0.059097265980759206),
+    (0.24456649902458646, 0.06584431922458832),
+    (0.3131469556422902, 0.07104805465919102),
+    (0.38610707442917747, 0.07458649323630187),
+    (0.46173673943325133, 0.07637669356536292),
+)
+GAUSS = _HALF_RULE + tuple((1 - x, w) for x, w in _HALF_RULE)
+EULER_MACLAURIN = (1 / 12, -1 / 720, 1 / 30240, -1 / 1209600)  # B_2j / (2j)!, j = 1..4
+
+
+def _series_parts(lines, e1: float, e2: float) -> list[float]:
+    """Floats whose math.fsum is the sum over k >= 1 of f(k) = k^e1 g(k)^e2, g the power.
+
+    A piece (lo, hi, c0, a1) of at most DIRECT terms goes in term by term,
+    as the floats of ``explicit.quasinorm_per_term``, so where every piece is
+    that short the sum is that oracle's bit for bit.  On a longer piece so do
+    the terms within NEAR of a singular point: k = 0 unless e1 is a
+    non-negative integer, and the zero K of g (also where g^e2 is smooth, so
+    that g is not 0 at the middle's ends).  The middle first..last is summed
+    by Euler-Maclaurin: (f(first) + f(last))/2, the B_2..B_8 corrections,
+    with f's odd derivatives by the Leibniz rule, and the integral of f by
+    20-point Gauss-Legendre on cuts, halved on integer ends until each cut,
+    widened by its length on both sides, meets no singular point:
+    O(log(support)) cuts.  Distances are exact ints, and g at a node is
+    float(g(a)) + a1 (x - a) from the cut's integer start a.  A last
+    correction above 2^-52 of its piece's sum raises InvariantError.
+    """
+    # f^(n) = f sum_j C(n, j) (e1)_j k^-j (e2)_(n-j) (a1/g)^(n-j) for n = 1, 3, 5, 7,
+    # with the falling factorials (e)_j = e (e - 1) ... (e - j + 1)
+    falling = [[math.prod(e - i for i in range(j)) for j in range(8)] for e in (e1, e2)]
+    leibniz = [[math.comb(n, j) * falling[0][j] * falling[1][n - j] for j in range(n + 1)]
+               for n in (1, 3, 5, 7)]
+    at_zero = not (e1 >= 0 and e1.is_integer())
+    parts: list[float] = []
     for lo, hi, c0, a1 in lines:
-        ks = range(lo, hi + 1)
-        y = c0 + a1 * lo
-        den = math.lcm(y.denominator, a1.denominator)
-        start, step = int(y * den), int(a1 * den)
-        if step:
-            powers = range(start, start + step * len(ks), step)
-            factors = map(math.pow, map(den.__rtruediv__, powers) if den > 1 else powers, repeat(e2))
-        else:
-            factors = repeat((start / den) ** e2, len(ks))
-        if e1:
-            factors = map(mul, ks if e1 == 1 else map(math.pow, ks, repeat(e1)), factors)
-        runs.append(factors)
-    return math.fsum(chain.from_iterable(runs))
+        scale = math.lcm(c0.denominator, a1.denominator)
+        g0, g1 = int(c0 * scale), int(a1 * scale)  # scale g(k) = g0 + g1 k
+        if hi - lo < DIRECT:
+            parts += _terms(lo, hi, g0, g1, scale, e1, e2)
+            continue
+        first = max(lo, NEAR + 1 if at_zero else 1, -g0 // g1 + NEAR + 1 if g1 > 0 else 1)
+        last = min(hi, -(g0 // g1) - NEAR - 1) if g1 < 0 else hi  # K = -g0/g1 more than NEAR away
+        ends = []
+        for k in (first, last):  # f and its odd derivatives to the 7th at k
+            gk = g0 + g1 * k
+            t, r = 1 / k, g1 / gk  # r = a1 / g(k)
+            f = math.pow(k, e1) * math.pow(gk / scale, e2)
+            ends.append([f] + [f * sum(c * t**j * r ** (len(row) - 1 - j) for j, c in enumerate(row))
+                               for row in leibniz])
+        (fa, *da), (fb, *db) = ends
+        corrections = [c * (b - a) for c, a, b in zip(EULER_MACLAURIN, da, db)]
+        piece = [(fa + fb) / 2, *corrections]
+        piece += _terms(lo, first - 1, g0, g1, scale, e1, e2)
+        piece += _terms(last + 1, hi, g0, g1, scale, e1, e2)
+        slope, cuts = g1 / scale, [(first, last)]
+        while cuts:
+            a, b = cuts.pop()
+            width = b - a
+            if (at_zero and a < width) or min(g0 + g1 * (a - width), g0 + g1 * (b + width)) < 0:
+                cuts += [(a, (a + b) // 2), ((a + b) // 2, b)]
+                continue
+            ga, x0, fw = (g0 + g1 * a) / scale, float(a), float(width)
+            sw = slope * fw
+            piece += [w * fw * math.pow(x0 + fw * x, e1) * math.pow(ga + sw * x, e2) for x, w in GAUSS]
+        if abs(corrections[-1]) > 2**-52 * math.fsum(piece):
+            raise InvariantError(f"Euler-Maclaurin on {first}..{last}: last correction {corrections[-1]}")
+        parts += piece
+    return parts
+
+
+def _terms(u: int, w: int, g0: int, g1: int, scale: int, e1: float, e2: float):
+    """The floats k^e1 * power(k)^e2 for k = u..w, power(k) = (g0 + g1 k) / scale, by
+    C-level maps: float(power) rounds like float(Fraction); k^e1 is skipped at e1 = 0
+    and is k at e1 = 1, the same floats."""
+    ks = range(u, w + 1)
+    if g1:
+        powers = range(g0 + g1 * u, g0 + g1 * (w + 1), g1)
+        factors = map(math.pow, map(scale.__rtruediv__, powers) if scale > 1 else powers, repeat(e2))
+    else:
+        factors = repeat((g0 / scale) ** e2, len(ks))
+    if e1:
+        factors = map(mul, ks if e1 == 1 else map(math.pow, ks, repeat(e1)), factors)
+    return factors
 
 
 def _term(k, power, e1: float, e2: float) -> float:
-    """One series term k^e1 * power^e2 in floats, as ``_term_series`` makes it."""
+    """One series term k^e1 * power^e2 in floats, as ``_terms`` makes it."""
     return k**e1 * float(power) ** e2
 
 
@@ -185,8 +254,9 @@ def _piecewise_series(seq: ErrorSequence, params: ApproxParams) -> Optional[floa
     piece, and for a1 >= 0 it is at the piece's last k.  Finite q with
     e1 = q alpha - 1 and e2 = q/p nonnegative integers: the term
     k^e1 (c0 + a1 k)^e2 is a polynomial in k on a piece, summed exactly
-    with Faulhaber power sums; only the q-th root of the exact total is
-    taken in floats.  Any other finite q: None.
+    with Faulhaber power sums, or term by term in ints on a piece with fewer
+    terms than the (e1 + e2 + 1)^2 steps those take; only the q-th root of
+    the exact total is taken in floats.  Any other finite q: None.
     """
     alpha, q, p = params.alpha, params.q, seq.p
     lines = _lines(seq)
@@ -206,6 +276,11 @@ def _piecewise_series(seq: ErrorSequence, params: ApproxParams) -> Optional[floa
     e1, e2 = int(e1), int(e2)
     total = 0
     for lo, hi, c0, a1 in lines:
+        if hi - lo + 1 < (e1 + e2 + 1) ** 2:  # fewer terms than _power_sums takes steps
+            scale = math.lcm(c0.denominator, a1.denominator)
+            g0, g1 = int(c0 * scale), int(a1 * scale)  # scale g(k) = g0 + g1 k
+            total += Fraction(sum(k**e1 * (g0 + g1 * k) ** e2 for k in range(lo, hi + 1)), scale**e2)
+            continue
         upper, lower = _power_sums(e1 + e2, hi), _power_sums(e1 + e2, lo - 1)
         # k^e1 (c0 + a1 k)^e2 = sum_j C(e2, j) c0^(e2-j) a1^j k^(e1+j)
         for j in range(e2 + 1):
@@ -435,10 +510,10 @@ def optimality_experiment(
 
     Every run holds A and G as brackets: mode="bounds" takes them from
     ``quasinorm_bounds``, which collapse to the exact value wherever
-    ``quasinorm`` has a per-piece route; mode="exact" takes ``quasinorm``'s
-    value twice, a bracket of width 0 (per-term series refuse past
-    ``TERM_BUDGET`` terms).  Either way the bound checks run on the knots,
-    so s = 5, 6 cost no more than s = 2.
+    ``quasinorm`` has an exact per-piece route; mode="exact" takes
+    ``quasinorm``'s value twice, a bracket of width 0, at any s whose terms
+    are finite floats.  Either way the bound checks run on the knots, and no
+    step costs O(support).
     """
     if mode not in ("exact", "bounds"):
         raise ValueError("mode must be 'exact' or 'bounds'")

@@ -393,7 +393,9 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--s", required=True, help="comma list, e.g. 2,3,4")
     sp.add_argument("--alpha", required=True, help="comma list of alphas")
     sp.add_argument("--q", required=True, help="comma list, inf allowed")
-    sp.add_argument("--mode", choices=("exact", "bounds"), default="exact")
+    sp.add_argument("--mode", choices=("exact", "bounds"), default="exact",
+                    help="exact: A, G and ratio as float values; bounds: A_bounds, "
+                         "G_bounds and ratio_bounds, certified brackets")
     sp.set_defaults(func=cmd_xs_experiment)
 
     sp = sub.add_parser("verify", help="run the acceptance suite", parents=[common])

@@ -32,10 +32,6 @@ class InvariantError(GreedyLabError):
     """
 
 
-class TermBudgetError(GreedyLabError):
-    """A term-by-term quasi-norm series has more terms than approx.TERM_BUDGET."""
-
-
 class OracleUnavailableError(GreedyLabError):
     """A brute-force oracle was asked for an instance beyond its feasible size."""
 

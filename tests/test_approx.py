@@ -16,7 +16,6 @@ from greedylab import (
     InvariantError,
     ScheduleTooShallowError,
     SpaceSpec,
-    TermBudgetError,
     approx_quasinorm,
     arithmetic_schedule,
     build_xs,
@@ -161,13 +160,10 @@ def test_exact_runs_are_brackets_of_width_zero():
         assert blob["normalized"] == blob["ratio"] / blob["envelope"]
 
 
-def test_term_budget_refusal_and_bound_mode(monkeypatch):
+def test_bound_mode_brackets_the_exact_value():
     sched = squares_schedule(3)
     params = ApproxParams(1, 1)
     (exact,) = optimality_experiment(sched, [3], [params])
-    monkeypatch.setattr(approx, "TERM_BUDGET", 100)
-    with pytest.raises(TermBudgetError):
-        optimality_experiment(sched, [3], [params])
     (bounds,) = optimality_experiment(sched, [3], [params], mode="bounds")
     assert bounds.bounded and bounds.to_json()["A"] is None
     a_lo, a_hi = bounds.a_bounds
@@ -342,10 +338,12 @@ def test_xs_routes_match_per_term_oracles(s):
                        ApproxParams(0.5, 2), ApproxParams(2, 2), ApproxParams(1, math.inf)):
             value = quasinorm(norm_x, seq, params)
             oracle = explicit.quasinorm_per_term(norm_x, seq, params)
-            if approx._piecewise_series(seq, params) is None:
-                assert value == oracle
-            else:
+            if approx._piecewise_series(seq, params) is not None:
                 assert value == pytest.approx(oracle, rel=1e-12)
+            elif all(hi - lo < approx.DIRECT for lo, hi, _, _ in approx._lines(seq)):
+                assert value == oracle  # every term summed as the oracle sums it
+            else:
+                assert value == pytest.approx(oracle, rel=1e-14)
 
 
 def test_per_term_series_match_the_oracle_on_fraction_powers():
@@ -429,10 +427,9 @@ def test_work_is_bounded_by_knots_not_support(monkeypatch):
     )
     assert all(xs_bound_checks(xs).values())
     assert 0 < len(calls) <= 4 * knots
-    # Integer exponents never reach the per-term series, and so never its budget.
+    # Integer exponents never reach the Euler-Maclaurin kernel.
     calls.clear()
-    monkeypatch.setattr(approx, "_term_series", None)
-    monkeypatch.setattr(approx, "TERM_BUDGET", 1)
+    monkeypatch.setattr(approx, "_series_parts", None)
     norm_x = float(space_norm(xs.x, xs.spec))
     for params in (ApproxParams(0.5, 2), ApproxParams(2, 2), ApproxParams(1, 4)):
         assert math.isfinite(quasinorm(norm_x, xs.sigma_sequence(), params))
@@ -658,10 +655,97 @@ def test_exact_sum_past_float_range_is_finite():
     assert quasinorm_bounds(1.0, seq, ApproxParams(2, 2)) == (value, value)
 
 
-def test_term_budget_limits_only_per_term_series(monkeypatch):
-    sched = squares_schedule(3)
-    monkeypatch.setattr(approx, "TERM_BUDGET", 100)
-    runs = optimality_experiment(sched, [3], [ApproxParams(1, 2), ApproxParams(1, math.inf)])
-    assert all(math.isfinite(run.a_bounds[0]) and math.isfinite(run.g_bounds[0]) for run in runs)
-    with pytest.raises(TermBudgetError):
-        optimality_experiment(sched, [3], [ApproxParams(1, 1.5)])
+KERNEL_PAIRS = [ApproxParams(0.5, 1), ApproxParams(1, 1), ApproxParams(2, 1), ApproxParams(1, 1.5)]
+
+
+@pytest.mark.parametrize("s", [2, 3, 4, 5])
+def test_series_kernel_matches_the_per_term_oracle_on_xs(s):
+    # From s = 4 on, x_s has pieces longer than DIRECT, summed by Euler-Maclaurin.
+    xs = build_xs(squares_schedule(s + 2), s)
+    norm_x = float(space_norm(xs.x, xs.spec))
+    pairs = KERNEL_PAIRS + [ApproxParams(0.7, 1.3)] if s < 5 else [ApproxParams(0.5, 1)]
+    for seq in (xs.sigma_sequence(), xs.gamma_sequence()):
+        for params in pairs:
+            oracle = explicit.quasinorm_per_term(norm_x, seq, params)
+            assert quasinorm(norm_x, seq, params) == pytest.approx(oracle, rel=1e-14)
+
+
+def test_series_kernel_matches_the_per_term_oracle_on_long_pieces():
+    # Seeded knots: falling and constant pieces, int and Fraction powers, p in {1, 2}.
+    rng = random.Random(30)
+    long_pieces = 0
+    for p in (1, 2):
+        for _ in range(2):
+            ks = [0] + sorted(rng.sample(range(1, 12000), 3))
+            powers = sorted((rng.choice((rng.randint(1, 10**6), Fraction(rng.randint(1, 10**6), 7)))
+                             for _ in range(3)), reverse=True) + [0]
+            powers[1] = powers[0]  # a constant piece
+            seq = ErrorSequence("sigma", p, list(zip(ks, powers)))
+            long_pieces += sum(hi - lo >= approx.DIRECT for lo, hi, _, _ in approx._lines(seq))
+            for e1 in (-0.5, 0.0, 0.5, 1.0):
+                for e2 in (0.5, 0.75):
+                    params = ApproxParams((e1 + 1) / (e2 * p), e2 * p)
+                    assert params.q * params.alpha - 1.0 == e1
+                    oracle = explicit.quasinorm_per_term(1.0, seq, params)
+                    assert quasinorm(1.0, seq, params) == pytest.approx(oracle, rel=1e-14)
+    assert long_pieces >= 4
+
+
+@pytest.mark.parametrize("params", KERNEL_PAIRS)
+def test_exact_values_lie_in_their_brackets_to_s40(params):
+    sched, s_values = squares_schedule(42), range(2, 41)
+    exact = optimality_experiment(sched, s_values, [params])
+    bounded = optimality_experiment(sched, s_values, [params], mode="bounds")
+    assert len(exact) == len(bounded) == 39
+    for e, b in zip(exact, bounded):
+        assert (e.s, e.alpha, e.q) == (b.s, b.alpha, b.q)
+        for (value, _), (lo, hi) in zip((e.a_bounds, e.g_bounds, e.ratio_bounds),
+                                        (b.a_bounds, b.g_bounds, b.ratio_bounds)):
+            assert lo <= value <= hi, (e.s, e.alpha, e.q)
+
+
+def test_kernel_work_at_s40_is_pinned():
+    # Floats summed per series: direct terms, 20 Gauss nodes per cut and five
+    # Euler-Maclaurin parts per long piece, on a support of 100 digits.
+    xs = build_xs(squares_schedule(42), 40)
+    counts = [len(approx._series_parts(approx._lines(seq), e1, 0.5))
+              for seq in (xs.sigma_sequence(), xs.gamma_sequence()) for e1 in (-0.5, 0.0, 1.0)]
+    assert counts == [13103, 6579, 6579, 13083, 6559, 6559]
+
+
+def test_singular_points_past_2_53_stay_exact():
+    # K = n is a Fraction's zero past 2^53: taken as a float, distances to it
+    # collapse (g was once evaluated to 0.0, and cuts ran into the thousands).
+    n = 2**60 + 7
+    seq = ErrorSequence("sigma", 2, [(0, 3 * n + 1), (n, 0)])
+    for params in (ApproxParams(0.5, 1), ApproxParams(1, 1), ApproxParams(1, 1.5)):
+        parts = approx._series_parts(approx._lines(seq), params.q * params.alpha - 1.0, params.q / 2)
+        assert len(parts) <= 2 * approx.NEAR + 5 + 20 * 2 * 61
+        lo, hi = quasinorm_bounds(1.0, seq, params)
+        assert lo <= quasinorm(1.0, seq, params) <= hi
+
+
+def test_a_large_last_correction_raises(monkeypatch):
+    xs = build_xs(squares_schedule(6), 4)
+    quasinorm(1.0, xs.sigma_sequence(), ApproxParams(0.5, 1))
+    monkeypatch.setattr(approx, "EULER_MACLAURIN", approx.EULER_MACLAURIN[:3] + (1.0,))
+    with pytest.raises(InvariantError):
+        quasinorm(1.0, xs.sigma_sequence(), ApproxParams(0.5, 1))
+
+
+def _faulhaber_total(seq, e1, e2):
+    total = 0
+    for lo, hi, c0, a1 in approx._lines(seq):
+        upper, lower = approx._power_sums(e1 + e2, hi), approx._power_sums(e1 + e2, lo - 1)
+        total += sum(math.comb(e2, j) * c0 ** (e2 - j) * a1**j * (upper[e1 + j] - lower[e1 + j])
+                     for j in range(e2 + 1))
+    return total
+
+
+def test_short_pieces_of_integer_series_are_summed_directly():
+    # Pieces of 1, 9, 40 and 700 terms: fewer than (e1 + e2 + 1)^2 go term by
+    # term in ints, the rest through Faulhaber; the exact totals agree.
+    seq = ErrorSequence("sigma", 1, [(0, 900), (2, 880), (11, Fraction(1234, 3)), (51, 77), (751, 0)])
+    for q in (2, 3, 100):
+        params = ApproxParams(1, q)
+        assert approx._piecewise_series(seq, params) == _float_root(_faulhaber_total(seq, q - 1, q), q)

@@ -416,12 +416,12 @@ def test_usage_error_exits_2():
     assert err.value.code == 2
 
 
-def _fresh_cli(argv):
+def _fresh_cli(argv, timeout=120):
     """Run the CLI on argv in a new interpreter."""
     src = os.path.dirname(os.path.dirname(os.path.abspath(greedylab.__file__)))
     env = dict(os.environ, PYTHONPATH=src)
     return subprocess.run([sys.executable, "-m", "greedylab.cli", *argv],
-                          capture_output=True, text=True, env=env, timeout=120)
+                          capture_output=True, text=True, env=env, timeout=timeout)
 
 
 def test_shared_parser_keeps_no_state_between_calls(tmp_path, schedule_file, vector_file,
@@ -463,8 +463,8 @@ def test_budget_ties_flag_is_a_usage_error():
 
 
 def test_budget_terms_flag_is_a_usage_error(schedule_file, vector_file):
-    # Term-by-term series refuse past the fixed approx.TERM_BUDGET, so no
-    # command takes a budget, before or after its name.
+    # No quasi-norm series has a term budget, so no command takes one,
+    # before or after its name.
     xs = ["xs-experiment", "--schedule", schedule_file, "--s", "2", "--alpha", "1", "--q", "1"]
     norm = ["norm", "--space", schedule_file, "--vector", vector_file]
     for command in (xs, norm):
@@ -474,13 +474,31 @@ def test_budget_terms_flag_is_a_usage_error(schedule_file, vector_file):
             assert err.value.code == 2
 
 
-def test_xs_experiment_term_budget_refusal(tmp_path, capsys):
-    # s = 7 on squares_schedule(8): 2,438,553,600 terms, past the budget of 10^8.
+def test_xs_experiment_exact_past_the_old_budget(tmp_path):
+    # s = 7 on squares_schedule(8): 2,438,553,600 terms, once refused past a
+    # budget of 10^8 terms; the exact values lie inside the bounds brackets.
     sched = write(tmp_path / "squares.json", {"a": [(j + 2) ** 2 for j in range(9)]})
-    code = main(["xs-experiment", "--s", "7", "--schedule", sched, "--alpha", "1", "--q", "1"])
-    assert code == 1
-    error = json.loads(capsys.readouterr().err)["error"]
-    assert "TermBudgetError" in error and "xs-experiment --mode bounds" in error
+    runs = {}
+    for mode in ("exact", "bounds"):
+        out = tmp_path / f"{mode}.json"
+        assert main(["--out", str(out), "xs-experiment", "--s", "7", "--schedule", sched,
+                     "--alpha", "0.5,1", "--q", "1,1.5", "--mode", mode]) == 0
+        runs[mode] = json.loads(out.read_text())["runs"]
+    assert len(runs["exact"]) == len(runs["bounds"]) == 4
+    for e, b in zip(runs["exact"], runs["bounds"]):
+        for key in ("A", "G", "ratio"):
+            lo, hi = b[f"{key}_bounds"]
+            assert lo <= e[key] <= hi, (key, e, b)
+
+
+def test_xs_experiment_large_integer_q_finishes(tmp_path):
+    # Faulhaber sums take O(q^2) big-int steps per piece; s = 2 has 72 terms.
+    sched = write(tmp_path / "squares.json", {"a": [(j + 2) ** 2 for j in range(5)]})
+    proc = _fresh_cli(["xs-experiment", "--schedule", sched, "--s", "2", "--alpha", "1",
+                       "--q", "1000"], timeout=10)
+    assert proc.returncode == 0, proc.stderr
+    (run,) = json.loads(proc.stdout)["runs"]
+    assert 0 < run["ratio"] < 1
 
 
 def test_xs_experiment_bounds_reach_s6(tmp_path):
