@@ -14,17 +14,20 @@ Faulhaber power sums (short pieces term by term, in ints), q = inf reads
 each piece's maximizer off a closed form, and any other series is one
 math.fsum over its short pieces term by term and Euler-Maclaurin sums of
 its long ones, O(log(support)) evaluations per piece (``_series_parts``).
-``quasinorm_bounds`` brackets the same series with certified second-order
-bounds, deciding on exact ints.  The bound checks of x_s are decided on the
+``quasinorm_bounds`` brackets that same fsum by a certified bound on what
+it leaves out, the Gauss-Legendre and Euler-Maclaurin remainders, taken on
+each cut from the Leibniz rule.  The bound checks of x_s are decided on the
 knots as well.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import repeat
+from functools import lru_cache
+from itertools import accumulate, repeat
 from operator import mul
 from typing import Optional, Sequence
 
@@ -37,7 +40,6 @@ from .spaces import SpaceSpec, _float_root, space_norm
 from .vectors import CompressedVector
 from . import democracy
 
-RHO = 32  # quasinorm_bounds: distance to the nearer singular point over the cut length
 DIRECT = 2048  # quasinorm sums a piece of at most this many terms term by term ...
 NEAR = 64  # ... and, on longer pieces, the terms at most this far from a singular point
 
@@ -68,7 +70,7 @@ def quasinorm(norm_x: float, seq: ErrorSequence, params: ApproxParams) -> float:
     if series is not None:
         return norm_x + series
     q = params.q
-    parts = _series_parts(_lines(seq), q * params.alpha - 1.0, q / seq.p)
+    parts, _ = _series_parts(_lines(seq), q * params.alpha - 1.0, q / seq.p)
     return norm_x + math.fsum(parts) ** (1.0 / q)
 
 
@@ -93,10 +95,13 @@ _HALF_RULE = (
 )
 GAUSS = _HALF_RULE + tuple((1 - x, w) for x, w in _HALF_RULE)
 EULER_MACLAURIN = (1 / 12, -1 / 720, 1 / 30240, -1 / 1209600)  # B_2j / (2j)!, j = 1..4
+EM_REMAINDER = -EULER_MACLAURIN[-1]  # |B_8| / 8!: the remainder after B_8 is at most this times int |f^(8)|
+GAUSS_ERROR = math.factorial(20) ** 4 / (41 * math.factorial(40) ** 3)  # 20-point error: this w^41 f^(40)(xi)
 
 
-def _series_parts(lines, e1: float, e2: float) -> list[float]:
-    """Floats whose math.fsum is the sum over k >= 1 of f(k) = k^e1 g(k)^e2, g the power.
+def _series_parts(lines, e1: float, e2: float) -> tuple[list[float], float]:
+    """Floats whose math.fsum is the sum over k >= 1 of f(k) = k^e1 g(k)^e2, g the power,
+    and a certified bound on what that sum leaves out.
 
     A piece (lo, hi, c0, a1) of at most DIRECT terms goes in term by term,
     as the floats of ``explicit.quasinorm_per_term``, so where every piece is
@@ -111,14 +116,18 @@ def _series_parts(lines, e1: float, e2: float) -> list[float]:
     O(log(support)) cuts.  Distances are exact ints, and g at a node is
     float(g(a)) + a1 (x - a) from the cut's integer start a.  A last
     correction above 2^-52 of its piece's sum raises InvariantError.
+
+    The bound: a cut [a, b] of width w lies at least w from each singular
+    point (k = 0 needs no distance where (e1)_j vanishes), so by the Leibniz
+    rule w^n |f^(n)| <= M L_n on it, M = max(a^e1, b^e1) max(g(a)^e2, g(b)^e2)
+    and L_n from ``_leibniz``.  It adds GAUSS_ERROR w M L_40 for the Gauss
+    rule and EM_REMAINDER M L_8 / w^7 for its share of the Euler-Maclaurin
+    remainder; terms summed one by one add nothing.
     """
-    # f^(n) = f sum_j C(n, j) (e1)_j k^-j (e2)_(n-j) (a1/g)^(n-j) for n = 1, 3, 5, 7,
-    # with the falling factorials (e)_j = e (e - 1) ... (e - j + 1)
-    falling = [[math.prod(e - i for i in range(j)) for j in range(8)] for e in (e1, e2)]
-    leibniz = [[math.comb(n, j) * falling[0][j] * falling[1][n - j] for j in range(n + 1)]
-               for n in (1, 3, 5, 7)]
+    rows, l8, l40 = _leibniz(e1, e2)
     at_zero = not (e1 >= 0 and e1.is_integer())
     parts: list[float] = []
+    error = 0.0
     for lo, hi, c0, a1 in lines:
         scale = math.lcm(c0.denominator, a1.denominator)
         g0, g1 = int(c0 * scale), int(a1 * scale)  # scale g(k) = g0 + g1 k
@@ -133,7 +142,7 @@ def _series_parts(lines, e1: float, e2: float) -> list[float]:
             t, r = 1 / k, g1 / gk  # r = a1 / g(k)
             f = math.pow(k, e1) * math.pow(gk / scale, e2)
             ends.append([f] + [f * sum(c * t**j * r ** (len(row) - 1 - j) for j, c in enumerate(row))
-                               for row in leibniz])
+                               for row in rows])
         (fa, *da), (fb, *db) = ends
         corrections = [c * (b - a) for c, a, b in zip(EULER_MACLAURIN, da, db)]
         piece = [(fa + fb) / 2, *corrections]
@@ -149,10 +158,23 @@ def _series_parts(lines, e1: float, e2: float) -> list[float]:
             ga, x0, fw = (g0 + g1 * a) / scale, float(a), float(width)
             sw = slope * fw
             piece += [w * fw * math.pow(x0 + fw * x, e1) * math.pow(ga + sw * x, e2) for x, w in GAUSS]
-        if abs(corrections[-1]) > 2**-52 * math.fsum(piece):
+            top = math.pow(float(b) if e1 >= 0 else x0, e1) * math.pow(max(ga, ga + sw), e2)  # M
+            error += top * (GAUSS_ERROR * fw * l40 + EM_REMAINDER * l8 * (1 / fw) ** 7)  # fw**7 can overflow
+        if abs(corrections[-1]) > 2**-52 * sum(piece):
             raise InvariantError(f"Euler-Maclaurin on {first}..{last}: last correction {corrections[-1]}")
         parts += piece
-    return parts
+    return parts, error
+
+
+@lru_cache
+def _leibniz(e1: float, e2: float) -> tuple[tuple[tuple[float, ...], ...], float, float]:
+    """The Leibniz rows C(n, j) (e1)_j (e2)_(n-j), j = 0..n, of f^(n)/f for n = 1, 3, 5, 7,
+    and L_8, L_40: the sums of |C(n, j) (e1)_j (e2)_(n-j)| at n = 8 and 40, with the
+    falling factorials (e)_j = e (e - 1) ... (e - j + 1).  So that
+    f^(n) = f sum_j C(n, j) (e1)_j k^-j (e2)_(n-j) (a1/g)^(n-j)."""
+    f1, f2 = (list(accumulate((e - i for i in range(40)), mul, initial=1)) for e in (e1, e2))
+    row = lambda n: tuple(math.comb(n, j) * f1[j] * f2[n - j] for j in range(n + 1))
+    return tuple(map(row, (1, 3, 5, 7))), sum(map(abs, row(8))), sum(map(abs, row(40)))
 
 
 def _terms(u: int, w: int, g0: int, g1: int, scale: int, e1: float, e2: float):
@@ -170,78 +192,31 @@ def _terms(u: int, w: int, g0: int, g1: int, scale: int, e1: float, e2: float):
     return factors
 
 
-def _term(k, power, e1: float, e2: float) -> float:
-    """One series term k^e1 * power^e2 in floats, as ``_terms`` makes it."""
-    return k**e1 * float(power) ** e2
-
-
 def quasinorm_bounds(
     norm_x: float, seq: ErrorSequence, params: ApproxParams
 ) -> tuple[float, float]:
-    """Bracket the quasi-norm by certified second-order bounds on geometric cuts.
+    """Bracket the quasi-norm: the series ``quasinorm`` sums, plus or minus its certified error.
 
     Where ``_piecewise_series`` applies, both ends are its value, bit for
-    bit what ``quasinorm`` returns.  Otherwise a piece's term is
-    f(k) = k^e1 g(k)^e2, with g(k) = c0 + a1 k the exact power, e1 = q alpha - 1
-    and e2 = q/p, and Q(k) = k^2 g^2 f''/f = (e1 g + e2 a1 k)^2 - e1 g^2 - e2 a1^2 k^2
-    is an int quadratic once g is scaled to ints.  The piece is split after the
-    exact floor of each real root of Q, so f'' keeps one sign on each part
-    (``_one_sign`` certifies it; a failure is an InvariantError).  Cuts hold
-    max(1, d // RHO) terms, d the floored distance to the zero of g, or to the
-    nearer of it and k = 0 if e1 != 0; where Q is zero, f is linear and a part
-    is one cut.  A cut of L terms on [a, b] sums to between L f((a+b)/2)
-    (Jensen) and L (f(a) + f(b))/2 (the chord).  On x_s over squares_schedule(42),
-    s = 2..40, (alpha, q) in {(0.5, 1), (1, 1), (2, 1), (1, 1.5)}, brackets are
-    at most 2e-4 wide (relative); a 1e-9 relative margin absorbs float rounding.
+    bit what ``quasinorm`` returns.  Otherwise S is the math.fsum of the
+    ``_series_parts`` floats and E their bound on what S leaves out: the
+    20-point Gauss-Legendre error on each cut, at most (20!)^4 / (41 (40!)^3)
+    w^41 max |f^(40)| (Abramowitz & Stegun 25.4.30), and the Euler-Maclaurin
+    remainder after B_8, at most |B_8|/8! = 1/1209600 times the integral of
+    |f^(8)| (Apostol 1999).  The series lies in [S (1 - 1e-9) - E,
+    S (1 + 1e-9) + E], the relative margin absorbing float rounding.  On x_s
+    over squares_schedule(42), s = 2..40, (alpha, q) in {(0.5, 1), (1, 1),
+    (2, 1), (1, 1.5)}, E is below 1.1e-17 S and A and G brackets are at most
+    2e-9 wide (relative).
     """
     series = _piecewise_series(seq, params)
     if series is not None:
         return norm_x + series, norm_x + series
     q = params.q
-    e1, e2 = q * params.alpha - 1.0, q / seq.p
-    den = max(e1.as_integer_ratio()[1], e2.as_integer_ratio()[1])  # both powers of two
-    n1, nn = int(e1 * den), int(e1 * den) + int(e2 * den)  # e1 = n1/den, e1 + e2 = nn/den
-    lo_total = hi_total = 0.0
-    for lo, hi, c0, a1 in _lines(seq):
-        scale = math.lcm(c0.denominator, a1.denominator)
-        g0, g1 = int(c0 * scale), int(a1 * scale)  # scale g(k) = g0 + g1 k; (den scale)^2 Q = quad
-        quad = (g1 * g1 * nn * (nn - den), 2 * n1 * (nn - den) * g1 * g0, n1 * (n1 - den) * g0 * g0)
-        ends = sorted({lo - 1, hi}.union(r for r in _root_floors(*quad) if lo <= r < hi))
-        for u, w in zip([e + 1 for e in ends], ends[1:]):
-            if not _one_sign(*quad, u, w):
-                raise InvariantError(f"f'' changes sign on {u}..{w}, between exact root floors")
-            a = u
-            while a <= w:  # singular points: the zero of g, and k = 0 if e1 != 0
-                dists = ([abs(g0 + g1 * a) // abs(g1)] if g1 else []) + ([a] if n1 else [])
-                b = min(w, a - 1 + max(1, min(dists) // RHO)) if any(quad) else w  # else linear
-                ga, gb = c0 + a1 * a, c0 + a1 * b
-                jensen = chord = fa = _term(a, ga, e1, e2)  # a one-term cut
-                if b > a:
-                    jensen = (b - a + 1) * _term((a + b) / 2, (ga + gb) / 2, e1, e2)
-                    chord = (b - a + 1) * (fa + _term(b, gb, e1, e2)) / 2
-                lo_total += min(jensen, chord)
-                hi_total += max(jensen, chord)
-                a = b + 1
-    return norm_x + lo_total ** (1.0 / q) * (1 - 1e-9), norm_x + hi_total ** (1.0 / q) * (1 + 1e-9)
-
-
-def _root_floors(a: int, b: int, c: int) -> list[int]:
-    """Floors of the real roots of a k^2 + b k + c, exact (none where it is constant)."""
-    if a < 0 or (a == 0 and b < 0):
-        a, b, c = -a, -b, -c
-    if a == 0:
-        return [-c // b] if b else []
-    disc = b * b - 4 * a * c
-    r = math.isqrt(max(disc, 0))
-    return [(-b - r - (r * r < disc)) // (2 * a), (-b + r) // (2 * a)] if disc >= 0 else []
-
-
-def _one_sign(a, b, c, u: int, w: int) -> bool:
-    """Whether a k^2 + b k + c keeps one sign (zeros allowed) on the real interval [u, w]."""
-    values = [(a * u + b) * u + c, (a * w + b) * w + c]
-    if (2 * a * u + b) * (2 * a * w + b) < 0:
-        values.append((4 * a * c - b * b) * a)  # has the vertex value's sign
-    return min(values) >= 0 or max(values) <= 0
+    parts, error = _series_parts(_lines(seq), q * params.alpha - 1.0, q / seq.p)
+    total = math.fsum(parts)
+    lo, hi = max(0.0, total * (1 - 1e-9) - error), total * (1 + 1e-9) + error  # inf - inf: 0.0
+    return norm_x + lo ** (1.0 / q), norm_x + hi ** (1.0 / q)
 
 
 def _piecewise_series(seq: ErrorSequence, params: ApproxParams) -> Optional[float]:
@@ -412,11 +387,18 @@ def build_xs(schedule: BlockSchedule, s: int) -> XsConstruction:
 
 
 def envelope(params: ApproxParams, s: int) -> float:
-    """Collapse envelope (s^(-q alpha / 2) + s^(-q/2))^(1/q); max-form at q=inf."""
-    if math.isinf(params.q):
-        return max(s ** (-params.alpha / 2.0), s**-0.5)
-    q = params.q
-    return (s ** (-q * params.alpha / 2.0) + s ** (-q / 2.0)) ** (1.0 / q)
+    """Collapse envelope (s^(-q alpha / 2) + s^(-q/2))^(1/q); max-form at q=inf.
+
+    Where the sum underflows the normal float range (large q), s^(-m/2) with
+    m = min(alpha, 1) is taken out of the root, so one of the terms is 1."""
+    alpha, q = params.alpha, params.q
+    if math.isinf(q):
+        return max(s ** (-alpha / 2.0), s**-0.5)
+    total = s ** (-q * alpha / 2.0) + s ** (-q / 2.0)
+    if total >= sys.float_info.min:
+        return total ** (1.0 / q)
+    m = min(alpha, 1.0)
+    return s ** (-m / 2.0) * (s ** (-q * (alpha - m) / 2.0) + s ** (-q * (1.0 - m) / 2.0)) ** (1.0 / q)
 
 
 @dataclass(frozen=True)

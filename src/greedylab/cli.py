@@ -394,8 +394,10 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--alpha", required=True, help="comma list of alphas")
     sp.add_argument("--q", required=True, help="comma list, inf allowed")
     sp.add_argument("--mode", choices=("exact", "bounds"), default="exact",
-                    help="exact: A, G and ratio as float values; bounds: A_bounds, "
-                         "G_bounds and ratio_bounds, certified brackets")
+                    help="the report's shape: exact gives A, G and ratio as float values; "
+                         "bounds gives A_bounds, G_bounds and ratio_bounds, the same sums "
+                         "bracketed by their certified error (Euler-Maclaurin and "
+                         "Gauss-Legendre remainders) and a 1e-9 rounding margin")
     sp.set_defaults(func=cmd_xs_experiment)
 
     sp = sub.add_parser("verify", help="run the acceptance suite", parents=[common])

@@ -152,13 +152,18 @@ def _float_root(power: Rational, p: int | float) -> float:
         base = float(power)
     except OverflowError:
         # Past ~1.8e308: root 2^shift apart from the rest.  For an integer p
-        # the shift is a multiple of p, so that factor roots exactly.
+        # the shift is a multiple of p, so that factor roots exactly; where the
+        # aligned rest overflows (p above ~960), 2^(spare/p) is taken apart too.
         shift = power.numerator.bit_length() - power.denominator.bit_length() - 64
-        if isinstance(p, int):
-            shift -= shift % p
-        rest = float(Fraction(power) / (1 << shift))
+        spare = shift % p if isinstance(p, int) else 0
+        rest = Fraction(power) / (1 << shift)
+        shift -= spare
         try:
-            return rest ** (1.0 / p) * 2.0 ** (shift / p)
+            rest, spare = float(rest * (1 << spare)), 0
+        except OverflowError:
+            rest = float(rest)
+        try:
+            return rest ** (1.0 / p) * 2.0 ** (spare / p) * 2.0 ** (shift / p)
         except OverflowError:
             return math.inf
     return math.sqrt(base) if p == 2 else base ** (1.0 / p)

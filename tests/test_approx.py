@@ -1,11 +1,15 @@
 """Quasi-norms, the x_s construction and the optimality experiment."""
 
+import json
 import math
 import os
 import random
 import subprocess
 import sys
+from decimal import Decimal, localcontext
 from fractions import Fraction
+from itertools import accumulate
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -436,32 +440,33 @@ def test_work_is_bounded_by_knots_not_support(monkeypatch):
     assert calls == []
 
 
+def _count_series_parts(monkeypatch):
+    """Record how many floats each ``_series_parts`` call returns."""
+    counts, real = [], approx._series_parts
+
+    def counted(*args):
+        parts, error = real(*args)
+        counts.append(len(parts))
+        return parts, error
+
+    monkeypatch.setattr(approx, "_series_parts", counted)
+    return counts
+
+
 def test_bounds_are_tight_and_cheap_on_xs_up_to_s6(monkeypatch):
     # Before the second-order brackets, 2,048 uniform subranges per piece
     # cost 12,000+ term evaluations per sequence from s = 4 on, and the
-    # bracket at s = 6, (alpha, q) = (0.5, 1) was 1.07 wide (relative).
-    calls, counts = [], []
-    real_term, real_bounds = approx._term, approx.quasinorm_bounds
-    monkeypatch.setattr(approx, "_term", lambda *args: calls.append(args[0]) or real_term(*args))
-
-    def counted(*args):
-        calls.clear()
-        out = real_bounds(*args)
-        counts.append(len(calls))
-        return out
-
-    monkeypatch.setattr(approx, "quasinorm_bounds", counted)
+    # bracket at s = 6, (alpha, q) = (0.5, 1) was 1.07 wide (relative); the
+    # geometric cuts that followed took up to 3,000 and were 2e-4 wide.
+    counts = _count_series_parts(monkeypatch)
     sched = squares_schedule(6)
     params = [ApproxParams(0.5, 1), ApproxParams(1, 1), ApproxParams(2, 1), ApproxParams(1, 1.5)]
     bounded = optimality_experiment(sched, range(2, 7), params, mode="bounds")
     assert len(counts) == 2 * len(bounded) == 40
-    assert 0 < max(counts) <= 3000
-    # At e1 = 0 cuts reach to the zero of the power alone: (1, 1) takes at most 1,300 terms.
-    pairs = zip(bounded, zip(counts[::2], counts[1::2]))
-    assert max(max(pair) for run, pair in pairs if (run.alpha, run.q) == (1, 1)) <= 1300
+    assert 0 < max(counts) <= 1200
     for run in bounded:
         for lo, hi in (run.a_bounds, run.g_bounds):
-            assert 0 < hi - lo <= 1e-3 * lo, (run.s, run.alpha, run.q)
+            assert 0 < hi - lo <= 3e-9 * lo, (run.s, run.alpha, run.q)
     exact = optimality_experiment(sched, [2, 3, 4], params)
     for e, b in zip(exact, bounded):
         assert (e.s, e.alpha, e.q) == (b.s, b.alpha, b.q)
@@ -470,19 +475,16 @@ def test_bounds_are_tight_and_cheap_on_xs_up_to_s6(monkeypatch):
 
 
 def test_linear_terms_cost_one_cut_per_part(monkeypatch):
-    # A constant power at e1 in {0, 1} makes the term linear in k, so Jensen's
-    # bound, the chord and the sum agree: one cut, however long the piece.
-    calls = []
-    real = approx._term
-    monkeypatch.setattr(approx, "_term", lambda *args: calls.append(args[0]) or real(*args))
+    # A constant power at e1 in {0, 1} has no singular point, so a long
+    # constant piece is one cut however long it is: (f(A) + f(B))/2, four
+    # corrections and 20 Gauss nodes, plus the 3 terms of the falling piece.
+    counts = _count_series_parts(monkeypatch)
     for params in (ApproxParams(1, 1), ApproxParams(2, 1)):
-        counts = []
-        for n in (10**3, 10**6):
+        counts.clear()
+        for n in (10**4, 10**6):
             seq = ErrorSequence("sigma", 2, [(0, 10), (n, 10), (n + 3, 0)])
-            calls.clear()
             lo, hi = quasinorm_bounds(1.0, seq, params)
-            counts.append(len([k for k in calls if k < n]))
-        assert counts == [3, 3], params
+        assert counts == [28, 28], params
         assert lo <= explicit.quasinorm_per_term(1.0, seq, params) <= hi <= lo * (1 + 3e-9)
 
 
@@ -505,139 +507,53 @@ def knot_sequences(draw):
 
 
 def test_curvature_brackets_hold_on_knot_sequences(monkeypatch):
-    # Every bracket contains the per-term quasi-norm, and on every part whose
-    # curvature is certified the sampled second differences keep one sign.
-    parts, seen = [], set()
-    real = approx._one_sign
-
-    def spy(*args):
-        ok = real(*args)
-        parts.append((args[3], args[4], ok))
-        return ok
-
-    monkeypatch.setattr(approx, "_one_sign", spy)
+    # Every bracket contains the per-term quasi-norm; on these short pieces
+    # every term is one float, summed one by one, so the bound adds nothing
+    # and the bracket is the 2e-9 margin, q-th rooted.
+    counts = _count_series_parts(monkeypatch)
 
     @settings(derandomize=True, max_examples=150, deadline=None)
     @given(knot_sequences(), st.floats(-0.99, 2.99), st.floats(0.1, 3.0))
     def check(seq, e1, e2):
         q = e2 * seq.p
         params = ApproxParams((e1 + 1) / q, q)
-        e1, e2 = params.q * params.alpha - 1.0, params.q / seq.p  # as quasinorm_bounds has them
-        parts.clear()
+        counts.clear()
         lo, hi = quasinorm_bounds(1.0, seq, params)
-        assert lo <= explicit.quasinorm_per_term(1.0, seq, params) <= hi
-        f = lambda k: k**e1 * float(seq.power(k)) ** e2
-        for u, w, ok in parts:
-            if not ok:
-                continue
-            diffs = [
-                (f(k - 1) - 2 * f(k) + f(k + 1), 1e-12 * (f(k - 1) + 2 * f(k) + f(k + 1)))
-                for k in range(u + 1, w, max(1, (w - u) // 40))
-            ]
-            convex = all(d >= -tol for d, tol in diffs)
-            concave = all(d <= tol for d, tol in diffs)
-            assert convex or concave, (u, w)
-            seen.add("convex" if not concave else "concave" if not convex else "flat")
+        assert lo <= explicit.quasinorm_per_term(1.0, seq, params) <= hi <= lo * (1 + 3e-9 / q)
+        assert counts in ([], [seq.support_size - 1])
 
     check()
-    assert {"convex", "concave"} <= seen
-
-
-def test_one_sign_reads_the_ends_and_an_inner_vertex():
-    # (k - 3)(k - 5): positive at 1, 2 and 7, -1 at the vertex k = 4.
-    assert approx._one_sign(1, -8, 15, 1, 2) and approx._one_sign(1, -8, 15, 3, 5)
-    assert not approx._one_sign(1, -8, 15, 1, 7)
-    assert not approx._one_sign(1, -8, 15, 1, 4)
-    assert approx._one_sign(-1, 8, -16, 0, 9)  # -(k - 4)^2, 0 at its vertex only
-    assert approx._one_sign(0, 2, -4, 2, 9) and not approx._one_sign(0, 2, -4, 1, 9)
-
-
-def test_a_failed_certificate_raises(monkeypatch):
-    # Parts lie between exact root floors of Q, so a failed certificate is a bug.
-    xs = build_xs(squares_schedule(4), 3)
-    monkeypatch.setattr(approx, "_one_sign", lambda *args: False)
-    with pytest.raises(InvariantError):
-        quasinorm_bounds(float(space_norm(xs.x, xs.spec)), xs.sigma_sequence(), ApproxParams(1, 1))
-
-
-def _first(pred):
-    """Smallest m >= 0 with pred(m), for pred false below some m and true from there on."""
-    if pred(0):
-        return 0
-    lo, hi = 0, 1
-    while not pred(hi):
-        lo, hi = hi, 2 * hi
-    while hi - lo > 1:
-        mid = (lo + hi) // 2
-        lo, hi = (lo, mid) if pred(mid) else (mid, hi)
-    return hi
-
-
-def _root_floors_by_sign(a, b, c):
-    """Root floors of a k^2 + b k + c from its sign alone: with a > 0 it falls
-    left of the vertex and rises right of it."""
-    if a < 0 or (a == 0 and b < 0):
-        a, b, c = -a, -b, -c
-    if a == 0:
-        return [math.floor(Fraction(-c, b))] if b else []
-    quad = lambda k: (a * k + b) * k + c
-    vertex = Fraction(-b, 2 * a)
-    if quad(vertex) > 0:
-        return []
-    v = math.floor(vertex)
-    return [v - _first(lambda m: quad(v - m) >= 0), v + _first(lambda m: quad(v + m + 1) > 0)]
-
-
-def test_root_floors_match_a_sign_bisection():
-    rng = random.Random(26)
-    triples = [(0, 0, 0), (0, 0, 5), (0, 3, -7), (0, -3, 7), (1, 0, 0), (-1, 8, -16), (2, 0, 1)]
-    for _ in range(3000):
-        size = 10 ** rng.choice((1, 3, 30))
-        pick = lambda: rng.randint(-size, size)
-        if rng.random() < 0.4:  # (m k - n)(m' k - n'), times a sign: a square discriminant
-            m1, m2 = rng.randint(1, size), rng.randint(1, size)
-            n1, n2, sign = pick(), pick(), rng.choice((-1, 1))
-            triples.append((sign * m1 * m2, -sign * (m1 * n2 + m2 * n1), sign * n1 * n2))
-        else:
-            triples.append((rng.choice((0, pick())), pick(), pick()))
-    assert any(a == 0 for a, _, _ in triples) and any(a < 0 for a, _, _ in triples)
-    for a, b, c in triples:
-        assert approx._root_floors(a, b, c) == _root_floors_by_sign(a, b, c), (a, b, c)
 
 
 def test_bounds_term_count_is_bounded_at_depth(monkeypatch):
     # Float root and cut estimates once made s = 14 sum ~1e23 terms one by one.
-    calls, real = [], approx._term
-
-    def counted(*args):
-        calls.append(args[0])
-        if len(calls) > 40_000:
-            raise RuntimeError("more than 40,000 term evaluations")
-        return real(*args)
-
-    monkeypatch.setattr(approx, "_term", counted)
+    counts = _count_series_parts(monkeypatch)
     xs = build_xs(squares_schedule(22), 20)
     norm_x = float(space_norm(xs.x, xs.spec))
     for seq in (xs.sigma_sequence(), xs.gamma_sequence()):
         lo, hi = quasinorm_bounds(norm_x, seq, ApproxParams(0.5, 1))
-        assert 0 < lo <= hi <= lo * (1 + 1e-3)
-    assert len(calls) > 0
+        assert 0 < lo <= quasinorm(norm_x, seq, ApproxParams(0.5, 1)) <= hi <= lo * (1 + 3e-9)
+    assert len(counts) == 4 and 0 < max(counts) <= 6000
 
 
 @pytest.mark.parametrize("s", [14, 20])
 def test_bounds_contain_the_exact_value_at_depth(monkeypatch, s):
     # Integer exponents have an exact Faulhaber value; the brackets must hold it.
+    # k^27 (3 - 3k/5000)^14 has degree 41 > 39, so the Gauss error is not 0.
     xs = build_xs(squares_schedule(s + 2), s)
     norm_x = float(space_norm(xs.x, xs.spec))
     cases = [
-        (seq, params, quasinorm(norm_x, seq, params))
+        (norm_x, seq, params, quasinorm(norm_x, seq, params))
         for seq in (xs.sigma_sequence(), xs.gamma_sequence())
         for params in (ApproxParams(1, 2), ApproxParams(1.5, 2), ApproxParams(2, 2))
     ]
+    degree_41 = ErrorSequence("sigma", 2, [(0, 3), (5000, 0)])
+    cases.append((1.0, degree_41, ApproxParams(1, 28), quasinorm(1.0, degree_41, ApproxParams(1, 28))))
     monkeypatch.setattr(approx, "_piecewise_series", lambda *args: None)
-    for seq, params, exact in cases:
-        lo, hi = quasinorm_bounds(norm_x, seq, params)
-        assert lo <= exact <= hi, (seq.kind, params)
+    for norm, seq, params, exact in cases:
+        lo, hi = quasinorm_bounds(norm, seq, params)
+        assert lo <= exact <= hi <= lo * (1 + 3e-9), (seq.kind, params)
+    assert approx._series_parts(approx._lines(degree_41), 27.0, 14.0)[1] > 0
 
 
 def test_exact_sum_past_float_range_is_finite():
@@ -691,24 +607,35 @@ def test_series_kernel_matches_the_per_term_oracle_on_long_pieces():
     assert long_pieces >= 4
 
 
+# A and G brackets of an earlier, independent bounds mode (geometric cuts
+# bracketed by Jensen's bound and the chord): see the file's header.
+PARENT_BRACKETS = json.loads((Path(__file__).parent / "data" / "xs_parent_brackets.json").read_text())
+
+
 @pytest.mark.parametrize("params", KERNEL_PAIRS)
 def test_exact_values_lie_in_their_brackets_to_s40(params):
     sched, s_values = squares_schedule(42), range(2, 41)
     exact = optimality_experiment(sched, s_values, [params])
     bounded = optimality_experiment(sched, s_values, [params], mode="bounds")
-    assert len(exact) == len(bounded) == 39
-    for e, b in zip(exact, bounded):
-        assert (e.s, e.alpha, e.q) == (b.s, b.alpha, b.q)
+    parent = PARENT_BRACKETS["brackets"][f"{params.alpha:g} {params.q:g}"]
+    assert len(exact) == len(bounded) == len(parent) == 39
+    for e, b, (s, *old) in zip(exact, bounded, parent):
+        assert e.s == b.s == s and (e.alpha, e.q) == (b.alpha, b.q)
         for (value, _), (lo, hi) in zip((e.a_bounds, e.g_bounds, e.ratio_bounds),
                                         (b.a_bounds, b.g_bounds, b.ratio_bounds)):
             assert lo <= value <= hi, (e.s, e.alpha, e.q)
+        for (value, _), (lo, hi), (old_lo, old_hi) in zip(
+                (e.a_bounds, e.g_bounds), (b.a_bounds, b.g_bounds), (old[:2], old[2:])):
+            assert old_lo <= value <= old_hi, (e.s, e.alpha, e.q)  # inside the parent's bracket
+            assert lo <= old_hi and old_lo <= hi, (e.s, e.alpha, e.q)  # and the two meet
+            assert hi - lo <= 3e-9 * lo, (e.s, e.alpha, e.q)
 
 
 def test_kernel_work_at_s40_is_pinned():
     # Floats summed per series: direct terms, 20 Gauss nodes per cut and five
     # Euler-Maclaurin parts per long piece, on a support of 100 digits.
     xs = build_xs(squares_schedule(42), 40)
-    counts = [len(approx._series_parts(approx._lines(seq), e1, 0.5))
+    counts = [len(approx._series_parts(approx._lines(seq), e1, 0.5)[0])
               for seq in (xs.sigma_sequence(), xs.gamma_sequence()) for e1 in (-0.5, 0.0, 1.0)]
     assert counts == [13103, 6579, 6579, 13083, 6559, 6559]
 
@@ -719,7 +646,7 @@ def test_singular_points_past_2_53_stay_exact():
     n = 2**60 + 7
     seq = ErrorSequence("sigma", 2, [(0, 3 * n + 1), (n, 0)])
     for params in (ApproxParams(0.5, 1), ApproxParams(1, 1), ApproxParams(1, 1.5)):
-        parts = approx._series_parts(approx._lines(seq), params.q * params.alpha - 1.0, params.q / 2)
+        parts, _ = approx._series_parts(approx._lines(seq), params.q * params.alpha - 1.0, params.q / 2)
         assert len(parts) <= 2 * approx.NEAR + 5 + 20 * 2 * 61
         lo, hi = quasinorm_bounds(1.0, seq, params)
         assert lo <= quasinorm(1.0, seq, params) <= hi
@@ -731,6 +658,74 @@ def test_a_large_last_correction_raises(monkeypatch):
     monkeypatch.setattr(approx, "EULER_MACLAURIN", approx.EULER_MACLAURIN[:3] + (1.0,))
     with pytest.raises(InvariantError):
         quasinorm(1.0, xs.sigma_sequence(), ApproxParams(0.5, 1))
+
+
+def _quarter_power_sums(seq, pairs):
+    """sum_k k^e1 power(k)^e2 over the support, in 40-digit decimals, for each
+    (e1, e2) in pairs, all multiples of 1/4: fourth roots are two square roots."""
+    totals = dict.fromkeys(pairs, Decimal(0))
+    with localcontext() as ctx:
+        ctx.prec = 40
+        for lo, hi, c0, a1 in approx._lines(seq):
+            for k in range(lo, hi + 1):
+                g = c0 + a1 * k
+                k4, g4 = Decimal(k).sqrt().sqrt(), (Decimal(g.numerator) / g.denominator).sqrt().sqrt()
+                for e1, e2 in pairs:
+                    totals[e1, e2] += k4 ** int(4 * e1) * g4 ** int(4 * e2)
+    return totals
+
+
+def test_brackets_hold_a_40_digit_sum_on_long_pieces():
+    # Seeded knots with pieces longer than DIRECT: falling and constant, int
+    # and Fraction powers, p in {1, 2}; the bound is what certifies the long pieces.
+    rng = random.Random(32)
+    pairs = [(e1, e2) for e1 in (-0.5, 0.0, 0.5, 1.0) for e2 in (0.5, 0.75)]
+    long_pieces = 0
+    for p in (1, 2):
+        for _ in range(2):
+            ks = list(accumulate((rng.randint(100, 4000) for _ in range(3)), initial=0))
+            powers = sorted((rng.choice((rng.randint(1, 10**6), Fraction(rng.randint(1, 10**6), 7)))
+                             for _ in range(3)), reverse=True) + [0]
+            powers[1] = powers[0]  # a constant piece
+            seq = ErrorSequence("sigma", p, list(zip(ks, powers)))
+            long_pieces += sum(hi - lo >= approx.DIRECT for lo, hi, _, _ in approx._lines(seq))
+            for (e1, e2), exact in _quarter_power_sums(seq, pairs).items():
+                parts, error = approx._series_parts(approx._lines(seq), e1, e2)
+                total = math.fsum(parts)
+                assert total * (1 - 1e-9) - error <= exact <= total * (1 + 1e-9) + error
+                assert 2 * (1e-9 * total + error) <= 3e-9 * total
+                params = ApproxParams((e1 + 1) / (e2 * p), e2 * p)
+                lo, hi = quasinorm_bounds(1.0, seq, params)
+                assert lo <= 1 + float(exact ** (Decimal(1) / Decimal(params.q))) <= hi
+    assert long_pieces >= 4
+
+
+def test_a_larger_error_constant_widens_the_bracket(monkeypatch):
+    # The bound is live on every long piece: inflating c20 or the L_n moves both ends out.
+    xs = build_xs(squares_schedule(6), 4)
+    seq, params = xs.sigma_sequence(), ApproxParams(0.5, 1)
+    lo, hi = quasinorm_bounds(1.0, seq, params)
+    leibniz = approx._leibniz
+
+    def inflated(by8, by40):
+        def patched(e1, e2):
+            rows, l8, l40 = leibniz(e1, e2)
+            return rows, l8 * by8, l40 * by40
+        return patched
+
+    for name, value in (("GAUSS_ERROR", approx.GAUSS_ERROR * 1e60),
+                        ("_leibniz", inflated(1e10, 1.0)), ("_leibniz", inflated(1.0, 1e60))):
+        with monkeypatch.context() as patch:
+            patch.setattr(approx, name, value)
+            wide_lo, wide_hi = quasinorm_bounds(1.0, seq, params)
+        assert wide_lo < lo and hi < wide_hi, name
+
+
+def test_envelope_stays_positive_at_large_q():
+    # s^(-q/2) underflows past q ~ 2,100 at s = 2; the root of the sum does not.
+    assert envelope(ApproxParams(1, 3000), 2) == pytest.approx(2**-0.5 * 2 ** (1 / 3000), rel=1e-15)
+    assert envelope(ApproxParams(0.5, 3000), 2) == pytest.approx(2**-0.25, rel=1e-15)
+    assert envelope(ApproxParams(2, 3000), 2) == pytest.approx(2**-0.5, rel=1e-15)
 
 
 def _faulhaber_total(seq, e1, e2):

@@ -493,12 +493,17 @@ def test_xs_experiment_exact_past_the_old_budget(tmp_path):
 
 def test_xs_experiment_large_integer_q_finishes(tmp_path):
     # Faulhaber sums take O(q^2) big-int steps per piece; s = 2 has 72 terms.
+    # At q = 3000 the q-th root of the sum and the envelope's s^(-q/2) once
+    # left the float range (OverflowError, then a 0.0 envelope).
     sched = write(tmp_path / "squares.json", {"a": [(j + 2) ** 2 for j in range(5)]})
     proc = _fresh_cli(["xs-experiment", "--schedule", sched, "--s", "2", "--alpha", "1",
-                       "--q", "1000"], timeout=10)
+                       "--q", "1000,3000"], timeout=10)
     assert proc.returncode == 0, proc.stderr
-    (run,) = json.loads(proc.stdout)["runs"]
-    assert 0 < run["ratio"] < 1
+    runs = json.loads(proc.stdout)["runs"]
+    assert [run["q"] for run in runs] == [1000, 3000]
+    for run in runs:
+        assert 0 < run["ratio"] < 1 and 0 < run["envelope"] < 1
+        assert math.isfinite(run["normalized"]) and run["normalized"] > 0
 
 
 def test_xs_experiment_bounds_reach_s6(tmp_path):

@@ -19,6 +19,7 @@ from greedylab import (
 )
 from greedylab import explicit
 from greedylab.explicit import lattice_check, sup_form_norm_oracle
+from greedylab.spaces import _float_root
 
 
 # -- truncated block norm ----------------------------------------------------
@@ -241,6 +242,14 @@ def test_norm_value_beyond_float_range_keeps_exact_power():
     # The root itself overflows: inf, with the exact power still carried.
     huge = NormValue.from_power(10**400, 1)
     assert huge.value == math.inf and huge.power_exact == 10**400
+
+
+def test_float_root_at_a_large_integer_root():
+    # Shifting by a multiple of p leaves up to 2^(p + 63) in the rest, past
+    # the float range for p above ~960; 2^(spare/p) is then taken apart.
+    assert math.isclose(_float_root(10**5000, 3000), 10 ** (5 / 3), rel_tol=1e-15)
+    assert math.isclose(_float_root(Fraction(10**5000, 3), 1001), 10 ** (5000 / 1001) / 3 ** (1 / 1001),
+                        rel_tol=1e-14)
 
 
 def test_float_norm_past_the_float_range_of_its_powers():
