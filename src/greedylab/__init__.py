@@ -60,7 +60,7 @@ _EXPORTS = {  # submodule -> the public names it provides
         "envelope",
         "greedy_quasinorm",
         "optimality_experiment",
-        "quasinorm_bounds",
+        "quasinorm_bracket",
     ),
 }
 _MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}

@@ -205,33 +205,29 @@ def criterion_8() -> tuple[bool, str]:
 def criterion_9() -> tuple[bool, str]:
     """Optimality collapse: normalized ratio stable, raw ratio decreasing.
 
-    Decided on brackets, values (width 0) to s = 4, then to s = 6 (support
-    38,102,400): every value in one bracket must beat every value in the other.
+    Decided on brackets to s = 6 (support 38,102,400), each holding its value:
+    every value in one bracket must beat every value in the other.
     """
-    pairs = [ApproxParams(1, 1), ApproxParams(0.5, 2), ApproxParams(1, math.inf)]
-    for sched, s_values, params, mode in (
-        (squares_schedule(4), [2, 3, 4], pairs, "exact"),
-        (squares_schedule(6), range(2, 7), pairs + [ApproxParams(2, 1)], "bounds"),
-    ):
-        experiment = optimality_experiment(sched, s_values, params, mode)
-        for key, runs in _runs_by_params(experiment).items():
-            bad = [name for run in runs for name, ok in run.checks.items() if not ok]
-            if bad:
-                return False, f"{key}, {mode}: failed checks {bad}"
-            base_lo, base_hi = (b / runs[0].envelope for b in runs[0].ratio_bounds)
-            for run in runs:
-                lo, hi = (b / run.envelope for b in run.ratio_bounds)
-                if not (0.5 * base_hi <= lo and hi <= 2.0 * base_lo):
-                    return False, (
-                        f"{key}, s={run.s}: normalized bracket [{lo}, {hi}] not certified "
-                        f"within factor 2 of [{base_lo}, {base_hi}]"
-                    )
-            for a, b in zip(runs, runs[1:]):
-                if not b.ratio_bounds[1] < a.ratio_bounds[0]:
-                    return False, (
-                        f"{key}: ratio bracket at s={b.s} {b.ratio_bounds} does not lie "
-                        f"below the one at s={a.s} {a.ratio_bounds}"
-                    )
+    pairs = [ApproxParams(1, 1), ApproxParams(0.5, 2), ApproxParams(1, math.inf), ApproxParams(2, 1)]
+    experiment = optimality_experiment(squares_schedule(6), range(2, 7), pairs)
+    for key, runs in _runs_by_params(experiment).items():
+        bad = [name for run in runs for name, ok in run.checks.items() if not ok]
+        if bad:
+            return False, f"{key}: failed checks {bad}"
+        base_lo, base_hi = (b / runs[0].envelope for b in runs[0].ratio_bounds)
+        for run in runs:
+            lo, hi = (b / run.envelope for b in run.ratio_bounds)
+            if not (0.5 * base_hi <= lo and hi <= 2.0 * base_lo):
+                return False, (
+                    f"{key}, s={run.s}: normalized bracket [{lo}, {hi}] not certified "
+                    f"within factor 2 of [{base_lo}, {base_hi}]"
+                )
+        for a, b in zip(runs, runs[1:]):
+            if not b.ratio_bounds[1] < a.ratio_bounds[0]:
+                return False, (
+                    f"{key}: ratio bracket at s={b.s} {b.ratio_bounds} does not lie "
+                    f"below the one at s={a.s} {a.ratio_bounds}"
+                )
     return True, (
         "normalized ratios within factor 2 of s=2; raw ratios strictly decreasing; "
         "both certified on brackets for s=2..6"

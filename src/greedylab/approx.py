@@ -5,7 +5,8 @@ The quasi-norm of order (alpha, q) built from an error sequence e_N is
 Using sigma_N gives the approximation-space quasi-norm, gamma_N the
 greedy-class quasi-norm; the two-pool vector x_s makes their ratio
 collapse like (s^(-q alpha/2) + s^(-q/2))^(1/q), the non-optimality
-reproduced by optimality_experiment, whose runs hold A and G as brackets.
+reproduced by optimality_experiment, whose runs hold A and G as values
+inside their certified brackets.
 
 Series are finite (errors vanish at the support size), and the error
 powers are linear in k between the knots of the sequence (``_lines``), so
@@ -14,10 +15,10 @@ Faulhaber power sums (short pieces term by term, in ints), q = inf reads
 each piece's maximizer off a closed form, and any other series is one
 math.fsum over its short pieces term by term and Euler-Maclaurin sums of
 its long ones, O(log(support)) evaluations per piece (``_series_parts``).
-``quasinorm_bounds`` brackets that same fsum by a certified bound on what
-it leaves out, the Gauss-Legendre and Euler-Maclaurin remainders, taken on
-each cut from the Leibniz rule.  The bound checks of x_s are decided on the
-knots as well.
+``quasinorm_bracket`` returns that value together with a certified bracket:
+the same fsum plus or minus a bound on what it leaves out, the
+Gauss-Legendre and Euler-Maclaurin remainders, taken on each cut from the
+Leibniz rule.  The bound checks of x_s are decided on the knots as well.
 """
 
 from __future__ import annotations
@@ -59,19 +60,42 @@ class ApproxParams:
 
 
 def quasinorm(norm_x: float, seq: ErrorSequence, params: ApproxParams) -> float:
-    """Evaluate the quasi-norm from a precomputed error sequence.
+    """Evaluate the quasi-norm from a precomputed error sequence: the value of
+    ``quasinorm_bracket``."""
+    return quasinorm_bracket(norm_x, seq, params)[1]
+
+
+def quasinorm_bracket(
+    norm_x: float, seq: ErrorSequence, params: ApproxParams
+) -> tuple[float, float, float]:
+    """The quasi-norm as (lo, value, hi): a float value and a certified bracket around it.
 
     Integer exponents and q = inf take the exact per-piece routes of
-    ``_piecewise_series``.  Every other series is the math.fsum of
-    ``_series_parts``: term by term on short pieces, Euler-Maclaurin on long
-    ones, so its cost grows with log(support), not with the support.
+    ``_piecewise_series``, and all three are that value.  Any other series
+    is S, the math.fsum of the ``_series_parts`` floats (term by term on
+    short pieces, Euler-Maclaurin on long ones, so its cost grows with
+    log(support), not with the support), and E their bound on what S leaves
+    out: the 20-point Gauss-Legendre error on each cut, at most
+    (20!)^4 / (41 (40!)^3) w^41 max |f^(40)| (Abramowitz & Stegun 25.4.30),
+    and the Euler-Maclaurin remainder after B_8, at most
+    |B_8|/8! = 1/1209600 times the integral of |f^(8)| (Apostol 1999).  The
+    series lies in [S (1 - 1e-9) - E, S (1 + 1e-9) + E], the relative margin
+    absorbing float rounding.  On x_s over squares_schedule(42), s = 2..40,
+    (alpha, q) in {(0.5, 1), (1, 1), (2, 1), (1, 1.5)}, E is below 1.1e-17 S
+    and A and G brackets are at most 2e-9 wide (relative).  A series past the
+    float range is (inf, inf, inf).
     """
-    series = _piecewise_series(seq, params)
-    if series is not None:
-        return norm_x + series
-    q = params.q
-    parts, _ = _series_parts(_lines(seq), q * params.alpha - 1.0, q / seq.p)
-    return norm_x + math.fsum(parts) ** (1.0 / q)
+    try:
+        series = _piecewise_series(seq, params)
+        if series is not None:
+            return (norm_x + series,) * 3
+        q = params.q
+        parts, error = _series_parts(_lines(seq), q * params.alpha - 1.0, q / seq.p)
+        total = math.fsum(parts)
+    except OverflowError:
+        return (math.inf,) * 3
+    lo, hi = max(0.0, total * (1 - 1e-9) - error), total * (1 + 1e-9) + error  # inf - inf: 0.0
+    return norm_x + lo ** (1.0 / q), norm_x + total ** (1.0 / q), norm_x + hi ** (1.0 / q)
 
 
 def _lines(seq: ErrorSequence) -> list[tuple[int, int, Rational, Rational]]:
@@ -190,33 +214,6 @@ def _terms(u: int, w: int, g0: int, g1: int, scale: int, e1: float, e2: float):
     if e1:
         factors = map(mul, ks if e1 == 1 else map(math.pow, ks, repeat(e1)), factors)
     return factors
-
-
-def quasinorm_bounds(
-    norm_x: float, seq: ErrorSequence, params: ApproxParams
-) -> tuple[float, float]:
-    """Bracket the quasi-norm: the series ``quasinorm`` sums, plus or minus its certified error.
-
-    Where ``_piecewise_series`` applies, both ends are its value, bit for
-    bit what ``quasinorm`` returns.  Otherwise S is the math.fsum of the
-    ``_series_parts`` floats and E their bound on what S leaves out: the
-    20-point Gauss-Legendre error on each cut, at most (20!)^4 / (41 (40!)^3)
-    w^41 max |f^(40)| (Abramowitz & Stegun 25.4.30), and the Euler-Maclaurin
-    remainder after B_8, at most |B_8|/8! = 1/1209600 times the integral of
-    |f^(8)| (Apostol 1999).  The series lies in [S (1 - 1e-9) - E,
-    S (1 + 1e-9) + E], the relative margin absorbing float rounding.  On x_s
-    over squares_schedule(42), s = 2..40, (alpha, q) in {(0.5, 1), (1, 1),
-    (2, 1), (1, 1.5)}, E is below 1.1e-17 S and A and G brackets are at most
-    2e-9 wide (relative).
-    """
-    series = _piecewise_series(seq, params)
-    if series is not None:
-        return norm_x + series, norm_x + series
-    q = params.q
-    parts, error = _series_parts(_lines(seq), q * params.alpha - 1.0, q / seq.p)
-    total = math.fsum(parts)
-    lo, hi = max(0.0, total * (1 - 1e-9) - error), total * (1 + 1e-9) + error  # inf - inf: 0.0
-    return norm_x + lo ** (1.0 / q), norm_x + hi ** (1.0 / q)
 
 
 def _piecewise_series(seq: ErrorSequence, params: ApproxParams) -> Optional[float]:
@@ -403,40 +400,39 @@ def envelope(params: ApproxParams, s: int) -> float:
 
 @dataclass(frozen=True)
 class RatioRun:
-    """A and G of one x_s run as brackets; an exact value v is (v, v)."""
+    """A and G of one x_s run, each as (lo, value, hi) from ``quasinorm_bracket``."""
 
     s: int
     alpha: float
     q: float
-    a_bounds: tuple[float, float]
-    g_bounds: tuple[float, float]
+    a: tuple[float, float, float]
+    g: tuple[float, float, float]
     envelope: float
     checks: dict
-    bounded: bool
+
+    @property
+    def ratio(self) -> float:
+        return self.a[1] / self.g[1]
 
     @property
     def ratio_bounds(self) -> tuple[float, float]:
-        return self.a_bounds[0] / self.g_bounds[1], self.a_bounds[1] / self.g_bounds[0]
+        return self.a[0] / self.g[2], self.a[2] / self.g[0]
 
     def to_json(self) -> dict:
-        ratio = self.ratio_bounds[0]
-        out = {
+        return {
             "s": self.s,
             "alpha": self.alpha,
             "q": "inf" if math.isinf(self.q) else self.q,
-            "A": None if self.bounded else self.a_bounds[0],
-            "G": None if self.bounded else self.g_bounds[0],
-            "ratio": None if self.bounded else ratio,
+            "A": self.a[1],
+            "G": self.g[1],
+            "ratio": self.ratio,
             "envelope": self.envelope,
-            "normalized": None if self.bounded else ratio / self.envelope,
+            "normalized": self.ratio / self.envelope,
             "checks": dict(sorted(self.checks.items())),
+            "A_bounds": [self.a[0], self.a[2]],
+            "G_bounds": [self.g[0], self.g[2]],
+            "ratio_bounds": list(self.ratio_bounds),
         }
-        if self.bounded:
-            out["bounded"] = True
-            out["A_bounds"] = list(self.a_bounds)
-            out["G_bounds"] = list(self.g_bounds)
-            out["ratio_bounds"] = list(self.ratio_bounds)
-        return out
 
 
 def xs_bound_checks(xs: XsConstruction) -> dict:
@@ -486,21 +482,14 @@ def optimality_experiment(
     schedule: BlockSchedule,
     s_values: Sequence[int],
     params_list: Sequence[ApproxParams],
-    mode: str = "exact",
 ) -> tuple[RatioRun, ...]:
     """Quasi-norm ratios of x_s across s and (alpha, q), with bound checks.
 
-    Every run holds A and G as brackets: mode="bounds" takes them from
-    ``quasinorm_bounds``, which collapse to the exact value wherever
-    ``quasinorm`` has an exact per-piece route; mode="exact" takes
-    ``quasinorm``'s value twice, a bracket of width 0, at any s whose terms
-    are finite floats.  Either way the bound checks run on the knots, and no
-    step costs O(support).
+    Every run holds A and G as ``quasinorm_bracket`` gives them, a value
+    inside its certified bracket (of width 0 wherever the quasi-norm has an
+    exact per-piece route).  The bound checks run on the knots, and no step
+    costs O(support).
     """
-    if mode not in ("exact", "bounds"):
-        raise ValueError("mode must be 'exact' or 'bounds'")
-    bounded = mode == "bounds"
-    bracket = quasinorm_bounds if bounded else lambda *args: (quasinorm(*args),) * 2
     runs = []
     for s in s_values:
         xs = build_xs(schedule, s)
@@ -512,8 +501,8 @@ def optimality_experiment(
         runs.extend(
             RatioRun(
                 s=s, alpha=params.alpha, q=params.q,
-                a_bounds=bracket(norm_x, sigma, params), g_bounds=bracket(norm_x, gamma, params),
-                envelope=envelope(params, s), checks=checks, bounded=bounded,
+                a=quasinorm_bracket(norm_x, sigma, params), g=quasinorm_bracket(norm_x, gamma, params),
+                envelope=envelope(params, s), checks=checks,
             )
             for params in params_list
         )

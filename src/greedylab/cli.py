@@ -89,15 +89,17 @@ def _norm_json(nv) -> dict:
 
 
 def _parse_int_list(text: str) -> list[int]:
-    """Accept '1,2,5' and '1..4' range syntax."""
+    """Accept '1,2,5' and '1..4' range syntax; a descending range, which names
+    nothing, is a usage error."""
     out: list[int] = []
     for part in text.split(","):
-        part = part.strip()
-        if ".." in part:
-            lo, hi = part.split("..")
-            out.extend(range(int(lo), int(hi) + 1))
-        else:
-            out.append(int(part))
+        try:
+            lo, hi = map(int, part.split("..")) if ".." in part else (int(part),) * 2
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"{part.strip()!r} is not an int or a lo..hi range")
+        if lo > hi:
+            raise argparse.ArgumentTypeError(f"the range {part.strip()} is empty")
+        out.extend(range(lo, hi + 1))
     return out
 
 
@@ -181,7 +183,7 @@ def cmd_doubling_scan(args) -> int:
     from .democracy import doubling_scan
 
     spec = _load_schedule_space(args.space)
-    report = doubling_scan(spec.schedule, _parse_int_list(args.k))
+    report = doubling_scan(spec.schedule, args.k)
     rows = [
         (r.k, r.n_k, r.n_k1, r.a_k1, r.hl_n_power, r.hl_2n_power, str(r.ratio_sq),
          str(r.bound_sq), fmt_float(_float_root(r.ratio_sq, spec.outer_p)),
@@ -268,11 +270,11 @@ def cmd_xs_experiment(args) -> int:
         for alpha in _parse_float_list(args.alpha)
         for q in _parse_float_list(args.q)
     ]
-    runs = optimality_experiment(spec.schedule, _parse_int_list(args.s), params, mode=args.mode)
+    runs = optimality_experiment(spec.schedule, args.s, params)
     blob = {"runs": [run.to_json() for run in runs]}
     keys = [{k: out[k] for k in ("s", "alpha", "q")} for out in blob["runs"]]
     bad = [key for key, run in zip(keys, runs)
-           if not all(map(math.isfinite, run.a_bounds + run.g_bounds + run.ratio_bounds))]
+           if not all(map(math.isfinite, run.a + run.g + run.ratio_bounds))]
     if bad:
         _diag("xs-experiment: a non-finite A, G, ratio or bracket is not JSON compliant", runs=bad)
         return 1
@@ -288,13 +290,12 @@ def cmd_xs_experiment(args) -> int:
 def cmd_verify(args) -> int:
     from . import acceptance
 
-    only = _parse_int_list(args.only) if args.only else None
     known = [number for number, *_ in acceptance.CRITERIA]
-    unknown = sorted(set(only or ()).difference(known))
+    unknown = sorted(set(args.only or ()).difference(known))
     if unknown:  # a subset that names no criterion would pass having checked nothing
         build_parser().error(f"verify --only: no criterion {', '.join(map(str, unknown))} "
                              f"(the criteria are {', '.join(map(str, known))})")
-    results = acceptance.run_all(only=only, stream=sys.stdout)
+    results = acceptance.run_all(only=args.only, stream=sys.stdout)
     return 0 if all(r.passed for r in results) else 1
 
 
@@ -363,7 +364,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("doubling-scan", help="h_l doubling ratios per block", parents=[common])
     sp.add_argument("--space", required=True)
-    sp.add_argument("--k", required=True, help="block indices, e.g. 1..3 or 1,2")
+    sp.add_argument("--k", type=_parse_int_list, required=True,
+                    help="block indices, e.g. 1..3 or 1,2")
     sp.set_defaults(func=cmd_doubling_scan)
 
     sp = sub.add_parser("prefix-check", help="h_l vs first-N-unit-vectors norm", parents=[common])
@@ -390,18 +392,18 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("xs-experiment", help="optimality-ratio experiment", parents=[common])
     sp.add_argument("--schedule", required=True)
-    sp.add_argument("--s", required=True, help="comma list, e.g. 2,3,4")
+    sp.add_argument("--s", type=_parse_int_list, required=True, help="comma list, e.g. 2,3,4 or 2..6")
     sp.add_argument("--alpha", required=True, help="comma list of alphas")
     sp.add_argument("--q", required=True, help="comma list, inf allowed")
     sp.add_argument("--mode", choices=("exact", "bounds"), default="exact",
-                    help="the report's shape: exact gives A, G and ratio as float values; "
-                         "bounds gives A_bounds, G_bounds and ratio_bounds, the same sums "
-                         "bracketed by their certified error (Euler-Maclaurin and "
-                         "Gauss-Legendre remainders) and a 1e-9 rounding margin")
+                    help="ignored: every report carries A, G and ratio as float values "
+                         "and A_bounds, G_bounds and ratio_bounds, the same sums "
+                         "bracketed by their certified error")
     sp.set_defaults(func=cmd_xs_experiment)
 
     sp = sub.add_parser("verify", help="run the acceptance suite", parents=[common])
-    sp.add_argument("--only", default=None, help="criteria subset, e.g. 1,3,7")
+    sp.add_argument("--only", type=_parse_int_list, default=None,
+                    help="criteria subset, e.g. 1,3,7")
     sp.set_defaults(func=cmd_verify)
 
     return parser

@@ -27,10 +27,10 @@ def test_criterion(number, name, func, budget):
 
 
 def test_criterion_9_decides_the_values(monkeypatch):
-    # Constant quasi-norms make every value ratio 1: the exact half's ratios
-    # no longer fall, and criterion 9 must say so before reaching its brackets.
+    # Constant quasi-norms make every ratio bracket [1, 1]: the ratios no
+    # longer fall, and criterion 9 must say so.
     from greedylab import approx
 
-    monkeypatch.setattr(approx, "quasinorm", lambda *args: 1.0)
+    monkeypatch.setattr(approx, "quasinorm_bracket", lambda *args: (1.0,) * 3)
     passed, detail = acceptance.criterion_9()
-    assert not passed, detail
+    assert not passed and "does not lie below" in detail, detail

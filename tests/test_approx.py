@@ -26,7 +26,7 @@ from greedylab import (
     envelope,
     greedy_quasinorm,
     optimality_experiment,
-    quasinorm_bounds,
+    quasinorm_bracket,
     squares_schedule,
 )
 from greedylab import approx, explicit
@@ -152,30 +152,29 @@ def test_optimality_experiment_report_shape():
 
 
 def test_exact_runs_are_brackets_of_width_zero():
+    # Integer exponents (0.5, 2) and q = inf have exact per-piece routes, so
+    # their brackets are their values; (1, 1) sums floats and is bracketed.
     params = [ApproxParams(1, 1), ApproxParams(0.5, 2), ApproxParams(1, math.inf)]
     for run in optimality_experiment(squares_schedule(4), [2, 3, 4], params):
-        assert not run.bounded
-        (a_lo, a_hi), (g_lo, g_hi) = run.a_bounds, run.g_bounds
-        assert a_lo == a_hi and g_lo == g_hi
-        assert run.ratio_bounds == (a_lo / g_lo, a_lo / g_lo)
+        assert run.a[0] <= run.a[1] <= run.a[2] and run.g[0] <= run.g[1] <= run.g[2]
+        assert (run.a[0] == run.a[2] and run.g[0] == run.g[2]) == (run.q != 1)
+        if run.q != 1:
+            assert run.ratio_bounds == (run.ratio, run.ratio) == (run.a[1] / run.g[1],) * 2
         blob = run.to_json()
-        assert (blob["A"], blob["G"]) == (a_lo, g_lo) and "ratio_bounds" not in blob
+        assert (blob["A"], blob["G"]) == (run.a[1], run.g[1])
+        assert (blob["A_bounds"], blob["G_bounds"]) == ([run.a[0], run.a[2]], [run.g[0], run.g[2]])
+        assert blob["ratio_bounds"] == list(run.ratio_bounds) and "bounded" not in blob
         assert blob["ratio"] == blob["A"] / blob["G"]  # bit for bit, not approx
         assert blob["normalized"] == blob["ratio"] / blob["envelope"]
 
 
 def test_bound_mode_brackets_the_exact_value():
-    sched = squares_schedule(3)
-    params = ApproxParams(1, 1)
-    (exact,) = optimality_experiment(sched, [3], [params])
-    (bounds,) = optimality_experiment(sched, [3], [params], mode="bounds")
-    assert bounds.bounded and bounds.to_json()["A"] is None
-    a_lo, a_hi = bounds.a_bounds
-    g_lo, g_hi = bounds.g_bounds
-    a_value, g_value, ratio = exact.a_bounds[0], exact.g_bounds[0], exact.ratio_bounds[0]
+    (run,) = optimality_experiment(squares_schedule(3), [3], [ApproxParams(1, 1)])
+    a_lo, a_value, a_hi = run.a
+    g_lo, g_value, g_hi = run.g
     assert a_lo <= a_value <= a_hi
     assert g_lo <= g_value <= g_hi
-    assert bounds.ratio_bounds[0] <= ratio <= bounds.ratio_bounds[1]
+    assert run.ratio_bounds[0] <= run.ratio <= run.ratio_bounds[1]
     # The brackets should be informative, not vacuous.
     assert a_hi / a_lo < 1.2 and g_hi / g_lo < 1.2
 
@@ -184,9 +183,8 @@ def test_quasinorm_bounds_infinity_is_exact_sup():
     xs = build_xs(squares_schedule(3), 2)
     params = ApproxParams(1, math.inf)
     norm_x = float(space_norm(xs.x, xs.spec))
-    lo, hi = quasinorm_bounds(norm_x, xs.sigma_sequence(), params)
-    exact = quasinorm(norm_x, xs.sigma_sequence(), params)
-    assert lo == exact == hi
+    lo, value, hi = quasinorm_bracket(norm_x, xs.sigma_sequence(), params)
+    assert lo == value == hi == quasinorm(norm_x, xs.sigma_sequence(), params)
 
 
 def _gamma_closed(g, l, h, c, v, k):
@@ -319,7 +317,7 @@ def test_piecewise_series_match_per_term_oracle(instance, kind, params):
     norm_x = float(space_norm(x, spec))
     value = quasinorm(norm_x, seq, params)
     oracle = explicit.quasinorm_per_term(norm_x, seq, params)
-    lo, hi = quasinorm_bounds(norm_x, seq, params)
+    lo, _, hi = quasinorm_bracket(norm_x, seq, params)
     assert lo <= value <= hi
     if approx._piecewise_series(seq, params) is not None:
         assert value == pytest.approx(oracle, rel=1e-12)
@@ -461,17 +459,13 @@ def test_bounds_are_tight_and_cheap_on_xs_up_to_s6(monkeypatch):
     counts = _count_series_parts(monkeypatch)
     sched = squares_schedule(6)
     params = [ApproxParams(0.5, 1), ApproxParams(1, 1), ApproxParams(2, 1), ApproxParams(1, 1.5)]
-    bounded = optimality_experiment(sched, range(2, 7), params, mode="bounds")
-    assert len(counts) == 2 * len(bounded) == 40
+    runs = optimality_experiment(sched, range(2, 7), params)
+    assert len(counts) == 2 * len(runs) == 40
     assert 0 < max(counts) <= 1200
-    for run in bounded:
-        for lo, hi in (run.a_bounds, run.g_bounds):
+    for run in runs:
+        for lo, value, hi in (run.a, run.g):
+            assert lo <= value <= hi, (run.s, run.alpha, run.q)
             assert 0 < hi - lo <= 3e-9 * lo, (run.s, run.alpha, run.q)
-    exact = optimality_experiment(sched, [2, 3, 4], params)
-    for e, b in zip(exact, bounded):
-        assert (e.s, e.alpha, e.q) == (b.s, b.alpha, b.q)
-        assert b.a_bounds[0] <= e.a_bounds[0] <= b.a_bounds[1]
-        assert b.g_bounds[0] <= e.g_bounds[0] <= b.g_bounds[1]
 
 
 def test_linear_terms_cost_one_cut_per_part(monkeypatch):
@@ -483,7 +477,7 @@ def test_linear_terms_cost_one_cut_per_part(monkeypatch):
         counts.clear()
         for n in (10**4, 10**6):
             seq = ErrorSequence("sigma", 2, [(0, 10), (n, 10), (n + 3, 0)])
-            lo, hi = quasinorm_bounds(1.0, seq, params)
+            lo, _, hi = quasinorm_bracket(1.0, seq, params)
         assert counts == [28, 28], params
         assert lo <= explicit.quasinorm_per_term(1.0, seq, params) <= hi <= lo * (1 + 3e-9)
 
@@ -518,7 +512,7 @@ def test_curvature_brackets_hold_on_knot_sequences(monkeypatch):
         q = e2 * seq.p
         params = ApproxParams((e1 + 1) / q, q)
         counts.clear()
-        lo, hi = quasinorm_bounds(1.0, seq, params)
+        lo, _, hi = quasinorm_bracket(1.0, seq, params)
         assert lo <= explicit.quasinorm_per_term(1.0, seq, params) <= hi <= lo * (1 + 3e-9 / q)
         assert counts in ([], [seq.support_size - 1])
 
@@ -531,7 +525,7 @@ def test_bounds_term_count_is_bounded_at_depth(monkeypatch):
     xs = build_xs(squares_schedule(22), 20)
     norm_x = float(space_norm(xs.x, xs.spec))
     for seq in (xs.sigma_sequence(), xs.gamma_sequence()):
-        lo, hi = quasinorm_bounds(norm_x, seq, ApproxParams(0.5, 1))
+        lo, _, hi = quasinorm_bracket(norm_x, seq, ApproxParams(0.5, 1))
         assert 0 < lo <= quasinorm(norm_x, seq, ApproxParams(0.5, 1)) <= hi <= lo * (1 + 3e-9)
     assert len(counts) == 4 and 0 < max(counts) <= 6000
 
@@ -551,7 +545,7 @@ def test_bounds_contain_the_exact_value_at_depth(monkeypatch, s):
     cases.append((1.0, degree_41, ApproxParams(1, 28), quasinorm(1.0, degree_41, ApproxParams(1, 28))))
     monkeypatch.setattr(approx, "_piecewise_series", lambda *args: None)
     for norm, seq, params, exact in cases:
-        lo, hi = quasinorm_bounds(norm, seq, params)
+        lo, _, hi = quasinorm_bracket(norm, seq, params)
         assert lo <= exact <= hi <= lo * (1 + 3e-9), (seq.kind, params)
     assert approx._series_parts(approx._lines(degree_41), 27.0, 14.0)[1] > 0
 
@@ -568,7 +562,20 @@ def test_exact_sum_past_float_range_is_finite():
     value = quasinorm(1.0, seq, ApproxParams(2, 2))
     assert value == pytest.approx(1.0 + math.isqrt(total), rel=1e-15)
     assert 2.23e169 < value < 2.24e169
-    assert quasinorm_bounds(1.0, seq, ApproxParams(2, 2)) == (value, value)
+    assert quasinorm_bracket(1.0, seq, ApproxParams(2, 2)) == (value,) * 3
+
+
+def test_series_past_the_float_range_are_infinite():
+    # The q = inf maximum k^2 g(k)^(1/2), a long piece's Euler-Maclaurin
+    # floats and a short piece's terms each leave the float range here, where
+    # they once raised OverflowError; the CLI refuses an infinite report.
+    cases = [
+        (ErrorSequence("sigma", 2, [(0, 10**10), (10**200, 0)]), ApproxParams(2, math.inf)),
+        (ErrorSequence("sigma", 2, [(0, 10**600), (5000, 0)]), ApproxParams(1, 1)),
+        (ErrorSequence("sigma", 2, [(0, 10**600), (5, 0)]), ApproxParams(1, 1)),
+    ]
+    for seq, params in cases:
+        assert quasinorm_bracket(1.0, seq, params) == (math.inf,) * 3, params
 
 
 KERNEL_PAIRS = [ApproxParams(0.5, 1), ApproxParams(1, 1), ApproxParams(2, 1), ApproxParams(1, 1.5)]
@@ -615,20 +622,17 @@ PARENT_BRACKETS = json.loads((Path(__file__).parent / "data" / "xs_parent_bracke
 @pytest.mark.parametrize("params", KERNEL_PAIRS)
 def test_exact_values_lie_in_their_brackets_to_s40(params):
     sched, s_values = squares_schedule(42), range(2, 41)
-    exact = optimality_experiment(sched, s_values, [params])
-    bounded = optimality_experiment(sched, s_values, [params], mode="bounds")
+    runs = optimality_experiment(sched, s_values, [params])
     parent = PARENT_BRACKETS["brackets"][f"{params.alpha:g} {params.q:g}"]
-    assert len(exact) == len(bounded) == len(parent) == 39
-    for e, b, (s, *old) in zip(exact, bounded, parent):
-        assert e.s == b.s == s and (e.alpha, e.q) == (b.alpha, b.q)
-        for (value, _), (lo, hi) in zip((e.a_bounds, e.g_bounds, e.ratio_bounds),
-                                        (b.a_bounds, b.g_bounds, b.ratio_bounds)):
-            assert lo <= value <= hi, (e.s, e.alpha, e.q)
-        for (value, _), (lo, hi), (old_lo, old_hi) in zip(
-                (e.a_bounds, e.g_bounds), (b.a_bounds, b.g_bounds), (old[:2], old[2:])):
-            assert old_lo <= value <= old_hi, (e.s, e.alpha, e.q)  # inside the parent's bracket
-            assert lo <= old_hi and old_lo <= hi, (e.s, e.alpha, e.q)  # and the two meet
-            assert hi - lo <= 3e-9 * lo, (e.s, e.alpha, e.q)
+    assert len(runs) == len(parent) == 39
+    for run, (s, *old) in zip(runs, parent):
+        assert run.s == s
+        assert run.ratio_bounds[0] <= run.ratio <= run.ratio_bounds[1], (run.s, run.alpha, run.q)
+        for (lo, value, hi), (old_lo, old_hi) in zip((run.a, run.g), (old[:2], old[2:])):
+            assert lo <= value <= hi, (run.s, run.alpha, run.q)
+            assert old_lo <= value <= old_hi, (run.s, run.alpha, run.q)  # inside the parent's bracket
+            assert lo <= old_hi and old_lo <= hi, (run.s, run.alpha, run.q)  # and the two meet
+            assert hi - lo <= 3e-9 * lo, (run.s, run.alpha, run.q)
 
 
 def test_kernel_work_at_s40_is_pinned():
@@ -648,7 +652,7 @@ def test_singular_points_past_2_53_stay_exact():
     for params in (ApproxParams(0.5, 1), ApproxParams(1, 1), ApproxParams(1, 1.5)):
         parts, _ = approx._series_parts(approx._lines(seq), params.q * params.alpha - 1.0, params.q / 2)
         assert len(parts) <= 2 * approx.NEAR + 5 + 20 * 2 * 61
-        lo, hi = quasinorm_bounds(1.0, seq, params)
+        lo, _, hi = quasinorm_bracket(1.0, seq, params)
         assert lo <= quasinorm(1.0, seq, params) <= hi
 
 
@@ -695,7 +699,7 @@ def test_brackets_hold_a_40_digit_sum_on_long_pieces():
                 assert total * (1 - 1e-9) - error <= exact <= total * (1 + 1e-9) + error
                 assert 2 * (1e-9 * total + error) <= 3e-9 * total
                 params = ApproxParams((e1 + 1) / (e2 * p), e2 * p)
-                lo, hi = quasinorm_bounds(1.0, seq, params)
+                lo, _, hi = quasinorm_bracket(1.0, seq, params)
                 assert lo <= 1 + float(exact ** (Decimal(1) / Decimal(params.q))) <= hi
     assert long_pieces >= 4
 
@@ -704,7 +708,7 @@ def test_a_larger_error_constant_widens_the_bracket(monkeypatch):
     # The bound is live on every long piece: inflating c20 or the L_n moves both ends out.
     xs = build_xs(squares_schedule(6), 4)
     seq, params = xs.sigma_sequence(), ApproxParams(0.5, 1)
-    lo, hi = quasinorm_bounds(1.0, seq, params)
+    lo, _, hi = quasinorm_bracket(1.0, seq, params)
     leibniz = approx._leibniz
 
     def inflated(by8, by40):
@@ -717,7 +721,7 @@ def test_a_larger_error_constant_widens_the_bracket(monkeypatch):
                         ("_leibniz", inflated(1e10, 1.0)), ("_leibniz", inflated(1.0, 1e60))):
         with monkeypatch.context() as patch:
             patch.setattr(approx, name, value)
-            wide_lo, wide_hi = quasinorm_bounds(1.0, seq, params)
+            wide_lo, _, wide_hi = quasinorm_bracket(1.0, seq, params)
         assert wide_lo < lo and hi < wide_hi, name
 
 

@@ -199,18 +199,20 @@ def test_xs_experiment_json_schema(tmp_path):
     assert blob["runs"][1]["q"] == "inf"
 
 
-@pytest.mark.parametrize("mode", ["exact", "bounds"])
-def test_xs_experiment_refuses_non_finite_json(tmp_path, capsys, mode):
-    # squares_schedule(72) at s = 71: the float quasi-norms overflow, and a
-    # report holding NaN or Infinity is refused instead of written.
+def test_xs_experiment_refuses_non_finite_json(tmp_path, capsys):
+    # squares_schedule(72) at s = 71: the float quasi-norms overflow (at q = 1,
+    # in the fsum of the series), and a report holding NaN or Infinity is
+    # refused instead of written.
     sched = write(tmp_path / "squares.json", {"a": [(j + 2) ** 2 for j in range(73)]})
-    argv = ["xs-experiment", "--schedule", sched, "--s", "71", "--alpha", "1", "--q", "inf",
-            "--mode", mode]
-    for extra in ([], ["--out", str(tmp_path / "report.json")]):
-        assert main(argv + extra) == 1
-        captured = capsys.readouterr()
-        assert captured.out == "" and captured.err.count("\n") == 1
-        assert "not JSON compliant" in json.loads(captured.err)["error"]
+    for q, key in (("inf", "inf"), ("1", 1.0)):
+        argv = ["xs-experiment", "--schedule", sched, "--s", "71", "--alpha", "1", "--q", q]
+        for extra in ([], ["--out", str(tmp_path / "report.json")]):
+            assert main(argv + extra) == 1
+            captured = capsys.readouterr()
+            assert captured.out == "" and captured.err.count("\n") == 1
+            diag = json.loads(captured.err)
+            assert "not JSON compliant" in diag["error"]
+            assert diag["runs"] == [{"s": 71, "alpha": 1.0, "q": key}]
     assert os.listdir(tmp_path) == ["squares.json"]  # no report, no temp file
 
 
@@ -220,7 +222,7 @@ def test_xs_experiment_refusal_names_the_non_finite_runs(tmp_path, capsys):
     sched = write(tmp_path / "squares.json", {"a": [(j + 2) ** 2 for j in range(73)]})
     out = tmp_path / "report.json"
     argv = ["--out", str(out), "xs-experiment", "--schedule", sched, "--s", "2,71",
-            "--alpha", "1,0.5", "--q", "inf", "--mode", "bounds"]
+            "--alpha", "1,0.5", "--q", "inf"]
     assert main(argv) == 1
     captured = capsys.readouterr()
     diag = json.loads(captured.err)
@@ -476,19 +478,48 @@ def test_budget_terms_flag_is_a_usage_error(schedule_file, vector_file):
 
 def test_xs_experiment_exact_past_the_old_budget(tmp_path):
     # s = 7 on squares_schedule(8): 2,438,553,600 terms, once refused past a
-    # budget of 10^8 terms; the exact values lie inside the bounds brackets.
+    # budget of 10^8 terms; each value lies inside its bracket.
     sched = write(tmp_path / "squares.json", {"a": [(j + 2) ** 2 for j in range(9)]})
-    runs = {}
-    for mode in ("exact", "bounds"):
-        out = tmp_path / f"{mode}.json"
-        assert main(["--out", str(out), "xs-experiment", "--s", "7", "--schedule", sched,
-                     "--alpha", "0.5,1", "--q", "1,1.5", "--mode", mode]) == 0
-        runs[mode] = json.loads(out.read_text())["runs"]
-    assert len(runs["exact"]) == len(runs["bounds"]) == 4
-    for e, b in zip(runs["exact"], runs["bounds"]):
+    out = tmp_path / "report.json"
+    assert main(["--out", str(out), "xs-experiment", "--s", "7", "--schedule", sched,
+                 "--alpha", "0.5,1", "--q", "1,1.5"]) == 0
+    runs = json.loads(out.read_text())["runs"]
+    assert len(runs) == 4
+    for run in runs:
         for key in ("A", "G", "ratio"):
-            lo, hi = b[f"{key}_bounds"]
-            assert lo <= e[key] <= hi, (key, e, b)
+            lo, hi = run[f"{key}_bounds"]
+            assert lo <= run[key] <= hi, (key, run)
+
+
+def test_xs_experiment_mode_is_ignored(tmp_path):
+    # --mode is still accepted, and checked, but every report has one shape.
+    sched = write(tmp_path / "squares.json", {"a": [(j + 2) ** 2 for j in range(5)]})
+    argv = ["xs-experiment", "--schedule", sched, "--s", "2..3", "--alpha", "0.5,1", "--q", "1,inf"]
+    reports = []
+    for extra in ([], ["--mode", "exact"], ["--mode", "bounds"]):
+        out = tmp_path / "report.json"
+        assert main(["--out", str(out)] + argv + extra) == 0
+        reports.append(out.read_bytes())
+    assert reports[0] == reports[1] == reports[2]
+    for run in json.loads(reports[0])["runs"]:
+        assert {"A", "G", "ratio", "normalized", "A_bounds", "G_bounds", "ratio_bounds"} <= set(run)
+        assert "bounded" not in run
+    with pytest.raises(SystemExit) as err:
+        main(argv + ["--mode", "foo"])
+    assert err.value.code == 2
+
+
+def test_backwards_ranges_are_usage_errors(tmp_path, capsys):
+    # A descending range names nothing: the command would check nothing and exit 0.
+    sched = write(tmp_path / "squares.json", {"a": [(j + 2) ** 2 for j in range(7)]})
+    for argv in (["xs-experiment", "--schedule", sched, "--s", "5..2", "--alpha", "1", "--q", "1"],
+                 ["xs-experiment", "--schedule", sched, "--s", "2,5..4", "--alpha", "1", "--q", "1"],
+                 ["doubling-scan", "--space", sched, "--k", "4..1"]):
+        with pytest.raises(SystemExit) as err:
+            main(["--out", str(tmp_path / "out")] + argv)
+        assert err.value.code == 2
+        assert "is empty" in capsys.readouterr().err
+    assert sorted(os.listdir(tmp_path)) == ["squares.json"]
 
 
 def test_xs_experiment_large_integer_q_finishes(tmp_path):
@@ -512,7 +543,7 @@ def test_xs_experiment_bounds_reach_s6(tmp_path):
     out = tmp_path / "report.json"
     assert main([
         "--out", str(out), "xs-experiment", "--schedule", sched, "--s", "2,3,4,5,6",
-        "--alpha", "1,2", "--q", "1,2,inf", "--mode", "bounds",
+        "--alpha", "1,2", "--q", "1,2,inf",
     ]) == 0
     runs = json.loads(out.read_text())["runs"]
     assert [run["s"] for run in runs] == [s for s in range(2, 7) for _ in range(6)]
