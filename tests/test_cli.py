@@ -199,13 +199,15 @@ def test_xs_experiment_json_schema(tmp_path):
     assert blob["runs"][1]["q"] == "inf"
 
 
-def test_xs_experiment_refuses_non_finite_json(tmp_path, capsys):
+@pytest.mark.parametrize("mode", ["exact", "bounds"])
+def test_xs_experiment_refuses_non_finite_json(tmp_path, capsys, mode):
     # squares_schedule(72) at s = 71: the float quasi-norms overflow (at q = 1,
     # in the fsum of the series), and a report holding NaN or Infinity is
-    # refused instead of written.
+    # refused instead of written. --mode is still accepted and changes nothing.
     sched = write(tmp_path / "squares.json", {"a": [(j + 2) ** 2 for j in range(73)]})
     for q, key in (("inf", "inf"), ("1", 1.0)):
-        argv = ["xs-experiment", "--schedule", sched, "--s", "71", "--alpha", "1", "--q", q]
+        argv = ["xs-experiment", "--schedule", sched, "--s", "71", "--alpha", "1", "--q", q,
+                "--mode", mode]
         for extra in ([], ["--out", str(tmp_path / "report.json")]):
             assert main(argv + extra) == 1
             captured = capsys.readouterr()
