@@ -11,8 +11,8 @@ inside their certified brackets.
 Series are finite (errors vanish at the support size), and the error
 powers are linear in k between the knots of the sequence (``_lines``), so
 no series costs O(support): integer exponents are summed exactly with
-Faulhaber power sums (short pieces term by term, in ints), q = inf reads
-each piece's maximizer off a closed form, and any other series is one
+Newton's forward differences (``_exact_sum``), q = inf reads each piece's
+maximizer off a closed form (``_sup``), and any other series is one
 math.fsum over its short pieces term by term and Euler-Maclaurin sums of
 its long ones, O(log(support)) evaluations per piece (``_series_parts``).
 ``quasinorm_bracket`` returns that value together with a certified bracket:
@@ -29,8 +29,8 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 from itertools import accumulate, repeat
-from operator import mul
-from typing import Optional, Sequence
+from operator import mul, sub
+from typing import Sequence
 
 from .errors import GreedyLabError, InvariantError, ScheduleTooShallowError
 from .errorseq import ErrorSequence
@@ -55,13 +55,12 @@ class ApproxParams:
     def __post_init__(self):
         if not 0 < self.alpha < math.inf:
             raise ValueError("alpha must be positive and finite")
-        if not (self.q > 0 or math.isinf(self.q)):
+        if not self.q > 0:  # refuses NaN and -inf, lets +inf through
             raise ValueError("q must be positive or infinity")
 
 
 def quasinorm(norm_x: float, seq: ErrorSequence, params: ApproxParams) -> float:
-    """Evaluate the quasi-norm from a precomputed error sequence: the value of
-    ``quasinorm_bracket``."""
+    """The quasi-norm from a precomputed error sequence: ``quasinorm_bracket``'s value."""
     return quasinorm_bracket(norm_x, seq, params)[1]
 
 
@@ -70,8 +69,8 @@ def quasinorm_bracket(
 ) -> tuple[float, float, float]:
     """The quasi-norm as (lo, value, hi): a float value and a certified bracket around it.
 
-    Integer exponents and q = inf take the exact per-piece routes of
-    ``_piecewise_series``, and all three are that value.  Any other series
+    q = inf is the closed form of ``_sup``, integer exponents the q-th root of
+    the exact ``_exact_sum``, and all three are that value.  Any other series
     is S, the math.fsum of the ``_series_parts`` floats (term by term on
     short pieces, Euler-Maclaurin on long ones, so its cost grows with
     log(support), not with the support), and E their bound on what S leaves
@@ -85,12 +84,15 @@ def quasinorm_bracket(
     and A and G brackets are at most 2e-9 wide (relative).  A series past the
     float range is (inf, inf, inf).
     """
+    q, lines = params.q, _lines(seq)
+    e1, e2 = q * params.alpha - 1.0, q / seq.p
     try:
-        series = _piecewise_series(seq, params)
-        if series is not None:
-            return (norm_x + series,) * 3
-        q = params.q
-        parts, error = _series_parts(_lines(seq), q * params.alpha - 1.0, q / seq.p)
+        if math.isinf(q):
+            return (norm_x + _sup(lines, params.alpha, seq.p),) * 3
+        if e1 >= 0 and e1.is_integer() and e2.is_integer():  # e2 = q/p > 0
+            total = _exact_sum(lines, int(e1), int(e2))
+            return (norm_x + _float_root(total, int(q) if float(q).is_integer() else q),) * 3
+        parts, error = _series_parts(lines, e1, e2)
         total = math.fsum(parts)
     except OverflowError:
         return (math.inf,) * 3
@@ -216,62 +218,47 @@ def _terms(u: int, w: int, g0: int, g1: int, scale: int, e1: float, e2: float):
     return factors
 
 
-def _piecewise_series(seq: ErrorSequence, params: ApproxParams) -> Optional[float]:
-    """The series part of the quasi-norm in O(pieces), or None.
+def _sup(lines, alpha: float, p: int | float) -> float:
+    """The sup of k^alpha * power(k)^(1/p) over k >= 1, the series part at q = inf: on a
+    piece, alpha log k + log(c0 + a1 k) / p is concave, so its maximum is at the floor or
+    ceiling of k* = alpha p c0 / (-a1 (1 + alpha p)), computed exactly and clamped to the
+    piece, if a1 < 0, and at the piece's last k otherwise."""
+    best = 0.0
+    ap = Fraction(alpha) * p
+    # integral alpha: k**alpha in ints, rounded once (from 1024 on, k >= 2 overflows anyway)
+    alpha = int(alpha) if float(alpha).is_integer() and alpha <= 1024 else alpha
+    for lo, hi, c0, a1 in lines:
+        k_star = ap * c0 / (-a1 * (1 + ap)) if a1 < 0 else hi
+        for k in {min(max(j, lo), hi) for j in (math.floor(k_star), math.ceil(k_star))}:
+            best = max(best, k**alpha * _float_root(c0 + a1 * k, p))
+    return best
 
-    q = inf: the sup of k^alpha * power(k)^(1/p) over k >= 1.  On a piece,
-    alpha log k + log(c0 + a1 k) / p is concave; for a1 < 0 it is
-    stationary at k* = alpha p c0 / (-a1 (1 + alpha p)), computed exactly,
-    so the piece's maximum is at floor(k*) or ceil(k*), clamped to the
-    piece, and for a1 >= 0 it is at the piece's last k.  Finite q with
-    e1 = q alpha - 1 and e2 = q/p nonnegative integers: the term
-    k^e1 (c0 + a1 k)^e2 is a polynomial in k on a piece, summed exactly
-    with Faulhaber power sums, or term by term in ints on a piece with fewer
-    terms than the (e1 + e2 + 1)^2 steps those take; only the q-th root of
-    the exact total is taken in floats.  Any other finite q: None.
+
+def _exact_sum(lines, e1: int, e2: int) -> Rational:
+    """The sum over k >= 1 of k^e1 power(k)^e2 for integers e1, e2 >= 0, exact.
+
+    On a piece lo..hi of n terms, scale^e2 times the term is the integer
+    polynomial f(k) = k^e1 (g0 + g1 k)^e2 of degree d = e1 + e2, so by
+    Newton's forward-difference series the piece sums to
+    sum_{j<=d} C(n, j+1) Delta^j f(lo), read off the difference table of
+    f(lo), ..., f(lo + d).  A piece of at most d + 1 terms sums those terms.
     """
-    alpha, q, p = params.alpha, params.q, seq.p
-    lines = _lines(seq)
-    if math.isinf(q):
-        best = 0.0
-        ap = Fraction(alpha) * p
-        # integral alpha: k**alpha in ints, rounded once (from 1024 on, k >= 2 overflows anyway)
-        alpha = int(alpha) if float(alpha).is_integer() and alpha <= 1024 else alpha
-        for lo, hi, c0, a1 in lines:
-            k_star = ap * c0 / (-a1 * (1 + ap)) if a1 < 0 else hi
-            for k in {min(max(j, lo), hi) for j in (math.floor(k_star), math.ceil(k_star))}:
-                best = max(best, k**alpha * _float_root(c0 + a1 * k, p))
-        return best
-    e1, e2 = q * alpha - 1.0, q / p
-    if not (e1 >= 0 and e2 >= 0 and e1.is_integer() and e2.is_integer()):
-        return None
-    e1, e2 = int(e1), int(e2)
+    d = e1 + e2
     total = 0
     for lo, hi, c0, a1 in lines:
-        if hi - lo + 1 < (e1 + e2 + 1) ** 2:  # fewer terms than _power_sums takes steps
-            scale = math.lcm(c0.denominator, a1.denominator)
-            g0, g1 = int(c0 * scale), int(a1 * scale)  # scale g(k) = g0 + g1 k
-            total += Fraction(sum(k**e1 * (g0 + g1 * k) ** e2 for k in range(lo, hi + 1)), scale**e2)
-            continue
-        upper, lower = _power_sums(e1 + e2, hi), _power_sums(e1 + e2, lo - 1)
-        # k^e1 (c0 + a1 k)^e2 = sum_j C(e2, j) c0^(e2-j) a1^j k^(e1+j)
-        for j in range(e2 + 1):
-            coef = math.comb(e2, j) * c0 ** (e2 - j) * a1**j
-            total += coef * (upper[e1 + j] - lower[e1 + j])
-    return _float_root(total, int(q) if float(q).is_integer() else q)
-
-
-def _power_sums(top: int, n: int) -> list[int]:
-    """[S_0(n), ..., S_top(n)] with S_m(n) = 1^m + 2^m + ... + n^m, exact.
-
-    Faulhaber's sums by Pascal's recurrence: summing (k+1)^(m+1) - k^(m+1)
-    over k = 1..n gives (n+1)^(m+1) - 1 = sum_{j<=m} C(m+1, j) S_j(n).
-    """
-    sums: list[int] = []
-    for m in range(top + 1):
-        rest = sum(math.comb(m + 1, j) * s for j, s in enumerate(sums))
-        sums.append(((n + 1) ** (m + 1) - 1 - rest) // (m + 1))
-    return sums
+        scale = math.lcm(c0.denominator, a1.denominator)
+        g0, g1 = int(c0 * scale), int(a1 * scale)  # scale g(k) = g0 + g1 k
+        n = hi - lo + 1
+        values = [k**e1 * (g0 + g1 * k) ** e2 for k in range(lo, lo + min(n, d + 1))]
+        if n > d + 1:
+            piece, binom = 0, 1
+            for j in range(d + 1):  # values[0] = Delta^j f(lo), binom = C(n, j + 1)
+                binom = binom * (n - j) // (j + 1)
+                piece += binom * values[0]
+                values = list(map(sub, values[1:], values[:-1]))
+            values = [piece]
+        total += sum(values) if scale == 1 else Fraction(sum(values), scale**e2)
+    return total
 
 
 def approx_quasinorm(x: CompressedVector, spec: SpaceSpec, params: ApproxParams) -> float:

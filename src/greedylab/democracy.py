@@ -217,6 +217,8 @@ class DemFunTable:
 def demfun_table(spec: SpaceSpec, max_n: int, which: str = "both") -> DemFunTable:
     if max_n < 0:
         raise ValueError("max_n must be >= 0")
+    if which not in ("hl", "hr", "both"):
+        raise ValueError("which must be 'hl', 'hr' or 'both'")
     blocks = _adequate_blocks(spec, max_n, which)
     total_caps = sum(c for c, _ in blocks)
     hl = tuple(_hl_table(blocks, max_n)) if which != "hr" else None
@@ -415,6 +417,13 @@ def _first_crossing(
         return n, f"h_r/h_l is not known at N = {n}, before any N with h_r/h_l >= {target}"
 
 
+def _require_finite(**values: float) -> None:
+    """Refuse a nan or infinite parameter up front: its report could not be written as JSON."""
+    for name, value in values.items():
+        if not math.isfinite(value):
+            raise ValueError(f"{name} must be finite, got {value}")
+
+
 def cghm_construct(
     h_r: Callable[[int], float],
     h_l: Callable[[int], float],
@@ -436,6 +445,7 @@ def cghm_construct(
     """
     if count < 1:
         raise ValueError("count must be >= 1")
+    _require_finite(c_doubling=c_doubling, alpha=alpha)
 
     # Pre-condition: h_l doubling with the claimed constant on the probed
     # range, which ends at the first N a table cannot answer.
@@ -520,6 +530,7 @@ def condition71_check(
     Growth means n/k strictly increases along the pairs; the inequality is
     h_r(k) / h_l(n) >= c * (n/k)^alpha per pair.
     """
+    _require_finite(c=c, alpha=alpha)
     rows = []
     prev_ratio = None
     for mu, (k, n) in enumerate(pairs, start=1):

@@ -309,6 +309,13 @@ def test_sigma_le_gamma_reads_both_knot_sets():
         assert got["sigma_le_gamma"] is False
 
 
+def _exact_route(seq, params):
+    """Whether quasinorm_bracket answers exactly: q = inf, or integer exponents
+    e1 = q alpha - 1 >= 0 and e2 = q/p."""
+    e1, e2 = params.q * params.alpha - 1.0, params.q / seq.p
+    return math.isinf(params.q) or (e1 >= 0 and e1.is_integer() and e2.is_integer())
+
+
 @settings(derandomize=True, max_examples=150, deadline=None)
 @given(sequence_instances(), st.sampled_from(["sigma", "gamma"]), st.sampled_from(PARAMS))
 def test_piecewise_series_match_per_term_oracle(instance, kind, params):
@@ -319,7 +326,7 @@ def test_piecewise_series_match_per_term_oracle(instance, kind, params):
     oracle = explicit.quasinorm_per_term(norm_x, seq, params)
     lo, _, hi = quasinorm_bracket(norm_x, seq, params)
     assert lo <= value <= hi
-    if approx._piecewise_series(seq, params) is not None:
+    if _exact_route(seq, params):
         assert value == pytest.approx(oracle, rel=1e-12)
         assert lo == value == hi
     else:
@@ -340,7 +347,7 @@ def test_xs_routes_match_per_term_oracles(s):
                        ApproxParams(0.5, 2), ApproxParams(2, 2), ApproxParams(1, math.inf)):
             value = quasinorm(norm_x, seq, params)
             oracle = explicit.quasinorm_per_term(norm_x, seq, params)
-            if approx._piecewise_series(seq, params) is not None:
+            if _exact_route(seq, params):
                 assert value == pytest.approx(oracle, rel=1e-12)
             elif all(hi - lo < approx.DIRECT for lo, hi, _, _ in approx._lines(seq)):
                 assert value == oracle  # every term summed as the oracle sums it
@@ -364,7 +371,7 @@ def test_per_term_series_match_the_oracle_on_fraction_powers():
             for e2 in (0.5, 0.75):
                 params = ApproxParams((e1 + 1) / (e2 * seq.p), e2 * seq.p)
                 assert params.q * params.alpha - 1.0 == e1
-                assert approx._piecewise_series(seq, params) is None
+                assert not _exact_route(seq, params)
                 assert quasinorm(1.0, seq, params) == explicit.quasinorm_per_term(1.0, seq, params)
 
 
@@ -387,7 +394,7 @@ def test_sup_is_the_max_over_every_k():
         roots = [_float_root(power, seq.p) for power in seq.powers()]
         for alpha in (0.25, 0.5, 1, 1.3, 2):
             brute = max(k**alpha * roots[k] for k in range(1, support))
-            assert approx._piecewise_series(seq, ApproxParams(alpha, math.inf)) == brute
+            assert approx._sup(approx._lines(seq), alpha, seq.p) == brute
 
 
 def test_sup_costs_two_terms_per_piece(monkeypatch):
@@ -416,6 +423,14 @@ def test_alpha_must_be_positive_and_finite():
     for alpha in (0, -1, math.inf, math.nan):
         with pytest.raises(ValueError):
             ApproxParams(alpha, math.inf)
+
+
+def test_q_must_be_positive_or_plus_infinity():
+    # q = -inf was once taken for +inf: the check read q > 0 or isinf(q).
+    for q in (0, -1, -math.inf, math.nan):
+        with pytest.raises(ValueError):
+            ApproxParams(1, q)
+    assert ApproxParams(1, math.inf).q == math.inf
 
 
 def test_work_is_bounded_by_knots_not_support(monkeypatch):
@@ -530,9 +545,19 @@ def test_bounds_term_count_is_bounded_at_depth(monkeypatch):
     assert len(counts) == 4 and 0 < max(counts) <= 6000
 
 
+def _series_bracket(norm_x, seq, params):
+    """quasinorm_bracket's (lo, hi) from _series_parts, taken also where the
+    exponents are integers and quasinorm_bracket sums exactly."""
+    q = params.q
+    parts, error = approx._series_parts(approx._lines(seq), q * params.alpha - 1.0, q / seq.p)
+    total = math.fsum(parts)
+    lo, hi = max(0.0, total * (1 - 1e-9) - error), total * (1 + 1e-9) + error
+    return norm_x + lo ** (1.0 / q), norm_x + hi ** (1.0 / q)
+
+
 @pytest.mark.parametrize("s", [14, 20])
-def test_bounds_contain_the_exact_value_at_depth(monkeypatch, s):
-    # Integer exponents have an exact Faulhaber value; the brackets must hold it.
+def test_bounds_contain_the_exact_value_at_depth(s):
+    # Integer exponents have an exact value; the Euler-Maclaurin brackets must hold it.
     # k^27 (3 - 3k/5000)^14 has degree 41 > 39, so the Gauss error is not 0.
     xs = build_xs(squares_schedule(s + 2), s)
     norm_x = float(space_norm(xs.x, xs.spec))
@@ -543,9 +568,8 @@ def test_bounds_contain_the_exact_value_at_depth(monkeypatch, s):
     ]
     degree_41 = ErrorSequence("sigma", 2, [(0, 3), (5000, 0)])
     cases.append((1.0, degree_41, ApproxParams(1, 28), quasinorm(1.0, degree_41, ApproxParams(1, 28))))
-    monkeypatch.setattr(approx, "_piecewise_series", lambda *args: None)
     for norm, seq, params, exact in cases:
-        lo, _, hi = quasinorm_bracket(norm, seq, params)
+        lo, hi = _series_bracket(norm, seq, params)
         assert lo <= exact <= hi <= lo * (1 + 3e-9), (seq.kind, params)
     assert approx._series_parts(approx._lines(degree_41), 27.0, 14.0)[1] > 0
 
@@ -732,19 +756,73 @@ def test_envelope_stays_positive_at_large_q():
     assert envelope(ApproxParams(2, 3000), 2) == pytest.approx(2**-0.5, rel=1e-15)
 
 
-def _faulhaber_total(seq, e1, e2):
+def _power_sums(top, n):
+    """[S_0(n), ..., S_top(n)] with S_m(n) = 1^m + 2^m + ... + n^m, exact.
+
+    Faulhaber's sums by Pascal's recurrence: summing (k+1)^(m+1) - k^(m+1)
+    over k = 1..n gives (n+1)^(m+1) - 1 = sum_{j<=m} C(m+1, j) S_j(n).
+    """
+    sums = []
+    for m in range(top + 1):
+        rest = sum(math.comb(m + 1, j) * s for j, s in enumerate(sums))
+        sums.append(((n + 1) ** (m + 1) - 1 - rest) // (m + 1))
+    return sums
+
+
+def _faulhaber_total(lines, e1, e2):
+    """sum_k k^e1 (c0 + a1 k)^e2 over the lines, by the binomial expansion and power sums."""
     total = 0
-    for lo, hi, c0, a1 in approx._lines(seq):
-        upper, lower = approx._power_sums(e1 + e2, hi), approx._power_sums(e1 + e2, lo - 1)
+    for lo, hi, c0, a1 in lines:
+        upper, lower = _power_sums(e1 + e2, hi), _power_sums(e1 + e2, lo - 1)
         total += sum(math.comb(e2, j) * c0 ** (e2 - j) * a1**j * (upper[e1 + j] - lower[e1 + j])
                      for j in range(e2 + 1))
     return total
 
 
+def _per_term_total(lines, e1, e2):
+    return sum(Fraction(k) ** e1 * (c0 + a1 * k) ** e2
+               for lo, hi, c0, a1 in lines for k in range(lo, hi + 1))
+
+
 def test_short_pieces_of_integer_series_are_summed_directly():
-    # Pieces of 1, 9, 40 and 700 terms: fewer than (e1 + e2 + 1)^2 go term by
-    # term in ints, the rest through Faulhaber; the exact totals agree.
+    # Pieces of 1, 9, 40 and 700 terms: at most d + 1 = 2q go term by term,
+    # the rest through Newton's forward differences; the exact totals agree
+    # with Faulhaber's.
     seq = ErrorSequence("sigma", 1, [(0, 900), (2, 880), (11, Fraction(1234, 3)), (51, 77), (751, 0)])
+    lines = approx._lines(seq)
     for q in (2, 3, 100):
         params = ApproxParams(1, q)
-        assert approx._piecewise_series(seq, params) == _float_root(_faulhaber_total(seq, q - 1, q), q)
+        exact = _faulhaber_total(lines, q - 1, q)
+        assert approx._exact_sum(lines, q - 1, q) == exact
+        assert quasinorm_bracket(0.0, seq, params) == (_float_root(exact, q),) * 3
+
+
+def test_exact_sum_matches_faulhaber_and_per_term_sums():
+    # Seeded pieces of n terms, d = e1 + e2: n <= d + 1 (summed term by term),
+    # d + 1 < n < (d + 1)^2 and n >= (d + 1)^2 (both by forward differences),
+    # with int knots (scale 1) and Fraction knots (scale > 1).
+    rng = random.Random(34)
+    kinds = set()
+    for _ in range(60):
+        e1, e2 = rng.randint(0, 6), rng.randint(1, 5)
+        d = e1 + e2
+        lines, lo = [], rng.randint(1, 50)
+        for _ in range(rng.randint(1, 4)):
+            kind = rng.randrange(3)
+            bounds = ((1, d + 1), (d + 2, (d + 1) ** 2 - 1), ((d + 1) ** 2, 3000))[kind]
+            n, scale = rng.randint(*bounds), rng.choice((1, 1, 3, 7, 12))
+            c0, a1 = Fraction(rng.randint(-10**6, 10**6), scale), Fraction(rng.randint(-1000, 1000), scale)
+            if scale == 1:
+                c0, a1 = int(c0), int(a1)
+            kinds.add((kind, math.lcm(c0.denominator, a1.denominator) > 1))
+            lines.append((lo, lo + n - 1, c0, a1))
+            lo += n
+        got = approx._exact_sum(lines, e1, e2)
+        assert got == _faulhaber_total(lines, e1, e2) == _per_term_total(lines, e1, e2), (e1, e2, lines)
+        if all(type(c) is int and type(a) is int for _, _, c, a in lines):
+            assert type(got) is int
+    assert kinds == {(kind, frac) for kind in range(3) for frac in (False, True)}
+    # Large integer q (alpha = 1, q = 1000 on p = 2) on pieces of at most d + 1 = 1500
+    # terms; Faulhaber's recurrence would take some 30 s at degree 1499.
+    for lines in ([(1, 1, 3, -1)], [(2, 9, 72, -1), (10, 40, Fraction(186, 5), Fraction(-6, 5))]):
+        assert approx._exact_sum(lines, 999, 500) == _per_term_total(lines, 999, 500)

@@ -185,6 +185,34 @@ def test_check71_failing_pairs_exit_1(tmp_path, capsys):
     assert main(["check71", "--hl", hl, "--hr", hr, "--pairs", pairs, "--C", "1", "--alpha", "0.5"]) == 1
 
 
+@pytest.mark.parametrize("argv,name", [
+    (["cghm", "--alpha", "nan"], "alpha"),
+    (["cghm", "--alpha", "0.25", "--c-doubling", "inf"], "c_doubling"),
+    (["check71", "--pairs", "PAIRS", "--C", "nan", "--alpha", "0.25"], "c"),
+    (["check71", "--pairs", "PAIRS", "--C", "1", "--alpha", "inf"], "alpha"),
+])
+def test_cghm_and_check71_refuse_non_finite_parameters(tmp_path, capsys, argv, name):
+    # These runs used to compute, then fail at the JSON writer on a nan or inf.
+    hl = write(tmp_path / "hl.json", {"kind": "one_plus_log2"})
+    hr = write(tmp_path / "hr.json", {"kind": "sqrt"})
+    pairs = write(tmp_path / "pairs.json", [[4, 8]])
+    argv = [argv[0], "--hl", hl, "--hr", hr] + [pairs if a == "PAIRS" else a for a in argv[1:]]
+    assert main(["--out", str(tmp_path / "report.json")] + argv) == 1
+    assert json.loads(capsys.readouterr().err)["error"].startswith(f"ValueError: {name} must be finite")
+    assert not (tmp_path / "report.json").exists()
+
+
+def test_xs_experiment_refuses_minus_infinity_q(tmp_path, capsys):
+    # q = -inf once ran as q = +inf and reported "q": "inf".
+    sched = write(tmp_path / "squares.json", {"a": [(j + 2) ** 2 for j in range(5)]})
+    out = tmp_path / "report.json"
+    argv = ["--out", str(out), "xs-experiment", "--schedule", sched, "--s", "2", "--alpha", "1"]
+    assert main(argv + ["--q=-inf"]) == 1
+    assert "q must be positive" in json.loads(capsys.readouterr().err)["error"]
+    assert not out.exists()
+    assert main(argv + ["--q=inf"]) == 0
+
+
 def test_xs_experiment_json_schema(tmp_path):
     sched = write(tmp_path / "squares.json", {"a": [4, 9, 16, 25]})
     out = tmp_path / "report.json"
@@ -525,7 +553,8 @@ def test_backwards_ranges_are_usage_errors(tmp_path, capsys):
 
 
 def test_xs_experiment_large_integer_q_finishes(tmp_path):
-    # Faulhaber sums take O(q^2) big-int steps per piece; s = 2 has 72 terms.
+    # Forward differences take O(q^2) big-int steps on a piece longer than
+    # d + 1 = 1.5 q terms; s = 2 has 72 terms, summed one by one.
     # At q = 3000 the q-th root of the sum and the envelope's s^(-q/2) once
     # left the float range (OverflowError, then a 0.0 envelope).
     sched = write(tmp_path / "squares.json", {"a": [(j + 2) ** 2 for j in range(5)]})

@@ -1,5 +1,6 @@
 """Democracy functions: DP vs the h_l recurrence vs brute force, scans, CGHM."""
 
+import math
 import random
 from fractions import Fraction
 
@@ -129,6 +130,14 @@ def test_adequacy_errors():
         demfun_dp(ad_hoc, 11)
     with pytest.raises(ValueError):
         demfun_table(ad_hoc, -1)
+
+
+def test_demfun_table_refuses_an_unknown_side():
+    # which="foo" once skipped both truncation checks: a max_n = 300 table
+    # with 141 h_l entries and h_r padded at 24.
+    spec = SpaceSpec.from_schedule(arithmetic_schedule(2))
+    with pytest.raises(ValueError, match="which"):
+        demfun_table(spec, 300, which="foo")
 
 
 def test_mixed_exponents_are_refused():
@@ -290,6 +299,26 @@ def test_cghm_alpha_zero_still_constructs():
 def test_cghm_rejects_non_doubling_hl():
     with pytest.raises(ValueError):
         cghm_construct(sqrt_of, lambda n: float(n), 1.5, 0.25, 3)
+
+
+def _unread(n):
+    raise AssertionError(f"h read at N = {n} before the parameters were checked")
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("name", ["c_doubling", "alpha"])
+def test_cghm_refuses_non_finite_parameters(name, value):
+    params = {"c_doubling": 2.0, "alpha": 0.25, "count": 5, name: value}
+    with pytest.raises(ValueError, match=f"^{name} must be finite"):
+        cghm_construct(_unread, _unread, **params)
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("name", ["c", "alpha"])
+def test_condition71_refuses_non_finite_parameters(name, value):
+    params = {"c": 1.0, "alpha": 0.25, name: value}
+    with pytest.raises(ValueError, match=f"^{name} must be finite"):
+        condition71_check(_unread, _unread, [(4, 8)], **params)
 
 
 def test_condition71_failure_modes():
