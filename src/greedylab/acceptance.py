@@ -83,7 +83,7 @@ def criterion_3() -> tuple[bool, str]:
     """h_r(N)^2 = N for N <= 1000, plus the capacity error path."""
     deep = SpaceSpec.from_schedule(arithmetic_schedule(5))  # caps sum to 7704
     for n in range(1, 1001):
-        got = demfun_dp(deep, n, method="extreme", which="hr").hr_power
+        got = demfun_dp(deep, n, which="hr").hr_power
         if got != n:
             return False, f"h_r({n})^2 = {got} != {n}"
     shallow = SpaceSpec.from_schedule(arithmetic_schedule(3))  # caps sum to 144

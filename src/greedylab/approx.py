@@ -10,9 +10,9 @@ inside their certified brackets.
 
 Series are finite (errors vanish at the support size), and the error
 powers are linear in k between the knots of the sequence (``_lines``), so
-no series costs O(support): integer exponents are summed exactly with
-Newton's forward differences (``_exact_sum``), q = inf reads each piece's
-maximizer off a closed form (``_sup``), and any other series is one
+no series costs O(support): integer exponents are summed exactly by
+interpolating each piece's prefix sums (``_exact_sum``), q = inf reads
+each piece's maximizer off a closed form (``_sup``), and any other series is one
 math.fsum over its short pieces term by term and Euler-Maclaurin sums of
 its long ones, O(log(support)) evaluations per piece (``_series_parts``).
 ``quasinorm_bracket`` returns that value together with a certified bracket:
@@ -29,7 +29,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 from itertools import accumulate, repeat
-from operator import mul, sub
+from operator import mul
 from typing import Sequence
 
 from .errors import GreedyLabError, InvariantError, ScheduleTooShallowError
@@ -148,7 +148,10 @@ def _series_parts(lines, e1: float, e2: float) -> tuple[list[float], float]:
     rule w^n |f^(n)| <= M L_n on it, M = max(a^e1, b^e1) max(g(a)^e2, g(b)^e2)
     and L_n from ``_leibniz``.  It adds GAUSS_ERROR w M L_40 for the Gauss
     rule and EM_REMAINDER M L_8 / w^7 for its share of the Euler-Maclaurin
-    remainder; terms summed one by one add nothing.
+    remainder; terms summed one by one add nothing.  A cut whose Gauss term
+    exceeds both its Euler-Maclaurin term and 2^-52 of its Gauss sum is
+    halved while M w is more than twice that sum, so while halving can still
+    lower M (at large exponents f grows fast across a long cut).
     """
     rows, l8, l40 = _leibniz(e1, e2)
     at_zero = not (e1 >= 0 and e1.is_integer())
@@ -183,9 +186,15 @@ def _series_parts(lines, e1: float, e2: float) -> tuple[list[float], float]:
                 continue
             ga, x0, fw = (g0 + g1 * a) / scale, float(a), float(width)
             sw = slope * fw
-            piece += [w * fw * math.pow(x0 + fw * x, e1) * math.pow(ga + sw * x, e2) for x, w in GAUSS]
+            gauss = [w * fw * math.pow(x0 + fw * x, e1) * math.pow(ga + sw * x, e2) for x, w in GAUSS]
             top = math.pow(float(b) if e1 >= 0 else x0, e1) * math.pow(max(ga, ga + sw), e2)  # M
-            error += top * (GAUSS_ERROR * fw * l40 + EM_REMAINDER * l8 * (1 / fw) ** 7)  # fw**7 can overflow
+            rule, rest = GAUSS_ERROR * fw * l40, EM_REMAINDER * l8 * (1 / fw) ** 7  # fw**7 can overflow
+            if (width > 1 and rule > rest and top * rule > 2**-52 * sum(gauss)
+                    and top * fw > 2 * sum(gauss)):  # M w > 2 sum: halving can still lower M
+                cuts += [(a, (a + b) // 2), ((a + b) // 2, b)]
+                continue
+            piece += gauss
+            error += top * (rule + rest)
         if abs(corrections[-1]) > 2**-52 * sum(piece):
             raise InvariantError(f"Euler-Maclaurin on {first}..{last}: last correction {corrections[-1]}")
         parts += piece
@@ -238,10 +247,11 @@ def _exact_sum(lines, e1: int, e2: int) -> Rational:
     """The sum over k >= 1 of k^e1 power(k)^e2 for integers e1, e2 >= 0, exact.
 
     On a piece lo..hi of n terms, scale^e2 times the term is the integer
-    polynomial f(k) = k^e1 (g0 + g1 k)^e2 of degree d = e1 + e2, so by
-    Newton's forward-difference series the piece sums to
-    sum_{j<=d} C(n, j+1) Delta^j f(lo), read off the difference table of
-    f(lo), ..., f(lo + d).  A piece of at most d + 1 terms sums those terms.
+    polynomial f(k) = k^e1 (g0 + g1 k)^e2 of degree d = e1 + e2, so the
+    piece's prefix sums Q(m) = f(lo) + ... + f(lo + m - 1) are a polynomial
+    of degree d + 1 in m, and the piece sums to Q(n), interpolated from
+    Q(0), ..., Q(d + 1) (``_interpolate``).  A piece of at most d + 1 terms
+    sums those terms.
     """
     d = e1 + e2
     total = 0
@@ -251,14 +261,23 @@ def _exact_sum(lines, e1: int, e2: int) -> Rational:
         n = hi - lo + 1
         values = [k**e1 * (g0 + g1 * k) ** e2 for k in range(lo, lo + min(n, d + 1))]
         if n > d + 1:
-            piece, binom = 0, 1
-            for j in range(d + 1):  # values[0] = Delta^j f(lo), binom = C(n, j + 1)
-                binom = binom * (n - j) // (j + 1)
-                piece += binom * values[0]
-                values = list(map(sub, values[1:], values[:-1]))
-            values = [piece]
+            values = [_interpolate(list(accumulate(values, initial=0)), n)]
         total += sum(values) if scale == 1 else Fraction(sum(values), scale**e2)
     return total
+
+
+def _interpolate(ys: list[int], n: int) -> int:
+    """P(n) for the integer polynomial P of degree <= D = len(ys) - 1 with P(m) = ys[m]: Lagrange
+    on the nodes 0..D, D! P(n) = sum_i (-1)^(D-i) C(D, i) ys[i] prod_{j != i} (n - j), summed
+    Horner-wise (times n - i as term i joins), with one exact division by D!."""
+    d = len(ys) - 1
+    total, left, binom = 0, 1, 1  # left = prod_{j<i} (n - j), binom = (-1)^i C(D, i)
+    for i, y in enumerate(ys):
+        total = total * (n - i) + binom * y * left
+        left *= n - i
+        binom = binom * (i - d) // (i + 1)
+    total //= math.factorial(d)
+    return -total if d % 2 else total
 
 
 def approx_quasinorm(x: CompressedVector, spec: SpaceSpec, params: ApproxParams) -> float:

@@ -9,9 +9,10 @@ programs over allocations of N.  The production routes are:
   is alloc.concave_min on psi's knots.  A point query walks it top-down
   over types of identical blocks, from the highest type that can take
   units (doubling_scan's rows, all in one walk).
-  A table runs it bottom-up one block at a time: with one block
-  added, the block takes either what the blocks before it cannot hold or
-  as much as it can,
+  A table runs it bottom-up one block at a time: with one block added,
+  the block takes either as much as it can or what the blocks before it
+  cannot hold (past them, the prefix norm of the first N unit vectors),
+  so h_l <= prefix norm, strictly where a later block's full fill is cheaper,
 * the closed form min(N, sum caps) for h_r, witnessed by filling the
   caps first, then the rest of each block, in block order.
 
@@ -138,6 +139,19 @@ def _hl_points(blocks: Sequence[tuple[int, int]], ns: Sequence[int]) -> list[tup
     return [(value, tuple(sorted(counts.items()))) for value, counts in concave_min(costs, ns)]
 
 
+def _ramp(base: int, cap: int, length: int) -> list[int]:
+    """base + min(d, cap) for d = 0..length."""
+    return list(range(base, base + min(cap, length) + 1)) + [base + cap] * max(0, length - cap)
+
+
+def _prefix_table(blocks: Sequence[tuple[int, int]], max_n: int) -> list[int]:
+    """The norm power of the first N unit vectors, block 0 first, for each N <= max_n they hold."""
+    prefix = [0]
+    for cap, size in blocks:
+        prefix += _ramp(prefix[-1], cap, min(size, max_n + 1 - len(prefix)))[1:]
+    return prefix
+
+
 def _hl_table(blocks: Sequence[tuple[int, int]], max_n: int) -> list[int]:
     """h_l(N)^p for every N <= max_n, from the recurrence one block at a time.
 
@@ -145,19 +159,14 @@ def _hl_table(blocks: Sequence[tuple[int, int]], max_n: int) -> list[int]:
     takes only what the blocks before it cannot hold) and M = min(N, size).
     Every N <= max_n must be reachable (the caller checks adequacy).
     """
-    hl, total, full = [0], 0, 0  # h_l over the blocks so far; their size and cap sums
-
-    def ramp(base: int, cap: int, length: int) -> list[int]:
-        """base + min(d, cap) for d = 0..length."""
-        return list(range(base, base + min(cap, length) + 1)) + [base + cap] * max(0, length - cap)
-
+    prefix, hl, total = _prefix_table(blocks, max_n), [0], 0  # hl over the blocks so far; total: their size
     for cap, size in blocks:
         top = min(total + size, max_n)
         fill = min(size, top)
-        low = hl + ramp(full, cap, max(0, top - total))[1:]
-        high = ramp(0, cap, fill) + [cap + h for h in hl[1:top - fill + 1]]
+        low = hl + prefix[total + 1:top + 1]
+        high = _ramp(0, cap, fill) + [cap + h for h in hl[1:top - fill + 1]]
         hl = list(map(min, low, high))
-        total, full = total + size, full + cap
+        total += size
     return hl
 
 
@@ -220,9 +229,8 @@ def demfun_table(spec: SpaceSpec, max_n: int, which: str = "both") -> DemFunTabl
     if which not in ("hl", "hr", "both"):
         raise ValueError("which must be 'hl', 'hr' or 'both'")
     blocks = _adequate_blocks(spec, max_n, which)
-    total_caps = sum(c for c, _ in blocks)
     hl = tuple(_hl_table(blocks, max_n)) if which != "hr" else None
-    hr = tuple(min(n, total_caps) for n in range(max_n + 1)) if which != "hl" else None
+    hr = tuple(_ramp(0, sum(c for c, _ in blocks), max_n)) if which != "hl" else None
     return DemFunTable(spec, max_n, hl, hr)
 
 
@@ -318,21 +326,13 @@ def prefix_norm_conjecture_check(
     ns = sorted(set(int(n) for n in n_values))
     if ns and ns[0] < 0:
         raise ValueError("N must be >= 0")
-    prefix_powers = []
-    for n in ns:
-        remaining = n
-        prefix_power = 0
-        for cap, size in blocks:
-            fill = min(size, remaining)
-            prefix_power += min(fill, cap)
-            remaining -= fill
-            if remaining == 0:
-                break
-        if remaining > 0:
-            raise TruncationError(f"prefix of {n} vectors needs a deeper schedule")
-        prefix_powers.append(prefix_power)
-    table = demfun_table(spec, ns[-1], which="hl") if ns else None
-    rows = [(n, pre, table.hl_power(n)) for n, pre in zip(ns, prefix_powers)]
+    max_n = ns[-1] if ns else 0
+    prefix = _prefix_table(blocks, max_n)
+    deeper = [n for n in ns if n >= len(prefix)]
+    if deeper:
+        raise TruncationError(f"prefix of {deeper[0]} vectors needs a deeper schedule")
+    table = demfun_table(spec, max_n, which="hl")
+    rows = [(n, prefix[n], table.hl_power(n)) for n in ns]
     bad = [n for n, pre, hl in rows if pre != hl]
     return PrefixReport(tuple(rows), tuple(bad), not bad)
 

@@ -728,6 +728,30 @@ def test_brackets_hold_a_40_digit_sum_on_long_pieces():
     assert long_pieces >= 4
 
 
+def test_brackets_stay_tight_at_large_exponents():
+    # At e1 + e2 = 64.5 an unhalved cut as long as its distance to the zero of g
+    # has a Gauss term above the whole piece's sum: E = 1.08 S.
+    seq = ErrorSequence("sigma", 2, [(0, 20475), (20475, 0)])
+    parts, error = approx._series_parts(approx._lines(seq), 35.5, 29.0)
+    total = math.fsum(parts)
+    exact = _quarter_power_sums(seq, [(35.5, 29.0)])[35.5, 29.0]
+    assert total * (1 - 1e-9) - error <= exact <= total * (1 + 1e-9) + error
+    assert error <= 1e-4 * total
+    # Halving stops where f is flat across a cut, so a 10^6-term piece stays cheap.
+    seq = ErrorSequence("sigma", 2, [(0, Fraction(1, 10**6)), (10**6, 0)])
+    parts, error = approx._series_parts(approx._lines(seq), 30.5, 29.0)
+    assert len(parts) <= 10_000 and error <= 1e-4 * math.fsum(parts)
+
+
+def test_interpolation_on_consecutive_nodes_is_exact():
+    rng = random.Random(35)
+    for degree in (0, 1, 2, 5, 17, 40):
+        coefficients = [rng.randint(-10**30, 10**30) for _ in range(degree + 1)]
+        poly = lambda m: sum(c * m**j for j, c in enumerate(coefficients))
+        for n in (degree + 1, degree + 2, rng.randint(degree + 3, 10**6), 10**40 + 7):
+            assert approx._interpolate([poly(m) for m in range(degree + 1)], n) == poly(n)
+
+
 def test_a_larger_error_constant_widens_the_bracket(monkeypatch):
     # The bound is live on every long piece: inflating c20 or the L_n moves both ends out.
     xs = build_xs(squares_schedule(6), 4)

@@ -333,6 +333,14 @@ GOLDEN = [
      "8262686d8662915dc6262eeb88e8ddeb1e465a6df21e00e71b2aa1b1460c2437"),
     ("prefix-check", {"space": WINDOW6}, ["prefix-check", "--space", "space", "--max-N", "200"],
      "c6fb1f08bde9beb86e00ecf3340553d6927fb666444122dd30aca5bb349aeefe"),
+    # every block's segment of the prefix column, with its counterexamples
+    ("prefix-check-all-blocks", {"space": ARITH4},
+     ["prefix-check", "--space", "space", "--max-N", "6720"],
+     "1cf577e692bf1acc08ee6f827e8544b46366a3b4cb84413a5e5707ee81916ac5"),
+    # h_r's plateau past the cap sum, 6
+    ("demfun-hr-plateau", {"space": {"blocks": [[2, 5], [3, 7], [1, 4]]}},
+     ["demfun", "--space", "space", "--max-N", "16"],
+     "f9cb78ba00add8ab3298f9f1b3b63d0dd26be308c42d5e58fd9b31c10d7520ec"),
 ]
 
 

@@ -24,6 +24,7 @@ from greedylab import (
 from greedylab import alloc, explicit
 from greedylab.democracy import one_plus_log2, sqrt_of
 from greedylab.explicit import demfun_bruteforce
+from greedylab.spaces import space_norm
 
 
 TOY = SpaceSpec.block_sum([(2, 4), (3, 6)])
@@ -253,6 +254,41 @@ def test_prefix_counterexample_at_40_is_surfaced():
     row40 = next(r for r in report.rows if r[0] == 40)
     assert row40 == (40, 24, 20)
     assert not report.all_equal
+
+
+def test_prefix_norm_bounds_hl_and_the_counterexamples_are_where_it_is_strict():
+    # The prefix norm is h_l's first candidate, so h_l <= prefix norm at every N;
+    # the prefix comes from the norm of the first N unit vectors, block 0 first.
+    rng, strict = random.Random(35), 0
+    for _ in range(10):
+        a = [rng.randint(4, 6)]
+        for _ in range(rng.randint(1, 3)):
+            a.append(a[-1] + rng.randint(1, 3))
+        sched = BlockSchedule(tuple(a))
+        spec = SpaceSpec.from_schedule(sched)
+        sizes, deepest = spec.sizes(), spec.sizes()[-1]
+        prefix = []
+        for n in range(deepest + 1):
+            counts, left = {}, n
+            for b, size in enumerate(sizes):
+                counts[b] = min(size, left)
+                left -= counts[b]
+            prefix.append(space_norm(spec.indicator(counts), spec).power_exact)
+        hl = demfun_table(spec, deepest, which="hl").hl_powers
+        assert all(h <= pre for h, pre in zip(hl, prefix))
+        report = prefix_norm_conjecture_check(sched, range(deepest + 1))
+        assert list(report.rows) == [(n, prefix[n], hl[n]) for n in range(deepest + 1)]
+        assert list(report.counterexamples) == [n for n in range(deepest + 1) if hl[n] < prefix[n]]
+        strict += len(report.counterexamples)
+    assert strict
+
+
+def test_prefix_check_refuses_past_the_blocks_before_hl_does():
+    sched = arithmetic_schedule(3)  # block sizes 20, 120 and 840: 980 in all
+    with pytest.raises(TruncationError, match="^prefix of 981 vectors needs a deeper schedule$"):
+        prefix_norm_conjecture_check(sched, [1, 900, 981, 990])
+    with pytest.raises(TruncationError, match=r"^h_l\(980\) needs"):
+        prefix_norm_conjecture_check(sched, [1, 900, 980])
 
 
 # -- CGHM and condition 7.1 -----------------------------------------------------
