@@ -1,7 +1,8 @@
 """Approximation-space quasi-norms and the two-pool counterexample.
 
-The quasi-norm of order (alpha, q) built from an error sequence e_N is
-||x|| + [sum_N (N^alpha e_N)^q / N]^(1/q), with the sup form at q = inf.
+The quasi-norm of order (alpha, q) built from an error sequence e_N, which
+starts at e_0 = ||x||, is e_0 + [sum_N (N^alpha e_N)^q / N]^(1/q), with the
+sup form at q = inf.
 Using sigma_N gives the approximation-space quasi-norm, gamma_N the
 greedy-class quasi-norm; the two-pool vector x_s makes their ratio
 collapse like (s^(-q alpha/2) + s^(-q/2))^(1/q), the non-optimality
@@ -59,18 +60,12 @@ class ApproxParams:
             raise ValueError("q must be positive or infinity")
 
 
-def quasinorm(norm_x: float, seq: ErrorSequence, params: ApproxParams) -> float:
-    """The quasi-norm from a precomputed error sequence: ``quasinorm_bracket``'s value."""
-    return quasinorm_bracket(norm_x, seq, params)[1]
-
-
-def quasinorm_bracket(
-    norm_x: float, seq: ErrorSequence, params: ApproxParams
-) -> tuple[float, float, float]:
+def quasinorm_bracket(seq: ErrorSequence, params: ApproxParams) -> tuple[float, float, float]:
     """The quasi-norm as (lo, value, hi): a float value and a certified bracket around it.
 
-    q = inf is the closed form of ``_sup``, integer exponents the q-th root of
-    the exact ``_exact_sum``, and all three are that value.  Any other series
+    ||x|| is the sequence's own e_0, the p-th root of power(0).  The series
+    at q = inf is the closed form of ``_sup``, at integer exponents the q-th
+    root of the exact ``_exact_sum``, and all three are ||x|| plus that.  Any other series
     is S, the math.fsum of the ``_series_parts`` floats (term by term on
     short pieces, Euler-Maclaurin on long ones, so its cost grows with
     log(support), not with the support), and E their bound on what S leaves
@@ -84,20 +79,20 @@ def quasinorm_bracket(
     and A and G brackets are at most 2e-9 wide (relative).  A series past the
     float range is (inf, inf, inf).
     """
-    q, lines = params.q, _lines(seq)
+    q, lines, norm = params.q, _lines(seq), _float_root(seq.power(0), seq.p)
     e1, e2 = q * params.alpha - 1.0, q / seq.p
     try:
         if math.isinf(q):
-            return (norm_x + _sup(lines, params.alpha, seq.p),) * 3
+            return (norm + _sup(lines, params.alpha, seq.p),) * 3
         if e1 >= 0 and e1.is_integer() and e2.is_integer():  # e2 = q/p > 0
             total = _exact_sum(lines, int(e1), int(e2))
-            return (norm_x + _float_root(total, int(q) if float(q).is_integer() else q),) * 3
+            return (norm + _float_root(total, int(q) if float(q).is_integer() else q),) * 3
         parts, error = _series_parts(lines, e1, e2)
         total = math.fsum(parts)
     except OverflowError:
         return (math.inf,) * 3
     lo, hi = max(0.0, total * (1 - 1e-9) - error), total * (1 + 1e-9) + error  # inf - inf: 0.0
-    return norm_x + lo ** (1.0 / q), norm_x + total ** (1.0 / q), norm_x + hi ** (1.0 / q)
+    return norm + lo ** (1.0 / q), norm + total ** (1.0 / q), norm + hi ** (1.0 / q)
 
 
 def _lines(seq: ErrorSequence) -> list[tuple[int, int, Rational, Rational]]:
@@ -282,12 +277,12 @@ def _interpolate(ys: list[int], n: int) -> int:
 
 def approx_quasinorm(x: CompressedVector, spec: SpaceSpec, params: ApproxParams) -> float:
     """Approximation-space quasi-norm of x (sigma-based)."""
-    return quasinorm(float(space_norm(x, spec)), error_sequence(x, spec, "sigma"), params)
+    return quasinorm_bracket(error_sequence(x, spec, "sigma"), params)[1]
 
 
 def greedy_quasinorm(x: CompressedVector, spec: SpaceSpec, params: ApproxParams) -> float:
     """Greedy-class quasi-norm of x (gamma-based, worst-case ties)."""
-    return quasinorm(float(space_norm(x, spec)), error_sequence(x, spec, "gamma"), params)
+    return quasinorm_bracket(error_sequence(x, spec, "gamma"), params)[1]
 
 
 # ---------------------------------------------------------------------------
@@ -357,18 +352,17 @@ def build_xs(schedule: BlockSchedule, s: int) -> XsConstruction:
     v = -(-n_s // r)  # ceil
     x = spec.vector([(hi_block, 2, n_s), (hi_block + 1, 1, v)])
 
-    hl_ns = democracy.demfun_dp(spec, n_s, which="hl").hl_power
-    hl_2ns = democracy.demfun_dp(spec, 2 * n_s, which="hl").hl_power
+    row = democracy.doubling_scan(schedule, [hi_block + 1]).rows[0]  # h_l at n_s and 2 n_s
     m_power = space_norm(spec.indicator({hi_block: n_s}), spec).power_exact
     v_power = space_norm(spec.indicator({hi_block + 1: v}), spec).power_exact
     xs_power = space_norm(x, spec).power_exact
 
     checks = {
-        # ||M_s|| equals h_l(n_s) with zero slack (full-block realization).
-        "m_is_hl_minimizer": m_power == hl_ns == c,
+        # ||M_s||^2 = c = h_l(n_s)^2: zero slack (full-block realization).
+        "m_is_hl_minimizer": m_power == c and row.upper_equality,
         "v_norm_power": v_power == v,
-        # Defining jump: h_l(2 n_s) >= (s+1) h_l(n_s), compared on squares.
-        "democracy_jump": hl_2ns >= (s + 1) ** 2 * hl_ns,
+        # Defining jump: h_l(2 n_s) >= (s+1) h_l(n_s), on the squared ratio.
+        "democracy_jump": row.ratio_sq >= (s + 1) ** 2,
         # (LS1): r sqrt(v) + 1 >= s sqrt(c).
         "ls1": sqrt_plus_const_ge(r, v, 1, s, c),
         # ||x_s||^2 = 4c + v <= 9v and the support fits in 2 #M_s.
@@ -501,13 +495,12 @@ def optimality_experiment(
         xs = build_xs(schedule, s)
         sigma = xs.sigma_sequence()
         gamma = xs.gamma_sequence()
-        norm_x = float(space_norm(xs.x, xs.spec))
         checks = dict(xs.checks)
         checks.update(xs_bound_checks(xs))
         runs.extend(
             RatioRun(
                 s=s, alpha=params.alpha, q=params.q,
-                a=quasinorm_bracket(norm_x, sigma, params), g=quasinorm_bracket(norm_x, gamma, params),
+                a=quasinorm_bracket(sigma, params), g=quasinorm_bracket(gamma, params),
                 envelope=envelope(params, s), checks=checks,
             )
             for params in params_list

@@ -22,6 +22,7 @@ import tempfile
 from typing import Optional
 
 from .errors import GreedyLabError
+from .exact import json_int, json_shape
 from .greedy import GreedyProfile, gamma, sigma_exact
 from .spaces import SpaceSpec, _float_root, space_from_json, space_norm
 from .vectors import CompressedVector
@@ -251,11 +252,11 @@ def cmd_check71(args) -> int:
     h_r = h_function_from_json(_load_json(args.hr))
     obj = _load_json(args.pairs)
     if isinstance(obj, dict) and "k" in obj and "n" in obj:
-        pairs = list(zip(obj["k"], obj["n"]))
-    elif isinstance(obj, dict):
-        pairs = [tuple(p) for p in obj["pairs"]]
+        rows = zip(json_shape(obj["k"], list), json_shape(obj["n"], list))
     else:
-        pairs = [tuple(p) for p in obj]
+        listed = json_shape(obj["pairs"] if isinstance(obj, dict) else obj, list)
+        rows = (json_shape(row, list, 2) for row in listed)
+    pairs = [(json_int(k), json_int(n)) for k, n in rows]
     report = condition71_check(h_r, h_l, pairs, args.C, args.alpha)
     emit_report({"rows": list(report.rows), "all_pass": report.all_pass}, "json", args.out)
     return 0 if report.all_pass else 1

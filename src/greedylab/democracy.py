@@ -33,6 +33,7 @@ from typing import Callable, Iterable, Optional, Sequence
 
 from .alloc import concave_min
 from .errors import InvariantError, TruncationError
+from .exact import json_int, json_number, json_shape
 from .schedule import BlockSchedule
 from .spaces import SpaceSpec
 
@@ -120,8 +121,6 @@ def demfun_dp(
         raise ValueError("which must be 'hl', 'hr' or 'both'")
     if method != "extreme":
         raise ValueError("method must be 'extreme'")
-    if n == 0:
-        return DemPoint(0, 0, 0, (), ())
     blocks = _adequate_blocks(spec, n, which)
     hl, wit_l = _hl_points(blocks, [n])[0] if which != "hr" else (None, ())
     hr, wit_r = _hr_closed(blocks, n) if which != "hl" else (None, ())
@@ -350,17 +349,18 @@ def sqrt_of(n: int) -> float:
 
 
 def h_function_from_json(obj: dict) -> Callable[[int], float]:
-    kind = obj["kind"]
+    kind = json_shape(obj, dict)["kind"]
     if kind == "one_plus_log2":
         return one_plus_log2
     if kind == "sqrt":
         return sqrt_of
     if kind == "power":
-        scale = float(obj.get("scale", 1.0))
-        exponent = float(obj["exponent"])
+        scale = float(json_number(obj.get("scale", 1.0)))
+        exponent = float(json_number(obj["exponent"]))
         return lambda n: scale * float(n) ** exponent
     if kind == "table":
-        values = {int(k): float(v) for k, v in obj["values"].items()}
+        values = {json_int(k): float(json_number(v))
+                  for k, v in json_shape(obj["values"], dict).items()}
         return lambda n: values[n]  # KeyError beyond the table = probe exhausted
     raise ValueError(f"unknown h-function kind {kind!r}")
 
@@ -388,11 +388,15 @@ class CghmSequences:
 def _first_crossing(
     ratio, threshold: float, lo: int, probe_limit: int, target: str
 ) -> tuple[int, Optional[str]]:
-    """(N, None) for the smallest N >= lo with ratio(N) >= threshold.
+    """(N, None) for an N >= lo with ratio(N) >= threshold, or (N, reason).
 
-    Doubles until the threshold is crossed, then binary-searches the
-    bracketing interval.  Otherwise (N, reason), where the search stopped:
-    the first doubling past probe_limit, or the first N ratio cannot answer.
+    Doubles from lo until the threshold is crossed, then binary-searches
+    between the last two probes.  Where ratio is non-decreasing that is the
+    first crossing; otherwise it is a crossing between two doubling probes,
+    not always the first (ratio >= 2 only at N = 3 and N = 8 from lo = 1:
+    the probes 1, 2, 4 step over 3, and the search returns 8).  (N, reason)
+    names where the search stopped: the first doubling past probe_limit, or
+    the first N ratio cannot answer.
     """
     n = lo
     try:
@@ -435,9 +439,11 @@ def cghm_construct(
     """Build (w, r, k, n) witnessing the 7.1 condition from two h tables.
 
     Finite computation replaces limit conditions by explicit thresholds:
-    w_mu is the first N with h_r/h_l >= mu, r(mu) brackets w_mu between
-    powers of two, k_mu is the first later N whose ratio beats
-    C^r(mu) * w_mu^alpha, and n_mu = w_mu * k_mu.  Every produced term
+    w_mu is an N with h_r/h_l >= mu, r(mu) brackets w_mu between powers of
+    two, k_mu is a later N whose ratio beats C^r(mu) * w_mu^alpha, and
+    n_mu = w_mu * k_mu.  Both searches are ``_first_crossing``: the first
+    such N where h_r/h_l is non-decreasing, otherwise a crossing between two
+    doubling probes, which serves as well.  Every produced term
     re-verifies the doubling step, the threshold step and the final 7.1
     inequality numerically; running out of probe range, or of the range a
     table h-function answers, yields a partial result with an explicit

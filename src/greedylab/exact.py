@@ -7,7 +7,7 @@ Everything that feeds a pass/fail assertion is compared on exact rationals
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Union
+from typing import Optional, Union
 
 Rational = Union[int, Fraction]
 
@@ -24,6 +24,34 @@ def as_fraction(value) -> Fraction:
         # Exact binary expansion of the float; no rounding is ever hidden.
         return Fraction(value)
     raise TypeError(f"cannot interpret {value!r} as an exact rational")
+
+
+def json_int(value) -> int:
+    """An integer field of the JSON inputs: a JSON int, or a string of one.
+
+    Anything else raises ValueError, a float even where it is integral, so
+    that no input is rounded on its way in."""
+    if type(value) is int or isinstance(value, str):
+        return int(value)  # int("2.5") raises ValueError
+    raise ValueError(f"expected an integer or a string of one, got {value!r:.60}")
+
+
+def json_number(value) -> Union[int, float]:
+    """A numeric JSON field (an exponent, an h value): a JSON int or float, else ValueError."""
+    if type(value) in (int, float):
+        return value
+    raise ValueError(f"expected a number, got {value!r:.60}")
+
+
+def json_shape(value, kind: type, length: Optional[int] = None):
+    """value where it is a JSON object (kind dict), array (kind list, of
+    ``length`` items if given) or boolean (kind bool); anything else raises
+    ValueError."""
+    if isinstance(value, kind) and (length is None or len(value) == length):
+        return value
+    want = {dict: "an object", list: "an array", bool: "true or false"}[kind]
+    want += "" if length is None else f" of {length} items"
+    raise ValueError(f"expected {want}, got {value!r:.60}")
 
 
 def simplify(value: Rational) -> Rational:

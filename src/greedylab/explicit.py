@@ -29,7 +29,7 @@ from typing import Sequence
 
 from .errors import InvariantError, OracleUnavailableError
 from .exact import as_fraction, pow_rational, simplify
-from .spaces import NormValue, SpaceSpec, random_vector, space_norm
+from .spaces import NormValue, SpaceSpec, _float_root, random_vector, space_norm
 from .vectors import CompressedVector, canonicalize
 
 BRUTEFORCE_MAX_DIM = 20  # demfun_bruteforce: universes up to 2^20 subsets
@@ -587,15 +587,16 @@ def sequence_bound_checks_per_k(sigma, gamma, n_s: int, v: int, r: int, s: int) 
     }
 
 
-def quasinorm_per_term(norm_x: float, seq, params) -> float:
-    """The quasi-norm of ``approx.quasinorm``, one power(k) per term.
+def quasinorm_per_term(seq, params) -> float:
+    """The quasi-norm of ``approx.quasinorm_bracket``, one power(k) per term.
 
-    Sums k^(q alpha - 1) power(k)^(q/p) with math.fsum (the sup of
-    k^alpha power(k)^(1/p) at q = inf) over k = 1 .. support - 1.
+    ||x|| is the p-th root of power(0), the series the math.fsum of
+    k^(q alpha - 1) power(k)^(q/p) (the sup of k^alpha power(k)^(1/p) at
+    q = inf) over k = 1 .. support - 1.
     """
     alpha, q, p = params.alpha, params.q, seq.p
-    ks = range(1, seq.support_size)
+    ks, norm = range(1, seq.support_size), _float_root(seq.power(0), p)
     if math.isinf(q):
-        return norm_x + max((k**alpha * float(seq.power(k)) ** (1.0 / p) for k in ks), default=0.0)
+        return norm + max((k**alpha * float(seq.power(k)) ** (1.0 / p) for k in ks), default=0.0)
     series = math.fsum(k ** (q * alpha - 1.0) * float(seq.power(k)) ** (q / p) for k in ks)
-    return norm_x + series ** (1.0 / q)
+    return norm + series ** (1.0 / q)

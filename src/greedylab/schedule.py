@@ -14,6 +14,8 @@ from dataclasses import dataclass
 from itertools import accumulate
 from operator import mul
 
+from .exact import json_int, json_shape
+
 
 @dataclass(frozen=True)
 class BlockSchedule:
@@ -82,15 +84,15 @@ class BlockSchedule:
 
     @staticmethod
     def from_json(obj: dict) -> "BlockSchedule":
-        a = tuple(int(x) for x in obj["a"])
-        k = int(obj.get("K", len(a) - 1))
+        a = tuple(map(json_int, json_shape(obj["a"], list)))
+        k = json_int(obj.get("K", len(a) - 1))
         if k + 1 > len(a):
             raise ValueError(f"K={k} blocks need {k + 1} multipliers, got {len(a)}")
         return BlockSchedule(
             a[: k + 1],
             obj.get("outer_p", 2),
             obj.get("inner_p", 2),
-            bool(obj.get("allow_slow_start", False)),
+            json_shape(obj.get("allow_slow_start", False), bool),
         )
 
 

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Optional, Sequence, Union
 
-from .exact import as_fraction, pow_rational, simplify
+from .exact import as_fraction, json_int, json_number, json_shape, pow_rational, simplify
 from .schedule import BlockSchedule
 from .vectors import CompressedVector, _check_sizes, canonicalize, indicator
 
@@ -116,18 +116,21 @@ class SpaceSpec:
 
 
 def space_from_json(obj: dict) -> SpaceSpec:
-    """Accept any of the documented space/schedule JSON shapes."""
+    """Accept any of the documented space/schedule JSON shapes; every integer
+    field goes through ``json_int``, every exponent through ``_normalize_p``."""
+    obj = json_shape(obj, dict)
     if "schedule" in obj:
-        obj = obj["schedule"]
+        obj = json_shape(obj["schedule"], dict)
     if "a" in obj:
         return SpaceSpec.from_schedule(BlockSchedule.from_json(obj))
     if "lp" in obj:
-        return SpaceSpec.lp(obj["lp"], obj.get("dim"))
+        dim = obj.get("dim")
+        return SpaceSpec.lp(obj["lp"], None if dim is None else json_int(dim))
     if "cap" in obj and "size" in obj:
-        return SpaceSpec.trunc_block(obj["cap"], obj["size"], obj.get("p", 2))
+        return SpaceSpec.trunc_block(json_int(obj["cap"]), json_int(obj["size"]), obj.get("p", 2))
     if "blocks" in obj:
         return SpaceSpec.block_sum(
-            [tuple(b) for b in obj["blocks"]],
+            [tuple(map(json_int, json_shape(b, list, 2))) for b in json_shape(obj["blocks"], list)],
             obj.get("inner_p", 2),
             obj.get("outer_p", 2),
         )
@@ -135,9 +138,10 @@ def space_from_json(obj: dict) -> SpaceSpec:
 
 
 def _normalize_p(p: int | float) -> int | float:
+    p = json_number(p)
     if isinstance(p, float) and p.is_integer():
         p = int(p)
-    if p < 1:
+    if not p >= 1:  # refuses NaN too
         raise ValueError("exponent p must satisfy p >= 1")
     return p
 

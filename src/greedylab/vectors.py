@@ -21,7 +21,7 @@ from operator import itemgetter
 from typing import Iterable, Mapping, Optional, Sequence
 
 from .errors import CapacityError
-from .exact import Rational, as_fraction, simplify
+from .exact import Rational, as_fraction, json_int, json_number, json_shape, simplify
 
 # (block id, magnitude, multiplicity); canonical order is by block then
 # descending magnitude.
@@ -70,7 +70,11 @@ class CompressedVector:
 
     @staticmethod
     def from_json(obj: dict) -> "CompressedVector":
-        return canonicalize((int(b), Fraction(m), int(c)) for b, m, c in obj["groups"])
+        """Groups [block, magnitude, multiplicity]: the block id and multiplicity
+        through ``json_int``, the magnitude a string such as "3/2" or a number."""
+        groups = (json_shape(g, list, 3) for g in json_shape(json_shape(obj, dict)["groups"], list))
+        return canonicalize((json_int(b), Fraction(m if isinstance(m, str) else json_number(m)),
+                             json_int(c)) for b, m, c in groups)
 
     @staticmethod
     def load(path: str) -> "CompressedVector":

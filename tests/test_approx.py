@@ -30,11 +30,26 @@ from greedylab import (
     squares_schedule,
 )
 from greedylab import approx, explicit
-from greedylab.approx import quasinorm, sequence_bound_checks, xs_bound_checks
+from greedylab.approx import sequence_bound_checks, xs_bound_checks
 from greedylab.errorseq import ErrorSequence
 from greedylab.greedy import error_sequence
 from greedylab.spaces import _float_root, random_vector, space_norm
 from test_greedy import sequence_instances
+
+
+def _norm(seq) -> float:
+    """||x|| = e_0, the p-th root of power(0), which every quasi-norm adds to its series."""
+    return _float_root(seq.power(0), seq.p)
+
+
+def _series(seq, params) -> tuple[float, float, float]:
+    """quasinorm_bracket less ||x||: the (lo, value, hi) of the series alone."""
+    return tuple(v - _norm(seq) for v in quasinorm_bracket(seq, params))
+
+
+def _series_oracle(seq, params) -> float:
+    """explicit.quasinorm_per_term less ||x||."""
+    return explicit.quasinorm_per_term(seq, params) - _norm(seq)
 
 
 def test_single_coordinate_vector_has_unit_quasinorm():
@@ -57,7 +72,7 @@ def test_quasinorm_summation_is_order_stable():
     seq = xs.sigma_sequence()
     params = ApproxParams(1, 1)
     norm_x = float(space_norm(xs.x, xs.spec))
-    forward = quasinorm(norm_x, seq, params)
+    forward = quasinorm_bracket(seq, params)[1]
     # Independent two-pass oracle: materialize the terms, sum reversed.
     terms = []
     for k in range(1, seq.support_size + 1):
@@ -112,6 +127,21 @@ def test_build_xs_fields_squares_schedule():
     assert (xs4.n_s, xs4.r, xs4.v) == (14400, 2, 7200)
     assert xs4.support_size == 21600 <= 2 * xs4.n_s
     assert all(xs4.checks.values())
+
+
+def test_build_xs_walks_h_l_once(monkeypatch):
+    # The minimizer check and the democracy jump read one doubling-scan row:
+    # one concave_min walk answers h_l at n_s and 2 n_s, and no demfun_dp runs.
+    from greedylab import democracy
+
+    walks, real = [], democracy.concave_min
+    monkeypatch.setattr(democracy, "concave_min", lambda *args: walks.append(args) or real(*args))
+    monkeypatch.setattr(democracy, "demfun_dp", None)
+    for s in (2, 3, 4, 5):
+        walks.clear()
+        xs = build_xs(squares_schedule(6), s)
+        assert len(walks) == 1 and sorted(walks[0][1]) == [xs.n_s, 2 * xs.n_s]
+        assert xs.checks["m_is_hl_minimizer"] and xs.checks["democracy_jump"]
 
 
 def test_build_xs_too_deep_raises():
@@ -183,8 +213,9 @@ def test_quasinorm_bounds_infinity_is_exact_sup():
     xs = build_xs(squares_schedule(3), 2)
     params = ApproxParams(1, math.inf)
     norm_x = float(space_norm(xs.x, xs.spec))
-    lo, value, hi = quasinorm_bracket(norm_x, xs.sigma_sequence(), params)
-    assert lo == value == hi == quasinorm(norm_x, xs.sigma_sequence(), params)
+    seq = xs.sigma_sequence()
+    lo, value, hi = quasinorm_bracket(seq, params)
+    assert lo == value == hi == norm_x + approx._sup(approx._lines(seq), 1, 2)
 
 
 def _gamma_closed(g, l, h, c, v, k):
@@ -321,10 +352,9 @@ def _exact_route(seq, params):
 def test_piecewise_series_match_per_term_oracle(instance, kind, params):
     spec, x = instance
     seq = error_sequence(x, spec, kind)
-    norm_x = float(space_norm(x, spec))
-    value = quasinorm(norm_x, seq, params)
-    oracle = explicit.quasinorm_per_term(norm_x, seq, params)
-    lo, _, hi = quasinorm_bracket(norm_x, seq, params)
+    assert _norm(seq) == float(space_norm(x, spec))  # e_0 is ||x||
+    lo, value, hi = quasinorm_bracket(seq, params)
+    oracle = explicit.quasinorm_per_term(seq, params)
     assert lo <= value <= hi
     if _exact_route(seq, params):
         assert value == pytest.approx(oracle, rel=1e-12)
@@ -341,12 +371,11 @@ def test_xs_routes_match_per_term_oracles(s):
     oracle = explicit.sequence_bound_checks_per_k(sigma, gamma, xs.n_s, xs.v, xs.r, xs.s)
     assert xs_bound_checks(xs) == oracle
     assert all(oracle.values())
-    norm_x = float(space_norm(xs.x, xs.spec))
     for seq in (sigma, gamma):
         for params in (ApproxParams(1, 1), ApproxParams(0.5, 1), ApproxParams(2, 1),
                        ApproxParams(0.5, 2), ApproxParams(2, 2), ApproxParams(1, math.inf)):
-            value = quasinorm(norm_x, seq, params)
-            oracle = explicit.quasinorm_per_term(norm_x, seq, params)
+            value = quasinorm_bracket(seq, params)[1]
+            oracle = explicit.quasinorm_per_term(seq, params)
             if _exact_route(seq, params):
                 assert value == pytest.approx(oracle, rel=1e-12)
             elif all(hi - lo < approx.DIRECT for lo, hi, _, _ in approx._lines(seq)):
@@ -372,7 +401,7 @@ def test_per_term_series_match_the_oracle_on_fraction_powers():
                 params = ApproxParams((e1 + 1) / (e2 * seq.p), e2 * seq.p)
                 assert params.q * params.alpha - 1.0 == e1
                 assert not _exact_route(seq, params)
-                assert quasinorm(1.0, seq, params) == explicit.quasinorm_per_term(1.0, seq, params)
+                assert _series(seq, params)[1] == _series_oracle(seq, params)
 
 
 def test_sup_is_the_max_over_every_k():
@@ -405,8 +434,9 @@ def test_sup_costs_two_terms_per_piece(monkeypatch):
     for seq in (xs.sigma_sequence(), xs.gamma_sequence()):
         for alpha in (0.5, 1, 2):
             calls.clear()
-            assert math.isfinite(quasinorm(1.0, seq, ApproxParams(alpha, math.inf)))
-            assert 0 < len(calls) <= 2 * len(seq.pieces())
+            assert math.isfinite(quasinorm_bracket(seq, ApproxParams(alpha, math.inf))[1])
+            assert calls[0] == (seq.power(0), seq.p)  # ||x||, then the terms
+            assert 0 < len(calls[1:]) <= 2 * len(seq.pieces())
 
 
 def test_sup_is_the_same_for_int_and_float_alpha():
@@ -414,8 +444,8 @@ def test_sup_is_the_same_for_int_and_float_alpha():
     xs = build_xs(squares_schedule(48), 18)
     for seq in (xs.sigma_sequence(), xs.gamma_sequence()):
         for alpha in (1, 2, 3):
-            as_int = quasinorm(1.0, seq, ApproxParams(alpha, math.inf))
-            assert quasinorm(1.0, seq, ApproxParams(float(alpha), math.inf)) == as_int
+            as_int = _series(seq, ApproxParams(alpha, math.inf))
+            assert _series(seq, ApproxParams(float(alpha), math.inf)) == as_int
 
 
 def test_alpha_must_be_positive_and_finite():
@@ -444,13 +474,13 @@ def test_work_is_bounded_by_knots_not_support(monkeypatch):
     )
     assert all(xs_bound_checks(xs).values())
     assert 0 < len(calls) <= 4 * knots
-    # Integer exponents never reach the Euler-Maclaurin kernel.
+    # Integer exponents never reach the Euler-Maclaurin kernel, and read
+    # power(k) only at k = 0, for ||x||.
     calls.clear()
     monkeypatch.setattr(approx, "_series_parts", None)
-    norm_x = float(space_norm(xs.x, xs.spec))
     for params in (ApproxParams(0.5, 2), ApproxParams(2, 2), ApproxParams(1, 4)):
-        assert math.isfinite(quasinorm(norm_x, xs.sigma_sequence(), params))
-    assert calls == []
+        assert math.isfinite(quasinorm_bracket(xs.sigma_sequence(), params)[1])
+    assert calls == [0, 0, 0]
 
 
 def _count_series_parts(monkeypatch):
@@ -492,9 +522,9 @@ def test_linear_terms_cost_one_cut_per_part(monkeypatch):
         counts.clear()
         for n in (10**4, 10**6):
             seq = ErrorSequence("sigma", 2, [(0, 10), (n, 10), (n + 3, 0)])
-            lo, _, hi = quasinorm_bracket(1.0, seq, params)
+            lo, _, hi = _series(seq, params)
         assert counts == [28, 28], params
-        assert lo <= explicit.quasinorm_per_term(1.0, seq, params) <= hi <= lo * (1 + 3e-9)
+        assert lo <= _series_oracle(seq, params) <= hi <= lo * (1 + 3e-9)
 
 
 @st.composite
@@ -527,8 +557,8 @@ def test_curvature_brackets_hold_on_knot_sequences(monkeypatch):
         q = e2 * seq.p
         params = ApproxParams((e1 + 1) / q, q)
         counts.clear()
-        lo, _, hi = quasinorm_bracket(1.0, seq, params)
-        assert lo <= explicit.quasinorm_per_term(1.0, seq, params) <= hi <= lo * (1 + 3e-9 / q)
+        lo, _, hi = _series(seq, params)
+        assert lo <= _series_oracle(seq, params) <= hi <= lo * (1 + 3e-9 / q)
         assert counts in ([], [seq.support_size - 1])
 
     check()
@@ -538,21 +568,20 @@ def test_bounds_term_count_is_bounded_at_depth(monkeypatch):
     # Float root and cut estimates once made s = 14 sum ~1e23 terms one by one.
     counts = _count_series_parts(monkeypatch)
     xs = build_xs(squares_schedule(22), 20)
-    norm_x = float(space_norm(xs.x, xs.spec))
     for seq in (xs.sigma_sequence(), xs.gamma_sequence()):
-        lo, _, hi = quasinorm_bracket(norm_x, seq, ApproxParams(0.5, 1))
-        assert 0 < lo <= quasinorm(norm_x, seq, ApproxParams(0.5, 1)) <= hi <= lo * (1 + 3e-9)
-    assert len(counts) == 4 and 0 < max(counts) <= 6000
+        lo, value, hi = quasinorm_bracket(seq, ApproxParams(0.5, 1))
+        assert 0 < lo <= value <= hi <= lo * (1 + 3e-9)
+    assert len(counts) == 2 and 0 < max(counts) <= 6000
 
 
-def _series_bracket(norm_x, seq, params):
-    """quasinorm_bracket's (lo, hi) from _series_parts, taken also where the
-    exponents are integers and quasinorm_bracket sums exactly."""
+def _series_bracket(seq, params):
+    """quasinorm_bracket's (lo, hi) less ||x|| from _series_parts, taken also where
+    the exponents are integers and quasinorm_bracket sums exactly."""
     q = params.q
     parts, error = approx._series_parts(approx._lines(seq), q * params.alpha - 1.0, q / seq.p)
     total = math.fsum(parts)
     lo, hi = max(0.0, total * (1 - 1e-9) - error), total * (1 + 1e-9) + error
-    return norm_x + lo ** (1.0 / q), norm_x + hi ** (1.0 / q)
+    return lo ** (1.0 / q), hi ** (1.0 / q)
 
 
 @pytest.mark.parametrize("s", [14, 20])
@@ -560,17 +589,15 @@ def test_bounds_contain_the_exact_value_at_depth(s):
     # Integer exponents have an exact value; the Euler-Maclaurin brackets must hold it.
     # k^27 (3 - 3k/5000)^14 has degree 41 > 39, so the Gauss error is not 0.
     xs = build_xs(squares_schedule(s + 2), s)
-    norm_x = float(space_norm(xs.x, xs.spec))
+    degree_41 = ErrorSequence("sigma", 2, [(0, 3), (5000, 0)])
     cases = [
-        (norm_x, seq, params, quasinorm(norm_x, seq, params))
+        (seq, params)
         for seq in (xs.sigma_sequence(), xs.gamma_sequence())
         for params in (ApproxParams(1, 2), ApproxParams(1.5, 2), ApproxParams(2, 2))
-    ]
-    degree_41 = ErrorSequence("sigma", 2, [(0, 3), (5000, 0)])
-    cases.append((1.0, degree_41, ApproxParams(1, 28), quasinorm(1.0, degree_41, ApproxParams(1, 28))))
-    for norm, seq, params, exact in cases:
-        lo, hi = _series_bracket(norm, seq, params)
-        assert lo <= exact <= hi <= lo * (1 + 3e-9), (seq.kind, params)
+    ] + [(degree_41, ApproxParams(1, 28))]
+    for seq, params in cases:
+        lo, hi = _series_bracket(seq, params)
+        assert lo <= _series(seq, params)[1] <= hi <= lo * (1 + 3e-9), (seq.kind, params)
     assert approx._series_parts(approx._lines(degree_41), 27.0, 14.0)[1] > 0
 
 
@@ -583,10 +610,10 @@ def test_exact_sum_past_float_range_is_finite():
     cubes = (m * (m + 1) // 2) ** 2
     fourths = m * (m + 1) * (2 * m + 1) * (3 * m * m + 3 * m - 1) // 30
     total = 10**290 * (n * cubes - fourths)
-    value = quasinorm(1.0, seq, ApproxParams(2, 2))
-    assert value == pytest.approx(1.0 + math.isqrt(total), rel=1e-15)
-    assert 2.23e169 < value < 2.24e169
-    assert quasinorm_bracket(1.0, seq, ApproxParams(2, 2)) == (value,) * 3
+    lo, value, hi = quasinorm_bracket(seq, ApproxParams(2, 2))
+    assert lo == value == hi
+    assert value - 1e150 == pytest.approx(math.isqrt(total), rel=1e-15)  # ||x|| = 10^150
+    assert 2.23e169 < value - 1e150 < 2.24e169
 
 
 def test_series_past_the_float_range_are_infinite():
@@ -599,7 +626,7 @@ def test_series_past_the_float_range_are_infinite():
         (ErrorSequence("sigma", 2, [(0, 10**600), (5, 0)]), ApproxParams(1, 1)),
     ]
     for seq, params in cases:
-        assert quasinorm_bracket(1.0, seq, params) == (math.inf,) * 3, params
+        assert quasinorm_bracket(seq, params) == (math.inf,) * 3, params
 
 
 KERNEL_PAIRS = [ApproxParams(0.5, 1), ApproxParams(1, 1), ApproxParams(2, 1), ApproxParams(1, 1.5)]
@@ -609,12 +636,11 @@ KERNEL_PAIRS = [ApproxParams(0.5, 1), ApproxParams(1, 1), ApproxParams(2, 1), Ap
 def test_series_kernel_matches_the_per_term_oracle_on_xs(s):
     # From s = 4 on, x_s has pieces longer than DIRECT, summed by Euler-Maclaurin.
     xs = build_xs(squares_schedule(s + 2), s)
-    norm_x = float(space_norm(xs.x, xs.spec))
     pairs = KERNEL_PAIRS + [ApproxParams(0.7, 1.3)] if s < 5 else [ApproxParams(0.5, 1)]
     for seq in (xs.sigma_sequence(), xs.gamma_sequence()):
         for params in pairs:
-            oracle = explicit.quasinorm_per_term(norm_x, seq, params)
-            assert quasinorm(norm_x, seq, params) == pytest.approx(oracle, rel=1e-14)
+            oracle = explicit.quasinorm_per_term(seq, params)
+            assert quasinorm_bracket(seq, params)[1] == pytest.approx(oracle, rel=1e-14)
 
 
 def test_series_kernel_matches_the_per_term_oracle_on_long_pieces():
@@ -633,8 +659,7 @@ def test_series_kernel_matches_the_per_term_oracle_on_long_pieces():
                 for e2 in (0.5, 0.75):
                     params = ApproxParams((e1 + 1) / (e2 * p), e2 * p)
                     assert params.q * params.alpha - 1.0 == e1
-                    oracle = explicit.quasinorm_per_term(1.0, seq, params)
-                    assert quasinorm(1.0, seq, params) == pytest.approx(oracle, rel=1e-14)
+                    assert _series(seq, params)[1] == pytest.approx(_series_oracle(seq, params), rel=1e-14)
     assert long_pieces >= 4
 
 
@@ -676,16 +701,16 @@ def test_singular_points_past_2_53_stay_exact():
     for params in (ApproxParams(0.5, 1), ApproxParams(1, 1), ApproxParams(1, 1.5)):
         parts, _ = approx._series_parts(approx._lines(seq), params.q * params.alpha - 1.0, params.q / 2)
         assert len(parts) <= 2 * approx.NEAR + 5 + 20 * 2 * 61
-        lo, _, hi = quasinorm_bracket(1.0, seq, params)
-        assert lo <= quasinorm(1.0, seq, params) <= hi
+        lo, value, hi = _series(seq, params)
+        assert lo <= value <= hi
 
 
 def test_a_large_last_correction_raises(monkeypatch):
     xs = build_xs(squares_schedule(6), 4)
-    quasinorm(1.0, xs.sigma_sequence(), ApproxParams(0.5, 1))
+    quasinorm_bracket(xs.sigma_sequence(), ApproxParams(0.5, 1))
     monkeypatch.setattr(approx, "EULER_MACLAURIN", approx.EULER_MACLAURIN[:3] + (1.0,))
     with pytest.raises(InvariantError):
-        quasinorm(1.0, xs.sigma_sequence(), ApproxParams(0.5, 1))
+        quasinorm_bracket(xs.sigma_sequence(), ApproxParams(0.5, 1))
 
 
 def _quarter_power_sums(seq, pairs):
@@ -723,8 +748,8 @@ def test_brackets_hold_a_40_digit_sum_on_long_pieces():
                 assert total * (1 - 1e-9) - error <= exact <= total * (1 + 1e-9) + error
                 assert 2 * (1e-9 * total + error) <= 3e-9 * total
                 params = ApproxParams((e1 + 1) / (e2 * p), e2 * p)
-                lo, _, hi = quasinorm_bracket(1.0, seq, params)
-                assert lo <= 1 + float(exact ** (Decimal(1) / Decimal(params.q))) <= hi
+                lo, _, hi = _series(seq, params)
+                assert lo <= float(exact ** (Decimal(1) / Decimal(params.q))) <= hi
     assert long_pieces >= 4
 
 
@@ -756,7 +781,7 @@ def test_a_larger_error_constant_widens_the_bracket(monkeypatch):
     # The bound is live on every long piece: inflating c20 or the L_n moves both ends out.
     xs = build_xs(squares_schedule(6), 4)
     seq, params = xs.sigma_sequence(), ApproxParams(0.5, 1)
-    lo, _, hi = quasinorm_bracket(1.0, seq, params)
+    lo, _, hi = _series(seq, params)
     leibniz = approx._leibniz
 
     def inflated(by8, by40):
@@ -769,7 +794,7 @@ def test_a_larger_error_constant_widens_the_bracket(monkeypatch):
                         ("_leibniz", inflated(1e10, 1.0)), ("_leibniz", inflated(1.0, 1e60))):
         with monkeypatch.context() as patch:
             patch.setattr(approx, name, value)
-            wide_lo, _, wide_hi = quasinorm_bracket(1.0, seq, params)
+            wide_lo, _, wide_hi = _series(seq, params)
         assert wide_lo < lo and hi < wide_hi, name
 
 
@@ -818,7 +843,7 @@ def test_short_pieces_of_integer_series_are_summed_directly():
         params = ApproxParams(1, q)
         exact = _faulhaber_total(lines, q - 1, q)
         assert approx._exact_sum(lines, q - 1, q) == exact
-        assert quasinorm_bracket(0.0, seq, params) == (_float_root(exact, q),) * 3
+        assert quasinorm_bracket(seq, params) == (_norm(seq) + _float_root(exact, q),) * 3
 
 
 def test_exact_sum_matches_faulhaber_and_per_term_sums():

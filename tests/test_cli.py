@@ -357,6 +357,41 @@ def test_csv_artifacts_are_byte_identical(tmp_path, files, argv, digest):
     assert hashlib.sha256(_golden_artifact(tmp_path, files, argv)).hexdigest() == digest
 
 
+# Byte-exact JSON reports on the README inputs.  xs-experiment runs only at
+# q = 2 and inf, whose routes are exact per piece: the series route sums
+# floats with sum(), which Python 3.12+ compensates, so its last bits differ
+# between Python versions.
+README_SPACE = {"a": [4, 5, 6, 7]}
+README_VECTOR = {"groups": [[0, "2", "20"], [1, "1", "20"]]}
+HL, HR = {"kind": "one_plus_log2"}, {"kind": "sqrt"}
+JSON_GOLDEN = [
+    ("norm", {"space": README_SPACE, "vector": README_VECTOR},
+     ["norm", "--space", "space", "--vector", "vector"],
+     "b55ea51d5d9c6c1ff95312d3330617ca797b24aed6da150d8ca93d9d43099d0a"),
+    ("sigma", {"space": README_SPACE, "vector": README_VECTOR},
+     ["sigma", "--space", "space", "--vector", "vector", "--N", "20"],
+     "62caf80ebeea4fabc39fdc20066a4b30f56e8cef4d497bc9ea45ea5edd2f9deb"),
+    ("gamma", {"space": README_SPACE, "vector": README_VECTOR},
+     ["gamma", "--space", "space", "--vector", "vector", "--N", "20"],
+     "8fa3293db6aeed3ec32303100bc364f9d316354b57ab675ca554e17db5c05e1b"),
+    ("cghm", {"hl": HL, "hr": HR}, ["cghm", "--hl", "hl", "--hr", "hr", "--alpha", "0.25"],
+     "0630d1f4f1369f846a6b325173713e5ea03fe47837f5f64b93f2f2b8bc82ebb8"),
+    ("check71", {"hl": HL, "hr": HR, "pairs": {"pairs": [[361, 361], [5545927979, 2002080000419],
+                                                         [208502235769, 232062988410897]]}},
+     ["check71", "--hl", "hl", "--hr", "hr", "--pairs", "pairs", "--alpha", "0.25"],
+     "b7bd08c4befd90ad3b4685d7d433b9af72482fda4f425cb5688fa519dda6439f"),
+    ("xs-experiment", {"schedule": {"a": [4, 9, 16, 25, 36, 49]}},  # squares_schedule(5)
+     ["xs-experiment", "--schedule", "schedule", "--s", "2..4", "--alpha", "0.5,1,2", "--q", "2,inf"],
+     "3cf9ffa5088d715952cb26e7a0c65acc1f986b98d29c1563cc5ea73428750bc5"),
+]
+
+
+@pytest.mark.parametrize("files,argv,digest", [case[1:] for case in JSON_GOLDEN],
+                         ids=[case[0] for case in JSON_GOLDEN])
+def test_json_artifacts_are_byte_identical(tmp_path, files, argv, digest):
+    assert hashlib.sha256(_golden_artifact(tmp_path, files, argv)).hexdigest() == digest
+
+
 # Bad but parseable inputs: (argv with file placeholders, expected exit code).
 PARSEABLE_INPUTS = [
     (["sigma", "--space", "sched", "--vector", "vec", "--N", "-1"], 1),
@@ -376,6 +411,16 @@ PARSEABLE_INPUTS = [
     (["norm", "--space", "mixed", "--vector", "huge"], 0),
     (["check71", "--hl", "sqrt", "--hr", "power400", "--pairs", "pairs", "--alpha", "1"], 1),
     (["check71", "--hl", "zero_table", "--hr", "sqrt", "--pairs", "pairs", "--alpha", "1"], 1),
+    # Integer fields take a JSON int or a string of one: nothing is floored.
+    (["demfun", "--space", "float_a", "--max-N", "4"], 1),
+    (["norm", "--space", "sched", "--vector", "float_count"], 1),
+    (["norm", "--space", "sched", "--vector", "float_block"], 1),
+    (["check71", "--hl", "sqrt", "--hr", "sqrt", "--pairs", "float_pairs", "--alpha", "1"], 1),
+    # Wrong shapes and non-numeric exponents.
+    (["norm", "--space", "sched", "--vector", "list_vector"], 1),
+    (["norm", "--space", "string_p", "--vector", "vec"], 1),
+    (["check71", "--hl", "list_table", "--hr", "sqrt", "--pairs", "pairs", "--alpha", "1"], 1),
+    (["check71", "--hl", "sqrt", "--hr", "sqrt", "--pairs", "flat_pairs", "--alpha", "1"], 1),
 ]
 
 
@@ -393,6 +438,14 @@ def input_files(tmp_path):
         "power400": {"kind": "power", "exponent": 400},  # 8^400 overflows a float
         "zero_table": {"kind": "table", "values": {"16": 0}},
         "pairs": {"pairs": [[8, 16]]},
+        "float_a": {"a": [4, 5.5, 6]},
+        "float_count": {"groups": [[0, "1", 2.5]]},
+        "float_block": {"groups": [[0.9, "1", 2]]},
+        "float_pairs": {"pairs": [[1.5, 3]]},
+        "list_vector": [[0, "1", 2]],
+        "string_p": {"lp": "2"},
+        "list_table": {"kind": "table", "values": [1, 2]},
+        "flat_pairs": [1, 2],
     }
     return {name: write(tmp_path / f"{name}.json", obj) for name, obj in files.items()}
 

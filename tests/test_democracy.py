@@ -9,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 from greedylab import (
     BlockSchedule,
+    DemPoint,
     SpaceSpec,
     TruncationError,
     arithmetic_schedule,
@@ -21,7 +22,7 @@ from greedylab import (
     prefix_norm_conjecture_check,
     squares_schedule,
 )
-from greedylab import alloc, explicit
+from greedylab import alloc, democracy, explicit
 from greedylab.democracy import one_plus_log2, sqrt_of
 from greedylab.explicit import demfun_bruteforce
 from greedylab.spaces import space_norm
@@ -55,6 +56,14 @@ def test_toy_example_values():
     point = demfun_dp(TOY, 4)
     assert point.hl_power == 2  # all four in the first block
     assert point.hr_power == 4
+
+
+def test_demfun_dp_at_zero_withholds_the_side_not_asked():
+    # N = 0 once had its own answer, which filled h_r under which="hl".
+    for spec in (TOY, SpaceSpec.from_schedule(arithmetic_schedule(3))):
+        assert demfun_dp(spec, 0, which="hl") == DemPoint(0, 0, None, (), ())
+        assert demfun_dp(spec, 0, which="hr") == DemPoint(0, None, 0, (), ())
+        assert demfun_dp(spec, 0) == DemPoint(0, 0, 0, (), ())
 
 
 def test_bruteforce_symmetric_space():
@@ -303,6 +312,16 @@ def test_cghm_acceptance_pair():
     assert list(seqs.k) == sorted(set(seqs.k))
     report = condition71_check(sqrt_of, one_plus_log2, seqs.pairs, 1.0, 0.25)
     assert report.all_pass
+
+
+def test_crossing_search_on_a_ratio_that_is_not_monotone():
+    # h_r/h_l >= 2 only at N = 3 and N = 8: the doubling probes 1, 2, 4 step
+    # over 3, so the search returns 8, a crossing between two probes, and the
+    # per-term checks hold at the term it builds there.
+    h_r = {n: 2.0 if n in (3, 8) else 1.0 for n in range(1, 17)}.__getitem__
+    assert democracy._first_crossing(h_r, 2.0, 1, 2**63, "2") == (8, None)
+    seqs = cghm_construct(h_r, lambda n: 1.0, 2.0, 0.0, 1)
+    assert (seqs.w, seqs.r_of_mu, seqs.k) == ((1,), (1,), (8,)) and seqs.all_checks_pass()
 
 
 def test_cghm_bounded_ratio_exhausts():

@@ -302,6 +302,21 @@ def test_space_json_shapes():
         space_from_json({"nonsense": 1})
 
 
+def test_json_integer_fields_take_ints_and_strings_of_ints():
+    # A float, even an integral one, was once floored: {"a": [4, 5.5, 6]} read as [4, 5, 6].
+    assert space_from_json({"a": ["4", 5, "6"], "K": "2"}) == space_from_json({"a": [4, 5, 6]})
+    assert space_from_json({"blocks": [["2", 4]]}) == space_from_json({"blocks": [[2, 4]]})
+    for bad in (5.5, 5.0, "5.0", True, [5]):  # not null: "dim": null is an unbounded l_p
+        for obj in ({"a": [4, bad, 6]}, {"a": [4, 5, 6], "K": bad}, {"lp": 2, "dim": bad},
+                    {"cap": bad, "size": 6}, {"blocks": [[2, bad]]}):
+            with pytest.raises(ValueError):
+                space_from_json(obj)
+    for obj in ([4, 5, 6], {"schedule": [4, 5]}, {"blocks": [[2, 4, 6]]}, {"lp": "2"}, {"lp": None},
+                {"a": [3, 5, 6], "allow_slow_start": "false"}):
+        with pytest.raises(ValueError):
+            space_from_json(obj)
+
+
 def test_schedule_validation():
     with pytest.raises(ValueError):
         BlockSchedule((3, 5, 6))  # first multiplier below 4
