@@ -355,7 +355,8 @@ def build_xs(schedule: BlockSchedule, s: int) -> XsConstruction:
     row = democracy.doubling_scan(schedule, [hi_block + 1]).rows[0]  # h_l at n_s and 2 n_s
     m_power = space_norm(spec.indicator({hi_block: n_s}), spec).power_exact
     v_power = space_norm(spec.indicator({hi_block + 1: v}), spec).power_exact
-    xs_power = space_norm(x, spec).power_exact
+    profile = GreedyProfile(x, spec)
+    xs_power = profile.norm_power  # the norm both sequences' end checks read
 
     checks = {
         # ||M_s||^2 = c = h_l(n_s)^2: zero slack (full-block realization).
@@ -375,7 +376,7 @@ def build_xs(schedule: BlockSchedule, s: int) -> XsConstruction:
         raise GreedyLabError(f"x_s invariants failed at build time: {failed}")
     return XsConstruction(
         s=s, hi_block=hi_block, n_s=n_s, c=c, r=r, v=v,
-        schedule=schedule, spec=spec, x=x, profile=GreedyProfile(x, spec), checks=checks,
+        schedule=schedule, spec=spec, x=x, profile=profile, checks=checks,
     )
 
 

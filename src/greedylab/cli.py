@@ -19,7 +19,8 @@ import math
 import os
 import sys
 import tempfile
-from typing import Optional
+from itertools import repeat
+from typing import Iterable, Optional
 
 from .errors import GreedyLabError
 from .exact import json_int, json_shape
@@ -30,6 +31,21 @@ from .vectors import CompressedVector
 
 def fmt_float(x: float) -> str:
     return format(float(x), ".17g")
+
+
+def _root_strings(p: int | float, *columns: Iterable) -> dict:
+    """{v: fmt_float(_float_root(v, p))} for each distinct power v in the columns.
+
+    Floats, roots and strings are each one C-level map; columns with a
+    power past the float range take _float_root per value instead.
+    """
+    powers = list(set().union(*columns))
+    try:
+        floats = list(map(float, powers))
+    except OverflowError:
+        return {v: fmt_float(_float_root(v, p)) for v in powers}
+    roots = map(math.sqrt, floats) if p == 2 else map(pow, floats, repeat(1.0 / p))
+    return dict(zip(powers, map(format, roots, repeat(".17g"))))
 
 
 def write_text(path: Optional[str], text: str) -> None:
@@ -151,11 +167,9 @@ def cmd_errors(args) -> int:
     profile = GreedyProfile(x, spec)
     sig, gam = profile.sequence("sigma"), profile.sequence("gamma")
     last = sig.support_size if args.max_k is None else min(args.max_k, sig.support_size)
-    p = sig.p
-    lines = [
-        f"{k},{s},{g},{fmt_float(_float_root(s, p))},{fmt_float(_float_root(g, p))}"
-        for k, (s, g) in enumerate(zip(sig.powers(last), gam.powers(last)))
-    ]
+    sigmas, gammas = sig.powers(last), gam.powers(last)
+    root = _root_strings(sig.p, sigmas, gammas)
+    lines = [f"{k},{s},{g},{root[s]},{root[g]}" for k, (s, g) in enumerate(zip(sigmas, gammas))]
     emit_report(("k,sigma_sq,gamma_sq,sigma_float,gamma_float", lines), "csv", args.out)
     return 0
 
@@ -166,8 +180,7 @@ def cmd_demfun(args) -> int:
     spec = _load_space(args.space)
     table = demfun_table(spec, args.max_N)
     # h_l repeats each value over long runs of N: root each distinct power once.
-    p = spec.outer_p
-    root = {v: fmt_float(_float_root(v, p)) for v in {*table.hl_powers, *table.hr_powers}}
+    root = _root_strings(spec.outer_p, table.hl_powers, table.hr_powers)
     lines = [
         f"{n},{hl},{hr},{root[hl]},{root[hr]}"
         for n, (hl, hr) in enumerate(zip(table.hl_powers, table.hr_powers))
@@ -185,10 +198,11 @@ def cmd_doubling_scan(args) -> int:
 
     spec = _load_schedule_space(args.space)
     report = doubling_scan(spec.schedule, args.k)
+    root = _root_strings(spec.outer_p, [r.ratio_sq for r in report.rows],
+                         [r.bound_sq for r in report.rows])
     rows = [
         (r.k, r.n_k, r.n_k1, r.a_k1, r.hl_n_power, r.hl_2n_power, str(r.ratio_sq),
-         str(r.bound_sq), fmt_float(_float_root(r.ratio_sq, spec.outer_p)),
-         fmt_float(_float_root(r.bound_sq, spec.outer_p)), r.bound_holds, r.upper_equality)
+         str(r.bound_sq), root[r.ratio_sq], root[r.bound_sq], r.bound_holds, r.upper_equality)
         for r in report.rows
     ]
     lines = [",".join(map(str, row)) for row in rows]
@@ -252,7 +266,7 @@ def cmd_check71(args) -> int:
     h_r = h_function_from_json(_load_json(args.hr))
     obj = _load_json(args.pairs)
     if isinstance(obj, dict) and "k" in obj and "n" in obj:
-        rows = zip(json_shape(obj["k"], list), json_shape(obj["n"], list))
+        rows = zip(json_shape(obj["k"], list), json_shape(obj["n"], list), strict=True)
     else:
         listed = json_shape(obj["pairs"] if isinstance(obj, dict) else obj, list)
         rows = (json_shape(row, list, 2) for row in listed)

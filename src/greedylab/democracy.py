@@ -12,7 +12,10 @@ programs over allocations of N.  The production routes are:
   A table runs it bottom-up one block at a time: with one block added,
   the block takes either as much as it can or what the blocks before it
   cannot hold (past them, the prefix norm of the first N unit vectors),
-  so h_l <= prefix norm, strictly where a later block's full fill is cheaper,
+  so h_l <= prefix norm, strictly where a later block's full fill is cheaper.
+  Once the blocks hold max_N coordinates, a block whose cap is at least
+  min(size, max_N) cannot lower the table and is skipped, so the table's
+  cost grows with the blocks whose cap is below max_N,
 * the closed form min(N, sum caps) for h_r, witnessed by filling the
   caps first, then the rest of each block, in block order.
 
@@ -156,17 +159,28 @@ def _hl_table(blocks: Sequence[tuple[int, int]], max_n: int) -> list[int]:
 
     With one block the two candidates are M = max(0, N - S) (the block
     takes only what the blocks before it cannot hold) and M = min(N, size).
+    A block is skipped once the blocks before it hold max_n coordinates
+    and its cap is at least min(size, max_n): it then prices its M units
+    at M, and h_l^p rises by at most 1 per coordinate, so min over M of
+    M + H(N - M) is H(N) and the table is unchanged.
     Every N <= max_n must be reachable (the caller checks adequacy).
     """
     prefix, hl, total = _prefix_table(blocks, max_n), [0], 0  # hl over the blocks so far; total: their size
     for cap, size in blocks:
-        top = min(total + size, max_n)
-        fill = min(size, top)
-        low = hl + prefix[total + 1:top + 1]
-        high = _ramp(0, cap, fill) + [cap + h for h in hl[1:top - fill + 1]]
-        hl = list(map(min, low, high))
+        if total < max_n or cap < min(size, max_n):
+            hl = _hl_add_block(hl, prefix, total, cap, size, max_n)
         total += size
     return hl
+
+
+def _hl_add_block(hl: list[int], prefix: list[int], total: int, cap: int, size: int,
+                  max_n: int) -> list[int]:
+    """The h_l table with one more block, from the table over the blocks before it."""
+    top = min(total + size, max_n)
+    fill = min(size, top)
+    low = hl + prefix[total + 1:top + 1]
+    high = _ramp(0, cap, fill) + [cap + h for h in hl[1:top - fill + 1]]
+    return list(map(min, low, high))
 
 
 def _hr_closed(blocks: Sequence[tuple[int, int]], n: int):
@@ -537,6 +551,8 @@ def condition71_check(
     h_r(k) / h_l(n) >= c * (n/k)^alpha per pair.
     """
     _require_finite(c=c, alpha=alpha)
+    if not pairs:  # a report with no rows would pass having checked nothing
+        raise ValueError("no (k, n) pairs to check")
     rows = []
     prev_ratio = None
     for mu, (k, n) in enumerate(pairs, start=1):

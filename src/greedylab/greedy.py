@@ -88,7 +88,8 @@ class GreedyProfile:
     divided by D^p where they leave, in a NormValue or an ErrorSequence;
     tie thresholds and witnesses keep the vector's own units.  Classes
     (k, scaled magnitude, magnitude, members) come largest first, k
-    coordinates above each.  Each r_b and sequence is built on first use.
+    coordinates above each.  Each r_b and sequence, and ||x||^p, which both
+    sequences' first knots are checked against, is built on first use.
     """
 
     def __init__(self, x: CompressedVector, spec: SpaceSpec):
@@ -127,6 +128,11 @@ class GreedyProfile:
         if b not in self._residuals:
             self._residuals[b] = _residual(self, b)
         return self._residuals[b]
+
+    @functools.cached_property
+    def norm_power(self) -> Rational:
+        """||x||^p from the block powers, independent of the residual functions."""
+        return space_norm(self.x, self.spec).power_exact
 
     def unscale(self, y: int) -> Rational:
         """y / D^p exactly: a scaled power in the vector's own units."""
@@ -212,8 +218,7 @@ class GreedyProfile:
             residuals = [self.residual(b) for b in self._blocks]
             knots = _sigma_knots(residuals) if kind == "sigma" else _gamma_knots(self, residuals)
             knots = [(k, self.unscale(y)) for k, y in knots]
-            # The norm from the block powers, independent of the residual functions.
-            want = [(0, space_norm(self.x, self.spec).power_exact), (self.x.support_size, 0)]
+            want = [(0, self.norm_power), (self.x.support_size, 0)]
             if [knots[0], knots[-1]] != want:
                 raise InvariantError(f"{kind} knots run {knots[0]}..{knots[-1]}, not {want}")
             self._sequences[kind] = ErrorSequence(kind, self.p, knots)

@@ -144,6 +144,27 @@ def test_build_xs_walks_h_l_once(monkeypatch):
         assert xs.checks["m_is_hl_minimizer"] and xs.checks["democracy_jump"]
 
 
+def test_build_xs_and_its_sequences_compute_three_norms(monkeypatch):
+    # ||M_s||, ||V^s|| and ||x_s||; both sequences' end checks read the
+    # profile's ||x_s||, which is the one build_xs checks.
+    from greedylab import greedy
+
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return space_norm(*args)
+
+    monkeypatch.setattr(approx, "space_norm", counted)
+    monkeypatch.setattr(greedy, "space_norm", counted)
+    for s in (2, 3, 4):
+        calls.clear()
+        xs = build_xs(squares_schedule(5), s)
+        xs.sigma_sequence(), xs.gamma_sequence()
+        assert len(calls) == 3
+        assert xs.profile.norm_power == 4 * xs.c + xs.v and xs.checks["xs_norm_power"]
+
+
 def test_build_xs_too_deep_raises():
     with pytest.raises(ScheduleTooShallowError):
         build_xs(squares_schedule(4), 99)

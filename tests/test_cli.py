@@ -178,6 +178,22 @@ def test_cghm_check_past_the_table_is_exhaustion(tmp_path):
     assert len(blob["checks"]) == 3 and all(all(c.values()) for c in blob["checks"])
 
 
+def test_check71_refuses_an_exhausted_cghm_report(tmp_path, capsys):
+    # The k crossing needs N = 2, past the probe limit: no pair is built.
+    hl = write(tmp_path / "hl.json", {"kind": "one_plus_log2"})
+    hr = write(tmp_path / "hr.json", {"kind": "sqrt"})
+    report, out = tmp_path / "cghm.json", tmp_path / "check71.json"
+    assert main(["--out", str(report), "cghm", "--hl", hl, "--hr", hr, "--alpha", "0.25",
+                 "--probe-limit", "1"]) == 0
+    blob = json.loads(report.read_text())
+    assert (blob["k"], blob["n"], blob["exhausted"]) == ([], [], True)
+    capsys.readouterr()
+    assert main(["--out", str(out), "check71", "--hl", hl, "--hr", hr, "--pairs", str(report),
+                 "--alpha", "0.25"]) == 1
+    assert "pairs" in json.loads(capsys.readouterr().err)["error"]
+    assert not out.exists()
+
+
 def test_check71_failing_pairs_exit_1(tmp_path, capsys):
     hl = write(tmp_path / "hl.json", {"kind": "sqrt"})
     hr = write(tmp_path / "hr.json", {"kind": "sqrt"})
@@ -341,6 +357,14 @@ GOLDEN = [
     ("demfun-hr-plateau", {"space": {"blocks": [[2, 5], [3, 7], [1, 4]]}},
      ["demfun", "--space", "space", "--max-N", "16"],
      "f9cb78ba00add8ab3298f9f1b3b63d0dd26be308c42d5e58fd9b31c10d7520ec"),
+    # the table skips blocks 5 to 11, whose caps are at least max_N
+    ("demfun-deep-window", {"space": {"a": list(range(4, 17))}},  # arithmetic_schedule(12)
+     ["demfun", "--space", "space", "--max-N", "20000"],
+     "bfb1b7f2ed033e8419c0250e33b1fbe346bbe48c2b5e73686c4ee6a464397f0f"),
+    # full-cap blocks before and after the blocks hold max_N, between narrow ones
+    ("demfun-block-sum", {"space": {"blocks": [[5, 9], [30, 30], [2, 4], [100, 100], [3, 7]] * 3}},
+     ["demfun", "--space", "space", "--max-N", "150"],
+     "27ed9c07ad8225f1a0a6d5cf88a4a0b0042b9f0e43f97d65d2929de442c6507f"),
 ]
 
 
@@ -421,6 +445,10 @@ PARSEABLE_INPUTS = [
     (["norm", "--space", "string_p", "--vector", "vec"], 1),
     (["check71", "--hl", "list_table", "--hr", "sqrt", "--pairs", "pairs", "--alpha", "1"], 1),
     (["check71", "--hl", "sqrt", "--hr", "sqrt", "--pairs", "flat_pairs", "--alpha", "1"], 1),
+    # No pairs is nothing checked, and ragged k and n lists would drop pairs.
+    (["check71", "--hl", "sqrt", "--hr", "sqrt", "--pairs", "no_pairs", "--alpha", "1"], 1),
+    (["check71", "--hl", "sqrt", "--hr", "sqrt", "--pairs", "no_k_n", "--alpha", "1"], 1),
+    (["check71", "--hl", "sqrt", "--hr", "sqrt", "--pairs", "ragged_k_n", "--alpha", "1"], 1),
 ]
 
 
@@ -446,6 +474,9 @@ def input_files(tmp_path):
         "string_p": {"lp": "2"},
         "list_table": {"kind": "table", "values": [1, 2]},
         "flat_pairs": [1, 2],
+        "no_pairs": [],
+        "no_k_n": {"k": [], "n": []},
+        "ragged_k_n": {"k": [4, 16], "n": [64]},
     }
     return {name: write(tmp_path / f"{name}.json", obj) for name, obj in files.items()}
 
@@ -472,6 +503,21 @@ def test_float_columns_take_the_pth_root(input_files, capsys):
     rows = [line.split(",") for line in capsys.readouterr().out.split()]
     assert rows[1][1] == "3" + "0" * 400
     assert float(rows[1][3]) == pytest.approx(3**0.5 * 1e200, rel=1e-15)
+
+
+@pytest.mark.parametrize("p", [1, 2, 3, 1.5])
+def test_root_strings_match_the_per_value_root(p):
+    from fractions import Fraction
+
+    from greedylab.cli import _root_strings, fmt_float
+    from greedylab.spaces import _float_root
+
+    ints = [0, 1, 2, 3, 4, 10**15 + 7, 2**53 + 1, 10**300]
+    fractions = [Fraction(1, 3), Fraction(10, 3), Fraction(2**80 + 1, 7), Fraction(5, 10**300)]
+    past = [10**400, Fraction(10**500, 3)]  # past the float range: every value takes _float_root
+    for column in (ints, fractions, ints + fractions, ints + past, fractions + past):
+        want = {v: fmt_float(_float_root(v, p)) for v in column}
+        assert _root_strings(p, column, column[::-1]) == want
 
 
 @pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"), reason="no int-string limit")

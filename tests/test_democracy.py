@@ -376,6 +376,13 @@ def test_condition71_refuses_non_finite_parameters(name, value):
         condition71_check(_unread, _unread, [(4, 8)], **params)
 
 
+def test_condition71_refuses_an_empty_pair_list():
+    # No rows would read all_pass = True having checked nothing.
+    for pairs in ([], ()):
+        with pytest.raises(ValueError, match="no \\(k, n\\) pairs"):
+            condition71_check(_unread, _unread, pairs, 1.0, 0.25)
+
+
 def test_condition71_failure_modes():
     # k = n fails growth beyond the first pair
     report = condition71_check(sqrt_of, one_plus_log2, [(4, 4), (8, 8)], 1.0, 0.25)
@@ -553,6 +560,49 @@ def test_table_takes_blocks_past_the_index_range():
     assert spec.blocks[-1].cap > 2**63
     table = demfun_table(spec, 10, which="hl")
     assert list(table.hl_powers) == [demfun_dp(spec, n, which="hl").hl_power for n in range(11)]
+
+
+def _wide_or_narrow_block(rng, max_n, wide):
+    """A (cap, size) block with cap >= min(size, max_n) if wide, below it otherwise."""
+    size = rng.randint(1 if wide else 2, 2 * max_n)
+    floor = min(size, max_n)
+    return (rng.randint(floor, size), size) if wide else (rng.randint(1, floor - 1), size)
+
+
+def test_table_skipping_blocks_equals_dp_oracle():
+    # Blocks with cap >= min(size, max_N) sit both before and after the
+    # blocks reach max_N coordinates; only those after are skipped.
+    wide_before = wide_after = 0
+    for seed in range(120):
+        rng = random.Random(seed)
+        max_n = rng.randint(3, 40)
+        blocks = []
+        while sum(s for _, s in blocks) < max_n:
+            blocks.append(_wide_or_narrow_block(rng, max_n, rng.random() < 0.5))
+            wide_before += blocks[-1][0] >= min(blocks[-1][1], max_n)
+        reached = len(blocks)
+        blocks += [_wide_or_narrow_block(rng, max_n, rng.random() < 0.5)
+                   for _ in range(rng.randint(1, 6))]
+        wide_after += any(cap >= min(size, max_n) for cap, size in blocks[reached:])
+        spec = SpaceSpec.block_sum(blocks)
+        table = demfun_table(spec, max_n)
+        dp_min, dp_max, _, _ = explicit.alloc_dp(blocks, max_n)
+        assert (list(table.hl_powers), list(table.hr_powers)) == (dp_min, dp_max), (seed, blocks)
+    assert wide_before and wide_after
+
+
+@pytest.mark.parametrize("num_blocks,max_n,visited", [(40, 10, 1), (12, 20000, 5)])
+def test_table_visits_only_blocks_that_can_lower_it(monkeypatch, num_blocks, max_n, visited):
+    # Past the blocks that first hold max_N coordinates, a schedule's caps
+    # are all at least max_N: none of those blocks is visited.
+    spec = SpaceSpec.from_schedule(arithmetic_schedule(num_blocks))
+    visits, real = [], democracy._hl_add_block
+    monkeypatch.setattr(democracy, "_hl_add_block", lambda *args: visits.append(1) or real(*args))
+    table = demfun_table(spec, max_n, which="hl")
+    assert len(spec.blocks) == num_blocks and len(visits) == visited
+    rng = random.Random(max_n)
+    for n in sorted({0, 1, max_n, *rng.sample(range(max_n), 8)}):
+        assert table.hl_power(n) == demfun_dp(spec, n, which="hl").hl_power
 
 
 def _oracle_table(spec, max_n):

@@ -664,6 +664,19 @@ def test_error_sequence_canonicalizes_once(monkeypatch):
     assert len(calls) == 2
 
 
+def test_error_sequences_compute_the_norm_once_per_profile(monkeypatch):
+    # Both sequences' first knots are checked against one ||x||^p per profile.
+    spec = SpaceSpec.from_schedule(arithmetic_schedule(3))
+    x = spec.vector([(0, 2, 20), (1, 1, 20), (2, 3, 7)])
+    calls, real = [], greedy.space_norm
+    monkeypatch.setattr(greedy, "space_norm", lambda *args: calls.append(args) or real(*args))
+    profile = greedy.GreedyProfile(x, spec)
+    for kind in ("sigma", "gamma", "sigma", "gamma"):
+        assert profile.sequence(kind).power(0) == real(x, spec).power_exact
+    assert len(calls) == 1
+    assert profile.norm_power == real(x, spec).power_exact and len(calls) == 1
+
+
 def test_error_sequence_tabulated_matches_pointwise_calls():
     spec = SpaceSpec.block_sum([(2, 4), (2, 4)])
     x = spec.vector([(0, 3, 2), (0, 1, 1), (1, 1, 2)])
