@@ -266,9 +266,15 @@ def cmd_check71(args) -> int:
     h_r = h_function_from_json(_load_json(args.hr))
     obj = _load_json(args.pairs)
     if isinstance(obj, dict) and "k" in obj and "n" in obj:
-        rows = zip(json_shape(obj["k"], list), json_shape(obj["n"], list), strict=True)
+        ks, ns = json_shape(obj["k"], list), json_shape(obj["n"], list)
+        if len(ks) != len(ns):
+            raise ValueError(f"k has {len(ks)} entries and n has {len(ns)}: they must pair up")
+        rows = zip(ks, ns)
     else:
-        listed = json_shape(obj["pairs"] if isinstance(obj, dict) else obj, list)
+        listed = obj.get("pairs") if isinstance(obj, dict) else obj
+        if not isinstance(listed, list):
+            raise ValueError('expected pairs as [[k, n], ...], {"pairs": [[k, n], ...]} '
+                             'or {"k": [...], "n": [...]}')
         rows = (json_shape(row, list, 2) for row in listed)
     pairs = [(json_int(k), json_int(n)) for k, n in rows]
     report = condition71_check(h_r, h_l, pairs, args.C, args.alpha)

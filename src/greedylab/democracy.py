@@ -337,9 +337,11 @@ def prefix_norm_conjecture_check(
     spec = SpaceSpec.from_schedule(schedule)
     blocks = _finite_blocks(spec)
     ns = sorted(set(int(n) for n in n_values))
-    if ns and ns[0] < 0:
+    if not ns:  # a report with no rows would pass having checked nothing
+        raise ValueError("no N to check")
+    if ns[0] < 0:
         raise ValueError("N must be >= 0")
-    max_n = ns[-1] if ns else 0
+    max_n = ns[-1]
     prefix = _prefix_table(blocks, max_n)
     deeper = [n for n in ns if n >= len(prefix)]
     if deeper:

@@ -10,10 +10,11 @@ them imports greedy, democracy, approx, alloc or errorseq, so an oracle
 never shares code with the route it checks.  No oracle prunes its search
 space on theory: every candidate its enumeration defines is accounted for,
 and where one is fast it only evaluates candidates more cheaply (the brute
-force updates two coordinates per subset; the grid search tabulates each
-coordinate's power once per column of candidate coefficients and computes
-a norm once per distinct tuple of those powers in a scan, since candidates
-with equal powers have equal norms).  The size limits below refuse
+force updates two coordinates per subset; the grid search keeps each
+distinct power of a coordinate once per column of candidate coefficients
+and computes a norm once per distinct tuple of those powers, since
+candidates with equal powers have equal norms and the first minimum of a
+scan is always one of those kept).  The size limits below refuse
 instances that enumeration cannot finish.
 """
 
@@ -458,19 +459,18 @@ def sigma_oracle_grid(values: Sequence, n: int, spec: SpaceSpec) -> float:
     norm over coefficients on an integer grid followed by halving-window
     refinement (the objective is convex in the coefficients, so the local
     refinement reaches the global minimum).  Per support that is 19^n
-    grid points, then 5^n candidates per refinement pass: one pass for
-    each of the 27 halvings of the window, and one more after every pass
-    that improved.  A candidate is a tuple of column indices, one column
-    of powers ``|v_i - c| ** inner_p`` per coordinate: the 19 grid
-    coefficients of a free coordinate, or its 5 offsets from the current
-    best point in a pass, and 1 for a fixed one; the candidates come in
-    ``itertools.product`` order.  The grid phase keeps the first minimum;
-    a pass moves the best point to the first candidate below the best
-    value by more than 1e-15, then goes on after it with columns rebuilt
-    around the new point.  Each scan (``_first_below``) computes the norm
-    (``_float_norm``) once per distinct tuple of powers and names the
-    same candidate as visiting them all.  Exists solely to validate that
-    free coefficients never beat plain suppression.
+    grid points, then 5^n candidates per step: the offsets
+    (-2, -1, 0, 1, 2) * w of the best point, at each of the 27 halvings
+    w of the window, repeated while a step moves.  Both phases scan
+    ``itertools.product`` over per-coordinate columns of powers
+    ``|v_i - c| ** inner_p`` (c = 0 for a fixed coordinate) and take the
+    first minimum; a step moves to it while it beats the best value by
+    more than 1e-15 (steepest descent).  A column keeps each distinct
+    power once, at its first coefficient (``_distinct``), so the norm
+    (``_float_norm``) is computed once per distinct tuple of powers and
+    the scan names the same candidate as visiting them all.  Exists
+    solely to validate that free coefficients never beat plain
+    suppression.
     """
     _check_query(values, n, spec)
     dim = len(values)
@@ -489,85 +489,38 @@ def sigma_oracle_grid(values: Sequence, n: int, spec: SpaceSpec) -> float:
     grid = [float(c) for c in range(-GRID_COEFF_BOUND, GRID_COEFF_BOUND + 1)]
     best_overall = math.inf
 
-    def columns(support, coeffs) -> list[list[float]]:
-        """Per coordinate, its residual powers in candidate order."""
+    def first_min(support, coeffs, bound):
+        """(value, point) of the first minimum of the candidates if below bound, else None."""
         free = dict(zip(support, coeffs))
-        return [
-            [abs(v - c) ** inner for c in free[i]] if i in free else [abs(v) ** inner]
-            for i, v in enumerate(vals)
-        ]
+        kept = [_distinct(v, free.get(i, (0.0,)), inner) for i, v in enumerate(vals)]
+        found = list(map(norm, itertools.product(*kept)))
+        best = min(found)
+        if best >= bound:
+            return None
+        points = itertools.product(*(first.values() for first in kept))
+        at = next(itertools.islice(points, found.index(best), None))
+        return best, [at[i] for i in support]
 
     for support in itertools.combinations(range(dim), n):
-        kept = [_distinct(col, range(len(col))) for col in columns(support, [grid] * n)]
-        grid_values = list(map(norm, itertools.product(*kept)))
-        best_val = min(grid_values)  # the first minimum, as a strict-< scan keeps
-        at = _index_at(grid_values.index(best_val), kept)
-        best_pt = [grid[at[i]] for i in support]
-
+        best_val, best_pt = first_min(support, [grid] * n, math.inf)
         step = 1.0
         while step > 1e-8:
             step /= 2.0
             offsets = (-2 * step, -step, 0.0, step, 2 * step)
-            improved = True
-            while improved:
-                improved, at = False, None
-                while True:
-                    around = [[b + d for d in offsets] for b in best_pt]
-                    hit = _first_below(norm, columns(support, around), best_val - 1e-15, at)
-                    if hit is None:
-                        break
-                    best_val, at = hit
-                    best_pt = [col[at[i]] for col, i in zip(around, support)]
-                    improved = True
+            while hit := first_min(
+                support, [[b + d for d in offsets] for b in best_pt], best_val - 1e-15
+            ):
+                best_val, best_pt = hit
         best_overall = min(best_overall, best_val)
     return best_overall
 
 
-def _first_below(norm, columns, threshold: float, after=None):
-    """(value, column indices) of the first candidate below threshold, or None.
-
-    The candidates are the index tuples of ``itertools.product`` over the
-    columns: all of them, or those after the tuple ``after``, scanned as
-    one product per position k from the last to the first (``after``
-    before k, past it at k, anything later).  Each product keeps every
-    distinct power of a column once, at its first index (``_distinct``),
-    so it evaluates each distinct tuple of powers once.  A candidate's
-    value depends only on its powers, and moving any coordinate to the
-    first index of its power gives an earlier candidate of the same
-    product: so the first that passes is one of those kept.
-    """
-    if after is None:
-        pieces = [[range(len(col)) for col in columns]]
-    else:
-        pieces = (
-            [[i] for i in after[:k]]
-            + [range(after[k] + 1, len(columns[k]))]
-            + [range(len(col)) for col in columns[k + 1:]]
-            for k in reversed(range(len(columns)))
-        )
-    for piece in pieces:
-        kept = [_distinct(col, indices) for col, indices in zip(columns, piece)]
-        for rank, val in enumerate(map(norm, itertools.product(*kept))):
-            if val < threshold:
-                return val, _index_at(rank, kept)
-    return None
-
-
-def _distinct(column: Sequence[float], indices) -> dict[float, int]:
-    """{power: first index} over the column's entries at indices, in index order."""
-    first: dict[float, int] = {}
-    for i in indices:
-        first.setdefault(column[i], i)
+def _distinct(v: float, coeffs: Sequence[float], inner: float) -> dict[float, float]:
+    """{|v - c| ** inner: first c} over the coefficients, in their order."""
+    first: dict[float, float] = {}
+    for c in coeffs:
+        first.setdefault(abs(v - c) ** inner, c)
     return first
-
-
-def _index_at(rank: int, kept: Sequence[dict]) -> list[int]:
-    """The column indices of the rank-th candidate of ``product(*kept)``."""
-    at = []
-    for first in reversed(kept):
-        rank, r = divmod(rank, len(first))
-        at.append(list(first.values())[r])
-    return at[::-1]
 
 
 # ---------------------------------------------------------------------------

@@ -422,7 +422,9 @@ PARSEABLE_INPUTS = [
     (["gamma", "--space", "sched", "--vector", "vec", "--N", "-1"], 1),
     (["errors", "--space", "sched", "--vector", "vec", "--max-k", "-1"], 1),
     (["demfun", "--space", "sched", "--max-N", "-1"], 1),
-    (["prefix-check", "--space", "sched", "--max-N", "-1"], 0),
+    # No N is nothing checked.
+    (["prefix-check", "--space", "sched", "--max-N", "-1"], 1),
+    (["prefix-check", "--space", "sched", "--max-N", "0"], 1),
     (["norm", "--space", "l2", "--vector", "huge"], 0),
     (["sigma", "--space", "l2", "--vector", "huge", "--N", "1"], 0),
     (["gamma", "--space", "l2", "--vector", "huge", "--N", "1"], 0),
@@ -491,6 +493,33 @@ def test_parseable_input_exits_without_traceback(argv, code, input_files, capsys
     if code == 1:
         assert "error" in json.loads(captured.err)
         assert captured.out == ""
+
+
+@pytest.mark.parametrize("pairs,words", [
+    ({"k": [4, 16], "n": [64]}, ["k has 2 entries", "n has 1"]),
+    ({"k": [4, 16]}, ['"pairs"', '"k"', '"n"']),
+    ({"mu": [[4, 16]]}, ['"pairs"', '"k"', '"n"']),
+    (7, ['"pairs"', '"k"', '"n"']),
+], ids=["ragged", "k_without_n", "no_pairs_key", "number"])
+def test_check71_names_the_fields_of_a_misshapen_pairs_file(tmp_path, capsys, pairs, words):
+    # The diagnostic names the fields, not a bare zip() or KeyError message.
+    hl = write(tmp_path / "hl.json", {"kind": "sqrt"})
+    pairs = write(tmp_path / "pairs.json", pairs)
+    out = tmp_path / "check71.json"
+    argv = ["check71", "--hl", hl, "--hr", hl, "--pairs", pairs, "--alpha", "1"]
+    assert main(["--out", str(out)] + argv) == 1
+    error = json.loads(capsys.readouterr().err)["error"]
+    assert error.startswith("ValueError: ") and all(word in error for word in words), error
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("max_n", ["0", "-1"])
+def test_prefix_check_refuses_an_empty_range(tmp_path, capsys, max_n):
+    sched = write(tmp_path / "sched.json", {"a": [4, 5, 6, 7]})
+    out = tmp_path / "prefix.csv"
+    assert main(["--out", str(out), "prefix-check", "--space", sched, "--max-N", max_n]) == 1
+    assert json.loads(capsys.readouterr().err)["error"] == "ValueError: no N to check"
+    assert not out.exists()
 
 
 def test_float_columns_take_the_pth_root(input_files, capsys):

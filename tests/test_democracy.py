@@ -292,6 +292,12 @@ def test_prefix_norm_bounds_hl_and_the_counterexamples_are_where_it_is_strict():
     assert strict
 
 
+def test_prefix_check_refuses_no_n():
+    # A report with no rows would pass having checked nothing.
+    with pytest.raises(ValueError, match="^no N to check$"):
+        prefix_norm_conjecture_check(arithmetic_schedule(3), [])
+
+
 def test_prefix_check_refuses_past_the_blocks_before_hl_does():
     sched = arithmetic_schedule(3)  # block sizes 20, 120 and 840: 980 in all
     with pytest.raises(TruncationError, match="^prefix of 981 vectors needs a deeper schedule$"):
