@@ -31,7 +31,6 @@ _EXPORTS = {  # submodule -> the public names it provides
         "SpaceSpec",
         "space_from_json",
         "space_norm",
-        "trunc_block_norm",
     ),
     "errorseq": ("ErrorSequence",),
     "greedy": (

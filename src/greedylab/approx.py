@@ -65,7 +65,9 @@ def quasinorm_bracket(seq: ErrorSequence, params: ApproxParams) -> tuple[float, 
 
     ||x|| is the sequence's own e_0, the p-th root of power(0).  The series
     at q = inf is the closed form of ``_sup``, at integer exponents the q-th
-    root of the exact ``_exact_sum``, and all three are ||x|| plus that.  Any other series
+    root of the exact ``_exact_sum`` (not summed where the series' largest
+    piece-end term already puts that root past the float range, as at huge
+    exponents), and all three are ||x|| plus that.  Any other series
     is S, the math.fsum of the ``_series_parts`` floats (term by term on
     short pieces, Euler-Maclaurin on long ones, so its cost grows with
     log(support), not with the support), and E their bound on what S leaves
@@ -85,14 +87,29 @@ def quasinorm_bracket(seq: ErrorSequence, params: ApproxParams) -> tuple[float, 
         if math.isinf(q):
             return (norm + _sup(lines, params.alpha, seq.p),) * 3
         if e1 >= 0 and e1.is_integer() and e2.is_integer():  # e2 = q/p > 0
+            if _largest_end_log2(lines, e1, e2) > 1024 * q:  # the q-th root is past the float range
+                return (math.inf,) * 3
             total = _exact_sum(lines, int(e1), int(e2))
             return (norm + _float_root(total, int(q) if float(q).is_integer() else q),) * 3
         parts, error = _series_parts(lines, e1, e2)
         total = math.fsum(parts)
+        lo, hi = max(0.0, total * (1 - 1e-9) - error), total * (1 + 1e-9) + error  # inf - inf: 0.0
+        return norm + lo ** (1.0 / q), norm + total ** (1.0 / q), norm + hi ** (1.0 / q)
     except OverflowError:
         return (math.inf,) * 3
-    lo, hi = max(0.0, total * (1 - 1e-9) - error), total * (1 + 1e-9) + error  # inf - inf: 0.0
-    return norm + lo ** (1.0 / q), norm + total ** (1.0 / q), norm + hi ** (1.0 / q)
+
+
+def _largest_end_log2(lines, e1: float, e2: float) -> float:
+    """A lower bound on log2 of the sum over k >= 1 of k^e1 power(k)^e2: the largest term
+    at a piece's end, in logs of its exact ints, less a margin for their rounding."""
+    best = -math.inf
+    for lo, hi, c0, a1 in lines:
+        for k in (lo, hi):
+            g = c0 + a1 * k
+            if g > 0:
+                a, b = e1 * math.log2(k), e2 * (math.log2(g.numerator) - math.log2(g.denominator))
+                best = max(best, a + b - 1e-9 * (abs(a) + abs(b)) - 1)
+    return best
 
 
 def _lines(seq: ErrorSequence) -> list[tuple[int, int, Rational, Rational]]:

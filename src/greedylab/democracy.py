@@ -158,27 +158,27 @@ def _hl_table(blocks: Sequence[tuple[int, int]], max_n: int) -> list[int]:
     """h_l(N)^p for every N <= max_n, from the recurrence one block at a time.
 
     With one block the two candidates are M = max(0, N - S) (the block
-    takes only what the blocks before it cannot hold) and M = min(N, size).
+    takes only what the blocks before it cannot hold; past S that costs
+    the table's own h_l(S) plus min(N - S, cap)) and M = min(N, size).
     A block is skipped once the blocks before it hold max_n coordinates
     and its cap is at least min(size, max_n): it then prices its M units
     at M, and h_l^p rises by at most 1 per coordinate, so min over M of
     M + H(N - M) is H(N) and the table is unchanged.
     Every N <= max_n must be reachable (the caller checks adequacy).
     """
-    prefix, hl, total = _prefix_table(blocks, max_n), [0], 0  # hl over the blocks so far; total: their size
+    hl, total = [0], 0  # hl over the blocks so far; total: their size
     for cap, size in blocks:
         if total < max_n or cap < min(size, max_n):
-            hl = _hl_add_block(hl, prefix, total, cap, size, max_n)
+            hl = _hl_add_block(hl, total, cap, size, max_n)
         total += size
     return hl
 
 
-def _hl_add_block(hl: list[int], prefix: list[int], total: int, cap: int, size: int,
-                  max_n: int) -> list[int]:
+def _hl_add_block(hl: list[int], total: int, cap: int, size: int, max_n: int) -> list[int]:
     """The h_l table with one more block, from the table over the blocks before it."""
     top = min(total + size, max_n)
     fill = min(size, top)
-    low = hl + prefix[total + 1:top + 1]
+    low = hl + _ramp(hl[-1], cap, top - total)[1:]
     high = _ramp(0, cap, fill) + [cap + h for h in hl[1:top - fill + 1]]
     return list(map(min, low, high))
 
@@ -284,9 +284,9 @@ def doubling_scan(schedule: BlockSchedule, ks: Iterable[int]) -> DoublingReport:
     spec = SpaceSpec.from_schedule(schedule)
     sizes = spec.sizes()  # block k - 1 has cap n_k and size n_{k+1}
     ks = sorted(set(int(k) for k in ks))
+    if not ks or ks[0] < 1:  # a report with no rows would pass having checked nothing
+        raise ValueError("doubling scan needs at least one block index k, each k >= 1")
     for k in ks:
-        if k < 1:
-            raise ValueError("block index k starts at 1")
         if k + 1 > len(schedule.a):
             raise TruncationError(f"scan at k={k} needs multiplier a_{k + 1}")
         if 2 * sizes[k - 1] > sizes[-1]:

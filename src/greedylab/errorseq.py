@@ -3,7 +3,10 @@
 sigma_k^p and gamma_k^p are linear in k between breakpoints set by the
 group boundaries of the vector, so a sequence is stored as its knots:
 exact powers at strictly increasing k, from (0, ||x||^p) to
-(support, 0), linear in between and 0 beyond.  ``greedy.GreedyProfile``
+(support, 0), linear in between and 0 beyond.  The constructor refuses
+knots that break this contract (a first k other than 0, a k that does not
+increase, a negative power, a last power other than 0) with ValueError;
+pieces may rise, and an interior knot may be 0.  ``greedy.GreedyProfile``
 builds them directly from the groups, whatever the support size, out of
 one such sequence per block: the block's residual after its j largest
 coordinates are removed, whose ``runs`` over a window give gamma's slopes.
@@ -15,6 +18,7 @@ scaled to integers and divides each sequence it hands out back once.
 from __future__ import annotations
 
 import bisect
+from operator import lt
 from typing import Optional, Sequence
 
 from .exact import Rational, simplify, slope
@@ -28,6 +32,13 @@ class ErrorSequence:
         self.p = p
         self.knots = tuple(knots)
         self._ks = [k for k, _ in self.knots]
+        if not self.knots or self._ks[0] != 0 or self.knots[-1][1] != 0:
+            raise ValueError(f"knots must run from k = 0 to a last power of 0, "
+                             f"got {self.knots[:1]} .. {self.knots[-1:]}")
+        if not all(map(lt, self._ks, self._ks[1:])):
+            raise ValueError("knot k must strictly increase")
+        if min(y for _, y in self.knots) < 0:
+            raise ValueError("knot powers cannot be negative")
         self._slopes = [
             slope(k0, y0, k1, y1)
             for (k0, y0), (k1, y1) in zip(self.knots, self.knots[1:])

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Optional, Sequence, Union
 
-from .exact import as_fraction, json_int, json_number, json_shape, pow_rational, simplify
+from .exact import json_int, json_number, json_shape, pow_rational, simplify
 from .schedule import BlockSchedule
 from .vectors import CompressedVector, _check_sizes, canonicalize, indicator
 
@@ -221,22 +221,6 @@ def _group_power(
             total += float(mag) ** p * take
         remaining -= take
     return simplify(total) if exact else total
-
-
-def trunc_block_norm(
-    magnitudes: Iterable[Rational], cap: int, p: int | float = 2
-) -> NormValue:
-    """l_p norm of the ``cap`` largest magnitudes of a flat coefficient list.
-
-    For an indicator input with m ones this is min(m, cap)^(1/p), which is
-    exactly the two-case formula defining the truncated block space.
-    """
-    mags = sorted((as_fraction(abs(m)) for m in magnitudes), reverse=True)
-    groups = [(m, 1) for m in mags if m != 0]
-    power = _group_power(groups, cap, _normalize_p(p))
-    if isinstance(power, float):
-        return NormValue(power ** (1.0 / p), None, p)
-    return NormValue.from_power(power, p)
 
 
 def space_norm(x: CompressedVector, spec: SpaceSpec) -> NormValue:

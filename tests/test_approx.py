@@ -854,6 +854,34 @@ def _per_term_total(lines, e1, e2):
                for lo, hi, c0, a1 in lines for k in range(lo, hi + 1))
 
 
+def test_largest_end_term_bounds_the_exact_sum_below():
+    # The log2 bound that refuses huge integer exponents before summing never
+    # exceeds the exact sum's log2, on int and Fraction knots.
+    rng = random.Random(41)
+    for _ in range(40):
+        n = rng.randint(1, 4)
+        ks = [0] + sorted(rng.sample(range(1, 3000), n))
+        powers = [rng.choice((rng.randint(0, 10**6), Fraction(rng.randint(1, 10**6), 7)))
+                  for _ in range(n)] + [0]
+        lines = approx._lines(ErrorSequence("sigma", 2, list(zip(ks, powers))))
+        e1, e2 = rng.randint(0, 40), rng.randint(1, 20)
+        total = Fraction(approx._exact_sum(lines, e1, e2))
+        bound = approx._largest_end_log2(lines, float(e1), float(e2))
+        assert -math.inf < bound <= math.log2(total.numerator) - math.log2(total.denominator)
+
+
+@pytest.mark.parametrize("knots", [
+    [(1, 4), (3, 0)],  # power(0) would extrapolate past the first knot
+    [(0, 4), (3, 1)],  # power(3) would read 0
+    [(0, 4), (0, 3), (2, 0)],  # a piece of zero width
+    [(0, 4), (2, -1), (3, 0)],
+    [],
+])
+def test_error_sequence_refuses_knots_off_its_contract(knots):
+    with pytest.raises(ValueError):
+        ErrorSequence("sigma", 2, knots)
+
+
 def test_short_pieces_of_integer_series_are_summed_directly():
     # Pieces of 1, 9, 40 and 700 terms: at most d + 1 = 2q go term by term,
     # the rest through Newton's forward differences; the exact totals agree

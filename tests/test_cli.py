@@ -592,6 +592,35 @@ def _fresh_cli(argv, timeout=120):
                           capture_output=True, text=True, env=env, timeout=timeout)
 
 
+def test_xs_experiment_refuses_huge_integer_exponents_without_summing(tmp_path):
+    # q alpha - 1 = 19999 and 2e300 - 1 are integers, but the largest
+    # piece-end term already puts each root past the float range, so no
+    # exact sum of that degree is attempted.
+    sched = write(tmp_path / "squares.json", {"a": [(j + 2) ** 2 for j in range(7)]})
+    out = tmp_path / "report.json"
+    proc = _fresh_cli(["--out", str(out), "xs-experiment", "--schedule", sched, "--s", "2,4",
+                       "--alpha", "10000,1e300", "--q", "2"], timeout=20)
+    assert proc.returncode == 1 and proc.stdout == ""
+    diag = json.loads(proc.stderr)
+    assert "not JSON compliant" in diag["error"]
+    assert diag["runs"] == [{"s": s, "alpha": alpha, "q": 2.0}
+                            for s in (2, 4) for alpha in (10000.0, 1e300)]
+    assert os.listdir(tmp_path) == ["squares.json"]
+
+
+def test_xs_experiment_refuses_overflowing_roots_below_q_1(tmp_path, capsys):
+    # At q = 0.001 the 1000th power the q-th root takes leaves the float range.
+    sched = write(tmp_path / "squares.json", {"a": [(j + 2) ** 2 for j in range(5)]})
+    argv = ["--out", str(tmp_path / "report.json"), "xs-experiment", "--schedule", sched,
+            "--s", "2,3", "--alpha", "1", "--q", "0.001"]
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    diag = json.loads(captured.err)
+    assert captured.out == "" and "not JSON compliant" in diag["error"]
+    assert diag["runs"] == [{"s": s, "alpha": 1.0, "q": 0.001} for s in (2, 3)]
+    assert os.listdir(tmp_path) == ["squares.json"]
+
+
 def test_shared_parser_keeps_no_state_between_calls(tmp_path, schedule_file, vector_file,
                                                     capsys):
     # main() reuses one parser per process; in one process each call's exit

@@ -219,6 +219,13 @@ def test_doubling_scan_refuses_shallow_schedule():
         doubling_scan(arithmetic_schedule(3), [4, 1])
 
 
+def test_doubling_scan_refuses_no_k():
+    # A report with no rows would pass having checked nothing.
+    for ks in ([], [0, 1]):
+        with pytest.raises(ValueError, match="^doubling scan needs at least one block index k"):
+            doubling_scan(arithmetic_schedule(3), ks)
+
+
 def test_doubling_scan_is_one_walk_of_two_states_per_row(monkeypatch):
     sched = arithmetic_schedule(201)
     spec = SpaceSpec.from_schedule(sched)
@@ -290,6 +297,18 @@ def test_prefix_norm_bounds_hl_and_the_counterexamples_are_where_it_is_strict():
         assert list(report.counterexamples) == [n for n in range(deepest + 1) if hl[n] < prefix[n]]
         strict += len(report.counterexamples)
     assert strict
+
+
+def test_hl_table_reads_its_first_candidate_off_itself(monkeypatch):
+    # The h_l table builds no prefix-norm column; prefix-check builds its own once.
+    calls = []
+    real = democracy._prefix_table
+    monkeypatch.setattr(democracy, "_prefix_table", lambda *args: calls.append(1) or real(*args))
+    sched = arithmetic_schedule(5)
+    demfun_table(SpaceSpec.from_schedule(sched), 1200)
+    assert len(calls) == 0
+    prefix_norm_conjecture_check(sched, range(1, 1201))
+    assert len(calls) == 1
 
 
 def test_prefix_check_refuses_no_n():

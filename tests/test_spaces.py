@@ -15,7 +15,6 @@ from greedylab import (
     arithmetic_schedule,
     space_from_json,
     space_norm,
-    trunc_block_norm,
 )
 from greedylab import explicit
 from greedylab.explicit import lattice_check, sup_form_norm_oracle
@@ -25,25 +24,31 @@ from greedylab.spaces import _float_root
 # -- truncated block norm ----------------------------------------------------
 
 
+def _flat_norm(coords, spec):
+    """space_norm of a flat coefficient list, padded with zeros to the space's dimension."""
+    coords = list(coords) + [0] * (spec.dimension() - len(coords))
+    return space_norm(explicit.from_explicit(coords, spec), spec)
+
+
 def test_indicator_above_cap_gives_sqrt_cap():
     # 9 unit coordinates, cap 4: the two-case display gives sqrt(4) = 2.
-    nv = trunc_block_norm([1] * 9, 4)
+    nv = _flat_norm([1] * 9, SpaceSpec.trunc_block(4, 9))
     assert nv.power_exact == 4 and nv.value == 2.0
 
 
 def test_indicator_below_cap_gives_sqrt_count():
-    nv = trunc_block_norm([1] * 3, 4)
+    nv = _flat_norm([1] * 3, SpaceSpec.trunc_block(4, 9))
     assert nv.power_exact == 3
 
 
 def test_top_two_of_3221():
     # Frozen from the subset-enumeration oracle: max over 2-subsets is 3^2+2^2.
-    assert trunc_block_norm([3, 2, 2, 1], 2).power_exact == 13
+    assert _flat_norm([3, 2, 2, 1], SpaceSpec.trunc_block(2, 4)).power_exact == 13
 
 
 def test_cap_at_least_support_is_plain_lp():
-    assert trunc_block_norm([3, 2, 2, 1], 10).power_exact == 9 + 4 + 4 + 1
-    assert trunc_block_norm([3, 2, 1], 3, p=1).power_exact == 6
+    assert _flat_norm([3, 2, 2, 1], SpaceSpec.trunc_block(10, 10)).power_exact == 9 + 4 + 4 + 1
+    assert _flat_norm([3, 2, 1], SpaceSpec.trunc_block(3, 3, p=1)).power_exact == 6
 
 
 # -- sup-form oracle ----------------------------------------------------------
@@ -61,13 +66,16 @@ def test_sup_oracle_rejects_oversize_support():
 
 
 def test_trunc_norm_equals_sup_oracle_exhaustively():
-    # Every p=2 instance with support <= 12 drawn from a seeded pool.
+    # Every p=2 instance with support <= 12 drawn from a seeded pool; the
+    # block pads the coordinates with zeros to at least one more than the
+    # support, and to the cap.
     rng = random.Random(2)
     for _ in range(150):
         support = rng.randint(0, 12)
         coords = [rng.randint(0, 6) for _ in range(support)]
         cap = rng.randint(1, 13)
-        assert trunc_block_norm(coords, cap).power_exact == sup_form_norm_oracle(
+        spec = SpaceSpec.trunc_block(cap, max(cap, support + 1))
+        assert _flat_norm(coords, spec).power_exact == sup_form_norm_oracle(
             coords, cap
         ).power_exact
 
@@ -219,7 +227,7 @@ def test_non_integer_exponents_match_the_float_oracle():
             assert nv.power_exact is None
             assert nv.value == pytest.approx(explicit.norm_float(values, spec), rel=1e-12)
         values = nonzero_values(5)
-        nv = trunc_block_norm(values, 2, p=1.5)
+        nv = _flat_norm(values, trunc)
         assert nv.power_exact is None
         assert nv.value == pytest.approx(explicit.norm_float(values, trunc), rel=1e-12)
 
