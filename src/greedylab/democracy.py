@@ -373,10 +373,12 @@ def h_function_from_json(obj: dict) -> Callable[[int], float]:
     if kind == "power":
         scale = float(json_number(obj.get("scale", 1.0)))
         exponent = float(json_number(obj["exponent"]))
+        _require_finite(scale=scale, exponent=exponent)
         return lambda n: scale * float(n) ** exponent
     if kind == "table":
         values = {json_int(k): float(json_number(v))
                   for k, v in json_shape(obj["values"], dict).items()}
+        _require_finite(**{f"table value at {n}": v for n, v in values.items()})
         return lambda n: values[n]  # KeyError beyond the table = probe exhausted
     raise ValueError(f"unknown h-function kind {kind!r}")
 

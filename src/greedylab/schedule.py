@@ -86,6 +86,8 @@ class BlockSchedule:
     def from_json(obj: dict) -> "BlockSchedule":
         a = tuple(map(json_int, json_shape(obj["a"], list)))
         k = json_int(obj.get("K", len(a) - 1))
+        if k < 1:  # a[: k + 1] would slice multipliers off the end
+            raise ValueError(f"K={k}: a schedule needs K >= 1 blocks")
         if k + 1 > len(a):
             raise ValueError(f"K={k} blocks need {k + 1} multipliers, got {len(a)}")
         return BlockSchedule(

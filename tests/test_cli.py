@@ -6,6 +6,7 @@ import hashlib
 import json
 import math
 import os
+import random
 import subprocess
 import sys
 
@@ -206,13 +207,19 @@ def test_check71_failing_pairs_exit_1(tmp_path, capsys):
     (["cghm", "--alpha", "0.25", "--c-doubling", "inf"], "c_doubling"),
     (["check71", "--pairs", "PAIRS", "--C", "nan", "--alpha", "0.25"], "c"),
     (["check71", "--pairs", "PAIRS", "--C", "1", "--alpha", "inf"], "alpha"),
+    # a non-finite h-function field, in an --hl that replaces the first
+    *[(argv + ["--hl", h], name)
+      for argv in (["cghm", "--alpha", "0.25"], ["check71", "--pairs", "PAIRS", "--alpha", "0.25"])
+      for h, name in (("nan_scale", "scale"), ("nan_exponent", "exponent"),
+                      ("inf_table", "table value at 16"))],
 ])
-def test_cghm_and_check71_refuse_non_finite_parameters(tmp_path, capsys, argv, name):
-    # These runs used to compute, then fail at the JSON writer on a nan or inf.
+def test_cghm_and_check71_refuse_non_finite_parameters(tmp_path, capsys, input_files, argv, name):
+    # These runs used to compute, then fail at the JSON writer on a nan or inf;
+    # a nan exponent made every h(n) 1.0, and cghm exited 0.
     hl = write(tmp_path / "hl.json", {"kind": "one_plus_log2"})
     hr = write(tmp_path / "hr.json", {"kind": "sqrt"})
-    pairs = write(tmp_path / "pairs.json", [[4, 8]])
-    argv = [argv[0], "--hl", hl, "--hr", hr] + [pairs if a == "PAIRS" else a for a in argv[1:]]
+    files = dict(input_files, PAIRS=write(tmp_path / "pairs.json", [[4, 8]]))
+    argv = [argv[0], "--hl", hl, "--hr", hr] + [files.get(a, a) for a in argv[1:]]
     assert main(["--out", str(tmp_path / "report.json")] + argv) == 1
     assert json.loads(capsys.readouterr().err)["error"].startswith(f"ValueError: {name} must be finite")
     assert not (tmp_path / "report.json").exists()
@@ -249,7 +256,7 @@ def test_xs_experiment_refuses_non_finite_json(tmp_path, capsys, mode):
     # in the fsum of the series), and a report holding NaN or Infinity is
     # refused instead of written. --mode is still accepted and changes nothing.
     sched = write(tmp_path / "squares.json", {"a": [(j + 2) ** 2 for j in range(73)]})
-    for q, key in (("inf", "inf"), ("1", 1.0)):
+    for q, keys in (("inf", ["inf"]), ("1", [1.0]), ("1,inf", [1.0, "inf"])):
         argv = ["xs-experiment", "--schedule", sched, "--s", "71", "--alpha", "1", "--q", q,
                 "--mode", mode]
         for extra in ([], ["--out", str(tmp_path / "report.json")]):
@@ -258,7 +265,7 @@ def test_xs_experiment_refuses_non_finite_json(tmp_path, capsys, mode):
             assert captured.out == "" and captured.err.count("\n") == 1
             diag = json.loads(captured.err)
             assert "not JSON compliant" in diag["error"]
-            assert diag["runs"] == [{"s": 71, "alpha": 1.0, "q": key}]
+            assert diag["runs"] == [{"s": 71, "alpha": 1.0, "q": key} for key in keys]
     assert os.listdir(tmp_path) == ["squares.json"]  # no report, no temp file
 
 
@@ -381,10 +388,10 @@ def test_csv_artifacts_are_byte_identical(tmp_path, files, argv, digest):
     assert hashlib.sha256(_golden_artifact(tmp_path, files, argv)).hexdigest() == digest
 
 
-# Byte-exact JSON reports on the README inputs.  xs-experiment runs only at
-# q = 2 and inf, whose routes are exact per piece: the series route sums
-# floats with sum(), which Python 3.12+ compensates, so its last bits differ
-# between Python versions.
+# Byte-exact JSON reports on the README inputs.  xs-experiment is pinned on
+# every route: exact per piece at q = 2, the maxima at q = inf, and at q = 1
+# and 1.5 the float series, whose sum() calls Python 3.12+ compensates; its
+# digest is the same on Python 3.10.13, 3.11.7, 3.12.1 and 3.13.0.
 README_SPACE = {"a": [4, 5, 6, 7]}
 README_VECTOR = {"groups": [[0, "2", "20"], [1, "1", "20"]]}
 HL, HR = {"kind": "one_plus_log2"}, {"kind": "sqrt"}
@@ -407,6 +414,10 @@ JSON_GOLDEN = [
     ("xs-experiment", {"schedule": {"a": [4, 9, 16, 25, 36, 49]}},  # squares_schedule(5)
      ["xs-experiment", "--schedule", "schedule", "--s", "2..4", "--alpha", "0.5,1,2", "--q", "2,inf"],
      "3cf9ffa5088d715952cb26e7a0c65acc1f986b98d29c1563cc5ea73428750bc5"),
+    # s = 4 reaches the Euler-Maclaurin route
+    ("xs-experiment-series", {"schedule": {"a": [4, 9, 16, 25, 36, 49]}},
+     ["xs-experiment", "--schedule", "schedule", "--s", "2..4", "--alpha", "0.5,1,2", "--q", "1,1.5"],
+     "668ca4f78e230d00426416ebd678d4bcae9a8eecbae30d94feac0279e72be0cd"),
 ]
 
 
@@ -451,6 +462,15 @@ PARSEABLE_INPUTS = [
     (["check71", "--hl", "sqrt", "--hr", "sqrt", "--pairs", "no_pairs", "--alpha", "1"], 1),
     (["check71", "--hl", "sqrt", "--hr", "sqrt", "--pairs", "no_k_n", "--alpha", "1"], 1),
     (["check71", "--hl", "sqrt", "--hr", "sqrt", "--pairs", "ragged_k_n", "--alpha", "1"], 1),
+    # K < 1 once sliced multipliers off the end: K = -3 built 4 blocks.
+    (["demfun", "--space", "negative_k", "--max-N", "5"], 1),
+    # A non-finite h-function field: a nan exponent made every h(n) 1.0.
+    (["cghm", "--hl", "nan_scale", "--hr", "sqrt", "--alpha", "0.25", "--count", "2"], 1),
+    (["cghm", "--hl", "nan_exponent", "--hr", "sqrt", "--alpha", "0.25", "--count", "2"], 1),
+    (["cghm", "--hl", "inf_table", "--hr", "sqrt", "--alpha", "0.25", "--count", "2"], 1),
+    (["check71", "--hl", "nan_scale", "--hr", "sqrt", "--pairs", "pairs", "--alpha", "1"], 1),
+    (["check71", "--hl", "nan_exponent", "--hr", "sqrt", "--pairs", "pairs", "--alpha", "1"], 1),
+    (["check71", "--hl", "inf_table", "--hr", "sqrt", "--pairs", "pairs", "--alpha", "1"], 1),
 ]
 
 
@@ -479,6 +499,10 @@ def input_files(tmp_path):
         "no_pairs": [],
         "no_k_n": {"k": [], "n": []},
         "ragged_k_n": {"k": [4, 16], "n": [64]},
+        "negative_k": {"a": [4, 5, 6, 7, 8, 9, 10], "K": -3},
+        "nan_scale": {"kind": "power", "scale": math.nan, "exponent": 0.5},
+        "nan_exponent": {"kind": "power", "exponent": math.nan},
+        "inf_table": {"kind": "table", "values": {"1": 1.0, "16": math.inf}},
     }
     return {name: write(tmp_path / f"{name}.json", obj) for name, obj in files.items()}
 
@@ -486,13 +510,18 @@ def input_files(tmp_path):
 @pytest.mark.parametrize(
     "argv,code", PARSEABLE_INPUTS, ids=[" ".join(argv) for argv, _ in PARSEABLE_INPUTS]
 )
-def test_parseable_input_exits_without_traceback(argv, code, input_files, capsys):
-    # Exit 0, or exit 1 with a JSON diagnostic; an exception fails the test.
-    assert main([input_files.get(arg, arg) for arg in argv]) == code
+def test_parseable_input_exits_without_traceback(tmp_path, argv, code, input_files, capsys):
+    # Exit 0, or exit 1 with a JSON diagnostic and no output, to stdout or to --out.
+    # An exception fails the test.
+    argv = [input_files.get(arg, arg) for arg in argv]
+    assert main(argv) == code
     captured = capsys.readouterr()
     if code == 1:
         assert "error" in json.loads(captured.err)
         assert captured.out == ""
+        out = tmp_path / "refused.out"
+        assert main(["--out", str(out)] + argv) == 1
+        assert not out.exists()
 
 
 @pytest.mark.parametrize("pairs,words", [
@@ -552,7 +581,8 @@ def test_root_strings_match_the_per_value_root(p):
 @pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"), reason="no int-string limit")
 def test_errors_prints_powers_past_the_int_string_limit(tmp_path):
     # A 2,501-digit magnitude squares to a 5,001-digit power, past the
-    # interpreter's default limit of 4,300 digits for int -> str.
+    # interpreter's default limit of 4,300 digits for int -> str: in
+    # process at that limit, and in a fresh interpreter at its default.
     space = write(tmp_path / "space.json", {"blocks": [[1, 2]]})
     vector = write(tmp_path / "vec.json", {"groups": [[0, "1" + "0" * 2500, "1"], [0, "1", "1"]]})
     out = tmp_path / "errors.csv"
@@ -566,15 +596,15 @@ def test_errors_prints_powers_past_the_int_string_limit(tmp_path):
     assert out.read_text().split("\n") == [
         "k,sigma_sq,gamma_sq,sigma_float,gamma_float", f"0,{top},{top},inf,inf",
         "1,1,1,1,1", "2,0,0,0,0", ""]
+    assert _fresh_ok(["errors", "--space", space, "--vector", vector], timeout=30) == out.read_text()
 
 
-def test_norm_past_the_float_range_is_null(tmp_path, capsys):
+def test_norm_past_the_float_range_is_null(tmp_path):
     # The root of a 5,001-digit power is past the float range: JSON gets
     # null there, and the exact power in full.
     space = write(tmp_path / "space.json", {"blocks": [[1, 2]]})
     vector = write(tmp_path / "vec.json", {"groups": [[0, "1" + "0" * 2500, "1"], [0, "1", "1"]]})
-    assert main(["norm", "--space", space, "--vector", vector]) == 0
-    blob = json.loads(capsys.readouterr().out)
+    blob = json.loads(_fresh_ok(["norm", "--space", space, "--vector", vector], timeout=30))
     assert blob["float"] is None and blob["power_exact"] == "1" + "0" * 5000 and blob["p"] == 2
 
 
@@ -585,11 +615,18 @@ def test_usage_error_exits_2():
 
 
 def _fresh_cli(argv, timeout=120):
-    """Run the CLI on argv in a new interpreter."""
+    """Run the CLI on argv in a new interpreter under ``python -O``, which strips asserts."""
     src = os.path.dirname(os.path.dirname(os.path.abspath(greedylab.__file__)))
     env = dict(os.environ, PYTHONPATH=src)
-    return subprocess.run([sys.executable, "-m", "greedylab.cli", *argv],
+    return subprocess.run([sys.executable, "-O", "-m", "greedylab.cli", *argv],
                           capture_output=True, text=True, env=env, timeout=timeout)
+
+
+def _fresh_ok(argv, timeout):
+    """The stdout of a fresh CLI run on argv that exits 0."""
+    proc = _fresh_cli(argv, timeout)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout
 
 
 def test_xs_experiment_refuses_huge_integer_exponents_without_summing(tmp_path):
@@ -608,17 +645,141 @@ def test_xs_experiment_refuses_huge_integer_exponents_without_summing(tmp_path):
     assert os.listdir(tmp_path) == ["squares.json"]
 
 
-def test_xs_experiment_refuses_overflowing_roots_below_q_1(tmp_path, capsys):
+def test_xs_experiment_refuses_overflowing_roots_below_q_1(tmp_path):
     # At q = 0.001 the 1000th power the q-th root takes leaves the float range.
     sched = write(tmp_path / "squares.json", {"a": [(j + 2) ** 2 for j in range(5)]})
-    argv = ["--out", str(tmp_path / "report.json"), "xs-experiment", "--schedule", sched,
-            "--s", "2,3", "--alpha", "1", "--q", "0.001"]
-    assert main(argv) == 1
-    captured = capsys.readouterr()
-    diag = json.loads(captured.err)
-    assert captured.out == "" and "not JSON compliant" in diag["error"]
+    proc = _fresh_cli(["--out", str(tmp_path / "report.json"), "xs-experiment", "--schedule", sched,
+                       "--s", "2,3", "--alpha", "1", "--q", "0.001"], timeout=20)
+    assert proc.returncode == 1
+    diag = json.loads(proc.stderr)
+    assert proc.stdout == "" and "not JSON compliant" in diag["error"]
     assert diag["runs"] == [{"s": s, "alpha": 1.0, "q": 0.001} for s in (2, 3)]
     assert os.listdir(tmp_path) == ["squares.json"]
+
+
+# Deep runs, each in a fresh `python -O` process under its own timeout.
+
+
+def _xs_runs(tmp_path, count, s, alpha, q, timeout):
+    """The runs of xs-experiment on the schedule of multipliers (j + 2)^2, j < count."""
+    sched = write(tmp_path / f"squares{count}.json", {"a": [(j + 2) ** 2 for j in range(count)]})
+    argv = ["xs-experiment", "--schedule", sched, "--s", s, "--alpha", alpha, "--q", q]
+    return json.loads(_fresh_ok(argv, timeout))["runs"]
+
+
+def test_xs_experiment_is_exact_at_q_1000_and_3000(tmp_path):
+    runs = _xs_runs(tmp_path, 6, "2..3", "1", "1000,3000", timeout=60)
+    assert [(run["s"], run["q"]) for run in runs] == [(2, 1000), (2, 3000), (3, 1000), (3, 3000)], runs
+    (s4,) = _xs_runs(tmp_path, 6, "4", "1", "1000", timeout=60)
+    assert (s4["s"], s4["q"]) == (4, 1000), s4
+    for run in runs + [s4]:
+        assert math.isfinite(run["A"]) and math.isfinite(run["G"]), run
+        assert run["A_bounds"] == [run["A"]] * 2 and run["G_bounds"] == [run["G"]] * 2, run
+
+
+def test_xs_experiment_at_q_inf_to_s47(tmp_path):
+    runs = _xs_runs(tmp_path, 49, "2..47", "0.5,1,2", "inf", timeout=30)
+    assert len(runs) == 3 * 46, len(runs)
+    first = {run["alpha"]: run["normalized"] for run in runs if run["s"] == 2}
+    assert sorted(first) == [0.5, 1, 2], sorted(first)
+    for run in runs:
+        assert all(math.isfinite(run[key]) for key in ("A", "G", "ratio", "normalized")), run
+        assert run["checks"] and all(run["checks"].values()), run
+        assert 0.5 <= run["normalized"] / first[run["alpha"]] <= 2, ("left a factor 2 of s = 2", run)
+
+
+def test_xs_experiment_values_lie_in_their_brackets_at_s7_to_12(tmp_path):
+    runs = _xs_runs(tmp_path, 15, "7..12", "0.5,1,2", "1,1.5", timeout=60)
+    assert len(runs) == 6 * 6, len(runs)
+    for run in runs:
+        assert run["checks"] and all(run["checks"].values()), run
+        for key in ("A", "G", "ratio"):
+            lo, hi = run[key + "_bounds"]
+            assert lo <= run[key] <= hi, (key, run)
+
+
+def test_xs_experiment_brackets_are_narrow_and_falling_to_s6(tmp_path):
+    by_alpha = {}
+    for run in _xs_runs(tmp_path, 7, "2..6", "0.5,1,2", "1", timeout=30):
+        lo, hi = run["ratio_bounds"]
+        assert 0 < lo <= hi <= lo * (1 + 1e-8), ("ratio bracket wider than 1e-8", run)
+        for key in ("A", "G", "ratio"):
+            lo, hi = run[key + "_bounds"]
+            assert lo <= run[key] <= hi, (key, run)
+        by_alpha.setdefault(run["alpha"], []).append(run)
+    assert sorted(by_alpha) == [0.5, 1, 2], sorted(by_alpha)
+    for alpha, runs in by_alpha.items():
+        assert [run["s"] for run in runs] == [2, 3, 4, 5, 6], (alpha, runs)
+        for a, b in zip(runs, runs[1:]):
+            assert b["ratio_bounds"][1] < a["ratio_bounds"][0], (alpha, a["s"], b["s"])
+
+
+@pytest.mark.parametrize("alpha,q", [("0.5", "1"), ("1", "1"), ("2", "1"), ("1", "1.5")])
+def test_xs_experiment_brackets_to_s40(tmp_path, alpha, q):
+    runs = _xs_runs(tmp_path, 43, "2..40", alpha, q, timeout=60)
+    assert [run["s"] for run in runs] == list(range(2, 41)), (alpha, q)
+    for run in runs:
+        assert run["checks"] and all(run["checks"].values()), run
+        for key in ("A_bounds", "G_bounds", "ratio_bounds"):
+            lo, hi = run[key]
+            assert math.isfinite(lo) and math.isfinite(hi), (key, run)
+            assert 0 < lo <= hi <= lo * (1 + 1e-8), ("bracket wider than 1e-8", key, run)
+
+
+def test_doubling_scan_of_999_rows(tmp_path):
+    space = write(tmp_path / "deep.json", {"a": list(range(4, 1005))})
+    _fresh_ok(["doubling-scan", "--space", space, "--k", "1..999"], timeout=20)
+
+
+def test_gamma_on_a_tie_over_14_blocks_of_10_20_coordinates(tmp_path):
+    big = 10**20
+    space = write(tmp_path / "wide.json",
+                  {"blocks": [[i + 2, big * (i + 1) + 2 * i + 1] for i in range(14)]})
+    groups = [[i, "3", str(big + i)] for i in range(14)] + [[i, "1", str(i + 1)] for i in range(14)]
+    vector = write(tmp_path / "wide_vector.json", {"groups": groups})
+    n = sum(big + 2 * i + 1 for i in range(14)) // 2
+    _fresh_ok(["gamma", "--space", space, "--vector", vector, "--N", str(n)], timeout=60)
+
+
+def test_gamma_on_the_all_ones_vector_of_a_40_block_window(tmp_path):
+    sched = greedylab.arithmetic_schedule(40)
+    blocks = [[sched.cap(b), sched.size(b)] for b in range(40)]
+    space = write(tmp_path / "window40.json", {"blocks": blocks})
+    vector = write(tmp_path / "ones40.json",
+                   {"groups": [[b, "1", str(size)] for b, (_, size) in enumerate(blocks)]})
+    n = sum(size for _, size in blocks) // 2
+    _fresh_ok(["gamma", "--space", space, "--vector", vector, "--N", str(n)], timeout=60)
+
+
+def test_demfun_on_a_40_block_window(tmp_path):
+    space = write(tmp_path / "arith40.json", {"a": list(greedylab.arithmetic_schedule(40).a)})
+    assert _fresh_ok(["demfun", "--space", space, "--max-N", "10"], timeout=60).count("\n") == 12
+
+
+def test_demfun_to_max_n_200000_on_a_12_block_window(tmp_path):
+    obj = {"a": [4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16]}
+    space = write(tmp_path / "arith12.json", obj)
+    table = _fresh_ok(["demfun", "--space", space, "--max-N", "200000"], timeout=20)
+    assert table.count("\n") == 200002
+    last = table.splitlines()[-1].split(",")
+    want = greedylab.demfun_dp(greedylab.space_from_json(obj), 200000, which="hl").hl_power
+    assert last[0] == "200000" and int(last[1]) == want, (last, want)
+
+
+def test_errors_and_gamma_on_a_30_block_rational_vector(tmp_path):
+    rng = random.Random(30)
+    blocks, groups = [], []
+    for b in range(30):
+        size = rng.randint(10, 30)
+        blocks.append([rng.randint(2, size // 2), size])
+        for _ in range(rng.randint(2, 4)):
+            mag = "%d/%d" % (rng.randint(1, 9), rng.choice((3, 7, 11, 13)))
+            groups.append([b, mag, str(rng.randint(1, size // 4))])
+    files = ["--space", write(tmp_path / "rational30.json", {"blocks": blocks}),
+             "--vector", write(tmp_path / "rational30_vector.json", {"groups": groups})]
+    _fresh_ok(["errors", *files], timeout=60)
+    n = sum(int(c) for _b, _m, c in groups) // 2
+    _fresh_ok(["gamma", *files, "--N", str(n)], timeout=60)
 
 
 def test_shared_parser_keeps_no_state_between_calls(tmp_path, schedule_file, vector_file,
@@ -773,12 +934,7 @@ def test_verify_runs_a_repeated_criterion_once(capsys):
 
 def test_verify_passes_with_assertions_stripped():
     # Invariants raise InvariantError rather than assert, so -O keeps them.
-    src = os.path.dirname(os.path.dirname(os.path.abspath(greedylab.__file__)))
-    env = dict(os.environ, PYTHONPATH=src)
-    proc = subprocess.run(
-        [sys.executable, "-O", "-m", "greedylab.cli", "verify"],
-        capture_output=True, text=True, env=env, timeout=600,
-    )
+    proc = _fresh_cli(["verify"], timeout=60)
     assert proc.returncode == 0, proc.stdout + proc.stderr
     lines = proc.stdout.splitlines()
     assert len(lines) == 11 and all(line.startswith("[PASS]") for line in lines)
@@ -817,11 +973,14 @@ def _package_imports(tree):
 
 
 def test_package_has_no_assert_statements():
-    # python -O strips assert statements; invariants raise InvariantError.
+    # python -O strips assert statements and sets __debug__ to False;
+    # invariants raise InvariantError and no code reads __debug__, so the
+    # package runs the same under -O and the in-process tests stand for it.
     found = []
     for name, tree in _package_trees():
         found += [f"{name}:{node.lineno}" for node in ast.walk(tree)
-                  if isinstance(node, ast.Assert)]
+                  if isinstance(node, ast.Assert)
+                  or isinstance(node, ast.Name) and node.id == "__debug__"]
     assert found == []
 
 

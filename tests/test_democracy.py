@@ -355,6 +355,13 @@ def test_cghm_bounded_ratio_exhausts():
     assert len(seqs.w) < 3
 
 
+def test_cghm_exhausts_in_the_w_search():
+    # h_r/h_l = 1.6 meets C^1 = 1.5 at w = k = 1, but never reaches mu = 2.
+    seqs = cghm_construct(lambda n: 1.6 * sqrt_of(n), sqrt_of, 1.5, 0.0, 2)
+    assert (seqs.w, seqs.k, seqs.n) == ((1,), (1,), (1,)) and seqs.exhausted
+    assert seqs.exhausted_reason == f"no N <= {2**63} with h_r/h_l >= 2"
+
+
 def test_cghm_names_the_first_n_a_table_cannot_answer():
     # Tables on N < 5000: the k search from 362 doubles to 5792 and stops there,
     # long before the probe limit.

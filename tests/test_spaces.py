@@ -308,6 +308,17 @@ def test_space_json_shapes():
     assert bs.num_blocks == 2
     with pytest.raises(ValueError):
         space_from_json({"nonsense": 1})
+    for k in (0, -1, -2, -3):  # K = -3 once built 4 blocks on a[:-2]
+        with pytest.raises(ValueError, match=f"K={k}"):
+            space_from_json({"a": [4, 5, 6, 7, 8, 9, 10], "K": k})
+
+
+def test_integral_float_exponents_are_ints():
+    # p = 2.0 is the int 2, so the norm takes the exact route.
+    spec = SpaceSpec.lp(2.0, 3)
+    assert type(spec.inner_p) is int and type(spec.outer_p) is int and spec.inner_p == 2
+    nv = space_norm(spec.vector([(0, 3, 1), (0, 4, 1)]), spec)
+    assert nv.power_exact == 25 and nv.value == 5.0
 
 
 def test_json_integer_fields_take_ints_and_strings_of_ints():
