@@ -14,8 +14,10 @@ force updates two coordinates per subset; the grid search keeps each
 distinct power of a coordinate once per column of candidate coefficients
 and computes a norm once per distinct tuple of those powers, since
 candidates with equal powers have equal norms and the first minimum of a
-scan is always one of those kept).  The size limits below refuse
-instances that enumeration cannot finish.
+scan is always one of those kept).  Its float norm adds powers with
+``math.fsum``: correctly rounded, so order-free and the same on every
+Python version.  The size limits below refuse instances that enumeration
+cannot finish.
 """
 
 from __future__ import annotations
@@ -131,28 +133,50 @@ def _float_norm(spec: SpaceSpec):
     """The float space norm, as a function of the flat coordinates' powers.
 
     Each argument entry is ``|v_i| ** inner_p`` for one coordinate, in the
-    flat layout; the caller checks their count.  The block layout and the
-    exponents are worked out once.  Each call takes the ``cap`` largest
-    powers of every block in descending order (the order of their
-    magnitudes: ``x ** p`` is monotone for p > 0) and adds them left to
-    right from 0.0 (a loop, not ``sum``, which compensates rounding from
-    Python 3.12 on), so equal inputs give bit-identical floats on every
-    version.
+    flat layout; the caller checks their count.  Every block adds the
+    ``cap`` largest of its powers (the largest magnitudes: ``x ** p`` is
+    monotone for p > 0), and the blocks add their outer powers, each sum
+    correctly rounded by ``math.fsum``: order-free, so powers permuted
+    within a block give a bit-identical norm, on every Python version.
+    The closure is chosen once from the layout: one block that sees all its
+    coordinates (every lp space) sorts nothing, one truncated block sorts
+    once, and several blocks sort each block.  A sum or power past the
+    float range, where float arithmetic raises ``OverflowError``, gives
+    ``math.inf``.
     """
     ratio, root = spec.outer_p / spec.inner_p, 1.0 / spec.outer_p
+    fsum = math.fsum
     layout = [
-        (off, off + block.size, block.cap)
+        (off, off + block.size, block.size if block.cap is None else block.cap)
         for off, block in zip(block_offsets(spec), spec.blocks)
     ]
+    (_, size, cap), *more = layout
 
-    def norm(powers: Sequence[float]) -> float:
-        total = 0.0
-        for lo, hi, cap in layout:
-            bp = 0.0
-            for w in sorted(powers[lo:hi], reverse=True)[:cap]:
-                bp += w
-            total += bp**ratio  # 0.0 ** ratio is 0.0: ratio > 0
-        return total**root
+    if more:
+
+        def norm(powers: Sequence[float]) -> float:
+            try:
+                return fsum(
+                    fsum(sorted(powers[lo:hi])[-cap:]) ** ratio for lo, hi, cap in layout
+                ) ** root  # 0.0 ** ratio is 0.0: ratio > 0
+            except OverflowError:
+                return math.inf
+
+    elif cap < size:
+
+        def norm(powers: Sequence[float]) -> float:
+            try:
+                return (fsum(sorted(powers)[-cap:]) ** ratio) ** root
+            except OverflowError:
+                return math.inf
+
+    else:
+
+        def norm(powers: Sequence[float]) -> float:
+            try:
+                return (fsum(powers) ** ratio) ** root
+            except OverflowError:
+                return math.inf
 
     return norm
 
@@ -467,8 +491,9 @@ def sigma_oracle_grid(values: Sequence, n: int, spec: SpaceSpec) -> float:
     first minimum; a step moves to it while it beats the best value by
     more than 1e-15 (steepest descent).  A column keeps each distinct
     power once, at its first coefficient (``_distinct``), so the norm
-    (``_float_norm``) is computed once per distinct tuple of powers and
-    the scan names the same candidate as visiting them all.  Exists
+    (``_float_norm``, its sums correctly rounded by ``math.fsum`` and so
+    order-free) is computed once per distinct tuple of powers and the
+    scan names the same candidate as visiting them all.  Exists
     solely to validate that free coefficients never beat plain
     suppression.
     """

@@ -272,22 +272,22 @@ _LP15 = SpaceSpec.lp(1.5, 4)  # a non-integer inner exponent
 _MIXED = SpaceSpec.block_sum([(1, 2), (2, 2)], 2, 1)  # two blocks, outer / inner = 1/2
 _PINNED_GRID_ORACLE = [
     ("lp1", [Fraction(-10, 7), -7, Fraction(4, 7), Fraction(44, 7)], 1, SpaceSpec.lp(1, 4),
-     8.285714285714286),
+     8.285714285714285),
     ("lp2_n2", [Fraction(11, 3), Fraction(-11, 3), -6, Fraction(3, 7)], 2, SpaceSpec.lp(2, 4),
-     3.691628084440821),
+     3.6916280844408207),
     ("lp2_n3", [Fraction(20, 3), Fraction(55, 7), -1, Fraction(27, 5)], 3, SpaceSpec.lp(2, 4),
      1.0000000000000004),
     ("lp3_n1", [-1, -3, Fraction(25, 7), Fraction(-5, 3)], 1, SpaceSpec.lp(3, 4),
-     3.195489401190902),
+     3.1954894011909016),
     ("lp3_n3", [Fraction(-1, 5), 7, Fraction(16, 7), Fraction(5, 7)], 3, SpaceSpec.lp(3, 4),
-     0.20000000000000007),
+     0.20000000000000004),
     ("trunc_block", [4, 3.5, -2, 1], 2, SpaceSpec.trunc_block(2, 4, 2), 2.23606797749979),
     ("block_sum_n1", [Fraction(8, 7), Fraction(-36, 5), Fraction(-18, 7), Fraction(2, 3)], 1, _P3,
-     2.65862494736423),
+     2.6586249473642294),
     ("block_sum_n2", [5, -2, Fraction(-33, 7), Fraction(-3, 5)], 2, _P3, 2.0178403871082535),
     ("block_sum_n3", [Fraction(-32, 5), Fraction(-9, 5), 4, Fraction(13, 3)], 3, _P3,
      1.8),
-    ("lp1_5_n1", [8, 8, Fraction(1, 3), Fraction(27, 5)], 1, _LP15, 10.774812670671583),
+    ("lp1_5_n1", [8, 8, Fraction(1, 3), Fraction(27, 5)], 1, _LP15, 10.774812670671585),
     ("lp1_5_n2", [Fraction(34, 5), Fraction(14, 3), Fraction(-27, 5), Fraction(12, 5)], 2,
      _LP15, 5.7531135551507235),
     ("lp1_5_n3", [Fraction(-6, 5), 2, Fraction(-38, 5), Fraction(-20, 3)], 3, _LP15,
@@ -313,10 +313,39 @@ def test_sigma_grid_oracle_values_are_pinned(values, n, spec, expected):
     # lp2_n3 and block_sum_n3 were re-pinned when refinement became
     # steepest descent (first-improvement moves gave 1.000000000000001 and
     # 1.800000000000001); both moved toward their exact values 1 and 9/5.
-    # Of the first nine, all but trunc_block and block_sum_n2/n3
-    # change in the last bits if a block adds its powers in ascending
-    # order, or with sum() on Python >= 3.12 (which compensates rounding).
+    # lp1, lp2_n2, lp3_n1, lp3_n3, block_sum_n1 and lp1_5_n1 moved by one
+    # ulp when the norm's sums became correctly rounded (math.fsum) in
+    # place of descending left-to-right adds; each now lies within 1.5 ulp
+    # of the exact sigma.  Correct rounding makes them independent of the
+    # order of the powers and of the Python version.
     assert sigma_oracle_grid(values, n, spec) == expected
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [SpaceSpec.lp(1, 4), SpaceSpec.trunc_block(2, 4, 2), _P3, _MIXED],
+    ids=["lp1", "trunc_block", "block_sum", "mixed"],
+)
+def test_grid_oracle_norm_sums_are_correctly_rounded_and_order_free(spec):
+    # Every block sum is the exact sum of the block's cap largest powers,
+    # rounded once, and so is the sum of the blocks' outer powers: the
+    # norm's bits cannot depend on the order of the powers within a block.
+    norm = explicit._float_norm(spec)
+    ratio, root = spec.outer_p / spec.inner_p, 1.0 / spec.outer_p
+    rng = random.Random(21)
+    for _ in range(200):
+        blocks = [
+            [rng.uniform(0, 8) ** spec.inner_p for _ in range(block.size)] for block in spec.blocks
+        ]
+        outer = sum(
+            Fraction(float(sum(map(Fraction, sorted(powers)[-block.cap:]))) ** ratio)
+            for powers, block in zip(blocks, spec.blocks)
+        )
+        expected = float(outer) ** root
+        assert norm([w for powers in blocks for w in powers]) == expected
+        for powers in blocks:
+            rng.shuffle(powers)
+        assert norm([w for powers in blocks for w in powers]) == expected
 
 
 @pytest.mark.parametrize("n", [0, 1, 3, 4])

@@ -193,6 +193,22 @@ def test_float_norm_refuses_a_wrong_coordinate_count():
             explicit.norm_float([1] * count, spec)
 
 
+@pytest.mark.parametrize(
+    "values, spec",
+    [
+        ([1.5e308, 1.5e308], SpaceSpec.lp(1, 2)),
+        ([1.0, 1.5e308, 1.5e308], SpaceSpec.trunc_block(2, 3, 1)),
+        ([1.5e308, 1.5e308, 1.0], SpaceSpec.block_sum([(2, 2), (1, 1)], 1, 1)),
+        ([1.5e308, 1.0, 1.5e308], SpaceSpec.block_sum([(1, 2), (1, 1)], 1, 1)),
+    ],
+    ids=["lp", "trunc_block", "within_a_block", "across_blocks"],
+)
+def test_float_norm_of_a_power_sum_past_the_float_range_is_inf(values, spec):
+    # math.fsum raises OverflowError where a sum leaves the float range;
+    # the float norm is inf there, in a one-block and a multi-block layout.
+    assert explicit.norm_float(values, spec) == math.inf
+
+
 def test_mixed_exponents_fall_back_to_float():
     # outer 1, inner 2: two singleton blocks of magnitudes 3 and 4 give
     # block norms 3 and 4, combined by plain summation.
