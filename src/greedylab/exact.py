@@ -26,6 +26,11 @@ def as_fraction(value) -> Fraction:
     raise TypeError(f"cannot interpret {value!r} as an exact rational")
 
 
+def as_rational(value) -> Rational:
+    """``as_fraction``, but an int where the value is integral; an int passes as it is."""
+    return value if type(value) is int else simplify(as_fraction(value))
+
+
 def json_int(value) -> int:
     """An integer field of the JSON inputs: a JSON int, or a string of one.
 

@@ -16,8 +16,9 @@ and computes a norm once per distinct tuple of those powers, since
 candidates with equal powers have equal norms and the first minimum of a
 scan is always one of those kept).  Its float norm adds powers with
 ``math.fsum``: correctly rounded, so order-free and the same on every
-Python version.  The size limits below refuse instances that enumeration
-cannot finish.
+Python version; a scan maps its stages over the candidates in C, leaving
+out a power at exponent 1.0 (``x ** 1.0 == x``), so no bit moves.  The
+size limits below refuse instances that enumeration cannot finish.
 """
 
 from __future__ import annotations
@@ -25,13 +26,14 @@ from __future__ import annotations
 import bisect
 import itertools
 import math
+import operator
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Sequence
 
 from .errors import InvariantError, OracleUnavailableError
-from .exact import as_fraction, pow_rational, simplify
+from .exact import as_fraction, as_rational, pow_rational, simplify
 from .spaces import NormValue, SpaceSpec, _float_root, random_vector, space_norm
 from .vectors import CompressedVector, canonicalize
 
@@ -88,7 +90,7 @@ def from_explicit(values: Sequence, spec: SpaceSpec) -> CompressedVector:
     raw = []
     for b, off in enumerate(offsets):
         for slot in range(spec.blocks[b].size):
-            v = as_fraction(values[off + slot])
+            v = as_rational(values[off + slot])
             raw.append((b, abs(v), 1))
     return canonicalize(raw, sizes=spec.sizes())
 
@@ -103,7 +105,7 @@ def norm_power(values: Sequence, spec: SpaceSpec):
     total = 0
     for b, block in enumerate(spec.blocks):
         mags = sorted(
-            (abs(as_fraction(values[offsets[b] + j])) for j in range(block.size)),
+            (abs(as_rational(values[offsets[b] + j])) for j in range(block.size)),
             reverse=True,
         )
         total += sum(pow_rational(m, p) for m in mags[: block.cap])
@@ -129,6 +131,27 @@ def _check_query(values: Sequence, n: int, spec: SpaceSpec) -> None:
         raise ValueError(f"need 0 <= n, got {n}")
 
 
+def _norm_stages(spec: SpaceSpec) -> list[tuple]:
+    """``_float_norm`` for the layout, as stages (function, more arguments) applied in turn."""
+    ratio, root = spec.outer_p / spec.inner_p, 1.0 / spec.outer_p
+    fsum = math.fsum
+    layout = [
+        (off, off + block.size, block.size if block.cap is None else block.cap)
+        for off, block in zip(block_offsets(spec), spec.blocks)
+    ]
+    (_, size, cap), *more = layout
+    if more:
+
+        def blocks(powers: Sequence[float]) -> float:
+            return fsum(fsum(sorted(powers[lo:hi])[-cap:]) ** ratio for lo, hi, cap in layout)
+
+        stages = [(blocks, ())]  # 0.0 ** ratio is 0.0: ratio > 0
+    else:
+        stages = [(sorted, ()), (operator.itemgetter(slice(-cap, None)), ())] if cap < size else []
+        stages += [(fsum, ()), (pow, (ratio,))]
+    return [(func, args) for func, args in stages + [(pow, (root,))] if args != (1.0,)]
+
+
 def _float_norm(spec: SpaceSpec):
     """The float space norm, as a function of the flat coordinates' powers.
 
@@ -138,47 +161,44 @@ def _float_norm(spec: SpaceSpec):
     monotone for p > 0), and the blocks add their outer powers, each sum
     correctly rounded by ``math.fsum``: order-free, so powers permuted
     within a block give a bit-identical norm, on every Python version.
-    The closure is chosen once from the layout: one block that sees all its
-    coordinates (every lp space) sorts nothing, one truncated block sorts
-    once, and several blocks sort each block.  A sum or power past the
-    float range, where float arithmetic raises ``OverflowError``, gives
-    ``math.inf``.
+    Per layout (``_norm_stages``): ``fsum`` on one block that sees all its
+    coordinates (every lp space), ``sorted``, the top ``cap`` and ``fsum``
+    on one truncated block, one closure sorting each block on several;
+    then the powers by ``ratio`` and ``root``, left out at exponent 1.0,
+    where ``x ** 1.0 == x`` to the bit.  A sum or power past the float
+    range (``OverflowError``) gives ``math.inf``.
     """
-    ratio, root = spec.outer_p / spec.inner_p, 1.0 / spec.outer_p
-    fsum = math.fsum
-    layout = [
-        (off, off + block.size, block.size if block.cap is None else block.cap)
-        for off, block in zip(block_offsets(spec), spec.blocks)
-    ]
-    (_, size, cap), *more = layout
+    stages = _norm_stages(spec)
 
-    if more:
-
-        def norm(powers: Sequence[float]) -> float:
-            try:
-                return fsum(
-                    fsum(sorted(powers[lo:hi])[-cap:]) ** ratio for lo, hi, cap in layout
-                ) ** root  # 0.0 ** ratio is 0.0: ratio > 0
-            except OverflowError:
-                return math.inf
-
-    elif cap < size:
-
-        def norm(powers: Sequence[float]) -> float:
-            try:
-                return (fsum(sorted(powers)[-cap:]) ** ratio) ** root
-            except OverflowError:
-                return math.inf
-
-    else:
-
-        def norm(powers: Sequence[float]) -> float:
-            try:
-                return (fsum(powers) ** ratio) ** root
-            except OverflowError:
-                return math.inf
+    def norm(powers: Sequence[float]) -> float:
+        try:
+            for func, args in stages:
+                powers = func(powers, *args)
+            return powers
+        except OverflowError:
+            return math.inf
 
     return norm
+
+
+def _norm_scan(spec: SpaceSpec):
+    """``_float_norm`` of every tuple of ``itertools.product(*columns)``, bit for bit, as a list.
+
+    Its stages are maps over the product.  A scan that raises ``OverflowError``
+    runs again per candidate, so exactly those past the float range give inf."""
+    # An endless repeat of each further argument serves every scan.
+    chain = [(func, [*map(itertools.repeat, args)]) for func, args in _norm_stages(spec)]
+
+    def scan(columns: Sequence[Sequence[float]]) -> list[float]:
+        found = itertools.product(*columns)
+        for func, args in chain:
+            found = map(func, found, *args)
+        try:
+            return list(found)
+        except OverflowError:
+            return list(map(_float_norm(spec), itertools.product(*columns)))
+
+    return scan
 
 
 # ---------------------------------------------------------------------------
@@ -283,7 +303,7 @@ def demfun_bruteforce(spec: SpaceSpec, n: int):
         raise ValueError(f"need 0 <= n <= {dim}")
     if n == 0:
         return 0, 0
-    zero, one = Fraction(0), Fraction(1)
+    zero, one = 0, 1
     values = [one if i < n else zero for i in range(dim)]
     total = norm_power(values, spec)
     power_of = {v: pow_rational(abs(v), spec.inner_p) for v in (zero, one)}
@@ -403,7 +423,7 @@ def gamma_raw(values: Sequence, n: int, spec: SpaceSpec):
     threshold magnitude and fills up with any coordinates at the threshold.
     """
     _check_query(values, n, spec)
-    vals = [as_fraction(v) for v in values]
+    vals = [as_rational(v) for v in values]
     dim = len(vals)
     if n >= dim:
         return 0, 0
@@ -418,7 +438,7 @@ def gamma_raw(values: Sequence, n: int, spec: SpaceSpec):
     best_hi = best_lo = None
     for chosen in itertools.combinations(tied, need):
         kept = set(forced) | set(chosen)
-        residual = [Fraction(0) if i in kept else vals[i] for i in range(dim)]
+        residual = [0 if i in kept else vals[i] for i in range(dim)]
         power = norm_power(residual, spec)
         best_hi = power if best_hi is None or power > best_hi else best_hi
         best_lo = power if best_lo is None or power < best_lo else best_lo
@@ -428,7 +448,7 @@ def gamma_raw(values: Sequence, n: int, spec: SpaceSpec):
 def sigma_removals_bruteforce(values: Sequence, n: int, spec: SpaceSpec):
     """Best n-term error power, minimizing over all removal sets exactly."""
     _check_query(values, n, spec)
-    vals = [as_fraction(v) for v in values]
+    vals = [as_rational(v) for v in values]
     support = [i for i, v in enumerate(vals) if v != 0]
     if n >= len(support):
         return 0
@@ -438,7 +458,7 @@ def sigma_removals_bruteforce(values: Sequence, n: int, spec: SpaceSpec):
     for removed in itertools.combinations(support, n):
         residual = list(vals)
         for i in removed:
-            residual[i] = Fraction(0)
+            residual[i] = 0
         power = norm_power(residual, spec)
         best = power if best is None or power < best else best
     return best
@@ -487,14 +507,16 @@ def sigma_oracle_grid(values: Sequence, n: int, spec: SpaceSpec) -> float:
     (-2, -1, 0, 1, 2) * w of the best point, at each of the 27 halvings
     w of the window, repeated while a step moves.  Both phases scan
     ``itertools.product`` over per-coordinate columns of powers
-    ``|v_i - c| ** inner_p`` (c = 0 for a fixed coordinate) and take the
-    first minimum; a step moves to it while it beats the best value by
-    more than 1e-15 (steepest descent).  A column keeps each distinct
-    power once, at its first coefficient (``_distinct``), so the norm
-    (``_float_norm``, its sums correctly rounded by ``math.fsum`` and so
-    order-free) is computed once per distinct tuple of powers and the
-    scan names the same candidate as visiting them all.  Exists
-    solely to validate that free coefficients never beat plain
+    ``|v_i - c| ** inner_p`` (c = 0 for a fixed coordinate; grid and fixed
+    columns built once per call) and take the first minimum, its point
+    read off its index in mixed radix; a step moves to it while it beats
+    the best value by more than 1e-15 (steepest descent).  A column keeps
+    each distinct power once, at its first coefficient (``_distinct``), so
+    the norm is computed once per distinct tuple of powers, by one
+    ``_norm_scan`` per scan (``fsum`` and the powers mapped over the
+    product in C, a power left out at exponent 1.0: bit for bit
+    ``_float_norm``), and names the same candidate as visiting them all.
+    Exists solely to validate that free coefficients never beat plain
     suppression.
     """
     _check_query(values, n, spec)
@@ -504,36 +526,40 @@ def sigma_oracle_grid(values: Sequence, n: int, spec: SpaceSpec) -> float:
     vals = [float(v) for v in values]
     if any(abs(v) > 8 for v in vals):
         raise ValueError("grid oracle expects magnitudes <= 8")
+    scan, inner = _norm_scan(spec), float(spec.inner_p)
+    fixed = [(abs(v) ** inner,) for v in vals]
     if n == 0:
-        return norm_float(vals, spec)
+        return scan(fixed)[0]
     if n >= dim:
         return 0.0
 
-    norm = _float_norm(spec)
-    inner = float(spec.inner_p)
     grid = [float(c) for c in range(-GRID_COEFF_BOUND, GRID_COEFF_BOUND + 1)]
+    grid_columns = [_distinct(v, grid, inner) for v in vals]
     best_overall = math.inf
 
-    def first_min(support, coeffs, bound):
-        """(value, point) of the first minimum of the candidates if below bound, else None."""
-        free = dict(zip(support, coeffs))
-        kept = [_distinct(v, free.get(i, (0.0,)), inner) for i, v in enumerate(vals)]
-        found = list(map(norm, itertools.product(*kept)))
+    def first_min(kept, bound):
+        """(value, point) of the first minimum if below bound, else None; kept maps each
+        support coordinate, in increasing order, to its column {power: first coefficient}."""
+        found = scan([kept.get(i, column) for i, column in enumerate(fixed)])
         best = min(found)
         if best >= bound:
             return None
-        points = itertools.product(*(first.values() for first in kept))
-        at = next(itertools.islice(points, found.index(best), None))
-        return best, [at[i] for i in support]
+        at, point = found.index(best), []
+        for first in reversed(kept.values()):  # the last column turns fastest
+            at, digit = divmod(at, len(first))  # a fixed column adds no digit
+            point.append(list(first.values())[digit])
+        return best, point[::-1]
 
     for support in itertools.combinations(range(dim), n):
-        best_val, best_pt = first_min(support, [grid] * n, math.inf)
+        best_val, best_pt = first_min({i: grid_columns[i] for i in support}, math.inf)
         step = 1.0
         while step > 1e-8:
             step /= 2.0
             offsets = (-2 * step, -step, 0.0, step, 2 * step)
             while hit := first_min(
-                support, [[b + d for d in offsets] for b in best_pt], best_val - 1e-15
+                {i: _distinct(vals[i], [b + d for d in offsets], inner)
+                 for i, b in zip(support, best_pt)},
+                best_val - 1e-15,
             ):
                 best_val, best_pt = hit
         best_overall = min(best_overall, best_val)

@@ -21,7 +21,7 @@ from operator import itemgetter
 from typing import Iterable, Mapping, Optional, Sequence
 
 from .errors import CapacityError
-from .exact import Rational, as_fraction, json_int, json_number, json_shape, simplify
+from .exact import Rational, as_fraction, as_rational, json_int, json_number, json_shape
 
 # (block id, magnitude, multiplicity); canonical order is by block then
 # descending magnitude.
@@ -99,7 +99,7 @@ def canonicalize(
     for block, magnitude, multiplicity in raw:
         block = int(block)
         mult = int(multiplicity)
-        mag = as_fraction(magnitude)
+        mag = as_rational(magnitude)
         if block < 0:
             raise ValueError(f"negative block id {block}")
         if mag < 0:
@@ -110,7 +110,7 @@ def canonicalize(
             continue
         # Keyed by exact ints: a tuple of ints hashes faster than a Fraction.
         key = (block, mag.numerator, mag.denominator)
-        merged.setdefault(key, [block, simplify(mag), 0])[2] += mult
+        merged.setdefault(key, [block, mag, 0])[2] += mult
 
     rows = sorted(merged.values(), key=itemgetter(1), reverse=True)
     rows.sort(key=itemgetter(0))  # stable: descending magnitude within each block

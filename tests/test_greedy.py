@@ -348,6 +348,48 @@ def test_grid_oracle_norm_sums_are_correctly_rounded_and_order_free(spec):
         assert norm([w for powers in blocks for w in powers]) == expected
 
 
+_SCAN_SPACES = {
+    "lp1": SpaceSpec.lp(1, 4),
+    "lp2": SpaceSpec.lp(2, 4),
+    "lp1_5": _LP15,
+    "trunc_block_p2": SpaceSpec.trunc_block(2, 4, 2),
+    "trunc_block_p3": SpaceSpec.trunc_block(2, 4, 3),
+    "block_sum": _P3,
+    "mixed": _MIXED,
+}
+
+
+@pytest.mark.parametrize("spec", _SCAN_SPACES.values(), ids=_SCAN_SPACES.keys())
+def test_grid_oracle_norm_scan_equals_the_norm_per_candidate(spec):
+    # The scan maps the layout's stages over the product of the columns;
+    # it must give the per-candidate norm's float for every candidate, in
+    # product order, bit for bit.  Columns repeat entries and hold zeros.
+    norm, scan = explicit._float_norm(spec), explicit._norm_scan(spec)
+    rng = random.Random(22)
+    for _ in range(40):
+        columns = []
+        for _ in range(spec.dimension()):
+            pool = [0.0] + [rng.uniform(0, 8) ** spec.inner_p for _ in range(3)]
+            columns.append([rng.choice(pool) for _ in range(rng.randint(1, 5))])
+        assert scan(columns) == [norm(t) for t in itertools.product(*columns)]
+    # Powers near the top of the float range: a sum that holds two of them
+    # overflows.  The norm adds each block's cap largest powers, and the
+    # blocks' sums too where outer_p == inner_p, so exactly the candidates
+    # with two huge powers in one such sum are inf.
+    huge = 1e308
+    columns = [[1.0, huge, 0.0, huge]] * spec.dimension()
+    found = scan(columns)
+    assert found == [norm(t) for t in itertools.product(*columns)]
+    offsets, one_sum = explicit.block_offsets(spec), spec.outer_p == spec.inner_p
+    for t, value in zip(itertools.product(*columns), found):
+        counts = [
+            min(block.cap, t[off:off + block.size].count(huge))
+            for off, block in zip(offsets, spec.blocks)
+        ]
+        assert (value == math.inf) == (sum(counts) >= 2 if one_sum else max(counts) >= 2), t
+    assert 0 < found.count(math.inf) < len(found)
+
+
 @pytest.mark.parametrize("n", [0, 1, 3, 4])
 def test_sigma_grid_oracle_refuses_a_wrong_coordinate_count(n):
     with pytest.raises(ValueError, match="3 coordinates for a 4-dimensional space"):
@@ -451,24 +493,26 @@ def test_sigma_grid_oracle_equals_sigma_exact_on_criterion_4_inputs():
 
 def test_sigma_grid_oracle_norm_count_on_criterion_4_inputs(monkeypatch):
     # The gate's cost in norm evaluations, pinned so that a change to the
-    # scan cannot slow criterion 4 unseen.
-    calls = 0
-    float_norm = explicit._float_norm
+    # scan cannot slow criterion 4 unseen.  Each scan's result holds one
+    # norm per candidate it evaluated.
+    evaluations = 0
+    norm_scan = explicit._norm_scan
 
     def counted(spec):
-        norm = float_norm(spec)
+        scan = norm_scan(spec)
 
-        def wrapped(powers):
-            nonlocal calls
-            calls += 1
-            return norm(powers)
+        def wrapped(columns):
+            nonlocal evaluations
+            found = scan(columns)
+            evaluations += len(found)
+            return found
 
         return wrapped
 
-    monkeypatch.setattr(explicit, "_float_norm", counted)
+    monkeypatch.setattr(explicit, "_norm_scan", counted)
     for spec, values, n in criterion_4_instances():
         sigma_oracle_grid(values, n, spec)
-    assert calls == 189_990
+    assert evaluations == 189_990
 
 
 # -- joint properties ---------------------------------------------------------

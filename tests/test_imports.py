@@ -9,6 +9,8 @@ import os
 import subprocess
 import sys
 
+import pytest
+
 import greedylab
 
 # What ``import greedylab.cli`` loads, and all that an ``errors`` run adds to it.
@@ -66,3 +68,13 @@ def test_submodules_still_import_by_name():
     names = _fresh("from greedylab import alloc, explicit\n"
                    "print(json.dumps([alloc.__name__, explicit.__name__]))")
     assert names == ["greedylab.alloc", "greedylab.explicit"]
+
+
+def test_greedy_serves_the_oracle_table_by_name_only():
+    # bench/run.py reads greedy.sigma_power_table at set-up; the module
+    # hands out the oracle's table on that read and refuses other names.
+    from greedylab import explicit, greedy
+
+    assert greedy.sigma_power_table is explicit.sigma_power_table
+    with pytest.raises(AttributeError, match="no_such_name"):
+        greedy.no_such_name
