@@ -45,13 +45,11 @@ def criterion_1() -> tuple[bool, str]:
     """Democracy oracle equivalence on the 10-coordinate toy space."""
     blocks = [(2, 4), (3, 6)]
     toy = SpaceSpec.block_sum(blocks)
+    dp_l, dp_r = explicit.alloc_dp(blocks, 10)
     for n in range(0, 11):
         hl_b, hr_b = explicit.demfun_bruteforce(toy, n)
         point = demfun_dp(toy, n)
-        routes = (
-            ("dp", explicit.alloc_dp_point(blocks, n)[:2]),
-            ("recurrence", (point.hl_power, point.hr_power)),
-        )
+        routes = (("dp", (dp_l[n], dp_r[n])), ("recurrence", (point.hl_power, point.hr_power)))
         for route, (hl, hr) in routes:
             if hl != hl_b or hr != hr_b:
                 return False, f"mismatch at N={n}: {route}=({hl},{hr}) brute=({hl_b},{hr_b})"
@@ -307,7 +305,8 @@ CRITERIA: list[tuple[int, str, Callable[[], tuple[bool, str]], float]] = [
 ]
 
 
-def run_all(only: Optional[list[int]] = None, stream=None) -> list[CheckResult]:
+def run_all(only: Optional[list[int]] = None) -> list[CheckResult]:
+    """Run the criteria (those numbered in ``only``, if given), printing one line each."""
     results = []
     for number, name, func, _budget in CRITERIA:
         if only is not None and number not in only:
@@ -320,9 +319,6 @@ def run_all(only: Optional[list[int]] = None, stream=None) -> list[CheckResult]:
         elapsed = time.perf_counter() - start
         result = CheckResult(number, name, passed, detail, elapsed)
         results.append(result)
-        if stream is not None:
-            status = "PASS" if result.passed else "FAIL"
-            stream.write(
-                f"[{status}] criterion {number}: {name} ({elapsed:.2f}s) - {detail}\n"
-            )
+        status = "PASS" if passed else "FAIL"
+        print(f"[{status}] criterion {number}: {name} ({elapsed:.2f}s) - {detail}")
     return results

@@ -163,7 +163,8 @@ def min_plus(f: Sequence[tuple], g: Sequence[tuple]) -> list[tuple]:
     its own range; min-plus distributes over that minimum.  Two convex
     pieces merge exactly by merging their runs in order of slope, so h is
     the lower envelope of one convex merge per pair of pieces.  The work
-    grows with pairs of pieces and their knots, not with T.
+    grows with pairs of pieces and their knots, not with T.  Its oracle is
+    ``explicit.min_plus_table``, the quadratic fold of f and g tabulated.
     """
     pieces_g = _convex_pieces(g)
     rows = [_envelope([_merge(p, q) for q in pieces_g]) for p in _convex_pieces(f)]

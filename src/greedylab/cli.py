@@ -65,19 +65,15 @@ def write_text(path: Optional[str], text: str) -> None:
         raise
 
 
-def emit_report(
-    report: dict | list | tuple[str, list[str]], fmt: str, path: Optional[str]
-) -> None:
-    """Write a report: a dict or list as strict JSON (no NaN or Infinity),
-    a (header, lines) pair of pre-joined CSV text as CSV.  A table without
+def emit_report(report: dict | list | tuple[str, list[str]], *, path: Optional[str]) -> None:
+    """Write a report: a (header, lines) pair of pre-joined CSV text as CSV,
+    anything else as strict JSON (no NaN or Infinity).  A table without
     lines writes an empty file."""
-    if fmt == "json":
-        write_text(path, json.dumps(report, sort_keys=True, indent=2, allow_nan=False) + "\n")
-    elif fmt == "csv":
+    if isinstance(report, tuple):
         header, lines = report
         write_text(path, "\n".join([header, *lines, ""]) if lines else "")
     else:
-        raise ValueError(f"unknown format {fmt!r}")
+        write_text(path, json.dumps(report, sort_keys=True, indent=2, allow_nan=False) + "\n")
 
 
 def _load_json(path: str) -> dict:
@@ -131,7 +127,7 @@ def _parse_float_list(text: str) -> list[float]:
 def cmd_norm(args) -> int:
     spec = _load_space(args.space)
     x = CompressedVector.load(args.vector)
-    emit_report(_norm_json(space_norm(x, spec)), "json", args.out)
+    emit_report(_norm_json(space_norm(x, spec)), path=args.out)
     return 0
 
 
@@ -139,7 +135,7 @@ def cmd_sigma(args) -> int:
     spec = _load_space(args.space)
     x = CompressedVector.load(args.vector)
     nv = sigma_exact(x, args.N, spec)
-    emit_report({"N": args.N, "sigma": _norm_json(nv)}, "json", args.out)
+    emit_report({"N": args.N, "sigma": _norm_json(nv)}, path=args.out)
     return 0
 
 
@@ -155,8 +151,7 @@ def cmd_gamma(args) -> int:
             "witness_max": [list(t) for t in out.witness_max],
             "witness_min": [list(t) for t in out.witness_min],
         },
-        "json",
-        args.out,
+        path=args.out,
     )
     return 0
 
@@ -170,7 +165,7 @@ def cmd_errors(args) -> int:
     sigmas, gammas = sig.powers(last), gam.powers(last)
     root = _root_strings(sig.p, sigmas, gammas)
     lines = [f"{k},{s},{g},{root[s]},{root[g]}" for k, (s, g) in enumerate(zip(sigmas, gammas))]
-    emit_report(("k,sigma_sq,gamma_sq,sigma_float,gamma_float", lines), "csv", args.out)
+    emit_report(("k,sigma_sq,gamma_sq,sigma_float,gamma_float", lines), path=args.out)
     return 0
 
 
@@ -185,7 +180,7 @@ def cmd_demfun(args) -> int:
         f"{n},{hl},{hr},{root[hl]},{root[hr]}"
         for n, (hl, hr) in enumerate(zip(table.hl_powers, table.hr_powers))
     ]
-    emit_report(("N,hl_sq,hr_sq,hl_float,hr_float", lines), "csv", args.out)
+    emit_report(("N,hl_sq,hr_sq,hl_float,hr_float", lines), path=args.out)
     return 0
 
 
@@ -206,7 +201,7 @@ def cmd_doubling_scan(args) -> int:
         for r in report.rows
     ]
     lines = [",".join(map(str, row)) for row in rows]
-    emit_report((",".join(SCAN_FIELDS), lines), "csv", args.out)
+    emit_report((",".join(SCAN_FIELDS), lines), path=args.out)
     if not all(r.bound_holds and r.upper_holds for r in report.rows):
         _diag("doubling-scan: a guaranteed bound failed",
               rows=[dict(zip(SCAN_FIELDS, row)) for row in rows])
@@ -220,7 +215,7 @@ def cmd_prefix_check(args) -> int:
     spec = _load_schedule_space(args.space)
     report = prefix_norm_conjecture_check(spec.schedule, range(1, args.max_N + 1))
     lines = [f"{n},{pre},{hl},{pre == hl}" for n, pre, hl in report.rows]
-    emit_report(("N,prefix_sq,hl_sq,equal", lines), "csv", args.out)
+    emit_report(("N,prefix_sq,hl_sq,equal", lines), path=args.out)
     if report.counterexamples:
         sys.stderr.write(
             "prefix-check: counterexamples at N = "
@@ -250,8 +245,7 @@ def cmd_cghm(args) -> int:
             "exhausted_reason": seqs.exhausted_reason,
             "checks": list(seqs.checks),
         },
-        "json",
-        args.out,
+        path=args.out,
     )
     if seqs.checks and not seqs.all_checks_pass():
         _diag("cghm: a verification check failed")
@@ -278,7 +272,7 @@ def cmd_check71(args) -> int:
         rows = (json_shape(row, list, 2) for row in listed)
     pairs = [(json_int(k), json_int(n)) for k, n in rows]
     report = condition71_check(h_r, h_l, pairs, args.C, args.alpha)
-    emit_report({"rows": list(report.rows), "all_pass": report.all_pass}, "json", args.out)
+    emit_report({"rows": list(report.rows), "all_pass": report.all_pass}, path=args.out)
     return 0 if report.all_pass else 1
 
 
@@ -299,7 +293,7 @@ def cmd_xs_experiment(args) -> int:
     if bad:
         _diag("xs-experiment: a non-finite A, G, ratio or bracket is not JSON compliant", runs=bad)
         return 1
-    emit_report(blob, "json", args.out)
+    emit_report(blob, path=args.out)
     failed = [{**key, "failed": sorted(k for k, ok in run.checks.items() if not ok)}
               for key, run in zip(keys, runs) if not all(run.checks.values())]
     if failed:
@@ -316,7 +310,7 @@ def cmd_verify(args) -> int:
     if unknown:  # a subset that names no criterion would pass having checked nothing
         build_parser().error(f"verify --only: no criterion {', '.join(map(str, unknown))} "
                              f"(the criteria are {', '.join(map(str, known))})")
-    results = acceptance.run_all(only=args.only, stream=sys.stdout)
+    results = acceptance.run_all(only=args.only)
     return 0 if all(r.passed for r in results) else 1
 
 

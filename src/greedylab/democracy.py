@@ -19,9 +19,10 @@ programs over allocations of N.  The production routes are:
 * the closed form min(N, sum caps) for h_r, witnessed by filling the
   caps first, then the rest of each block, in block order.
 
-Their oracles, the allocation DP (explicit.alloc_dp, quadratic in N) and
-subset brute force (explicit.demfun_bruteforce), live in explicit.py; the
-tests and the acceptance suite check these routes against them.
+Their oracles, the allocation DP (explicit.alloc_dp, a tabulated min-plus
+quadratic in N) and subset brute force (explicit.demfun_bruteforce), live
+in explicit.py; the tests and the acceptance suite check these routes
+against them.
 
 Truncation is never silently extrapolated: queries that a finite window
 onto the infinite block space cannot answer exactly raise TruncationError.

@@ -3,9 +3,9 @@
 Most of them work on a flat list of (possibly signed) coordinate values over
 a small finite universe and answer by raw enumeration: subset brute force
 for h_l / h_r, gamma and sigma, the sup-form norm, and a grid search over
-free coefficients for sigma.  The rest are quadratic tabulations: the
-allocation DP for h_l / h_r, the removal-count DP for the sigma table, and
-the per-k / per-term versions of the x_s checks and quasi-norms.  None of
+free coefficients for sigma.  The rest are quadratic tabulations: one
+tabulated min-plus (``min_plus_table``) for h_l / h_r on block sums and for
+the sigma table, and the per-k / per-term x_s checks and quasi-norms.  None of
 them imports greedy, democracy, approx, alloc or errorseq, so an oracle
 never shares code with the route it checks.  No oracle prunes its search
 space on theory: every candidate its enumeration defines is accounted for,
@@ -348,72 +348,46 @@ def _revolving_door(dim: int, n: int):
 
 
 # ---------------------------------------------------------------------------
-# Allocation DP: the quadratic reference route for h_l / h_r on block sums
+# Tabulated min-plus: the quadratic reference route for h_l / h_r and sigma
 
 
-_BIG = 1 << 62
+def min_plus_table(tables: Sequence[Sequence], limit: int) -> list:
+    """Least sum of tables[b][m_b] over allocations of exactly n units, n = 0..limit.
 
-
-def alloc_dp(blocks: Sequence[tuple[int, int]], max_n: int):
-    """DP over (cap, size) blocks; returns (dp_min, dp_max, parent_min, parent_max).
-
-    dp_min[j] / dp_max[j] are the extremes of sum min(m_k, cap_k) over
-    allocations of exactly j coordinates; parents store the chosen m per
-    block for witness reconstruction.  O(max_n^2) per block.
+    Block b takes 0 .. len(tables[b]) - 1 units.  The plain quadratic fold,
+    one table at a time; each table past ``limit`` units is cut off, so the
+    result to a smaller limit is a prefix.  Every n up to the tables' total
+    size is reachable; a limit past it raises ValueError.
     """
-    dp_min = [0] + [_BIG] * max_n
-    dp_max = [0] + [-1] * max_n
-    parent_min: list[list[int]] = []
-    parent_max: list[list[int]] = []
-    for cap, size in blocks:
-        limit = min(size, max_n)
-        ndp_min = [_BIG] * (max_n + 1)
-        ndp_max = [-1] * (max_n + 1)
-        pmin = [-1] * (max_n + 1)
-        pmax = [-1] * (max_n + 1)
-        for j in range(max_n + 1):
-            lo = dp_min[j]
-            hi = dp_max[j]
-            if lo >= _BIG and hi < 0:
-                continue
-            for m in range(0, min(limit, max_n - j) + 1):
-                slot = j + m
-                cost = min(m, cap)
-                if lo < _BIG and lo + cost < ndp_min[slot]:
-                    ndp_min[slot] = lo + cost
-                    pmin[slot] = m
-                if hi >= 0 and hi + cost > ndp_max[slot]:
-                    ndp_max[slot] = hi + cost
-                    pmax[slot] = m
-        dp_min, dp_max = ndp_min, ndp_max
-        parent_min.append(pmin)
-        parent_max.append(pmax)
-    return dp_min, dp_max, parent_min, parent_max
+    total = sum(len(table) - 1 for table in tables)
+    if not 0 <= limit <= total:
+        raise ValueError(f"no allocation of {limit} units fits tables of total size {total}")
+    best = [0]
+    for table in tables:
+        last = min(len(table) - 1, limit)
+        backward = table[last::-1]  # backward[i] = table[last - i]
+        # best[j] + table[n - j] over j = max(0, n - last) .. min(n, len(best) - 1)
+        best = [
+            min(map(operator.add, best[max(0, n - last) : n + 1], backward[max(0, last - n) :]))
+            for n in range(min(len(best) + last, limit + 1))
+        ]
+    return best
 
 
-def alloc_dp_point(blocks: Sequence[tuple[int, int]], n: int):
-    """(h_l^p, h_r^p, witness_l, witness_r) at n, each witness as (block, count)."""
-    dp_min, dp_max, parent_min, parent_max = alloc_dp(blocks, n)
-    if dp_min[n] >= _BIG or dp_max[n] < 0:
-        raise ValueError(f"no allocation of {n} coordinates fits the space")
+def alloc_dp(blocks: Sequence[tuple[int, int]], max_n: int) -> tuple[list, list]:
+    """(h_l^p, h_r^p) tables for n = 0..max_n on (cap, size) blocks.
 
-    def walk(parents) -> tuple[tuple[int, int], ...]:
-        j = n
-        witness = []
-        for b in range(len(blocks) - 1, -1, -1):
-            m = parents[b][j]
-            if m > 0:
-                witness.append((b, m))
-            j -= m
-        if j != 0:
-            raise InvariantError(f"DP witness for N={n} leaves {j} coordinates unplaced")
-        return tuple(reversed(witness))
-
-    return dp_min[n], dp_max[n], walk(parent_min), walk(parent_max)
+    The least and the largest sum of min(m_b, cap_b) over allocations of
+    exactly n coordinates, m_b <= size_b: ``min_plus_table`` over those
+    costs and over their negations.  A max_n past the blocks raises ValueError.
+    """
+    costs = [[min(m, cap) for m in range(min(size, max_n) + 1)] for cap, size in blocks]
+    hr = min_plus_table([[-c for c in cost] for cost in costs], max_n)
+    return min_plus_table(costs, max_n), [-v for v in hr]
 
 
 # ---------------------------------------------------------------------------
-# gamma and sigma: raw enumeration, removal-count DP and grid search
+# gamma and sigma: raw enumeration, removal-count table and grid search
 
 
 def gamma_raw(values: Sequence, n: int, spec: SpaceSpec):
@@ -465,7 +439,7 @@ def sigma_removals_bruteforce(values: Sequence, n: int, spec: SpaceSpec):
 
 
 def sigma_power_table(x: CompressedVector, spec: SpaceSpec) -> tuple:
-    """sigma_k^p for k = 0..support, by DP over per-block removal counts.
+    """sigma_k^p for k = 0..support: ``min_plus_table`` over per-block removal counts.
 
     Within each block removing the largest magnitudes first is optimal
     (block norms are symmetric and monotone), so only the split of the k
@@ -477,20 +451,14 @@ def sigma_power_table(x: CompressedVector, spec: SpaceSpec) -> tuple:
     if spec.inner_p != spec.outer_p or not isinstance(p, int):
         raise ValueError("exact sigma table needs integer inner_p == outer_p")
     x = spec.conform(x)
-    dp = [0]
+    residuals = []
     for b in x.blocks():
         mags = [mag for mag, count in x.block_groups(b) for _ in range(count)]
         prefix = list(itertools.accumulate((pow_rational(m, p) for m in mags), initial=0))
         size, cap = len(mags), spec.blocks[b].cap
         window = size if cap is None else cap
-        residuals = [prefix[min(j + window, size)] - prefix[j] for j in range(size + 1)]
-        ndp = [None] * (len(dp) + size)
-        for j, prev in enumerate(dp):
-            for jb, residual in enumerate(residuals):
-                cand = prev + residual
-                if ndp[j + jb] is None or cand < ndp[j + jb]:
-                    ndp[j + jb] = cand
-        dp = [simplify(v) for v in ndp]
+        residuals.append([prefix[min(j + window, size)] - prefix[j] for j in range(size + 1)])
+    dp = [simplify(v) for v in min_plus_table(residuals, x.support_size)]
     if len(dp) != x.support_size + 1 or dp[-1] != 0:
         raise InvariantError(f"sigma table of length {len(dp)} ends at {dp[-1]}")
     return tuple(dp)

@@ -24,8 +24,8 @@ Neither enumerates resolutions, so both are exact for tie classes of any
 multiplicity.
 
 Both are also built as whole piecewise-linear sequences; their oracles,
-the removal-count DP sigma_power_table and the raw enumerations, live in
-explicit.py.
+sigma_power_table (the tabulated min-plus over removal counts) and the raw
+enumerations, live in explicit.py.
 """
 
 from __future__ import annotations

@@ -17,7 +17,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from fractions import Fraction
-from operator import itemgetter
+from operator import index, itemgetter
 from typing import Iterable, Mapping, Optional, Sequence
 
 from .errors import CapacityError
@@ -88,7 +88,8 @@ def canonicalize(
 ) -> CompressedVector:
     """Merge, sort and validate raw groups into canonical form.
 
-    Zero magnitudes and zero multiplicities are dropped; identical
+    Block ids and multiplicities must be integers (``operator.index``); zero
+    magnitudes and zero multiplicities are dropped; identical
     (block, magnitude) pairs merge; integral magnitudes become ints; groups
     come out sorted by (block, descending magnitude).  Idempotent by
     construction.  When ``sizes`` is given (block id -> block size, None =
@@ -97,8 +98,12 @@ def canonicalize(
     """
     merged: dict[tuple[int, int, int], list] = {}
     for block, magnitude, multiplicity in raw:
-        block = int(block)
-        mult = int(multiplicity)
+        try:  # int() would truncate a multiplicity 2.5 to 2 and a block id 0.9 to 0
+            block, mult = index(block), index(multiplicity)
+        except TypeError:
+            raise ValueError(
+                f"block id {block!r} and multiplicity {multiplicity!r} must be integers"
+            ) from None
         mag = as_rational(magnitude)
         if block < 0:
             raise ValueError(f"negative block id {block}")

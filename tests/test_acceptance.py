@@ -4,26 +4,20 @@ Run with -s to see one pass/fail line per criterion; `greedylab verify`
 prints the same lines.
 """
 
-import time
-
 import pytest
 
 from greedylab import acceptance
 
 
 @pytest.mark.parametrize(
-    "number,name,func,budget",
-    acceptance.CRITERIA,
+    "number,budget",
+    [(number, budget) for number, _, _, budget in acceptance.CRITERIA],
     ids=[f"criterion_{c[0]:02d}" for c in acceptance.CRITERIA],
 )
-def test_criterion(number, name, func, budget):
-    start = time.perf_counter()
-    passed, detail = func()
-    elapsed = time.perf_counter() - start
-    status = "PASS" if passed else "FAIL"
-    print(f"[{status}] criterion {number}: {name} ({elapsed:.2f}s) - {detail}")
-    assert passed, f"criterion {number} ({name}): {detail}"
-    assert elapsed < budget, f"criterion {number} took {elapsed:.2f}s (budget {budget}s)"
+def test_criterion(number, budget):
+    [result] = acceptance.run_all(only=[number])
+    assert result.passed, f"criterion {number} ({result.name}): {result.detail}"
+    assert result.seconds < budget, f"criterion {number}: {result.seconds:.2f}s, budget {budget}s"
 
 
 def test_criterion_9_decides_the_values(monkeypatch):

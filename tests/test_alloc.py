@@ -1,9 +1,11 @@
-"""The minimum kernel for concave per-block costs against exhaustive minima."""
+"""The allocation kernels against exhaustive minima and the tabulated min-plus."""
+
+import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from greedylab import InvariantError, alloc
+from greedylab import InvariantError, alloc, explicit
 
 
 @st.composite
@@ -59,3 +61,35 @@ def test_values_off_the_integers_are_refused():
         alloc._at(0, 0, 2, 1, 1)
     with pytest.raises(InvariantError):
         alloc._pair_min([(0, 0), (2, 1)], [(0, 1), (1, 0), (2, 1)])
+
+
+def _piecewise_linear(rng):
+    """Values at 0..T, T in 1..60, of an integer function linear on up to six
+    runs, each of an integer slope in -9..9: convex and concave knots occur."""
+    size = rng.randint(1, 60)
+    ends = sorted(rng.sample(range(1, size), min(rng.randint(0, 5), size - 1))) + [size]
+    values = [rng.randint(-20, 20)]
+    for start, end in zip([0] + ends, ends):
+        y0, a = values[-1], rng.randint(-9, 9)
+        values += [y0 + a * t for t in range(1, end - start + 1)]
+    return values
+
+
+def _at_every_n(knots):
+    """Values at 0..last of the function given by knots from 0."""
+    values = [knots[0][1]]
+    for (k0, y0), (k1, y1) in zip(knots, knots[1:]):
+        values += [alloc._at(k0, y0, k1, y1, n) for n in range(k0 + 1, k1 + 1)]
+    return values
+
+
+def test_min_plus_equals_the_tabulated_min_plus():
+    rng = random.Random(19)
+    concave = 0
+    for _ in range(400):
+        tables = [_piecewise_linear(rng), _piecewise_linear(rng)]
+        concave += sum(any(b - a > c - b for a, b, c in zip(t, t[1:], t[2:])) for t in tables)
+        got = alloc.min_plus(*(alloc.drop_collinear(list(enumerate(t))) for t in tables))
+        want = explicit.min_plus_table(tables, len(tables[0]) + len(tables[1]) - 2)
+        assert got[0][0] == 0 and _at_every_n(got) == want, tables
+    assert concave > 300  # of the 800 functions

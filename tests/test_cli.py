@@ -315,12 +315,14 @@ def test_empty_report_emission(tmp_path):
     from greedylab.cli import emit_report
 
     out = tmp_path / "empty.json"
-    emit_report({"runs": []}, "json", str(out))
+    emit_report({"runs": []}, path=str(out))
     assert json.loads(out.read_text()) == {"runs": []}
-    emit_report({"runs": []}, "json", str(out))
+    emit_report({"runs": []}, path=str(out))
     assert out.read_text() == '{\n  "runs": []\n}\n'
+    emit_report([], path=str(out))  # a list is JSON too
+    assert out.read_text() == "[]\n"
     table = tmp_path / "empty.csv"
-    emit_report(("N,prefix_sq,hl_sq,equal", []), "csv", str(table))
+    emit_report(("N,prefix_sq,hl_sq,equal", []), path=str(table))
     assert table.read_text() == ""  # a table without rows has no header either
 
 

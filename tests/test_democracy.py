@@ -31,14 +31,18 @@ from greedylab.spaces import space_norm
 TOY = SpaceSpec.block_sum([(2, 4), (3, 6)])
 
 
-def _dp_point(spec, n):
-    """(h_l^p, h_r^p) at n from the allocation-DP oracle."""
-    return explicit.alloc_dp_point([(b.cap, b.size) for b in spec.blocks], n)[:2]
+def _oracle_table(spec, max_n):
+    """(h_l^p, h_r^p) tables for n = 0..max_n from the allocation-DP oracle."""
+    return explicit.alloc_dp([(b.cap, b.size) for b in spec.blocks], max_n)
+
+
+def _oracle_points(spec, max_n):
+    """(h_l^p, h_r^p) at each n = 0..max_n from the allocation-DP oracle."""
+    return list(zip(*_oracle_table(spec, max_n)))
 
 
 def test_toy_dp_equals_bruteforce_all_n():
-    for n in range(0, 11):
-        assert _dp_point(TOY, n) == demfun_bruteforce(TOY, n)
+    assert _oracle_points(TOY, 10) == [demfun_bruteforce(TOY, n) for n in range(11)]
 
 
 def test_dp_equals_bruteforce_on_shrunken_truncations():
@@ -48,8 +52,18 @@ def test_dp_equals_bruteforce_on_shrunken_truncations():
     for blocks in ([(4, 12)], [(2, 5), (4, 8)]):
         spec = SpaceSpec.block_sum(blocks)
         total = sum(s for _, s in blocks)
-        for n in range(total + 1):
-            assert _dp_point(spec, n) == demfun_bruteforce(spec, n)
+        assert _oracle_points(spec, total) == [demfun_bruteforce(spec, n) for n in range(total + 1)]
+
+
+def test_dp_oracle_refuses_n_past_the_blocks():
+    blocks = [(2, 4), (3, 6)]
+    assert explicit.alloc_dp(blocks, 10)[0][-1] == 5
+    for max_n in (-1, 11):
+        with pytest.raises(ValueError):
+            explicit.alloc_dp(blocks, max_n)
+    assert explicit.alloc_dp([], 0) == ([0], [0])
+    with pytest.raises(ValueError):
+        explicit.alloc_dp([], 1)
 
 
 def test_toy_example_values():
@@ -95,9 +109,9 @@ def test_dp_equals_extreme_on_random_block_structures():
             blocks.append((rng.randint(1, size), size))
         spec = SpaceSpec.block_sum(blocks)
         total = sum(s for _, s in blocks)
-        for n in range(total + 1):
+        for n, dp in enumerate(_oracle_points(spec, total)):
             ex = demfun_dp(spec, n, method="extreme")
-            assert _dp_point(spec, n) == (ex.hl_power, ex.hr_power)
+            assert dp == (ex.hl_power, ex.hr_power)
 
 
 def test_dp_equals_extreme_on_schedules():
@@ -105,8 +119,9 @@ def test_dp_equals_extreme_on_schedules():
         spec = SpaceSpec.from_schedule(sched)
         deepest = max(b.size for b in spec.blocks)
         caps = sum(b.cap for b in spec.blocks)
+        oracle = _oracle_points(spec, 200)
         for n in range(1, 201):
-            dp_l, dp_r = _dp_point(spec, n)
+            dp_l, dp_r = oracle[n]
             ex_l = demfun_dp(spec, n, method="extreme", which="hl").hl_power
             assert dp_l == ex_l, f"hl mismatch at n={n} on {sched.a}"
             if n <= caps:
@@ -448,7 +463,7 @@ def test_table_equals_dp_oracle_and_point_queries(blocks):
     spec = SpaceSpec.block_sum(blocks)
     total = sum(s for _, s in blocks)
     table = demfun_table(spec, total)
-    dp_min, dp_max, _, _ = explicit.alloc_dp(blocks, total)
+    dp_min, dp_max = explicit.alloc_dp(blocks, total)
     assert list(table.hl_powers) == dp_min
     assert list(table.hr_powers) == dp_max
     for n in range(total + 1):
@@ -484,7 +499,7 @@ def test_table_and_points_equal_dp_oracle_on_typed_block_sums(blocks):
     spec = SpaceSpec.block_sum(blocks)
     max_n = min(sum(s for _, s in blocks), 120)
     table = demfun_table(spec, max_n)
-    dp_min, dp_max, _, _ = explicit.alloc_dp(blocks, max_n)
+    dp_min, dp_max = explicit.alloc_dp(blocks, max_n)
     assert list(table.hl_powers) == dp_min
     assert list(table.hr_powers) == dp_max
     for n in range(0, max_n + 1, 3):
@@ -618,7 +633,7 @@ def test_table_skipping_blocks_equals_dp_oracle():
         wide_after += any(cap >= min(size, max_n) for cap, size in blocks[reached:])
         spec = SpaceSpec.block_sum(blocks)
         table = demfun_table(spec, max_n)
-        dp_min, dp_max, _, _ = explicit.alloc_dp(blocks, max_n)
+        dp_min, dp_max = explicit.alloc_dp(blocks, max_n)
         assert (list(table.hl_powers), list(table.hr_powers)) == (dp_min, dp_max), (seed, blocks)
     assert wide_before and wide_after
 
@@ -635,13 +650,6 @@ def test_table_visits_only_blocks_that_can_lower_it(monkeypatch, num_blocks, max
     rng = random.Random(max_n)
     for n in sorted({0, 1, max_n, *rng.sample(range(max_n), 8)}):
         assert table.hl_power(n) == demfun_dp(spec, n, which="hl").hl_power
-
-
-def _oracle_table(spec, max_n):
-    dp_min, dp_max, _, _ = explicit.alloc_dp(
-        [(b.cap, b.size) for b in spec.blocks], max_n
-    )
-    return dp_min, dp_max
 
 
 def test_table_equals_dp_oracle_on_deep_schedule():
@@ -661,7 +669,7 @@ def test_prefix_check_matches_per_n_dp_oracle():
     sched = arithmetic_schedule(4)
     spec = SpaceSpec.from_schedule(sched)
     report = prefix_norm_conjecture_check(sched, range(1, 201))
-    oracle = [_dp_point(spec, n)[0] for n in range(1, 201)]
+    oracle = _oracle_table(spec, 200)[0][1:]
     assert [hl for _, _, hl in report.rows] == oracle
     assert [n for n, _, _ in report.rows] == list(range(1, 201))
     assert list(report.counterexamples) == [

@@ -206,7 +206,7 @@ def test_gamma_ties_across_many_blocks_match_the_allocation_dp():
         spec = SpaceSpec.block_sum(blocks)
         x = spec.indicator(dict(enumerate(counts)))
         support = x.support_size
-        dp_min, dp_max, _, _ = explicit.alloc_dp(
+        dp_min, dp_max = explicit.alloc_dp(
             [(cap, count) for (cap, _size), count in zip(blocks, counts)], support
         )
         for n in range(0, support + 1, 3):
@@ -247,6 +247,22 @@ def test_sigma_matches_removal_bruteforce():
         assert sigma_exact(x, n, spec).power_exact == explicit.sigma_removals_bruteforce(
             vals, n, spec
         )
+
+
+def test_sigma_table_equals_removal_bruteforce_at_every_n():
+    # The two exact sigma oracles share no code: the tabulated min-plus over
+    # per-block removal counts against the minimum over every removal set.
+    rng = random.Random(48)
+    spaces = [SpaceSpec.lp(1, 6), SpaceSpec.lp(3, 5), SpaceSpec.trunc_block(2, 6, 2),
+              SpaceSpec.trunc_block(3, 5, 3), SpaceSpec.block_sum([(1, 3), (2, 4)], 2, 2)]
+    for i in range(60):
+        spec = spaces[i % len(spaces)]
+        values = [Fraction(rng.randint(0, 9), rng.choice((1, 1, 2, 3))) * rng.choice((-1, 1))
+                  for _ in range(explicit.dimension(spec))]
+        table = sigma_power_table(explicit.from_explicit(values, spec), spec)
+        for n in range(len(values) + 1):
+            want = explicit.sigma_removals_bruteforce(values, n, spec)
+            assert (table[n] if n < len(table) else 0) == want, (spec.variant, values, n)
 
 
 def test_sigma_grid_oracle_trivials():
