@@ -35,7 +35,7 @@ from typing import Sequence
 
 from .errors import GreedyLabError, InvariantError, ScheduleTooShallowError
 from .errorseq import ErrorSequence
-from .exact import Rational, sqrt_plus_const_ge
+from .exact import Rational, int_at_least, sqrt_plus_const_ge
 from .greedy import GreedyProfile, error_sequence
 from .schedule import BlockSchedule
 from .spaces import SpaceSpec, _float_root, space_norm
@@ -346,8 +346,7 @@ def build_xs(schedule: BlockSchedule, s: int) -> XsConstruction:
     Needs a block whose next multiplier is at least (s+1)^2 followed by a
     materialized successor block; raises ScheduleTooShallowError otherwise.
     """
-    if s < 2:
-        raise ValueError("s must be >= 2")
+    s = int_at_least(s, 2, "s")
     if schedule.inner_p != 2 or schedule.outer_p != 2:
         raise ValueError("the x_s construction is defined for p = 2")
     target = (s + 1) ** 2
@@ -363,8 +362,7 @@ def build_xs(schedule: BlockSchedule, s: int) -> XsConstruction:
         )
 
     spec = SpaceSpec.from_schedule(schedule)
-    n_s = schedule.size(hi_block)
-    c = schedule.cap(hi_block)
+    c, n_s = spec.blocks[hi_block].cap, spec.blocks[hi_block].size
     r = math.isqrt(s)
     v = -(-n_s // r)  # ceil
     x = spec.vector([(hi_block, 2, n_s), (hi_block + 1, 1, v)])

@@ -37,7 +37,7 @@ from typing import Callable, Iterable, Optional, Sequence
 
 from .alloc import concave_min
 from .errors import InvariantError, TruncationError
-from .exact import json_int, json_number, json_shape
+from .exact import int_at_least, json_int, json_number, json_shape
 from .schedule import BlockSchedule
 from .spaces import SpaceSpec
 
@@ -119,8 +119,7 @@ def demfun_dp(
     ``which`` restricts the query to one side ("hl" or "hr"): a shallow
     window often answers h_l at N whose h_r would need deeper caps.
     """
-    if n < 0:
-        raise ValueError("n must be >= 0")
+    n = int_at_least(n, 0, "n")
     if which not in ("hl", "hr", "both"):
         raise ValueError("which must be 'hl', 'hr' or 'both'")
     if method != "extreme":
@@ -230,16 +229,13 @@ class DemFunTable:
     def _power(self, powers: Optional[tuple[int, ...]], side: str, n: int) -> int:
         if powers is None:
             raise TruncationError(f"table was built without the {side} side")
-        if n < 0:
-            raise ValueError("n must be >= 0")
-        if n > self.max_n:
+        if int_at_least(n, 0, "n") > self.max_n:
             raise TruncationError(f"{side}({n}) is past the table's max_n = {self.max_n}")
         return powers[n]
 
 
 def demfun_table(spec: SpaceSpec, max_n: int, which: str = "both") -> DemFunTable:
-    if max_n < 0:
-        raise ValueError("max_n must be >= 0")
+    max_n = int_at_least(max_n, 0, "max_n")
     if which not in ("hl", "hr", "both"):
         raise ValueError("which must be 'hl', 'hr' or 'both'")
     blocks = _adequate_blocks(spec, max_n, which)
@@ -284,9 +280,9 @@ def doubling_scan(schedule: BlockSchedule, ks: Iterable[int]) -> DoublingReport:
     """
     spec = SpaceSpec.from_schedule(schedule)
     sizes = spec.sizes()  # block k - 1 has cap n_k and size n_{k+1}
-    ks = sorted(set(int(k) for k in ks))
-    if not ks or ks[0] < 1:  # a report with no rows would pass having checked nothing
-        raise ValueError("doubling scan needs at least one block index k, each k >= 1")
+    ks = sorted({int_at_least(k, 1, "k") for k in ks})
+    if not ks:  # a report with no rows would pass having checked nothing
+        raise ValueError("doubling scan needs at least one block index k")
     for k in ks:
         if k + 1 > len(schedule.a):
             raise TruncationError(f"scan at k={k} needs multiplier a_{k + 1}")
@@ -337,11 +333,9 @@ def prefix_norm_conjecture_check(
     """
     spec = SpaceSpec.from_schedule(schedule)
     blocks = _finite_blocks(spec)
-    ns = sorted(set(int(n) for n in n_values))
+    ns = sorted({int_at_least(n, 0, "N") for n in n_values})
     if not ns:  # a report with no rows would pass having checked nothing
         raise ValueError("no N to check")
-    if ns[0] < 0:
-        raise ValueError("N must be >= 0")
     max_n = ns[-1]
     prefix = _prefix_table(blocks, max_n)
     deeper = [n for n in ns if n >= len(prefix)]
@@ -468,8 +462,8 @@ def cghm_construct(
     table h-function answers, yields a partial result with an explicit
     marker instead of an error.
     """
-    if count < 1:
-        raise ValueError("count must be >= 1")
+    count = int_at_least(count, 1, "count")
+    probe_limit = int_at_least(probe_limit, 1, "probe_limit")
     _require_finite(c_doubling=c_doubling, alpha=alpha)
 
     # Pre-condition: h_l doubling with the claimed constant on the probed
@@ -561,8 +555,8 @@ def condition71_check(
     rows = []
     prev_ratio = None
     for mu, (k, n) in enumerate(pairs, start=1):
-        if not 1 <= k <= n:
-            raise ValueError(f"pair {mu}: need 1 <= k <= n")
+        k = int_at_least(k, 1, f"pair {mu}: k")
+        n = int_at_least(n, k, f"pair {mu}: n")
         growth_ratio = Fraction(n, k)
         growth_ok = prev_ratio is None or growth_ratio > prev_ratio
         lhs = h_r(k) / h_l(n)

@@ -21,7 +21,7 @@ import bisect
 from operator import lt
 from typing import Optional, Sequence
 
-from .exact import Rational, simplify, slope
+from .exact import Rational, int_at_least, simplify, slope
 
 
 class ErrorSequence:
@@ -49,8 +49,7 @@ class ErrorSequence:
         return self._ks[-1]
 
     def power(self, k: int) -> Rational:
-        if k < 0:
-            raise ValueError("k must be >= 0")
+        k = int_at_least(k, 0, "k")
         i = bisect.bisect_right(self._ks, k) - 1
         if i >= len(self._slopes):
             return 0
@@ -59,9 +58,7 @@ class ErrorSequence:
 
     def powers(self, upto: Optional[int] = None) -> list[Rational]:
         """power(k) for k = 0..upto (default: the support), one run at a time."""
-        last = self.support_size if upto is None else upto
-        if last < 0:
-            raise ValueError("upto must be >= 0")
+        last = self.support_size if upto is None else int_at_least(upto, 0, "upto")
         out: list[Rational] = []
         for k0, k1, y0, a in self.pieces():
             if k0 > last:

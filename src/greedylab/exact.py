@@ -2,11 +2,16 @@
 
 Everything that feeds a pass/fail assertion is compared on exact rationals
 (usually squared values); floats only ever decorate reports.
+
+``int_at_least`` is the one integer rule of the Python API: every count,
+index and block parameter goes through it, so 2.5 and 2.0 are refused there
+as ``json_int`` refuses them in JSON, never truncated.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from operator import index
 from typing import Optional, Union
 
 Rational = Union[int, Fraction]
@@ -29,6 +34,17 @@ def as_fraction(value) -> Fraction:
 def as_rational(value) -> Rational:
     """``as_fraction``, but an int where the value is integral; an int passes as it is."""
     return value if type(value) is int else simplify(as_fraction(value))
+
+
+def int_at_least(value, least: int, name: str) -> int:
+    """``operator.index(value)`` where that is an int >= least, else ValueError naming ``name``."""
+    try:
+        n = index(value)
+        if n >= least:
+            return n
+    except TypeError:
+        pass
+    raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
 
 
 def json_int(value) -> int:

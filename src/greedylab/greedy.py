@@ -41,7 +41,7 @@ from typing import Optional, Sequence
 from .alloc import concave_min, drop_collinear, min_plus
 from .errors import InvariantError
 from .errorseq import ErrorSequence
-from .exact import Rational
+from .exact import Rational, int_at_least
 from .spaces import NormValue, SpaceSpec, space_norm
 from .vectors import CompressedVector
 
@@ -151,8 +151,7 @@ class GreedyProfile:
         at ``choose``, with its witness; the worst takes the first
         ``choose`` units of the class's fill, as the gamma sequence does.
         """
-        if n < 0:
-            raise ValueError("n must be >= 0")
+        n = int_at_least(n, 0, "n")
         i = bisect.bisect_right(self._ends, n) - 1  # n >= support: below every class
         k, mag, m, members = self._classes[i] if i < len(self._classes) else (n, 0, None, ())
         forced = {b: self.above(b, mag) for b in self._blocks}
@@ -201,9 +200,7 @@ class GreedyProfile:
 
     def sigma(self, n: int) -> NormValue:
         """Best n-term approximation error (exact, suppression projection)."""
-        if n < 0:
-            raise ValueError("n must be >= 0")
-        return NormValue.from_power(self.sequence("sigma").power(n), self.p)
+        return NormValue.from_power(self.sequence("sigma").power(int_at_least(n, 0, "n")), self.p)
 
     def sequence(self, kind: str) -> ErrorSequence:
         """Full k -> sigma_k or gamma_k sequence, as knots.

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from itertools import accumulate
 from operator import mul
 
-from .exact import json_int, json_shape
+from .exact import int_at_least, json_int, json_shape
 
 
 @dataclass(frozen=True)
@@ -27,10 +27,9 @@ class BlockSchedule:
     allow_slow_start: bool = False  # override the a_1 >= 4 requirement
 
     def __post_init__(self):
+        object.__setattr__(self, "a", tuple(int_at_least(x, 2, "multiplier") for x in self.a))
         if len(self.a) < 2:
             raise ValueError("schedule needs at least two multipliers (one block)")
-        if any(x <= 1 for x in self.a):
-            raise ValueError("multipliers must be >= 2")
         if any(self.a[i] >= self.a[i + 1] for i in range(len(self.a) - 1)):
             raise ValueError("multipliers must be strictly increasing")
         if not self.allow_slow_start and self.a[0] < 4:
@@ -49,16 +48,6 @@ class BlockSchedule:
             out *= x
         return out
 
-    def cap(self, i: int) -> int:
-        """Cap of 0-based block i (= n_{i+1})."""
-        self._check_block(i)
-        return self.n(i + 1)
-
-    def size(self, i: int) -> int:
-        """Size of 0-based block i (= n_{i+2})."""
-        self._check_block(i)
-        return self.n(i + 2)
-
     def caps(self) -> list[int]:
         """Every block's cap, n_1 .. n_{m-1}, from one running product."""
         return self._prefix_products()[1:-1]
@@ -70,10 +59,6 @@ class BlockSchedule:
     def _prefix_products(self) -> list[int]:
         """n_0 .. n_m, each one multiplication from the last."""
         return list(accumulate(self.a, mul, initial=1))
-
-    def _check_block(self, i: int) -> None:
-        if not 0 <= i < self.num_blocks:
-            raise IndexError(f"block {i} not materialized (have {self.num_blocks})")
 
     def truncate(self, num_blocks: int) -> "BlockSchedule":
         if num_blocks > self.num_blocks:

@@ -17,13 +17,11 @@ import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Optional, Sequence, Union
+from typing import Iterable, Optional, Sequence
 
-from .exact import json_int, json_number, json_shape, pow_rational, simplify
+from .exact import Rational, int_at_least, json_int, json_number, json_shape, pow_rational, simplify
 from .schedule import BlockSchedule
 from .vectors import CompressedVector, _check_sizes, canonicalize, indicator
-
-Rational = Union[int, Fraction]
 
 
 @dataclass(frozen=True)
@@ -32,13 +30,12 @@ class Block:
     size: Optional[int]  # dimension of the block; None = unbounded
 
     def __post_init__(self):
-        if self.cap is not None and self.cap < 1:
-            raise ValueError("block cap must be >= 1")
-        if self.size is not None:
-            if self.size < 1:
-                raise ValueError("block size must be >= 1")
-            if self.cap is not None and self.cap > self.size:
-                raise ValueError("block cap cannot exceed block size")
+        for name in ("cap", "size"):  # each kept as the int it stands for
+            value = getattr(self, name)
+            if value is not None:
+                object.__setattr__(self, name, int_at_least(value, 1, f"block {name}"))
+        if None not in (self.cap, self.size) and self.cap > self.size:
+            raise ValueError("block cap cannot exceed block size")
 
 
 @dataclass(frozen=True)

@@ -17,11 +17,11 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from fractions import Fraction
-from operator import index, itemgetter
+from operator import itemgetter
 from typing import Iterable, Mapping, Optional, Sequence
 
 from .errors import CapacityError
-from .exact import Rational, as_fraction, as_rational, json_int, json_number, json_shape
+from .exact import Rational, as_fraction, as_rational, int_at_least, json_int, json_number, json_shape
 
 # (block id, magnitude, multiplicity); canonical order is by block then
 # descending magnitude.
@@ -88,7 +88,7 @@ def canonicalize(
 ) -> CompressedVector:
     """Merge, sort and validate raw groups into canonical form.
 
-    Block ids and multiplicities must be integers (``operator.index``); zero
+    Block ids and multiplicities must be integers >= 0 (``int_at_least``); zero
     magnitudes and zero multiplicities are dropped; identical
     (block, magnitude) pairs merge; integral magnitudes become ints; groups
     come out sorted by (block, descending magnitude).  Idempotent by
@@ -98,19 +98,11 @@ def canonicalize(
     """
     merged: dict[tuple[int, int, int], list] = {}
     for block, magnitude, multiplicity in raw:
-        try:  # int() would truncate a multiplicity 2.5 to 2 and a block id 0.9 to 0
-            block, mult = index(block), index(multiplicity)
-        except TypeError:
-            raise ValueError(
-                f"block id {block!r} and multiplicity {multiplicity!r} must be integers"
-            ) from None
+        block = int_at_least(block, 0, "block id")
+        mult = int_at_least(multiplicity, 0, "multiplicity")
         mag = as_rational(magnitude)
-        if block < 0:
-            raise ValueError(f"negative block id {block}")
         if mag < 0:
             raise ValueError(f"negative magnitude {mag} in block {block}")
-        if mult < 0:
-            raise ValueError(f"negative multiplicity {mult} in block {block}")
         if mag == 0 or mult == 0:
             continue
         # Keyed by exact ints: a tuple of ints hashes faster than a Fraction.

@@ -745,7 +745,7 @@ def test_gamma_on_a_tie_over_14_blocks_of_10_20_coordinates(tmp_path):
 
 def test_gamma_on_the_all_ones_vector_of_a_40_block_window(tmp_path):
     sched = greedylab.arithmetic_schedule(40)
-    blocks = [[sched.cap(b), sched.size(b)] for b in range(40)]
+    blocks = list(zip(sched.caps(), sched.sizes()))
     space = write(tmp_path / "window40.json", {"blocks": blocks})
     vector = write(tmp_path / "ones40.json",
                    {"groups": [[b, "1", str(size)] for b, (_, size) in enumerate(blocks)]})

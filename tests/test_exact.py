@@ -1,10 +1,97 @@
-"""The exact surd comparison against high-precision decimal square roots."""
+"""The integer rule at every site that takes it, and the exact surd
+comparison against high-precision decimal square roots."""
 
 import random
+import re
 from decimal import Decimal, localcontext
 from fractions import Fraction
 
+import pytest
+
+from greedylab import (
+    Block,
+    BlockSchedule,
+    ErrorSequence,
+    SpaceSpec,
+    arithmetic_schedule,
+    build_xs,
+    canonicalize,
+    cghm_construct,
+    condition71_check,
+    demfun_dp,
+    demfun_table,
+    doubling_scan,
+    prefix_norm_conjecture_check,
+    squares_schedule,
+)
+from greedylab.democracy import one_plus_log2, sqrt_of
 from greedylab.exact import sqrt_plus_const_ge
+from greedylab.greedy import GreedyProfile
+
+SPEC = SpaceSpec.block_sum([(2, 4), (3, 6)])
+
+
+def _sequence():
+    return ErrorSequence("sigma", 2, [(0, 4), (2, 0)])
+
+
+def _profile():
+    return GreedyProfile(SPEC.vector([(0, 3, 2), (1, 1, 4)]), SPEC)
+
+
+def _check71(k, n):
+    return condition71_check(sqrt_of, one_plus_log2, [(k, n)], 1.0, 0.25)
+
+
+# (argument name, least, a call passing the value to that argument): every
+# count, index and block parameter of the Python API that takes the integer rule.
+SITES = [
+    ("block id", 0, lambda v: canonicalize([(v, 1, 1)])),
+    ("multiplicity", 0, lambda v: canonicalize([(0, 1, v)])),
+    ("block cap", 1, lambda v: Block(v, 10)),
+    ("block size", 1, lambda v: Block(None, v)),
+    ("multiplier", 2, lambda v: BlockSchedule((v, 5, 6), allow_slow_start=True)),
+    ("k", 0, lambda v: _sequence().power(v)),
+    ("upto", 0, lambda v: _sequence().powers(v)),
+    ("n", 0, lambda v: _profile().gamma(v)),
+    ("n", 0, lambda v: _profile().sigma(v)),
+    ("n", 0, lambda v: demfun_dp(SPEC, v)),
+    ("max_n", 0, lambda v: demfun_table(SPEC, v)),
+    ("n", 0, lambda v: demfun_table(SPEC, 5).hl_power(v)),
+    ("n", 0, lambda v: demfun_table(SPEC, 5).hr_power(v)),
+    ("k", 1, lambda v: doubling_scan(arithmetic_schedule(3), [v])),
+    ("N", 0, lambda v: prefix_norm_conjecture_check(arithmetic_schedule(3), [v])),
+    ("count", 1, lambda v: cghm_construct(sqrt_of, one_plus_log2, 2.0, 0.25, v)),
+    ("probe_limit", 1, lambda v: cghm_construct(sqrt_of, one_plus_log2, 2.0, 0.25, 1, v)),
+    ("pair 1: k", 1, lambda v: _check71(v, 4)),
+    ("pair 1: n", 2, lambda v: _check71(2, v)),
+    ("s", 2, lambda v: build_xs(squares_schedule(4), v)),
+]
+
+
+@pytest.mark.parametrize("bad", ["2.5", "2.0", "least - 1"])
+@pytest.mark.parametrize("name, least, call", SITES,
+                         ids=[f"{i}-{name}" for i, (name, _, _) in enumerate(SITES)])
+def test_every_site_refuses_what_is_not_an_integer_at_least_its_bound(name, least, call, bad):
+    # 2.0 is refused as JSON refuses it; 2.5 was truncated, interpolated or a TypeError.
+    value = {"2.5": 2.5, "2.0": 2.0, "least - 1": least - 1}[bad]
+    message = f"^{re.escape(name)} must be an integer >= {least}, got {re.escape(repr(value))}$"
+    with pytest.raises(ValueError, match=message):
+        call(value)
+
+
+def test_huge_ints_pass_the_integer_rule():
+    big = 10**30
+    assert Block(big, big).cap == big
+    assert canonicalize([(big, 1, big)]).groups == ((big, 1, big),)
+    assert BlockSchedule((4, big)).caps() == [4]
+    assert _sequence().power(big) == 0
+    profile = _profile()
+    assert profile.gamma(big).residual_max.power_exact == 0 == profile.sigma(big).power_exact
+    point = demfun_dp(SpaceSpec.block_sum([(big, big)]), big)
+    assert point.hl_power == big == point.hr_power
+    assert cghm_construct(sqrt_of, one_plus_log2, 2.0, 0.25, big, probe_limit=1).exhausted
+    assert _check71(big, big).rows[0]["k"] == big
 
 
 def _decimal(value):

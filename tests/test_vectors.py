@@ -68,7 +68,7 @@ def test_canonicalize_rejects_negative_inputs():
         canonicalize([(-1, 1, 1)])
     # Non-integral block ids and multiplicities are refused, not truncated.
     for raw in ([(0, 3, 2.5)], [(0.9, 1, 1)], [(0, 1, Fraction(3, 2))], [(0, 1, "2")]):
-        with pytest.raises(ValueError, match="must be integers"):
+        with pytest.raises(ValueError, match="must be an integer >= 0"):
             canonicalize(raw)
     with pytest.raises(ValueError, match="2.5"):
         SpaceSpec.lp(2, 6).vector([(0, 3, 2.5)])
