@@ -41,24 +41,6 @@ from .exact import int_at_least, json_int, json_number, json_shape
 from .schedule import BlockSchedule
 from .spaces import SpaceSpec
 
-__all__ = [
-    "DemPoint",
-    "DemFunTable",
-    "demfun_dp",
-    "demfun_table",
-    "doubling_scan",
-    "DoublingRow",
-    "prefix_norm_conjecture_check",
-    "PrefixReport",
-    "cghm_construct",
-    "CghmSequences",
-    "condition71_check",
-    "Condition71Report",
-    "one_plus_log2",
-    "sqrt_of",
-    "h_function_from_json",
-]
-
 
 @dataclass(frozen=True)
 class DemPoint:
@@ -86,6 +68,8 @@ def _finite_blocks(spec: SpaceSpec) -> list[tuple[int, int]]:
 
 def _adequate_blocks(spec: SpaceSpec, n: int, which: str) -> list[tuple[int, int]]:
     """The (cap, size) blocks, refusing queries the window cannot answer exactly."""
+    if which not in ("hl", "hr", "both"):
+        raise ValueError("which must be 'hl', 'hr' or 'both'")
     blocks = _finite_blocks(spec)
     total_size = sum(s for _, s in blocks)
     if spec.schedule is not None:
@@ -120,8 +104,6 @@ def demfun_dp(
     window often answers h_l at N whose h_r would need deeper caps.
     """
     n = int_at_least(n, 0, "n")
-    if which not in ("hl", "hr", "both"):
-        raise ValueError("which must be 'hl', 'hr' or 'both'")
     if method != "extreme":
         raise ValueError("method must be 'extreme'")
     blocks = _adequate_blocks(spec, n, which)
@@ -236,8 +218,6 @@ class DemFunTable:
 
 def demfun_table(spec: SpaceSpec, max_n: int, which: str = "both") -> DemFunTable:
     max_n = int_at_least(max_n, 0, "max_n")
-    if which not in ("hl", "hr", "both"):
-        raise ValueError("which must be 'hl', 'hr' or 'both'")
     blocks = _adequate_blocks(spec, max_n, which)
     hl = tuple(_hl_table(blocks, max_n)) if which != "hr" else None
     hr = tuple(_ramp(0, sum(c for c, _ in blocks), max_n)) if which != "hl" else None
@@ -279,20 +259,18 @@ def doubling_scan(schedule: BlockSchedule, ks: Iterable[int]) -> DoublingReport:
     passed the window's checks, one walk of the recurrence answers all N.
     """
     spec = SpaceSpec.from_schedule(schedule)
-    sizes = spec.sizes()  # block k - 1 has cap n_k and size n_{k+1}
     ks = sorted({int_at_least(k, 1, "k") for k in ks})
     if not ks:  # a report with no rows would pass having checked nothing
         raise ValueError("doubling scan needs at least one block index k")
-    for k in ks:
-        if k + 1 > len(schedule.a):
-            raise TruncationError(f"scan at k={k} needs multiplier a_{k + 1}")
-        if 2 * sizes[k - 1] > sizes[-1]:
-            _adequate_blocks(spec, 2 * sizes[k - 1], "hl")  # raises its TruncationError
-    blocks, ns = _finite_blocks(spec), [sizes[k - 1] for k in ks]
-    hl = [value for value, _ in _hl_points(blocks, ns + [2 * n for n in ns])]
+    deepest, ns = schedule.n(len(schedule.a)), []
+    for k in ks:  # the smallest k the window cannot answer names the refusal
+        ns.append(schedule.n(k + 1))
+        if 2 * ns[-1] > deepest:
+            _adequate_blocks(spec, 2 * ns[-1], "hl")  # raises its TruncationError
+    hl = [value for value, _ in _hl_points(_finite_blocks(spec), ns + [2 * n for n in ns])]
     rows = []
     for k, n_k1, hl_n, hl_2n in zip(ks, ns, hl, hl[len(ns):]):
-        n_k = blocks[k - 1][0]
+        n_k = schedule.n(k)
         ratio_sq = Fraction(hl_2n, hl_n)
         bound_sq = Fraction(2, 3) * schedule.a[k]
         rows.append(
@@ -332,16 +310,12 @@ def prefix_norm_conjecture_check(
     counterexample and is surfaced, not suppressed.
     """
     spec = SpaceSpec.from_schedule(schedule)
-    blocks = _finite_blocks(spec)
     ns = sorted({int_at_least(n, 0, "N") for n in n_values})
     if not ns:  # a report with no rows would pass having checked nothing
         raise ValueError("no N to check")
-    max_n = ns[-1]
-    prefix = _prefix_table(blocks, max_n)
-    deeper = [n for n in ns if n >= len(prefix)]
-    if deeper:
-        raise TruncationError(f"prefix of {deeper[0]} vectors needs a deeper schedule")
-    table = demfun_table(spec, max_n, which="hl")
+    # The table refuses past the deepest block, so the blocks hold every prefix.
+    table = demfun_table(spec, ns[-1], which="hl")
+    prefix = _prefix_table(_finite_blocks(spec), ns[-1])
     rows = [(n, prefix[n], table.hl_power(n)) for n in ns]
     bad = [n for n, pre, hl in rows if pre != hl]
     return PrefixReport(tuple(rows), tuple(bad), not bad)

@@ -49,6 +49,7 @@ class SpaceSpec:
     @staticmethod
     def lp(p: int | float, dim: Optional[int] = None) -> "SpaceSpec":
         p = _normalize_p(p)
+        dim = None if dim is None else int_at_least(dim, 1, "dim")
         return SpaceSpec("lp", (Block(dim, dim),), inner_p=p, outer_p=p)
 
     @staticmethod

@@ -28,3 +28,15 @@ def test_criterion_9_decides_the_values(monkeypatch):
     monkeypatch.setattr(approx, "quasinorm_bracket", lambda *args: (1.0,) * 3)
     passed, detail = acceptance.criterion_9()
     assert not passed and "does not lie below" in detail, detail
+
+
+def test_criterion_11_fails_on_a_wrong_hl_table(monkeypatch):
+    # One h_l value off by one must fail the check.  Were both sides read off
+    # the same table, the error would cancel and the check would still pass.
+    from greedylab import democracy
+
+    real = democracy._hl_table
+    monkeypatch.setattr(democracy, "_hl_table", lambda blocks, max_n: [
+        h + (n == 7) for n, h in enumerate(real(blocks, max_n))])
+    passed, detail = acceptance.criterion_11()
+    assert not passed and "h_l(7)^2 changed" in detail, detail

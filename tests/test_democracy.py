@@ -335,7 +335,8 @@ def test_prefix_check_refuses_no_n():
 
 def test_prefix_check_refuses_past_the_blocks_before_hl_does():
     sched = arithmetic_schedule(3)  # block sizes 20, 120 and 840: 980 in all
-    with pytest.raises(TruncationError, match="^prefix of 981 vectors needs a deeper schedule$"):
+    # N past the deepest block (840) is refused by the h_l table, so 981 is never reached.
+    with pytest.raises(TruncationError, match=r"^h_l\(990\) needs a materialized block"):
         prefix_norm_conjecture_check(sched, [1, 900, 981, 990])
     with pytest.raises(TruncationError, match=r"^h_l\(980\) needs"):
         prefix_norm_conjecture_check(sched, [1, 900, 980])

@@ -66,6 +66,11 @@ SITES = [
     ("pair 1: k", 1, lambda v: _check71(v, 4)),
     ("pair 1: n", 2, lambda v: _check71(2, v)),
     ("s", 2, lambda v: build_xs(squares_schedule(4), v)),
+    ("num_blocks", 1, lambda v: arithmetic_schedule(v)),
+    ("num_blocks", 1, lambda v: squares_schedule(v)),
+    ("k", 0, lambda v: arithmetic_schedule(3).n(v)),
+    ("num_blocks", 1, lambda v: arithmetic_schedule(3).truncate(v)),
+    ("dim", 1, lambda v: SpaceSpec.lp(2, v)),
 ]
 
 

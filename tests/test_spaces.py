@@ -12,6 +12,7 @@ from greedylab import (
     NormValue,
     OracleUnavailableError,
     SpaceSpec,
+    TruncationError,
     arithmetic_schedule,
     space_from_json,
     space_norm,
@@ -363,3 +364,13 @@ def test_schedule_validation():
     assert sched.caps() == [4, 20, 120]
     assert sched.sizes() == [20, 120, 840]
     assert sched.truncate(2).a == (4, 5, 6)
+
+
+def test_prefix_products_are_refused_past_the_multipliers():
+    # n(10) once returned n_4 = 840, and n(-1) returned n_3 = 120.
+    sched = BlockSchedule((4, 5, 6, 7))
+    assert [sched.n(k) for k in range(5)] == [1, 4, 20, 120, 840]
+    with pytest.raises(TruncationError, match="^n_10 needs multiplier a_10; the schedule ends at a_4$"):
+        sched.n(10)
+    with pytest.raises(ValueError, match="^k must be an integer >= 0, got -1$"):
+        sched.n(-1)
