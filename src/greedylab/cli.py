@@ -19,6 +19,7 @@ import math
 import os
 import sys
 import tempfile
+from dataclasses import asdict
 from itertools import repeat
 from typing import Iterable, Optional
 
@@ -233,20 +234,9 @@ def cmd_cghm(args) -> int:
     seqs = cghm_construct(
         h_r, h_l, args.c_doubling, args.alpha, args.count, args.probe_limit
     )
-    emit_report(
-        {
-            "w": list(seqs.w),
-            "r": list(seqs.r_of_mu),
-            "k": list(seqs.k),
-            "n": list(seqs.n),
-            "c_doubling": seqs.c_doubling,
-            "alpha": seqs.alpha,
-            "exhausted": seqs.exhausted,
-            "exhausted_reason": seqs.exhausted_reason,
-            "checks": list(seqs.checks),
-        },
-        path=args.out,
-    )
+    report = asdict(seqs)
+    report["r"] = report.pop("r_of_mu")
+    emit_report(report, path=args.out)
     if seqs.checks and not seqs.all_checks_pass():
         _diag("cghm: a verification check failed")
         return 1
@@ -272,7 +262,7 @@ def cmd_check71(args) -> int:
         rows = (json_shape(row, list, 2) for row in listed)
     pairs = [(json_int(k), json_int(n)) for k, n in rows]
     report = condition71_check(h_r, h_l, pairs, args.C, args.alpha)
-    emit_report({"rows": list(report.rows), "all_pass": report.all_pass}, path=args.out)
+    emit_report(asdict(report), path=args.out)
     return 0 if report.all_pass else 1
 
 

@@ -408,6 +408,16 @@ def _first_crossing(
         return n, f"h_r/h_l is not known at N = {n}, before any N with h_r/h_l >= {target}"
 
 
+def _at_most(lhs: float, rhs: float) -> bool:
+    """lhs <= rhs up to a relative slack of 1e-12: a decision on floats."""
+    return lhs <= rhs * (1 + 1e-12)
+
+
+def _at_least(lhs: float, rhs: float) -> bool:
+    """lhs >= rhs up to a relative slack of 1e-12: a decision on floats."""
+    return lhs >= rhs * (1 - 1e-12)
+
+
 def _require_finite(**values: float) -> None:
     """Refuse a nan or infinite parameter up front: its report could not be written as JSON."""
     for name, value in values.items():
@@ -448,7 +458,7 @@ def cghm_construct(
             h_n, h_2n = h_l(probe), h_l(2 * probe)
         except LookupError:
             break
-        if h_2n > c_doubling * h_n * (1 + 1e-12):
+        if not _at_most(h_2n, c_doubling * h_n):
             raise ValueError(
                 f"h_l is not {c_doubling}-doubling at N={probe}: "
                 f"{h_2n} > {c_doubling} * {h_n}"
@@ -458,50 +468,38 @@ def cghm_construct(
     def ratio(n: int) -> float:
         return h_r(n) / h_l(n)
 
-    ws: list[int] = []
-    rs: list[int] = []
-    ks: list[int] = []
-    ns: list[int] = []
+    terms: list[tuple[int, int, int, int]] = []  # (w, r, k, n) per mu
     checks: list[dict] = []
-    exhausted = False
     reason = None
-
-    w_prev = 0
-    k_prev = 0
+    w = k = 0
     for mu in range(1, count + 1):
-        w, reason = _first_crossing(ratio, float(mu), w_prev + 1, probe_limit, str(mu))
+        w, reason = _first_crossing(ratio, float(mu), w + 1, probe_limit, str(mu))
         if reason:
-            exhausted = True
             break
         r = w.bit_length()  # 2^(r-1) <= w < 2^r
         threshold = (c_doubling**r) * (w**alpha)
         target = f"C^{r} * {w}^{alpha}"
-        k, reason = _first_crossing(ratio, threshold, max(k_prev + 1, w), probe_limit, target)
+        k, reason = _first_crossing(ratio, threshold, max(k + 1, w), probe_limit, target)
         if reason:
-            exhausted = True
             break
         n = w * k
         try:
             h_n = h_l(n)
         except LookupError:
-            exhausted, reason = True, f"h_l is not known at N = w * k = {n}, which the checks read"
+            reason = f"h_l is not known at N = w * k = {n}, which the checks read"
             break
         checks.append(
             {
-                "cghm2": h_n <= (c_doubling**r) * h_l(k) * (1 + 1e-12),
-                "cghm3": ratio(k) >= threshold * (1 - 1e-12),
-                "chain": h_r(k) / h_n >= (n / k) ** alpha * (1 - 1e-12),
+                "cghm2": _at_most(h_n, (c_doubling**r) * h_l(k)),
+                "cghm3": _at_least(ratio(k), threshold),
+                "chain": _at_least(h_r(k) / h_n, (n / k) ** alpha),
             }
         )
-        ws.append(w)
-        rs.append(r)
-        ks.append(k)
-        ns.append(n)
-        w_prev, k_prev = w, k
+        terms.append((w, r, k, n))
 
+    ws, rs, ks, ns = tuple(zip(*terms)) or ((),) * 4
     return CghmSequences(
-        tuple(ws), tuple(rs), tuple(ks), tuple(ns),
-        c_doubling, alpha, exhausted, reason, tuple(checks),
+        ws, rs, ks, ns, c_doubling, alpha, reason is not None, reason, tuple(checks)
     )
 
 
@@ -535,7 +533,7 @@ def condition71_check(
         growth_ok = prev_ratio is None or growth_ratio > prev_ratio
         lhs = h_r(k) / h_l(n)
         rhs = c * float(growth_ratio) ** alpha
-        inequality_ok = lhs >= rhs * (1 - 1e-12)
+        inequality_ok = _at_least(lhs, rhs)
         rows.append(
             {
                 "mu": mu,

@@ -237,15 +237,16 @@ class LatticeReport:
     failures: list = field(default_factory=list)
 
 
-def lattice_check(spec: SpaceSpec, trials: int = 200, seed: int = 0) -> LatticeReport:
+def lattice_check(spec: SpaceSpec) -> LatticeReport:
     """Property-check the lattice inequality and basis normalization.
 
-    For random x and random per-coordinate factors |lambda| <= 1 the norm
-    must not increase; every basis vector must have norm exactly 1.  All
-    comparisons are exact (rational magnitudes, integer exponents).
+    For 200 random x (seed 0) and random per-coordinate factors
+    |lambda| <= 1 the norm must not increase; every basis vector must have
+    norm exactly 1.  All comparisons are exact (rational magnitudes,
+    integer exponents).
     """
-    rng = random.Random(seed)
-    report = LatticeReport(passed=True, trials=trials)
+    rng = random.Random(0)
+    report = LatticeReport(passed=True, trials=200)
 
     for b in range(spec.num_blocks):
         e = spec.indicator({b: 1})
@@ -254,7 +255,7 @@ def lattice_check(spec: SpaceSpec, trials: int = 200, seed: int = 0) -> LatticeR
             report.passed = False
             report.failures.append({"kind": "normalization", "block": b, "norm": nv.value})
 
-    for t in range(trials):
+    for t in range(report.trials):
         x = random_vector(spec, rng)
         if x.is_zero:
             continue

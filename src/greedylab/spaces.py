@@ -262,21 +262,16 @@ def _float_norm(x: CompressedVector, spec: SpaceSpec) -> float:
 # Random instances
 
 
-def random_vector(
-    spec: SpaceSpec,
-    rng: random.Random,
-    max_groups_per_block: int = 3,
-    max_mag: int = 8,
-    max_count: int = 4,
-) -> CompressedVector:
-    """Small random canonical vector that respects the space's capacities."""
+def random_vector(spec: SpaceSpec, rng: random.Random, *, max_mag: int = 8) -> CompressedVector:
+    """Small random canonical vector that respects the space's capacities:
+    up to 3 groups per block, of 1 to 4 coordinates each."""
     raw = []
     for b, block in enumerate(spec.blocks):
-        room = block.size if block.size is not None else max_count * max_groups_per_block
-        for _ in range(rng.randint(0, max_groups_per_block)):
+        room = block.size if block.size is not None else 12
+        for _ in range(rng.randint(0, 3)):
             if room <= 0:
                 break
-            count = rng.randint(1, min(max_count, room))
+            count = rng.randint(1, min(4, room))
             mag = Fraction(rng.randint(0, max_mag * 4), 4)
             raw.append((b, mag, count))
             room -= count

@@ -25,6 +25,7 @@ from greedylab import (
 from greedylab import alloc, democracy, explicit
 from greedylab.democracy import one_plus_log2, sqrt_of
 from greedylab.explicit import demfun_bruteforce
+from greedylab.greedy import GreedyProfile
 from greedylab.spaces import space_norm
 
 
@@ -189,16 +190,6 @@ def test_table_monotone_and_doubling():
     assert all(l <= r for l, r in zip(hl, hr))
     for n in range(1, 71):
         assert hr[2 * n] <= 4 * hr[n]  # h_r(2N) <= 2 h_r(N) on squares
-
-
-def test_truncation_stability_of_hl():
-    small = SpaceSpec.from_schedule(arithmetic_schedule(2))
-    big = SpaceSpec.from_schedule(arithmetic_schedule(3))
-    limit = max(b.size for b in small.blocks)
-    ts = demfun_table(small, limit, which="hl")
-    tb = demfun_table(big, limit, which="hl")
-    for n in range(limit + 1):
-        assert ts.hl_power(n) == tb.hl_power(n)
 
 
 def test_table_withholds_unrequested_side():
@@ -441,6 +432,20 @@ def test_condition71_failure_modes():
     assert not report.rows[1]["inequality_ok"]
 
 
+@pytest.mark.parametrize("excess, accepted", [(5e-13, True), (2e-12, False)])
+def test_float_checks_allow_a_relative_slack_of_1e_12(excess, accepted):
+    # The doubling precondition and the 7.1 inequality are decisions on
+    # floats that forgive a relative 1e-12, and no more.
+    h_l = {1: 1.0, 2: 2.0 * (1 + excess)}.__getitem__  # h_l(2) / h_l(1) = C * (1 + excess)
+    if accepted:
+        assert cghm_construct(h_l, h_l, 2.0, 0.25, 1).exhausted  # h_r/h_l is 1 where known
+    else:
+        with pytest.raises(ValueError, match="^h_l is not 2\\.0-doubling at N=1:"):
+            cghm_construct(h_l, h_l, 2.0, 0.25, 1)
+    report = condition71_check(lambda n: 1.0 - excess, lambda n: 1.0, [(1, 1)], 1.0, 1.0)
+    assert report.rows[0]["inequality_ok"] is accepted
+
+
 # -- the h_l recurrence vs the oracles ---------------------------------------
 
 
@@ -554,16 +559,19 @@ def test_hl_states_on_a_schedule_stay_below_the_block_count(monkeypatch):
 def test_gamma_of_the_all_ones_vector_is_the_democracy_function(blocks):
     # The residual of the all-ones vector after N greedy steps is the
     # indicator of the T - N coordinates left, and every set of that size is
-    # one tie resolution.  The table's bottom-up h_l shares no code with the
-    # kernel gamma's best case runs on.
+    # one tie resolution; the best N-term approximation leaves the cheapest
+    # such set.  The table's bottom-up h_l shares no code with the kernel
+    # gamma's best case runs on, nor with sigma's `alloc.min_plus` fold.
     spec = SpaceSpec.block_sum(blocks)
     total = sum(s for _, s in blocks)
     x = spec.indicator({b: size for b, (_, size) in enumerate(blocks)})
     table = demfun_table(spec, total)
+    sigma = GreedyProfile(x, spec).sequence("sigma")
     for n in range(total + 1):
         out = gamma(x, n, spec)
         assert out.residual_max.power_exact == table.hr_power(total - n)
         assert out.residual_min.power_exact == table.hl_power(total - n)
+        assert sigma.power(n) == table.hl_power(total - n)
 
 
 def test_gamma_of_the_all_ones_window_needs_at_most_a_state_per_block(monkeypatch):

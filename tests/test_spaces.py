@@ -307,7 +307,7 @@ def test_basis_vectors_are_normalized():
 
 def test_lattice_check_block_sum_200_trials():
     spec = SpaceSpec.from_schedule(arithmetic_schedule(2))
-    report = lattice_check(spec, trials=200, seed=0)
+    report = lattice_check(spec)
     assert report.passed, report.failures
 
 
