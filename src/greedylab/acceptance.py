@@ -117,7 +117,7 @@ def criterion_4() -> tuple[bool, str]:
         oracle = explicit.sigma_oracle_grid(values, n, spec)
         worst = max(worst, abs(exact - oracle))
         if abs(exact - oracle) > 1e-6:
-            return False, f"instance {i}: |{exact} - {oracle}| > 1e-6 ({spec.variant}, N={n})"
+            return False, f"instance {i}: |{exact} - {oracle}| > 1e-6 ({spec}, N={n})"
     return True, f"50 instances agree; worst |diff| = {worst:.2e}"
 
 

@@ -352,6 +352,9 @@ def h_function_from_json(obj: dict) -> Callable[[int], float]:
     raise ValueError(f"unknown h-function kind {kind!r}")
 
 
+_UNKNOWN = (LookupError, OverflowError)  # h is not known there: past a table or the float range
+
+
 @dataclass(frozen=True)
 class CghmSequences:
     w: tuple[int, ...]
@@ -404,7 +407,7 @@ def _first_crossing(
             else:
                 lo_fail = mid
         return hi, None
-    except (LookupError, OverflowError):
+    except _UNKNOWN:
         return n, f"h_r/h_l is not known at N = {n}, before any N with h_r/h_l >= {target}"
 
 
@@ -456,7 +459,7 @@ def cghm_construct(
     while probe <= probe_limit // 2:
         try:
             h_n, h_2n = h_l(probe), h_l(2 * probe)
-        except LookupError:
+        except _UNKNOWN:
             break
         if not _at_most(h_2n, c_doubling * h_n):
             raise ValueError(
@@ -485,7 +488,7 @@ def cghm_construct(
         n = w * k
         try:
             h_n = h_l(n)
-        except LookupError:
+        except _UNKNOWN:
             reason = f"h_l is not known at N = w * k = {n}, which the checks read"
             break
         checks.append(

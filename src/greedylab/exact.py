@@ -5,11 +5,13 @@ Everything that feeds a pass/fail assertion is compared on exact rationals
 
 ``int_at_least`` is the one integer rule of the Python API: every count,
 index and block parameter goes through it, so 2.5 and 2.0 are refused there
-as ``json_int`` refuses them in JSON, never truncated.
+as ``json_int`` refuses them in JSON, never truncated.  ``norm_exponent`` is
+the one exponent rule, applied where spaces and schedules are built.
 """
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from operator import index
 from typing import Optional, Union
@@ -45,6 +47,16 @@ def int_at_least(value, least: int, name: str) -> int:
     except TypeError:
         pass
     raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
+
+
+def norm_exponent(value, name: str) -> Union[int, float]:
+    """A finite int or float >= 1, an integral float as its int; anything else
+    (NaN, an infinity, a bool, a str) raises ValueError naming ``name``."""
+    if type(value) is float and value.is_integer():  # False for NaN and the infinities
+        value = int(value)
+    if (type(value) is int or type(value) is float and math.isfinite(value)) and value >= 1:
+        return value
+    raise ValueError(f"exponent {name} must be a finite number >= 1, got {value!r}")
 
 
 def json_int(value) -> int:

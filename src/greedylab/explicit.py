@@ -97,10 +97,10 @@ def from_explicit(values: Sequence, spec: SpaceSpec) -> CompressedVector:
 
 def norm_power(values: Sequence, spec: SpaceSpec):
     """Exact p-th power of the space norm (needs integer inner_p == outer_p)."""
-    if spec.inner_p != spec.outer_p or not isinstance(spec.inner_p, int):
+    p = spec.exact_p
+    if p is None:
         raise ValueError("exact explicit norm needs integer inner_p == outer_p")
     _check_count(values, spec)
-    p = spec.inner_p
     offsets = block_offsets(spec)
     total = 0
     for b, block in enumerate(spec.blocks):
@@ -448,8 +448,8 @@ def sigma_power_table(x: CompressedVector, spec: SpaceSpec) -> tuple:
     its magnitudes laid out one by one in descending order, with prefix
     sums of their p-th powers.  Quadratic in the support.
     """
-    p = spec.inner_p
-    if spec.inner_p != spec.outer_p or not isinstance(p, int):
+    p = spec.exact_p
+    if p is None:
         raise ValueError("exact sigma table needs integer inner_p == outer_p")
     x = spec.conform(x)
     residuals = []

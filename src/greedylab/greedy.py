@@ -93,8 +93,8 @@ class GreedyProfile:
     """
 
     def __init__(self, x: CompressedVector, spec: SpaceSpec):
-        self.x, self.spec, self.p = spec.conform(x), spec, spec.inner_p
-        if spec.inner_p != spec.outer_p or not isinstance(self.p, int):
+        self.x, self.spec, self.p = spec.conform(x), spec, spec.exact_p
+        if self.p is None:
             raise ValueError("exact greedy machinery needs integer inner_p == outer_p")
         scale = math.lcm(*(m.denominator for _b, m, _c in self.x.groups))
         self._dp, self._blocks, by_mag = scale**self.p, {}, {}

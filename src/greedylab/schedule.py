@@ -17,7 +17,7 @@ from itertools import accumulate
 from operator import mul
 
 from .errors import TruncationError
-from .exact import int_at_least, json_int, json_shape
+from .exact import int_at_least, json_int, json_shape, norm_exponent
 
 
 @dataclass(frozen=True)
@@ -31,6 +31,8 @@ class BlockSchedule:
 
     def __post_init__(self):
         object.__setattr__(self, "a", tuple(int_at_least(x, 2, "multiplier") for x in self.a))
+        for name in ("outer_p", "inner_p"):
+            object.__setattr__(self, name, norm_exponent(getattr(self, name), name))
         if len(self.a) < 2:
             raise ValueError("schedule needs at least two multipliers (one block)")
         if any(self.a[i] >= self.a[i + 1] for i in range(len(self.a) - 1)):
@@ -88,9 +90,9 @@ class BlockSchedule:
         )
 
 
-def arithmetic_schedule(num_blocks: int, start: int = 4, step: int = 1) -> BlockSchedule:
-    """Schedule a_j = start + (j-1)*step; the default family is 4, 5, 6, ..."""
-    a = tuple(start + j * step for j in range(int_at_least(num_blocks, 1, "num_blocks") + 1))
+def arithmetic_schedule(num_blocks: int) -> BlockSchedule:
+    """Schedule a_j = j + 3 = 4, 5, 6, ..."""
+    a = tuple(range(4, int_at_least(num_blocks, 1, "num_blocks") + 5))
     return BlockSchedule(a)
 
 

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Optional, Sequence
 
-from .exact import Rational, int_at_least, json_int, json_number, json_shape, pow_rational, simplify
+from .exact import Rational, int_at_least, json_int, json_shape, norm_exponent, pow_rational, simplify
 from .schedule import BlockSchedule
 from .vectors import CompressedVector, _check_sizes, canonicalize, indicator
 
@@ -40,44 +40,41 @@ class Block:
 
 @dataclass(frozen=True)
 class SpaceSpec:
-    variant: str  # "lp" | "trunc_block" | "block_sum"
     blocks: tuple[Block, ...]
     inner_p: int | float = 2
     outer_p: int | float = 2
     schedule: Optional[BlockSchedule] = None
 
+    def __post_init__(self):
+        if not self.blocks:
+            raise ValueError("block sum needs at least one block")
+        for name in ("inner_p", "outer_p"):  # each kept as the number it stands for
+            object.__setattr__(self, name, norm_exponent(getattr(self, name), name))
+
     @staticmethod
     def lp(p: int | float, dim: Optional[int] = None) -> "SpaceSpec":
-        p = _normalize_p(p)
         dim = None if dim is None else int_at_least(dim, 1, "dim")
-        return SpaceSpec("lp", (Block(dim, dim),), inner_p=p, outer_p=p)
+        return SpaceSpec((Block(dim, dim),), p, p)
 
     @staticmethod
     def trunc_block(cap: int, size: int, p: int | float = 2) -> "SpaceSpec":
-        p = _normalize_p(p)
-        return SpaceSpec("trunc_block", (Block(cap, size),), inner_p=p, outer_p=p)
+        return SpaceSpec((Block(cap, size),), p, p)
 
     @staticmethod
     def block_sum(
-        blocks: Iterable[tuple[int, int]],
-        inner_p: int | float = 2,
-        outer_p: int | float = 2,
+        blocks: Iterable[tuple[int, int]], inner_p: int | float = 2, outer_p: int | float = 2
     ) -> "SpaceSpec":
-        blk = tuple(Block(c, s) for c, s in blocks)
-        if not blk:
-            raise ValueError("block sum needs at least one block")
-        return SpaceSpec("block_sum", blk, _normalize_p(inner_p), _normalize_p(outer_p))
+        return SpaceSpec(tuple(Block(c, s) for c, s in blocks), inner_p, outer_p)
 
     @staticmethod
     def from_schedule(schedule: BlockSchedule) -> "SpaceSpec":
         blocks = tuple(map(Block, schedule.caps(), schedule.sizes()))
-        return SpaceSpec(
-            "block_sum",
-            blocks,
-            _normalize_p(schedule.inner_p),
-            _normalize_p(schedule.outer_p),
-            schedule=schedule,
-        )
+        return SpaceSpec(blocks, schedule.inner_p, schedule.outer_p, schedule)
+
+    @property
+    def exact_p(self) -> Optional[int]:
+        """The exact routes' one exponent: inner_p where it is an int equal to outer_p, else None."""
+        return self.inner_p if self.inner_p == self.outer_p and type(self.inner_p) is int else None
 
     @property
     def num_blocks(self) -> int:
@@ -87,12 +84,8 @@ class SpaceSpec:
         return [b.size for b in self.blocks]
 
     def dimension(self) -> Optional[int]:
-        total = 0
-        for b in self.blocks:
-            if b.size is None:
-                return None
-            total += b.size
-        return total
+        sizes = self.sizes()
+        return None if None in sizes else sum(sizes)
 
     def vector(self, raw) -> CompressedVector:
         """Canonicalize raw groups with this space's capacity checks."""
@@ -115,7 +108,7 @@ class SpaceSpec:
 
 def space_from_json(obj: dict) -> SpaceSpec:
     """Accept any of the documented space/schedule JSON shapes; every integer
-    field goes through ``json_int``, every exponent through ``_normalize_p``."""
+    field goes through ``json_int``, every exponent through ``norm_exponent``."""
     obj = json_shape(obj, dict)
     if "schedule" in obj:
         obj = json_shape(obj["schedule"], dict)
@@ -133,15 +126,6 @@ def space_from_json(obj: dict) -> SpaceSpec:
             obj.get("outer_p", 2),
         )
     raise ValueError("unrecognized space JSON (need 'a', 'lp', 'cap'/'size' or 'blocks')")
-
-
-def _normalize_p(p: int | float) -> int | float:
-    p = json_number(p)
-    if isinstance(p, float) and p.is_integer():
-        p = int(p)
-    if not p >= 1:  # refuses NaN too
-        raise ValueError("exponent p must satisfy p >= 1")
-    return p
 
 
 # ---------------------------------------------------------------------------
@@ -231,11 +215,10 @@ def space_norm(x: CompressedVector, spec: SpaceSpec) -> NormValue:
     if x.is_zero:
         return NormValue.from_power(0, spec.outer_p)
 
-    inner, outer = spec.inner_p, spec.outer_p
-    if inner == outer and isinstance(inner, int):
+    p = spec.exact_p
+    if p is not None:
         return NormValue.from_power(
-            sum(_group_power(x.block_groups(b), spec.blocks[b].cap, inner) for b in x.blocks()),
-            outer,
+            sum(_group_power(x.block_groups(b), spec.blocks[b].cap, p) for b in x.blocks()), p
         )
     try:
         value = _float_norm(x, spec)
@@ -246,7 +229,7 @@ def space_norm(x: CompressedVector, spec: SpaceSpec) -> NormValue:
         top = max(m for _b, m, _c in x.groups)
         scaled = spec.vector([(b, m / top, c) for b, m, c in x.groups])
         value = _float_root(top, 1) * _float_norm(scaled, spec)
-    return NormValue(value, None, outer)
+    return NormValue(value, None, spec.outer_p)
 
 
 def _float_norm(x: CompressedVector, spec: SpaceSpec) -> float:

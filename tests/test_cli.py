@@ -179,6 +179,19 @@ def test_cghm_check_past_the_table_is_exhaustion(tmp_path):
     assert len(blob["checks"]) == 3 and all(all(c.values()) for c in blob["checks"])
 
 
+def test_cghm_treats_a_float_overflow_as_h_unknown(tmp_path):
+    # h(N) = N^400 overflows a float from N = 8 (4^400 = 2^800 still fits): the
+    # doubling precondition stops probing there, as the searches do, where it
+    # once exited 1 with the OverflowError.
+    h = write(tmp_path / "power400.json", {"kind": "power", "exponent": 400})
+    out = tmp_path / "cghm.json"
+    assert main(["--out", str(out), "cghm", "--hl", h, "--hr", h, "--alpha", "0.25",
+                 "--c-doubling", "1e200"]) == 0
+    blob = json.loads(out.read_text())
+    assert (blob["w"], blob["k"], blob["checks"], blob["exhausted"]) == ([], [], [], True)
+    assert blob["exhausted_reason"].startswith("h_r/h_l is not known at N = 8,")
+
+
 def test_check71_refuses_an_exhausted_cghm_report(tmp_path, capsys):
     # The k crossing needs N = 2, past the probe limit: no pair is built.
     hl = write(tmp_path / "hl.json", {"kind": "one_plus_log2"})
@@ -223,6 +236,23 @@ def test_cghm_and_check71_refuse_non_finite_parameters(tmp_path, capsys, input_f
     assert main(["--out", str(tmp_path / "report.json")] + argv) == 1
     assert json.loads(capsys.readouterr().err)["error"].startswith(f"ValueError: {name} must be finite")
     assert not (tmp_path / "report.json").exists()
+
+
+@pytest.mark.parametrize("argv,space,name", [
+    (["demfun", "--max-N", "4"], {"a": [4, 5, 6, 7], "inner_p": math.inf, "outer_p": math.inf},
+     "outer_p"),
+    (["norm", "--vector", "VEC"], {"lp": math.inf, "dim": 3}, "inner_p"),
+], ids=["demfun", "norm"])
+def test_an_infinite_exponent_is_refused(tmp_path, capsys, argv, space, name):
+    # demfun once exited 0 with every float column 1, the root 1/inf of each power.
+    space = write(tmp_path / "space.json", space)
+    vec = write(tmp_path / "vec.json", {"groups": [[0, "1", "2"]]})
+    out = tmp_path / "report.out"
+    argv = [argv[0], "--space", space] + [vec if a == "VEC" else a for a in argv[1:]]
+    assert main(["--out", str(out)] + argv) == 1
+    error = json.loads(capsys.readouterr().err)["error"]
+    assert error == f"ValueError: exponent {name} must be a finite number >= 1, got inf"
+    assert not out.exists()
 
 
 def test_xs_experiment_refuses_minus_infinity_q(tmp_path, capsys):

@@ -670,7 +670,8 @@ def test_table_equals_dp_oracle_on_deep_schedule():
 
 @pytest.mark.parametrize("start,step", [(s, d) for s in (4, 5, 6) for d in (1, 2)])
 def test_table_equals_dp_oracle_on_benchmark_schedules(start, step):
-    spec = SpaceSpec.from_schedule(arithmetic_schedule(5, start, step))
+    # The demfun-table workload's schedules: a_j = start + (j - 1) * step, 5 blocks.
+    spec = SpaceSpec.from_schedule(BlockSchedule(tuple(range(start, start + 6 * step, step))))
     table = demfun_table(spec, 1200)
     assert (list(table.hl_powers), list(table.hr_powers)) == _oracle_table(spec, 1200)
 

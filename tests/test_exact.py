@@ -1,6 +1,7 @@
-"""The integer rule at every site that takes it, and the exact surd
-comparison against high-precision decimal square roots."""
+"""The integer and exponent rules at every site that takes them, and the
+exact surd comparison against high-precision decimal square roots."""
 
+import math
 import random
 import re
 from decimal import Decimal, localcontext
@@ -22,6 +23,7 @@ from greedylab import (
     demfun_table,
     doubling_scan,
     prefix_norm_conjecture_check,
+    space_from_json,
     squares_schedule,
 )
 from greedylab.democracy import one_plus_log2, sqrt_of
@@ -83,6 +85,45 @@ def test_every_site_refuses_what_is_not_an_integer_at_least_its_bound(name, leas
     message = f"^{re.escape(name)} must be an integer >= {least}, got {re.escape(repr(value))}$"
     with pytest.raises(ValueError, match=message):
         call(value)
+
+
+# (exponent name, a call passing the value as that exponent): every place an
+# exponent enters, from the Python API and from the JSON shapes.
+EXPONENT_SITES = [
+    ("inner_p", lambda v: SpaceSpec.lp(v)),
+    ("inner_p", lambda v: SpaceSpec.trunc_block(2, 4, v)),
+    ("inner_p", lambda v: SpaceSpec.block_sum([(2, 4)], v, 2)),
+    ("outer_p", lambda v: SpaceSpec.block_sum([(2, 4)], 2, v)),
+    ("inner_p", lambda v: SpaceSpec((Block(2, 4),), v, 2)),
+    ("outer_p", lambda v: SpaceSpec((Block(2, 4),), 2, v)),
+    ("inner_p", lambda v: BlockSchedule((4, 5, 6), inner_p=v)),
+    ("outer_p", lambda v: BlockSchedule((4, 5, 6), outer_p=v)),
+    ("inner_p", lambda v: space_from_json({"lp": v, "dim": 3})),
+    ("inner_p", lambda v: space_from_json({"cap": 2, "size": 4, "p": v})),
+    ("inner_p", lambda v: space_from_json({"blocks": [[2, 4]], "inner_p": v})),
+    ("outer_p", lambda v: space_from_json({"blocks": [[2, 4]], "outer_p": v})),
+    ("inner_p", lambda v: space_from_json({"a": [4, 5, 6], "inner_p": v})),
+    ("outer_p", lambda v: space_from_json({"a": [4, 5, 6], "outer_p": v})),
+]
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, 0.5, True, "2"], ids=repr)
+@pytest.mark.parametrize("name, call", EXPONENT_SITES,
+                         ids=[f"{i}-{name}" for i, (name, _) in enumerate(EXPONENT_SITES)])
+def test_every_site_refuses_what_is_not_a_finite_exponent_at_least_1(name, call, bad):
+    # An infinite exponent once passed (inf >= 1) and every float norm read 1.
+    message = f"^exponent {name} must be a finite number >= 1, got {re.escape(repr(bad))}$"
+    with pytest.raises(ValueError, match=message):
+        call(bad)
+
+
+def test_the_exponent_rule_keeps_the_number_an_exponent_stands_for():
+    # An integral float is its int, so it takes the exact routes; 1.5 keeps its float norm.
+    assert [type(SpaceSpec.lp(p).inner_p) for p in (1, 2.0, 1.5, 10**30)] == [int, int, float, int]
+    assert BlockSchedule((4, 5, 6), 3.0, 3.0).outer_p == 3 == SpaceSpec.lp(3.0).exact_p
+    assert SpaceSpec.block_sum([(2, 4)], 2, 3).exact_p is None is SpaceSpec.lp(1.5).exact_p
+    with pytest.raises(ValueError, match="^block sum needs at least one block$"):
+        SpaceSpec.block_sum([])
 
 
 def test_huge_ints_pass_the_integer_rule():

@@ -262,7 +262,7 @@ def test_sigma_table_equals_removal_bruteforce_at_every_n():
         table = sigma_power_table(explicit.from_explicit(values, spec), spec)
         for n in range(len(values) + 1):
             want = explicit.sigma_removals_bruteforce(values, n, spec)
-            assert (table[n] if n < len(table) else 0) == want, (spec.variant, values, n)
+            assert (table[n] if n < len(table) else 0) == want, (spec, values, n)
 
 
 def test_sigma_grid_oracle_trivials():

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from greedylab import (
+    Block,
     BlockSchedule,
     NormValue,
     OracleUnavailableError,
@@ -317,12 +318,15 @@ def test_lattice_check_block_sum_200_trials():
 def test_space_json_shapes():
     sched = space_from_json({"a": [4, 5, 6], "K": 2})
     assert sched.schedule is not None and sched.schedule.a == (4, 5, 6)
+    assert (sched.blocks, sched.inner_p, sched.outer_p) == ((Block(4, 20), Block(20, 120)), 2, 2)
     lp = space_from_json({"lp": 1, "dim": 6})
-    assert lp.variant == "lp" and lp.blocks[0].size == 6
-    tb = space_from_json({"cap": 2, "size": 4, "p": 2})
-    assert tb.variant == "trunc_block"
-    bs = space_from_json({"blocks": [[2, 4], [3, 6]]})
-    assert bs.num_blocks == 2
+    assert (lp.blocks, lp.inner_p, lp.outer_p, lp.exact_p) == ((Block(6, 6),), 1, 1, 1)
+    tb = space_from_json({"cap": 2, "size": 4, "p": 3})
+    assert (tb.blocks, tb.inner_p, tb.outer_p, tb.exact_p) == ((Block(2, 4),), 3, 3, 3)
+    bs = space_from_json({"blocks": [[2, 4], [3, 6]], "inner_p": 1})
+    assert (bs.blocks, bs.inner_p, bs.outer_p, bs.exact_p) == ((Block(2, 4), Block(3, 6)), 1, 2, None)
+    # The blocks and exponents are the space: no label tells an l_p apart from its one block.
+    assert SpaceSpec.lp(2, 4) == SpaceSpec.block_sum([(4, 4)]) == SpaceSpec.trunc_block(4, 4)
     with pytest.raises(ValueError):
         space_from_json({"nonsense": 1})
     for k in (0, -1, -2, -3):  # K = -3 once built 4 blocks on a[:-2]
