@@ -385,20 +385,17 @@ def _first_crossing(
     first crossing; otherwise it is a crossing between two doubling probes,
     not always the first (ratio >= 2 only at N = 3 and N = 8 from lo = 1:
     the probes 1, 2, 4 step over 3, and the search returns 8).  (N, reason)
-    names where the search stopped: the first doubling past probe_limit, or
-    the first N ratio cannot answer.
+    names where the search stopped: the first probe past probe_limit, which
+    may be lo itself, or the first N ratio cannot answer.
     """
-    n = lo
+    hi = n = lo
     try:
-        if ratio(lo) >= threshold:
-            return lo, None
-        hi = lo
         while True:
-            n = hi = hi * 2
             if hi > probe_limit:
                 return hi, f"no N <= {probe_limit} with h_r/h_l >= {target}"
             if ratio(hi) >= threshold:
                 break
+            n = hi = hi * 2
         lo_fail = max(lo, hi // 2)
         while hi - lo_fail > 1:
             n = mid = (hi + lo_fail) // 2
@@ -445,9 +442,9 @@ def cghm_construct(
     such N where h_r/h_l is non-decreasing, otherwise a crossing between two
     doubling probes, which serves as well.  Every produced term
     re-verifies the doubling step, the threshold step and the final 7.1
-    inequality numerically; running out of probe range, or of the range a
-    table h-function answers, yields a partial result with an explicit
-    marker instead of an error.
+    inequality numerically; running out of probe range, of the range a
+    table h-function answers, or of the float range a threshold needs, yields
+    a partial result with an explicit marker instead of an error.
     """
     count = int_at_least(count, 1, "count")
     probe_limit = int_at_least(probe_limit, 1, "probe_limit")
@@ -480,8 +477,14 @@ def cghm_construct(
         if reason:
             break
         r = w.bit_length()  # 2^(r-1) <= w < 2^r
-        threshold = (c_doubling**r) * (w**alpha)
         target = f"C^{r} * {w}^{alpha}"
+        try:
+            threshold = (c_doubling**r) * (w**alpha)
+        except OverflowError:
+            threshold = math.inf
+        if math.isinf(threshold):  # no float ratio crosses it
+            reason = f"the threshold {target} for mu = {mu} is past the float range"
+            break
         k, reason = _first_crossing(ratio, threshold, max(k + 1, w), probe_limit, target)
         if reason:
             break

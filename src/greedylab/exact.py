@@ -39,10 +39,11 @@ def as_rational(value) -> Rational:
 
 
 def int_at_least(value, least: int, name: str) -> int:
-    """``operator.index(value)`` where that is an int >= least, else ValueError naming ``name``."""
+    """``operator.index(value)`` where that is an int >= least and value is no
+    bool (as ``json_int`` refuses true), else ValueError naming ``name``."""
     try:
         n = index(value)
-        if n >= least:
+        if n >= least and type(value) is not bool:
             return n
     except TypeError:
         pass

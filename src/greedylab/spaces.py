@@ -92,13 +92,7 @@ class SpaceSpec:
         return canonicalize(raw, sizes=self.sizes())
 
     def conform(self, x: CompressedVector) -> CompressedVector:
-        """x in canonical form, its block ids and per-block support checked.
-
-        A vector that ``canonicalize`` returned is only checked, so a caller
-        querying one vector many times does not re-sort its groups each time.
-        """
-        if not x._canonical:
-            return self.vector(x.groups)
+        """x, its block ids and per-block support checked against this space."""
         _check_sizes(x, self.sizes())
         return x
 

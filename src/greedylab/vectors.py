@@ -23,18 +23,39 @@ from typing import Iterable, Mapping, Optional, Sequence
 from .errors import CapacityError
 from .exact import Rational, as_fraction, as_rational, int_at_least, json_int, json_number, json_shape
 
-# (block id, magnitude, multiplicity); canonical order is by block then
-# descending magnitude.
+# (block id, magnitude, multiplicity)
 Group = tuple[int, Rational, int]
 
 
 @dataclass(frozen=True)
 class CompressedVector:
+    """A vector as its groups, canonical from construction.
+
+    Block ids and multiplicities must be integers >= 0 (``int_at_least``); zero
+    magnitudes and zero multiplicities are dropped; identical
+    (block, magnitude) pairs merge; integral magnitudes become ints; groups
+    are stored sorted by (block, descending magnitude).  So ``==`` and
+    ``hash`` compare values, and every method reads canonical groups.
+    """
+
     groups: tuple[Group, ...]
 
-    # Set only by ``canonicalize`` on what it returns; a hand-built vector
-    # may hold its groups in any order, so ``SpaceSpec.conform`` canonicalizes it.
-    _canonical = False
+    def __post_init__(self):
+        merged: dict[tuple[int, int, int], list] = {}
+        for block, magnitude, multiplicity in self.groups:
+            block = int_at_least(block, 0, "block id")
+            mult = int_at_least(multiplicity, 0, "multiplicity")
+            mag = as_rational(magnitude)
+            if mag < 0:
+                raise ValueError(f"negative magnitude {mag} in block {block}")
+            if mag == 0 or mult == 0:
+                continue
+            # Keyed by exact ints: a tuple of ints hashes faster than a Fraction.
+            key = (block, mag.numerator, mag.denominator)
+            merged.setdefault(key, [block, mag, 0])[2] += mult
+        rows = sorted(merged.values(), key=itemgetter(1), reverse=True)
+        rows.sort(key=itemgetter(0))  # stable: descending magnitude within each block
+        object.__setattr__(self, "groups", tuple(map(tuple, rows)))
 
     @property
     def support_size(self) -> int:
@@ -86,33 +107,10 @@ def canonicalize(
     raw: Iterable[tuple[int, object, int]],
     sizes: Optional[Sequence[Optional[int]]] = None,
 ) -> CompressedVector:
-    """Merge, sort and validate raw groups into canonical form.
-
-    Block ids and multiplicities must be integers >= 0 (``int_at_least``); zero
-    magnitudes and zero multiplicities are dropped; identical
-    (block, magnitude) pairs merge; integral magnitudes become ints; groups
-    come out sorted by (block, descending magnitude).  Idempotent by
-    construction.  When ``sizes`` is given (block id -> block size, None =
-    unbounded), block ids are range-checked and per-block support is
-    capacity-checked.
-    """
-    merged: dict[tuple[int, int, int], list] = {}
-    for block, magnitude, multiplicity in raw:
-        block = int_at_least(block, 0, "block id")
-        mult = int_at_least(multiplicity, 0, "multiplicity")
-        mag = as_rational(magnitude)
-        if mag < 0:
-            raise ValueError(f"negative magnitude {mag} in block {block}")
-        if mag == 0 or mult == 0:
-            continue
-        # Keyed by exact ints: a tuple of ints hashes faster than a Fraction.
-        key = (block, mag.numerator, mag.denominator)
-        merged.setdefault(key, [block, mag, 0])[2] += mult
-
-    rows = sorted(merged.values(), key=itemgetter(1), reverse=True)
-    rows.sort(key=itemgetter(0))  # stable: descending magnitude within each block
-    vec = CompressedVector(tuple(map(tuple, rows)))
-    object.__setattr__(vec, "_canonical", True)
+    """``CompressedVector`` of the raw groups; when ``sizes`` is given (block
+    id -> block size, None = unbounded), block ids are range-checked and
+    per-block support is capacity-checked."""
+    vec = CompressedVector(tuple(raw))
     if sizes is not None:
         _check_sizes(vec, sizes)
     return vec

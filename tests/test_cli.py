@@ -192,6 +192,20 @@ def test_cghm_treats_a_float_overflow_as_h_unknown(tmp_path):
     assert blob["exhausted_reason"].startswith("h_r/h_l is not known at N = 8,")
 
 
+def test_cghm_threshold_past_the_float_range_is_exhaustion(tmp_path):
+    # At mu = 2 the threshold C^2 = 1e400 is past the float range: the run once
+    # exited 1 with OverflowError there, though --count 1 exited 0.
+    one = write(tmp_path / "one.json", {"kind": "power", "exponent": 0})
+    p100 = write(tmp_path / "p100.json", {"kind": "power", "exponent": 100})
+    out = tmp_path / "cghm.json"
+    assert main(["--out", str(out), "cghm", "--hl", one, "--hr", p100, "--alpha", "0.25",
+                 "--c-doubling", "1e200", "--count", "3"]) == 0
+    blob = json.loads(out.read_text())
+    assert (blob["w"], blob["k"], blob["exhausted"]) == ([1], [100], True)
+    assert blob["checks"] == [{"cghm2": True, "cghm3": True, "chain": True}]
+    assert "mu = 2" in blob["exhausted_reason"] and "float range" in blob["exhausted_reason"]
+
+
 def test_check71_refuses_an_exhausted_cghm_report(tmp_path, capsys):
     # The k crossing needs N = 2, past the probe limit: no pair is built.
     hl = write(tmp_path / "hl.json", {"kind": "one_plus_log2"})

@@ -386,6 +386,15 @@ def test_cghm_names_the_probe_limit_when_it_is_reached():
     assert seqs.exhausted_reason.startswith("no N <= 1000 with h_r/h_l >= C^9 * 361^0.25")
 
 
+def test_cghm_searches_start_no_further_than_the_probe_limit():
+    # After w = k = 1 the w search for mu = 2 starts at 2, past the limit; it
+    # once tested N = 2, 3, 4, 5 there and returned five terms.
+    seqs = cghm_construct(lambda n: float(n), lambda n: 1.0, 1.0, 0.25, 5, probe_limit=1)
+    assert (seqs.w, seqs.k) == ((1,), (1,)) and seqs.exhausted
+    assert seqs.exhausted_reason == "no N <= 1 with h_r/h_l >= 2"
+    assert democracy._first_crossing(_unread, 1.0, 5, 4, "1") == (5, "no N <= 4 with h_r/h_l >= 1")
+
+
 def test_cghm_alpha_zero_still_constructs():
     seqs = cghm_construct(sqrt_of, one_plus_log2, 2.0, 0.0, 5)
     assert len(seqs.w) == 5 and seqs.all_checks_pass()

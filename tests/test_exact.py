@@ -76,12 +76,13 @@ SITES = [
 ]
 
 
-@pytest.mark.parametrize("bad", ["2.5", "2.0", "least - 1"])
+@pytest.mark.parametrize("bad", ["2.5", "2.0", "least - 1", "True"])
 @pytest.mark.parametrize("name, least, call", SITES,
                          ids=[f"{i}-{name}" for i, (name, _, _) in enumerate(SITES)])
 def test_every_site_refuses_what_is_not_an_integer_at_least_its_bound(name, least, call, bad):
-    # 2.0 is refused as JSON refuses it; 2.5 was truncated, interpolated or a TypeError.
-    value = {"2.5": 2.5, "2.0": 2.0, "least - 1": least - 1}[bad]
+    # 2.0 and True are refused as JSON refuses them; 2.5 was truncated,
+    # interpolated or a TypeError.
+    value = {"2.5": 2.5, "2.0": 2.0, "least - 1": least - 1, "True": True}[bad]
     message = f"^{re.escape(name)} must be an integer >= {least}, got {re.escape(repr(value))}$"
     with pytest.raises(ValueError, match=message):
         call(value)

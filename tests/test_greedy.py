@@ -720,9 +720,9 @@ def test_sigma_sequence_bends_between_integers():
 
 
 def test_error_sequence_canonicalizes_once(monkeypatch):
-    # A canonical vector is only checked against the space.  A hand-built one
-    # is canonicalized once, and the first-knot check reads that result.
-    # Both bindings are counted: ``spec.vector`` calls the one in ``spaces``.
+    # A vector is canonical from construction, so no query canonicalizes it
+    # again: a built vector and a hand-built one are only checked against the
+    # space.  Both bindings are counted: ``spec.vector`` calls the one in ``spaces``.
     from greedylab import spaces, vectors
 
     spec = SpaceSpec.from_schedule(arithmetic_schedule(3))
@@ -742,7 +742,7 @@ def test_error_sequence_canonicalizes_once(monkeypatch):
     hand = CompressedVector(x.groups[::-1])
     for kind in ("sigma", "gamma"):
         assert error_sequence(hand, spec, kind).knots == error_sequence(x, spec, kind).knots
-    assert len(calls) == 2
+    assert calls == []
 
 
 def test_error_sequences_compute_the_norm_once_per_profile(monkeypatch):

@@ -14,6 +14,7 @@ from greedylab import (
     indicator,
     space_norm,
 )
+from greedylab.explicit import to_explicit
 from greedylab.spaces import SpaceSpec
 
 
@@ -57,6 +58,8 @@ def test_canonicalize_idempotent_on_random_inputs():
         once = canonicalize(raw)
         twice = canonicalize(once.groups)
         assert once == twice
+        shuffled = rng.sample(raw, len(raw))
+        assert CompressedVector(tuple(shuffled)) == once
 
 
 def test_canonicalize_rejects_negative_inputs():
@@ -157,12 +160,28 @@ def test_hand_built_vector_is_canonicalized_by_every_query():
     raw = ((1, 1, 2), (0, 2, 1), (0, Fraction(3, 2), 1), (0, 2, 1), (1, 0, 3), (1, 3, 1))
     hand = CompressedVector(raw)
     canon = spec.vector(raw)
-    assert hand != canon
+    assert hand == canon and hash(hand) == hash(canon)
     assert space_norm(hand, spec) == space_norm(canon, spec)
     for n in range(canon.support_size + 1):
         assert gamma(hand, n, spec) == gamma(canon, n, spec)
     for kind in ("sigma", "gamma"):
         assert error_sequence(hand, spec, kind).knots == error_sequence(canon, spec, kind).knots
+
+
+def test_hand_built_vector_lays_out_its_support():
+    # Two groups of block 0 around one of block 1: laid out group by group,
+    # block 0 was visited twice and took 5 nonzero coordinates for 4.
+    x = CompressedVector(((0, 3, 1), (1, 2, 2), (0, 5, 1)))
+    values = to_explicit(x, SpaceSpec.block_sum([(2, 4), (3, 6)]), random.Random(1))
+    nonzero = [abs(v) for v in values if v != 0]
+    assert len(nonzero) == x.support_size == 4
+    assert sorted(nonzero) == [2, 2, 3, 5]
+
+
+def test_hand_built_block_groups_descend():
+    x = CompressedVector(((0, 3, 1), (1, 2, 2), (0, 5, 1), (0, Fraction(7, 2), 4)))
+    assert x.block_groups(0) == [(5, 1), (Fraction(7, 2), 4), (3, 1)]
+    assert x.blocks() == [0, 1]
 
 
 @pytest.mark.parametrize(
