@@ -57,7 +57,11 @@ def criterion_1() -> tuple[bool, str]:
 
 
 def criterion_2() -> tuple[bool, str]:
-    """Non-doubling reproduction on a = (4,5,6,7), k = 1, 2, and its bounds to k = 100.
+    """Non-doubling reproduction on a = (4,5,6,7), k = 1, 2, and its exact ratio to k = 100.
+
+    On every row to k = 100, h_l^2(2 n_(k+1)) = n_(k+1), so the squared
+    ratio is a_(k+1) exactly (ROADMAP item 6, step 1), above the guaranteed
+    (2/3) a_(k+1).
 
     h_l^2 at N = 20, 40, 120 and 240 is read off one allocation DP table to
     N = 240: the table to a smaller N is a prefix of it, since no allocation
@@ -80,7 +84,10 @@ def criterion_2() -> tuple[bool, str]:
     for row in doubling_scan(arithmetic_schedule(101), range(1, 101)).rows:
         if not (row.bound_holds and row.upper_holds):
             return False, f"k={row.k} of 101: bound {row.bound_holds}, upper {row.upper_holds}"
-    return True, "h_l exact; ratios beat sqrt(2/3)sqrt(a_(k+1)) to k=100; upper witness tight"
+        if row.hl_2n_power != row.n_k1 or row.ratio_sq != row.a_k1:
+            return False, (f"k={row.k} of 101: h_l(2n_(k+1))^2 = {row.hl_2n_power} "
+                           f"(n_(k+1) = {row.n_k1}), ratio_sq {row.ratio_sq} != {row.a_k1}")
+    return True, "h_l exact; squared ratios equal a_(k+1) to k=100; upper witness tight"
 
 
 def criterion_3() -> tuple[bool, str]:

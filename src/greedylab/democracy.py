@@ -450,8 +450,9 @@ def cghm_construct(
     probe_limit = int_at_least(probe_limit, 1, "probe_limit")
     _require_finite(c_doubling=c_doubling, alpha=alpha)
 
-    # Pre-condition: h_l doubling with the claimed constant on the probed
-    # range, which ends at the first N a table cannot answer.
+    # Pre-condition: h_l doubling with the claimed constant, probed at
+    # N = 1, 4, 16, ... only (ROADMAP item 25), up to the first N a table
+    # cannot answer.
     probe = 1
     while probe <= probe_limit // 2:
         try:
@@ -509,6 +510,14 @@ def cghm_construct(
     )
 
 
+def _known(h: Callable[[int], float], side: str, n: int, mu: int) -> float:
+    """h(n), refusing an N that h cannot answer (past a table or the float range)."""
+    try:
+        return h(n)
+    except _UNKNOWN as exc:
+        raise ValueError(f"pair {mu}: {side} is not known at N = {n}") from exc
+
+
 @dataclass(frozen=True)
 class Condition71Report:
     rows: tuple[dict, ...]
@@ -525,7 +534,8 @@ def condition71_check(
     """Check the 7.1 condition on explicit (k_mu, n_mu) pairs.
 
     Growth means n/k strictly increases along the pairs; the inequality is
-    h_r(k) / h_l(n) >= c * (n/k)^alpha per pair.
+    h_r(k) / h_l(n) >= c * (n/k)^alpha per pair.  An N that h_l or h_r
+    cannot answer is refused with a ValueError naming the side and the N.
     """
     _require_finite(c=c, alpha=alpha)
     if not pairs:  # a report with no rows would pass having checked nothing
@@ -537,7 +547,7 @@ def condition71_check(
         n = int_at_least(n, k, f"pair {mu}: n")
         growth_ratio = Fraction(n, k)
         growth_ok = prev_ratio is None or growth_ratio > prev_ratio
-        lhs = h_r(k) / h_l(n)
+        lhs = _known(h_r, "h_r", k, mu) / _known(h_l, "h_l", n, mu)
         rhs = c * float(growth_ratio) ** alpha
         inequality_ok = _at_least(lhs, rhs)
         rows.append(

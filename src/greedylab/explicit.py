@@ -5,20 +5,29 @@ a small finite universe and answer by raw enumeration: subset brute force
 for h_l / h_r, gamma and sigma, the sup-form norm, and a grid search over
 free coefficients for sigma.  The rest are quadratic tabulations: one
 tabulated min-plus (``min_plus_table``) for h_l / h_r on block sums and for
-the sigma table, and the per-k / per-term x_s checks and quasi-norms.  None of
-them imports greedy, democracy, approx, alloc or errorseq, so an oracle
-never shares code with the route it checks.  No oracle prunes its search
-space on theory: every candidate its enumeration defines is accounted for,
-and where one is fast it only evaluates candidates more cheaply (the brute
-force updates two coordinates per subset; the grid search keeps each
-distinct power of a coordinate once per column of candidate coefficients
-and computes a norm once per distinct tuple of those powers, since
-candidates with equal powers have equal norms and the first minimum of a
-scan is always one of those kept).  Its float norm adds powers with
-``math.fsum``: correctly rounded, so order-free and the same on every
-Python version; a scan maps its stages over the candidates in C, leaving
-out a power at exponent 1.0 (``x ** 1.0 == x``), so no bit moves.  The
-size limits below refuse instances that enumeration cannot finish.
+the sigma table, and the per-k / per-term x_s checks and quasi-norms.
+``random_vector`` draws the small random vectors that ``lattice_check`` and
+the tests use.
+
+The module imports nothing from greedy, democracy, approx, alloc or
+errorseq.  From spaces and vectors it imports the types ``SpaceSpec``,
+``NormValue`` and ``CompressedVector``, ``canonicalize`` (a vector from raw
+groups), ``_float_root`` (the float root of an exact power) and
+``space_norm``, which only ``lattice_check`` reads: ``space_norm`` is what
+it checks.  So no oracle shares code with the route it checks.
+
+No oracle prunes its search space on theory: every candidate its
+enumeration defines is accounted for, and where one is fast it only
+evaluates candidates more cheaply (the brute force updates two coordinates
+per subset; the grid search keeps each distinct power of a coordinate once
+per column of candidate coefficients and computes a norm once per distinct
+tuple of those powers, since candidates with equal powers have equal norms
+and the first minimum of a scan is always one of those kept).  Its float
+norm adds powers with ``math.fsum``: correctly rounded, so order-free and
+the same on every Python version; a scan maps its stages over the
+candidates in C, leaving out a power at exponent 1.0 (``x ** 1.0 == x``),
+so no bit moves.  The size limits below refuse instances that enumeration
+cannot finish.
 """
 
 from __future__ import annotations
@@ -34,7 +43,7 @@ from typing import Sequence
 
 from .errors import InvariantError, OracleUnavailableError
 from .exact import as_fraction, as_rational, pow_rational, simplify
-from .spaces import NormValue, SpaceSpec, _float_root, random_vector, space_norm
+from .spaces import NormValue, SpaceSpec, _float_root, space_norm
 from .vectors import CompressedVector, canonicalize
 
 BRUTEFORCE_MAX_DIM = 20  # demfun_bruteforce: universes up to 2^20 subsets
@@ -228,6 +237,22 @@ def sup_form_norm_oracle(coords: Sequence, cap: int) -> NormValue:
         if power > best:
             best = power
     return NormValue.from_power(best, 2)
+
+
+def random_vector(spec: SpaceSpec, rng: random.Random, *, max_mag: int = 8) -> CompressedVector:
+    """Small random canonical vector that respects the space's capacities:
+    up to 3 groups per block, of 1 to 4 coordinates each."""
+    raw = []
+    for b, block in enumerate(spec.blocks):
+        room = block.size if block.size is not None else 12
+        for _ in range(rng.randint(0, 3)):
+            if room <= 0:
+                break
+            count = rng.randint(1, min(4, room))
+            mag = Fraction(rng.randint(0, max_mag * 4), 4)
+            raw.append((b, mag, count))
+            room -= count
+    return spec.vector(raw)
 
 
 @dataclass

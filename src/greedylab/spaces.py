@@ -14,7 +14,6 @@ evaluators live in explicit.py.
 from __future__ import annotations
 
 import math
-import random
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Optional, Sequence
@@ -233,23 +232,3 @@ def _float_norm(x: CompressedVector, spec: SpaceSpec) -> float:
         bp = _group_power(x.block_groups(b), spec.blocks[b].cap, spec.inner_p)
         total += (float(bp) ** (1.0 / spec.inner_p)) ** spec.outer_p
     return total ** (1.0 / spec.outer_p)
-
-
-# ---------------------------------------------------------------------------
-# Random instances
-
-
-def random_vector(spec: SpaceSpec, rng: random.Random, *, max_mag: int = 8) -> CompressedVector:
-    """Small random canonical vector that respects the space's capacities:
-    up to 3 groups per block, of 1 to 4 coordinates each."""
-    raw = []
-    for b, block in enumerate(spec.blocks):
-        room = block.size if block.size is not None else 12
-        for _ in range(rng.randint(0, 3)):
-            if room <= 0:
-                break
-            count = rng.randint(1, min(4, room))
-            mag = Fraction(rng.randint(0, max_mag * 4), 4)
-            raw.append((b, mag, count))
-            room -= count
-    return spec.vector(raw)

@@ -4,6 +4,9 @@ Run with -s to see one pass/fail line per criterion; `greedylab verify`
 prints the same lines.
 """
 
+import dataclasses
+from fractions import Fraction
+
 import pytest
 
 from greedylab import acceptance
@@ -18,6 +21,23 @@ def test_criterion(number, budget):
     [result] = acceptance.run_all(only=[number])
     assert result.passed, f"criterion {number} ({result.name}): {result.detail}"
     assert result.seconds < budget, f"criterion {number}: {result.seconds:.2f}s, budget {budget}s"
+
+
+def test_criterion_2_fails_when_a_ratio_is_not_the_next_multiplier(monkeypatch):
+    # h_l(2 n_(k+1))^2 one too large at k = 50 still beats the (2/3) a_(k+1)
+    # bound; only the exact ratio a_(k+1) catches it.
+    real = acceptance.doubling_scan
+
+    def scan(schedule, ks):
+        report = real(schedule, ks)
+        rows = [dataclasses.replace(r, hl_2n_power=r.hl_2n_power + 1,
+                                    ratio_sq=Fraction(r.hl_2n_power + 1, r.hl_n_power))
+                if r.k == 50 else r for r in report.rows]
+        return dataclasses.replace(report, rows=tuple(rows))
+
+    monkeypatch.setattr(acceptance, "doubling_scan", scan)
+    passed, detail = acceptance.criterion_2()
+    assert not passed and detail.startswith("k=50 of 101: h_l(2n_(k+1))^2"), detail
 
 
 def test_criterion_9_decides_the_values(monkeypatch):

@@ -32,9 +32,11 @@ from greedylab import (
 from greedylab import approx, explicit
 from greedylab.approx import sequence_bound_checks, xs_bound_checks
 from greedylab.errorseq import ErrorSequence
-from greedylab.greedy import error_sequence
-from greedylab.spaces import _float_root, random_vector, space_norm
-from test_greedy import sequence_instances
+from greedylab.explicit import random_vector
+from greedylab.spaces import _float_root, space_norm
+from oracles import exact_route, named_tests
+
+globals().update(named_tests(__name__))  # this file's families of the route-oracle rows
 
 
 def _norm(seq) -> float:
@@ -314,40 +316,6 @@ def test_error_sequence_values_on_spec_example():
 
 # -- O(pieces) routes against their per-term oracles ----------------------------
 
-PARAMS = [
-    ApproxParams(alpha, q)
-    for alpha in (0.5, 0.7, 1, 1.5, 2)
-    for q in (1, 1.5, 2, 3, 4, math.inf)
-]
-
-
-def test_knot_checks_match_per_k_oracle():
-    # x_s passes every check, so thresholds are drawn around the actual
-    # powers and indices, and sigma/gamma are sometimes swapped: each check
-    # must come out both True and False over the examples.
-    seen = set()
-
-    @settings(derandomize=True, max_examples=300, deadline=None)
-    @given(sequence_instances(), st.data())
-    def check(instance, data):
-        spec, x = instance
-        sigma = error_sequence(x, spec, "sigma")
-        gamma = error_sequence(x, spec, "gamma")
-        if data.draw(st.booleans()):
-            sigma, gamma = gamma, sigma
-        support = sigma.support_size
-        levels = st.sampled_from(sorted(set(sigma.powers()) | set(gamma.powers())))
-        v = data.draw(st.one_of(st.integers(0, support + 1), levels))
-        n_s = data.draw(st.integers(0, support + 2))
-        r, s = data.draw(st.integers(1, 3)), data.draw(st.integers(1, 5))
-        got = sequence_bound_checks(sigma, gamma, n_s, v, r, s)
-        assert got == explicit.sequence_bound_checks_per_k(sigma, gamma, n_s, v, r, s)
-        seen.update(got.items())
-
-    check()
-    names = {"gamma_ge_vs_up_to_ms", "ls2_sigma_tail", "ls3_sigma_all", "sigma_le_gamma"}
-    assert seen == {(name, ok) for name in names for ok in (True, False)}
-
 
 def test_sigma_le_gamma_reads_both_knot_sets():
     # Each pair agrees at the knots of one sequence and breaks the order
@@ -359,50 +327,6 @@ def test_sigma_le_gamma_reads_both_knot_sets():
         got = sequence_bound_checks(sigma, gamma, 0, 0, 1, 1)
         assert got == explicit.sequence_bound_checks_per_k(sigma, gamma, 0, 0, 1, 1)
         assert got["sigma_le_gamma"] is False
-
-
-def _exact_route(seq, params):
-    """Whether quasinorm_bracket answers exactly: q = inf, or integer exponents
-    e1 = q alpha - 1 >= 0 and e2 = q/p."""
-    e1, e2 = params.q * params.alpha - 1.0, params.q / seq.p
-    return math.isinf(params.q) or (e1 >= 0 and e1.is_integer() and e2.is_integer())
-
-
-@settings(derandomize=True, max_examples=150, deadline=None)
-@given(sequence_instances(), st.sampled_from(["sigma", "gamma"]), st.sampled_from(PARAMS))
-def test_piecewise_series_match_per_term_oracle(instance, kind, params):
-    spec, x = instance
-    seq = error_sequence(x, spec, kind)
-    assert _norm(seq) == float(space_norm(x, spec))  # e_0 is ||x||
-    lo, value, hi = quasinorm_bracket(seq, params)
-    oracle = explicit.quasinorm_per_term(seq, params)
-    assert lo <= value <= hi
-    if _exact_route(seq, params):
-        assert value == pytest.approx(oracle, rel=1e-12)
-        assert lo == value == hi
-    else:
-        # Per-term series: the same float terms, so the same fsum, bit for bit.
-        assert value == oracle
-
-
-@pytest.mark.parametrize("s", [2, 3, 4])
-def test_xs_routes_match_per_term_oracles(s):
-    xs = build_xs(squares_schedule(4), s)
-    sigma, gamma = xs.sigma_sequence(), xs.gamma_sequence()
-    oracle = explicit.sequence_bound_checks_per_k(sigma, gamma, xs.n_s, xs.v, xs.r, xs.s)
-    assert xs_bound_checks(xs) == oracle
-    assert all(oracle.values())
-    for seq in (sigma, gamma):
-        for params in (ApproxParams(1, 1), ApproxParams(0.5, 1), ApproxParams(2, 1),
-                       ApproxParams(0.5, 2), ApproxParams(2, 2), ApproxParams(1, math.inf)):
-            value = quasinorm_bracket(seq, params)[1]
-            oracle = explicit.quasinorm_per_term(seq, params)
-            if _exact_route(seq, params):
-                assert value == pytest.approx(oracle, rel=1e-12)
-            elif all(hi - lo < approx.DIRECT for lo, hi, _, _ in approx._lines(seq)):
-                assert value == oracle  # every term summed as the oracle sums it
-            else:
-                assert value == pytest.approx(oracle, rel=1e-14)
 
 
 def test_per_term_series_match_the_oracle_on_fraction_powers():
@@ -421,7 +345,7 @@ def test_per_term_series_match_the_oracle_on_fraction_powers():
             for e2 in (0.5, 0.75):
                 params = ApproxParams((e1 + 1) / (e2 * seq.p), e2 * seq.p)
                 assert params.q * params.alpha - 1.0 == e1
-                assert not _exact_route(seq, params)
+                assert not exact_route(seq.p, params)
                 assert _series(seq, params)[1] == _series_oracle(seq, params)
 
 

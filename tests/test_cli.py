@@ -229,6 +229,15 @@ def test_check71_failing_pairs_exit_1(tmp_path, capsys):
     assert main(["check71", "--hl", hl, "--hr", hr, "--pairs", pairs, "--C", "1", "--alpha", "0.5"]) == 1
 
 
+def test_check71_names_the_side_and_the_n_a_table_cannot_answer(tmp_path, capsys):
+    hl = write(tmp_path / "hl.json", {"kind": "table", "values": {"1": 1, "2": 1.5, "4": 2}})
+    hr = write(tmp_path / "hr.json", {"kind": "sqrt"})
+    pairs = write(tmp_path / "pairs.json", [[1, 2], [2, 8]])
+    assert main(["check71", "--hl", hl, "--hr", hr, "--pairs", pairs, "--alpha", "0.25"]) == 1
+    assert json.loads(capsys.readouterr().err)["error"] == (
+        "ValueError: pair 2: h_l is not known at N = 8")
+
+
 @pytest.mark.parametrize("argv,name", [
     (["cghm", "--alpha", "nan"], "alpha"),
     (["cghm", "--alpha", "0.25", "--c-doubling", "inf"], "c_doubling"),
@@ -1033,14 +1042,20 @@ def test_package_has_no_assert_statements():
 def test_oracles_are_fenced_in_explicit():
     # An oracle must not share code with the route it checks: only the
     # acceptance suite reads explicit.py (greedy.py re-binds one name for
-    # the benchmark harness), and explicit.py imports no production route.
-    users, explicit_imports = [], set()
+    # the benchmark harness), explicit.py imports no production route, and
+    # from the norm layer only the types, two helpers and the space_norm
+    # that lattice_check checks.
+    users, explicit_imports = [], []
     for name, tree in _package_trees():
         imports = _package_imports(tree)
         if name == "explicit.py":
-            explicit_imports = {module for module, _ in imports}
+            explicit_imports = imports
         elif name != "acceptance.py":
             users += [(name, names) for module, names in imports if module == "explicit"]
     assert users == [("greedy.py", ("sigma_power_table",))]
     routes = {"greedy", "democracy", "approx", "alloc", "errorseq"}
-    assert explicit_imports and not explicit_imports & routes
+    assert explicit_imports and not {module for module, _ in explicit_imports} & routes
+    norm_layer = {n for module, names in explicit_imports if module in ("spaces", "vectors")
+                  for n in names}
+    assert norm_layer == {"space_norm", "_float_root", "NormValue", "SpaceSpec",
+                          "CompressedVector", "canonicalize"}

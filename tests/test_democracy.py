@@ -5,7 +5,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import given, settings
 
 from greedylab import (
     BlockSchedule,
@@ -27,6 +27,9 @@ from greedylab.democracy import one_plus_log2, sqrt_of
 from greedylab.explicit import demfun_bruteforce
 from greedylab.greedy import GreedyProfile
 from greedylab.spaces import space_norm
+from oracles import block_sums, named_tests
+
+globals().update(named_tests(__name__))  # this file's families of the route-oracle rows
 
 
 TOY = SpaceSpec.block_sum([(2, 4), (3, 6)])
@@ -97,37 +100,6 @@ def test_demfun_witnesses_achieve_their_values():
             assert cost == value
     # h_r fills the caps first, then the rest of each block, in block order.
     assert demfun_dp(TOY, 7).witness_r == ((0, 4), (1, 3))
-
-
-def test_dp_equals_extreme_on_random_block_structures():
-    # The recurrence's two candidates rest on a concavity argument; check
-    # them against the DP on arbitrary (cap, size) configurations, all n.
-    rng = random.Random(99)
-    for _ in range(60):
-        blocks = []
-        for _ in range(rng.randint(1, 4)):
-            size = rng.randint(1, 18)
-            blocks.append((rng.randint(1, size), size))
-        spec = SpaceSpec.block_sum(blocks)
-        total = sum(s for _, s in blocks)
-        for n, dp in enumerate(_oracle_points(spec, total)):
-            ex = demfun_dp(spec, n, method="extreme")
-            assert dp == (ex.hl_power, ex.hr_power)
-
-
-def test_dp_equals_extreme_on_schedules():
-    for sched in (arithmetic_schedule(3), squares_schedule(2)):
-        spec = SpaceSpec.from_schedule(sched)
-        deepest = max(b.size for b in spec.blocks)
-        caps = sum(b.cap for b in spec.blocks)
-        oracle = _oracle_points(spec, 200)
-        for n in range(1, 201):
-            dp_l, dp_r = oracle[n]
-            ex_l = demfun_dp(spec, n, method="extreme", which="hl").hl_power
-            assert dp_l == ex_l, f"hl mismatch at n={n} on {sched.a}"
-            if n <= caps:
-                ex_r = demfun_dp(spec, n, method="extreme", which="hr").hr_power
-                assert dp_r == ex_r == n
 
 
 def test_spec_example_values_on_456():
@@ -405,6 +377,20 @@ def test_cghm_rejects_non_doubling_hl():
         cghm_construct(sqrt_of, lambda n: float(n), 1.5, 0.25, 3)
 
 
+@pytest.mark.xfail(strict=True, raises=pytest.fail.Exception,
+                   reason="ROADMAP item 25: the doubling precondition is "
+                   "probed only at N = 1, 4, 16, ...")
+def test_cghm_refuses_a_constant_its_table_violates_between_probes():
+    # h_l(2N)/h_l(N) > 2.5 from N = 794 on (sqrt(8) at N = 6,720), but the
+    # probes see at most sqrt(210/47) ~ 2.11.
+    table = demfun_table(SpaceSpec.from_schedule(arithmetic_schedule(6)), 13440)
+    h_l, h_r = (democracy.h_function_from_json(
+        {"kind": "table", "values": {n: math.sqrt(v) for n, v in enumerate(powers) if n}})
+        for powers in (table.hl_powers, table.hr_powers))
+    with pytest.raises(ValueError, match=r"at N=794:"):
+        cghm_construct(h_r, h_l, 2.5, 0.25, 2)
+
+
 def _unread(n):
     raise AssertionError(f"h read at N = {n} before the parameters were checked")
 
@@ -458,71 +444,10 @@ def test_float_checks_allow_a_relative_slack_of_1e_12(excess, accepted):
 # -- the h_l recurrence vs the oracles ---------------------------------------
 
 
-@st.composite
-def block_sums(draw, max_blocks=6, max_size=30):
-    blocks = []
-    for _ in range(draw(st.integers(1, max_blocks))):
-        size = draw(st.integers(1, max_size))
-        blocks.append((draw(st.integers(1, size)), size))
-    return blocks
-
-
 def _assert_witness(spec, n, witness, value):
     assert sum(m for _, m in witness) == n
     assert all(0 < m <= spec.blocks[b].size for b, m in witness)
     assert sum(min(m, spec.blocks[b].cap) for b, m in witness) == value
-
-
-@settings(derandomize=True, max_examples=150, deadline=None)
-@given(block_sums())
-def test_table_equals_dp_oracle_and_point_queries(blocks):
-    spec = SpaceSpec.block_sum(blocks)
-    total = sum(s for _, s in blocks)
-    table = demfun_table(spec, total)
-    dp_min, dp_max = explicit.alloc_dp(blocks, total)
-    assert list(table.hl_powers) == dp_min
-    assert list(table.hr_powers) == dp_max
-    for n in range(total + 1):
-        point = demfun_dp(spec, n, method="extreme")
-        assert (point.hl_power, point.hr_power) == (dp_min[n], dp_max[n])
-        _assert_witness(spec, n, point.witness_l, point.hl_power)
-        _assert_witness(spec, n, point.witness_r, point.hr_power)
-
-
-@settings(derandomize=True, max_examples=50, deadline=None)
-@given(block_sums(max_blocks=4, max_size=8).filter(lambda b: sum(s for _, s in b) <= 16))
-def test_table_equals_bruteforce_on_small_universes(blocks):
-    spec = SpaceSpec.block_sum(blocks)
-    total = sum(s for _, s in blocks)
-    table = demfun_table(spec, total)
-    for n in range(total + 1):
-        assert (table.hl_power(n), table.hr_power(n)) == demfun_bruteforce(spec, n)
-
-
-@st.composite
-def typed_block_sums(draw):
-    """Up to 60 blocks drawn from 2-4 (cap, size) types."""
-    types = []
-    for _ in range(draw(st.integers(2, 4))):
-        size = draw(st.integers(1, 8))
-        types.append((draw(st.integers(1, size)), size))
-    return draw(st.lists(st.sampled_from(types), min_size=1, max_size=60))
-
-
-@settings(derandomize=True, max_examples=100, deadline=None)
-@given(typed_block_sums())
-def test_table_and_points_equal_dp_oracle_on_typed_block_sums(blocks):
-    spec = SpaceSpec.block_sum(blocks)
-    max_n = min(sum(s for _, s in blocks), 120)
-    table = demfun_table(spec, max_n)
-    dp_min, dp_max = explicit.alloc_dp(blocks, max_n)
-    assert list(table.hl_powers) == dp_min
-    assert list(table.hr_powers) == dp_max
-    for n in range(0, max_n + 1, 3):
-        point = demfun_dp(spec, n)
-        assert (point.hl_power, point.hr_power) == (dp_min[n], dp_max[n])
-        _assert_witness(spec, n, point.witness_l, point.hl_power)
-        _assert_witness(spec, n, point.witness_r, point.hr_power)
 
 
 def _count_states(monkeypatch):
@@ -628,35 +553,6 @@ def test_table_takes_blocks_past_the_index_range():
     assert list(table.hl_powers) == [demfun_dp(spec, n, which="hl").hl_power for n in range(11)]
 
 
-def _wide_or_narrow_block(rng, max_n, wide):
-    """A (cap, size) block with cap >= min(size, max_n) if wide, below it otherwise."""
-    size = rng.randint(1 if wide else 2, 2 * max_n)
-    floor = min(size, max_n)
-    return (rng.randint(floor, size), size) if wide else (rng.randint(1, floor - 1), size)
-
-
-def test_table_skipping_blocks_equals_dp_oracle():
-    # Blocks with cap >= min(size, max_N) sit both before and after the
-    # blocks reach max_N coordinates; only those after are skipped.
-    wide_before = wide_after = 0
-    for seed in range(120):
-        rng = random.Random(seed)
-        max_n = rng.randint(3, 40)
-        blocks = []
-        while sum(s for _, s in blocks) < max_n:
-            blocks.append(_wide_or_narrow_block(rng, max_n, rng.random() < 0.5))
-            wide_before += blocks[-1][0] >= min(blocks[-1][1], max_n)
-        reached = len(blocks)
-        blocks += [_wide_or_narrow_block(rng, max_n, rng.random() < 0.5)
-                   for _ in range(rng.randint(1, 6))]
-        wide_after += any(cap >= min(size, max_n) for cap, size in blocks[reached:])
-        spec = SpaceSpec.block_sum(blocks)
-        table = demfun_table(spec, max_n)
-        dp_min, dp_max = explicit.alloc_dp(blocks, max_n)
-        assert (list(table.hl_powers), list(table.hr_powers)) == (dp_min, dp_max), (seed, blocks)
-    assert wide_before and wide_after
-
-
 @pytest.mark.parametrize("num_blocks,max_n,visited", [(40, 10, 1), (12, 20000, 5)])
 def test_table_visits_only_blocks_that_can_lower_it(monkeypatch, num_blocks, max_n, visited):
     # Past the blocks that first hold max_N coordinates, a schedule's caps
@@ -669,33 +565,6 @@ def test_table_visits_only_blocks_that_can_lower_it(monkeypatch, num_blocks, max
     rng = random.Random(max_n)
     for n in sorted({0, 1, max_n, *rng.sample(range(max_n), 8)}):
         assert table.hl_power(n) == demfun_dp(spec, n, which="hl").hl_power
-
-
-def test_table_equals_dp_oracle_on_deep_schedule():
-    spec = SpaceSpec.from_schedule(arithmetic_schedule(5))
-    table = demfun_table(spec, 2000)
-    assert (list(table.hl_powers), list(table.hr_powers)) == _oracle_table(spec, 2000)
-
-
-@pytest.mark.parametrize("start,step", [(s, d) for s in (4, 5, 6) for d in (1, 2)])
-def test_table_equals_dp_oracle_on_benchmark_schedules(start, step):
-    # The demfun-table workload's schedules: a_j = start + (j - 1) * step, 5 blocks.
-    spec = SpaceSpec.from_schedule(BlockSchedule(tuple(range(start, start + 6 * step, step))))
-    table = demfun_table(spec, 1200)
-    assert (list(table.hl_powers), list(table.hr_powers)) == _oracle_table(spec, 1200)
-
-
-def test_prefix_check_matches_per_n_dp_oracle():
-    sched = arithmetic_schedule(4)
-    spec = SpaceSpec.from_schedule(sched)
-    report = prefix_norm_conjecture_check(sched, range(1, 201))
-    oracle = _oracle_table(spec, 200)[0][1:]
-    assert [hl for _, _, hl in report.rows] == oracle
-    assert [n for n, _, _ in report.rows] == list(range(1, 201))
-    assert list(report.counterexamples) == [
-        n for n, pre, _ in report.rows if pre != oracle[n - 1]
-    ]
-    assert report.counterexamples  # the family does have counterexamples below 200
 
 
 def test_demfun_dp_rejects_unknown_method():

@@ -19,8 +19,10 @@ from greedylab import (
 )
 from greedylab import alloc, explicit, greedy
 from greedylab.acceptance import criterion_4_instances
-from greedylab.explicit import sigma_oracle_grid, sigma_power_table
-from greedylab.spaces import random_vector
+from greedylab.explicit import random_vector, sigma_oracle_grid, sigma_power_table
+from oracles import left_after, named_tests, sequence_instances, small_tied_vectors
+
+globals().update(named_tests(__name__))  # this file's families of the route-oracle rows
 
 
 # -- gamma --------------------------------------------------------------------
@@ -55,22 +57,6 @@ def test_gamma_beyond_support_is_zero():
     assert out.residual_max.power_exact == 0 and out.tie.empty
 
 
-def _residual(x, spec, out, witness):
-    """What a resolution leaves: everything below the threshold, and the
-    threshold coordinates ``witness`` does not keep."""
-    assert [b for b, _ in witness] == [b for b, _ in out.tie.available]
-    assert sum(c for _, c in witness) == out.tie.choose
-    keep = dict(witness)
-    raw = []
-    for b, m, c in x.groups:
-        if m == out.tie.threshold:
-            assert 0 <= keep[b] <= c
-            raw.append((b, m, c - keep[b]))
-        elif m < out.tie.threshold:
-            raw.append((b, m, c))
-    return spec.vector(raw)
-
-
 def test_gamma_exact_on_large_tie_class():
     # 31 ways to resolve this tie; the worst keeps 28 ones in block 0.
     spec = SpaceSpec.block_sum([(2, 40), (2, 40)])
@@ -78,7 +64,7 @@ def test_gamma_exact_on_large_tie_class():
     out = gamma(x, 30, spec)
     assert (out.residual_max.power_exact, out.residual_min.power_exact) == (4, 2)
     for witness, value in ((out.witness_max, 4), (out.witness_min, 2)):
-        residual = explicit.to_explicit(_residual(x, spec, out, witness), spec)
+        residual = explicit.to_explicit(left_after(x, spec, out, witness), spec)
         assert explicit.norm_power(residual, spec) == value
 
 
@@ -93,71 +79,19 @@ def test_gamma_astronomical_tie_class():
     assert (out.residual_max.power_exact, out.residual_min.power_exact) == (126, 63)
     assert dict(out.witness_min)[2] == big
     for witness, value in ((out.witness_max, 126), (out.witness_min, 63)):
-        assert space_norm(_residual(x, spec, out, witness), spec).power_exact == value
+        assert space_norm(left_after(x, spec, out, witness), spec).power_exact == value
 
 
-def test_gamma_compressed_equals_raw_enumeration_random():
-    rng = random.Random(10)
-    for _ in range(40):
-        blocks = [(rng.randint(1, 3), rng.randint(3, 5)) for _ in range(2)]
-        spec = SpaceSpec.block_sum(blocks)
-        x = random_vector(spec, rng, max_mag=3)
-        if x.is_zero:
-            continue
-        n = rng.randint(0, x.support_size)
-        out = gamma(x, n, spec)
-        vals = explicit.to_explicit(x, spec, rng)
-        hi, lo = explicit.gamma_raw(vals, n, spec)
-        assert out.residual_max.power_exact == hi
-        assert out.residual_min.power_exact == lo
-        assert lo <= hi
-
-
-@st.composite
-def small_tied_instances(draw):
-    """l_p, trunc_block or 1-4 block sums on <= 12 coordinates, magnitudes
-    in {1, 2, 3} so that ties are common."""
-    variant = draw(st.sampled_from(("lp", "trunc_block", "block_sum")))
-    if variant == "lp":
-        spec = SpaceSpec.lp(draw(st.integers(1, 3)), draw(st.integers(1, 12)))
-    elif variant == "trunc_block":
-        size = draw(st.integers(1, 12))
-        spec = SpaceSpec.trunc_block(draw(st.integers(1, size)), size, draw(st.integers(1, 2)))
-    else:
-        blocks, room = [], 12
-        for _ in range(draw(st.integers(1, 4))):
-            if room == 0:
-                break
-            size = draw(st.integers(1, min(room, 6)))
-            blocks.append((draw(st.integers(1, size)), size))
-            room -= size
-        spec = SpaceSpec.block_sum(blocks)
-    raw = [
-        (b, draw(st.integers(0, 3)), 1)
-        for b, block in enumerate(spec.blocks)
-        for _ in range(block.size)
-    ]
-    return spec, spec.vector(raw)
-
-
-@settings(derandomize=True, max_examples=500, deadline=None)
-@given(small_tied_instances())
-def test_gamma_tie_extremes_match_raw_enumeration(instance):
-    spec, x = instance
-    values = explicit.to_explicit(x, spec)
-    profile = greedy.GreedyProfile(x, spec)
-    for n in range(x.support_size + 1):
-        out = profile.gamma(n)
-        hi, lo = out.residual_max.power_exact, out.residual_min.power_exact
-        assert explicit.gamma_raw(values, n, spec) == (hi, lo)
-        assert hi == profile.sequence("gamma").power(n)  # the point query and the sequence
-        assert sigma_exact(x, n, spec).power_exact <= lo
-        if out.tie.empty:
-            assert hi == lo
-            continue
-        for witness, value in ((out.witness_max, hi), (out.witness_min, lo)):
-            residual = explicit.to_explicit(_residual(x, spec, out, witness), spec)
-            assert explicit.norm_power(residual, spec) == value
+def test_gamma_point_queries_agree_with_the_sequence_and_sigma():
+    # Route against route on the inputs of the row's "small tied vectors"
+    # family: the point queries against the sequence, and sigma against the
+    # best resolution.
+    for c in small_tied_vectors():
+        profile = greedy.GreedyProfile(c.x, c.spec)
+        for n in c.ns:
+            out = profile.gamma(n)
+            assert out.residual_max.power_exact == profile.sequence("gamma").power(n)
+            assert profile.sigma(n).power_exact <= out.residual_min.power_exact
 
 
 def test_gamma_best_case_takes_interior_points_of_intermediate_runs():
@@ -170,7 +104,7 @@ def test_gamma_best_case_takes_interior_points_of_intermediate_runs():
     out = gamma(x, 5, spec)
     assert (out.residual_max.power_exact, out.residual_min.power_exact) == (119, 106)
     assert explicit.gamma_raw(explicit.to_explicit(x, spec), 5, spec) == (119, 106)
-    residual = explicit.to_explicit(_residual(x, spec, out, out.witness_min), spec)
+    residual = explicit.to_explicit(left_after(x, spec, out, out.witness_min), spec)
     assert explicit.norm_power(residual, spec) == 106
 
 
@@ -214,7 +148,7 @@ def test_gamma_ties_across_many_blocks_match_the_allocation_dp():
             lo = out.residual_min.power_exact
             assert (out.residual_max.power_exact, lo) == (dp_max[support - n], dp_min[support - n])
             if not out.tie.empty:
-                assert space_norm(_residual(x, spec, out, out.witness_min), spec).power_exact == lo
+                assert space_norm(left_after(x, spec, out, out.witness_min), spec).power_exact == lo
             queries += 1
     assert queries > 900
 
@@ -234,19 +168,6 @@ def test_sigma_block_sum_example():
     spec = SpaceSpec.from_schedule(arithmetic_schedule(2))
     x = spec.indicator({0: 20})
     assert sigma_exact(x, 16, spec).power_exact == 4  # residual 4 ones, cap 4
-
-
-def test_sigma_matches_removal_bruteforce():
-    rng = random.Random(11)
-    for _ in range(40):
-        blocks = [(rng.randint(1, 2), rng.randint(2, 4)) for _ in range(2)]
-        spec = SpaceSpec.block_sum(blocks)
-        x = random_vector(spec, rng, max_mag=4)
-        n = rng.randint(0, x.support_size + 1)
-        vals = explicit.to_explicit(x, spec, rng)
-        assert sigma_exact(x, n, spec).power_exact == explicit.sigma_removals_bruteforce(
-            vals, n, spec
-        )
 
 
 def test_sigma_table_equals_removal_bruteforce_at_every_n():
@@ -270,17 +191,6 @@ def test_sigma_grid_oracle_trivials():
     assert sigma_oracle_grid([2, 2], 2, SpaceSpec.lp(1, 2)) == 0.0
     spec = SpaceSpec.lp(1, 3)
     assert sigma_oracle_grid([3, 2, 1], 1, spec) == pytest.approx(3.0, abs=1e-6)
-
-
-def test_sigma_grid_oracle_validates_suppression_on_trunc_block():
-    rng = random.Random(12)
-    spec = SpaceSpec.trunc_block(2, 4, 2)
-    for _ in range(10):
-        values = [rng.randint(0, 8) for _ in range(4)]
-        n = rng.randint(1, 3)
-        x = explicit.from_explicit(values, spec)
-        exact = float(sigma_exact(x, n, spec))
-        assert abs(exact - sigma_oracle_grid(values, n, spec)) < 1e-6
 
 
 _P3 = SpaceSpec.block_sum([(3, 3), (1, 1)], 3, 3)
@@ -583,37 +493,6 @@ def test_error_sequence_two_pool_values():
     assert gam.power(20) == 20  # residual is the 20 ones under cap 20
 
 
-@st.composite
-def sequence_instances(draw):
-    """l_p (finite or infinite dimension), trunc_block or 1-4 block sums,
-    with magnitudes in {1, 2, 3} (tie-heavy) or pairwise distinct."""
-    variant = draw(st.sampled_from(("lp", "trunc_block", "block_sum")))
-    p = draw(st.integers(1, 3))
-    if variant == "lp":
-        dim = draw(st.one_of(st.none(), st.integers(1, 16)))
-        spec = SpaceSpec.lp(p, dim)
-        sizes = [dim or draw(st.integers(1, 16))]
-    elif variant == "trunc_block":
-        size = draw(st.integers(1, 16))
-        spec = SpaceSpec.trunc_block(draw(st.integers(1, size)), size, p)
-        sizes = [size]
-    else:
-        # Blocks up to 20 wide, so that tied groups leave long linear runs.
-        blocks = []
-        for _ in range(draw(st.integers(1, 4))):
-            size = draw(st.integers(1, 20))
-            blocks.append((draw(st.integers(1, size)), size))
-        spec = SpaceSpec.block_sum(blocks, p, p)
-        sizes = [size for _cap, size in blocks]
-    n = sum(sizes)
-    if draw(st.booleans()):
-        mags = draw(st.lists(st.integers(0, 3), min_size=n, max_size=n))
-    else:
-        mags = draw(st.lists(st.integers(0, 99), min_size=n, max_size=n, unique=True))
-    blocks_of = [b for b, size in enumerate(sizes) for _ in range(size)]
-    return spec, spec.vector([(b, m, 1) for b, m in zip(blocks_of, mags)])
-
-
 @settings(derandomize=True, max_examples=400, deadline=None)
 @given(sequence_instances())
 def test_error_sequences_match_dp_and_pointwise_gamma(instance):
@@ -625,34 +504,6 @@ def test_error_sequences_match_dp_and_pointwise_gamma(instance):
     assert all(a >= b for a, b in zip(sig, sig[1:]))
     assert all(a >= b for a, b in zip(gam, gam[1:]))
     assert all(s <= g for s, g in zip(sig, gam))
-
-
-@st.composite
-def wide_block_sums(draw):
-    """Sums of 5-10 blocks, each holding more coordinates than its cap, so
-    that every block residual bends both ways; magnitudes in {1, 2, 3}
-    (tie-heavy) or pairwise distinct."""
-    p = draw(st.integers(1, 3))
-    blocks, counts = [], []
-    for _ in range(draw(st.integers(5, 10))):
-        count = draw(st.integers(2, 9))
-        blocks.append((draw(st.integers(1, count - 1)), count + draw(st.integers(0, 3))))
-        counts.append(count)
-    n = sum(counts)
-    if draw(st.booleans()):
-        mags = draw(st.lists(st.integers(1, 3), min_size=n, max_size=n))
-    else:
-        mags = draw(st.lists(st.integers(1, 500), min_size=n, max_size=n, unique=True))
-    blocks_of = [b for b, count in enumerate(counts) for _ in range(count)]
-    spec = SpaceSpec.block_sum(blocks, p, p)
-    return spec, spec.vector([(b, m, 1) for b, m in zip(blocks_of, mags)])
-
-
-@settings(derandomize=True, max_examples=200, deadline=None)
-@given(wide_block_sums())
-def test_sigma_sequences_match_dp_on_wide_block_sums(instance):
-    spec, x = instance
-    assert error_sequence(x, spec, "sigma").powers() == list(sigma_power_table(x, spec))
 
 
 def test_pair_min_is_the_pointwise_minimum():

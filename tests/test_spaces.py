@@ -21,6 +21,9 @@ from greedylab import (
 from greedylab import explicit
 from greedylab.explicit import lattice_check, sup_form_norm_oracle
 from greedylab.spaces import _float_root
+from oracles import named_tests
+
+globals().update(named_tests(__name__))  # this file's families of the route-oracle rows
 
 
 # -- truncated block norm ----------------------------------------------------
@@ -67,21 +70,6 @@ def test_sup_oracle_rejects_oversize_support():
         sup_form_norm_oracle([1] * 30, 2)
 
 
-def test_trunc_norm_equals_sup_oracle_exhaustively():
-    # Every p=2 instance with support <= 12 drawn from a seeded pool; the
-    # block pads the coordinates with zeros to at least one more than the
-    # support, and to the cap.
-    rng = random.Random(2)
-    for _ in range(150):
-        support = rng.randint(0, 12)
-        coords = [rng.randint(0, 6) for _ in range(support)]
-        cap = rng.randint(1, 13)
-        spec = SpaceSpec.trunc_block(cap, max(cap, support + 1))
-        assert _flat_norm(coords, spec).power_exact == sup_form_norm_oracle(
-            coords, cap
-        ).power_exact
-
-
 # -- space norms --------------------------------------------------------------
 
 
@@ -92,13 +80,6 @@ def test_block_sum_indicator_examples():
     split = spec.indicator({0: 4, 1: 16})
     assert space_norm(split, spec).power_exact == 20  # 4 + 16
     assert space_norm(spec.vector([]), spec).power_exact == 0
-
-
-def test_block_sum_cross_checked_with_sup_oracle_on_shrunken_analogue():
-    # One block (cap 2, size 5): compressed norm of 5 ones vs the oracle.
-    spec = SpaceSpec.trunc_block(2, 5, 2)
-    v = spec.indicator({0: 5})
-    assert space_norm(v, spec).power_exact == sup_form_norm_oracle([1] * 5, 2).power_exact
 
 
 def test_indicator_block_sum_power_is_integer_sum_of_mins():
@@ -116,7 +97,7 @@ def test_indicator_block_sum_power_is_integer_sum_of_mins():
 def test_norm_monotone_in_magnitudes():
     rng = random.Random(4)
     spec = SpaceSpec.block_sum([(2, 5), (3, 7)])
-    from greedylab.spaces import random_vector
+    from greedylab.explicit import random_vector
 
     for _ in range(100):
         x = random_vector(spec, rng)
@@ -127,19 +108,6 @@ def test_norm_monotone_in_magnitudes():
             [(bb, mm + (1 if (bb, mm) == (b, mag) else 0), cc) for bb, mm, cc in x.groups]
         )
         assert space_norm(bumped, spec).power_exact >= space_norm(x, spec).power_exact
-
-
-def test_norm_blind_to_permutations_and_signs():
-    rng = random.Random(5)
-    spec = SpaceSpec.block_sum([(2, 5), (3, 6)])
-    from greedylab.spaces import random_vector
-
-    for _ in range(60):
-        x = random_vector(spec, rng)
-        reference = space_norm(x, spec).power_exact
-        for _ in range(3):
-            shuffled = explicit.to_explicit(x, spec, rng)  # random slots and signs
-            assert explicit.norm_power(shuffled, spec) == reference
 
 
 @st.composite
@@ -219,35 +187,6 @@ def test_mixed_exponents_fall_back_to_float():
     nv = space_norm(v, spec)
     assert nv.power_exact is None
     assert nv.value == pytest.approx(7.0)
-
-
-def test_non_integer_exponents_match_the_float_oracle():
-    # A non-integer exponent takes the float route of the block and space
-    # norms: no exact power, and the float explicit norm to rounding.
-    rng = random.Random(15)
-    spaces = [
-        SpaceSpec.lp(1.5, 5),
-        SpaceSpec.trunc_block(2, 5, 2.5),
-        SpaceSpec.block_sum([(2, 4), (3, 6)], 1.5, 1.5),
-        SpaceSpec.block_sum([(2, 4), (3, 6)], 1.5, 3),
-    ]
-    trunc = SpaceSpec.trunc_block(2, 5, 1.5)
-
-    def nonzero_values(dim):
-        values = [rng.randint(-9, 9) for _ in range(dim - 1)] + [rng.randint(1, 9)]
-        rng.shuffle(values)
-        return values
-
-    for _ in range(240):
-        for spec in spaces:
-            values = nonzero_values(spec.dimension())
-            nv = space_norm(explicit.from_explicit(values, spec), spec)
-            assert nv.power_exact is None
-            assert nv.value == pytest.approx(explicit.norm_float(values, spec), rel=1e-12)
-        values = nonzero_values(5)
-        nv = _flat_norm(values, trunc)
-        assert nv.power_exact is None
-        assert nv.value == pytest.approx(explicit.norm_float(values, trunc), rel=1e-12)
 
 
 def test_norm_value_float_tracks_exact_power():
