@@ -41,16 +41,14 @@ _EXPORTS = {  # submodule -> the public names it provides
         "sigma_exact",
     ),
     "democracy": (
-        "CghmSequences",
         "DemFunTable",
         "DemPoint",
-        "cghm_construct",
-        "condition71_check",
         "demfun_dp",
         "demfun_table",
         "doubling_scan",
         "prefix_norm_conjecture_check",
     ),
+    "cghm": ("CghmSequences", "HFunction", "cghm_construct", "condition71_check"),
     "approx": (
         "ApproxParams",
         "XsConstruction",

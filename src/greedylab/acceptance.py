@@ -17,15 +17,8 @@ from typing import Callable, Optional
 
 from . import explicit
 from .approx import ApproxParams, build_xs, optimality_experiment, xs_bound_checks
-from .democracy import (
-    cghm_construct,
-    condition71_check,
-    demfun_dp,
-    demfun_table,
-    doubling_scan,
-    one_plus_log2,
-    sqrt_of,
-)
+from .cghm import HFunction, cghm_construct, condition71_check
+from .democracy import demfun_dp, demfun_table, doubling_scan
 from .errors import TruncationError
 from .greedy import GreedyProfile, error_sequence, gamma, sigma_exact
 from .schedule import arithmetic_schedule, squares_schedule
@@ -189,12 +182,13 @@ def criterion_6() -> tuple[bool, str]:
 
 def criterion_7() -> tuple[bool, str]:
     """CGHM constructor on h_l = 1 + log2, h_r = sqrt."""
-    seqs = cghm_construct(sqrt_of, one_plus_log2, c_doubling=2.0, alpha=0.25, count=5)
+    sqrt, one_plus_log2 = HFunction("sqrt"), HFunction("one_plus_log2")
+    seqs = cghm_construct(sqrt, one_plus_log2, c_doubling=2.0, alpha=0.25, count=5)
     if len(seqs.w) < 5 or seqs.exhausted:
         return False, f"only {len(seqs.w)} terms (exhausted={seqs.exhausted})"
     if not seqs.all_checks_pass():
         return False, f"internal chain checks failed: {seqs.checks}"
-    report = condition71_check(sqrt_of, one_plus_log2, seqs.pairs, c=1.0, alpha=0.25)
+    report = condition71_check(sqrt, one_plus_log2, seqs.pairs, c=1.0, alpha=0.25)
     if not report.all_pass:
         return False, f"7.1 check failed: {report.rows}"
     return True, f"5 terms constructed (w={seqs.w}); 7.1 holds with C=1"

@@ -227,10 +227,10 @@ def cmd_prefix_check(args) -> int:
 
 
 def cmd_cghm(args) -> int:
-    from .democracy import cghm_construct, h_function_from_json
+    from .cghm import HFunction, cghm_construct
 
-    h_l = h_function_from_json(_load_json(args.hl))
-    h_r = h_function_from_json(_load_json(args.hr))
+    h_l = HFunction.from_json(_load_json(args.hl))
+    h_r = HFunction.from_json(_load_json(args.hr))
     seqs = cghm_construct(
         h_r, h_l, args.c_doubling, args.alpha, args.count, args.probe_limit
     )
@@ -244,10 +244,10 @@ def cmd_cghm(args) -> int:
 
 
 def cmd_check71(args) -> int:
-    from .democracy import condition71_check, h_function_from_json
+    from .cghm import HFunction, condition71_check
 
-    h_l = h_function_from_json(_load_json(args.hl))
-    h_r = h_function_from_json(_load_json(args.hr))
+    h_l = HFunction.from_json(_load_json(args.hl))
+    h_r = HFunction.from_json(_load_json(args.hr))
     obj = _load_json(args.pairs)
     if isinstance(obj, dict) and "k" in obj and "n" in obj:
         ks, ns = json_shape(obj["k"], list), json_shape(obj["n"], list)

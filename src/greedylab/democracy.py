@@ -30,14 +30,13 @@ onto the infinite block space cannot answer exactly raise TruncationError.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Iterable, Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 from .alloc import concave_min
 from .errors import InvariantError, TruncationError
-from .exact import int_at_least, json_int, json_number, json_shape
+from .exact import int_at_least
 from .schedule import BlockSchedule
 from .spaces import SpaceSpec
 
@@ -319,249 +318,3 @@ def prefix_norm_conjecture_check(
     rows = [(n, prefix[n], table.hl_power(n)) for n in ns]
     bad = [n for n, pre, hl in rows if pre != hl]
     return PrefixReport(tuple(rows), tuple(bad), not bad)
-
-
-# ---------------------------------------------------------------------------
-# CGHM sequence construction and the 7.1 condition
-
-
-def one_plus_log2(n: int) -> float:
-    return 1.0 + math.log2(n)
-
-
-def sqrt_of(n: int) -> float:
-    return math.sqrt(n)
-
-
-def h_function_from_json(obj: dict) -> Callable[[int], float]:
-    kind = json_shape(obj, dict)["kind"]
-    if kind == "one_plus_log2":
-        return one_plus_log2
-    if kind == "sqrt":
-        return sqrt_of
-    if kind == "power":
-        scale = float(json_number(obj.get("scale", 1.0)))
-        exponent = float(json_number(obj["exponent"]))
-        _require_finite(scale=scale, exponent=exponent)
-        return lambda n: scale * float(n) ** exponent
-    if kind == "table":
-        values = {json_int(k): float(json_number(v))
-                  for k, v in json_shape(obj["values"], dict).items()}
-        _require_finite(**{f"table value at {n}": v for n, v in values.items()})
-        return lambda n: values[n]  # KeyError beyond the table = probe exhausted
-    raise ValueError(f"unknown h-function kind {kind!r}")
-
-
-_UNKNOWN = (LookupError, OverflowError)  # h is not known there: past a table or the float range
-
-
-@dataclass(frozen=True)
-class CghmSequences:
-    w: tuple[int, ...]
-    r_of_mu: tuple[int, ...]
-    k: tuple[int, ...]
-    n: tuple[int, ...]
-    c_doubling: float
-    alpha: float
-    exhausted: bool
-    exhausted_reason: Optional[str]
-    checks: tuple[dict, ...]  # per-term cghm2/cghm3/chain booleans
-
-    @property
-    def pairs(self) -> tuple[tuple[int, int], ...]:
-        return tuple(zip(self.k, self.n))
-
-    def all_checks_pass(self) -> bool:
-        return all(all(c.values()) for c in self.checks)
-
-
-def _first_crossing(
-    ratio, threshold: float, lo: int, probe_limit: int, target: str
-) -> tuple[int, Optional[str]]:
-    """(N, None) for an N >= lo with ratio(N) >= threshold, or (N, reason).
-
-    Doubles from lo until the threshold is crossed, then binary-searches
-    between the last two probes.  Where ratio is non-decreasing that is the
-    first crossing; otherwise it is a crossing between two doubling probes,
-    not always the first (ratio >= 2 only at N = 3 and N = 8 from lo = 1:
-    the probes 1, 2, 4 step over 3, and the search returns 8).  (N, reason)
-    names where the search stopped: the first probe past probe_limit, which
-    may be lo itself, or the first N ratio cannot answer.
-    """
-    hi = n = lo
-    try:
-        while True:
-            if hi > probe_limit:
-                return hi, f"no N <= {probe_limit} with h_r/h_l >= {target}"
-            if ratio(hi) >= threshold:
-                break
-            n = hi = hi * 2
-        lo_fail = max(lo, hi // 2)
-        while hi - lo_fail > 1:
-            n = mid = (hi + lo_fail) // 2
-            if ratio(mid) >= threshold:
-                hi = mid
-            else:
-                lo_fail = mid
-        return hi, None
-    except _UNKNOWN:
-        return n, f"h_r/h_l is not known at N = {n}, before any N with h_r/h_l >= {target}"
-
-
-def _at_most(lhs: float, rhs: float) -> bool:
-    """lhs <= rhs up to a relative slack of 1e-12: a decision on floats."""
-    return lhs <= rhs * (1 + 1e-12)
-
-
-def _at_least(lhs: float, rhs: float) -> bool:
-    """lhs >= rhs up to a relative slack of 1e-12: a decision on floats."""
-    return lhs >= rhs * (1 - 1e-12)
-
-
-def _require_finite(**values: float) -> None:
-    """Refuse a nan or infinite parameter up front: its report could not be written as JSON."""
-    for name, value in values.items():
-        if not math.isfinite(value):
-            raise ValueError(f"{name} must be finite, got {value}")
-
-
-def cghm_construct(
-    h_r: Callable[[int], float],
-    h_l: Callable[[int], float],
-    c_doubling: float,
-    alpha: float,
-    count: int,
-    probe_limit: int = 2**63,
-) -> CghmSequences:
-    """Build (w, r, k, n) witnessing the 7.1 condition from two h tables.
-
-    Finite computation replaces limit conditions by explicit thresholds:
-    w_mu is an N with h_r/h_l >= mu, r(mu) brackets w_mu between powers of
-    two, k_mu is a later N whose ratio beats C^r(mu) * w_mu^alpha, and
-    n_mu = w_mu * k_mu.  Both searches are ``_first_crossing``: the first
-    such N where h_r/h_l is non-decreasing, otherwise a crossing between two
-    doubling probes, which serves as well.  Every produced term
-    re-verifies the doubling step, the threshold step and the final 7.1
-    inequality numerically; running out of probe range, of the range a
-    table h-function answers, or of the float range a threshold needs, yields
-    a partial result with an explicit marker instead of an error.
-    """
-    count = int_at_least(count, 1, "count")
-    probe_limit = int_at_least(probe_limit, 1, "probe_limit")
-    _require_finite(c_doubling=c_doubling, alpha=alpha)
-
-    # Pre-condition: h_l doubling with the claimed constant, probed at
-    # N = 1, 4, 16, ... only (ROADMAP item 25), up to the first N a table
-    # cannot answer.
-    probe = 1
-    while probe <= probe_limit // 2:
-        try:
-            h_n, h_2n = h_l(probe), h_l(2 * probe)
-        except _UNKNOWN:
-            break
-        if not _at_most(h_2n, c_doubling * h_n):
-            raise ValueError(
-                f"h_l is not {c_doubling}-doubling at N={probe}: "
-                f"{h_2n} > {c_doubling} * {h_n}"
-            )
-        probe *= 4
-
-    def ratio(n: int) -> float:
-        return h_r(n) / h_l(n)
-
-    terms: list[tuple[int, int, int, int]] = []  # (w, r, k, n) per mu
-    checks: list[dict] = []
-    reason = None
-    w = k = 0
-    for mu in range(1, count + 1):
-        w, reason = _first_crossing(ratio, float(mu), w + 1, probe_limit, str(mu))
-        if reason:
-            break
-        r = w.bit_length()  # 2^(r-1) <= w < 2^r
-        target = f"C^{r} * {w}^{alpha}"
-        try:
-            threshold = (c_doubling**r) * (w**alpha)
-        except OverflowError:
-            threshold = math.inf
-        if math.isinf(threshold):  # no float ratio crosses it
-            reason = f"the threshold {target} for mu = {mu} is past the float range"
-            break
-        k, reason = _first_crossing(ratio, threshold, max(k + 1, w), probe_limit, target)
-        if reason:
-            break
-        n = w * k
-        try:
-            h_n = h_l(n)
-        except _UNKNOWN:
-            reason = f"h_l is not known at N = w * k = {n}, which the checks read"
-            break
-        checks.append(
-            {
-                "cghm2": _at_most(h_n, (c_doubling**r) * h_l(k)),
-                "cghm3": _at_least(ratio(k), threshold),
-                "chain": _at_least(h_r(k) / h_n, (n / k) ** alpha),
-            }
-        )
-        terms.append((w, r, k, n))
-
-    ws, rs, ks, ns = tuple(zip(*terms)) or ((),) * 4
-    return CghmSequences(
-        ws, rs, ks, ns, c_doubling, alpha, reason is not None, reason, tuple(checks)
-    )
-
-
-def _known(h: Callable[[int], float], side: str, n: int, mu: int) -> float:
-    """h(n), refusing an N that h cannot answer (past a table or the float range)."""
-    try:
-        return h(n)
-    except _UNKNOWN as exc:
-        raise ValueError(f"pair {mu}: {side} is not known at N = {n}") from exc
-
-
-@dataclass(frozen=True)
-class Condition71Report:
-    rows: tuple[dict, ...]
-    all_pass: bool
-
-
-def condition71_check(
-    h_r: Callable[[int], float],
-    h_l: Callable[[int], float],
-    pairs: Sequence[tuple[int, int]],
-    c: float,
-    alpha: float,
-) -> Condition71Report:
-    """Check the 7.1 condition on explicit (k_mu, n_mu) pairs.
-
-    Growth means n/k strictly increases along the pairs; the inequality is
-    h_r(k) / h_l(n) >= c * (n/k)^alpha per pair.  An N that h_l or h_r
-    cannot answer is refused with a ValueError naming the side and the N.
-    """
-    _require_finite(c=c, alpha=alpha)
-    if not pairs:  # a report with no rows would pass having checked nothing
-        raise ValueError("no (k, n) pairs to check")
-    rows = []
-    prev_ratio = None
-    for mu, (k, n) in enumerate(pairs, start=1):
-        k = int_at_least(k, 1, f"pair {mu}: k")
-        n = int_at_least(n, k, f"pair {mu}: n")
-        growth_ratio = Fraction(n, k)
-        growth_ok = prev_ratio is None or growth_ratio > prev_ratio
-        lhs = _known(h_r, "h_r", k, mu) / _known(h_l, "h_l", n, mu)
-        rhs = c * float(growth_ratio) ** alpha
-        inequality_ok = _at_least(lhs, rhs)
-        rows.append(
-            {
-                "mu": mu,
-                "k": k,
-                "n": n,
-                "n_over_k": float(growth_ratio),
-                "lhs": lhs,
-                "rhs": rhs,
-                "growth_ok": growth_ok,
-                "inequality_ok": inequality_ok,
-                "passed": growth_ok and inequality_ok,
-            }
-        )
-        prev_ratio = growth_ratio
-    return Condition71Report(tuple(rows), all(r["passed"] for r in rows))

@@ -902,8 +902,8 @@ NO_ROW = {  # exported functions with no row, and why
     "canonicalize": "builds a vector: an input, not a computed quantity",
     "indicator": "builds a vector: an input, not a computed quantity",
     "space_from_json": "parses a space: an input, not a computed quantity",
-    "cghm_construct": "float decisions with no oracle (ROADMAP items 4 and 25)",
-    "condition71_check": "float decisions with no oracle (ROADMAP items 4 and 25)",
+    "cghm_construct": "cghm.py: float decisions with no oracle (ROADMAP item 4)",
+    "condition71_check": "cghm.py: float decisions with no oracle (ROADMAP item 4)",
     "envelope": "a closed form in s, alpha and q, with nothing to enumerate",
     "build_xs": "composes doubling_scan, space_norm and the sequences (rows) with exact build-time checks",
     "optimality_experiment": "composes build_xs, sequence_bound_checks and quasinorm_bracket (rows)",

@@ -148,8 +148,8 @@ def _table(path, h, top):
 
 
 def test_cghm_doubling_check_stops_where_the_tables_end(tmp_path):
-    # The pre-check probes h_l(N), h_l(2N) for N = 1, 4, 16, ... up to the
-    # probe limit (2^63); tables on N < 5000 used to raise KeyError: 8192.
+    # The pre-check reads h_l(N), h_l(2N) at each N whose 2N the table holds,
+    # and no further; tables on N < 5000 once raised KeyError: 8192.
     hl = _table(tmp_path / "hl.json", lambda n: 1 + math.log2(n), 4999)
     hr = _table(tmp_path / "hr.json", math.sqrt, 4999)
     out = tmp_path / "cghm.json"
@@ -162,6 +162,18 @@ def test_cghm_doubling_check_stops_where_the_tables_end(tmp_path):
     hr = write(tmp_path / "sqrt.json", {"kind": "sqrt"})
     assert main(["--out", str(out), "cghm", "--hl", hl, "--hr", hr, "--alpha", "0.25"]) == 0
     assert json.loads(out.read_text())["k"][0] == 361
+
+
+def test_cghm_refuses_a_table_that_fails_to_double_between_probes(tmp_path, capsys):
+    # h_l(4)/h_l(2) = 3 > 2.5.  The probes N = 1 and 4 read 2 and 4/3, and
+    # the run once exited 0.
+    h = write(tmp_path / "h.json", {"kind": "table", "values": {"1": 1, "2": 2, "4": 6, "8": 8}})
+    out = tmp_path / "cghm.json"
+    assert main(["--out", str(out), "cghm", "--hl", h, "--hr", h, "--alpha", "0.25",
+                 "--c-doubling", "2.5"]) == 1
+    assert json.loads(capsys.readouterr().err)["error"] == (
+        "ValueError: h_l is not 2.5-doubling at N=2: 6.0 > 2.5 * 2.0")
+    assert not out.exists()
 
 
 def test_cghm_check_past_the_table_is_exhaustion(tmp_path):
@@ -181,8 +193,7 @@ def test_cghm_check_past_the_table_is_exhaustion(tmp_path):
 
 def test_cghm_treats_a_float_overflow_as_h_unknown(tmp_path):
     # h(N) = N^400 overflows a float from N = 8 (4^400 = 2^800 still fits): the
-    # doubling precondition stops probing there, as the searches do, where it
-    # once exited 1 with the OverflowError.
+    # search stops there, where the run once exited 1 with the OverflowError.
     h = write(tmp_path / "power400.json", {"kind": "power", "exponent": 400})
     out = tmp_path / "cghm.json"
     assert main(["--out", str(out), "cghm", "--hl", h, "--hr", h, "--alpha", "0.25",
@@ -529,6 +540,14 @@ PARSEABLE_INPUTS = [
 ]
 
 
+# The diagnostic of every row that reads an input named here.
+PARSEABLE_ERRORS = {
+    # It once divided by h_l(16) = 0: ZeroDivisionError.
+    "zero_table": "ValueError: table value at 16 must be > 0, got 0.0",
+    "power400": "ValueError: pair 1: h_r is not known at N = 8",
+}
+
+
 @pytest.fixture
 def input_files(tmp_path):
     files = {
@@ -568,11 +587,12 @@ def input_files(tmp_path):
 def test_parseable_input_exits_without_traceback(tmp_path, argv, code, input_files, capsys):
     # Exit 0, or exit 1 with a JSON diagnostic and no output, to stdout or to --out.
     # An exception fails the test.
-    argv = [input_files.get(arg, arg) for arg in argv]
+    names, argv = argv, [input_files.get(arg, arg) for arg in argv]
     assert main(argv) == code
     captured = capsys.readouterr()
     if code == 1:
-        assert "error" in json.loads(captured.err)
+        error = json.loads(captured.err)["error"]
+        assert all(error == PARSEABLE_ERRORS.get(name, error) for name in names)
         assert captured.out == ""
         out = tmp_path / "refused.out"
         assert main(["--out", str(out)] + argv) == 1

@@ -2,6 +2,7 @@
 
 import math
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -10,6 +11,7 @@ from hypothesis import given, settings
 from greedylab import (
     BlockSchedule,
     DemPoint,
+    HFunction,
     SpaceSpec,
     TruncationError,
     arithmetic_schedule,
@@ -22,8 +24,7 @@ from greedylab import (
     prefix_norm_conjecture_check,
     squares_schedule,
 )
-from greedylab import alloc, democracy, explicit
-from greedylab.democracy import one_plus_log2, sqrt_of
+from greedylab import alloc, cghm, democracy, explicit
 from greedylab.explicit import demfun_bruteforce
 from greedylab.greedy import GreedyProfile
 from greedylab.spaces import space_norm
@@ -33,6 +34,8 @@ globals().update(named_tests(__name__))  # this file's families of the route-ora
 
 
 TOY = SpaceSpec.block_sum([(2, 4), (3, 6)])
+SQRT, ONE_PLUS_LOG2 = HFunction("sqrt"), HFunction("one_plus_log2")
+ONE, N = HFunction("power", exponent=0), HFunction("power", exponent=1)  # h(N) = 1 and h(N) = N
 
 
 def _oracle_table(spec, max_n):
@@ -309,35 +312,39 @@ def test_prefix_check_refuses_past_the_blocks_before_hl_does():
 
 
 def test_cghm_acceptance_pair():
-    seqs = cghm_construct(sqrt_of, one_plus_log2, 2.0, 0.25, 5)
+    seqs = cghm_construct(SQRT, ONE_PLUS_LOG2, 2.0, 0.25, 5)
     assert len(seqs.w) == 5 and not seqs.exhausted
     assert seqs.all_checks_pass()
     assert all(2 ** (r - 1) <= w < 2**r for w, r in zip(seqs.w, seqs.r_of_mu))
     assert all(n == w * k for w, k, n in zip(seqs.w, seqs.k, seqs.n))
     assert list(seqs.k) == sorted(set(seqs.k))
-    report = condition71_check(sqrt_of, one_plus_log2, seqs.pairs, 1.0, 0.25)
+    report = condition71_check(SQRT, ONE_PLUS_LOG2, seqs.pairs, 1.0, 0.25)
     assert report.all_pass
+
+
+def _table(h, top):
+    return HFunction("table", values={n: h.at(n) for n in range(1, top + 1)})
 
 
 def test_crossing_search_on_a_ratio_that_is_not_monotone():
     # h_r/h_l >= 2 only at N = 3 and N = 8: the doubling probes 1, 2, 4 step
     # over 3, so the search returns 8, a crossing between two probes, and the
     # per-term checks hold at the term it builds there.
-    h_r = {n: 2.0 if n in (3, 8) else 1.0 for n in range(1, 17)}.__getitem__
-    assert democracy._first_crossing(h_r, 2.0, 1, 2**63, "2") == (8, None)
-    seqs = cghm_construct(h_r, lambda n: 1.0, 2.0, 0.0, 1)
+    h_r = HFunction("table", values={n: 2.0 if n in (3, 8) else 1.0 for n in range(1, 17)})
+    assert cghm._first_crossing(h_r.at, 2.0, 1, 2**63, "2") == (8, None)
+    seqs = cghm_construct(h_r, ONE, 2.0, 0.0, 1)
     assert (seqs.w, seqs.r_of_mu, seqs.k) == ((1,), (1,), (8,)) and seqs.all_checks_pass()
 
 
 def test_cghm_bounded_ratio_exhausts():
-    seqs = cghm_construct(one_plus_log2, one_plus_log2, 2.0, 0.25, 3)
+    seqs = cghm_construct(ONE_PLUS_LOG2, ONE_PLUS_LOG2, 2.0, 0.25, 3)
     assert seqs.exhausted and seqs.exhausted_reason
     assert len(seqs.w) < 3
 
 
 def test_cghm_exhausts_in_the_w_search():
     # h_r/h_l = 1.6 meets C^1 = 1.5 at w = k = 1, but never reaches mu = 2.
-    seqs = cghm_construct(lambda n: 1.6 * sqrt_of(n), sqrt_of, 1.5, 0.0, 2)
+    seqs = cghm_construct(HFunction("power", 1.6, 0.5), SQRT, 1.5, 0.0, 2)
     assert (seqs.w, seqs.k, seqs.n) == ((1,), (1,), (1,)) and seqs.exhausted
     assert seqs.exhausted_reason == f"no N <= {2**63} with h_r/h_l >= 2"
 
@@ -345,15 +352,14 @@ def test_cghm_exhausts_in_the_w_search():
 def test_cghm_names_the_first_n_a_table_cannot_answer():
     # Tables on N < 5000: the k search from 362 doubles to 5792 and stops there,
     # long before the probe limit.
-    table = lambda h: {n: h(n) for n in range(1, 5000)}.__getitem__
-    seqs = cghm_construct(table(sqrt_of), table(one_plus_log2), 2.0, 0.25, 5)
+    seqs = cghm_construct(_table(SQRT, 4999), _table(ONE_PLUS_LOG2, 4999), 2.0, 0.25, 5)
     assert (seqs.w, seqs.k) == ((1,), (361,)) and seqs.exhausted
     assert seqs.exhausted_reason.startswith("h_r/h_l is not known at N = 5792,")
     assert str(2**63) not in seqs.exhausted_reason
 
 
 def test_cghm_names_the_probe_limit_when_it_is_reached():
-    seqs = cghm_construct(sqrt_of, one_plus_log2, 2.0, 0.25, 5, probe_limit=1000)
+    seqs = cghm_construct(SQRT, ONE_PLUS_LOG2, 2.0, 0.25, 5, probe_limit=1000)
     assert (seqs.w, seqs.k) == ((1,), (361,)) and seqs.exhausted
     assert seqs.exhausted_reason.startswith("no N <= 1000 with h_r/h_l >= C^9 * 361^0.25")
 
@@ -361,69 +367,98 @@ def test_cghm_names_the_probe_limit_when_it_is_reached():
 def test_cghm_searches_start_no_further_than_the_probe_limit():
     # After w = k = 1 the w search for mu = 2 starts at 2, past the limit; it
     # once tested N = 2, 3, 4, 5 there and returned five terms.
-    seqs = cghm_construct(lambda n: float(n), lambda n: 1.0, 1.0, 0.25, 5, probe_limit=1)
+    seqs = cghm_construct(N, ONE, 1.0, 0.25, 5, probe_limit=1)
     assert (seqs.w, seqs.k) == ((1,), (1,)) and seqs.exhausted
     assert seqs.exhausted_reason == "no N <= 1 with h_r/h_l >= 2"
-    assert democracy._first_crossing(_unread, 1.0, 5, 4, "1") == (5, "no N <= 4 with h_r/h_l >= 1")
+    assert cghm._first_crossing(_unread, 1.0, 5, 4, "1") == (5, "no N <= 4 with h_r/h_l >= 1")
 
 
 def test_cghm_alpha_zero_still_constructs():
-    seqs = cghm_construct(sqrt_of, one_plus_log2, 2.0, 0.0, 5)
+    seqs = cghm_construct(SQRT, ONE_PLUS_LOG2, 2.0, 0.0, 5)
     assert len(seqs.w) == 5 and seqs.all_checks_pass()
 
 
 def test_cghm_rejects_non_doubling_hl():
     with pytest.raises(ValueError):
-        cghm_construct(sqrt_of, lambda n: float(n), 1.5, 0.25, 3)
+        cghm_construct(SQRT, N, 1.5, 0.25, 3)
 
 
-@pytest.mark.xfail(strict=True, raises=pytest.fail.Exception,
-                   reason="ROADMAP item 25: the doubling precondition is "
-                   "probed only at N = 1, 4, 16, ...")
 def test_cghm_refuses_a_constant_its_table_violates_between_probes():
-    # h_l(2N)/h_l(N) > 2.5 from N = 794 on (sqrt(8) at N = 6,720), but the
-    # probes see at most sqrt(210/47) ~ 2.11.
+    # h_l(2N)/h_l(N) > 2.5 from N = 794 on (sqrt(8) at N = 6,720); the probes
+    # at N = 1, 4, 16, ... once saw at most sqrt(210/47) ~ 2.11 and accepted.
     table = demfun_table(SpaceSpec.from_schedule(arithmetic_schedule(6)), 13440)
-    h_l, h_r = (democracy.h_function_from_json(
-        {"kind": "table", "values": {n: math.sqrt(v) for n, v in enumerate(powers) if n}})
-        for powers in (table.hl_powers, table.hr_powers))
+    h_l, h_r = (HFunction("table", values={n: math.sqrt(v) for n, v in enumerate(powers) if n})
+                for powers in (table.hl_powers, table.hr_powers))
     with pytest.raises(ValueError, match=r"at N=794:"):
         cghm_construct(h_r, h_l, 2.5, 0.25, 2)
 
 
-def _unread(n):
-    raise AssertionError(f"h read at N = {n} before the parameters were checked")
+def test_an_h_function_is_none_where_it_is_not_known():
+    table = HFunction.from_json({"kind": "table", "values": {"1": 1, "2": 2, "4": 6, "8": 8}})
+    assert [table.at(n) for n in (1, 3, 8, 16)] == [1.0, None, 8.0, None]
+    assert HFunction("power", exponent=400).at(4) == 2.0**800
+    assert HFunction("power", exponent=400).at(8) is None  # OverflowError
+    assert HFunction("power", 1e300, 2).at(10**5) is None  # inf
+    assert HFunction("sqrt").at(10**400) is None and ONE_PLUS_LOG2.at(10**400) > 1328
+    # The N that decide doubling: 1 for a closed form, each tabled N whose 2N is tabled.
+    assert table.doubling_witnesses(2**63) == [1, 2, 4] and table.doubling_witnesses(7) == [1, 2]
+    assert N.doubling_witnesses(1) == [1] == ONE_PLUS_LOG2.doubling_witnesses(2**63)
+
+
+@pytest.mark.parametrize("obj, message", [
+    ({"kind": "power", "scale": 0, "exponent": 1}, "scale must be > 0, got 0"),
+    ({"kind": "power", "scale": -2.0, "exponent": 1}, "scale must be > 0, got -2.0"),
+    ({"kind": "power", "exponent": -0.5}, "exponent must be >= 0, got -0.5"),
+    ({"kind": "table", "values": {"1": 1, "16": 0}}, "table value at 16 must be > 0, got 0.0"),
+    ({"kind": "table", "values": {"0": 1}}, "table key must be an integer >= 1, got 0"),
+    ({"kind": "cube"}, "unknown h-function kind 'cube'"),
+], ids=["zero scale", "negative scale", "negative exponent", "zero value", "zero key", "kind"])
+def test_an_h_function_refuses_a_field_at_construction(obj, message):
+    # A zero table value once reached check71 and cghm, which divided by it.
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        HFunction.from_json(obj)
+
+
+def _unread(*args):
+    raise AssertionError(f"h read at N = {args[-1]} before the parameters were checked")
+
+
+@pytest.fixture
+def unread(monkeypatch):
+    """An h-function whose every read fails the test."""
+    monkeypatch.setattr(HFunction, "at", _unread)
+    return SQRT
 
 
 @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
 @pytest.mark.parametrize("name", ["c_doubling", "alpha"])
-def test_cghm_refuses_non_finite_parameters(name, value):
+def test_cghm_refuses_non_finite_parameters(unread, name, value):
     params = {"c_doubling": 2.0, "alpha": 0.25, "count": 5, name: value}
     with pytest.raises(ValueError, match=f"^{name} must be finite"):
-        cghm_construct(_unread, _unread, **params)
+        cghm_construct(unread, unread, **params)
 
 
 @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
 @pytest.mark.parametrize("name", ["c", "alpha"])
-def test_condition71_refuses_non_finite_parameters(name, value):
+def test_condition71_refuses_non_finite_parameters(unread, name, value):
     params = {"c": 1.0, "alpha": 0.25, name: value}
     with pytest.raises(ValueError, match=f"^{name} must be finite"):
-        condition71_check(_unread, _unread, [(4, 8)], **params)
+        condition71_check(unread, unread, [(4, 8)], **params)
 
 
-def test_condition71_refuses_an_empty_pair_list():
+def test_condition71_refuses_an_empty_pair_list(unread):
     # No rows would read all_pass = True having checked nothing.
     for pairs in ([], ()):
         with pytest.raises(ValueError, match="no \\(k, n\\) pairs"):
-            condition71_check(_unread, _unread, pairs, 1.0, 0.25)
+            condition71_check(unread, unread, pairs, 1.0, 0.25)
 
 
 def test_condition71_failure_modes():
     # k = n fails growth beyond the first pair
-    report = condition71_check(sqrt_of, one_plus_log2, [(4, 4), (8, 8)], 1.0, 0.25)
+    report = condition71_check(SQRT, ONE_PLUS_LOG2, [(4, 4), (8, 8)], 1.0, 0.25)
     assert not report.all_pass and not report.rows[1]["growth_ok"]
     # democratic tables: h_r = h_l = sqrt -> inequality fails for large n/k
-    report = condition71_check(sqrt_of, sqrt_of, [(2, 4), (2, 2048)], 1.0, 0.5)
+    report = condition71_check(SQRT, SQRT, [(2, 4), (2, 2048)], 1.0, 0.5)
     assert not report.rows[1]["inequality_ok"]
 
 
@@ -431,13 +466,13 @@ def test_condition71_failure_modes():
 def test_float_checks_allow_a_relative_slack_of_1e_12(excess, accepted):
     # The doubling precondition and the 7.1 inequality are decisions on
     # floats that forgive a relative 1e-12, and no more.
-    h_l = {1: 1.0, 2: 2.0 * (1 + excess)}.__getitem__  # h_l(2) / h_l(1) = C * (1 + excess)
+    h_l = HFunction("table", values={1: 1.0, 2: 2.0 * (1 + excess)})  # h_l(2) / h_l(1) = C * (1 + excess)
     if accepted:
         assert cghm_construct(h_l, h_l, 2.0, 0.25, 1).exhausted  # h_r/h_l is 1 where known
     else:
         with pytest.raises(ValueError, match="^h_l is not 2\\.0-doubling at N=1:"):
             cghm_construct(h_l, h_l, 2.0, 0.25, 1)
-    report = condition71_check(lambda n: 1.0 - excess, lambda n: 1.0, [(1, 1)], 1.0, 1.0)
+    report = condition71_check(HFunction("power", 1.0 - excess), ONE, [(1, 1)], 1.0, 1.0)
     assert report.rows[0]["inequality_ok"] is accepted
 
 

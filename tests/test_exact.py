@@ -13,6 +13,7 @@ from greedylab import (
     Block,
     BlockSchedule,
     ErrorSequence,
+    HFunction,
     SpaceSpec,
     arithmetic_schedule,
     build_xs,
@@ -26,11 +27,11 @@ from greedylab import (
     space_from_json,
     squares_schedule,
 )
-from greedylab.democracy import one_plus_log2, sqrt_of
 from greedylab.exact import sqrt_plus_const_ge
 from greedylab.greedy import GreedyProfile
 
 SPEC = SpaceSpec.block_sum([(2, 4), (3, 6)])
+SQRT, ONE_PLUS_LOG2 = HFunction("sqrt"), HFunction("one_plus_log2")
 
 
 def _sequence():
@@ -42,7 +43,7 @@ def _profile():
 
 
 def _check71(k, n):
-    return condition71_check(sqrt_of, one_plus_log2, [(k, n)], 1.0, 0.25)
+    return condition71_check(SQRT, ONE_PLUS_LOG2, [(k, n)], 1.0, 0.25)
 
 
 # (argument name, least, a call passing the value to that argument): every
@@ -63,8 +64,8 @@ SITES = [
     ("n", 0, lambda v: demfun_table(SPEC, 5).hr_power(v)),
     ("k", 1, lambda v: doubling_scan(arithmetic_schedule(3), [v])),
     ("N", 0, lambda v: prefix_norm_conjecture_check(arithmetic_schedule(3), [v])),
-    ("count", 1, lambda v: cghm_construct(sqrt_of, one_plus_log2, 2.0, 0.25, v)),
-    ("probe_limit", 1, lambda v: cghm_construct(sqrt_of, one_plus_log2, 2.0, 0.25, 1, v)),
+    ("count", 1, lambda v: cghm_construct(SQRT, ONE_PLUS_LOG2, 2.0, 0.25, v)),
+    ("probe_limit", 1, lambda v: cghm_construct(SQRT, ONE_PLUS_LOG2, 2.0, 0.25, 1, v)),
     ("pair 1: k", 1, lambda v: _check71(v, 4)),
     ("pair 1: n", 2, lambda v: _check71(2, v)),
     ("s", 2, lambda v: build_xs(squares_schedule(4), v)),
@@ -137,7 +138,7 @@ def test_huge_ints_pass_the_integer_rule():
     assert profile.gamma(big).residual_max.power_exact == 0 == profile.sigma(big).power_exact
     point = demfun_dp(SpaceSpec.block_sum([(big, big)]), big)
     assert point.hl_power == big == point.hr_power
-    assert cghm_construct(sqrt_of, one_plus_log2, 2.0, 0.25, big, probe_limit=1).exhausted
+    assert cghm_construct(SQRT, ONE_PLUS_LOG2, 2.0, 0.25, big, probe_limit=1).exhausted
     assert _check71(big, big).rows[0]["k"] == big
 
 

@@ -48,6 +48,22 @@ def test_an_errors_run_loads_no_oracle_suite_or_other_route(tmp_path):
     assert (tmp_path / "errors.csv").read_text().startswith("k,sigma_sq,gamma_sq,")
 
 
+def test_cghm_and_check71_runs_load_cghm_and_not_democracy(tmp_path):
+    hl = tmp_path / "hl.json"
+    hl.write_text(json.dumps({"kind": "one_plus_log2"}))
+    hr = tmp_path / "hr.json"
+    hr.write_text(json.dumps({"kind": "sqrt"}))
+    report = str(tmp_path / "cghm.json")
+    runs = [["--out", report, "cghm", "--hl", str(hl), "--hr", str(hr), "--alpha", "0.25"],
+            ["--out", str(tmp_path / "check71.json"), "check71", "--hl", str(hl), "--hr", str(hr),
+             "--pairs", report, "--alpha", "0.25"]]
+    for argv in runs:
+        loaded = _fresh(
+            f"from greedylab.cli import main\nrc = main({argv!r})\nprint(json.dumps([rc, {LOADED}]))"
+        )
+        assert loaded == [0, sorted(CLI_MODULES | {"cghm"})]
+
+
 def test_every_exported_name_resolves_and_is_listed():
     missing = _fresh(
         "import greedylab\n"
