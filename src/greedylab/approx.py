@@ -367,7 +367,7 @@ def build_xs(schedule: BlockSchedule, s: int) -> XsConstruction:
     v = -(-n_s // r)  # ceil
     x = spec.vector([(hi_block, 2, n_s), (hi_block + 1, 1, v)])
 
-    row = democracy.doubling_scan(schedule, [hi_block + 1]).rows[0]  # h_l at n_s and 2 n_s
+    [row] = democracy.doubling_scan(schedule, [hi_block + 1])  # h_l at n_s and 2 n_s
     m_power = space_norm(spec.indicator({hi_block: n_s}), spec).power_exact
     v_power = space_norm(spec.indicator({hi_block + 1: v}), spec).power_exact
     profile = GreedyProfile(x, spec)

@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Mapping, Optional, Sequence
+from typing import Callable, Mapping, Optional, Sequence
 
 from .exact import int_at_least, json_int, json_number, json_shape
 
@@ -150,6 +150,18 @@ def _require_finite(**values: float) -> None:
             raise ValueError(f"{name} must be finite, got {value}")
 
 
+def _float_field(name: str, compute: Callable[[], float]) -> float:
+    """compute() as a finite float; an OverflowError or a non-finite value,
+    which its report could not hold as JSON, is refused naming the field."""
+    try:
+        value = compute()
+    except OverflowError:
+        value = math.inf
+    if not math.isfinite(value):
+        raise ValueError(f"{name} is past the float range")
+    return value
+
+
 def cghm_construct(
     h_r: HFunction,
     h_l: HFunction,
@@ -235,7 +247,9 @@ def condition71_check(
 
     Growth means n/k strictly increases along the pairs; the inequality is
     h_r(k) / h_l(n) >= c * (n/k)^alpha per pair.  An N that h_l or h_r
-    cannot answer is refused with a ValueError naming the side and the N.
+    cannot answer is refused with a ValueError naming the side and the N,
+    and a row field (n_over_k, rhs, lhs) past the float range with one
+    naming the pair and the field.
     """
     _require_finite(c=c, alpha=alpha)
     if not pairs:  # a report with no rows would pass having checked nothing
@@ -251,15 +265,16 @@ def condition71_check(
         for side, m, value in (("h_r", k, h_k), ("h_l", n, h_n)):
             if value is None:
                 raise ValueError(f"pair {mu}: {side} is not known at N = {m}")
-        lhs = h_k / h_n
-        rhs = c * float(growth_ratio) ** alpha
+        n_over_k = _float_field(f"pair {mu}: n_over_k", lambda: float(growth_ratio))
+        rhs = _float_field(f"pair {mu}: rhs", lambda: c * n_over_k**alpha)
+        lhs = _float_field(f"pair {mu}: lhs", lambda: h_k / h_n)
         inequality_ok = _at_least(lhs, rhs)
         rows.append(
             {
                 "mu": mu,
                 "k": k,
                 "n": n,
-                "n_over_k": float(growth_ratio),
+                "n_over_k": n_over_k,
                 "lhs": lhs,
                 "rhs": rhs,
                 "growth_ok": growth_ok,

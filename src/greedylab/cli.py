@@ -24,7 +24,7 @@ from itertools import repeat
 from typing import Iterable, Optional
 
 from .errors import GreedyLabError
-from .exact import json_int, json_shape
+from .exact import int_at_least, json_int, json_shape
 from .greedy import GreedyProfile, gamma, sigma_exact
 from .spaces import SpaceSpec, _float_root, space_from_json, space_norm
 from .vectors import CompressedVector
@@ -158,11 +158,12 @@ def cmd_gamma(args) -> int:
 
 
 def cmd_errors(args) -> int:
+    max_k = None if args.max_k is None else int_at_least(args.max_k, 0, "max_k")
     spec = _load_space(args.space)
     x = CompressedVector.load(args.vector)
     profile = GreedyProfile(x, spec)
     sig, gam = profile.sequence("sigma"), profile.sequence("gamma")
-    last = sig.support_size if args.max_k is None else min(args.max_k, sig.support_size)
+    last = sig.support_size if max_k is None else min(max_k, sig.support_size)
     sigmas, gammas = sig.powers(last), gam.powers(last)
     root = _root_strings(sig.p, sigmas, gammas)
     lines = [f"{k},{s},{g},{root[s]},{root[g]}" for k, (s, g) in enumerate(zip(sigmas, gammas))]
@@ -185,28 +186,19 @@ def cmd_demfun(args) -> int:
     return 0
 
 
-SCAN_FIELDS = ("k", "n_k", "n_k1", "a_k1", "hl_n_sq", "hl_2n_sq", "ratio_sq", "bound_sq",
-               "ratio_float", "bound_float", "bound_holds", "upper_equality")
-
-
 def cmd_doubling_scan(args) -> int:
     from .democracy import doubling_scan
 
     spec = _load_schedule_space(args.space)
-    report = doubling_scan(spec.schedule, args.k)
-    root = _root_strings(spec.outer_p, [r.ratio_sq for r in report.rows],
-                         [r.bound_sq for r in report.rows])
-    rows = [
-        (r.k, r.n_k, r.n_k1, r.a_k1, r.hl_n_power, r.hl_2n_power, str(r.ratio_sq),
-         str(r.bound_sq), root[r.ratio_sq], root[r.bound_sq], r.bound_holds, r.upper_equality)
-        for r in report.rows
+    rows = doubling_scan(spec.schedule, args.k)  # a row that breaks the theorem raises
+    root = _root_strings(spec.outer_p, [r.ratio_sq for r in rows], [r.bound_sq for r in rows])
+    lines = [
+        f"{r.k},{r.n_k},{r.n_k1},{r.a_k1},{r.hl_n_power},{r.hl_2n_power},{r.ratio_sq},"
+        f"{r.bound_sq},{root[r.ratio_sq]},{root[r.bound_sq]},{r.bound_holds},{r.upper_equality}"
+        for r in rows
     ]
-    lines = [",".join(map(str, row)) for row in rows]
-    emit_report((",".join(SCAN_FIELDS), lines), path=args.out)
-    if not all(r.bound_holds and r.upper_holds for r in report.rows):
-        _diag("doubling-scan: a guaranteed bound failed",
-              rows=[dict(zip(SCAN_FIELDS, row)) for row in rows])
-        return 1
+    emit_report(("k,n_k,n_k1,a_k1,hl_n_sq,hl_2n_sq,ratio_sq,bound_sq,ratio_float,bound_float,"
+                 "bound_holds,upper_equality", lines), path=args.out)
     return 0
 
 

@@ -233,33 +233,43 @@ class DoublingRow:
     n_k: int
     n_k1: int
     a_k1: int
-    hl_n_power: int
-    hl_2n_power: int
-    ratio_sq: Fraction  # hl(2n_{k+1})^2 / hl(n_{k+1})^2
+    hl_n_power: int  # n_k, by the theorem doubling_scan checks
+    hl_2n_power: int  # n_{k+1}, likewise
+    ratio_sq: Fraction  # hl(2n_{k+1})^2 / hl(n_{k+1})^2 = a_{k+1}
     bound_sq: Fraction  # (2/3) a_{k+1}
     bound_holds: bool
-    upper_holds: bool  # hl(n_{k+1})^2 <= n_k
     upper_equality: bool
 
 
-@dataclass(frozen=True)
-class DoublingReport:
-    rows: tuple[DoublingRow, ...]
-    ratios_increasing: bool
-    non_doubling_witnessed: bool
+def doubling_scan(schedule: BlockSchedule, ks: Iterable[int]) -> tuple[DoublingRow, ...]:
+    """Exact ratios h_l(2 n_{k+1}) / h_l(n_{k+1}), one row per k.
 
+    Theorem: for any multipliers a_j >= 2 (slow starts included),
+    h_l^p(n_{k+1}) = n_k and h_l^p(2 n_{k+1}) = n_{k+1}, so the squared
+    ratio is exactly a_{k+1}.  Strictly increasing multipliers are
+    unbounded, so h_l is not doubling.
 
-def doubling_scan(schedule: BlockSchedule, ks: Iterable[int]) -> DoublingReport:
-    """Exact ratios h_l(2 n_{k+1}) / h_l(n_{k+1}) with guaranteed bounds.
+    Proof.  Block j has cap n_j and size n_{j+1}.  A set A of N indices
+    with m_j of them in block j has ||1_A||^p = sum_j min(m_j, n_j) = N - F,
+    where F = sum_j max(0, m_j - n_j) counts the units placed beyond the
+    caps.  A block that places units beyond its cap costs its whole cap n_j
+    and places at most n_{j+1} - n_j of them, so blocks 1..j together place
+    at most n_{j+1} - n_1.  Let M be n_{k+1} or 2 n_{k+1}, and i = k or
+    k + 1 the block that holds all M units at cost n_i (its size n_{i+1} =
+    a_{i+1} n_i >= M).  No block above i places a unit beyond its cap: its
+    cap is at least n_{i+1} >= M.  If block i does, the cost is at least
+    n_i; if none of blocks i and above does, F <= n_i - n_1 and the cost is
+    at least M - n_i + n_1 > n_i, since M >= 2 n_i.  So h_l^p(M) = n_i.
 
-    Each ratio is at least sqrt(2/3) * sqrt(a_{k+1}) and h_l(n_{k+1}) is
-    at most sqrt(n_k); the growing multipliers make the ratio sequence
-    unbounded, which is the non-doubling phenomenon.  Once every row has
-    passed the window's checks, one walk of the recurrence answers all N.
+    Every row is checked against the theorem where it is built: a row that
+    breaks it raises InvariantError naming k and both values, so every
+    returned row has ratio_sq == a_{k+1} (hence bound_holds and
+    upper_equality).  Once every row has passed the window's checks, one
+    walk of the recurrence answers all N.
     """
     spec = SpaceSpec.from_schedule(schedule)
     ks = sorted({int_at_least(k, 1, "k") for k in ks})
-    if not ks:  # a report with no rows would pass having checked nothing
+    if not ks:  # a scan with no rows would pass having checked nothing
         raise ValueError("doubling scan needs at least one block index k")
     deepest, ns = schedule.n(len(schedule.a)), []
     for k in ks:  # the smallest k the window cannot answer names the refusal
@@ -270,33 +280,20 @@ def doubling_scan(schedule: BlockSchedule, ks: Iterable[int]) -> DoublingReport:
     rows = []
     for k, n_k1, hl_n, hl_2n in zip(ks, ns, hl, hl[len(ns):]):
         n_k = schedule.n(k)
-        ratio_sq = Fraction(hl_2n, hl_n)
-        bound_sq = Fraction(2, 3) * schedule.a[k]
-        rows.append(
-            DoublingRow(
-                k=k,
-                n_k=n_k,
-                n_k1=n_k1,
-                a_k1=schedule.a[k],
-                hl_n_power=hl_n,
-                hl_2n_power=hl_2n,
-                ratio_sq=ratio_sq,
-                bound_sq=bound_sq,
-                bound_holds=ratio_sq >= bound_sq,
-                upper_holds=hl_n <= n_k,
-                upper_equality=hl_n == n_k,
-            )
-        )
-    ratios = [row.ratio_sq for row in rows]
-    increasing = all(a < b for a, b in zip(ratios, ratios[1:]))
-    return DoublingReport(tuple(rows), increasing, all(r.bound_holds for r in rows))
+        if hl_n != n_k or hl_2n != n_k1:
+            raise InvariantError(
+                f"doubling scan, k={k}: h_l^p(n_(k+1)) = {hl_n} and h_l^p(2n_(k+1)) = {hl_2n}, "
+                f"where the theorem gives n_k = {n_k} and n_(k+1) = {n_k1}")
+        ratio_sq, bound_sq = Fraction(hl_2n, hl_n), Fraction(2, 3) * schedule.a[k]
+        rows.append(DoublingRow(k, n_k, n_k1, schedule.a[k], hl_n, hl_2n, ratio_sq, bound_sq,
+                                ratio_sq >= bound_sq, hl_n == n_k))
+    return tuple(rows)
 
 
 @dataclass(frozen=True)
 class PrefixReport:
     rows: tuple[tuple[int, int, int], ...]  # (N, prefix_power, hl_power)
-    counterexamples: tuple[int, ...]
-    all_equal: bool
+    counterexamples: tuple[int, ...]  # the N where prefix_power != hl_power
 
 
 def prefix_norm_conjecture_check(
@@ -317,4 +314,4 @@ def prefix_norm_conjecture_check(
     prefix = _prefix_table(_finite_blocks(spec), ns[-1])
     rows = [(n, prefix[n], table.hl_power(n)) for n in ns]
     bad = [n for n, pre, hl in rows if pre != hl]
-    return PrefixReport(tuple(rows), tuple(bad), not bad)
+    return PrefixReport(tuple(rows), tuple(bad))

@@ -782,7 +782,7 @@ ROWS: dict[str, Row] = {
     "doubling_scan ~ alloc_dp": Row(
         democracy.doubling_scan, explicit.alloc_dp,
         {"tabulable windows": Family(tabulable_windows)},
-        lambda route, c: [(r.k, r.hl_n_power, r.hl_2n_power) for r in route(c.schedule, c.ks).rows],
+        lambda route, c: [(r.k, r.hl_n_power, r.hl_2n_power) for r in route(c.schedule, c.ks)],
         _doubling_oracle, "quadratic in 2 n_(k+1)"),
     "prefix_norm_conjecture_check ~ alloc_dp": Row(
         democracy.prefix_norm_conjecture_check, explicit.alloc_dp,

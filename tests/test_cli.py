@@ -1,7 +1,6 @@
 """CLI round trips, deterministic artifacts and exit codes."""
 
 import ast
-import dataclasses
 import hashlib
 import json
 import math
@@ -98,28 +97,22 @@ def test_doubling_scan_csv(tmp_path, schedule_file):
     assert lines[1].split(",")[0] == "1" and "True" in lines[1]
 
 
-def test_doubling_scan_failure_diagnostic_lists_the_rows(schedule_file, capsys, monkeypatch):
-    # A failed bound (forced here) reports every row, as a JSON object per
-    # CSV line, on stderr.
+def test_doubling_scan_exits_1_on_a_row_that_breaks_the_theorem(tmp_path, capsys, monkeypatch):
+    # h_l^p(2 n_4) one above n_4 = 840 on a = (4, ..., 10): the squared ratio
+    # 841/120 still beats (2/3) a_4, and the scan's theorem check refuses it.
     from greedylab import democracy
 
-    real = democracy.doubling_scan
-
-    def failing(schedule, ks):
-        report = real(schedule, ks)
-        rows = tuple(dataclasses.replace(r, bound_holds=False) for r in report.rows)
-        return dataclasses.replace(report, rows=rows)
-
-    monkeypatch.setattr(democracy, "doubling_scan", failing)
-    assert main(["doubling-scan", "--space", schedule_file, "--k", "1..2"]) == 1
+    real = democracy._hl_points
+    monkeypatch.setattr(democracy, "_hl_points", lambda blocks, ns: [
+        (value + (n == 1680), witness) for n, (value, witness) in zip(ns, real(blocks, ns))])
+    space = write(tmp_path / "a6.json", {"a": [4, 5, 6, 7, 8, 9, 10]})
+    out = tmp_path / "scan.csv"
+    assert main(["--out", str(out), "doubling-scan", "--space", space, "--k", "1..5"]) == 1
     captured = capsys.readouterr()
-    header, *lines = captured.out.split()
-    diag = json.loads(captured.err)
-    assert diag["error"] == "doubling-scan: a guaranteed bound failed"
-    fields = header.split(",")
-    assert all(list(row) == sorted(fields) for row in diag["rows"])
-    assert [",".join(str(row[f]) for f in fields) for row in diag["rows"]] == lines
-    assert diag["rows"][0]["hl_n_sq"] == 4 and diag["rows"][0]["ratio_sq"] == "5"
+    assert captured.out == "" and not out.exists()
+    assert json.loads(captured.err)["error"] == (
+        "InvariantError: doubling scan, k=3: h_l^p(n_(k+1)) = 120 and h_l^p(2n_(k+1)) = 841, "
+        "where the theorem gives n_k = 120 and n_(k+1) = 840")
 
 
 def test_prefix_check_reports_counterexample(tmp_path, schedule_file, capsys):
@@ -537,6 +530,12 @@ PARSEABLE_INPUTS = [
     (["check71", "--hl", "nan_scale", "--hr", "sqrt", "--pairs", "pairs", "--alpha", "1"], 1),
     (["check71", "--hl", "nan_exponent", "--hr", "sqrt", "--pairs", "pairs", "--alpha", "1"], 1),
     (["check71", "--hl", "inf_table", "--hr", "sqrt", "--pairs", "pairs", "--alpha", "1"], 1),
+    # A row field past the float range: n/k, C (n/k)^alpha and h_r(k)/h_l(n).
+    (["check71", "--hl", "log2", "--hr", "sqrt", "--pairs", "n_1e400", "--alpha", "2"], 1),
+    (["check71", "--hl", "log2", "--hr", "sqrt", "--pairs", "n_1e300", "--alpha", "2"], 1),
+    (["check71", "--hl", "log2", "--hr", "sqrt", "--pairs", "n_4", "--alpha", "1e308"], 1),
+    (["check71", "--hl", "log2", "--hr", "sqrt", "--pairs", "n_4", "--alpha", "1", "--C", "1e308"], 1),
+    (["check71", "--hl", "tiny_table", "--hr", "huge_table", "--pairs", "n_4", "--alpha", "1"], 1),
 ]
 
 
@@ -545,6 +544,12 @@ PARSEABLE_ERRORS = {
     # It once divided by h_l(16) = 0: ZeroDivisionError.
     "zero_table": "ValueError: table value at 16 must be > 0, got 0.0",
     "power400": "ValueError: pair 1: h_r is not known at N = 8",
+    # It once named upto, the argument of ErrorSequence.powers.
+    "--max-k": "ValueError: max_k must be an integer >= 0, got -1",
+    "n_1e400": "ValueError: pair 1: n_over_k is past the float range",
+    "n_1e300": "ValueError: pair 1: rhs is past the float range",
+    "1e308": "ValueError: pair 1: rhs is past the float range",  # as --alpha and as --C
+    "tiny_table": "ValueError: pair 1: lhs is past the float range",
 }
 
 
@@ -562,6 +567,12 @@ def input_files(tmp_path):
         "power400": {"kind": "power", "exponent": 400},  # 8^400 overflows a float
         "zero_table": {"kind": "table", "values": {"16": 0}},
         "pairs": {"pairs": [[8, 16]]},
+        "log2": {"kind": "one_plus_log2"},
+        "n_1e400": [[1, "1" + "0" * 400]],
+        "n_1e300": [[1, "1" + "0" * 300]],
+        "n_4": [[1, 4]],
+        "tiny_table": {"kind": "table", "values": {"4": 1e-300}},
+        "huge_table": {"kind": "table", "values": {"1": 1e300}},
         "float_a": {"a": [4, 5.5, 6]},
         "float_count": {"groups": [[0, "1", 2.5]]},
         "float_block": {"groups": [[0.9, "1", 2]]},

@@ -12,6 +12,7 @@ from greedylab import (
     BlockSchedule,
     DemPoint,
     HFunction,
+    InvariantError,
     SpaceSpec,
     TruncationError,
     arithmetic_schedule,
@@ -178,13 +179,23 @@ def test_table_withholds_unrequested_side():
 
 
 def test_doubling_scan_4567():
-    report = doubling_scan(arithmetic_schedule(3), [1, 2])
-    k1, k2 = report.rows
+    k1, k2 = doubling_scan(arithmetic_schedule(3), [1, 2])
     assert k1.ratio_sq == 5 and k1.bound_sq == Fraction(10, 3)
     assert k2.ratio_sq == 6 and k2.bound_sq == 4
     assert k1.bound_holds and k2.bound_holds
     assert k1.upper_equality and k2.upper_equality
-    assert report.ratios_increasing and report.non_doubling_witnessed
+
+
+def test_doubling_scan_raises_on_a_row_that_breaks_the_theorem(monkeypatch):
+    # h_l^p(2 n_4) = 841, one above n_4 = 840, on a = (4, ..., 10): the squared
+    # ratio 841/120 still beats (2/3) a_4 = 14/3, and only the theorem catches it.
+    real = democracy._hl_points
+    monkeypatch.setattr(democracy, "_hl_points", lambda blocks, ns: [
+        (value + (n == 1680), witness) for n, (value, witness) in zip(ns, real(blocks, ns))])
+    with pytest.raises(InvariantError, match=re.escape(
+            "doubling scan, k=3: h_l^p(n_(k+1)) = 120 and h_l^p(2n_(k+1)) = 841, "
+            "where the theorem gives n_k = 120 and n_(k+1) = 840")):
+        doubling_scan(arithmetic_schedule(6), range(1, 6))
 
 
 def test_doubling_scan_refuses_shallow_schedule():
@@ -212,23 +223,34 @@ def test_doubling_scan_is_one_walk_of_two_states_per_row(monkeypatch):
     sched = arithmetic_schedule(201)
     spec = SpaceSpec.from_schedule(sched)
     states = _count_states(monkeypatch)
-    report = doubling_scan(sched, range(1, 201))
+    rows = doubling_scan(sched, range(1, 201))
     # Each row's two N skip every block type above the one that takes their
     # units, so the scan costs two states per row, not one per type and row.
     assert len(states) <= 2 * 201
-    for row in report.rows:
+    for row in rows:
         assert row.hl_n_power == demfun_dp(spec, row.n_k1, which="hl").hl_power
         assert row.hl_2n_power == demfun_dp(spec, 2 * row.n_k1, which="hl").hl_power
 
 
-@pytest.mark.parametrize("sched", [arithmetic_schedule(401), squares_schedule(60)])
+def _seeded_schedules(count):
+    """Strictly increasing multipliers >= 2, slow starts included, 2-8 blocks (seed 7)."""
+    rng = random.Random(7)
+    return [BlockSchedule(tuple(sorted(rng.sample(range(2, 40), rng.randint(3, 9)))),
+                          allow_slow_start=True) for _ in range(count)]
+
+
+@pytest.mark.parametrize("sched", [
+    arithmetic_schedule(401), squares_schedule(60),
+    BlockSchedule((2, 3, 5, 8, 13), allow_slow_start=True),
+    BlockSchedule((3, 4, 5, 6, 7), allow_slow_start=True),
+    *_seeded_schedules(50)])
 def test_doubling_ratio_is_the_next_multiplier_on_every_row(sched):
     # h_l(n_{k+1})^2 = n_k and h_l(2 n_{k+1})^2 = n_{k+1} on every row scanned,
     # so the squared ratio is exactly a_{k+1}, above the guaranteed (2/3) a_{k+1}.
-    report = doubling_scan(sched, range(1, sched.num_blocks))
-    assert len(report.rows) == sched.num_blocks - 1
-    for row in report.rows:
-        assert row.ratio_sq == row.a_k1 and row.upper_equality
+    rows = doubling_scan(sched, range(1, sched.num_blocks))
+    assert len(rows) == sched.num_blocks - 1
+    for row in rows:
+        assert row.ratio_sq == row.a_k1 and row.upper_equality and row.hl_2n_power == row.n_k1
 
 
 # -- prefix-norm comparison ------------------------------------------------------
@@ -236,7 +258,7 @@ def test_doubling_ratio_is_the_next_multiplier_on_every_row(sched):
 
 def test_prefix_matches_hl_at_small_n():
     report = prefix_norm_conjecture_check(arithmetic_schedule(3), [1, 20, 24])
-    assert report.all_equal
+    assert report.counterexamples == ()
     rows = {n: (pre, hl) for n, pre, hl in report.rows}
     assert rows[20] == (4, 4)
     assert rows[24] == (8, 8)
@@ -251,7 +273,6 @@ def test_prefix_counterexample_at_40_is_surfaced():
     assert 40 in report.counterexamples
     row40 = next(r for r in report.rows if r[0] == 40)
     assert row40 == (40, 24, 20)
-    assert not report.all_equal
 
 
 def test_prefix_norm_bounds_hl_and_the_counterexamples_are_where_it_is_strict():
